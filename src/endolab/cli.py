@@ -75,9 +75,10 @@ def _workers() -> int:
 
 def _map_cases(fn, keys):
     """Map fn over case keys, in a process pool when ENDOLAB_WORKERS > 1; the
-    output order always follows the sorted keys."""
+    output order always follows the sorted keys.  The pool never has more
+    workers than CPUs or keys."""
     keys = list(keys)
-    n = _workers()
+    n = min(_workers(), os.cpu_count() or 1, len(keys))
     if n <= 1:
         return [fn(k) for k in keys]
     with ProcessPoolExecutor(max_workers=n) as pool:
@@ -400,10 +401,7 @@ def _suite_kostant(args, rep: Report):
     for kind in ("B", "D"):
         for m in range(2, args.max_rank + 1):
             datum = rootdata.RootDatum(kind, m)
-            levis = {"M2": rootdata.levi_M2(m)}
-            if m >= 2:
-                levis["M1"] = rootdata.levi_M1(m)
-                levis["M12"] = rootdata.levi_M12(m)
+            levis = {"M2": rootdata.levi_M2(m), "M1": rootdata.levi_M1(m), "M12": rootdata.levi_M12(m)}
             lams = _dominant_weights(kind, m, args.max_coord)
             for label, levi in levis.items():
                 for lam in lams:
@@ -525,10 +523,26 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _attach_values(argv: list[str]) -> list[str]:
+    """Rewrite `--diag V` and `--gram V` as `--diag=V`, `--gram=V`: argparse
+    takes a separate value that starts with a minus sign, such as
+    -4,-16,3, for an option."""
+    out = []
+    i = 0
+    while i < len(argv):
+        if argv[i] in ("--diag", "--gram") and i + 1 < len(argv):
+            out.append(f"{argv[i]}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(argv[i])
+            i += 1
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_attach_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     t0 = time.time()

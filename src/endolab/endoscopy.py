@@ -330,10 +330,6 @@ def k_invariants(family: str, m: int) -> tuple[int, int]:
     return (2 ** m, 2 ** (m - 1))
 
 
-def k_of_so_dim(d: int) -> int:
-    return k_invariants("SO", d // 2)[1]
-
-
 def iota(d: int, h: EndoParams) -> Fraction:
     """iota(G, H) = tau(G) / (tau(H) |Out(H, s, eta)|)."""
     if h.d != d:

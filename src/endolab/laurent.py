@@ -8,6 +8,7 @@ like rho in type B stay integral.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 
 from .errors import ExactDomainError
 
@@ -62,7 +63,7 @@ class Laurent:
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
@@ -78,31 +79,50 @@ class Laurent:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def _lead(self) -> tuple[tuple[int, ...], object]:
-        e = max(self.terms)
-        return e, self.terms[e]
-
     def divide_exact(self, den: "Laurent") -> "Laurent":
-        """Exact division (raises if the division leaves a remainder)."""
+        """Exact division; raises ExactDomainError if den does not divide self.
+
+        Long division by the lex-leading term of den, in place on one dict.
+        If self = q * den, the Newton polytope of self is the Minkowski sum of
+        those of q and den, and trailing terms multiply in the lex order.  So
+        every exponent of q lies in the box [min_i self - min_i den,
+        max_i self - max_i den] and is lex-above min(self) - min(den).  The
+        quotient exponents strictly decrease, so the loop ends within the box,
+        and a quotient term outside these bounds proves a remainder.
+        """
         if den.is_zero():
             raise ZeroDivisionError("division by zero Laurent polynomial")
-        num = Laurent(self.rank, dict(self.terms))
-        quo = Laurent(self.rank)
-        de, dc = den._lead()
-        steps = 0
-        while not num.is_zero():
-            ne, nc = num._lead()
-            qe = tuple(a - b for a, b in zip(ne, de))
-            qc = Fraction(nc, dc) if not isinstance(nc, Fraction) else nc / dc
-            if qc.denominator == 1:
-                qc = int(qc)
-            t = Laurent.monomial(qe, qc)
-            quo = quo + t
-            num = num - t * den
-            steps += 1
-            if steps > 200000:
-                raise ExactDomainError("Laurent division did not terminate")
-        return quo
+        out = Laurent(self.rank)
+        if self.is_zero():
+            return out
+        rem = dict(self.terms)
+        quo = out.terms
+        de = max(den.terms)
+        dc = den.terms[de]
+        shifts = [(tuple(map(sub, e, de)), c) for e, c in den.terms.items() if e != de]
+        floor = tuple(map(sub, min(rem), min(den.terms)))
+        box = [(min(n) - min(d), max(n) - max(d)) for n, d in zip(zip(*rem), zip(*den.terms))]
+        while rem:
+            ne = max(rem)
+            nc = rem.pop(ne)
+            qe = tuple(map(sub, ne, de))
+            if qe < floor or not all(lo <= x <= hi for x, (lo, hi) in zip(qe, box)):
+                raise ExactDomainError("Laurent division leaves a remainder")
+            if type(nc) is int and type(dc) is int and nc % dc == 0:
+                qc = nc // dc
+            else:
+                qc = Fraction(nc) / dc
+                if qc.denominator == 1:
+                    qc = qc.numerator
+            quo[qe] = qc
+            for s, c in shifts:
+                e = tuple(map(add, ne, s))
+                v = rem.get(e, 0) - qc * c
+                if v:
+                    rem[e] = v
+                else:
+                    rem.pop(e, None)
+        return out
 
     def __repr__(self):
         if not self.terms:

@@ -275,11 +275,6 @@ def evaluate_root(gamma: TorusPoint, alpha: Root) -> GaussianRational:
     return evaluate_character_monomial(gamma, alpha)
 
 
-def is_regular(gamma: TorusPoint, datum: RootDatum) -> bool:
-    one = GaussianRational(1)
-    return all(evaluate_root(gamma, a) != one for a in datum.positive_roots())
-
-
 @lru_cache(maxsize=None)
 def weyl_table(kind: str, m: int) -> tuple:
     """Cached (w, inversion root indices, sign) triples for the full group."""
@@ -484,13 +479,18 @@ def weyl_numerator(datum: RootDatum, lam: Weight) -> Laurent:
     return _weyl_numerator_cached(datum.kind, datum.rank, lam.doubled)
 
 
+@lru_cache(maxsize=1024)
+def _formal_character_cached(kind: str, m: int, doubled: tuple[int, ...]) -> Laurent:
+    return _weyl_numerator_cached(kind, m, doubled).divide_exact(_weyl_numerator_cached(kind, m, (0,) * m))
+
+
 def formal_character(datum: RootDatum, lam: Weight) -> Laurent:
-    """ch(lam) by the Weyl character formula, as an exact Laurent polynomial."""
+    """ch(lam) by the Weyl character formula, as an exact Laurent polynomial.
+
+    The result is cached and shared: callers must not mutate it."""
     if not is_dominant(datum, lam):
         raise ExactDomainError("need a dominant weight")
-    num = weyl_numerator(datum, lam)
-    den = weyl_numerator(datum, Weight((0,) * datum.rank))
-    return num.divide_exact(den)
+    return _formal_character_cached(datum.kind, datum.rank, lam.doubled)
 
 
 def _gl_block_character(block_size: int, mu: Sequence[int]) -> Laurent:
@@ -530,38 +530,44 @@ def levi_formal_character(datum: RootDatum, levi: LeviBlocks, mu: Weight) -> Lau
         sub = RootDatum(datum.kind, m - levi.so_start)
         tail = formal_character(sub, Weight.from_ints(c[levi.so_start:]))
         out = out * _embed(tail, levi.so_start, m)
-    elif levi.so_start == m and not levi.gl_blocks:
-        pass
     return out
 
 
-def kostant_euler_identity(datum: RootDatum, levi: LeviBlocks, lam: Weight) -> bool:
-    """Exact Laurent identity verifying Kostant's theorem without differentials:
-    sum_k (-1)^k ch H^k(n, V_lam) = ch(lam) * prod_{a in Phi+ \\ Phi_M+} (1 - e^{-a}).
-
-    Both sides are multiplied by the Weyl numerator of the trivial weight (a
-    nonzero divisor), so ch(lam) never needs to be divided out; the Levi
-    characters on the left involve only small divisions.
-    """
+def _kostant_euler_sum(datum: RootDatum, levi: LeviBlocks, lam: Weight) -> Laurent:
+    """sum_k (-1)^k ch H^k(n, V_lam), each degree by its Levi characters."""
     acc: dict = {}
     for deg, mu in kostant_cohomology(datum, levi, lam):
         sgn = -1 if deg % 2 else 1
         for e, c in levi_formal_character(datum, levi, mu).terms.items():
             acc[e] = acc.get(e, 0) + sgn * c
-    lhs = Laurent(datum.rank, acc) * weyl_numerator(datum, Weight((0,) * datum.rank))
-    rhs = weyl_numerator(datum, lam) * _koszul_alternation(datum.kind, datum.rank, levi.gl_blocks, levi.so_start)
-    return lhs == rhs
+    return Laurent(datum.rank, acc)
+
+
+def kostant_euler_identity(datum: RootDatum, levi: LeviBlocks, lam: Weight) -> bool:
+    """Exact Laurent identity verifying Kostant's theorem without differentials.
+
+    Kostant's theorem gives
+        sum_k (-1)^k ch H^k(n, V_lam) = ch(lam) * K,   K = prod_{a in Phi+ \\ Phi_M+} (1 - e^{-a}).
+    Let D_M = e^rho prod_{a in Phi_M+} (1 - e^{-a}), the Levi denominator shifted
+    by the full rho.  Then D_M * K = A_rho = sum_w eps(w) e^{w rho} (Weyl's
+    denominator formula) and ch(lam) * A_rho = A_{lam+rho} = weyl_numerator(lam)
+    (Weyl's character formula).  Z[X^{+-1}] is a domain and D_M != 0, so
+    multiplying by D_M gives the equivalent identity that is checked here:
+        sum_k (-1)^k ch_M(mu_k) * D_M = A_{lam+rho}.
+    Neither ch(lam) nor K is ever formed; the Levi characters on the left
+    involve only small divisions.
+    """
+    lhs = _kostant_euler_sum(datum, levi, lam) * _levi_denominator(
+        datum.kind, datum.rank, levi.gl_blocks, levi.so_start
+    )
+    return lhs == weyl_numerator(datum, lam)
 
 
 @lru_cache(maxsize=128)
-def _koszul_alternation(kind: str, m: int, gl_blocks, so_start: int) -> Laurent:
-    """prod over nilradical roots of (1 - e^{-a}) = the alternating sum of the
-    exterior-power characters of the dual nilradical."""
+def _levi_denominator(kind: str, m: int, gl_blocks, so_start: int) -> Laurent:
+    """D_M = e^rho prod_{a in Phi_M+} (1 - e^{-a}), rho that of the whole group."""
     datum = RootDatum(kind, m)
-    levi = LeviBlocks(gl_blocks, so_start)
-    levi_pos = set(levi_positive_roots(datum, levi))
-    out = Laurent.one(m)
-    for a in datum.positive_roots():
-        if a not in levi_pos:
-            out = out * (Laurent.one(m) - Laurent.monomial(tuple(-2 * c for c in a)))
+    out = Laurent.monomial(rho(datum).doubled)
+    for a in levi_positive_roots(datum, LeviBlocks(gl_blocks, so_start)):
+        out = out * (Laurent.one(m) - Laurent.monomial(tuple(-2 * c for c in a)))
     return out

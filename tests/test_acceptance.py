@@ -6,6 +6,7 @@ import time
 from fractions import Fraction
 
 from endolab import archcmp, dsconst, endoscopy, hecke, quadspace, rootdata, signs
+from endolab.cli import _dominant_weights
 from endolab.errors import ExactDomainError
 from endolab.exactnum import Place, factorize, hilbert_symbol
 
@@ -189,22 +190,6 @@ def test_criterion_5_invariants():
         if signs.waldspurger_sign(y, mm, eta) != signs.waldspurger_sign_reduced(y, mm, eta):
             bad.append(("waldspurger", y, mm, eta))
     _report("criterion 5: invariant suite", not bad, time.time() - t0, str(bad[:3]))
-
-
-def _dominant_weights(kind: str, m: int, max_coord: int):
-    out = []
-
-    def rec(prefix):
-        if len(prefix) == m:
-            out.append(tuple(prefix))
-            return
-        hi = prefix[-1] if prefix else max_coord
-        lo = -hi if (kind == "D" and len(prefix) == m - 1) else 0
-        for c in range(hi, lo - 1, -1):
-            rec(prefix + [c])
-
-    rec([])
-    return out
 
 
 def test_criterion_6_kostant_suite():

@@ -37,6 +37,43 @@ def test_quadspace_gram_rational_entries():
     assert w["discriminant"] == 3  # -(1/2)(-2/3) = 1/3 ~ 3
 
 
+def test_quadspace_negative_values_space_separated():
+    spaced = run("quadspace", "--diag", "-4,-16,3,1,-18")
+    assert spaced.returncode == 0
+    assert spaced.stdout == run("quadspace", "--diag=-4,-16,3,1,-18").stdout
+    assert json.loads(spaced.stdout)["witnesses"][0]["signature"] == [2, 3]
+    gram = run("quadspace", "--gram", '[["-1/2","0"],["0","3"]]')
+    assert gram.returncode == 0
+    assert json.loads(gram.stdout)["witnesses"][0]["signature"] == [1, 1]
+
+
+def test_workers_capped_by_cpus_and_keys(monkeypatch):
+    from endolab import cli
+
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, keys):
+            return map(fn, keys)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("ENDOLAB_WORKERS", "1000000")
+    assert cli._map_cases(str, range(3)) == ["0", "1", "2"]
+    assert cli._map_cases(str, range(10)) == [str(k) for k in range(10)]
+    assert cli._map_cases(str, range(1)) == ["0"]  # one key: no pool
+    assert seen == [3, 4]
+
+
 def test_quadspace_bad_input_exit2():
     assert run("quadspace", "--diag", "1,0,1").returncode == 2
     assert run("quadspace", "--gram", "not json").returncode == 2

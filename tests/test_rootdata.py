@@ -1,18 +1,24 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from endolab import rootdata
+from endolab.cli import _dominant_weights
 from endolab.errors import ResourceLimitError, SingularPointError
 from endolab.exactnum import GaussianRational
 from endolab.laurent import Laurent
 from endolab.rootdata import (
     COMPACT,
     SPLIT,
+    LeviBlocks,
     RootDatum,
     TorusPoint,
     Weight,
     WeylElement,
+    _kostant_euler_sum,
+    _levi_denominator,
     circle_point,
     formal_character,
     inversion_set,
@@ -20,6 +26,7 @@ from endolab.rootdata import (
     kostant_euler_identity,
     kostant_reps,
     length,
+    levi_formal_character,
     levi_is_dominant,
     levi_positive_roots,
     pi1_covector,
@@ -151,6 +158,83 @@ def test_kostant_euler_identity_small(kind, m):
     for label in ("M1", "M2", "M12"):
         for lam in lams:
             assert kostant_euler_identity(datum, standard_levi(label, m), Weight.from_ints(lam))
+
+
+def _koszul_alternation(datum, levi) -> Laurent:
+    """K = prod over nilradical roots of (1 - e^{-a})."""
+    levi_pos = set(levi_positive_roots(datum, levi))
+    out = Laurent.one(datum.rank)
+    for a in datum.positive_roots():
+        if a not in levi_pos:
+            out = out * (Laurent.one(datum.rank) - Laurent.monomial(tuple(-2 * c for c in a)))
+    return out
+
+
+def _all_levis(m):
+    """Every standard Levi: GL blocks tiling 0..s-1 in order, then the SO tail."""
+    for s in range(m + 1):
+        for cuts in itertools.product((False, True), repeat=max(s - 1, 0)):
+            blocks, start = [], 0
+            for i, cut in enumerate(cuts, 1):
+                if cut:
+                    blocks.append(tuple(range(start, i)))
+                    start = i
+            if s:
+                blocks.append(tuple(range(start, s)))
+            yield LeviBlocks(tuple(blocks), s)
+
+
+@pytest.mark.parametrize("kind,m", [("B", 2), ("B", 3), ("D", 2), ("D", 3)])
+def test_kostant_identity_matches_unreduced_form(kind, m):
+    # LHS * A_rho = A_{lam+rho} * K, the identity before D_M cancels K
+    datum = RootDatum(kind, m)
+    a_rho = weyl_numerator(datum, Weight((0,) * m))
+    for label in ("M1", "M2", "M12"):
+        levi = standard_levi(label, m)
+        koszul = _koszul_alternation(datum, levi)
+        for lam_c in _dominant_weights(kind, m, 2):
+            lam = Weight.from_ints(lam_c)
+            unreduced = _kostant_euler_sum(datum, levi, lam) * a_rho == weyl_numerator(datum, lam) * koszul
+            assert unreduced and kostant_euler_identity(datum, levi, lam), (kind, m, label, lam_c)
+
+
+def test_levi_denominator_times_koszul_is_weyl_denominator():
+    for kind in ("B", "D"):
+        for m in (1, 2, 3, 4):
+            datum = RootDatum(kind, m)
+            a_rho = weyl_numerator(datum, Weight((0,) * m))
+            levis = list(_all_levis(m))
+            assert len(levis) == 2 ** m
+            for levi in levis:
+                d_m = _levi_denominator(kind, m, levi.gl_blocks, levi.so_start)
+                assert d_m * _koszul_alternation(datum, levi) == a_rho, (kind, m, levi)
+
+
+def test_kostant_identity_rejects_corrupted_weight(monkeypatch):
+    # raise the degree-0 Levi highest weight by e_1; it stays Levi-dominant
+    real = rootdata.kostant_cohomology
+
+    def corrupted(datum, levi, lam):
+        (deg, mu), *rest = real(datum, levi, lam)
+        return [(deg, Weight((mu.doubled[0] + 2,) + mu.doubled[1:]))] + rest
+
+    cases = [(datum, label, lam_c) for datum in (B2, B3, D3) for label in ("M1", "M2", "M12")
+             for lam_c in _dominant_weights(datum.kind, datum.rank, 1)]
+    for datum, label, lam_c in cases:
+        levi, lam = standard_levi(label, datum.rank), Weight.from_ints(lam_c)
+        assert kostant_euler_identity(datum, levi, lam)
+        monkeypatch.setattr(rootdata, "kostant_cohomology", corrupted)
+        assert levi_is_dominant(datum, levi, rootdata.kostant_cohomology(datum, levi, lam)[0][1])
+        assert not kostant_euler_identity(datum, levi, lam), (datum, label, lam_c)
+        monkeypatch.setattr(rootdata, "kostant_cohomology", real)
+
+
+def test_formal_character_is_cached_and_levi_character_copies():
+    lam = Weight.from_ints((1, 1))
+    assert formal_character(B2, lam) is formal_character(B2, lam)
+    levi = standard_levi("G", 2)
+    assert levi_formal_character(B2, levi, lam) == formal_character(B2, lam)
+    assert levi_formal_character(B2, levi, lam) is not formal_character(B2, lam)
 
 
 def test_weyl_numerator_denominator_identity():
