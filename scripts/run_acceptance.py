@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Run every verification suite through the CLI and summarize pass/fail.
+"""Run every verification suite through the CLI at its acceptance parameters
+(`endolab.cli.ACCEPTANCE`, the table tests/test_acceptance.py runs) and print
+one pass/fail line per suite with the number of cases it checked.
 
-Equivalent to the pytest acceptance module but usable without pytest;
-honors ENDOLAB_WORKERS for the archimedean sweep.
+Usable without pytest; honors ENDOLAB_WORKERS for the archimedean sweep.
 """
 
 import json
@@ -10,34 +11,27 @@ import subprocess
 import sys
 import time
 
-SUITE_ARGS = {
-    "hilbert": ["--pairs", "500", "--seed", "404"],
-    "vanishing": ["--trials", "20", "--seed", "101"],
-    "satake": [],
-    "signs": [],
-    "waldspurger": ["--configs", "200", "--seed", "505"],
-    "invariants": [],
-    "kostant": ["--max-rank", "4", "--max-coord", "2"],
-    "arch": ["--samples", "50", "--seed", "7"],
-}
+from endolab.cli import ACCEPTANCE
 
 
 def main() -> int:
     failures = 0
-    for suite, extra in SUITE_ARGS.items():
+    for suite, argv in ACCEPTANCE.items():
         t0 = time.time()
         proc = subprocess.run(
-            [sys.executable, "-m", "endolab.cli", "verify", suite, *extra],
+            [sys.executable, "-m", "endolab.cli", "verify", suite, *argv],
             capture_output=True,
             text=True,
         )
         elapsed = time.time() - t0
         try:
-            status = json.loads(proc.stdout)["status"]
+            report = json.loads(proc.stdout)
+            status = report["status"]
+            checked = sum(c["checked"] for c in report["checks"].values())
         except (json.JSONDecodeError, KeyError):
-            status = f"error (exit {proc.returncode})"
+            status, checked = f"error (exit {proc.returncode})", 0
         tag = "PASS" if proc.returncode == 0 else "FAIL"
-        print(f"[{tag}] verify {suite:<12} {elapsed:7.1f}s  status={status}")
+        print(f"[{tag}] verify {suite:<12} {elapsed:7.1f}s  status={status}  checked={checked}")
         if proc.returncode != 0:
             failures += 1
             print(proc.stdout)

@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .dsconst import cone_constant_1d, cone_constant_2d
-from .errors import ExactDomainError, SingularPointError
+from .errors import ExactDomainError, ResourceLimitError, SingularPointError
 from .exactnum import GaussianRational, sqrt_fraction
 from .rootdata import (
     COMPACT,
@@ -436,6 +436,7 @@ class ArchReport:
     samples: int
     seed: int
     failures: list = field(default_factory=list)
+    controls: int = 0  # vanishing-region samples checked
 
     @property
     def ok(self) -> bool:
@@ -463,12 +464,19 @@ def _sample_circles(rng: random.Random, count: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+# Draws are rejected off the region's box or on a root wall.  Over 300 draws
+# per region of each of the ten (d, Levi) cases at most one rejection in a
+# row occurs, so a thousand means the region has no regular point.
+MAX_REJECTED_DRAWS = 1000
+
+
 def sample_in_range(case: ArchCase, rng: random.Random, region: str = "stated") -> GammaSample:
     """Draw an exact sample in the stated range of the case's comparison
-    identity (or in a vanishing/out-of-range control region)."""
+    identity (or in a vanishing/out-of-range control region).  Raises
+    ResourceLimitError after MAX_REJECTED_DRAWS rejected draws."""
     m = case.m
     n_circ = m - 1 if case.levi == "M2" else m - 2
-    while True:
+    for _ in range(MAX_REJECTED_DRAWS + 1):
         circ = _sample_circles(rng, n_circ)
         if case.levi == "M1":
             a = _rng_fraction(rng, Fraction(-2, 3), Fraction(2, 3))
@@ -507,6 +515,7 @@ def sample_in_range(case: ArchCase, rng: random.Random, region: str = "stated") 
         except (SingularPointError, ExactDomainError):
             continue
         return sample
+    raise ResourceLimitError(f"no sample in the {region} region after {MAX_REJECTED_DRAWS} rejected draws")
 
 
 def identity_gap(case: ArchCase, sample: GammaSample) -> GaussianRational:
@@ -557,9 +566,9 @@ def verify_identity(
                     "gap_im": str(gap.im),
                 }
             )
-    controls = vanishing_controls
     if case.levi in ("M2", "M12"):
-        for k in range(controls):
+        report.controls = vanishing_controls
+        for k in range(vanishing_controls):
             sample = sample_in_range(case, rng, "vanishing")
             gap = identity_gap(case, sample)
             if gap != zero:

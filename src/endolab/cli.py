@@ -11,6 +11,8 @@ process pool; results are merged by case key, so the report stays deterministic.
 from __future__ import annotations
 
 import argparse
+import inspect
+import itertools
 import json
 import os
 import random
@@ -32,10 +34,32 @@ class Report:
     status: str = "pass"  # pass | fail | error
     witnesses: list = field(default_factory=list)
     seed: int | None = None
+    checks: dict | None = None  # verify only: {identity: {checked, failed, skipped: {reason: n}}}
     timing: float | None = None  # never serialized; printed to stderr
 
+    def tally(self, identity: str, checked: int, failed: int = 0) -> None:
+        counts = self.checks.get(identity)
+        if counts is None:
+            counts = self.checks[identity] = {"checked": 0, "failed": 0, "skipped": {}}
+        counts["checked"] += checked
+        counts["failed"] += failed
+
+    def check(self, identity: str, ok: bool) -> bool:
+        """Count one checked case of the identity, failed unless ok; returns ok."""
+        self.tally(identity, 1, 0 if ok else 1)
+        return ok
+
+    def skip(self, identity: str, reason: str) -> None:
+        self.tally(identity, 0)
+        skipped = self.checks[identity]["skipped"]
+        skipped[reason] = skipped.get(reason, 0) + 1
+
     def finish(self) -> "Report":
-        if self.status == "pass" and self.witnesses:
+        """A verify report that checked no case is an error, not a pass."""
+        if self.checks is not None and not any(c["checked"] for c in self.checks.values()):
+            self.status = "error"
+            self.witnesses.append({"error": "no case checked"})
+        elif self.status == "pass" and self.witnesses:
             self.status = "fail"
         return self
 
@@ -48,6 +72,8 @@ class Report:
         }
         if self.seed is not None:
             payload["seed"] = self.seed
+        if self.checks is not None:
+            payload["checks"] = self.checks
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
@@ -202,13 +228,12 @@ def cmd_signs(args) -> Report:
     rep = Report("signs", {"m_minus_max": args.m_minus_max})
     lines = ["levi\tparity\tm_minus\tA\tdet_omega0\tsun\ttasho_ratio\tsun_identity"]
     for levi in ("M1", "M2", "M12"):
-        a_sets = {"M1": [(), (1, 2)], "M2": [(), (1,)], "M12": [(), (1,), (2,), (1, 2)]}[levi]
         for parity in ("odd", "even"):
             if levi == "M2" and parity == "even":
                 continue
             for mm in range(0, args.m_minus_max + 1):
                 case = signs.SignCase(levi, parity, mm + 3, 3, mm)
-                for A in a_sets:
+                for A in rootdata.admissible_A(levi):
                     lines.append(
                         "\t".join(
                             str(x)
@@ -230,35 +255,37 @@ def cmd_signs(args) -> Report:
 
 
 # --- verification suites ----------------------------------------------------------
+#
+# Each suite takes the report and its own parameters as keyword arguments; the
+# defaults are the suite's.  It counts every case it checks on the report, and
+# appends one witness per failure.
 
 
-def _suite_vanishing(args, rep: Report):
-    rng = random.Random(args.seed)
-    parities = [args.case] if args.case else ["odd", "even"]
-    for parity in parities:
-        rs = [args.r] if args.r else ([3, 4, 5, 6, 7] if parity == "odd" else [4, 6])
-        ts = [args.t] if args.t is not None else [0, 1]
-        for r in rs:
-            if parity == "even" and r % 2:
+def _suite_vanishing(rep: Report, *, case=None, r=None, t=None, trials=20, seed=7):
+    rng = random.Random(seed)
+    for parity in [case] if case else ["odd", "even"]:
+        n_from, m_from = (3, 5) if parity == "odd" else (4, 6)
+        for rank in [r] if r else ([3, 4, 5, 6, 7] if parity == "odd" else [4, 6]):
+            if parity == "even" and rank % 2:
                 continue
-            for t in ts:
-                for r_prime in range(r + 1):
-                    for _ in range(args.trials):
-                        mags = rng.sample(range(1, 10 * (r + t) + 50), r + t)
+            for tail in [t] if t is not None else [0, 1]:
+                for r_prime in range(rank + 1):
+                    for _ in range(trials):
+                        mags = rng.sample(range(1, 10 * (rank + tail) + 50), rank + tail)
                         den = rng.randint(1, 9)
                         mu = [
                             Fraction(mags[k] * rng.choice([-1, 1]), den)
-                            for k in range(r)
-                        ] + [Fraction(mags[r + j]) for j in range(t)]
-                        M, N = dsconst.vanishing_quantities(r, t, parity, r_prime, mu)
-                        bad_n = N != 0 and r >= (3 if parity == "odd" else 4)
-                        bad_m = any(v != 0 for v in M) and r >= (5 if parity == "odd" else 6)
-                        if bad_n or bad_m:
+                            for k in range(rank)
+                        ] + [Fraction(mags[rank + j]) for j in range(tail)]
+                        M, N = dsconst.vanishing_quantities(rank, tail, parity, r_prime, mu)
+                        ok_n = rank < n_from or rep.check("N = 0", N == 0)
+                        ok_m = rank < m_from or rep.check("M_i = 0", not any(M))
+                        if not (ok_n and ok_m):
                             rep.witnesses.append(
                                 {
                                     "parity": parity,
-                                    "r": r,
-                                    "t": t,
+                                    "r": rank,
+                                    "t": tail,
                                     "split": r_prime,
                                     "mu": [str(c) for c in mu],
                                     "M": M,
@@ -270,36 +297,36 @@ def _suite_vanishing(args, rep: Report):
 def _arch_case_runner(key):
     levi, d, lam, samples, seed = key
     case = archcmp.ArchCase(levi, d, lam)
-    r = archcmp.verify_identity(case, samples=samples, seed=seed, vanishing_controls=3)
-    return {"levi": levi, "d": d, "lambda": list(lam), "failures": r.failures}
+    r = archcmp.verify_identity(case, samples=samples, seed=seed, vanishing_controls=5)
+    return {"levi": levi, "d": d, "lambda": list(lam), "failures": r.failures}, r.controls
 
 
 def _default_lambda(d: int) -> tuple[int, ...]:
     m = d // 2
-    base = [2, 1, 1] + [0] * max(0, m - 3)
-    return tuple(base[:m])
+    return tuple(([3, 2, 1] + [0] * m)[:m])
 
 
-def _suite_arch(args, rep: Report):
+def _suite_arch(rep: Report, *, d=None, case=None, lam=None, samples=50, seed=7):
     rep.parameters["range"] = "stated"
-    ds = [args.d] if args.d else [7, 8, 9, 10]
     keys = []
-    for d in ds:
-        levis = [args.case] if args.case else (["M1", "M2", "M12"] if d % 2 else ["M1", "M12"])
-        lam = tuple(int(c) for c in args.lam.split(",")) if args.lam else _default_lambda(d)
-        for levi in levis:
+    for d in [d] if d else [7, 8, 9, 10]:
+        weight = tuple(int(c) for c in lam.split(",")) if lam else _default_lambda(d)
+        for levi in [case] if case else ["M1", "M2", "M12"]:
             if levi == "M2" and d % 2 == 0:
                 continue
-            keys.append((levi, d, lam, args.samples, args.seed))
-    for result in _map_cases(_arch_case_runner, keys):
+            keys.append((levi, d, weight, samples, seed))
+    for result, controls in _map_cases(_arch_case_runner, keys):
+        vanishing = sum(str(f["index"]).startswith("vanish") for f in result["failures"])
+        rep.tally("comparison identity", samples, len(result["failures"]) - vanishing)
+        if controls:
+            rep.tally("vanishing region", controls, vanishing)
         if result["failures"]:
             rep.witnesses.append(result)
 
 
-def _suite_satake(args, rep: Report):
-    ds = [args.d] if args.d else [7, 8, 9, 10]
-    alist = [args.a] if args.a else [1, 2, 3]
-    for d in ds:
+def _suite_satake(rep: Report, *, d=None, a=None):
+    alist = [a] if a else [1, 2, 3]
+    for d in [d] if d else [7, 8, 9, 10]:
         parity = "odd" if d % 2 else "even"
         m = d // 2
         for levi, i in (("M1", 2), ("M2", 1), ("M12", 2)):
@@ -312,102 +339,121 @@ def _suite_satake(args, rep: Report):
             else:
                 bases = [(dp, d_so - dp) for dp in range(0, d_so + 1, 2)]
                 variants = [(True, True), (True, False), (False, True), (False, False)]
-            a_sets = {"M1": [(), (1, 2)], "M2": [(), (1,)], "M12": [(), (1,), (2,), (1, 2)]}[levi]
             for bp, bm in bases:
                 for dps, dms in variants:
                     for a in alist:
                         h_parts = []
-                        for A in a_sets:
-                            glp = len(A) if levi != "M1" else (2 if A else 0)
-                            mp = bp // 2 + glp
-                            mm = m - mp
-                            try:
-                                k, h = hecke.compute_fH_at_p(
-                                    levi, parity, m, mp, mm, list(A), a,
-                                    delta_plus_square=dps, delta_minus_square=dms,
-                                )
-                            except ExactDomainError:
+                        for A in rootdata.admissible_A(levi):
+                            mp = bp // 2 + len(A)
+                            reason = hecke.excluded_shape(levi, parity, mp, m - mp, A, dps, dms)
+                            if reason:
+                                rep.skip("k(A) table", reason)
                                 continue
-                            if k != hecke.expected_k_table(levi, A, a):
+                            k, h = hecke.compute_fH_at_p(
+                                levi, parity, m, mp, m - mp, list(A), a,
+                                delta_plus_square=dps, delta_minus_square=dms,
+                            )
+                            if not rep.check("k(A) table", k == hecke.expected_k_table(levi, A, a)):
                                 rep.witnesses.append(
                                     {"d": d, "levi": levi, "A": list(A), "a": a,
                                      "base": [bp, bm], "kind": "kPart mismatch"}
                                 )
-                            h_parts.append((A, h.serialize()))
-                        if h_parts and any(h != h_parts[0][1] for _, h in h_parts):
+                            h_parts.append(h.serialize())
+                        if len(h_parts) > 1 and not rep.check(
+                            "h independent of A", all(h == h_parts[0] for h in h_parts)
+                        ):
                             rep.witnesses.append(
                                 {"d": d, "levi": levi, "a": a, "base": [bp, bm],
                                  "kind": "hPart depends on A"}
                             )
-        # base-change bookkeeping
-        for a in alist:
-            for levi in ("M1", "M2"):
-                if not hecke.ka_base_change_relation(levi, a)["matches"]:
-                    rep.witnesses.append({"a": a, "levi": levi, "kind": "k_a relation"})
+    for a in alist:
+        for levi in ("M1", "M2"):
+            if not rep.check("k_a base change", hecke.ka_base_change_relation(levi, a)["matches"]):
+                rep.witnesses.append({"a": a, "levi": levi, "kind": "k_a relation"})
 
 
-def _suite_signs(args, rep: Report):
+def _suite_signs(rep: Report):
     for levi in ("M1", "M2", "M12"):
-        a_sets = {"M1": [(), (1, 2)], "M2": [(), (1,)], "M12": [(), (1,), (2,), (1, 2)]}[levi]
         for parity in ("odd", "even"):
             if levi == "M2" and parity == "even":
                 continue
-            for mm in range(0, 7):
+            for mm in range(8):
                 case = signs.SignCase(levi, parity, mm + 3, 3, mm)
-                for A in a_sets:
-                    if not signs.check_sun_identity(case, A):
+                for A in rootdata.admissible_A(levi):
+                    if not rep.check("sun identity", signs.check_sun_identity(case, A)):
                         rep.witnesses.append({"levi": levi, "parity": parity, "mm": mm, "A": list(A)})
     for m in (4, 6, 8):
         for mp in range(0, m + 1):
             case = signs.SignCase("G", "even", m, mp, m - mp, p=2 * m, q=0)
             s1 = signs.whittaker_comparison_sign(case, "I")
             s2 = signs.whittaker_comparison_sign(case, "II")
-            if s2 != ((-1) ** (m - mp)) * s1:
+            if not rep.check("Whittaker type II", s2 == ((-1) ** (m - mp)) * s1):
                 rep.witnesses.append({"m": m, "m_plus": mp, "kind": "type II relation"})
     for m in range(41):
         for p in range(m + 1):
-            if not signs.parity_lemma_holds(m, p):
+            if not rep.check("parity lemma", signs.parity_lemma_holds(m, p)):
                 rep.witnesses.append({"m": m, "p": p, "kind": "parity lemma"})
 
 
-def _suite_hilbert(args, rep: Report):
-    rng = random.Random(args.seed)
-    for _ in range(args.pairs):
+def _suite_hilbert(rep: Report, *, pairs=500, seed=7):
+    rng = random.Random(seed)
+    for _ in range(pairs):
         a = rng.randint(-10000, 10000) or 3
         b = rng.randint(-10000, 10000) or 5
         places = {2} | set(factorize(a)) | set(factorize(b))
         prod = hilbert_symbol(a, b, Place.real())
         for p in sorted(places):
             prod *= hilbert_symbol(a, b, Place.finite(p))
-        if prod != 1:
+        if not rep.check("product formula", prod == 1):
             rep.witnesses.append({"a": a, "b": b, "kind": "product formula"})
-    # quasi-split detection against the classification oracle
-    entries = [1, -1]
-    for p in (3, 5, 7):
-        entries += [p, -p, 2 * p, -2 * p]
-    rng2 = random.Random(args.seed + 1)
-    for _ in range(200):
-        dim = rng2.randint(1, 8)
-        q = quadspace.QuadraticSpace.from_entries([rng2.choice(entries) for _ in range(dim)])
-        for p in (3, 5, 7):
-            if quadspace.is_quasi_split_local(q, Place.finite(p)) != quadspace.is_quasi_split_oracle(q, p):
-                rep.witnesses.append({"diag": [str(c) for c in q.diag], "p": p})
     for d in range(3, 65):
-        if quadspace.exists_global_form(d, 1) != (d % 8 in (3, 4, 5, 6)):
+        if not rep.check("existence criterion", quadspace.exists_global_form(d, 1) == (d % 8 in (3, 4, 5, 6))):
             rep.witnesses.append({"d": d, "kind": "existence criterion"})
+    # d = 0 mod 8 with discriminant 2: the branch the trivial discriminant misses
+    for d in (8, 16, 24):
+        if not rep.check("existence, d = 0 mod 8", quadspace.exists_global_form(d, 2)):
+            rep.witnesses.append({"d": d, "kind": "existence branch"})
 
 
-def _suite_kostant(args, rep: Report):
+def _suite_quasisplit(rep: Report):
+    """Every diagonal form of dim <= 10 with entries in {+-1, +-p, +-2p}, at
+    p = 3, 5, 7: the closed quasi-split test against the classification oracle."""
+    for p in (3, 5, 7):
+        place = Place.finite(p)
+        for dim in range(1, 11):
+            for entries in itertools.combinations_with_replacement((1, -1, p, -p, 2 * p, -2 * p), dim):
+                q = quadspace.QuadraticSpace.from_entries(entries)
+                ok = quadspace.is_quasi_split_local(q, place) == quadspace.is_quasi_split_oracle(q, p)
+                if not rep.check("quasi-split against the oracle", ok):
+                    rep.witnesses.append({"diag": [str(c) for c in q.diag], "p": p})
+
+
+def _suite_kostant(rep: Report, *, max_rank=3, max_coord=2):
     for kind in ("B", "D"):
-        for m in range(2, args.max_rank + 1):
+        for m in range(2, max_rank + 1):
             datum = rootdata.RootDatum(kind, m)
-            levis = {"M2": rootdata.levi_M2(m), "M1": rootdata.levi_M1(m), "M12": rootdata.levi_M12(m)}
-            lams = _dominant_weights(kind, m, args.max_coord)
-            for label, levi in levis.items():
+            lams = _dominant_weights(kind, m, max_coord)
+            for label in ("M2", "M1", "M12"):
+                levi = rootdata.standard_levi(label, m)
                 for lam in lams:
                     w = rootdata.Weight.from_ints(lam)
-                    if not rootdata.kostant_euler_identity(datum, levi, w):
+                    if not rep.check("Kostant identity", rootdata.kostant_euler_identity(datum, levi, w)):
                         rep.witnesses.append({"kind": kind, "m": m, "levi": label, "lambda": lam})
+            # The weight truncations cut at <mu, pi> > -<rho, pi>, which must
+            # agree with <w(lam+rho), pi> > 0 for every Weyl element w.
+            r = rootdata.rho(datum)
+            cutoffs = [(pi, -r.pairing(pi)) for pi in (rootdata.pi1_covector(m), rootdata.pi2_covector(m))]
+            for lam in lams:
+                shifted = rootdata.Weight.from_ints(lam) + r
+                for w, _, _ in rootdata.weyl_table(kind, m):
+                    image = w.act(shifted)
+                    mu = image - r
+                    for pi, cut in cutoffs:
+                        if not rep.check("truncation cutoffs", (mu.pairing(pi) > cut) == (image.pairing(pi) > 0)):
+                            rep.witnesses.append(
+                                {"kind": kind, "m": m, "lambda": lam, "pi": list(pi),
+                                 "w": [list(w.signs), list(w.perm)]}
+                            )
 
 
 def _dominant_weights(kind: str, m: int, max_coord: int) -> list:
@@ -428,25 +474,26 @@ def _dominant_weights(kind: str, m: int, max_coord: int) -> list:
     return out
 
 
-def _suite_waldspurger(args, rep: Report):
-    rng = random.Random(args.seed)
-    for _ in range(args.configs):
+def _suite_waldspurger(rep: Report, *, configs=200, seed=7):
+    rng = random.Random(seed)
+    for _ in range(configs):
         m = rng.randint(1, 6)
         mm = rng.randint(0, m)
         ys = rng.sample(range(-199, 200), m)
         y = [Fraction(v, 200) for v in ys]
         eta = rng.choice([1, -1])
-        if signs.waldspurger_sign(y, mm, eta) != signs.waldspurger_sign_reduced(y, mm, eta):
+        ok = signs.waldspurger_sign(y, mm, eta) == signs.waldspurger_sign_reduced(y, mm, eta)
+        if not rep.check("raw against reduced", ok):
             rep.witnesses.append({"y": [str(v) for v in y], "m_minus": mm, "eta": eta})
 
 
-def _suite_invariants(args, rep: Report):
+def _suite_invariants(rep: Report):
     ctx = endoscopy.RealCtx()
     for d in range(7, 13):
         delta = 1 if (d % 2 == 1 or (d // 2) % 2 == 0) else -1
         for levi in ("M1", "M2", "M12"):
             for g in endoscopy.enumerate_G_endoscopy(levi, d, delta, ctx):
-                if not endoscopy.tau_k_identity_check(levi, g, d):
+                if not rep.check("tau-k identity", endoscopy.tau_k_identity_check(levi, g, d)):
                     rep.witnesses.append(
                         {"d": d, "levi": levi, "A": sorted(g.A),
                          "base": [g.base.d_plus, g.base.d_minus]}
@@ -454,7 +501,7 @@ def _suite_invariants(args, rep: Report):
         eg = {p.key() for p in endoscopy.enumerate_elliptic(d, delta, ctx)}
         for levi in ("M1", "M2", "M12"):
             for g in endoscopy.enumerate_G_endoscopy(levi, d, delta, ctx):
-                if endoscopy.to_EG(g).key() not in eg:
+                if not rep.check("to_EG image", endoscopy.to_EG(g).key() in eg):
                     rep.witnesses.append({"d": d, "levi": levi, "kind": "to_EG image"})
 
 
@@ -464,22 +511,54 @@ SUITES = {
     "satake": _suite_satake,
     "signs": _suite_signs,
     "hilbert": _suite_hilbert,
+    "quasisplit": _suite_quasisplit,
     "kostant": _suite_kostant,
     "waldspurger": _suite_waldspurger,
     "invariants": _suite_invariants,
 }
 
+# The acceptance parameters of every suite, as `endolab verify SUITE ARGV...`;
+# tests/test_acceptance.py and scripts/run_acceptance.py both run this table.
+ACCEPTANCE = {
+    "vanishing": ["--trials", "20", "--seed", "101"],
+    "arch": ["--samples", "50", "--seed", "7"],
+    "satake": [],
+    "hilbert": ["--pairs", "500", "--seed", "404"],
+    "quasisplit": [],
+    "invariants": [],
+    "signs": [],
+    "waldspurger": ["--configs", "200", "--seed", "505"],
+    "kostant": ["--max-rank", "4", "--max-coord", "2"],
+}
+
 
 def cmd_verify(args) -> Report:
+    """Run one suite with the flags given on the command line bound to its
+    keyword parameters; `parameters` lists the bound values."""
     if args.suite not in SUITES:
         raise ExactDomainError(f"unknown suite {args.suite!r}")
+    suite = SUITES[args.suite]
     params = {
+        name: p.default
+        for name, p in inspect.signature(suite).parameters.items()
+        if p.kind is p.KEYWORD_ONLY
+    }
+    given = {
         k: v
         for k, v in vars(args).items()
         if k not in ("func", "suite", "command") and v is not None
     }
-    rep = Report(f"verify {args.suite}", params, seed=getattr(args, "seed", None))
-    SUITES[args.suite](args, rep)
+    unknown = sorted(set(given) - set(params))
+    if unknown:
+        raise ExactDomainError(f"verify {args.suite} takes no parameter {', '.join(unknown)}")
+    params.update(given)
+    rep = Report(
+        f"verify {args.suite}",
+        {k: v for k, v in params.items() if v is not None},
+        seed=params.get("seed"),
+        checks={},
+    )
+    suite(rep, **params)
     return rep.finish()
 
 
@@ -509,16 +588,16 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--d", type=int)
     v.add_argument("--case", help="Levi label (arch) or parity (vanishing)")
     v.add_argument("--lambda", dest="lam", help="comma-separated weight coordinates")
-    v.add_argument("--samples", type=int, default=50)
-    v.add_argument("--seed", type=int, default=7)
+    v.add_argument("--samples", type=int)
+    v.add_argument("--seed", type=int)
     v.add_argument("--r", type=int)
     v.add_argument("--t", type=int)
     v.add_argument("--a", type=int)
-    v.add_argument("--trials", type=int, default=20)
-    v.add_argument("--pairs", type=int, default=500)
-    v.add_argument("--configs", type=int, default=200)
-    v.add_argument("--max-rank", type=int, default=3, dest="max_rank")
-    v.add_argument("--max-coord", type=int, default=2, dest="max_coord")
+    v.add_argument("--trials", type=int)
+    v.add_argument("--pairs", type=int)
+    v.add_argument("--configs", type=int)
+    v.add_argument("--max-rank", type=int, dest="max_rank")
+    v.add_argument("--max-coord", type=int, dest="max_coord")
     v.set_defaults(func=cmd_verify)
     return ap
 

@@ -24,6 +24,7 @@ from .exactnum import (
     padic_valuation,
     squareclass_of,
 )
+from .rootdata import admissible_A
 
 LEVI_LABELS = ("G", "M1", "M2", "M12")
 
@@ -193,12 +194,8 @@ class GEndoParams:
     base: EndoParams
 
     def __post_init__(self):
-        if self.levi not in ("M1", "M2", "M12"):
-            raise ExactDomainError("Levi must be M1, M2 or M12")
-        if not self.A <= set(_index_set(self.levi)):
-            raise ExactDomainError("A outside the admissible index set")
-        if self.levi == "M1" and len(self.A) == 1:
-            raise ExactDomainError("M1 admits only A = {} or {1,2}")
+        if tuple(sorted(self.A)) not in admissible_A(self.levi):
+            raise ExactDomainError(f"A = {set(self.A)} not admissible for {self.levi}")
 
     @property
     def A_complement(self) -> frozenset[int]:
@@ -207,14 +204,6 @@ class GEndoParams:
 
 def _index_set(levi: str) -> tuple[int, ...]:
     return (1,) if levi == "M2" else (1, 2)
-
-
-def _admissible_A(levi: str) -> list[frozenset[int]]:
-    if levi == "M1":
-        return [frozenset(), frozenset({1, 2})]
-    if levi == "M2":
-        return [frozenset(), frozenset({1})]
-    return [frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2})]
 
 
 def to_EG(g: GEndoParams) -> EndoParams:
@@ -243,7 +232,7 @@ def enumerate_G_endoscopy(levi: str, d: int, delta, context) -> list[GEndoParams
     if d - 2 * i < 3:
         raise ExactDomainError("Levi SO factor too small")
     out: dict = {}
-    for A in _admissible_A(levi):
+    for A in map(frozenset, admissible_A(levi)):
         for base in _enumerate_base(levi, d, delta, context, A):
             g = GEndoParams(levi, A, base)
             gs = GEndoParams(levi, g.A_complement, base.swap())

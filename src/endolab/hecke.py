@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import ExactDomainError
-from .rootdata import RootDatum, WeylElement
+from .rootdata import RootDatum, WeylElement, admissible_A
 
 
 class QLaurent:
@@ -376,6 +376,37 @@ def twisted_transfer(
 # --- the explicit computation at p -------------------------------------------
 
 
+def excluded_shape(
+    levi: str,
+    parity: str,
+    m_plus: int,
+    m_minus: int,
+    A: Sequence[int],
+    delta_plus_square: bool = True,
+    delta_minus_square: bool = True,
+) -> Optional[str]:
+    """Why a local shape is excluded, or None when it is admissible.
+
+    In the even case an orthogonal factor of H, or of the Levi M' inside it,
+    may not have rank 0 with a nontrivial discriminant, "(0, nontrivial)", nor
+    rank 1 with a trivial one, "(2, trivial)" (labels by dimension and
+    discriminant).  The odd case excludes nothing."""
+    if parity != "even":
+        return None
+    gl_minus = (1 if levi == "M2" else 2) - len(A)
+    for rank, square in (
+        (m_plus, delta_plus_square),
+        (m_plus - len(A), delta_plus_square),
+        (m_minus, delta_minus_square),
+        (m_minus - gl_minus, delta_minus_square),
+    ):
+        if rank == 0 and not square:
+            return "(0, nontrivial)"
+        if rank == 1 and square:
+            return "(2, trivial)"
+    return None
+
+
 @dataclass(frozen=True)
 class LocalDatumAtP:
     """Local shape of a refined endoscopic datum at an odd prime: the case label,
@@ -401,21 +432,16 @@ class LocalDatumAtP:
             raise ExactDomainError("H ranks must add up to the ambient rank")
         if self.parity == "odd" and not (self.delta_plus_square and self.delta_minus_square):
             raise ExactDomainError("odd-case discriminants are trivial")
-        universe = {1} if self.levi == "M2" else {1, 2}
-        if not self.A <= universe or (self.levi == "M1" and len(self.A) == 1):
+        if tuple(sorted(self.A)) not in admissible_A(self.levi):
             raise ExactDomainError("invalid subset A for this case")
         if self.gl_plus > self.m_plus or self.gl_minus > self.m_minus:
             raise ExactDomainError("H too small for the GL block")
-        if self.parity == "even":
-            for mh, n, sq in (
-                (self.m_plus, self.n_plus, self.delta_plus_square),
-                (self.m_minus, self.n_minus, self.delta_minus_square),
-            ):
-                for rank in (mh, n):
-                    if rank == 0 and not sq:
-                        raise ExactDomainError("(0, nontrivial) is excluded")
-                    if rank == 1 and sq:
-                        raise ExactDomainError("(2, trivial) is excluded")
+        reason = excluded_shape(
+            self.levi, self.parity, self.m_plus, self.m_minus, self.A,
+            self.delta_plus_square, self.delta_minus_square,
+        )
+        if reason:
+            raise ExactDomainError(f"{reason} is excluded")
 
     @property
     def d(self) -> int:

@@ -16,6 +16,7 @@ from typing import Sequence
 
 from .errors import ExactDomainError, SingularPointError
 from .exactnum import RationalLike, _as_fraction
+from .rootdata import admissible_A
 
 # Waldspurger's pinning invariant eta = -1 picks the type-I Whittaker datum
 TYPE_I_ETA = -1
@@ -51,21 +52,11 @@ def q_compact_dim(a: int, b: int) -> Fraction:
     return Fraction(a * b, 2)
 
 
-def _allowed_A(levi: str) -> tuple[frozenset, ...]:
-    if levi == "M1":
-        return (frozenset(), frozenset({1, 2}))
-    if levi == "M2":
-        return (frozenset(), frozenset({1}))
-    if levi == "M12":
-        return (frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2}))
-    raise ExactDomainError("A-indexed signs need a proper Levi")
-
-
 def det_omega0(A: Sequence[int], m_minus: int, levi: str = "M12") -> int:
     """det of the chamber-comparison Weyl element: +1 for A in {{}, {1,2}},
     (-1)^(m-) for {1}, (-1)^(m-+1) for {2}."""
     A = frozenset(A)
-    if A not in _allowed_A(levi):
+    if tuple(sorted(A)) not in admissible_A(levi):
         raise ExactDomainError(f"A = {set(A)} not admissible for {levi}")
     if A in (frozenset(), frozenset({1, 2})):
         return 1
@@ -90,7 +81,7 @@ def tasho(case: SignCase, A: Sequence[int]) -> int:
     A = frozenset(A)
     if case.levi not in ("M1", "M2", "M12"):
         raise ExactDomainError("tasho needs a proper Levi")
-    if A not in _allowed_A(case.levi):
+    if tuple(sorted(A)) not in admissible_A(case.levi):
         raise ExactDomainError(f"A = {set(A)} not admissible for {case.levi}")
     if case.levi == "M2" and case.parity == "even":
         raise ExactDomainError("no archimedean comparison for the even case M2")

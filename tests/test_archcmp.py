@@ -15,7 +15,7 @@ from endolab.archcmp import (
     verify_identity,
     verify_symmetry,
 )
-from endolab.errors import ExactDomainError, SingularPointError
+from endolab.errors import ExactDomainError, ResourceLimitError, SingularPointError
 from endolab.exactnum import GaussianRational
 from endolab.rootdata import RootDatum, Weight, WeylElement, pi2_covector, rho, weyl_enumerate
 
@@ -152,3 +152,13 @@ def test_cone_equivalence_pairing_never_degenerate():
         coeff = (chi.coords()[0] + chi.coords()[1]) / 2
         assert coeff != 0
         assert (coeff > 0) == (chi.pairing((1, 1, 0)) > 0)
+
+
+def test_sample_in_range_gives_up_after_rejected_draws():
+    class Rejecting(random.Random):
+        # every draw of a lands on a = 0, which the M1 range rejects
+        def randint(self, lo, hi):
+            return 0 if lo <= 0 <= hi else lo
+
+    with pytest.raises(ResourceLimitError):
+        sample_in_range(ArchCase("M1", 7, (0, 0, 0)), Rejecting(1))

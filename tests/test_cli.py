@@ -122,6 +122,42 @@ def test_verify_unknown_suite_exit2():
     assert run("verify", "nonsense").returncode == 2
 
 
+def _verify(capsys, *argv):
+    from endolab import cli
+
+    code = cli.main(["verify", *argv])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_verify_reports_count_checks_and_bound_parameters(capsys):
+    code, out = _verify(capsys, "signs")
+    assert code == 0 and out["parameters"] == {} and "seed" not in out
+    assert out["checks"]["sun identity"] == {"checked": 112, "failed": 0, "skipped": {}}
+    code, out = _verify(capsys, "waldspurger", "--configs", "3", "--seed", "2")
+    assert out["parameters"] == {"configs": 3, "seed": 2} and out["seed"] == 2
+    assert out["checks"]["raw against reduced"]["checked"] == 3
+    code, out = _verify(capsys, "satake", "--pairs", "3")
+    assert code == 2 and out["status"] == "error"
+
+
+def test_verify_zero_cases_is_an_error(capsys):
+    for argv in (["arch", "--d", "8", "--case", "M2"], ["vanishing", "--case", "even", "--r", "5"]):
+        code, out = _verify(capsys, *argv)
+        assert (code, out["status"], out["checks"]) == (2, "error", {}), argv
+
+
+def test_verify_satake_fails_on_broken_transfer(capsys, monkeypatch):
+    from endolab import cli, hecke
+    from endolab.errors import ExactDomainError
+
+    def broken(f, levi_group):
+        raise ExactDomainError("broken constant term")
+
+    monkeypatch.setattr(hecke, "constant_term", broken)
+    code, out = _verify(capsys, "satake", *cli.ACCEPTANCE["satake"])
+    assert code == 2 and out["status"] == "error"
+
+
 def test_verify_arch_documented_invocation():
     r = run(
         "verify", "arch", "--case", "M12", "--d", "8",

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from endolab.errors import ExactDomainError, SingularPointError
+from endolab.rootdata import admissible_A
 from endolab.signs import (
     TYPE_I_ETA,
     SignCase,
@@ -20,9 +21,6 @@ from endolab.signs import (
     waldspurger_sign_reduced,
     whittaker_comparison_sign,
 )
-
-ALL_A = {"M1": [(), (1, 2)], "M2": [(), (1,)], "M12": [(), (1,), (2,), (1, 2)]}
-
 
 def test_q_compact_dim():
     assert q_compact_dim(4, 3) == 6
@@ -68,7 +66,7 @@ def test_sun_identity_full_coverage():
                 continue
             for mm in range(8):
                 case = SignCase(levi, parity, mm + 4, 4, mm)
-                for A in ALL_A[levi]:
+                for A in admissible_A(levi):
                     assert check_sun_identity(case, A), (levi, parity, mm, A)
 
 
