@@ -238,6 +238,22 @@ def indicators_N(datum: RootDatum, lam: Weight, w: WeylElement, which: int) -> i
 # --- the Kostant-Weyl terms ----------------------------------------------------
 
 
+def _delta_half_ratio(case: ArchCase, gamma: TorusPoint, gamma_p: TorusPoint) -> Fraction:
+    """delta_P^(1/2)(gamma') / delta_P^(1/2)(gamma), an exact positive rational.
+
+    norm(alpha(gamma)) = |alpha(gamma)|^2, so the product below is the 4th
+    power of the ratio; sqrt_fraction raises unless both roots are exact (for
+    gamma' = omega_0 gamma only even powers of |b| survive)."""
+    datum = case.datum
+    levi_pos = set(levi_positive_roots(datum, standard_levi(case.levi, case.m)))
+    ratio_4th = Fraction(1)
+    for alpha in datum.positive_roots():
+        if alpha in levi_pos:
+            continue
+        ratio_4th *= evaluate_root(gamma_p, alpha).norm() / evaluate_root(gamma, alpha).norm()
+    return sqrt_fraction(sqrt_fraction(ratio_4th))
+
+
 def L_M_normalized(case: ArchCase, sample: GammaSample) -> GaussianRational:
     """The Kostant-Weyl term divided by the common factor delta_P^(1/2) Delta_M^(-1).
 
@@ -269,16 +285,7 @@ def L_M_normalized(case: ArchCase, sample: GammaSample) -> GaussianRational:
         omega0 = WeylElement((1, -1, -1) + (1,) * (m - 3), tuple(range(m)))
         eta2 = 1
     gamma_p = gamma.apply(omega0)
-    # norm(alpha(gamma)) = |alpha(gamma)|^2, so this product is the 4th power of
-    # the ratio delta_P^(1/2)(gamma') / delta_P^(1/2)(gamma); both square roots
-    # are exact because only even powers of |b| survive.
-    ratio_4th = Fraction(1)
-    levi_pos = set(levi_positive_roots(datum, levi12))
-    for alpha in datum.positive_roots():
-        if alpha in levi_pos:
-            continue
-        ratio_4th *= evaluate_root(gamma_p, alpha).norm() / evaluate_root(gamma, alpha).norm()
-    ratio = sqrt_fraction(sqrt_fraction(ratio_4th))
+    ratio = _delta_half_ratio(case, gamma, gamma_p)
     delta_M = _delta_factor(datum, levi12, gamma)
     t_gamma = _kostant_trace(case, "M12", ("pi1", "pi2"), gamma)
     t_gamma_p = _kostant_trace(case, "M12", ("pi1", "pi2"), gamma_p)
@@ -452,22 +459,29 @@ def _rng_fraction(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
     return Fraction(rng.randint(lo_n, hi_n), den)
 
 
+# Draws are rejected off the region's box or on a root wall.  Over 300 draws
+# per region of each of the ten (d, Levi) cases at most one rejection in a
+# row occurs, so a thousand means the region has no regular point.  The same
+# cap bounds duplicate circle parameters, drawn from 200 x 200 fractions.
+MAX_REJECTED_DRAWS = 1000
+
+
 def _sample_circles(rng: random.Random, count: int) -> tuple[Fraction, ...]:
+    """count distinct circle parameters in (0, 1); raises ResourceLimitError
+    after MAX_REJECTED_DRAWS duplicate draws."""
     out = []
     seen = set()
+    rejected = 0
     while len(out) < count:
         t = Fraction(rng.randint(1, 200), rng.randint(201, 400))
-        if t in seen or t == 0:
+        if t in seen:
+            rejected += 1
+            if rejected > MAX_REJECTED_DRAWS:
+                raise ResourceLimitError(f"no new circle parameter after {MAX_REJECTED_DRAWS} duplicate draws")
             continue
         seen.add(t)
         out.append(t)
     return tuple(out)
-
-
-# Draws are rejected off the region's box or on a root wall.  Over 300 draws
-# per region of each of the ten (d, Levi) cases at most one rejection in a
-# row occurs, so a thousand means the region has no regular point.
-MAX_REJECTED_DRAWS = 1000
 
 
 def sample_in_range(case: ArchCase, rng: random.Random, region: str = "stated") -> GammaSample:
@@ -574,18 +588,6 @@ def verify_identity(
             if gap != zero:
                 report.failures.append({"index": f"vanish-{k}", "a": str(sample.a)})
     return report
-
-
-def _delta_half_ratio(case: ArchCase, gamma: TorusPoint, gamma_p: TorusPoint) -> Fraction:
-    """delta_P^(1/2)(gamma') / delta_P^(1/2)(gamma), an exact positive rational."""
-    datum = case.datum
-    levi_pos = set(levi_positive_roots(datum, standard_levi(case.levi, case.m)))
-    ratio_4th = Fraction(1)
-    for alpha in datum.positive_roots():
-        if alpha in levi_pos:
-            continue
-        ratio_4th *= evaluate_root(gamma_p, alpha).norm() / evaluate_root(gamma, alpha).norm()
-    return sqrt_fraction(sqrt_fraction(ratio_4th))
 
 
 def verify_symmetry(case: ArchCase, sample: GammaSample, mode: str) -> bool:

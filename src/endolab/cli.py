@@ -77,6 +77,17 @@ class Report:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count flag: a count of 0 would check nothing."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
+
+
 def _parse_rational(text: str) -> Fraction:
     return Fraction(text.strip())
 
@@ -558,7 +569,13 @@ def cmd_verify(args) -> Report:
         seed=params.get("seed"),
         checks={},
     )
-    suite(rep, **params)
+    try:
+        suite(rep, **params)
+    except (ExactDomainError, SingularPointError, ResourceLimitError) as exc:
+        # the report keeps the run's name, parameters and the counts so far
+        rep.status = "error"
+        rep.witnesses.append({"error": str(exc)})
+        return rep
     return rep.finish()
 
 
@@ -588,14 +605,14 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--d", type=int)
     v.add_argument("--case", help="Levi label (arch) or parity (vanishing)")
     v.add_argument("--lambda", dest="lam", help="comma-separated weight coordinates")
-    v.add_argument("--samples", type=int)
+    v.add_argument("--samples", type=_positive_int)
     v.add_argument("--seed", type=int)
     v.add_argument("--r", type=int)
     v.add_argument("--t", type=int)
     v.add_argument("--a", type=int)
-    v.add_argument("--trials", type=int)
-    v.add_argument("--pairs", type=int)
-    v.add_argument("--configs", type=int)
+    v.add_argument("--trials", type=_positive_int)
+    v.add_argument("--pairs", type=_positive_int)
+    v.add_argument("--configs", type=_positive_int)
     v.add_argument("--max-rank", type=int, dest="max_rank")
     v.add_argument("--max-coord", type=int, dest="max_coord")
     v.set_defaults(func=cmd_verify)

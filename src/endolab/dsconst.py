@@ -106,19 +106,6 @@ def c2D(a: RationalLike, b: RationalLike) -> int:
     return 1 if a > abs(b) else 0
 
 
-def c_functions(kind: str, args: Sequence[RationalLike]) -> int:
-    if kind == "c1":
-        (a,) = args
-        return c1(a)
-    if kind == "c2B":
-        a, b = args
-        return c2B(a, b)
-    if kind == "c2D":
-        a, b = args
-        return c2D(a, b)
-    raise ExactDomainError(f"unknown cone function {kind!r}")
-
-
 @dataclass(frozen=True)
 class ProductRootSystem:
     """Product of B/D/A1 factors acting on disjoint index subsets."""

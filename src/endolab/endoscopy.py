@@ -220,10 +220,6 @@ def to_EG(g: GEndoParams) -> EndoParams:
     )
 
 
-def to_EM(g: GEndoParams) -> EndoParams:
-    return g.base
-
-
 def enumerate_G_endoscopy(levi: str, d: int, delta, context) -> list[GEndoParams]:
     """Bi-elliptic refined data for the Levi, up to simultaneous swapping."""
     if levi == "G":
@@ -326,15 +322,6 @@ def iota(d: int, h: EndoParams) -> Fraction:
     return Fraction(tamagawa("SO", d), tamagawa_endo(h) * out_group_size(h))
 
 
-def n_G_M(levi: str) -> int:
-    """Order of the normalizer quotient: 8 for M12, 2 for M1 and M2."""
-    if levi == "M12":
-        return 8
-    if levi in ("M1", "M2"):
-        return 2
-    raise ExactDomainError(f"no n^G_M for {levi!r}")
-
-
 def so_is_cuspidal_R(d: int, delta_real: SquareClass) -> bool:
     """SO(d) over R is cuspidal (has an elliptic maximal torus) iff d is odd or
     the real discriminant equals (-1)^(d/2)."""
@@ -344,17 +331,6 @@ def so_is_cuspidal_R(d: int, delta_real: SquareClass) -> bool:
         return True
     want = 1 if (d // 2) % 2 == 0 else -1
     return delta_real.rep == want
-
-
-def levi_is_cuspidal(levi: str, d: int) -> bool:
-    """M1 and M12 are always cuspidal; M2 is cuspidal iff d is odd."""
-    if levi in ("M1", "M12"):
-        return True
-    if levi == "M2":
-        return d % 2 == 1
-    if levi == "G":
-        return True
-    raise ExactDomainError(f"unknown Levi {levi!r}")
 
 
 def endo_is_cuspidal_R(params: EndoParams) -> bool:

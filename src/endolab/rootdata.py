@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ExactDomainError, ResourceLimitError, SingularPointError
 from .exactnum import GaussianRational
@@ -455,18 +455,6 @@ def pi1_covector(m: int) -> tuple[int, ...]:
 def pi2_covector(m: int) -> tuple[int, ...]:
     """2 e_1^v."""
     return (2,) + (0,) * (m - 1)
-
-
-def truncate_cohomology(
-    entries: Iterable[tuple[int, Weight]],
-    pairings: Sequence[tuple[Sequence[int], Fraction]],
-) -> list[tuple[int, Weight]]:
-    """Keep entries whose weight pairs strictly above each threshold: <mu, pi> > t."""
-    out = []
-    for deg, mu in entries:
-        if all(mu.pairing(pi) > t for pi, t in pairings):
-            out.append((deg, mu))
-    return out
 
 
 # --- formal characters (for the Euler-characteristic identity) ---------------

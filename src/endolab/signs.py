@@ -47,11 +47,6 @@ class SignCase:
             raise ExactDomainError("delta_sign must be +-1")
 
 
-def q_compact_dim(a: int, b: int) -> Fraction:
-    """q(SO(a, b)) = ab/2."""
-    return Fraction(a * b, 2)
-
-
 def det_omega0(A: Sequence[int], m_minus: int, levi: str = "M12") -> int:
     """det of the chamber-comparison Weyl element: +1 for A in {{}, {1,2}},
     (-1)^(m-) for {1}, (-1)^(m-+1) for {2}."""
@@ -152,12 +147,6 @@ def whittaker_comparison_sign(case: SignCase, whittaker_type: str = "I") -> int:
     if whittaker_type == "II":
         return -1 if math.ceil(mm / 2) % 2 else 1
     return -1 if (mm // 2) % 2 else 1
-
-
-def epsilon_L_factor(m_minus: int) -> int:
-    """The local epsilon factor (-1)^(m-) relating the Whittaker and bare
-    Langlands-Shelstad normalizations."""
-    return -1 if m_minus % 2 else 1
 
 
 def waldspurger_sign(

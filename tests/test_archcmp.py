@@ -8,6 +8,7 @@ from endolab.archcmp import (
     GammaSample,
     Phi_endos_normalized,
     Phi_normalized,
+    _sample_circles,
     identity_gap,
     indicators_N,
     sample_in_range,
@@ -162,3 +163,14 @@ def test_sample_in_range_gives_up_after_rejected_draws():
 
     with pytest.raises(ResourceLimitError):
         sample_in_range(ArchCase("M1", 7, (0, 0, 0)), Rejecting(1))
+
+
+def test_sample_circles_gives_up_after_duplicate_draws():
+    class Constant(random.Random):
+        # every draw is the same circle parameter 1/201
+        def randint(self, lo, hi):
+            return lo
+
+    assert _sample_circles(Constant(1), 1) == (Fraction(1, 201),)
+    with pytest.raises(ResourceLimitError):
+        _sample_circles(Constant(1), 2)

@@ -156,6 +156,25 @@ def test_verify_satake_fails_on_broken_transfer(capsys, monkeypatch):
     monkeypatch.setattr(hecke, "constant_term", broken)
     code, out = _verify(capsys, "satake", *cli.ACCEPTANCE["satake"])
     assert code == 2 and out["status"] == "error"
+    assert out["command"] == "verify satake"
+    assert out["witnesses"][-1] == {"error": "broken constant term"}
+
+
+def test_verify_error_report_names_the_run(capsys):
+    code, out = _verify(capsys, "vanishing", "--case", "M1")
+    assert (code, out["status"]) == (2, "error")
+    assert out["command"] == "verify vanishing"
+    assert out["parameters"] == {"case": "M1", "seed": 7, "trials": 20}
+    assert out["checks"] == {}
+
+
+def test_verify_zero_count_is_a_usage_error(capsys):
+    from endolab import cli
+
+    for argv in (["hilbert", "--pairs", "0"], ["arch", "--d", "7", "--case", "M2", "--samples", "0"]):
+        assert cli.main(["verify", *argv]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "positive integer" in captured.err, argv
 
 
 def test_verify_arch_documented_invocation():

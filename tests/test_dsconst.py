@@ -10,7 +10,6 @@ from endolab.dsconst import (
     c1,
     c2B,
     c2D,
-    c_functions,
     cone_constant_1d,
     cone_constant_2d,
     herb_sum,
@@ -63,11 +62,6 @@ def test_c_functions():
     assert c2B(Fraction(1, 2), Fraction(-1, 3)) == 1  # 0 < -b < a
     assert c2B(2, 1) == 0
     assert c2D(2, -1) == 1 and c2D(1, 2) == 0
-    assert c_functions("c1", [-1]) == 0
-    assert c_functions("c2B", [1, 2]) == 1
-    assert c_functions("c2D", [2, -1]) == 1
-    with pytest.raises(ExactDomainError):
-        c_functions("c3", [1])
 
 
 def test_herb_empty_and_single():

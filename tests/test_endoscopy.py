@@ -14,14 +14,11 @@ from endolab.endoscopy import (
     iota,
     is_unramified_at_p,
     k_invariants,
-    levi_is_cuspidal,
-    n_G_M,
     out_group_size,
     so_is_cuspidal_R,
     tamagawa,
     tau_k_identity_check,
     to_EG,
-    to_EM,
 )
 from endolab.errors import ExactDomainError
 from endolab.exactnum import GLOBAL, REAL_CONTEXT, squareclass_of
@@ -99,17 +96,7 @@ def test_iota_values():
     assert iota(8, EndoParams("even", 8, 0, TRIV, TRIV)) == 1
 
 
-def test_n_G_M():
-    assert n_G_M("M12") == 8
-    assert n_G_M("M1") == 2
-    assert n_G_M("M2") == 2
-    with pytest.raises(ExactDomainError):
-        n_G_M("G")
-
-
 def test_cuspidality():
-    assert levi_is_cuspidal("M1", 8) and levi_is_cuspidal("M12", 9)
-    assert levi_is_cuspidal("M2", 7) and not levi_is_cuspidal("M2", 8)
     assert so_is_cuspidal_R(8, TRIV) and not so_is_cuspidal_R(8, NEG)
     assert so_is_cuspidal_R(6, NEG) and not so_is_cuspidal_R(6, TRIV)
     assert so_is_cuspidal_R(7, TRIV)
@@ -148,7 +135,6 @@ def test_to_EG_lands_in_elliptic_image():
                 h = to_EG(g)
                 assert h.key() in image
                 assert h.d_plus + h.d_minus == d + (1 if d % 2 else 0)
-                assert to_EM(g) == g.base
 
 
 def test_tau_k_identity_sweep():

@@ -8,6 +8,14 @@ from endolab.errors import ExactDomainError
 from endolab.laurent import Laurent
 
 
+def test_rank_one_q_arithmetic():
+    # the Hecke coefficients: Z[q^(1/2), q^(-1/2)] keyed by the doubled exponent
+    q = Laurent.monomial((1,))  # q^(1/2)
+    assert q * q == Laurent.monomial((2,))
+    assert (q + q).terms == {(1,): 2}
+    assert (q + (-q)).is_zero()
+
+
 def test_divide_exact_quotients():
     x_minus_1 = Laurent(1, {(1,): 1, (0,): -1})
     assert Laurent(1, {(2,): 1, (0,): -1}).divide_exact(x_minus_1) == Laurent(1, {(1,): 1, (0,): 1})

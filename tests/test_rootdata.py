@@ -29,12 +29,9 @@ from endolab.rootdata import (
     levi_formal_character,
     levi_is_dominant,
     levi_positive_roots,
-    pi1_covector,
-    pi2_covector,
     rho,
     sign,
     standard_levi,
-    truncate_cohomology,
     weyl_character,
     weyl_enumerate,
     weyl_numerator,
@@ -128,27 +125,6 @@ def test_kostant_cohomology_entries():
     assert deg0 == [Weight.from_ints([0, 0, 0])]
     for deg, mu in entries:
         assert levi_is_dominant(B3, standard_levi("M1", 3), mu)
-
-
-def test_truncation_criteria_equivalence():
-    for datum, label in [(B3, "M1"), (B3, "M2"), (B3, "M12"), (D3, "M12")]:
-        m = datum.rank
-        levi = standard_levi(label, m)
-        r = rho(datum)
-        for lam_c in [(0,) * m, (1, 1, 0), (2, 1, 1)]:
-            lam = Weight.from_ints(lam_c)
-            entries = kostant_cohomology(datum, levi, lam)
-            for pi in (pi1_covector(m), pi2_covector(m)):
-                t = -(r.pairing(pi))
-                kept = truncate_cohomology(entries, [(pi, t)])
-                kept2 = [(d, mu) for d, mu in entries if (mu + r).pairing(pi) > 0]
-                assert kept == kept2
-
-
-def test_truncation_no_cutoff_is_identity():
-    entries = kostant_cohomology(B2, standard_levi("M2", 2), Weight.from_ints([1, 0]))
-    assert truncate_cohomology(entries, []) == entries
-    assert truncate_cohomology(entries, [(pi2_covector(2), Fraction(-10 ** 6))]) == entries
 
 
 @pytest.mark.parametrize("kind,m", [("B", 2), ("B", 3), ("D", 3)])

@@ -11,9 +11,7 @@ from endolab.signs import (
     SignCase,
     check_sun_identity,
     det_omega0,
-    epsilon_L_factor,
     parity_lemma_holds,
-    q_compact_dim,
     sun,
     tasho,
     tasho_ratio,
@@ -21,13 +19,6 @@ from endolab.signs import (
     waldspurger_sign_reduced,
     whittaker_comparison_sign,
 )
-
-def test_q_compact_dim():
-    assert q_compact_dim(4, 3) == 6
-    assert q_compact_dim(9, 0) == 0
-    assert q_compact_dim(2, 2) == 2
-    assert q_compact_dim(3, 2) == Fraction(3)
-
 
 def test_det_omega0_table():
     assert det_omega0([], 3) == 1
@@ -118,7 +109,6 @@ def test_whittaker_guards():
 
 def test_type_I_eta_constant():
     assert TYPE_I_ETA == -1
-    assert epsilon_L_factor(3) == -1 and epsilon_L_factor(4) == 1
 
 
 @settings(max_examples=200, deadline=None)
