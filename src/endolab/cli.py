@@ -268,15 +268,24 @@ def cmd_signs(args) -> Report:
 # --- verification suites ----------------------------------------------------------
 #
 # Each suite takes the report and its own parameters as keyword arguments; the
-# defaults are the suite's.  It counts every case it checks on the report, and
-# appends one witness per failure.
+# defaults are the suite's, and None selects the suite's default sweep.  It
+# counts every case it checks on the report, and appends one witness per failure.
+
+
+def _at_least(flag: str, value, low: int) -> None:
+    """Range check of an optional suite parameter: None is the default sweep,
+    anything below `low` is an input error (exit 2), not an empty sweep."""
+    if value is not None and value < low:
+        raise ExactDomainError(f"--{flag} must be >= {low}, got {value}")
 
 
 def _suite_vanishing(rep: Report, *, case=None, r=None, t=None, trials=20, seed=7):
+    _at_least("r", r, 1)
+    _at_least("t", t, 0)
     rng = random.Random(seed)
     for parity in [case] if case else ["odd", "even"]:
         n_from, m_from = (3, 5) if parity == "odd" else (4, 6)
-        for rank in [r] if r else ([3, 4, 5, 6, 7] if parity == "odd" else [4, 6]):
+        for rank in [r] if r is not None else ([3, 4, 5, 6, 7] if parity == "odd" else [4, 6]):
             if parity == "even" and rank % 2:
                 continue
             for tail in [t] if t is not None else [0, 1]:
@@ -318,9 +327,10 @@ def _default_lambda(d: int) -> tuple[int, ...]:
 
 
 def _suite_arch(rep: Report, *, d=None, case=None, lam=None, samples=50, seed=7):
+    _at_least("d", d, 7)
     rep.parameters["range"] = "stated"
     keys = []
-    for d in [d] if d else [7, 8, 9, 10]:
+    for d in [d] if d is not None else [7, 8, 9, 10]:
         weight = tuple(int(c) for c in lam.split(",")) if lam else _default_lambda(d)
         for levi in [case] if case else ["M1", "M2", "M12"]:
             if levi == "M2" and d % 2 == 0:
@@ -336,8 +346,10 @@ def _suite_arch(rep: Report, *, d=None, case=None, lam=None, samples=50, seed=7)
 
 
 def _suite_satake(rep: Report, *, d=None, a=None):
-    alist = [a] if a else [1, 2, 3]
-    for d in [d] if d else [7, 8, 9, 10]:
+    _at_least("d", d, 7)
+    _at_least("a", a, 1)
+    alist = [a] if a is not None else [1, 2, 3]
+    for d in [d] if d is not None else [7, 8, 9, 10]:
         parity = "odd" if d % 2 else "even"
         m = d // 2
         for levi, i in (("M1", 2), ("M2", 1), ("M12", 2)):
@@ -560,8 +572,6 @@ def cmd_verify(args) -> Report:
         if k not in ("func", "suite", "command") and v is not None
     }
     unknown = sorted(set(given) - set(params))
-    if unknown:
-        raise ExactDomainError(f"verify {args.suite} takes no parameter {', '.join(unknown)}")
     params.update(given)
     rep = Report(
         f"verify {args.suite}",
@@ -570,6 +580,8 @@ def cmd_verify(args) -> Report:
         checks={},
     )
     try:
+        if unknown:
+            raise ExactDomainError(f"verify {args.suite} takes no parameter {', '.join(unknown)}")
         suite(rep, **params)
     except (ExactDomainError, SingularPointError, ResourceLimitError) as exc:
         # the report keeps the run's name, parameters and the counts so far

@@ -27,6 +27,15 @@ def _as_fraction(x: RationalLike) -> Fraction:
     raise ExactDomainError(f"expected an exact rational, got {type(x).__name__}")
 
 
+def _num_den(x: RationalLike) -> tuple[int, int]:
+    """(numerator, denominator) of an exact rational, without building a Fraction."""
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    if isinstance(x, int):
+        return x, 1
+    raise ExactDomainError(f"expected an exact rational, got {type(x).__name__}")
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -245,35 +254,37 @@ def padic_valuation(x: RationalLike, p: int) -> int:
     """v with x = p**v * u, u a p-adic unit.  Errors on x = 0."""
     if not is_prime(p):
         raise ExactDomainError(f"{p} is not prime")
-    x = _as_fraction(x)
-    if x == 0:
+    n, d = _num_den(x)
+    if n == 0:
         raise ExactDomainError("0 has no p-adic valuation")
+    return _split_p(n, d, p)[0]
+
+
+def _split_p(n: int, d: int, p: int) -> tuple[int, int, int]:
+    """(v, n', d') with n/d = p**v * n'/d' and p dividing neither n' nor d'; n != 0."""
     v = 0
-    n = x.numerator
     while n % p == 0:
         n //= p
         v += 1
-    d = x.denominator
     while d % p == 0:
         d //= p
         v -= 1
-    return v
-
-
-def _unit_part(x: Fraction, p: int) -> Fraction:
-    return x / Fraction(p) ** padic_valuation(x, p)
+    return v, n, d
 
 
 def legendre(a: RationalLike, p: int) -> int:
     """Legendre symbol (a/p) for odd prime p; +1 iff a is a square mod p."""
     if not is_prime(p) or p == 2:
         raise ExactDomainError(f"{p} is not an odd prime")
-    a = _as_fraction(a)
-    if a.numerator % p == 0 or a.denominator % p == 0:
-        raise ExactDomainError(f"{a} is not a p-adic unit at {p}")
-    t = a.numerator * pow(a.denominator, -1, p) % p
-    s = pow(t, (p - 1) // 2, p)
-    return 1 if s == 1 else -1
+    n, d = _num_den(a)
+    if n % p == 0 or d % p == 0:
+        raise ExactDomainError(f"{Fraction(n, d)} is not a p-adic unit at {p}")
+    return _legendre_unit(n, d, p)
+
+
+def _legendre_unit(n: int, d: int, p: int) -> int:
+    """(n/d over p) for an odd prime p dividing neither n nor d."""
+    return 1 if pow(n * pow(d, -1, p) % p, (p - 1) // 2, p) == 1 else -1
 
 
 def smallest_nonresidue(p: int) -> int:
@@ -283,38 +294,39 @@ def smallest_nonresidue(p: int) -> int:
     return n
 
 
-def _odd_unit_mod(x: Fraction, m: int) -> int:
-    """x mod m for a 2-adic unit x and m a power of 2."""
-    return x.numerator * pow(x.denominator, -1, m) % m
+def _odd_unit_mod(n: int, d: int, m: int) -> int:
+    """n/d mod m for a 2-adic unit n/d and m a power of 2."""
+    return n * pow(d, -1, m) % m
 
 
 def hilbert_symbol(a: RationalLike, b: RationalLike, v: Place) -> int:
     """Hilbert symbol (a,b)_v: +1 iff z^2 = a x^2 + b y^2 has a nonzero solution over Q_v."""
-    a = _as_fraction(a)
-    b = _as_fraction(b)
-    if a == 0 or b == 0:
+    an, ad = _num_den(a)
+    bn, bd = _num_den(b)
+    if an == 0 or bn == 0:
         raise ExactDomainError("Hilbert symbol needs nonzero arguments")
     if v.is_real:
-        return -1 if (a < 0 and b < 0) else 1
-    return _hilbert_finite_cached(a, b, v.p)
+        return -1 if (an < 0 and bn < 0) else 1
+    return _hilbert_finite_cached(an, ad, bn, bd, v.p)
 
 
 @lru_cache(maxsize=65536)
-def _hilbert_finite_cached(a: Fraction, b: Fraction, p: int) -> int:
-    alpha, beta = padic_valuation(a, p), padic_valuation(b, p)
-    u, w = _unit_part(a, p), _unit_part(b, p)
+def _hilbert_finite_cached(an: int, ad: int, bn: int, bd: int, p: int) -> int:
+    """(an/ad, bn/bd)_p, keyed on the reduced numerators and denominators."""
+    alpha, un, ud = _split_p(an, ad, p)
+    beta, wn, wd = _split_p(bn, bd, p)
     if p != 2:
         sign = 1
         if (alpha * beta) % 2 and (p - 1) // 2 % 2:
             sign = -sign
-        if beta % 2 and legendre(u, p) == -1:
+        if beta % 2 and _legendre_unit(un, ud, p) == -1:
             sign = -sign
-        if alpha % 2 and legendre(w, p) == -1:
+        if alpha % 2 and _legendre_unit(wn, wd, p) == -1:
             sign = -sign
         return sign
-    eps_u = (_odd_unit_mod(u, 4) - 1) // 2
-    eps_w = (_odd_unit_mod(w, 4) - 1) // 2
-    um8, wm8 = _odd_unit_mod(u, 8), _odd_unit_mod(w, 8)
+    um8, wm8 = _odd_unit_mod(un, ud, 8), _odd_unit_mod(wn, wd, 8)
+    eps_u = (um8 % 4 - 1) // 2
+    eps_w = (wm8 % 4 - 1) // 2
     omega_u = 1 if um8 in (3, 5) else 0
     omega_w = 1 if wm8 in (3, 5) else 0
     e = eps_u * eps_w + alpha * omega_w + beta * omega_u
@@ -423,21 +435,25 @@ class SquareClass:
 
 def squareclass_of(x: RationalLike, context: Context) -> SquareClass:
     """Canonical square class of a nonzero rational in the given context."""
-    x = _as_fraction(x)
-    if x == 0:
+    n, d = _num_den(x)
+    if n == 0:
         raise ExactDomainError("0 has no square class")
     if context == GLOBAL:
-        return SquareClass(GLOBAL, squarefree_part(x.numerator * x.denominator))
+        return SquareClass(GLOBAL, squarefree_part(n * d))
     if context == REAL_CONTEXT:
-        return SquareClass(REAL_CONTEXT, 1 if x > 0 else -1)
-    p = context
+        return SquareClass(REAL_CONTEXT, 1 if n > 0 else -1)
+    return SquareClass(context, _local_class(n, d, context))
+
+
+@lru_cache(maxsize=65536)
+def _local_class(n: int, d: int, p: int) -> tuple[int, int]:
+    """The rep of n/d (reduced, n != 0) in Q_p^x / Q_p^x2, as `SquareClass` encodes it."""
     if not is_prime(p):
         raise ExactDomainError(f"{p} is not prime")
-    e = padic_valuation(x, p) % 2
-    u = _unit_part(x, p)
+    e, n, d = _split_p(n, d, p)
     if p == 2:
-        return SquareClass(2, (e, _odd_unit_mod(u, 8)))
-    return SquareClass(p, (e, 1 if legendre(u, p) == 1 else smallest_nonresidue(p)))
+        return e % 2, _odd_unit_mod(n, d, 8)
+    return e % 2, 1 if _legendre_unit(n, d, p) == 1 else smallest_nonresidue(p)
 
 
 def sqrt_fraction(x: Fraction) -> Fraction:

@@ -64,8 +64,10 @@ class RelativeWeylGroup:
     gens: tuple[WeylElement, ...]
     label: str = ""
 
-    def elements(self, cap: int = 50000) -> frozenset:
+    def _walk(self, cap: int = 50000):
+        """Every element once, breadth-first from the identity."""
         seen = {WeylElement.identity(self.rank)}
+        yield from seen
         frontier = list(seen)
         while frontier:
             nxt = []
@@ -74,17 +76,26 @@ class RelativeWeylGroup:
                     z = g * w
                     if z not in seen:
                         seen.add(z)
-                        nxt.append(z)
                         if len(seen) > cap:
                             raise ExactDomainError("relative Weyl group too large")
+                        yield z
+                        nxt.append(z)
             frontier = nxt
-        return frozenset(seen)
+
+    def elements(self, cap: int = 50000) -> frozenset:
+        return frozenset(self._walk(cap))
 
     def is_subgroup_of(self, other: "RelativeWeylGroup") -> bool:
+        """Walk the other group until every generator of this one has appeared;
+        only a False answer walks the whole group."""
         if self.rank != other.rank:
             return False
-        big = other.elements()
-        return all(g in big for g in self.gens)
+        missing = set(self.gens)
+        for w in other._walk():
+            missing.discard(w)
+            if not missing:
+                return True
+        return False
 
 
 def _flip(m: int, i: int) -> WeylElement:

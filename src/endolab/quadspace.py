@@ -19,6 +19,7 @@ from .exactnum import (
     RationalLike,
     SquareClass,
     _as_fraction,
+    _local_class,
     factorize,
     hilbert_symbol,
     squareclass_of,
@@ -84,9 +85,9 @@ def diagonalize(gram: Sequence[Sequence[RationalLike]]) -> QuadraticSpace:
 
 
 def det_class(q: QuadraticSpace) -> SquareClass:
-    prod = Fraction(1)
+    prod = 1  # prod of num * den has the square class of prod of num / den
     for c in q.diag:
-        prod *= c
+        prod *= c.numerator * c.denominator
     return squareclass_of(prod, GLOBAL)
 
 
@@ -105,6 +106,33 @@ def hasse_invariant(q: QuadraticSpace, v: Place) -> int:
     for i in range(n):
         for j in range(i + 1, n):
             eps *= hilbert_symbol(q.diag[i], q.diag[j], v)
+    return eps
+
+
+def _class_counts(q: QuadraticSpace, p: int) -> dict[int, int]:
+    """How many diagonal entries lie in each square class of Q_p^x, keyed by
+    the class's integer representative p^e * u."""
+    counts: dict[int, int] = {}
+    for c in q.diag:
+        e, u = _local_class(c.numerator, c.denominator, p)
+        rep = p * u if e else u
+        counts[rep] = counts.get(rep, 0) + 1
+    return counts
+
+
+def _hasse_from_counts(counts: dict[int, int], v: Place) -> int:
+    """The Hasse invariant of a diagonal form with counts[c] entries in the
+    local square class c: grouping the pairs i < j of prod (a_i, a_j)_v by class
+    gives prod_c (c,c)^C(n_c,2) * prod_{c<c'} (c,c')^(n_c n_c') (Serre, A Course
+    in Arithmetic, ch. III-IV), at most 36 symbols for any dimension."""
+    eps = 1
+    classes = list(counts.items())
+    for i, (c, n) in enumerate(classes):
+        if n * (n - 1) // 2 % 2:
+            eps *= hilbert_symbol(c, c, v)
+        for c2, n2 in classes[i + 1 :]:
+            if n * n2 % 2:
+                eps *= hilbert_symbol(c, c2, v)
     return eps
 
 
@@ -139,7 +167,9 @@ def quasi_split_space(d: int, delta: SquareClass) -> QuadraticSpace:
 
 def is_quasi_split_local(q: QuadraticSpace, v: Place) -> bool:
     """Quasi-splitness of the space over Q_v, by the closed Hasse-invariant formulas
-    at finite places and the signature table over R."""
+    at finite places and the signature table over R.  The Hasse invariant comes
+    from the square-class multiplicities of the diagonal, not from the pairwise
+    product of `hasse_invariant`, which the oracle uses."""
     d = q.dim
     m = d // 2
     delta = discriminant(q)
@@ -153,8 +183,8 @@ def is_quasi_split_local(q: QuadraticSpace, v: Place) -> bool:
         if ds == -1:
             return sig == (m + 1, m - 1)
         return sig == (m, m)
-    dr = delta.as_rational()
-    eps = hasse_invariant(q, v)
+    dr = delta.rep
+    eps = _hasse_from_counts(_class_counts(q, v.p), v)
     if d % 2 == 1:
         want = hilbert_symbol(-1, -1, v) ** (m * (m - 1) // 2) * hilbert_symbol(-1, ((-1) ** m) * dr, v) ** m
     else:

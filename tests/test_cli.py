@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 PY = [sys.executable, "-m", "endolab.cli"]
 
 
@@ -138,6 +140,29 @@ def test_verify_reports_count_checks_and_bound_parameters(capsys):
     assert out["checks"]["raw against reduced"]["checked"] == 3
     code, out = _verify(capsys, "satake", "--pairs", "3")
     assert code == 2 and out["status"] == "error"
+    assert out["command"] == "verify satake" and out["parameters"] == {"pairs": 3}
+    assert out["witnesses"] == [{"error": "verify satake takes no parameter pairs"}]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["satake", "--a", "0"],
+        ["satake", "--d", "0"],
+        ["arch", "--d", "0", "--samples", "1"],
+        ["vanishing", "--r", "0"],
+    ],
+    ids=["satake-a", "satake-d", "arch-d", "vanishing-r"],
+)
+def test_verify_optional_parameter_out_of_range_is_a_usage_error(capsys, argv):
+    """0 used to read as "not given": the run checked the whole default sweep
+    and passed while its report said a = 0, d = 0 or r = 0."""
+    code, out = _verify(capsys, *argv)
+    assert (code, out["status"], out["checks"]) == (2, "error", {}), argv
+    assert out["command"] == f"verify {argv[0]}"
+    flag = argv[1]
+    assert out["parameters"][flag[2:]] == 0
+    assert out["witnesses"][-1]["error"].startswith(f"{flag} must be >= ")
 
 
 def test_verify_zero_cases_is_an_error(capsys):

@@ -10,6 +10,7 @@ from endolab.exactnum import (
     REAL_CONTEXT,
     GaussianRational,
     Place,
+    _hilbert_finite_cached,
     factorize,
     hilbert_symbol,
     hilbert_symbol_oracle,
@@ -103,6 +104,32 @@ def test_hilbert_oracle_agreement(p):
     for a in reps:
         for b in reps:
             assert hilbert_symbol(a, b, v) == hilbert_symbol_oracle(a, b, v), (a, b, p)
+
+
+def test_hilbert_symbol_keys_on_reduced_rationals():
+    places = [REAL] + [Place.finite(p) for p in (2, 3, 5, 7)]
+    pairs = [(3, -5), (-2, 7), (6, -1), (-10, -15), (Fraction(6, 4), 5), (Fraction(-9, 14), Fraction(2, 3))]
+    for v in places:
+        assert hilbert_symbol(Fraction(6, 4), 5, v) == hilbert_symbol(Fraction(3, 2), 5, v)
+        for a, b in pairs:
+            want = hilbert_symbol_oracle(a, b, v)
+            assert hilbert_symbol(a, b, v) == want, (a, b, v)
+            assert hilbert_symbol(Fraction(a), Fraction(b), v) == want, (a, b, v)
+        for a, b in ((0, 3), (3, 0), (Fraction(0), Fraction(3)), (Fraction(0, 5), 2)):
+            with pytest.raises(ExactDomainError):
+                hilbert_symbol(a, b, v)
+        for a, b in ((1.5, 2), (2, 3.0)):
+            with pytest.raises(ExactDomainError):
+                hilbert_symbol(a, b, v)
+    # one cache entry per pair of reduced rationals, whatever their type
+    _hilbert_finite_cached.cache_clear()
+    v = Place.finite(3)
+    symbols = {hilbert_symbol(a, b, v) for a, b in ((Fraction(6, 4), 5), (Fraction(3, 2), Fraction(5)))}
+    assert len(symbols) == 1
+    symbols.add(hilbert_symbol(6, 5, v))
+    symbols.add(hilbert_symbol(Fraction(6), 5, v))
+    info = _hilbert_finite_cached.cache_info()
+    assert (info.currsize, info.hits) == (2, 2)
 
 
 def test_squareclass_examples():

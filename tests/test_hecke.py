@@ -10,6 +10,7 @@ from endolab.hecke import (
     LocalDatumAtP,
     RelativeWeylGroup,
     UnramifiedGroup,
+    _flip,
     _iota_inverse,
     _transposition,
     ambient_group_at_p,
@@ -108,6 +109,46 @@ def test_constant_term_retags():
         constant_term(
             HeckeElement(3, {(1, 0, 0): Laurent.one(1)}, smaller), big
         )
+
+
+def _count_walks(monkeypatch) -> list:
+    """Record how many elements each walk of a relative Weyl group yields."""
+    walk = RelativeWeylGroup._walk
+    sizes = []
+
+    def counting(self, cap=50000):
+        sizes.append(0)
+        for w in walk(self, cap):
+            sizes[-1] += 1
+            yield w
+
+    monkeypatch.setattr(RelativeWeylGroup, "_walk", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_is_subgroup_of(m, monkeypatch):
+    w_b = UnramifiedGroup("B", m).relative_group()
+    w_d = UnramifiedGroup("D", m).relative_group()
+    flip = RelativeWeylGroup(m, (_flip(m, 0),), "one sign flip")
+    full_b, full_d = w_b.elements(), w_d.elements()
+    assert (len(full_b), len(full_d)) == (2 * len(full_d), len(full_d))
+    sizes = _count_walks(monkeypatch)
+
+    assert w_d.is_subgroup_of(w_b)
+    assert sizes[-1] <= len(full_b)
+    if m >= 3:  # the generators of W(D_m) appear before the walk of W(B_m) ends
+        assert sizes[-1] < len(full_b)
+    assert not flip.is_subgroup_of(w_d)
+    assert sizes[-1] == len(full_d)  # False only after the whole walk
+    assert flip.is_subgroup_of(w_b) and not w_b.is_subgroup_of(w_d)
+    assert RelativeWeylGroup(m, (), "1").is_subgroup_of(w_d)
+    walks = len(sizes)
+    assert not w_d.is_subgroup_of(UnramifiedGroup("B", m + 1).relative_group())
+    assert len(sizes) == walks  # a rank mismatch walks nothing
+
+    for small, big, full in ((w_d, w_b, full_b), (flip, w_d, full_d), (flip, w_b, full_b), (w_b, w_d, full_d)):
+        assert small.is_subgroup_of(big) == (set(small.gens) <= full), (small.label, big.label)
 
 
 def test_compute_fH_table_spot_values():

@@ -1,12 +1,16 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from endolab.errors import ExactDomainError
-from endolab.exactnum import REAL, Place
+from endolab.exactnum import REAL, Place, hilbert_symbol
 from endolab.quadspace import (
     QuadraticSpace,
+    _class_counts,
+    _hasse_from_counts,
     diagonalize,
     discriminant,
     exists_global_form,
@@ -18,7 +22,7 @@ from endolab.quadspace import (
     relevant_places,
     signature,
 )
-from endolab.exactnum import squareclass_of, GLOBAL
+from endolab.exactnum import squareclass_of, smallest_nonresidue, GLOBAL
 
 
 def test_diagonalize_identity():
@@ -118,6 +122,73 @@ def test_hasse_product_formula():
         for v in relevant_places(q):
             prod *= hasse_invariant(q, v)
         assert prod == 1
+
+
+# Entry i of a test form is a local square-class representative times
+# SQUARES[i]^2, so one class shows up as several rationals.
+SQUARES = (Fraction(2), Fraction(3, 7), Fraction(5, 2), Fraction(1, 3), Fraction(7, 5))
+
+
+def _class_reps(p: int) -> list[int]:
+    units = [1, 3, 5, 7] if p == 2 else [1, smallest_nonresidue(p)]
+    return [u * p**e for e in (0, 1) for u in units]
+
+
+def _forms_by_class(p: int, max_dim: int = 5):
+    reps = _class_reps(p)
+    for dim in range(1, max_dim + 1):
+        for combo in itertools.combinations_with_replacement(reps, dim):
+            yield QuadraticSpace.from_entries([r * SQUARES[i] ** 2 for i, r in enumerate(combo)])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_hasse_by_multiplicities_matches_pairwise(p):
+    v = Place.finite(p)
+    n_classes = 8 if p == 2 else 4
+    assert len(_class_counts(QuadraticSpace.from_entries(_class_reps(p)), p)) == n_classes
+    forms = 0
+    for q in _forms_by_class(p):
+        assert _hasse_from_counts(_class_counts(q, p), v) == hasse_invariant(q, v), (q.diag, p)
+        forms += 1
+    assert forms == sum(math.comb(n_classes + k - 1, k) for k in range(1, 6))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_hasse_by_multiplicities_needs_the_self_pairing(p):
+    """Negative control: dropping the factor prod_c (c,c)^C(n_c,2) changes the
+    answer on some form of the same sweep at p = 2 and 3.  At p = 5 the factor
+    is 1, since (c,c) = (c,-1) and -1 is a square in Q_5."""
+    v = Place.finite(p)
+    if p % 4 == 1:
+        assert all(hilbert_symbol(c, c, v) == 1 for c in _class_reps(p))
+        return
+
+    def without_self_pairing(counts):
+        eps = 1
+        classes = list(counts.items())
+        for i, (c, n) in enumerate(classes):
+            for c2, n2 in classes[i + 1 :]:
+                eps *= hilbert_symbol(c, c2, v) ** (n * n2)
+        return eps
+
+    assert any(without_self_pairing(_class_counts(q, p)) != hasse_invariant(q, v) for q in _forms_by_class(p))
+
+
+def test_closed_test_and_oracle_take_separate_hasse_paths(monkeypatch):
+    """The closed quasi-split test never calls the pairwise `hasse_invariant`;
+    the classification oracle does, so the two stay independent."""
+    from endolab import quadspace
+
+    q = QuadraticSpace.from_entries([1, -3, 6, 2, -1])
+    expected = is_quasi_split_oracle(q, 3)
+
+    def refused(q, v):
+        raise AssertionError("pairwise Hasse product called")
+
+    monkeypatch.setattr(quadspace, "hasse_invariant", refused)
+    assert is_quasi_split_local(q, Place.finite(3)) == expected
+    with pytest.raises(AssertionError, match="pairwise"):
+        is_quasi_split_oracle(q, 3)
 
 
 def test_quasi_split_signature_table():
