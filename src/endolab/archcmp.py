@@ -22,7 +22,7 @@ from typing import Optional
 
 from .dsconst import cone_constant_1d, cone_constant_2d
 from .errors import ExactDomainError, ResourceLimitError, SingularPointError
-from .exactnum import GaussianRational, sqrt_fraction
+from .exactnum import ONE, ZERO, GaussianRational, sqrt_fraction
 from .rootdata import (
     COMPACT,
     PAIR_FIRST,
@@ -33,16 +33,19 @@ from .rootdata import (
     TorusPoint,
     Weight,
     WeylElement,
+    alternant_terms,
     circle_point,
     evaluate_root,
+    evaluate_terms,
+    is_dominant,
     kostant_cohomology,
     levi_positive_roots,
     pi1_covector,
     pi2_covector,
+    power_table,
     rho,
     standard_levi,
-    weyl_character,
-    weyl_table,
+    weyl_denominator,
 )
 
 
@@ -65,6 +68,8 @@ class ArchCase:
             raise ExactDomainError("even-dimensional M2 has no R-elliptic elements")
         if len(self.lam) != self.d // 2:
             raise ExactDomainError("highest weight has wrong rank")
+        if not is_dominant(self.datum, self.weight()):
+            raise ExactDomainError("need a dominant integral highest weight")
 
     @property
     def parity(self) -> str:
@@ -130,89 +135,87 @@ def torus_point(case: ArchCase, sample: GammaSample) -> TorusPoint:
 
 @lru_cache(maxsize=64)
 def _omega_data(kind: str, m: int, lam: tuple[int, ...]):
-    """Per Weyl element: (sign, inversion indices, w(lam) ints, w(lam+rho) doubled)."""
+    """The terms eps(w) gamma^{w(lam+rho)-rho} of the character sum, grouped by
+    the head (chi_1, chi_2) of chi = w(lam+rho), doubled, which is all the cone
+    constants read: per head, its two exponents and the (sign, exponents of
+    the remaining coordinates) terms."""
     datum = RootDatum(kind, m)
-    shifted = Weight.from_ints(lam) + rho(datum)
-    out = []
-    for w, inv_idx, eps in weyl_table(kind, m):
-        out.append((eps, inv_idx, w.act_tuple(lam), w.act_tuple(shifted.doubled)))
-    return datum.positive_roots(), tuple(out)
+    r = rho(datum).doubled
+    groups: dict = {}
+    for eps, exps in alternant_terms(datum, Weight.from_ints(lam)):
+        head = (2 * exps[0] + r[0], 2 * exps[1] + r[1])
+        groups.setdefault(head, (exps[:2], []))[1].append((eps, exps[2:]))
+    return tuple((head, e, tuple(terms)) for head, (e, terms) in groups.items())
 
 
 @lru_cache(maxsize=64)
 def _kostant_data(kind: str, m: int, levi_label: str, lam: tuple[int, ...], cutoffs: tuple[str, ...]):
-    """Truncated Kostant entries for the Levi: (parity sign, gl weight ints, so weight)."""
+    """Truncated Kostant entries for the Levi: (parity sign, gl weight ints,
+    alternant terms of the SO-tail weight)."""
     datum = RootDatum(kind, m)
     levi = standard_levi(levi_label, m)
+    tail = RootDatum(kind, m - levi.so_start)
     r = rho(datum)
     pi = {"pi1": pi1_covector(m), "pi2": pi2_covector(m)}
     entries = []
     for deg, mu in kostant_cohomology(datum, levi, Weight.from_ints(lam)):
         if all((mu + r).pairing_doubled(pi[c]) > 0 for c in cutoffs):
             c = mu.int_coords()
-            entries.append((-1 if deg % 2 else 1, c[: levi.so_start], c[levi.so_start :]))
+            so = alternant_terms(tail, Weight.from_ints(c[levi.so_start :]))
+            entries.append((-1 if deg % 2 else 1, c[: levi.so_start], so))
     return tuple(entries)
 
 
-def _sub_point(gamma: TorusPoint, start: int) -> TorusPoint:
-    return TorusPoint(gamma.coords[start:], gamma.pattern[start:])
-
-
-def _gl2_schur(mu: tuple[int, int], x: GaussianRational, y: GaussianRational) -> GaussianRational:
-    a, b = mu
-    if x == y:
-        raise SingularPointError("GL_2 character at a singular point")
-    num = x ** (a + 1) * y ** b - x ** b * y ** (a + 1)
-    return num / (x - y)
-
-
-def _levi_character(
-    case_levi: str, kind: str, m: int, gl: tuple[int, ...], so: tuple[int, ...], gamma: TorusPoint
-) -> GaussianRational:
-    """Character of the Levi irreducible at gamma: GL blocks times the SO tail."""
-    if case_levi == "M1":
-        val = _gl2_schur((gl[0], gl[1]), gamma.coords[0], gamma.coords[1])
-        start = 2
-    elif case_levi == "M12":
-        val = gamma.coords[0] ** gl[0] * gamma.coords[1] ** gl[1]
-        start = 2
-    else:  # M2
-        val = gamma.coords[0] ** gl[0]
-        start = 1
-    if so:
-        sub = RootDatum(kind, m - start)
-        val = val * weyl_character(sub, Weight.from_ints(so), _sub_point(gamma, start))
-    return val
+def _gl_numerator(levi_label: str, gl: tuple[int, ...], powers) -> GaussianRational:
+    """The GL blocks' part of a Levi character, over M1's GL_2 denominator x - y:
+    x^{a+1} y^b - x^b y^{a+1} for M1, a monomial for M2 and M12."""
+    x = powers[0]
+    if levi_label == "M1":
+        a, b = gl
+        y = powers[1]
+        return x[a + 1] * y[b] - x[b] * y[a + 1]
+    if levi_label == "M12":
+        return x[gl[0]] * powers[1][gl[1]]
+    return x[gl[0]]
 
 
 def _delta_factor(datum: RootDatum, levi: LeviBlocks, gamma: TorusPoint) -> GaussianRational:
     """Delta_M(gamma) = prod over Levi-positive roots of (1 - alpha^-1(gamma))."""
-    one = GaussianRational(1)
-    out = one
+    out = ONE
     for alpha in levi_positive_roots(datum, levi):
         v = evaluate_root(gamma, alpha)
-        if v == one:
+        if v == ONE:
             raise SingularPointError("gamma on a Levi root wall")
-        out = out * (one - v.inverse())
+        out = out * (ONE - v.inverse())
     return out
 
 
 def _kostant_trace(
     case: ArchCase, levi_label: str, cutoffs: tuple[str, ...], gamma: TorusPoint
 ) -> GaussianRational:
+    """sum over the truncated Kostant entries of (-1)^deg ch_M(mu)(gamma).  The
+    Levi characters share their denominators, GL_2's x - y on M1 and the SO
+    tail's Delta, so the numerators are summed and divided once."""
     kind = case.datum.kind
-    entries = _kostant_data(kind, case.m, levi_label, case.lam, cutoffs)
-    total = GaussianRational(0)
-    for sgn, gl, so in entries:
-        val = _levi_character(levi_label, kind, case.m, gl, so, gamma)
-        total = total + (val if sgn == 1 else -val)
-    return total
+    start = standard_levi(levi_label, case.m).so_start
+    powers = power_table(gamma)
+    tail = powers[start:]
+    den = weyl_denominator(RootDatum(kind, case.m - start), tail)
+    if levi_label == "M1":
+        x, y = gamma.coords[0], gamma.coords[1]
+        if x == y:
+            raise SingularPointError("GL_2 character at a singular point")
+        den = den * (x - y)
+    total = ZERO
+    for sgn, gl, so in _kostant_data(kind, case.m, levi_label, case.lam, cutoffs):
+        val = _gl_numerator(levi_label, gl, powers) * evaluate_terms(so, tail)
+        total = total + val if sgn == 1 else total - val
+    return total / den
 
 
 def _check_regular(case: ArchCase, gamma: TorusPoint):
-    one = GaussianRational(1)
     for alpha in case.datum.positive_roots():
-        if evaluate_root(gamma, alpha) == one:
+        if evaluate_root(gamma, alpha) == ONE:
             raise SingularPointError(f"gamma is singular at root {alpha}")
 
 
@@ -297,8 +300,8 @@ def L_M_normalized(case: ArchCase, sample: GammaSample) -> GaussianRational:
 # --- the character sums ---------------------------------------------------------
 
 
-def _x_chamber_rep(abs_a: Fraction, abs_b: Fraction) -> tuple[Fraction, Fraction]:
-    """A rational point in the cone of x = (log|a|, log|b|), decided by exact
+def _x_chamber_rep(abs_a: Fraction, abs_b: Fraction) -> tuple[int, int]:
+    """An integer point in the cone of x = (log|a|, log|b|), decided by exact
     comparisons of |a|, |b|, |ab| and |a/b| against 1."""
     s1 = _sign(abs_a - 1)
     s2 = _sign(abs_b - 1)
@@ -313,7 +316,7 @@ def _x_chamber_rep(abs_a: Fraction, abs_b: Fraction) -> tuple[Fraction, Fraction
             and _sign(ref[0] - ref[1]) == sdiff
             and _sign(ref[0] + ref[1]) == ssum
         ):
-            return (Fraction(ref[0]), Fraction(ref[1]))
+            return ref
     raise SingularPointError("chamber position on a wall")
 
 
@@ -340,39 +343,17 @@ def _epsilon_R(case: ArchCase, sample: GammaSample, endos: bool = False) -> int:
     return -1 if count % 2 else 1
 
 
-def _character_sum(case: ArchCase, gamma: TorusPoint, coefficients) -> GaussianRational:
-    """sum over Omega of eps(w) c(w) (w lam)(gamma) prod_{a in Phi(w)} a^-1(gamma),
-    with c(w) = coefficients(chi) an integer function of chi = w(lam + rho)."""
-    pos, table = _omega_data(case.datum.kind, case.m, case.lam)
-    one = GaussianRational(1)
-    inv_vals = []
-    for alpha in pos:
-        v = evaluate_root(gamma, alpha)
-        if v == one:
-            raise SingularPointError("gamma on a root wall")
-        inv_vals.append(v.inverse())
-    coord_pows: list[dict[int, GaussianRational]] = []
-    max_e = max((abs(c) for c in case.lam), default=0)
-    for z in gamma.coords:
-        d = {0: one}
-        for e in range(1, max_e + 1):
-            d[e] = d[e - 1] * z
-        zi = z.inverse()
-        for e in range(1, max_e + 1):
-            d[-e] = d[-(e - 1)] * zi
-        coord_pows.append(d)
-    total = GaussianRational(0)
-    for eps, inv_idx, wlam, chi2 in table:
-        c = coefficients(chi2)
-        if c == 0:
-            continue
-        term = one
-        for j, e in enumerate(wlam):
-            if e:
-                term = term * coord_pows[j][e]
-        for i in inv_idx:
-            term = term * inv_vals[i]
-        total = total + (eps * c) * term
+def _character_sum(case: ArchCase, gamma: TorusPoint, coefficient) -> GaussianRational:
+    """sum over Omega of eps(w) c(w) gamma^{w(lam+rho)-rho}, with c(w) =
+    coefficient(chi_1, chi_2) an integer function of the doubled head of
+    chi = w(lam + rho).  gamma must be regular."""
+    powers = power_table(gamma)
+    x, y, tail = powers[0], powers[1], powers[2:]
+    total = ZERO
+    for (chi_1, chi_2), (e_1, e_2), terms in _omega_data(case.datum.kind, case.m, case.lam):
+        c = coefficient(chi_1, chi_2)
+        if c:
+            total = total + (c * (x[e_1] * y[e_2])) * evaluate_terms(terms, tail)
     return total
 
 
@@ -389,24 +370,24 @@ def Phi_normalized(case: ArchCase, sample: GammaSample) -> GaussianRational:
         if sq == 1:
             raise SingularPointError("a^2 + b^2 = 1 is a wall")
         x_sign = 1 if sq > 1 else -1
-        coeff = lambda chi2: cone_constant_1d(x_sign, chi2[0] + chi2[1])
+        coeff = lambda chi_1, chi_2: cone_constant_1d(x_sign, chi_1 + chi_2)
         return (q_sign * _epsilon_R(case, sample)) * _character_sum(case, gamma, coeff)
     if case.levi == "M2":
         if a < 0:
-            return GaussianRational(0)
+            return ZERO
         if abs(a) == 1:
             raise SingularPointError("|a| = 1 is a wall")
         x_sign = 1 if a > 1 else -1
-        coeff = lambda chi2: cone_constant_1d(x_sign, chi2[0])
+        coeff = lambda chi_1, chi_2: cone_constant_1d(x_sign, chi_1)
         return (q_sign * _epsilon_R(case, sample)) * _character_sum(case, gamma, coeff)
     if a * b < 0:
-        return GaussianRational(0)
+        return ZERO
     xr = _x_chamber_rep(abs(a), abs(b))
     if case.parity == "odd" and a > 0:
         system = "B2"
     else:
         system = "D2"
-    coeff = lambda chi2: cone_constant_2d(xr, (Fraction(chi2[0], 2), Fraction(chi2[1], 2)), system)
+    coeff = lambda chi_1, chi_2: cone_constant_2d(xr, (chi_1, chi_2), system)
     return (q_sign * _epsilon_R(case, sample)) * _character_sum(case, gamma, coeff)
 
 
@@ -418,12 +399,12 @@ def Phi_endos_normalized(case: ArchCase, sample: GammaSample) -> GaussianRationa
         raise ExactDomainError("the endoscopic variant lives on odd-case M12")
     a, b = sample.a, sample.b
     if a < 0 or b < 0:
-        return GaussianRational(0)
+        return ZERO
     gamma = torus_point(case, sample)
     _check_regular(case, gamma)
     q_sign = -1 if case.q_G % 2 else 1
     xr = _x_chamber_rep(abs(a), abs(b))
-    coeff = lambda chi2: cone_constant_2d(xr, (Fraction(chi2[0], 2), Fraction(chi2[1], 2)), "A1xA1")
+    coeff = lambda chi_1, chi_2: cone_constant_2d(xr, (chi_1, chi_2), "A1xA1")
     return (q_sign * _epsilon_R(case, sample)) * _character_sum(case, gamma, coeff)
 
 
@@ -565,11 +546,10 @@ def verify_identity(
     stated range, plus optional vanishing-region controls."""
     rng = random.Random(seed)
     report = ArchReport(case.levi, case.d, case.lam, region, samples, seed)
-    zero = GaussianRational(0)
     for k in range(samples):
         sample = sample_in_range(case, rng, region)
         gap = identity_gap(case, sample)
-        if gap != zero:
+        if gap != ZERO:
             report.failures.append(
                 {
                     "index": k,
@@ -585,7 +565,7 @@ def verify_identity(
         for k in range(vanishing_controls):
             sample = sample_in_range(case, rng, "vanishing")
             gap = identity_gap(case, sample)
-            if gap != zero:
+            if gap != ZERO:
                 report.failures.append({"index": f"vanish-{k}", "a": str(sample.a)})
     return report
 

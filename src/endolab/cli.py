@@ -316,9 +316,14 @@ def _suite_vanishing(rep: Report, *, case=None, r=None, t=None, trials=20, seed=
 
 def _arch_case_runner(key):
     levi, d, lam, samples, seed = key
-    case = archcmp.ArchCase(levi, d, lam)
-    r = archcmp.verify_identity(case, samples=samples, seed=seed, vanishing_controls=5)
-    return {"levi": levi, "d": d, "lambda": list(lam), "failures": r.failures}, r.controls
+    named = {"levi": levi, "d": d, "lambda": list(lam)}
+    try:
+        case = archcmp.ArchCase(levi, d, lam)
+        r = archcmp.verify_identity(case, samples=samples, seed=seed, vanishing_controls=5)
+    except (ExactDomainError, SingularPointError, ResourceLimitError) as exc:
+        exc.case = named  # the error witness names the case; pickled with the exception
+        raise
+    return {**named, "failures": r.failures}, r.controls
 
 
 def _default_lambda(d: int) -> tuple[int, ...]:
@@ -584,9 +589,10 @@ def cmd_verify(args) -> Report:
             raise ExactDomainError(f"verify {args.suite} takes no parameter {', '.join(unknown)}")
         suite(rep, **params)
     except (ExactDomainError, SingularPointError, ResourceLimitError) as exc:
-        # the report keeps the run's name, parameters and the counts so far
+        # the report keeps the run's name, parameters and the counts so far,
+        # and names the case the error was raised in when the suite gave it
         rep.status = "error"
-        rep.witnesses.append({"error": str(exc)})
+        rep.witnesses.append({**getattr(exc, "case", {}), "error": str(exc)})
         return rep
     return rep.finish()
 

@@ -95,6 +95,9 @@ class GaussianRational:
     __slots__ = ("re_n", "im_n", "den")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
+        if type(re) is int and type(im) is int:  # exact type: bools take the Fraction path
+            self.re_n, self.im_n, self.den = re, im, 1
+            return
         re = _as_fraction(re)
         im = _as_fraction(im)
         d = re.denominator * im.denominator // gcd(re.denominator, im.denominator)
@@ -186,7 +189,7 @@ class GaussianRational:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = GaussianRational(1)
+        out = ONE
         base = self
         while k:
             if k & 1:
@@ -209,6 +212,10 @@ class GaussianRational:
         if self.im_n == 0:
             return f"GaussianRational({self.re})"
         return f"GaussianRational({self.re}, {self.im})"
+
+
+ZERO = GaussianRational._raw(0, 0, 1)
+ONE = GaussianRational._raw(1, 0, 1)
 
 
 def _coerce(x) -> GaussianRational:

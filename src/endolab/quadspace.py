@@ -196,9 +196,10 @@ def is_quasi_split_oracle(q: QuadraticSpace, p: int) -> bool:
     """Independent check over Q_p: compare (dim, disc, Hasse) with the explicit
     quasi-split model, which classifies quadratic forms over Q_p."""
     v = Place.finite(p)
-    model = quasi_split_space(q.dim, discriminant(q))
+    disc = discriminant(q)
+    model = quasi_split_space(q.dim, disc)
     return (
-        discriminant(q).localize(v) == discriminant(model).localize(v)
+        disc.localize(v) == discriminant(model).localize(v)
         and hasse_invariant(q, v) == hasse_invariant(model, v)
     )
 

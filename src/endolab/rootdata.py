@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import ExactDomainError, ResourceLimitError, SingularPointError
-from .exactnum import GaussianRational
+from .exactnum import ONE, ZERO, GaussianRational
 from .laurent import Laurent
 
 Root = tuple[int, ...]  # true (undoubled) coordinates; roots are integral
@@ -289,30 +289,95 @@ def weyl_table(kind: str, m: int) -> tuple:
     return tuple(table)
 
 
-def weyl_character(datum: RootDatum, lam: Weight, gamma: TorusPoint) -> GaussianRational:
-    """Exact Weyl character value at a regular point:
-    Delta(gamma)^{-1} sum_w eps(w) (w lam)(gamma) prod_{a in Phi(w)} a^{-1}(gamma)."""
+class _Powers(dict):
+    """{e: z**e} for one coordinate z, filled on first use from the nearest
+    power toward 0: one multiplication per new exponent."""
+
+    __slots__ = ("z",)
+
+    def __init__(self, z: GaussianRational):
+        super().__init__({0: ONE, 1: z})
+        self.z = z
+
+    def __missing__(self, e: int) -> GaussianRational:
+        if e > 0:
+            v = self[e - 1] * self.z
+        elif e == -1:
+            v = self.z.inverse()
+        else:
+            v = self[e + 1] * self[-1]
+        self[e] = v
+        return v
+
+
+def power_table(gamma: TorusPoint) -> list[_Powers]:
+    """Per coordinate, the table {e: z**e} of its integer powers.  A table
+    belongs to one evaluation at one point and is dropped with it."""
+    return [_Powers(z) for z in gamma.coords]
+
+
+@lru_cache(maxsize=1024)
+def _alternant_terms(kind: str, m: int, doubled: tuple[int, ...]) -> tuple:
+    datum = RootDatum(kind, m)
+    r = rho(datum).doubled
+    shifted = (Weight(doubled) + rho(datum)).doubled
+    return tuple(
+        (eps, tuple((c - rc) // 2 for c, rc in zip(w.act_tuple(shifted), r)))
+        for w, _, eps in weyl_table(kind, m)
+    )
+
+
+def alternant_terms(datum: RootDatum, lam: Weight) -> tuple:
+    """(eps(w), w(lam+rho)-rho) for every w in W.  The exponents are integers:
+    w rho - rho = -sum of Phi(w) lies in the root lattice, and
+    (w lam) prod_{a in Phi(w)} a^-1 = e^{w(lam+rho)-rho}."""
     if not lam.is_integral:
         raise ExactDomainError("character needs an integral weight")
     if not is_dominant(datum, lam):
         raise ExactDomainError("character needs a dominant weight")
-    pos = datum.positive_roots()
-    vals = [evaluate_root(gamma, a) for a in pos]
-    one = GaussianRational(1)
-    if any(v == one for v in vals):
-        raise SingularPointError("torus point lies on a root wall")
-    inv_vals = [v.inverse() for v in vals]
-    delta = GaussianRational(1)
-    for v in inv_vals:
-        delta = delta * (one - v)
-    lam_i = lam.int_coords()
-    total = GaussianRational(0)
-    for w, invset, eps in weyl_table(datum.kind, datum.rank):
-        term = evaluate_character_monomial(gamma, w.act_tuple(lam_i))
-        for i in invset:
-            term = term * inv_vals[i]
-        total = total + (term if eps == 1 else -term)
-    return total / delta
+    return _alternant_terms(datum.kind, datum.rank, lam.doubled)
+
+
+def evaluate_terms(terms, powers: Sequence[_Powers]) -> GaussianRational:
+    """sum of eps * prod_j z_j^{e_j} over (eps, exponents) terms: one table
+    lookup per nonzero exponent."""
+    plus = minus = ZERO
+    for eps, exps in terms:
+        term = None
+        for row, e in zip(powers, exps):
+            if e:
+                term = row[e] if term is None else term * row[e]
+        if term is None:
+            term = ONE
+        if eps == 1:
+            plus = plus + term
+        else:
+            minus = minus + term
+    return plus - minus
+
+
+def weyl_denominator(datum: RootDatum, powers: Sequence[_Powers]) -> GaussianRational:
+    """Delta = prod_{a > 0} (1 - a^-1) at the point of the power table; raises
+    SingularPointError on a root wall."""
+    delta = ONE
+    for alpha in datum.positive_roots():
+        v = ONE
+        for row, c in zip(powers, alpha):
+            if c:
+                v = v * row[-c]
+        if v.is_one():
+            raise SingularPointError("torus point lies on a root wall")
+        delta = delta * (ONE - v)
+    return delta
+
+
+def weyl_character(datum: RootDatum, lam: Weight, gamma: TorusPoint) -> GaussianRational:
+    """Exact Weyl character value at a regular point:
+    Delta(gamma)^{-1} sum_w eps(w) gamma^{w(lam+rho)-rho}."""
+    terms = alternant_terms(datum, lam)
+    powers = power_table(gamma)
+    delta = weyl_denominator(datum, powers)
+    return evaluate_terms(terms, powers) / delta
 
 
 def is_dominant(datum: RootDatum, lam: Weight) -> bool:

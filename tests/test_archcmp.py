@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from endolab import archcmp, rootdata
 from endolab.archcmp import (
     ArchCase,
     GammaSample,
     Phi_endos_normalized,
     Phi_normalized,
+    _character_sum,
     _sample_circles,
     identity_gap,
     indicators_N,
@@ -50,6 +52,65 @@ def test_case_validation():
         ArchCase("M1", 6, (0, 0, 0))
     with pytest.raises(ExactDomainError):
         ArchCase("M1", 7, (0, 0))
+
+
+@pytest.mark.parametrize(
+    "levi,d,lam",
+    [("M1", 7, (1, 2, 3)), ("M2", 7, (1, 2, 3)), ("M12", 7, (1, 2, 3)), ("M1", 8, (1, 1, 1, -2)), ("M12", 8, (2, 1, 0, -1))],
+)
+def test_case_rejects_non_dominant_weight(levi, d, lam):
+    """Rejected up front, not deep inside Phi as a cone-wall input."""
+    with pytest.raises(ExactDomainError, match="need a dominant integral highest weight"):
+        ArchCase(levi, d, lam)
+    ArchCase(levi, d, tuple(sorted(map(abs, lam), reverse=True)))
+
+
+ARCH_CASES = [(levi, d) for d in (7, 8, 9, 10) for levi in ("M1", "M2", "M12") if d % 2 or levi != "M2"]
+
+
+def _product_form_sum(case, gamma, coefficient):
+    """sum_w eps(w) c(w) (w lam)(gamma) prod_{a in Phi(w)} a^-1(gamma), c(w) read
+    from the doubled head of w(lam + rho), over the inversion sets of weyl_table."""
+    datum = case.datum
+    inv_vals = [rootdata.evaluate_root(gamma, a).inverse() for a in datum.positive_roots()]
+    shifted = (Weight.from_ints(case.lam) + rho(datum)).doubled
+    total = ZERO
+    for w, invset, eps in rootdata.weyl_table(datum.kind, datum.rank):
+        chi = w.act_tuple(shifted)
+        term = rootdata.evaluate_character_monomial(gamma, w.act_tuple(case.lam))
+        for i in invset:
+            term = term * inv_vals[i]
+        total = total + (eps * coefficient(chi[0], chi[1])) * term
+    return total
+
+
+def _head_coefficient(chi_1, chi_2):
+    return chi_1 - 3 * chi_2 + 1
+
+
+@pytest.mark.parametrize("levi,d", ARCH_CASES)
+def test_character_sum_matches_product_form(levi, d):
+    case = ArchCase(levi, d, tuple(([3, 2, 1] + [0] * d)[: d // 2]))
+    gamma = torus_point(case, sample_in_range(case, random.Random(d)))
+    assert _character_sum(case, gamma, _head_coefficient) == _product_form_sum(case, gamma, _head_coefficient)
+
+
+def test_character_sum_without_rho_shift_fails(monkeypatch):
+    """Negative control: exponents w(lam+rho) with the -rho shift dropped."""
+    case = ArchCase("M12", 8, (3, 2, 1, 0))
+    gamma = torus_point(case, sample_in_range(case, random.Random(8)))
+    expected = _product_form_sum(case, gamma, _head_coefficient)
+
+    def unshifted(kind, m, doubled):
+        shifted = (Weight(doubled) + rho(RootDatum(kind, m))).doubled
+        return tuple((eps, tuple(c // 2 for c in w.act_tuple(shifted))) for w, _, eps in rootdata.weyl_table(kind, m))
+
+    monkeypatch.setattr(rootdata, "_alternant_terms", unshifted)
+    archcmp._omega_data.cache_clear()
+    try:
+        assert _character_sum(case, gamma, _head_coefficient) != expected
+    finally:
+        archcmp._omega_data.cache_clear()
 
 
 @pytest.mark.parametrize("levi,lam", [("M1", (0, 0, 0)), ("M2", (1, 1, 0)), ("M12", (2, 1, 0))])

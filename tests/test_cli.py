@@ -193,6 +193,17 @@ def test_verify_error_report_names_the_run(capsys):
     assert out["checks"] == {}
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_verify_arch_error_names_the_case(capsys, monkeypatch, workers):
+    """A non-dominant weight used to surface as a bare "cone-wall input"."""
+    monkeypatch.setenv("ENDOLAB_WORKERS", workers)
+    code, out = _verify(capsys, "arch", "--d", "7", "--lambda", "1,2,3", "--samples", "1")
+    assert (code, out["status"], out["checks"]) == (2, "error", {})
+    assert out["witnesses"] == [
+        {"levi": "M1", "d": 7, "lambda": [1, 2, 3], "error": "need a dominant integral highest weight"}
+    ]
+
+
 def test_verify_zero_count_is_a_usage_error(capsys):
     from endolab import cli
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from endolab.errors import ExactDomainError
 from endolab.exactnum import (
     GLOBAL,
+    ONE,
     REAL,
     REAL_CONTEXT,
     GaussianRational,
@@ -20,6 +21,7 @@ from endolab.exactnum import (
     squarefree_part,
     squareclass_of,
     sqrt_fraction,
+    ZERO,
 )
 
 nonzero_small = st.integers(min_value=-400, max_value=400).filter(lambda n: n != 0)
@@ -190,6 +192,26 @@ def test_gaussian_powers(z, k):
     assert z ** k == expected
     if not z.is_zero() and k:
         assert (z ** -k) * (z ** k) == GaussianRational(1)
+
+
+@pytest.mark.parametrize(
+    "re,im",
+    [(0, 0), (0, 5), (-3, 0), (-7, -2), (6, -4), (10**30, -1), (True, False), (False, True), (True, -3)],
+)
+def test_gaussian_from_ints_matches_fraction_path(re, im):
+    z = GaussianRational(re, im)
+    ref = GaussianRational(Fraction(re), Fraction(im))
+    assert (z.re_n, z.im_n, z.den) == (ref.re_n, ref.im_n, ref.den)
+    assert type(z.re_n) is int and type(z.im_n) is int  # a bool is stored as 0 or 1
+    assert hash(z) == hash(ref) and z == ref
+    assert GaussianRational(re) == GaussianRational(Fraction(re))
+
+
+def test_gaussian_constants():
+    assert (ONE.re_n, ONE.im_n, ONE.den) == (1, 0, 1) and ONE.is_one()
+    assert (ZERO.re_n, ZERO.im_n, ZERO.den) == (0, 0, 1) and ZERO.is_zero()
+    z = GaussianRational(Fraction(2, 3), Fraction(-1, 5))
+    assert z ** 0 == ONE and z * ONE == z and z + ZERO == z
 
 
 def test_sqrt_fraction():

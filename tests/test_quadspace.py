@@ -191,6 +191,19 @@ def test_closed_test_and_oracle_take_separate_hasse_paths(monkeypatch):
         is_quasi_split_oracle(q, 3)
 
 
+def test_oracle_takes_each_discriminant_once(monkeypatch):
+    """One discriminant of the form and one of the quasi-split model per call."""
+    from endolab import quadspace
+
+    q = QuadraticSpace.from_entries([1, -3, 6, 2, -1])
+    expected = is_quasi_split_local(q, Place.finite(3))
+    calls = []
+    real = quadspace.discriminant
+    monkeypatch.setattr(quadspace, "discriminant", lambda form: calls.append(form) or real(form))
+    assert is_quasi_split_oracle(q, 3) == expected
+    assert len(calls) == 2 and calls[0] is q and calls[1] is not q
+
+
 def test_quasi_split_signature_table():
     # d = 7, signature (4,3), delta = det = (+)(-)^3 < 0 = (-1)^3: quasi-split
     q = QuadraticSpace.from_entries([1, 1, 1, 1, -1, -1, -1])

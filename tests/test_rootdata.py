@@ -101,6 +101,82 @@ def test_weyl_character_singular():
         weyl_character(B2, Weight.from_ints([1, 0]), gamma)
 
 
+def _product_form_character(datum, lam, gamma):
+    """The Weyl character as sum_w eps(w) (w lam)(gamma) prod_{a in Phi(w)} a^-1(gamma)
+    over the inversion sets of weyl_table, divided by prod_{a > 0} (1 - a^-1(gamma))."""
+    inv_vals = [rootdata.evaluate_root(gamma, a).inverse() for a in datum.positive_roots()]
+    num = GaussianRational(0)
+    for w, invset, eps in rootdata.weyl_table(datum.kind, datum.rank):
+        term = rootdata.evaluate_character_monomial(gamma, w.act_tuple(lam.int_coords()))
+        for i in invset:
+            term = term * inv_vals[i]
+        num = num + eps * term
+    den = GaussianRational(1)
+    for v in inv_vals:
+        den = den * (1 - v)
+    return num / den
+
+
+def _regular_points(datum, rng, count):
+    """Seeded regular points, each also moved by a random Weyl element.  From
+    rank 2 on, every other point starts with a conjugate pair (x, conj x),
+    |x| != 1, as in case M1; the Weyl move leaves such coordinates of pattern RAW."""
+    out = []
+    elems = weyl_enumerate(datum)
+    m = datum.rank
+    while len(out) < 2 * count:
+        a = Fraction(rng.choice((1, -1)) * rng.randint(2, 9), rng.randint(10, 19))
+        if m >= 2 and len(out) % 4:
+            x = GaussianRational(a, Fraction(rng.randint(1, 9), rng.randint(10, 19)))
+            head, pattern = [x, x.conjugate()], (rootdata.PAIR_FIRST, rootdata.PAIR_SECOND)
+        else:
+            head, pattern = [GaussianRational(a)], (SPLIT,)
+        circle = [circle_point(Fraction(rng.randint(1, 99), rng.randint(100, 199))) for _ in range(m - len(head))]
+        gamma = TorusPoint(tuple(head + circle), pattern + (COMPACT,) * len(circle))
+        if any(rootdata.evaluate_root(gamma, a).is_one() for a in datum.positive_roots()):
+            continue
+        out += [gamma, gamma.apply(rng.choice(elems))]
+    return out
+
+
+@pytest.mark.parametrize("kind,m", [(k, m) for k in "BD" for m in (1, 2, 3, 4)])
+def test_weyl_character_matches_product_form(kind, m):
+    datum = RootDatum(kind, m)
+    rng = random.Random(100 * m + ord(kind))
+    weights = _dominant_weights(kind, m, 3)
+    points = _regular_points(datum, rng, 3)
+    assert m == 1 or any(rootdata.RAW in g.pattern for g in points)
+    for lam_c in rng.sample(weights, min(len(weights), 6)):
+        lam = Weight.from_ints(lam_c)
+        for gamma in points:
+            assert weyl_character(datum, lam, gamma) == _product_form_character(datum, lam, gamma), (lam_c, gamma)
+
+
+@pytest.mark.parametrize("kind,m", [(k, m) for k in "BD" for m in (2, 3, 4)])
+def test_weyl_character_without_rho_shift_fails(kind, m, monkeypatch):
+    """Negative control: exponents w(lam+rho) with the -rho shift dropped
+    (rounded down in type B, where they are half-integers)."""
+    datum = RootDatum(kind, m)
+    lam = Weight.from_ints((2, 1) + (0,) * (m - 2))
+    gamma = _regular_points(datum, random.Random(m), 1)[0]
+    assert weyl_character(datum, lam, gamma) == _product_form_character(datum, lam, gamma)
+
+    def unshifted(kind, m, doubled):
+        shifted = (Weight(doubled) + rho(RootDatum(kind, m))).doubled
+        return tuple((eps, tuple(c // 2 for c in w.act_tuple(shifted))) for w, _, eps in rootdata.weyl_table(kind, m))
+
+    monkeypatch.setattr(rootdata, "_alternant_terms", unshifted)
+    assert weyl_character(datum, lam, gamma) != _product_form_character(datum, lam, gamma)
+
+
+def test_power_table_reads_integer_powers():
+    z = circle_point(Fraction(2, 7)) * 3
+    gamma = TorusPoint((z,), (rootdata.RAW,))
+    row = rootdata.power_table(gamma)[0]
+    for e in (5, -4, 0, 1, -1, 2):
+        assert row[e] == z ** e
+
+
 def test_kostant_reps_counts():
     reps = kostant_reps(B2, standard_levi("M2", 2))
     assert [length(w, B2) for w in reps] == [0, 1, 2, 3]
