@@ -5,7 +5,8 @@ Reports print to stdout as canonical JSON (sorted keys, fixed separators) and
 are byte-identical across runs with the same parameters and seed; wall-clock
 timing goes to stderr.  Exit codes: 0 pass, 1 verification failure, 2 usage or
 input error.  ENDOLAB_WORKERS > 1 fans independent verification cases out to a
-process pool; results are merged by case key, so the report stays deterministic.
+process pool, imported only then; results are merged by case key, so the report
+stays deterministic.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -113,11 +113,13 @@ def _workers() -> int:
 def _map_cases(fn, keys):
     """Map fn over case keys, in a process pool when ENDOLAB_WORKERS > 1; the
     output order always follows the sorted keys.  The pool never has more
-    workers than CPUs or keys."""
+    workers than CPUs or keys, and its modules load only when a pool runs."""
     keys = list(keys)
     n = min(_workers(), os.cpu_count() or 1, len(keys))
     if n <= 1:
         return [fn(k) for k in keys]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=n) as pool:
         return list(pool.map(fn, keys))
 
@@ -297,21 +299,22 @@ def _suite_vanishing(rep: Report, *, case=None, r=None, t=None, trials=20, seed=
                             Fraction(mags[k] * rng.choice([-1, 1]), den)
                             for k in range(rank)
                         ] + [Fraction(mags[rank + j]) for j in range(tail)]
-                        M, N = dsconst.vanishing_quantities(rank, tail, parity, r_prime, mu)
+                        named = {
+                            "parity": parity,
+                            "r": rank,
+                            "t": tail,
+                            "split": r_prime,
+                            "mu": [str(c) for c in mu],
+                        }
+                        try:
+                            M, N = dsconst.vanishing_quantities(rank, tail, parity, r_prime, mu)
+                        except (ExactDomainError, SingularPointError, ResourceLimitError) as exc:
+                            exc.case = named  # the error witness names the case
+                            raise
                         ok_n = rank < n_from or rep.check("N = 0", N == 0)
                         ok_m = rank < m_from or rep.check("M_i = 0", not any(M))
                         if not (ok_n and ok_m):
-                            rep.witnesses.append(
-                                {
-                                    "parity": parity,
-                                    "r": rank,
-                                    "t": tail,
-                                    "split": r_prime,
-                                    "mu": [str(c) for c in mu],
-                                    "M": M,
-                                    "N": N,
-                                }
-                            )
+                            rep.witnesses.append({**named, "M": M, "N": N})
 
 
 def _arch_case_runner(key):
@@ -334,13 +337,19 @@ def _default_lambda(d: int) -> tuple[int, ...]:
 def _suite_arch(rep: Report, *, d=None, case=None, lam=None, samples=50, seed=7):
     _at_least("d", d, 7)
     rep.parameters["range"] = "stated"
+    weight = tuple(int(c) for c in lam.split(",")) if lam else None
+    dims = [d] if d is not None else [7, 8, 9, 10]
+    if weight and d is None:
+        # the weight fixes the rank d // 2: the default sweep keeps the d of that rank
+        dims = [e for e in dims if e // 2 == len(weight)]
+        if not dims:
+            raise ExactDomainError(f"no d in 7..10 has rank {len(weight)}, the length of --lambda")
     keys = []
-    for d in [d] if d is not None else [7, 8, 9, 10]:
-        weight = tuple(int(c) for c in lam.split(",")) if lam else _default_lambda(d)
+    for d in dims:
         for levi in [case] if case else ["M1", "M2", "M12"]:
             if levi == "M2" and d % 2 == 0:
                 continue
-            keys.append((levi, d, weight, samples, seed))
+            keys.append((levi, d, weight or _default_lambda(d), samples, seed))
     for result, controls in _map_cases(_arch_case_runner, keys):
         vanishing = sum(str(f["index"]).startswith("vanish") for f in result["failures"])
         rep.tally("comparison identity", samples, len(result["failures"]) - vanishing)

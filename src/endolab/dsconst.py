@@ -10,8 +10,10 @@ of the subset A being summed over, and every verified claim is of the form
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import ExactDomainError, ResourceLimitError, SingularPointError
@@ -139,23 +141,72 @@ class HerbInput:
     chi: tuple[Fraction, ...]
 
 
-def _block_sum(kind: str, support: tuple[int, ...], mu: Sequence[Fraction]) -> int:
+@lru_cache(maxsize=None)
+def _partition_table(n: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """(sign, blocks) of every partition of the positions 0..n-1 into 2-blocks
+    plus at most one singleton, the singleton p written (p, p).
+
+    Built by its own expansion along the least position: pairing it with the
+    k-th of the remaining positions puts k smaller ones after it, so the signs
+    (-1)^k multiply to the sign that `partitions_le2` counts by inversions.
+    An order-preserving relabelling of the positions keeps both the blocks and
+    the sign, so one table serves every support of size n.
+    """
+    if n > 14:
+        raise ResourceLimitError("partition enumeration refused beyond 14 elements")
+    out: list[tuple[int, tuple[tuple[int, int], ...]]] = []
+
+    def rec(remaining: tuple[int, ...], acc: tuple[tuple[int, int], ...], sign: int, single: bool):
+        if not remaining:
+            out.append((sign, acc))
+            return
+        head, rest = remaining[0], remaining[1:]
+        for k, partner in enumerate(rest):
+            rec(rest[:k] + rest[k + 1 :], acc + ((head, partner),), -sign if k % 2 else sign, single)
+        if not single:
+            rec(rest, acc + ((head, head),), sign, True)
+
+    rec(tuple(range(n)), (), 1, False)
+    return tuple(out)
+
+
+def _indicators(mu: Sequence[Fraction]) -> tuple[list[list[int]], list[list[int]]]:
+    """The c2B and c2D indicators of a weight, each read once, as matrices over
+    its coordinates: entry [i][j] for i < j is c2(mu_i, mu_j), and the
+    diagonal entry [i][i] is c1(mu_i), the value of a singleton block.  The
+    indicators are sign and order tests, so they read mu scaled to integers."""
+    den = math.lcm(*(c.denominator for c in mu))
+    mu = [c.numerator * (den // c.denominator) for c in mu]
+    n = len(mu)
+    b = [[0] * n for _ in range(n)]
+    d = [[0] * n for _ in range(n)]
+    for i, a in enumerate(mu):
+        if a <= 0:  # c1, c2B and c2D all need mu_i > 0
+            continue
+        b[i][i] = d[i][i] = 1
+        for j in range(i + 1, n):
+            c = mu[j]
+            b[i][j] = 1 if a < c or 0 < -c < a else 0
+            d[i][j] = 1 if a > abs(c) else 0
+    return b, d
+
+
+def _block_sum(kind: str, support: tuple[int, ...], ind: tuple[list[list[int]], list[list[int]]]) -> int:
+    """One factor's signed partition sum, from the weight's `_indicators`."""
+    b, d = ind
     if kind == "A1":
-        return c1(mu[support[0]])
+        return b[support[0]][support[0]]
+    if kind == "D" and len(support) % 2:
+        raise ExactDomainError("D factor with odd support")
+    rows = b if kind == "B" else d
+    c = [[rows[s][t] for t in support] for s in support]
     total = 0
-    for part, sign in partitions_le2(support):
-        prod = 1
-        for block in part.blocks:
-            if len(block) == 1:
-                if kind == "D":
-                    raise ExactDomainError("D factor with odd support")
-                prod *= c1(mu[block[0]])
-            else:
-                s1, s2 = block
-                prod *= c2B(mu[s1], mu[s2]) if kind == "B" else c2D(mu[s1], mu[s2])
-            if prod == 0:
+    for sign, blocks in _partition_table(len(support)):
+        for p, q in blocks:
+            if not c[p][q]:
                 break
-        total += sign * prod
+        else:
+            total += sign
     return total
 
 
@@ -176,9 +227,10 @@ def herb_sum(sys: ProductRootSystem, inp: HerbInput, case: str = "odd") -> int:
                 raise ExactDomainError("factor support outside the weight vector")
             if mu[s] == 0:
                 raise SingularPointError("weight coordinate on a wall")
+    ind = _indicators([_as_fraction(c) for c in mu])
     total = 1
     for kind, support in sys.factors:
-        total *= _block_sum(kind, support, mu)
+        total *= _block_sum(kind, support, ind)
         if total == 0:
             break
     return total
@@ -291,6 +343,19 @@ def _omega0_sign(A: tuple[int, ...], universe: Sequence[int]) -> int:
     return _sorting_sign(comp + list(A))
 
 
+@lru_cache(maxsize=128)
+def _parts(lo: int, hi: int, even: bool) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(part, complement) for every subset of range(lo, hi), or, when `even`,
+    for every even-size subset (of a range of even length, so the complement
+    is even too)."""
+    items = tuple(range(lo, hi))
+    return tuple(
+        (part, tuple(i for i in items if i not in part))
+        for k in range(0, len(items) + 1, 2 if even else 1)
+        for part in itertools.combinations(items, k)
+    )
+
+
 def vanishing_quantities(
     r: int,
     t: int,
@@ -322,47 +387,39 @@ def vanishing_quantities(
     for j in range(t):
         a1_factor *= c1(mu[r + j])
 
-    universe = list(range(r))
-    i_plus = universe[:r_prime]
-    i_minus = universe[r_prime:]
-    plus_kind = "B" if case == "odd" else "D"
-
-    cache: dict[tuple[str, tuple[int, ...]], int] = {}
-
-    def block(kind: str, support: tuple[int, ...]) -> int:
-        key = (kind, support)
-        if key not in cache:
-            cache[key] = _block_sum(kind, support, mu)
-        return cache[key]
-
+    universe = range(r)
     M = [0] * r
     N = 0
-    for bits in itertools.product((0, 1), repeat=r):
-        A = tuple(i for i in universe if bits[i])
-        a_plus = tuple(i for i in A if i < r_prime)
-        a_minus = tuple(i for i in A if i >= r_prime)
-        ac_plus = tuple(i for i in i_plus if not bits[i])
-        ac_minus = tuple(i for i in i_minus if not bits[i])
-        if len(a_minus) % 2 or len(ac_minus) % 2:
+    if (r - r_prime) % 2:
+        return M, N  # no A leaves both negative parts even (nor, r being even, positive ones)
+    # the whole ranges are the largest supports: refuse an oversized one before
+    # listing 2^r subsets
+    _partition_table(max(r_prime, r - r_prime))
+    ind = _indicators(mu[:r])
+    plus_kind = "B" if case == "odd" else "D"
+    plus = _parts(0, r_prime, case == "even")
+    minus = _parts(r_prime, r, True)
+    # both families are closed under complement, so these are every block sum used
+    plus_sums = {s: _block_sum(plus_kind, s, ind) for s, _ in plus}
+    minus_sums = {s: _block_sum("D", s, ind) for s, _ in minus}
+    for a_plus, ac_plus in plus:
+        c_plus = plus_sums[a_plus] * plus_sums[ac_plus] * a1_factor
+        if c_plus == 0:
             continue
-        if case == "even" and (len(a_plus) % 2 or len(ac_plus) % 2):
-            continue
-        cbar = (
-            block(plus_kind, a_plus)
-            * block(plus_kind, ac_plus)
-            * block("D", a_minus)
-            * block("D", ac_minus)
-            * a1_factor
-        )
-        if cbar == 0:
-            continue
-        k = len(A)
-        if case == "odd":
-            coef = -1 if (k + (k + 1) // 2) % 2 else 1
-        else:
-            coef = -1 if (k // 2) % 2 else 1
-        w = _omega0_sign(A, universe) * coef * cbar
-        N += w
-        for i in universe:
-            M[i] += w if bits[i] else -w
+        for a_minus, ac_minus in minus:
+            cbar = c_plus * minus_sums[a_minus] * minus_sums[ac_minus]
+            if cbar == 0:
+                continue
+            A = a_plus + a_minus
+            k = len(A)
+            if case == "odd":
+                coef = -1 if (k + (k + 1) // 2) % 2 else 1
+            else:
+                coef = -1 if (k // 2) % 2 else 1
+            w = _omega0_sign(A, universe) * coef * cbar
+            N += w
+            for i in universe:
+                M[i] -= w
+            for i in A:
+                M[i] += 2 * w
     return M, N

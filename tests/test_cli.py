@@ -50,6 +50,8 @@ def test_quadspace_negative_values_space_separated():
 
 
 def test_workers_capped_by_cpus_and_keys(monkeypatch):
+    import concurrent.futures
+
     from endolab import cli
 
     seen = []
@@ -67,13 +69,44 @@ def test_workers_capped_by_cpus_and_keys(monkeypatch):
         def map(self, fn, keys):
             return map(fn, keys)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     monkeypatch.setenv("ENDOLAB_WORKERS", "1000000")
     assert cli._map_cases(str, range(3)) == ["0", "1", "2"]
     assert cli._map_cases(str, range(10)) == [str(k) for k in range(10)]
     assert cli._map_cases(str, range(1)) == ["0"]  # one key: no pool
     assert seen == [3, 4]
+
+
+def test_pool_modules_load_only_when_a_pool_runs():
+    import os
+
+    def loaded(workers, arch_argv):
+        """The pool modules loaded after `import endolab.cli`, and after a
+        `verify arch` run and a `signs` command."""
+        probe = (
+            "import sys\n"
+            "from endolab import cli\n"
+            "pool = ('concurrent.futures', 'multiprocessing')\n"
+            "print(sorted(m for m in pool if m in sys.modules))\n"
+            f"cli.main({['verify', 'arch', *arch_argv]!r})\n"
+            "cli.main(['signs'])\n"
+            "print(sorted(m for m in pool if m in sys.modules))\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "ENDOLAB_WORKERS"}
+        if workers:
+            env["ENDOLAB_WORKERS"] = workers
+        r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+        assert r.returncode == 0, r.stderr
+        lines = r.stdout.splitlines()
+        return lines[0], lines[-1]
+
+    three_cases = ["--d", "7", "--samples", "1"]
+    assert loaded(None, three_cases) == ("[]", "[]")
+    assert loaded("1", three_cases) == ("[]", "[]")
+    assert loaded("2", ["--d", "7", "--case", "M2", "--samples", "1"]) == ("[]", "[]")  # one case: no pool
+    pooled = ["concurrent.futures", "multiprocessing"] if (os.cpu_count() or 1) > 1 else []
+    assert loaded("2", three_cases) == ("[]", str(pooled))
 
 
 def test_quadspace_bad_input_exit2():
@@ -202,6 +235,28 @@ def test_verify_arch_error_names_the_case(capsys, monkeypatch, workers):
     assert out["witnesses"] == [
         {"levi": "M1", "d": 7, "lambda": [1, 2, 3], "error": "need a dominant integral highest weight"}
     ]
+
+
+def test_verify_vanishing_error_names_the_case(capsys):
+    """The 14-element refusal used to surface as a bare error."""
+    code, out = _verify(capsys, "vanishing", "--case", "odd", "--r", "16", "--t", "0", "--trials", "1")
+    assert (code, out["status"], out["checks"]) == (2, "error", {})
+    [witness] = out["witnesses"]
+    assert witness["error"] == "partition enumeration refused beyond 14 elements"
+    assert {k: witness[k] for k in ("parity", "r", "t", "split")} == {"parity": "odd", "r": 16, "t": 0, "split": 0}
+    assert len(witness["mu"]) == 16 and set(witness) == {"parity", "r", "t", "split", "mu", "error"}
+
+
+def test_verify_arch_lambda_sweeps_only_its_rank(capsys):
+    """A weight of length 3 used to run at d = 8 too, and fail there."""
+    code, out = _verify(capsys, "arch", "--lambda", "3,2,1", "--samples", "1")
+    assert (code, out["status"], out["witnesses"]) == (0, "pass", [])
+    assert out["checks"]["comparison identity"]["checked"] == 3  # M1, M2, M12 at d = 7
+    code, out = _verify(capsys, "arch", "--lambda", "2,1,0,0", "--case", "M1", "--samples", "1")
+    assert (code, out["checks"]["comparison identity"]["checked"]) == (0, 2)  # d = 8, 9
+    code, out = _verify(capsys, "arch", "--lambda", "3,2,1,0,0,0", "--samples", "1")
+    assert (code, out["status"], out["checks"]) == (2, "error", {})
+    assert out["witnesses"] == [{"error": "no d in 7..10 has rank 6, the length of --lambda"}]
 
 
 def test_verify_zero_count_is_a_usage_error(capsys):

@@ -1,9 +1,11 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from endolab import dsconst
 from endolab.dsconst import (
     HerbInput,
     ProductRootSystem,
@@ -18,7 +20,7 @@ from endolab.dsconst import (
     partitions_prime,
     vanishing_quantities,
 )
-from endolab.errors import ExactDomainError, SingularPointError
+from endolab.errors import ExactDomainError, ResourceLimitError, SingularPointError
 
 
 def _count_le2(n):
@@ -192,8 +194,6 @@ def test_vanishing_with_a1_factors():
 
 def test_t_dependence_sums():
     # for t >= 2: sum over B of (-1)^|B| and of upsilon_j(B) (-1)^|B| vanish
-    import itertools
-
     for t in (2, 3, 4):
         subsets = list(itertools.chain.from_iterable(
             itertools.combinations(range(t), k) for k in range(t + 1)
@@ -210,3 +210,159 @@ def test_vanishing_input_validation():
         vanishing_quantities(3, 0, "odd", 1, [Fraction(1), Fraction(1), Fraction(2)])
     with pytest.raises(ExactDomainError):
         vanishing_quantities(3, 0, "even", 1, [Fraction(1), Fraction(2), Fraction(3)])
+
+
+# --- the block sums against the enumeration they replace ------------------------
+
+
+def _block_sum_by_enumeration(kind, support, mu):
+    """The former `_block_sum`: enumerate the support's partitions on every call
+    and multiply the c-indicators of their blocks."""
+    if kind == "A1":
+        return c1(mu[support[0]])
+    total = 0
+    for part, sign in partitions_le2(support):
+        prod = 1
+        for block in part.blocks:
+            if len(block) == 1:
+                prod *= c1(mu[block[0]])
+            else:
+                s1, s2 = block
+                prod *= c2B(mu[s1], mu[s2]) if kind == "B" else c2D(mu[s1], mu[s2])
+        total += sign * prod
+    return total
+
+
+def _vanishing_by_enumeration(r, t, case, r_prime, mu):
+    """The former `vanishing_quantities` loop: all 2^r bit vectors, the
+    admissibility test on each, and the block sums by enumeration."""
+    a1_factor = math.prod(c1(mu[r + j]) for j in range(t))
+    plus_kind = "B" if case == "odd" else "D"
+    M, N = [0] * r, 0
+    for bits in itertools.product((0, 1), repeat=r):
+        A = tuple(i for i in range(r) if bits[i])
+        a_plus = tuple(i for i in A if i < r_prime)
+        a_minus = tuple(i for i in A if i >= r_prime)
+        ac_plus = tuple(i for i in range(r_prime) if not bits[i])
+        ac_minus = tuple(i for i in range(r_prime, r) if not bits[i])
+        if len(a_minus) % 2 or len(ac_minus) % 2:
+            continue
+        if case == "even" and (len(a_plus) % 2 or len(ac_plus) % 2):
+            continue
+        cbar = a1_factor
+        for kind, support in ((plus_kind, a_plus), (plus_kind, ac_plus), ("D", a_minus), ("D", ac_minus)):
+            cbar *= _block_sum_by_enumeration(kind, support, mu)
+        k = len(A)
+        if case == "odd":
+            coef = -1 if (k + (k + 1) // 2) % 2 else 1
+        else:
+            coef = -1 if (k // 2) % 2 else 1
+        w = dsconst._omega0_sign(A, range(r)) * coef * cbar
+        N += w
+        for i in range(r):
+            M[i] += w if bits[i] else -w
+    return M, N
+
+
+def _seeded_supports(seed):
+    """(kind, support, mu): B supports of size 0-8, even D supports of size
+    0-8 and A1 supports, scattered over twelve coordinates so that the table
+    is relabelled through non-consecutive positions."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(12):
+        mu = _random_regular_mu(rng, 12)
+        for size in range(9):
+            out.append(("B", tuple(sorted(rng.sample(range(12), size))), mu))
+            if size % 2 == 0:
+                out.append(("D", tuple(sorted(rng.sample(range(12), size))), mu))
+        out.append(("A1", (rng.randrange(12),), mu))
+    return out
+
+
+def test_partition_table_matches_partitions_le2():
+    for n in range(9):
+        listed = sorted(
+            (sign, tuple(b if len(b) == 2 else b * 2 for b in part.blocks))
+            for part, sign in partitions_le2(range(n))
+        )
+        assert sorted(dsconst._partition_table(n)) == listed, n
+
+
+def test_partition_table_refuses_beyond_14():
+    with pytest.raises(ResourceLimitError, match="beyond 14 elements"):
+        dsconst._partition_table(15)
+    mu = tuple(Fraction(k + 1) for k in range(15))
+    with pytest.raises(ResourceLimitError):
+        herb_sum(ProductRootSystem((("B", tuple(range(15))),)), HerbInput(None, mu))
+
+
+def test_block_sums_match_enumeration():
+    cases = _seeded_supports(21)
+    assert {len(support) for kind, support, _ in cases if kind == "B"} == set(range(9))
+    nonzero = 0
+    for kind, support, mu in cases:
+        got = dsconst._block_sum(kind, support, dsconst._indicators(mu))
+        assert got == _block_sum_by_enumeration(kind, support, mu), (kind, support, mu)
+        nonzero += got != 0
+    assert nonzero > len(cases) // 4  # the comparison is not between zeros
+
+
+def _vanishing_mu(rng, r, t, r_prime):
+    """A regular weight on which many block sums are nonzero: the positive part
+    ascending and the negative part descending (where every c2B, resp. c2D,
+    is 1), with a few coordinates negated; the A1 tail is negative, making
+    its factor 0, a quarter of the time."""
+    mags = rng.sample(range(1, 40 * (r + t) + 40), r + t)
+    head = sorted(mags[:r_prime]) + sorted(mags[r_prime:r], reverse=True)
+    den = rng.randint(1, 9)
+    mu = [Fraction(m * (-1 if rng.random() < 0.1 else 1), den) for m in head]
+    return mu + [Fraction(m * (-1 if rng.random() < 0.25 else 1)) for m in mags[r:]]
+
+
+@pytest.mark.parametrize("omega0", ["actual", "scrambled"])
+def test_vanishing_quantities_match_enumeration(monkeypatch, omega0):
+    """M and N vanish from r = 3 and 5 on, so equal results under the actual
+    omega_0 sign compare mostly zeros; with a scrambled sign the sums stop
+    cancelling, and equality then tests every admissible A and its weight."""
+    if omega0 == "scrambled":
+        monkeypatch.setattr(dsconst, "_omega0_sign", lambda A, universe: (-1) ** sum(A))
+    rng = random.Random(22)
+    nonzero = 0
+    for case, ranks in (("odd", range(1, 8)), ("even", (2, 4, 6))):
+        for r in ranks:
+            for t in (0, 1):
+                for r_prime in range(r + 1):
+                    draws = [_vanishing_mu(rng, r, t, r_prime) for _ in range(2)]
+                    for mu in draws + [_random_regular_mu(rng, r, t)]:
+                        want = _vanishing_by_enumeration(r, t, case, r_prime, mu)
+                        assert vanishing_quantities(r, t, case, r_prime, mu) == want, (case, r, t, r_prime, mu)
+                        nonzero += any(want[0]) or want[1] != 0
+    assert nonzero >= (50 if omega0 == "scrambled" else 20), nonzero
+
+
+def test_block_sums_with_a_flipped_sign_disagree(monkeypatch):
+    table = dsconst._partition_table
+
+    def flipped(n):
+        rows = list(table(n))
+        if rows:
+            sign, blocks = rows[0]
+            rows[0] = (-sign, blocks)
+        return tuple(rows)
+
+    monkeypatch.setattr(dsconst, "_partition_table", flipped)
+    cases = [c for c in _seeded_supports(23) if len(c[1]) >= 2]
+    assert any(
+        dsconst._block_sum(kind, support, dsconst._indicators(mu)) != _block_sum_by_enumeration(kind, support, mu)
+        for kind, support, mu in cases
+    )
+
+
+def test_block_sums_with_c2D_for_c2B_disagree():
+    disagree = 0
+    for kind, support, mu in _seeded_supports(24):
+        if kind == "B" and len(support) >= 2:
+            _, d = dsconst._indicators(mu)
+            disagree += dsconst._block_sum("B", support, (d, d)) != _block_sum_by_enumeration("B", support, mu)
+    assert disagree
