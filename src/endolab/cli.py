@@ -6,13 +6,13 @@ are byte-identical across runs with the same parameters and seed; wall-clock
 timing goes to stderr.  Exit codes: 0 pass, 1 verification failure, 2 usage or
 input error.  ENDOLAB_WORKERS > 1 fans independent verification cases out to a
 process pool, imported only then; results are merged by case key, so the report
-stays deterministic.
+stays deterministic.  Each command imports the endolab modules it runs, and
+`import endolab.cli` loads only `endolab.errors`.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import itertools
 import json
 import os
@@ -22,9 +22,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import archcmp, dsconst, endoscopy, hecke, quadspace, rootdata, signs
 from .errors import ExactDomainError, ResourceLimitError, SingularPointError
-from .exactnum import Place, factorize, hilbert_symbol
 
 
 @dataclass
@@ -128,6 +126,8 @@ def _map_cases(fn, keys):
 
 
 def cmd_quadspace(args) -> Report:
+    from . import quadspace
+
     params = {"diag": args.diag, "gram": args.gram}
     rep = Report("quadspace", params)
     if args.diag:
@@ -165,6 +165,8 @@ def cmd_quadspace(args) -> Report:
 
 
 def _parse_context(text: str):
+    from . import endoscopy
+
     if text == "real":
         return endoscopy.RealCtx()
     if text.startswith("p:"):
@@ -178,6 +180,8 @@ def _parse_context(text: str):
 
 
 def cmd_endoscopy(args) -> Report:
+    from . import endoscopy
+
     if args.d < 7:
         raise ExactDomainError("d must be >= 7")
     ctx = _parse_context(args.context)
@@ -238,6 +242,9 @@ def cmd_endoscopy(args) -> Report:
 
 
 def cmd_signs(args) -> Report:
+    from . import signs
+    from .levi import admissible_A
+
     rep = Report("signs", {"m_minus_max": args.m_minus_max})
     lines = ["levi\tparity\tm_minus\tA\tdet_omega0\tsun\ttasho_ratio\tsun_identity"]
     for levi in ("M1", "M2", "M12"):
@@ -246,7 +253,7 @@ def cmd_signs(args) -> Report:
                 continue
             for mm in range(0, args.m_minus_max + 1):
                 case = signs.SignCase(levi, parity, mm + 3, 3, mm)
-                for A in rootdata.admissible_A(levi):
+                for A in admissible_A(levi):
                     lines.append(
                         "\t".join(
                             str(x)
@@ -282,6 +289,8 @@ def _at_least(flag: str, value, low: int) -> None:
 
 
 def _suite_vanishing(rep: Report, *, case=None, r=None, t=None, trials=20, seed=7):
+    from . import dsconst
+
     _at_least("r", r, 1)
     _at_least("t", t, 0)
     rng = random.Random(seed)
@@ -318,6 +327,8 @@ def _suite_vanishing(rep: Report, *, case=None, r=None, t=None, trials=20, seed=
 
 
 def _arch_case_runner(key):
+    from . import archcmp
+
     levi, d, lam, samples, seed = key
     named = {"levi": levi, "d": d, "lambda": list(lam)}
     try:
@@ -337,7 +348,10 @@ def _default_lambda(d: int) -> tuple[int, ...]:
 def _suite_arch(rep: Report, *, d=None, case=None, lam=None, samples=50, seed=7):
     _at_least("d", d, 7)
     rep.parameters["range"] = "stated"
-    weight = tuple(int(c) for c in lam.split(",")) if lam else None
+    try:
+        weight = tuple(int(c) for c in lam.split(",")) if lam else None
+    except ValueError:
+        raise ExactDomainError(f"--lambda takes comma-separated integers, got {lam!r}") from None
     dims = [d] if d is not None else [7, 8, 9, 10]
     if weight and d is None:
         # the weight fixes the rank d // 2: the default sweep keeps the d of that rank
@@ -360,6 +374,9 @@ def _suite_arch(rep: Report, *, d=None, case=None, lam=None, samples=50, seed=7)
 
 
 def _suite_satake(rep: Report, *, d=None, a=None):
+    from . import hecke
+    from .levi import admissible_A
+
     _at_least("d", d, 7)
     _at_least("a", a, 1)
     alist = [a] if a is not None else [1, 2, 3]
@@ -380,21 +397,23 @@ def _suite_satake(rep: Report, *, d=None, a=None):
                 for dps, dms in variants:
                     for a in alist:
                         h_parts = []
-                        for A in rootdata.admissible_A(levi):
+                        for A in admissible_A(levi):
                             mp = bp // 2 + len(A)
                             reason = hecke.excluded_shape(levi, parity, mp, m - mp, A, dps, dms)
                             if reason:
                                 rep.skip("k(A) table", reason)
                                 continue
-                            k, h = hecke.compute_fH_at_p(
-                                levi, parity, m, mp, m - mp, list(A), a,
-                                delta_plus_square=dps, delta_minus_square=dms,
-                            )
-                            if not rep.check("k(A) table", k == hecke.expected_k_table(levi, A, a)):
-                                rep.witnesses.append(
-                                    {"d": d, "levi": levi, "A": list(A), "a": a,
-                                     "base": [bp, bm], "kind": "kPart mismatch"}
+                            named = {"d": d, "levi": levi, "A": list(A), "a": a, "base": [bp, bm]}
+                            try:
+                                k, h = hecke.compute_fH_at_p(
+                                    levi, parity, m, mp, m - mp, list(A), a,
+                                    delta_plus_square=dps, delta_minus_square=dms,
                                 )
+                            except (ExactDomainError, SingularPointError, ResourceLimitError) as exc:
+                                exc.case = named  # the error witness names the case
+                                raise
+                            if not rep.check("k(A) table", k == hecke.expected_k_table(levi, A, a)):
+                                rep.witnesses.append({**named, "kind": "kPart mismatch"})
                             h_parts.append(h.serialize())
                         if len(h_parts) > 1 and not rep.check(
                             "h independent of A", all(h == h_parts[0] for h in h_parts)
@@ -410,13 +429,16 @@ def _suite_satake(rep: Report, *, d=None, a=None):
 
 
 def _suite_signs(rep: Report):
+    from . import signs
+    from .levi import admissible_A
+
     for levi in ("M1", "M2", "M12"):
         for parity in ("odd", "even"):
             if levi == "M2" and parity == "even":
                 continue
             for mm in range(8):
                 case = signs.SignCase(levi, parity, mm + 3, 3, mm)
-                for A in rootdata.admissible_A(levi):
+                for A in admissible_A(levi):
                     if not rep.check("sun identity", signs.check_sun_identity(case, A)):
                         rep.witnesses.append({"levi": levi, "parity": parity, "mm": mm, "A": list(A)})
     for m in (4, 6, 8):
@@ -433,6 +455,9 @@ def _suite_signs(rep: Report):
 
 
 def _suite_hilbert(rep: Report, *, pairs=500, seed=7):
+    from . import quadspace
+    from .exactnum import Place, factorize, hilbert_symbol
+
     rng = random.Random(seed)
     for _ in range(pairs):
         a = rng.randint(-10000, 10000) or 3
@@ -455,6 +480,9 @@ def _suite_hilbert(rep: Report, *, pairs=500, seed=7):
 def _suite_quasisplit(rep: Report):
     """Every diagonal form of dim <= 10 with entries in {+-1, +-p, +-2p}, at
     p = 3, 5, 7: the closed quasi-split test against the classification oracle."""
+    from . import quadspace
+    from .exactnum import Place
+
     for p in (3, 5, 7):
         place = Place.finite(p)
         for dim in range(1, 11):
@@ -466,6 +494,8 @@ def _suite_quasisplit(rep: Report):
 
 
 def _suite_kostant(rep: Report, *, max_rank=3, max_coord=2):
+    from . import rootdata
+
     for kind in ("B", "D"):
         for m in range(2, max_rank + 1):
             datum = rootdata.RootDatum(kind, m)
@@ -512,6 +542,8 @@ def _dominant_weights(kind: str, m: int, max_coord: int) -> list:
 
 
 def _suite_waldspurger(rep: Report, *, configs=200, seed=7):
+    from . import signs
+
     rng = random.Random(seed)
     for _ in range(configs):
         m = rng.randint(1, 6)
@@ -525,6 +557,8 @@ def _suite_waldspurger(rep: Report, *, configs=200, seed=7):
 
 
 def _suite_invariants(rep: Report):
+    from . import endoscopy
+
     ctx = endoscopy.RealCtx()
     for d in range(7, 13):
         delta = 1 if (d % 2 == 1 or (d // 2) % 2 == 0) else -1
@@ -575,11 +609,7 @@ def cmd_verify(args) -> Report:
     if args.suite not in SUITES:
         raise ExactDomainError(f"unknown suite {args.suite!r}")
     suite = SUITES[args.suite]
-    params = {
-        name: p.default
-        for name, p in inspect.signature(suite).parameters.items()
-        if p.kind is p.KEYWORD_ONLY
-    }
+    params = dict(suite.__kwdefaults__ or {})
     given = {
         k: v
         for k, v in vars(args).items()

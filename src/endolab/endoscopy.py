@@ -24,7 +24,7 @@ from .exactnum import (
     padic_valuation,
     squareclass_of,
 )
-from .rootdata import admissible_A
+from .levi import admissible_A
 
 LEVI_LABELS = ("G", "M1", "M2", "M12")
 

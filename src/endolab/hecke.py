@@ -15,7 +15,8 @@ from typing import Optional, Sequence
 
 from .errors import ExactDomainError
 from .laurent import Laurent
-from .rootdata import RootDatum, WeylElement, admissible_A
+from .levi import admissible_A
+from .rootdata import RootDatum, WeylElement
 
 
 def _q_power(doubled_exp: int, coeff: int = 1) -> Laurent:

@@ -241,10 +241,10 @@ def exists_global_form(d: int, det: object) -> bool:
     if d % 2 == 0 and (d // 2) % 2 == 1:
         delta = delta * squareclass_of(-1, GLOBAL)
     model = quasi_split_space(d, delta)
-    prod_fin = 1
+    prod_fin = 1  # the d mod 8 table of `verify hilbert` checks this side independently
     for v in relevant_places(model):
         if not v.is_real:
-            prod_fin *= hasse_invariant(model, v)
+            prod_fin *= _hasse_from_counts(_class_counts(model, v.p), v)
     # Signature (d-2, 2) forces the real Hasse invariant to be -1, and the
     # quasi-split local data are rigid, so the form glues iff prod_fin = -1.
     if prod_fin == -1:

@@ -443,15 +443,6 @@ def standard_levi(label: str, m: int) -> LeviBlocks:
     return table[label](m)
 
 
-def admissible_A(levi: str) -> tuple[tuple[int, ...], ...]:
-    """The positional subsets A of the GL coordinates of a proper standard
-    Levi, as sorted tuples: M1 keeps its GL_2 block whole."""
-    table = {"M1": ((), (1, 2)), "M2": ((), (1,)), "M12": ((), (1,), (2,), (1, 2))}
-    if levi not in table:
-        raise ExactDomainError(f"no subsets A for the Levi {levi!r}")
-    return table[levi]
-
-
 def levi_positive_roots(datum: RootDatum, levi: LeviBlocks) -> tuple[Root, ...]:
     levi.validate(datum.rank)
     m = datum.rank

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .errors import ExactDomainError, SingularPointError
 from .exactnum import RationalLike, _as_fraction
-from .rootdata import admissible_A
+from .levi import admissible_A
 
 # Waldspurger's pinning invariant eta = -1 picks the type-I Whittaker datum
 TYPE_I_ETA = -1

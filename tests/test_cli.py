@@ -215,7 +215,34 @@ def test_verify_satake_fails_on_broken_transfer(capsys, monkeypatch):
     code, out = _verify(capsys, "satake", *cli.ACCEPTANCE["satake"])
     assert code == 2 and out["status"] == "error"
     assert out["command"] == "verify satake"
-    assert out["witnesses"][-1] == {"error": "broken constant term"}
+    assert out["witnesses"][-1] == {
+        "d": 7, "levi": "M1", "A": [], "a": 1, "base": [1, 3], "error": "broken constant term"
+    }
+
+
+def test_verify_satake_error_names_the_case(capsys, monkeypatch):
+    """An error inside compute_fH_at_p used to surface as a bare error."""
+    from endolab import hecke
+    from endolab.errors import ExactDomainError
+
+    real = hecke.compute_fH_at_p
+    seen = []
+
+    def broken_at_M12(levi, parity, m, mp, mm, A, a, **kw):
+        if levi == "M12" and A == [2]:
+            seen.append((m, mp, mm))
+            raise ExactDomainError("broken at M12")
+        return real(levi, parity, m, mp, mm, A, a, **kw)
+
+    monkeypatch.setattr(hecke, "compute_fH_at_p", broken_at_M12)
+    code, out = _verify(capsys, "satake", "--d", "8", "--a", "2")
+    assert (code, out["status"], out["command"]) == (2, "error", "verify satake")
+    [(m, mp, mm)] = seen
+    [witness] = out["witnesses"]
+    bp, bm = witness.pop("base")
+    assert witness == {"d": 8, "levi": "M12", "A": [2], "a": 2, "error": "broken at M12"}
+    assert (m, bp + bm, bp // 2 + 1) == (4, 8 - 2 * 2, mp)  # the base the failing call was made for
+    assert out["checks"]["k(A) table"]["checked"] > 0  # the M1 and M2 cases before it ran
 
 
 def test_verify_error_report_names_the_run(capsys):
@@ -257,6 +284,49 @@ def test_verify_arch_lambda_sweeps_only_its_rank(capsys):
     code, out = _verify(capsys, "arch", "--lambda", "3,2,1,0,0,0", "--samples", "1")
     assert (code, out["status"], out["checks"]) == (2, "error", {})
     assert out["witnesses"] == [{"error": "no d in 7..10 has rank 6, the length of --lambda"}]
+
+
+def test_verify_arch_bad_lambda_names_the_run(capsys):
+    """A non-integer coordinate used to print a report without the suite's
+    name or parameters."""
+    code, out = _verify(capsys, "arch", "--lambda", "3,x,1", "--samples", "1")
+    assert (code, out["status"], out["checks"]) == (2, "error", {})
+    assert out["command"] == "verify arch"
+    assert out["parameters"] == {"lam": "3,x,1", "range": "stated", "samples": 1, "seed": 7}
+    assert out["witnesses"] == [{"error": "--lambda takes comma-separated integers, got '3,x,1'"}]
+
+
+def test_commands_load_only_their_modules():
+    """`import endolab.cli` loads no other endolab module but `errors`, and
+    commands that need neither the root data nor the Hecke or archimedean
+    layers never load them; `verify arch` is the control that does."""
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "endolab = lambda: sorted(m[8:] for m in sys.modules if m.startswith('endolab.'))\n"
+        "from endolab import cli\n"
+        "at_import = endolab()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "print(json.dumps([at_import, code, endolab()]))\n"
+    )
+
+    def loaded(*argv):
+        r = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        at_import, code, modules = json.loads(r.stdout)
+        assert (at_import, code) == (["cli", "errors"], 0), argv
+        return set(modules)
+
+    heavy = {"rootdata", "archcmp", "hecke"}
+    for argv in (
+        ["signs", "--m-minus-max", "1"],
+        ["verify", "hilbert", "--pairs", "5"],
+        ["verify", "vanishing", "--r", "3", "--trials", "1"],
+        ["quadspace", "--diag=1,-2,3"],
+        ["endoscopy", "--d", "9", "--context", "global:3,5"],
+    ):
+        assert not heavy & loaded(*argv), argv
+    assert {"rootdata", "archcmp"} <= loaded("verify", "arch", "--d", "7", "--case", "M2", "--samples", "1")
 
 
 def test_verify_zero_count_is_a_usage_error(capsys):

@@ -260,3 +260,31 @@ def test_exists_global_form_table():
     assert not exists_global_form(3, -1)
     with pytest.raises(ExactDomainError):
         exists_global_form(2, 1)
+
+
+def test_exists_global_form_takes_hasse_from_class_counts(monkeypatch):
+    """The existence criterion never calls the pairwise `hasse_invariant`, which
+    the oracle and the `quadspace` command keep."""
+    from endolab import quadspace
+
+    def refused(q, v):
+        raise AssertionError("pairwise Hasse product called")
+
+    monkeypatch.setattr(quadspace, "hasse_invariant", refused)
+    for d in range(3, 65):
+        assert exists_global_form(d, 1) == (d % 8 in (3, 4, 5, 6)), d
+    for d in (8, 16, 24):
+        assert exists_global_form(d, 2)
+    with pytest.raises(AssertionError, match="pairwise"):
+        is_quasi_split_oracle(QuadraticSpace.from_entries([1, -3, 6]), 3)
+
+
+@pytest.mark.parametrize("delta", [1, 2, 3, -1])
+def test_hasse_by_class_counts_matches_pairwise_on_quasi_split_models(delta):
+    """The models `exists_global_form` builds: both Hasse products agree at
+    every relevant finite place, for every dimension its callers reach."""
+    for d in range(3, 65):
+        model = quasi_split_space(d, squareclass_of(delta, GLOBAL))
+        for v in relevant_places(model):
+            if not v.is_real:
+                assert _hasse_from_counts(_class_counts(model, v.p), v) == hasse_invariant(model, v), (d, v.p)

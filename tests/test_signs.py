@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from endolab.errors import ExactDomainError, SingularPointError
-from endolab.rootdata import admissible_A
+from endolab.levi import admissible_A
 from endolab.signs import (
     TYPE_I_ETA,
     SignCase,
