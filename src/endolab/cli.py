@@ -458,22 +458,33 @@ def _suite_hilbert(rep: Report, *, pairs=500, seed=7):
     from . import quadspace
     from .exactnum import Place, factorize, hilbert_symbol
 
+    def exists(d, det):
+        try:
+            return quadspace.exists_global_form(d, det)
+        except (ExactDomainError, SingularPointError, ResourceLimitError) as exc:
+            exc.case = {"d": d, "det": det}  # the error witness names the case
+            raise
+
     rng = random.Random(seed)
     for _ in range(pairs):
         a = rng.randint(-10000, 10000) or 3
         b = rng.randint(-10000, 10000) or 5
-        places = {2} | set(factorize(a)) | set(factorize(b))
-        prod = hilbert_symbol(a, b, Place.real())
-        for p in sorted(places):
-            prod *= hilbert_symbol(a, b, Place.finite(p))
+        try:
+            places = {2} | set(factorize(a)) | set(factorize(b))
+            prod = hilbert_symbol(a, b, Place.real())
+            for p in sorted(places):
+                prod *= hilbert_symbol(a, b, Place.finite(p))
+        except (ExactDomainError, SingularPointError, ResourceLimitError) as exc:
+            exc.case = {"a": a, "b": b}  # the error witness names the case
+            raise
         if not rep.check("product formula", prod == 1):
             rep.witnesses.append({"a": a, "b": b, "kind": "product formula"})
     for d in range(3, 65):
-        if not rep.check("existence criterion", quadspace.exists_global_form(d, 1) == (d % 8 in (3, 4, 5, 6))):
+        if not rep.check("existence criterion", exists(d, 1) == (d % 8 in (3, 4, 5, 6))):
             rep.witnesses.append({"d": d, "kind": "existence criterion"})
     # d = 0 mod 8 with discriminant 2: the branch the trivial discriminant misses
     for d in (8, 16, 24):
-        if not rep.check("existence, d = 0 mod 8", quadspace.exists_global_form(d, 2)):
+        if not rep.check("existence, d = 0 mod 8", exists(d, 2)):
             rep.witnesses.append({"d": d, "kind": "existence branch"})
 
 
@@ -487,8 +498,12 @@ def _suite_quasisplit(rep: Report):
         place = Place.finite(p)
         for dim in range(1, 11):
             for entries in itertools.combinations_with_replacement((1, -1, p, -p, 2 * p, -2 * p), dim):
-                q = quadspace.QuadraticSpace.from_entries(entries)
-                ok = quadspace.is_quasi_split_local(q, place) == quadspace.is_quasi_split_oracle(q, p)
+                try:
+                    q = quadspace.QuadraticSpace.from_entries(entries)
+                    ok = quadspace.is_quasi_split_local(q, place) == quadspace.is_quasi_split_oracle(q, p)
+                except (ExactDomainError, SingularPointError, ResourceLimitError) as exc:
+                    exc.case = {"diag": [str(c) for c in entries], "p": p}  # the error witness names the case
+                    raise
                 if not rep.check("quasi-split against the oracle", ok):
                     rep.witnesses.append({"diag": [str(c) for c in q.diag], "p": p})
 

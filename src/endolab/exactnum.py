@@ -20,6 +20,10 @@ RationalLike = Union[int, Fraction]
 
 
 def _as_fraction(x: RationalLike) -> Fraction:
+    if type(x) is Fraction:  # exact types first; isinstance keeps bools and subclasses
+        return x
+    if type(x) is int:
+        return Fraction(x)
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -29,6 +33,10 @@ def _as_fraction(x: RationalLike) -> Fraction:
 
 def _num_den(x: RationalLike) -> tuple[int, int]:
     """(numerator, denominator) of an exact rational, without building a Fraction."""
+    if type(x) is int:  # exact types first; isinstance keeps bools and subclasses
+        return x, 1
+    if type(x) is Fraction:
+        return x.numerator, x.denominator
     if isinstance(x, Fraction):
         return x.numerator, x.denominator
     if isinstance(x, int):

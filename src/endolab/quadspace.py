@@ -8,7 +8,7 @@ trivial discriminant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -19,7 +19,9 @@ from .exactnum import (
     RationalLike,
     SquareClass,
     _as_fraction,
+    _hilbert_finite_cached,
     _local_class,
+    _num_den,
     factorize,
     hilbert_symbol,
     squareclass_of,
@@ -29,12 +31,17 @@ from .exactnum import (
 @dataclass(frozen=True)
 class QuadraticSpace:
     diag: tuple[Fraction, ...]
+    # the reduced (numerator, denominator) of each diagonal entry, which the
+    # local invariants read; derived from diag, so not part of eq, hash or repr
+    num_den: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.diag) < 1:
             raise ExactDomainError("quadratic space needs dimension >= 1")
-        if any(c == 0 for c in self.diag):
+        num_den = tuple(_num_den(c) for c in self.diag)
+        if any(n == 0 for n, _ in num_den):
             raise ExactDomainError("degenerate diagonal entry")
+        object.__setattr__(self, "num_den", num_den)
 
     @classmethod
     def from_entries(cls, entries: Sequence[RationalLike]) -> "QuadraticSpace":
@@ -86,8 +93,8 @@ def diagonalize(gram: Sequence[Sequence[RationalLike]]) -> QuadraticSpace:
 
 def det_class(q: QuadraticSpace) -> SquareClass:
     prod = 1  # prod of num * den has the square class of prod of num / den
-    for c in q.diag:
-        prod *= c.numerator * c.denominator
+    for n, d in q.num_den:
+        prod *= n * d
     return squareclass_of(prod, GLOBAL)
 
 
@@ -100,12 +107,22 @@ def discriminant(q: QuadraticSpace) -> SquareClass:
 
 
 def hasse_invariant(q: QuadraticSpace, v: Place) -> int:
-    """prod_{i<j} (a_i, a_j)_v over a diagonalization; a local isometry invariant."""
+    """prod_{i<j} (a_i, a_j)_v over a diagonalization; a local isometry invariant.
+
+    Each symbol is read from the entries' integer pairs: at the real place
+    (a, b) = -1 iff both numerators are negative, at p from the symbol cache."""
     eps = 1
-    n = q.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            eps *= hilbert_symbol(q.diag[i], q.diag[j], v)
+    pairs = q.num_den
+    if v.is_real:
+        for i, (an, _) in enumerate(pairs):
+            for bn, _ in pairs[i + 1 :]:
+                if an < 0 and bn < 0:
+                    eps = -eps
+        return eps
+    p = v.p
+    for i, (an, ad) in enumerate(pairs):
+        for bn, bd in pairs[i + 1 :]:
+            eps *= _hilbert_finite_cached(an, ad, bn, bd, p)
     return eps
 
 
@@ -113,8 +130,8 @@ def _class_counts(q: QuadraticSpace, p: int) -> dict[int, int]:
     """How many diagonal entries lie in each square class of Q_p^x, keyed by
     the class's integer representative p^e * u."""
     counts: dict[int, int] = {}
-    for c in q.diag:
-        e, u = _local_class(c.numerator, c.denominator, p)
+    for n, d in q.num_den:
+        e, u = _local_class(n, d, p)
         rep = p * u if e else u
         counts[rep] = counts.get(rep, 0) + 1
     return counts
@@ -137,15 +154,15 @@ def _hasse_from_counts(counts: dict[int, int], v: Place) -> int:
 
 
 def signature(q: QuadraticSpace) -> tuple[int, int]:
-    pos = sum(1 for c in q.diag if c > 0)
+    pos = sum(1 for n, _ in q.num_den if n > 0)
     return pos, q.dim - pos
 
 
 def relevant_places(q: QuadraticSpace) -> list[Place]:
     """Real place plus primes dividing 2 * prod(diag); elsewhere all Hilbert symbols are +1."""
     primes = {2}
-    for c in q.diag:
-        primes.update(factorize(c.numerator * c.denominator))
+    for n, d in q.num_den:
+        primes.update(factorize(n * d))
     return [Place.real()] + [Place.finite(p) for p in sorted(primes)]
 
 

@@ -274,6 +274,71 @@ def test_verify_vanishing_error_names_the_case(capsys):
     assert len(witness["mu"]) == 16 and set(witness) == {"parity", "r", "t", "split", "mu", "error"}
 
 
+def test_verify_quasisplit_error_names_the_case(capsys, monkeypatch):
+    """An error inside the oracle used to surface as a bare "broken oracle"."""
+    from endolab import quadspace
+    from endolab.errors import ExactDomainError
+
+    real = quadspace.is_quasi_split_oracle
+
+    def broken_at_5(q, p):
+        if p == 5 and q.dim == 3:
+            raise ExactDomainError("broken oracle")
+        return real(q, p)
+
+    monkeypatch.setattr(quadspace, "is_quasi_split_oracle", broken_at_5)
+    code, out = _verify(capsys, "quasisplit")
+    assert (code, out["status"], out["command"]) == (2, "error", "verify quasisplit")
+    assert out["witnesses"] == [{"diag": ["1", "1", "1"], "p": 5, "error": "broken oracle"}]
+    # every form at p = 3 and those of dimension 1 and 2 at p = 5 ran before it
+    assert out["checks"]["quasi-split against the oracle"]["checked"] == 8034
+
+
+def test_verify_hilbert_product_error_names_the_pair(capsys, monkeypatch):
+    from endolab import exactnum
+    from endolab.errors import ExactDomainError
+
+    real = exactnum.hilbert_symbol
+    seen = []
+
+    def broken_at_fifth_pair(a, b, v):
+        if (a, b) not in seen:
+            seen.append((a, b))
+        if len(seen) == 5:
+            raise ExactDomainError("broken symbol")
+        return real(a, b, v)
+
+    monkeypatch.setattr(exactnum, "hilbert_symbol", broken_at_fifth_pair)
+    code, out = _verify(capsys, "hilbert", "--pairs", "20", "--seed", "404")
+    assert (code, out["status"], out["command"]) == (2, "error", "verify hilbert")
+    a, b = seen[-1]
+    assert out["witnesses"] == [{"a": a, "b": b, "error": "broken symbol"}]
+    assert out["checks"]["product formula"]["checked"] == 4
+
+
+@pytest.mark.parametrize(
+    "broken, checked",
+    [((10, 1), ("existence criterion", 7)), ((16, 2), ("existence, d = 0 mod 8", 1))],
+)
+def test_verify_hilbert_existence_error_names_the_case(capsys, monkeypatch, broken, checked):
+    from endolab import quadspace
+    from endolab.errors import ExactDomainError
+
+    real = quadspace.exists_global_form
+
+    def broken_at(d, det):
+        if (d, det) == broken:
+            raise ExactDomainError("broken criterion")
+        return real(d, det)
+
+    monkeypatch.setattr(quadspace, "exists_global_form", broken_at)
+    code, out = _verify(capsys, "hilbert", "--pairs", "5")
+    assert (code, out["status"], out["command"]) == (2, "error", "verify hilbert")
+    assert out["witnesses"] == [{"d": broken[0], "det": broken[1], "error": "broken criterion"}]
+    name, count = checked
+    assert out["checks"][name]["checked"] == count
+
+
 def test_verify_arch_lambda_sweeps_only_its_rank(capsys):
     """A weight of length 3 used to run at d = 8 too, and fail there."""
     code, out = _verify(capsys, "arch", "--lambda", "3,2,1", "--samples", "1")

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,9 @@ from endolab.exactnum import (
     REAL_CONTEXT,
     GaussianRational,
     Place,
+    _as_fraction,
     _hilbert_finite_cached,
+    _num_den,
     factorize,
     hilbert_symbol,
     hilbert_symbol_oracle,
@@ -218,3 +221,29 @@ def test_sqrt_fraction():
     assert sqrt_fraction(Fraction(9, 4)) == Fraction(3, 2)
     with pytest.raises(ExactDomainError):
         sqrt_fraction(Fraction(2))
+
+
+class _Int(int):
+    pass
+
+
+class _Frac(Fraction):
+    pass
+
+
+def test_exact_rational_fast_paths_keep_bools_and_subclasses():
+    """`_as_fraction` and `_num_den` test the exact types first; the isinstance
+    fallback still takes bools and subclasses, and still refuses the rest."""
+    half = _Frac(3, 6)
+    assert _as_fraction(True) == Fraction(1) and _as_fraction(False) == Fraction(0)
+    assert _num_den(True) == (1, 1) and _num_den(False) == (0, 1)
+    assert _as_fraction(_Int(-4)) == Fraction(-4) and type(_as_fraction(_Int(-4))) is Fraction
+    assert _num_den(_Int(-4)) == (-4, 1)
+    assert _as_fraction(half) is half and _num_den(half) == (1, 2)
+    assert _as_fraction(7) == Fraction(7) and _num_den(7) == (7, 1)
+    assert _as_fraction(Fraction(-6, 4)) == Fraction(-3, 2) and _num_den(Fraction(-6, 4)) == (-3, 2)
+    for bad in (1.5, "3", Decimal("2")):
+        with pytest.raises(ExactDomainError):
+            _as_fraction(bad)
+        with pytest.raises(ExactDomainError):
+            _num_den(bad)

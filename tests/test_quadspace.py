@@ -288,3 +288,59 @@ def test_hasse_by_class_counts_matches_pairwise_on_quasi_split_models(delta):
         for v in relevant_places(model):
             if not v.is_real:
                 assert _hasse_from_counts(_class_counts(model, v.p), v) == hasse_invariant(model, v), (d, v.p)
+
+
+# negative and non-integral entries, with 2, 3 and 7 in numerators and denominators
+PAIR_POOL = [Fraction(1, 2), Fraction(-5, 3), Fraction(14, 9), -6, 7, Fraction(-3, 10)]
+PAIR_PLACES = [REAL] + [Place.finite(p) for p in (2, 3, 5, 7)]
+
+
+def _pool_forms():
+    for dim in range(2, 6):
+        for entries in itertools.combinations(PAIR_POOL, dim):
+            yield QuadraticSpace.from_entries(entries)
+
+
+def _symbol_product(q, v, skip=()):
+    eps = 1
+    for i, j in itertools.combinations(range(q.dim), 2):
+        if (i, j) not in skip:
+            eps *= hilbert_symbol(q.diag[i], q.diag[j], v)
+    return eps
+
+
+@pytest.mark.parametrize("v", PAIR_PLACES, ids=repr)
+def test_hasse_invariant_is_the_pairwise_symbol_product(v):
+    """`hasse_invariant` reads the integer pairs and the symbol cache directly;
+    it must equal prod_{i<j} hilbert_symbol(a_i, a_j, v) on the Fractions."""
+    forms = list(_pool_forms())
+    assert len(forms) == 56
+    for q in forms:
+        assert hasse_invariant(q, v) == _symbol_product(q, v), (q.diag, v)
+
+
+@pytest.mark.parametrize("v", PAIR_PLACES, ids=repr)
+def test_pairwise_product_without_one_pair_disagrees(v):
+    """Negative control: the same product with the pair (0, 1) dropped
+    disagrees with `hasse_invariant` on some form at every place."""
+    assert any(_symbol_product(q, v, skip={(0, 1)}) != hasse_invariant(q, v) for q in _pool_forms())
+
+
+def test_space_keeps_reduced_integer_pairs_out_of_eq_hash_and_repr():
+    from_ints = QuadraticSpace.from_entries([1, -2, 3])
+    from_fracs = QuadraticSpace.from_entries([Fraction(2, 2), Fraction(-4, 2), Fraction(3)])
+    assert from_ints == from_fracs and hash(from_ints) == hash(from_fracs)
+    assert repr(from_ints) == repr(from_fracs) == (
+        "QuadraticSpace(diag=(Fraction(1, 1), Fraction(-2, 1), Fraction(3, 1)))"
+    )
+    raw_ints, raw_fracs = QuadraticSpace((1, -2)), QuadraticSpace((Fraction(1), Fraction(-2)))
+    assert raw_ints == raw_fracs and hash(raw_ints) == hash(raw_fracs)
+    assert repr(raw_ints) == "QuadraticSpace(diag=(1, -2))"
+    q = QuadraticSpace.from_entries([Fraction(6, 4), Fraction(-5, 3), 7])
+    assert q.num_den == ((3, 2), (-5, 3), (7, 1))
+    assert raw_ints.num_den == raw_fracs.num_den == ((1, 1), (-2, 1))
+    for entries in ([1, 0, 2], [Fraction(0)], (Fraction(3), Fraction(0, 5))):
+        with pytest.raises(ExactDomainError, match="degenerate diagonal entry"):
+            QuadraticSpace.from_entries(entries)
+    with pytest.raises(ExactDomainError, match="degenerate diagonal entry"):
+        QuadraticSpace((1, 0))
