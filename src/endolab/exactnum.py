@@ -20,27 +20,19 @@ RationalLike = Union[int, Fraction]
 
 
 def _as_fraction(x: RationalLike) -> Fraction:
-    if type(x) is Fraction:  # exact types first; isinstance keeps bools and subclasses
-        return x
-    if type(x) is int:
+    if isinstance(x, int):  # before Fraction: isinstance(int, Fraction) is a slow ABC check
         return Fraction(x)
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     raise ExactDomainError(f"expected an exact rational, got {type(x).__name__}")
 
 
 def _num_den(x: RationalLike) -> tuple[int, int]:
     """(numerator, denominator) of an exact rational, without building a Fraction."""
-    if type(x) is int:  # exact types first; isinstance keeps bools and subclasses
+    if isinstance(x, int):  # before Fraction: isinstance(int, Fraction) is a slow ABC check
         return x, 1
-    if type(x) is Fraction:
-        return x.numerator, x.denominator
     if isinstance(x, Fraction):
         return x.numerator, x.denominator
-    if isinstance(x, int):
-        return x, 1
     raise ExactDomainError(f"expected an exact rational, got {type(x).__name__}")
 
 

@@ -109,17 +109,17 @@ def discriminant(q: QuadraticSpace) -> SquareClass:
 def hasse_invariant(q: QuadraticSpace, v: Place) -> int:
     """prod_{i<j} (a_i, a_j)_v over a diagonalization; a local isometry invariant.
 
-    Each symbol is read from the entries' integer pairs: at the real place
-    (a, b) = -1 iff both numerators are negative, at p from the symbol cache."""
+    At a finite place each symbol is read from the symbol cache, keyed by the
+    entries' integer pairs."""
     eps = 1
-    pairs = q.num_den
+    n = q.dim
     if v.is_real:
-        for i, (an, _) in enumerate(pairs):
-            for bn, _ in pairs[i + 1 :]:
-                if an < 0 and bn < 0:
-                    eps = -eps
+        for i in range(n):
+            for j in range(i + 1, n):
+                eps *= hilbert_symbol(q.diag[i], q.diag[j], v)
         return eps
     p = v.p
+    pairs = q.num_den
     for i, (an, ad) in enumerate(pairs):
         for bn, bd in pairs[i + 1 :]:
             eps *= _hilbert_finite_cached(an, ad, bn, bd, p)

@@ -231,9 +231,9 @@ class _Frac(Fraction):
     pass
 
 
-def test_exact_rational_fast_paths_keep_bools_and_subclasses():
-    """`_as_fraction` and `_num_den` test the exact types first; the isinstance
-    fallback still takes bools and subclasses, and still refuses the rest."""
+def test_exact_rational_conversions_keep_bools_and_subclasses():
+    """`_as_fraction` and `_num_den` test int before Fraction; bools and
+    subclasses give the same values, and other types are still refused."""
     half = _Frac(3, 6)
     assert _as_fraction(True) == Fraction(1) and _as_fraction(False) == Fraction(0)
     assert _num_den(True) == (1, 1) and _num_den(False) == (0, 1)

@@ -311,8 +311,9 @@ def _symbol_product(q, v, skip=()):
 
 @pytest.mark.parametrize("v", PAIR_PLACES, ids=repr)
 def test_hasse_invariant_is_the_pairwise_symbol_product(v):
-    """`hasse_invariant` reads the integer pairs and the symbol cache directly;
-    it must equal prod_{i<j} hilbert_symbol(a_i, a_j, v) on the Fractions."""
+    """At a finite place `hasse_invariant` reads the space's integer pairs and
+    the symbol cache directly; at every place it must equal
+    prod_{i<j} hilbert_symbol(a_i, a_j, v) on the Fractions."""
     forms = list(_pool_forms())
     assert len(forms) == 56
     for q in forms:
