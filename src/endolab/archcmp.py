@@ -135,48 +135,43 @@ def torus_point(case: ArchCase, sample: GammaSample) -> TorusPoint:
 
 @lru_cache(maxsize=64)
 def _omega_data(kind: str, m: int, lam: tuple[int, ...]):
-    """The terms eps(w) gamma^{w(lam+rho)-rho} of the character sum, grouped by
-    the head (chi_1, chi_2) of chi = w(lam+rho), doubled, which is all the cone
-    constants read: per head, its two exponents and the (sign, exponents of
-    the remaining coordinates) terms."""
+    """The terms (eps(w), w(lam+rho)-rho) of the character sum, grouped by the
+    head (chi_1, chi_2) of chi = w(lam+rho), doubled, which is all the cone
+    constants read."""
     datum = RootDatum(kind, m)
     r = rho(datum).doubled
     groups: dict = {}
     for eps, exps in alternant_terms(datum, Weight.from_ints(lam)):
         head = (2 * exps[0] + r[0], 2 * exps[1] + r[1])
-        groups.setdefault(head, (exps[:2], []))[1].append((eps, exps[2:]))
-    return tuple((head, e, tuple(terms)) for head, (e, terms) in groups.items())
+        groups.setdefault(head, []).append((eps, exps))
+    return tuple((head, tuple(terms)) for head, terms in groups.items())
 
 
 @lru_cache(maxsize=64)
 def _kostant_data(kind: str, m: int, levi_label: str, lam: tuple[int, ...], cutoffs: tuple[str, ...]):
-    """Truncated Kostant entries for the Levi: (parity sign, gl weight ints,
-    alternant terms of the SO-tail weight)."""
+    """The numerator of the truncated Kostant trace over the shared
+    denominators, as (coefficient, exponents) terms: per truncated entry,
+    (-1)^deg times the GL heads times the alternant terms of the SO-tail
+    weight.  The heads are x^{a+1} y^b and -x^b y^{a+1} over x - y on M1, and
+    one monomial on M2 and M12."""
     datum = RootDatum(kind, m)
     levi = standard_levi(levi_label, m)
     tail = RootDatum(kind, m - levi.so_start)
     r = rho(datum)
     pi = {"pi1": pi1_covector(m), "pi2": pi2_covector(m)}
-    entries = []
+    terms = []
     for deg, mu in kostant_cohomology(datum, levi, Weight.from_ints(lam)):
         if all((mu + r).pairing_doubled(pi[c]) > 0 for c in cutoffs):
             c = mu.int_coords()
-            so = alternant_terms(tail, Weight.from_ints(c[levi.so_start :]))
-            entries.append((-1 if deg % 2 else 1, c[: levi.so_start], so))
-    return tuple(entries)
-
-
-def _gl_numerator(levi_label: str, gl: tuple[int, ...], powers) -> GaussianRational:
-    """The GL blocks' part of a Levi character, over M1's GL_2 denominator x - y:
-    x^{a+1} y^b - x^b y^{a+1} for M1, a monomial for M2 and M12."""
-    x = powers[0]
-    if levi_label == "M1":
-        a, b = gl
-        y = powers[1]
-        return x[a + 1] * y[b] - x[b] * y[a + 1]
-    if levi_label == "M12":
-        return x[gl[0]] * powers[1][gl[1]]
-    return x[gl[0]]
+            sgn = -1 if deg % 2 else 1
+            if levi_label == "M1":
+                a, b = c[:2]
+                heads = ((sgn, (a + 1, b)), (-sgn, (b, a + 1)))
+            else:
+                heads = ((sgn, c[: levi.so_start]),)
+            for eps, so in alternant_terms(tail, Weight.from_ints(c[levi.so_start :])):
+                terms += [(s * eps, head + so) for s, head in heads]
+    return tuple(terms)
 
 
 def _delta_factor(datum: RootDatum, levi: LeviBlocks, gamma: TorusPoint) -> GaussianRational:
@@ -199,18 +194,13 @@ def _kostant_trace(
     kind = case.datum.kind
     start = standard_levi(levi_label, case.m).so_start
     powers = power_table(gamma)
-    tail = powers[start:]
-    den = weyl_denominator(RootDatum(kind, case.m - start), tail)
+    den = weyl_denominator(RootDatum(kind, case.m - start), powers[start:])
     if levi_label == "M1":
         x, y = gamma.coords[0], gamma.coords[1]
         if x == y:
             raise SingularPointError("GL_2 character at a singular point")
         den = den * (x - y)
-    total = ZERO
-    for sgn, gl, so in _kostant_data(kind, case.m, levi_label, case.lam, cutoffs):
-        val = _gl_numerator(levi_label, gl, powers) * evaluate_terms(so, tail)
-        total = total + val if sgn == 1 else total - val
-    return total / den
+    return evaluate_terms(_kostant_data(kind, case.m, levi_label, case.lam, cutoffs), powers) / den
 
 
 def _check_regular(case: ArchCase, gamma: TorusPoint):
@@ -347,14 +337,12 @@ def _character_sum(case: ArchCase, gamma: TorusPoint, coefficient) -> GaussianRa
     """sum over Omega of eps(w) c(w) gamma^{w(lam+rho)-rho}, with c(w) =
     coefficient(chi_1, chi_2) an integer function of the doubled head of
     chi = w(lam + rho).  gamma must be regular."""
-    powers = power_table(gamma)
-    x, y, tail = powers[0], powers[1], powers[2:]
-    total = ZERO
-    for (chi_1, chi_2), (e_1, e_2), terms in _omega_data(case.datum.kind, case.m, case.lam):
-        c = coefficient(chi_1, chi_2)
+    terms = []
+    for head, group in _omega_data(case.datum.kind, case.m, case.lam):
+        c = coefficient(*head)
         if c:
-            total = total + (c * (x[e_1] * y[e_2])) * evaluate_terms(terms, tail)
-    return total
+            terms += [(c * eps, exps) for eps, exps in group]
+    return evaluate_terms(terms, power_table(gamma))
 
 
 def Phi_normalized(case: ArchCase, sample: GammaSample) -> GaussianRational:

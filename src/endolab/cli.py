@@ -439,18 +439,33 @@ def _suite_signs(rep: Report):
             for mm in range(8):
                 case = signs.SignCase(levi, parity, mm + 3, 3, mm)
                 for A in admissible_A(levi):
-                    if not rep.check("sun identity", signs.check_sun_identity(case, A)):
-                        rep.witnesses.append({"levi": levi, "parity": parity, "mm": mm, "A": list(A)})
+                    named = {"levi": levi, "parity": parity, "mm": mm, "A": list(A)}
+                    try:
+                        ok = signs.check_sun_identity(case, A)
+                    except (ExactDomainError, SingularPointError, ResourceLimitError) as exc:
+                        exc.case = named  # the error witness names the case
+                        raise
+                    if not rep.check("sun identity", ok):
+                        rep.witnesses.append(named)
     for m in (4, 6, 8):
         for mp in range(0, m + 1):
-            case = signs.SignCase("G", "even", m, mp, m - mp, p=2 * m, q=0)
-            s1 = signs.whittaker_comparison_sign(case, "I")
-            s2 = signs.whittaker_comparison_sign(case, "II")
+            try:
+                case = signs.SignCase("G", "even", m, mp, m - mp, p=2 * m, q=0)
+                s1 = signs.whittaker_comparison_sign(case, "I")
+                s2 = signs.whittaker_comparison_sign(case, "II")
+            except (ExactDomainError, SingularPointError, ResourceLimitError) as exc:
+                exc.case = {"m": m, "m_plus": mp}  # the error witness names the case
+                raise
             if not rep.check("Whittaker type II", s2 == ((-1) ** (m - mp)) * s1):
                 rep.witnesses.append({"m": m, "m_plus": mp, "kind": "type II relation"})
     for m in range(41):
         for p in range(m + 1):
-            if not rep.check("parity lemma", signs.parity_lemma_holds(m, p)):
+            try:
+                ok = signs.parity_lemma_holds(m, p)
+            except (ExactDomainError, SingularPointError, ResourceLimitError) as exc:
+                exc.case = {"m": m, "p": p}  # the error witness names the case
+                raise
+            if not rep.check("parity lemma", ok):
                 rep.witnesses.append({"m": m, "p": p, "kind": "parity lemma"})
 
 
@@ -518,9 +533,14 @@ def _suite_kostant(rep: Report, *, max_rank=3, max_coord=2):
             for label in ("M2", "M1", "M12"):
                 levi = rootdata.standard_levi(label, m)
                 for lam in lams:
-                    w = rootdata.Weight.from_ints(lam)
-                    if not rep.check("Kostant identity", rootdata.kostant_euler_identity(datum, levi, w)):
-                        rep.witnesses.append({"kind": kind, "m": m, "levi": label, "lambda": lam})
+                    named = {"kind": kind, "m": m, "levi": label, "lambda": lam}
+                    try:
+                        ok = rootdata.kostant_euler_identity(datum, levi, rootdata.Weight.from_ints(lam))
+                    except (ExactDomainError, SingularPointError, ResourceLimitError) as exc:
+                        exc.case = named  # the error witness names the case
+                        raise
+                    if not rep.check("Kostant identity", ok):
+                        rep.witnesses.append(named)
             # The weight truncations cut at <mu, pi> > -<rho, pi>, which must
             # agree with <w(lam+rho), pi> > 0 for every Weyl element w.
             r = rootdata.rho(datum)
@@ -566,9 +586,14 @@ def _suite_waldspurger(rep: Report, *, configs=200, seed=7):
         ys = rng.sample(range(-199, 200), m)
         y = [Fraction(v, 200) for v in ys]
         eta = rng.choice([1, -1])
-        ok = signs.waldspurger_sign(y, mm, eta) == signs.waldspurger_sign_reduced(y, mm, eta)
+        named = {"y": [str(v) for v in y], "m_minus": mm, "eta": eta}
+        try:
+            ok = signs.waldspurger_sign(y, mm, eta) == signs.waldspurger_sign_reduced(y, mm, eta)
+        except (ExactDomainError, SingularPointError, ResourceLimitError) as exc:
+            exc.case = named  # the error witness names the case
+            raise
         if not rep.check("raw against reduced", ok):
-            rep.witnesses.append({"y": [str(v) for v in y], "m_minus": mm, "eta": eta})
+            rep.witnesses.append(named)
 
 
 def _suite_invariants(rep: Report):
@@ -577,18 +602,25 @@ def _suite_invariants(rep: Report):
     ctx = endoscopy.RealCtx()
     for d in range(7, 13):
         delta = 1 if (d % 2 == 1 or (d // 2) % 2 == 0) else -1
+        try:
+            eg = {p.key() for p in endoscopy.enumerate_elliptic(d, delta, ctx)}
+        except (ExactDomainError, SingularPointError, ResourceLimitError) as exc:
+            exc.case = {"d": d, "delta": delta}  # the error witness names the case
+            raise
         for levi in ("M1", "M2", "M12"):
-            for g in endoscopy.enumerate_G_endoscopy(levi, d, delta, ctx):
-                if not rep.check("tau-k identity", endoscopy.tau_k_identity_check(levi, g, d)):
-                    rep.witnesses.append(
-                        {"d": d, "levi": levi, "A": sorted(g.A),
-                         "base": [g.base.d_plus, g.base.d_minus]}
-                    )
-        eg = {p.key() for p in endoscopy.enumerate_elliptic(d, delta, ctx)}
-        for levi in ("M1", "M2", "M12"):
-            for g in endoscopy.enumerate_G_endoscopy(levi, d, delta, ctx):
-                if not rep.check("to_EG image", endoscopy.to_EG(g).key() in eg):
-                    rep.witnesses.append({"d": d, "levi": levi, "kind": "to_EG image"})
+            named = {"d": d, "levi": levi}
+            try:
+                for g in endoscopy.enumerate_G_endoscopy(levi, d, delta, ctx):
+                    named = {"d": d, "levi": levi, "A": sorted(g.A), "base": [g.base.d_plus, g.base.d_minus]}
+                    tau_ok = endoscopy.tau_k_identity_check(levi, g, d)
+                    image_ok = endoscopy.to_EG(g).key() in eg
+                    if not rep.check("tau-k identity", tau_ok):
+                        rep.witnesses.append(named)
+                    if not rep.check("to_EG image", image_ok):
+                        rep.witnesses.append({"d": d, "levi": levi, "kind": "to_EG image"})
+            except (ExactDomainError, SingularPointError, ResourceLimitError) as exc:
+                exc.case = named  # the error witness names the case
+                raise
 
 
 SUITES = {

@@ -41,13 +41,6 @@ class RootDatum:
         pos = self.positive_roots()
         return pos + tuple(tuple(-c for c in a) for a in pos)
 
-    def coroot(self, alpha: Root) -> tuple[int, ...]:
-        """Coroot coordinates: e_i^v +- e_j^v for long-ish roots, 2 e_i^v for short type B roots."""
-        support = [c for c in alpha if c]
-        if len(support) == 1:
-            return tuple(2 * c for c in alpha)
-        return alpha
-
 
 @lru_cache(maxsize=None)
 def _positive_roots(kind: str, m: int) -> tuple[Root, ...]:
@@ -158,9 +151,6 @@ class WeylElement:
 
     def act_root(self, alpha: Root) -> Root:
         return self.act_tuple(alpha)
-
-    def minus_count(self) -> int:
-        return sum(1 for s in self.signs if s == -1)
 
 
 def weyl_enumerate(datum: RootDatum) -> list[WeylElement]:
@@ -277,14 +267,23 @@ def evaluate_root(gamma: TorusPoint, alpha: Root) -> GaussianRational:
 
 @lru_cache(maxsize=None)
 def weyl_table(kind: str, m: int) -> tuple:
-    """Cached (w, inversion root indices, sign) triples for the full group."""
-    datum = RootDatum(kind, m)
-    pos = datum.positive_roots()
-    index = {a: i for i, a in enumerate(pos)}
+    """Cached (w, inversion root indices, sign) triples for the full group, in
+    the order of weyl_enumerate, read off the signed permutation.  With
+    w^-1 e_k = s_k e_{p_k}, a positive root is in Phi(w) iff the leading
+    coefficient of its w^-1-image is negative: for e_i + c e_j (i < j) that is
+    s_i if p_i < p_j and s_j c otherwise; for e_i it is s_i.  inversion_set is
+    the definition."""
+    roots = []  # (i, j, c) for e_i + c e_j; j is None for e_i
+    for a in _positive_roots(kind, m):
+        i, *rest = [k for k, c in enumerate(a) if c]
+        roots.append((i, rest[0], a[rest[0]]) if rest else (i, None, 1))
     table = []
-    for w in weyl_enumerate(datum):
+    for w in weyl_enumerate(RootDatum(kind, m)):
         winv = w.inverse()
-        inv = tuple(index[a] for a in pos if not _is_positive(winv.act_root(a)))
+        s, p = winv.signs, winv.perm
+        inv = tuple(
+            n for n, (i, j, c) in enumerate(roots) if (s[i] if j is None or p[i] < p[j] else s[j] * c) < 0
+        )
         table.append((w, inv, -1 if len(inv) % 2 else 1))
     return tuple(table)
 
@@ -339,21 +338,44 @@ def alternant_terms(datum: RootDatum, lam: Weight) -> tuple:
 
 
 def evaluate_terms(terms, powers: Sequence[_Powers]) -> GaussianRational:
-    """sum of eps * prod_j z_j^{e_j} over (eps, exponents) terms: one table
-    lookup per nonzero exponent."""
-    plus = minus = ZERO
-    for eps, exps in terms:
-        term = None
-        for row, e in zip(powers, exps):
-            if e:
-                term = row[e] if term is None else term * row[e]
-        if term is None:
-            term = ONE
-        if eps == 1:
-            plus = plus + term
-        else:
-            minus = minus + term
-    return plus - minus
+    """sum of c * prod_j z_j^{e_j} over (c, exponents) terms, c any integer,
+    without a gcd per operation.  Per coordinate the exponents are shifted by
+    their minimum lo_j, H_j = hi_j - lo_j, and z_j = n_j / d_j with n_j a
+    Gaussian integer, so each term is the Gaussian integer
+    c prod_j n_j^f d_j^(H_j - f) over the shared denominator prod_j d_j^H_j.
+    The sum is reduced once, then multiplied by prod_j z_j^lo_j.  A coordinate
+    whose column is constant enters only that last factor."""
+    if not terms:
+        return ZERO
+    rows = []  # (j, {e: n_j^(e - lo) d_j^(hi - e)}), real coordinates first
+    den = 1
+    shift = ONE
+    for j, col in enumerate(zip(*(e for _, e in terms))):
+        lo, hi = min(col), max(col)
+        if lo:
+            shift = shift * powers[j][lo]
+        if lo == hi:
+            continue
+        z = powers[j].z
+        a, b, d = z.re_n, z.im_n, z.den
+        den *= d ** (hi - lo)
+        row, x, y = {}, 1, 0  # x + iy = n_j^(e - lo)
+        for e in range(lo, hi + 1):
+            row[e] = (x * d ** (hi - e), y * d ** (hi - e))
+            x, y = x * a - y * b, x * b + y * a
+        if b:
+            rows.append((j, row))
+        else:  # while the product is real, its multiplications by 0 cost nothing
+            rows.insert(0, (j, row))
+    re_sum = im_sum = 0
+    for c, exps in terms:
+        re, im = c, 0
+        for j, row in rows:
+            x, y = row[exps[j]]
+            re, im = re * x - im * y, re * y + im * x
+        re_sum += re
+        im_sum += im
+    return GaussianRational._raw(re_sum, im_sum, den) * shift
 
 
 def weyl_denominator(datum: RootDatum, powers: Sequence[_Powers]) -> GaussianRational:
@@ -460,15 +482,21 @@ def levi_positive_roots(datum: RootDatum, levi: LeviBlocks) -> tuple[Root, ...]:
     return tuple(out)
 
 
-def kostant_reps(datum: RootDatum, levi: LeviBlocks) -> list[WeylElement]:
-    """Minimal-length coset representatives: w with Phi(w) inside the nilradical roots."""
+def _kostant_table(datum: RootDatum, levi: LeviBlocks) -> list[tuple[int, WeylElement]]:
+    """(l(w), w) for the minimal-length coset representatives, by length: the w
+    of the Weyl table with Phi(w) inside the nilradical roots."""
     levi_pos = set(levi_positive_roots(datum, levi))
     pos = datum.positive_roots()
     out = []
     for w, invset, _ in weyl_table(datum.kind, datum.rank):
         if all(pos[i] not in levi_pos for i in invset):
             out.append((len(invset), w))
-    return [w for _, w in sorted(out, key=lambda t: t[0])]
+    return sorted(out, key=lambda t: t[0])
+
+
+def kostant_reps(datum: RootDatum, levi: LeviBlocks) -> list[WeylElement]:
+    """Minimal-length coset representatives: w with Phi(w) inside the nilradical roots."""
+    return [w for _, w in _kostant_table(datum, levi)]
 
 
 def levi_is_dominant(datum: RootDatum, levi: LeviBlocks, mu: Weight) -> bool:
@@ -495,11 +523,11 @@ def kostant_cohomology(datum: RootDatum, levi: LeviBlocks, lam: Weight) -> list[
         raise ExactDomainError("need a dominant integral highest weight")
     r = rho(datum)
     entries = []
-    for w in kostant_reps(datum, levi):
+    for deg, w in _kostant_table(datum, levi):
         mu = w.act(lam + r) - r
         if not levi_is_dominant(datum, levi, mu):
             raise ExactDomainError("Kostant weight failed Levi dominance")
-        entries.append((length(w, datum), mu))
+        entries.append((deg, mu))
     return entries
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ from endolab import archcmp, rootdata
 from endolab.archcmp import (
     ArchCase,
     GammaSample,
+    L_M_normalized,
     Phi_endos_normalized,
     Phi_normalized,
     _character_sum,
@@ -93,6 +96,40 @@ def test_character_sum_matches_product_form(levi, d):
     case = ArchCase(levi, d, tuple(([3, 2, 1] + [0] * d)[: d // 2]))
     gamma = torus_point(case, sample_in_range(case, random.Random(d)))
     assert _character_sum(case, gamma, _head_coefficient) == _product_form_sum(case, gamma, _head_coefficient)
+
+
+# sha256 of the exact [re_n, im_n, den] of Phi_normalized, L_M_normalized and,
+# on odd M12, Phi_endos_normalized at three seeded stated-range samples per
+# case, as the per-term GaussianRational evaluator computed them.  Both sides
+# of each identity share evaluate_terms, so a change that cancels between
+# them would pass the identity checks but not these.
+PINNED_VALUES = {
+    ("M1", 7): "eec130234d0763efc6dd4c559864e15754c698c2a17d756004c5ee5e5a9525df",
+    ("M2", 7): "a8f80a461efe56880e496267a435c21106b828141584e59047dbb44c665f3c49",
+    ("M12", 7): "868d36dff23614970218d38bfc07c8817d887e14240cd6ac9c13e252fc8b0064",
+    ("M1", 8): "cc5d26e6d35ba05e388b031e6fe67770ce2344c8214049b4177a827abe300df3",
+    ("M12", 8): "0e8d38beae179c9bcbb52ac9aeff83f4d8c44dc471e01c0d5fe9266e5881bdc4",
+    ("M1", 9): "c0c9d2714c20a5c7ec0b5aac18a55268c65faaf8a4fcbae18fdc479b285f0f75",
+    ("M2", 9): "a0d5319af4f7815b1ab454c8606a77ff96a3b87aaed50c15391b1127921cb949",
+    ("M12", 9): "24026074b57ebf4add6eb40eb09c26e73d4e34a4282251dc7e95e2f8ddf261be",
+    ("M1", 10): "53a8f1baeb47719f7d0f2a0625f97c8bbe722ba748d40591d058e2ea7c5f2d82",
+    ("M12", 10): "bc05a4f70cf9319b27065b3787945a679ebdc08a0eb4e412a71a686f40d114cf",
+}
+
+
+@pytest.mark.parametrize("levi,d", ARCH_CASES)
+def test_normalized_values_are_pinned(levi, d):
+    case = ArchCase(levi, d, tuple(([3, 2, 1] + [0] * d)[: d // 2]))
+    rng = random.Random(1000 + d)
+    values = []
+    for _ in range(3):
+        sample = sample_in_range(case, rng)
+        row = [Phi_normalized(case, sample), L_M_normalized(case, sample)]
+        if levi == "M12" and d % 2:
+            row.append(Phi_endos_normalized(case, sample))
+        values.append([[z.re_n, z.im_n, z.den] for z in row])
+    digest = hashlib.sha256(json.dumps(values, separators=(",", ":")).encode()).hexdigest()
+    assert digest == PINNED_VALUES[(levi, d)]
 
 
 def test_character_sum_without_rho_shift_fails(monkeypatch):

@@ -394,6 +394,96 @@ def test_commands_load_only_their_modules():
     assert {"rootdata", "archcmp"} <= loaded("verify", "arch", "--d", "7", "--case", "M2", "--samples", "1")
 
 
+def test_verify_kostant_error_names_the_case(capsys, monkeypatch):
+    """An error inside the Kostant identity used to surface as a bare error."""
+    from endolab import rootdata
+    from endolab.errors import ExactDomainError
+
+    real = rootdata.kostant_euler_identity
+
+    def broken_at(datum, levi, lam):
+        if (datum.kind, datum.rank, levi, lam.int_coords()) == ("D", 3, rootdata.standard_levi("M1", 3), (1, 1, -1)):
+            raise ExactDomainError("broken identity")
+        return real(datum, levi, lam)
+
+    monkeypatch.setattr(rootdata, "kostant_euler_identity", broken_at)
+    code, out = _verify(capsys, "kostant", "--max-rank", "3", "--max-coord", "1")
+    assert (code, out["status"], out["command"]) == (2, "error", "verify kostant")
+    assert out["witnesses"] == [{"kind": "D", "m": 3, "levi": "M1", "lambda": [1, 1, -1], "error": "broken identity"}]
+    assert out["checks"]["Kostant identity"]["checked"] > 0  # the B cases and D2 before it
+
+
+@pytest.mark.parametrize(
+    "name, at, named",
+    [
+        (
+            "check_sun_identity",
+            lambda case, A: (case.levi, case.parity, case.m_minus, list(A)) == ("M12", "even", 2, [1, 2]),
+            {"levi": "M12", "parity": "even", "mm": 2, "A": [1, 2]},
+        ),
+        ("whittaker_comparison_sign", lambda case, kind: (case.m, case.m_plus) == (6, 4), {"m": 6, "m_plus": 4}),
+        ("parity_lemma_holds", lambda m, p: (m, p) == (7, 3), {"m": 7, "p": 3}),
+    ],
+    ids=["sun identity", "Whittaker type II", "parity lemma"],
+)
+def test_verify_signs_error_names_the_case(capsys, monkeypatch, name, at, named):
+    from endolab import signs
+    from endolab.errors import ExactDomainError
+
+    real = getattr(signs, name)
+
+    def broken(*args):
+        if at(*args):
+            raise ExactDomainError("broken sign")
+        return real(*args)
+
+    monkeypatch.setattr(signs, name, broken)
+    code, out = _verify(capsys, "signs")
+    assert (code, out["status"], out["command"]) == (2, "error", "verify signs")
+    assert out["witnesses"] == [{**named, "error": "broken sign"}]
+
+
+def test_verify_waldspurger_error_names_the_case(capsys, monkeypatch):
+    from endolab import signs
+    from endolab.errors import ExactDomainError
+
+    real = signs.waldspurger_sign_reduced
+    seen = []
+
+    def broken_at_third(y, m_minus, eta):
+        seen.append(([str(v) for v in y], m_minus, eta))
+        if len(seen) == 3:
+            raise ExactDomainError("broken sign")
+        return real(y, m_minus, eta)
+
+    monkeypatch.setattr(signs, "waldspurger_sign_reduced", broken_at_third)
+    code, out = _verify(capsys, "waldspurger", "--configs", "5", "--seed", "505")
+    assert (code, out["status"], out["command"]) == (2, "error", "verify waldspurger")
+    y, m_minus, eta = seen[-1]
+    assert out["witnesses"] == [{"y": y, "m_minus": m_minus, "eta": eta, "error": "broken sign"}]
+    assert out["checks"]["raw against reduced"]["checked"] == 2
+
+
+def test_verify_invariants_error_names_the_case(capsys, monkeypatch):
+    from endolab import endoscopy
+    from endolab.errors import ExactDomainError
+
+    real = endoscopy.tau_k_identity_check
+    seen = []
+
+    def broken_at(levi, g, d):
+        if (d, levi) == (9, "M12"):
+            seen.append((sorted(g.A), [g.base.d_plus, g.base.d_minus]))
+            raise ExactDomainError("broken identity")
+        return real(levi, g, d)
+
+    monkeypatch.setattr(endoscopy, "tau_k_identity_check", broken_at)
+    code, out = _verify(capsys, "invariants")
+    assert (code, out["status"], out["command"]) == (2, "error", "verify invariants")
+    [(A, base)] = seen
+    assert out["witnesses"] == [{"d": 9, "levi": "M12", "A": A, "base": base, "error": "broken identity"}]
+    assert out["checks"]["tau-k identity"]["checked"] > 0  # d = 7, 8 and the M1, M2 cases of d = 9
+
 def test_verify_zero_count_is_a_usage_error(capsys):
     from endolab import cli
 

@@ -177,6 +177,70 @@ def test_power_table_reads_integer_powers():
         assert row[e] == z ** e
 
 
+def _gaussian_terms_sum(terms, gamma):
+    """The reference for evaluate_terms: sum of c * prod_j z_j^{e_j}, one
+    GaussianRational + or * per step, powers by repeated squaring."""
+    total = GaussianRational(0)
+    for c, exps in terms:
+        term = GaussianRational(c)
+        for z, e in zip(gamma.coords, exps):
+            term = term * z**e
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_evaluate_terms_matches_gaussian_reference(m):
+    """At seeded points (from rank 2 on, M1 conjugate pairs (x, conj x) with
+    |x| != 1 and the RAW coordinates a Weyl move leaves), on terms with
+    exponents of both signs, coefficients other than +-1 and a constant
+    column, and on the empty term list."""
+    rng = random.Random(10 + m)
+    points = _regular_points(RootDatum("B", m), rng, 2)
+    if m >= 2:
+        pairs = [g for g in points if g.pattern[0] == rootdata.PAIR_FIRST]
+        assert pairs and all(g.coords[0].norm() != 1 for g in pairs)
+        assert any(rootdata.RAW in g.pattern for g in points)
+    coefficients = (-7, -3, -2, -1, 1, 2, 4, 9)
+    for gamma in points:
+        powers = rootdata.power_table(gamma)
+        assert rootdata.evaluate_terms((), powers) == GaussianRational(0)
+        for const in (0, -2, 3):  # the last column is constant
+            for lo, hi in ((-5, 5), (1, 6), (-6, -1)):
+                terms = [
+                    (rng.choice(coefficients), tuple(rng.randint(lo, hi) for _ in range(m - 1)) + (const,))
+                    for _ in range(15)
+                ]
+                terms.append((-terms[0][0], terms[0][1]))  # a term that cancels another
+                got = rootdata.evaluate_terms(terms, powers)
+                assert got == _gaussian_terms_sum(terms, gamma), (gamma, terms)
+
+
+@pytest.mark.parametrize("kind,m", [("B", m) for m in range(1, 6)] + [("D", m) for m in range(2, 6)])
+def test_weyl_table_matches_inversion_sets(kind, m):
+    """The closed-form table against inversion_set, the act_root definition:
+    the same elements in the same order, index tuples and signs."""
+    datum = RootDatum(kind, m)
+    index = {a: i for i, a in enumerate(datum.positive_roots())}
+    want = []
+    for w in weyl_enumerate(datum):
+        inv = tuple(index[a] for a in inversion_set(w, datum))
+        want.append((w, inv, -1 if len(inv) % 2 else 1))
+    assert rootdata.weyl_table(kind, m) == tuple(want)
+
+
+@pytest.mark.parametrize("kind,m", [("B", 2), ("B", 3), ("B", 4), ("D", 3), ("D", 4)])
+def test_kostant_degrees_are_inversion_set_lengths(kind, m):
+    datum = RootDatum(kind, m)
+    r = rho(datum)
+    for label in ("M1", "M2", "M12"):
+        levi = standard_levi(label, m)
+        for lam_c in _dominant_weights(kind, m, 1):
+            lam = Weight.from_ints(lam_c)
+            want = [(length(w, datum), w.act(lam + r) - r) for w in kostant_reps(datum, levi)]
+            assert kostant_cohomology(datum, levi, lam) == want, (kind, m, label, lam_c)
+
+
 def test_kostant_reps_counts():
     reps = kostant_reps(B2, standard_levi("M2", 2))
     assert [length(w, B2) for w in reps] == [0, 1, 2, 3]
