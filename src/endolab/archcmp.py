@@ -22,20 +22,18 @@ from typing import Optional
 
 from .dsconst import cone_constant_1d, cone_constant_2d
 from .errors import ExactDomainError, ResourceLimitError, SingularPointError
-from .exactnum import ONE, ZERO, GaussianRational, sqrt_fraction
+from .exactnum import ZERO, GaussianRational, sqrt_fraction
 from .rootdata import (
     COMPACT,
     PAIR_FIRST,
     PAIR_SECOND,
     SPLIT,
-    LeviBlocks,
     RootDatum,
     TorusPoint,
     Weight,
     WeylElement,
     alternant_terms,
     circle_point,
-    evaluate_root,
     evaluate_terms,
     is_dominant,
     kostant_cohomology,
@@ -44,6 +42,7 @@ from .rootdata import (
     pi2_covector,
     power_table,
     rho,
+    root_value,
     standard_levi,
     weyl_denominator,
 )
@@ -100,34 +99,40 @@ class GammaSample:
     b: Optional[Fraction]
     circle_params: tuple[Fraction, ...]
 
-    def circle(self) -> tuple[GaussianRational, ...]:
-        return tuple(circle_point(t) for t in self.circle_params)
 
-
-def torus_point(case: ArchCase, sample: GammaSample) -> TorusPoint:
-    z = sample.circle()
+def torus_point(case: ArchCase, sample: GammaSample) -> tuple[TorusPoint, list]:
+    """The regular point gamma of the sample and its power table, built once
+    per evaluation and passed to every evaluator; raises SingularPointError
+    if gamma lies on a root wall, the only place regularity is decided."""
+    z = tuple(circle_point(t) for t in sample.circle_params)
     if case.levi == "M1":
         if sample.b is None:
             raise ExactDomainError("case M1 needs both a and b")
         if len(z) != case.m - 2:
             raise ExactDomainError("wrong number of compact coordinates")
         first = GaussianRational(sample.a, sample.b)
-        return TorusPoint(
+        gamma = TorusPoint(
             (first, first.conjugate()) + z,
             (PAIR_FIRST, PAIR_SECOND) + (COMPACT,) * len(z),
         )
-    if case.levi == "M2":
+    elif case.levi == "M2":
         if len(z) != case.m - 1:
             raise ExactDomainError("wrong number of compact coordinates")
-        return TorusPoint((GaussianRational(sample.a),) + z, (SPLIT,) + (COMPACT,) * len(z))
-    if sample.b is None:
-        raise ExactDomainError("case M12 needs both a and b")
-    if len(z) != case.m - 2:
-        raise ExactDomainError("wrong number of compact coordinates")
-    return TorusPoint(
-        (GaussianRational(sample.a), GaussianRational(sample.b)) + z,
-        (SPLIT, SPLIT) + (COMPACT,) * len(z),
-    )
+        gamma = TorusPoint((GaussianRational(sample.a),) + z, (SPLIT,) + (COMPACT,) * len(z))
+    else:
+        if sample.b is None:
+            raise ExactDomainError("case M12 needs both a and b")
+        if len(z) != case.m - 2:
+            raise ExactDomainError("wrong number of compact coordinates")
+        gamma = TorusPoint(
+            (GaussianRational(sample.a), GaussianRational(sample.b)) + z,
+            (SPLIT, SPLIT) + (COMPACT,) * len(z),
+        )
+    powers = power_table(gamma)
+    for alpha in case.datum.positive_roots():
+        if root_value(powers, alpha).is_one():
+            raise SingularPointError(f"gamma is singular at root {alpha}")
+    return gamma, powers
 
 
 # --- cached per-(case, lambda) Weyl data --------------------------------------
@@ -174,65 +179,29 @@ def _kostant_data(kind: str, m: int, levi_label: str, lam: tuple[int, ...], cuto
     return tuple(terms)
 
 
-def _delta_factor(datum: RootDatum, levi: LeviBlocks, gamma: TorusPoint) -> GaussianRational:
+def _delta_factor(case: ArchCase, levi_label: str, powers) -> GaussianRational:
     """Delta_M(gamma) = prod over Levi-positive roots of (1 - alpha^-1(gamma))."""
-    out = ONE
-    for alpha in levi_positive_roots(datum, levi):
-        v = evaluate_root(gamma, alpha)
-        if v == ONE:
-            raise SingularPointError("gamma on a Levi root wall")
-        out = out * (ONE - v.inverse())
-    return out
+    return weyl_denominator(levi_positive_roots(case.datum, standard_levi(levi_label, case.m)), powers)
 
 
-def _kostant_trace(
-    case: ArchCase, levi_label: str, cutoffs: tuple[str, ...], gamma: TorusPoint
-) -> GaussianRational:
+def _kostant_trace(case: ArchCase, levi_label: str, cutoffs: tuple[str, ...], powers) -> GaussianRational:
     """sum over the truncated Kostant entries of (-1)^deg ch_M(mu)(gamma).  The
     Levi characters share their denominators, GL_2's x - y on M1 and the SO
     tail's Delta, so the numerators are summed and divided once."""
     kind = case.datum.kind
     start = standard_levi(levi_label, case.m).so_start
-    powers = power_table(gamma)
-    den = weyl_denominator(RootDatum(kind, case.m - start), powers[start:])
+    den = weyl_denominator(RootDatum(kind, case.m - start).positive_roots(), powers[start:])
     if levi_label == "M1":
-        x, y = gamma.coords[0], gamma.coords[1]
-        if x == y:
-            raise SingularPointError("GL_2 character at a singular point")
-        den = den * (x - y)
+        den = den * (powers[0].z - powers[1].z)
     return evaluate_terms(_kostant_data(kind, case.m, levi_label, case.lam, cutoffs), powers) / den
-
-
-def _check_regular(case: ArchCase, gamma: TorusPoint):
-    for alpha in case.datum.positive_roots():
-        if evaluate_root(gamma, alpha) == ONE:
-            raise SingularPointError(f"gamma is singular at root {alpha}")
-
-
-def indicators_N(datum: RootDatum, lam: Weight, w: WeylElement, which: int) -> int:
-    """The three cone indicators of chi = w(lam + rho): N1 tests both
-    <chi, pi_1> > 0 and <chi, pi_2> > 0, N2 the same after the chamber move
-    omega_0 (which fixes pi_2 and sends pi_1 to e_1^v - e_2^v), N3 only
-    <chi, pi_2> > 0."""
-    chi = w.act(lam + rho(datum))
-    m = datum.rank
-    p1 = chi.pairing_doubled(pi1_covector(m))
-    p2 = chi.pairing_doubled(pi2_covector(m))
-    p1_moved = chi.pairing_doubled((1, -1) + (0,) * (m - 2))
-    if which == 1:
-        return 1 if (p1 > 0 and p2 > 0) else 0
-    if which == 2:
-        return 1 if (p1_moved > 0 and p2 > 0) else 0
-    if which == 3:
-        return 1 if p2 > 0 else 0
-    raise ExactDomainError("which must be 1, 2 or 3")
 
 
 # --- the Kostant-Weyl terms ----------------------------------------------------
 
 
-def _delta_half_ratio(case: ArchCase, gamma: TorusPoint, gamma_p: TorusPoint) -> Fraction:
-    """delta_P^(1/2)(gamma') / delta_P^(1/2)(gamma), an exact positive rational.
+def _delta_half_ratio(case: ArchCase, powers, powers_p) -> Fraction:
+    """delta_P^(1/2)(gamma') / delta_P^(1/2)(gamma), an exact positive rational,
+    from the power tables of gamma and gamma'.
 
     norm(alpha(gamma)) = |alpha(gamma)|^2, so the product below is the 4th
     power of the ratio; sqrt_fraction raises unless both roots are exact (for
@@ -243,47 +212,42 @@ def _delta_half_ratio(case: ArchCase, gamma: TorusPoint, gamma_p: TorusPoint) ->
     for alpha in datum.positive_roots():
         if alpha in levi_pos:
             continue
-        ratio_4th *= evaluate_root(gamma_p, alpha).norm() / evaluate_root(gamma, alpha).norm()
+        ratio_4th *= root_value(powers_p, alpha).norm() / root_value(powers, alpha).norm()
     return sqrt_fraction(sqrt_fraction(ratio_4th))
 
 
-def L_M_normalized(case: ArchCase, sample: GammaSample) -> GaussianRational:
-    """The Kostant-Weyl term divided by the common factor delta_P^(1/2) Delta_M^(-1).
+def L_M_normalized(case: ArchCase, sample: GammaSample, point) -> GaussianRational:
+    """The Kostant-Weyl term divided by the common factor delta_P^(1/2) Delta_M^(-1),
+    at the point (gamma, power table) that torus_point built for the sample.
 
     Cases M1/M2 are single truncated traces (M2 carries the factor 2); case M12
     adds the conjugate-by-n_12 term and subtracts the intermediate M2 term, with
     the exact square root of the delta_P ratio and the sign eta_2.
     """
-    gamma = torus_point(case, sample)
-    _check_regular(case, gamma)
-    datum = case.datum
+    gamma, powers = point
     m = case.m
     if case.levi == "M1":
-        levi = standard_levi("M1", m)
-        return _delta_factor(datum, levi, gamma) * _kostant_trace(case, "M1", ("pi1",), gamma)
+        return _delta_factor(case, "M1", powers) * _kostant_trace(case, "M1", ("pi1",), powers)
     if case.levi == "M2":
-        levi = standard_levi("M2", m)
-        tr = _kostant_trace(case, "M2", ("pi2",), gamma)
-        return 2 * (_delta_factor(datum, levi, gamma) * tr)
+        tr = _kostant_trace(case, "M2", ("pi2",), powers)
+        return 2 * (_delta_factor(case, "M2", powers) * tr)
     # M12
     b = sample.b
-    if b is None or b in (0, 1, -1):
+    if b in (1, -1):
         raise SingularPointError("b on a wall")
-    levi12 = standard_levi("M12", m)
-    levi2 = standard_levi("M2", m)
     if case.parity == "odd":
         omega0 = WeylElement((1, -1) + (1,) * (m - 2), tuple(range(m)))
         eta2 = -1 if 0 < b < 1 else 1
     else:
         omega0 = WeylElement((1, -1, -1) + (1,) * (m - 3), tuple(range(m)))
         eta2 = 1
-    gamma_p = gamma.apply(omega0)
-    ratio = _delta_half_ratio(case, gamma, gamma_p)
-    delta_M = _delta_factor(datum, levi12, gamma)
-    t_gamma = _kostant_trace(case, "M12", ("pi1", "pi2"), gamma)
-    t_gamma_p = _kostant_trace(case, "M12", ("pi1", "pi2"), gamma_p)
-    t_m2 = _kostant_trace(case, "M2", ("pi2",), gamma)
-    delta_M2 = _delta_factor(datum, levi2, gamma)
+    powers_p = power_table(gamma.apply(omega0))
+    ratio = _delta_half_ratio(case, powers, powers_p)
+    delta_M = _delta_factor(case, "M12", powers)
+    t_gamma = _kostant_trace(case, "M12", ("pi1", "pi2"), powers)
+    t_gamma_p = _kostant_trace(case, "M12", ("pi1", "pi2"), powers_p)
+    t_m2 = _kostant_trace(case, "M2", ("pi2",), powers)
+    delta_M2 = _delta_factor(case, "M2", powers)
     return delta_M * t_gamma + ratio * (delta_M * t_gamma_p) - eta2 * (delta_M2 * t_m2)
 
 
@@ -315,7 +279,8 @@ def _sign(x) -> int:
 
 
 def _epsilon_R(case: ArchCase, sample: GammaSample, endos: bool = False) -> int:
-    """(-1) to the number of positive real roots sending gamma into (0, 1)."""
+    """(-1) to the number of positive real roots sending gamma into (0, 1);
+    gamma is regular, so none sends it to 1."""
     a, b = sample.a, sample.b
     if case.levi == "M1":
         vals = [a * a + b * b]
@@ -328,46 +293,39 @@ def _epsilon_R(case: ArchCase, sample: GammaSample, endos: bool = False) -> int:
     else:
         vals = [a * b, a / b]
     count = sum(1 for v in vals if 0 < v < 1)
-    if any(v == 1 for v in vals):
-        raise SingularPointError("gamma on a real root wall")
     return -1 if count % 2 else 1
 
 
-def _character_sum(case: ArchCase, gamma: TorusPoint, coefficient) -> GaussianRational:
-    """sum over Omega of eps(w) c(w) gamma^{w(lam+rho)-rho}, with c(w) =
-    coefficient(chi_1, chi_2) an integer function of the doubled head of
-    chi = w(lam + rho).  gamma must be regular."""
+def _character_sum(case: ArchCase, powers, coefficient) -> GaussianRational:
+    """sum over Omega of eps(w) c(w) gamma^{w(lam+rho)-rho} at the point of
+    the power table, with c(w) = coefficient(chi_1, chi_2) an integer function
+    of the doubled head of chi = w(lam + rho)."""
     terms = []
     for head, group in _omega_data(case.datum.kind, case.m, case.lam):
         c = coefficient(*head)
         if c:
             terms += [(c * eps, exps) for eps, exps in group]
-    return evaluate_terms(terms, power_table(gamma))
+    return evaluate_terms(terms, powers)
 
 
-def Phi_normalized(case: ArchCase, sample: GammaSample) -> GaussianRational:
+def Phi_normalized(case: ArchCase, sample: GammaSample, point) -> GaussianRational:
     """The normalized character sum (-1)^q(G) eps_R(gamma) sum_w eps(w)
-    n(gamma, wB) (w lam)(gamma) prod a^-1(gamma); exact zero off the identity
+    n(gamma, wB) (w lam)(gamma) prod a^-1(gamma) at the point (gamma, power
+    table) that torus_point built for the sample; exact zero off the identity
     component."""
     a, b = sample.a, sample.b
-    gamma = torus_point(case, sample)
-    _check_regular(case, gamma)
+    _, powers = point
     q_sign = -1 if case.q_G % 2 else 1
     if case.levi == "M1":
-        sq = a * a + b * b
-        if sq == 1:
-            raise SingularPointError("a^2 + b^2 = 1 is a wall")
-        x_sign = 1 if sq > 1 else -1
+        x_sign = 1 if a * a + b * b > 1 else -1
         coeff = lambda chi_1, chi_2: cone_constant_1d(x_sign, chi_1 + chi_2)
-        return (q_sign * _epsilon_R(case, sample)) * _character_sum(case, gamma, coeff)
+        return (q_sign * _epsilon_R(case, sample)) * _character_sum(case, powers, coeff)
     if case.levi == "M2":
         if a < 0:
             return ZERO
-        if abs(a) == 1:
-            raise SingularPointError("|a| = 1 is a wall")
         x_sign = 1 if a > 1 else -1
         coeff = lambda chi_1, chi_2: cone_constant_1d(x_sign, chi_1)
-        return (q_sign * _epsilon_R(case, sample)) * _character_sum(case, gamma, coeff)
+        return (q_sign * _epsilon_R(case, sample)) * _character_sum(case, powers, coeff)
     if a * b < 0:
         return ZERO
     xr = _x_chamber_rep(abs(a), abs(b))
@@ -376,24 +334,22 @@ def Phi_normalized(case: ArchCase, sample: GammaSample) -> GaussianRational:
     else:
         system = "D2"
     coeff = lambda chi_1, chi_2: cone_constant_2d(xr, (chi_1, chi_2), system)
-    return (q_sign * _epsilon_R(case, sample)) * _character_sum(case, gamma, coeff)
+    return (q_sign * _epsilon_R(case, sample)) * _character_sum(case, powers, coeff)
 
 
-def Phi_endos_normalized(case: ArchCase, sample: GammaSample) -> GaussianRational:
-    """The endoscopic variant for the odd case M12, built on the short root
-    system +-e1, +-e2 but weighted by eps_R of the full system; exact zero
-    unless a, b > 0."""
+def Phi_endos_normalized(case: ArchCase, sample: GammaSample, point) -> GaussianRational:
+    """The endoscopic variant for the odd case M12 at the point (gamma, power
+    table) of the sample, built on the short root system +-e1, +-e2 but
+    weighted by eps_R of the full system; exact zero unless a, b > 0."""
     if case.levi != "M12" or case.parity != "odd":
         raise ExactDomainError("the endoscopic variant lives on odd-case M12")
     a, b = sample.a, sample.b
     if a < 0 or b < 0:
         return ZERO
-    gamma = torus_point(case, sample)
-    _check_regular(case, gamma)
     q_sign = -1 if case.q_G % 2 else 1
     xr = _x_chamber_rep(abs(a), abs(b))
     coeff = lambda chi_1, chi_2: cone_constant_2d(xr, (chi_1, chi_2), "A1xA1")
-    return (q_sign * _epsilon_R(case, sample)) * _character_sum(case, gamma, coeff)
+    return (q_sign * _epsilon_R(case, sample)) * _character_sum(case, point[1], coeff)
 
 
 def epsilon_R_endos(case: ArchCase, sample: GammaSample) -> int:
@@ -493,8 +449,7 @@ def sample_in_range(case: ArchCase, rng: random.Random, region: str = "stated") 
                 a, b = b, a  # |a| > |b|-side: x1 > -|x2|
             sample = GammaSample(a, b, circ)
         try:
-            gamma = torus_point(case, sample)
-            _check_regular(case, gamma)
+            torus_point(case, sample)
         except (SingularPointError, ExactDomainError):
             continue
         return sample
@@ -503,23 +458,24 @@ def sample_in_range(case: ArchCase, rng: random.Random, region: str = "stated") 
 
 def identity_gap(case: ArchCase, sample: GammaSample) -> GaussianRational:
     """LHS - RHS of the case's comparison identity at the sample (zero = pass)."""
+    point = torus_point(case, sample)
     q_sign = -1 if case.q_G % 2 else 1
     if case.levi == "M1":
-        return Phi_normalized(case, sample) - (-2 * q_sign) * L_M_normalized(case, sample)
+        return Phi_normalized(case, sample, point) - (-2 * q_sign) * L_M_normalized(case, sample, point)
     if case.levi == "M2":
         a = sample.a
         if a < 0:
-            return Phi_normalized(case, sample)
-        return Phi_normalized(case, sample) - (-q_sign) * L_M_normalized(case, sample)
+            return Phi_normalized(case, sample, point)
+        return Phi_normalized(case, sample, point) - (-q_sign) * L_M_normalized(case, sample, point)
     if sample.a * sample.b < 0:
-        total = Phi_normalized(case, sample)
+        total = Phi_normalized(case, sample, point)
         if case.parity == "odd":
-            total = total + Phi_endos_normalized(case, sample)
+            total = total + Phi_endos_normalized(case, sample, point)
         return total
-    lhs = 4 * q_sign * L_M_normalized(case, sample)
-    rhs = Phi_normalized(case, sample)
+    lhs = 4 * q_sign * L_M_normalized(case, sample, point)
+    rhs = Phi_normalized(case, sample, point)
     if case.parity == "odd":
-        rhs = rhs + Phi_endos_normalized(case, sample)
+        rhs = rhs + Phi_endos_normalized(case, sample, point)
     return lhs - rhs
 
 
@@ -579,13 +535,14 @@ def verify_symmetry(case: ArchCase, sample: GammaSample, mode: str) -> bool:
         expected_sign = 1
     else:
         raise ExactDomainError("mode must be swap or invert")
-    r = _delta_half_ratio(case, torus_point(case, sample), torus_point(case, other))
-    phi1 = Phi_normalized(case, sample)
-    phi2 = Phi_normalized(case, other)
+    point, other_point = torus_point(case, sample), torus_point(case, other)
+    r = _delta_half_ratio(case, point[1], other_point[1])
+    phi1 = Phi_normalized(case, sample, point)
+    phi2 = Phi_normalized(case, other, other_point)
     if phi1 != r * phi2:
         return False
     w1 = _epsilon_R(case, sample) * epsilon_R_endos(case, sample)
     w2 = _epsilon_R(case, other) * epsilon_R_endos(case, other)
-    e1 = Phi_endos_normalized(case, sample)
-    e2 = Phi_endos_normalized(case, other)
+    e1 = Phi_endos_normalized(case, sample, point)
+    e2 = Phi_endos_normalized(case, other, other_point)
     return w1 * e1 == (expected_sign * w2 * r) * e2

@@ -13,6 +13,7 @@ stays deterministic.  Each command imports the endolab modules it runs, and
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
@@ -84,6 +85,26 @@ def _positive_int(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return n
+
+
+def _at_least(flag: str, value, low: int) -> None:
+    """Range check of an integer flag: None, an optional suite parameter not
+    given, is the default sweep; anything below `low` is an input error
+    (exit 2), not an empty sweep."""
+    if value is not None and value < low:
+        raise ExactDomainError(f"--{flag} must be >= {low}, got {value}")
+
+
+@contextlib.contextmanager
+def _naming(case: dict):
+    """An endolab error raised in the block names the case it was raised in:
+    the verify report's error witness reads exc.case, which a process pool
+    pickles with the exception."""
+    try:
+        yield
+    except (ExactDomainError, SingularPointError, ResourceLimitError) as exc:
+        exc.case = case
+        raise
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -245,6 +266,7 @@ def cmd_signs(args) -> Report:
     from . import signs
     from .levi import admissible_A
 
+    _at_least("m-minus-max", args.m_minus_max, 0)
     rep = Report("signs", {"m_minus_max": args.m_minus_max})
     lines = ["levi\tparity\tm_minus\tA\tdet_omega0\tsun\ttasho_ratio\tsun_identity"]
     for levi in ("M1", "M2", "M12"):
@@ -281,13 +303,6 @@ def cmd_signs(args) -> Report:
 # counts every case it checks on the report, and appends one witness per failure.
 
 
-def _at_least(flag: str, value, low: int) -> None:
-    """Range check of an optional suite parameter: None is the default sweep,
-    anything below `low` is an input error (exit 2), not an empty sweep."""
-    if value is not None and value < low:
-        raise ExactDomainError(f"--{flag} must be >= {low}, got {value}")
-
-
 def _suite_vanishing(rep: Report, *, case=None, r=None, t=None, trials=20, seed=7):
     from . import dsconst
 
@@ -315,11 +330,8 @@ def _suite_vanishing(rep: Report, *, case=None, r=None, t=None, trials=20, seed=
                             "split": r_prime,
                             "mu": [str(c) for c in mu],
                         }
-                        try:
+                        with _naming(named):
                             M, N = dsconst.vanishing_quantities(rank, tail, parity, r_prime, mu)
-                        except (ExactDomainError, SingularPointError, ResourceLimitError) as exc:
-                            exc.case = named  # the error witness names the case
-                            raise
                         ok_n = rank < n_from or rep.check("N = 0", N == 0)
                         ok_m = rank < m_from or rep.check("M_i = 0", not any(M))
                         if not (ok_n and ok_m):
@@ -331,12 +343,9 @@ def _arch_case_runner(key):
 
     levi, d, lam, samples, seed = key
     named = {"levi": levi, "d": d, "lambda": list(lam)}
-    try:
+    with _naming(named):
         case = archcmp.ArchCase(levi, d, lam)
         r = archcmp.verify_identity(case, samples=samples, seed=seed, vanishing_controls=5)
-    except (ExactDomainError, SingularPointError, ResourceLimitError) as exc:
-        exc.case = named  # the error witness names the case; pickled with the exception
-        raise
     return {**named, "failures": r.failures}, r.controls
 
 
@@ -404,14 +413,11 @@ def _suite_satake(rep: Report, *, d=None, a=None):
                                 rep.skip("k(A) table", reason)
                                 continue
                             named = {"d": d, "levi": levi, "A": list(A), "a": a, "base": [bp, bm]}
-                            try:
+                            with _naming(named):
                                 k, h = hecke.compute_fH_at_p(
                                     levi, parity, m, mp, m - mp, list(A), a,
                                     delta_plus_square=dps, delta_minus_square=dms,
                                 )
-                            except (ExactDomainError, SingularPointError, ResourceLimitError) as exc:
-                                exc.case = named  # the error witness names the case
-                                raise
                             if not rep.check("k(A) table", k == hecke.expected_k_table(levi, A, a)):
                                 rep.witnesses.append({**named, "kind": "kPart mismatch"})
                             h_parts.append(h.serialize())
@@ -440,31 +446,22 @@ def _suite_signs(rep: Report):
                 case = signs.SignCase(levi, parity, mm + 3, 3, mm)
                 for A in admissible_A(levi):
                     named = {"levi": levi, "parity": parity, "mm": mm, "A": list(A)}
-                    try:
+                    with _naming(named):
                         ok = signs.check_sun_identity(case, A)
-                    except (ExactDomainError, SingularPointError, ResourceLimitError) as exc:
-                        exc.case = named  # the error witness names the case
-                        raise
                     if not rep.check("sun identity", ok):
                         rep.witnesses.append(named)
     for m in (4, 6, 8):
         for mp in range(0, m + 1):
-            try:
+            with _naming({"m": m, "m_plus": mp}):
                 case = signs.SignCase("G", "even", m, mp, m - mp, p=2 * m, q=0)
                 s1 = signs.whittaker_comparison_sign(case, "I")
                 s2 = signs.whittaker_comparison_sign(case, "II")
-            except (ExactDomainError, SingularPointError, ResourceLimitError) as exc:
-                exc.case = {"m": m, "m_plus": mp}  # the error witness names the case
-                raise
             if not rep.check("Whittaker type II", s2 == ((-1) ** (m - mp)) * s1):
                 rep.witnesses.append({"m": m, "m_plus": mp, "kind": "type II relation"})
     for m in range(41):
         for p in range(m + 1):
-            try:
+            with _naming({"m": m, "p": p}):
                 ok = signs.parity_lemma_holds(m, p)
-            except (ExactDomainError, SingularPointError, ResourceLimitError) as exc:
-                exc.case = {"m": m, "p": p}  # the error witness names the case
-                raise
             if not rep.check("parity lemma", ok):
                 rep.witnesses.append({"m": m, "p": p, "kind": "parity lemma"})
 
@@ -474,24 +471,18 @@ def _suite_hilbert(rep: Report, *, pairs=500, seed=7):
     from .exactnum import Place, factorize, hilbert_symbol
 
     def exists(d, det):
-        try:
+        with _naming({"d": d, "det": det}):
             return quadspace.exists_global_form(d, det)
-        except (ExactDomainError, SingularPointError, ResourceLimitError) as exc:
-            exc.case = {"d": d, "det": det}  # the error witness names the case
-            raise
 
     rng = random.Random(seed)
     for _ in range(pairs):
         a = rng.randint(-10000, 10000) or 3
         b = rng.randint(-10000, 10000) or 5
-        try:
+        with _naming({"a": a, "b": b}):
             places = {2} | set(factorize(a)) | set(factorize(b))
             prod = hilbert_symbol(a, b, Place.real())
             for p in sorted(places):
                 prod *= hilbert_symbol(a, b, Place.finite(p))
-        except (ExactDomainError, SingularPointError, ResourceLimitError) as exc:
-            exc.case = {"a": a, "b": b}  # the error witness names the case
-            raise
         if not rep.check("product formula", prod == 1):
             rep.witnesses.append({"a": a, "b": b, "kind": "product formula"})
     for d in range(3, 65):
@@ -513,12 +504,9 @@ def _suite_quasisplit(rep: Report):
         place = Place.finite(p)
         for dim in range(1, 11):
             for entries in itertools.combinations_with_replacement((1, -1, p, -p, 2 * p, -2 * p), dim):
-                try:
+                with _naming({"diag": [str(c) for c in entries], "p": p}):
                     q = quadspace.QuadraticSpace.from_entries(entries)
                     ok = quadspace.is_quasi_split_local(q, place) == quadspace.is_quasi_split_oracle(q, p)
-                except (ExactDomainError, SingularPointError, ResourceLimitError) as exc:
-                    exc.case = {"diag": [str(c) for c in entries], "p": p}  # the error witness names the case
-                    raise
                 if not rep.check("quasi-split against the oracle", ok):
                     rep.witnesses.append({"diag": [str(c) for c in q.diag], "p": p})
 
@@ -526,6 +514,8 @@ def _suite_quasisplit(rep: Report):
 def _suite_kostant(rep: Report, *, max_rank=3, max_coord=2):
     from . import rootdata
 
+    _at_least("max-rank", max_rank, 2)
+    _at_least("max-coord", max_coord, 0)
     for kind in ("B", "D"):
         for m in range(2, max_rank + 1):
             datum = rootdata.RootDatum(kind, m)
@@ -534,11 +524,8 @@ def _suite_kostant(rep: Report, *, max_rank=3, max_coord=2):
                 levi = rootdata.standard_levi(label, m)
                 for lam in lams:
                     named = {"kind": kind, "m": m, "levi": label, "lambda": lam}
-                    try:
+                    with _naming(named):
                         ok = rootdata.kostant_euler_identity(datum, levi, rootdata.Weight.from_ints(lam))
-                    except (ExactDomainError, SingularPointError, ResourceLimitError) as exc:
-                        exc.case = named  # the error witness names the case
-                        raise
                     if not rep.check("Kostant identity", ok):
                         rep.witnesses.append(named)
             # The weight truncations cut at <mu, pi> > -<rho, pi>, which must
@@ -587,11 +574,8 @@ def _suite_waldspurger(rep: Report, *, configs=200, seed=7):
         y = [Fraction(v, 200) for v in ys]
         eta = rng.choice([1, -1])
         named = {"y": [str(v) for v in y], "m_minus": mm, "eta": eta}
-        try:
+        with _naming(named):
             ok = signs.waldspurger_sign(y, mm, eta) == signs.waldspurger_sign_reduced(y, mm, eta)
-        except (ExactDomainError, SingularPointError, ResourceLimitError) as exc:
-            exc.case = named  # the error witness names the case
-            raise
         if not rep.check("raw against reduced", ok):
             rep.witnesses.append(named)
 
@@ -602,25 +586,20 @@ def _suite_invariants(rep: Report):
     ctx = endoscopy.RealCtx()
     for d in range(7, 13):
         delta = 1 if (d % 2 == 1 or (d // 2) % 2 == 0) else -1
-        try:
+        with _naming({"d": d, "delta": delta}):
             eg = {p.key() for p in endoscopy.enumerate_elliptic(d, delta, ctx)}
-        except (ExactDomainError, SingularPointError, ResourceLimitError) as exc:
-            exc.case = {"d": d, "delta": delta}  # the error witness names the case
-            raise
         for levi in ("M1", "M2", "M12"):
-            named = {"d": d, "levi": levi}
-            try:
-                for g in endoscopy.enumerate_G_endoscopy(levi, d, delta, ctx):
-                    named = {"d": d, "levi": levi, "A": sorted(g.A), "base": [g.base.d_plus, g.base.d_minus]}
+            with _naming({"d": d, "levi": levi}):
+                gs = endoscopy.enumerate_G_endoscopy(levi, d, delta, ctx)
+            for g in gs:
+                named = {"d": d, "levi": levi, "A": sorted(g.A), "base": [g.base.d_plus, g.base.d_minus]}
+                with _naming(named):
                     tau_ok = endoscopy.tau_k_identity_check(levi, g, d)
                     image_ok = endoscopy.to_EG(g).key() in eg
-                    if not rep.check("tau-k identity", tau_ok):
-                        rep.witnesses.append(named)
-                    if not rep.check("to_EG image", image_ok):
-                        rep.witnesses.append({"d": d, "levi": levi, "kind": "to_EG image"})
-            except (ExactDomainError, SingularPointError, ResourceLimitError) as exc:
-                exc.case = named  # the error witness names the case
-                raise
+                if not rep.check("tau-k identity", tau_ok):
+                    rep.witnesses.append(named)
+                if not rep.check("to_EG image", image_ok):
+                    rep.witnesses.append({"d": d, "levi": levi, "kind": "to_EG image"})
 
 
 SUITES = {

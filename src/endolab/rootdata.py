@@ -69,10 +69,6 @@ class Weight:
     def from_ints(cls, coords: Sequence[int]) -> "Weight":
         return cls(tuple(2 * c for c in coords))
 
-    @classmethod
-    def from_halves(cls, doubled: Sequence[int]) -> "Weight":
-        return cls(tuple(doubled))
-
     @property
     def rank(self) -> int:
         return len(self.doubled)
@@ -253,18 +249,6 @@ def circle_point(t: Fraction) -> GaussianRational:
     return GaussianRational((1 - t * t) / den, 2 * t / den)
 
 
-def evaluate_character_monomial(gamma: TorusPoint, exponents: Sequence[int]) -> GaussianRational:
-    out = GaussianRational(1)
-    for z, e in zip(gamma.coords, exponents):
-        if e:
-            out = out * (z ** e)
-    return out
-
-
-def evaluate_root(gamma: TorusPoint, alpha: Root) -> GaussianRational:
-    return evaluate_character_monomial(gamma, alpha)
-
-
 @lru_cache(maxsize=None)
 def weyl_table(kind: str, m: int) -> tuple:
     """Cached (w, inversion root indices, sign) triples for the full group, in
@@ -378,27 +362,37 @@ def evaluate_terms(terms, powers: Sequence[_Powers]) -> GaussianRational:
     return GaussianRational._raw(re_sum, im_sum, den) * shift
 
 
-def weyl_denominator(datum: RootDatum, powers: Sequence[_Powers]) -> GaussianRational:
-    """Delta = prod_{a > 0} (1 - a^-1) at the point of the power table; raises
-    SingularPointError on a root wall."""
+def root_value(powers: Sequence[_Powers], alpha: Sequence[int]) -> GaussianRational:
+    """alpha(gamma) = prod_j z_j^{alpha_j}, read from the power table of gamma;
+    alpha is a root or its negative."""
+    v = ONE
+    for row, c in zip(powers, alpha):
+        if c:
+            v = v * row[c]
+    return v
+
+
+def weyl_denominator(roots: Sequence[Root], powers: Sequence[_Powers]) -> GaussianRational:
+    """prod_{a in roots} (1 - a^-1) at the point of the power table: Delta over
+    the positive roots of a datum, Delta_M over those of a Levi.  It is 0 on
+    a root wall."""
     delta = ONE
-    for alpha in datum.positive_roots():
-        v = ONE
-        for row, c in zip(powers, alpha):
-            if c:
-                v = v * row[-c]
-        if v.is_one():
-            raise SingularPointError("torus point lies on a root wall")
-        delta = delta * (ONE - v)
+    for alpha in roots:
+        delta = delta * (ONE - root_value(powers, [-c for c in alpha]))
     return delta
 
 
 def weyl_character(datum: RootDatum, lam: Weight, gamma: TorusPoint) -> GaussianRational:
     """Exact Weyl character value at a regular point:
-    Delta(gamma)^{-1} sum_w eps(w) gamma^{w(lam+rho)-rho}."""
+    Delta(gamma)^{-1} sum_w eps(w) gamma^{w(lam+rho)-rho}; raises
+    SingularPointError on a root wall.  This is the reference composition of
+    alternant_terms, weyl_denominator and evaluate_terms: the tests and the
+    benchmark's check call it, and the archimedean evaluators use its parts."""
     terms = alternant_terms(datum, lam)
     powers = power_table(gamma)
-    delta = weyl_denominator(datum, powers)
+    delta = weyl_denominator(datum.positive_roots(), powers)
+    if delta.is_zero():
+        raise SingularPointError("torus point lies on a root wall")
     return evaluate_terms(terms, powers) / delta
 
 

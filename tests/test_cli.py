@@ -142,6 +142,16 @@ def test_signs_table():
     assert "False" not in r.stdout
 
 
+def test_signs_negative_m_minus_max_is_an_input_error(capsys):
+    """It used to print only the header and pass with 0 rows."""
+    from endolab import cli
+
+    assert cli.main(["signs", "--m-minus-max", "-1"]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert (out["command"], out["status"]) == ("signs", "error")
+    assert out["witnesses"] == [{"error": "--m-minus-max must be >= 0, got -1"}]
+
+
 def test_verify_suites_quick():
     assert run("verify", "vanishing", "--r", "3", "--trials", "2", "--seed", "1").returncode == 0
     assert run("verify", "waldspurger", "--configs", "30", "--seed", "2").returncode == 0
@@ -196,6 +206,24 @@ def test_verify_optional_parameter_out_of_range_is_a_usage_error(capsys, argv):
     flag = argv[1]
     assert out["parameters"][flag[2:]] == 0
     assert out["witnesses"][-1]["error"].startswith(f"{flag} must be >= ")
+
+
+@pytest.mark.parametrize(
+    "flag, key, value, low",
+    [("--max-rank", "max_rank", 1, 2), ("--max-coord", "max_coord", -1, 0)],
+)
+def test_verify_kostant_range_is_a_usage_error(capsys, flag, key, value, low):
+    """Both used to end in "no case checked" instead of naming the flag."""
+    code, out = _verify(capsys, "kostant", flag, str(value))
+    assert (code, out["status"], out["checks"]) == (2, "error", {})
+    assert out["parameters"][key] == value
+    assert out["witnesses"] == [{"error": f"{flag} must be >= {low}, got {value}"}]
+
+
+def test_verify_kostant_max_coord_0_is_checked(capsys):
+    code, out = _verify(capsys, "kostant", "--max-rank", "2", "--max-coord", "0")
+    assert (code, out["status"]) == (0, "pass")
+    assert out["checks"]["Kostant identity"]["checked"] > 0
 
 
 def test_verify_zero_cases_is_an_error(capsys):
