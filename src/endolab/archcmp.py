@@ -4,12 +4,15 @@ comparison and symmetry identities.
 
 Both sides of each identity are computed through disjoint code paths: the
 Kostant-Weyl term goes through Kostant cohomology entries, weight truncation
-and Levi Weyl characters; the character sum goes through the rank <= 2 cone
+and Levi Weyl numerators; the character sum goes through the rank <= 2 cone
 tables.  All values are normalized by the same positive factor
 delta_P^(1/2) Delta_M^(-1), so equality of the normalized values is equivalent
-to the stated identities.  The chamber position x = (log|a|, log|b|) is never
-computed with logarithms: its cone is decided by exact comparisons of |a|, |b|
-against 1 and each other.
+to the stated identities.  Normalized, the Kostant-Weyl term is a sum of
+integer-coefficient monomials at gamma: Delta_M cancels the Levi Weyl
+denominators, and on M12 the term at omega_0 gamma and its delta_P^(1/2)
+ratio are exponent shifts, so no denominator and no second point is built.
+The chamber position x = (log|a|, log|b|) is never computed with logarithms:
+its cone is decided by exact comparisons of |a|, |b| against 1 and each other.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .rootdata import (
     RootDatum,
     TorusPoint,
     Weight,
-    WeylElement,
     alternant_terms,
     circle_point,
     evaluate_terms,
@@ -44,7 +46,6 @@ from .rootdata import (
     rho,
     root_value,
     standard_levi,
-    weyl_denominator,
 )
 
 
@@ -154,11 +155,13 @@ def _omega_data(kind: str, m: int, lam: tuple[int, ...]):
 
 @lru_cache(maxsize=64)
 def _kostant_data(kind: str, m: int, levi_label: str, lam: tuple[int, ...], cutoffs: tuple[str, ...]):
-    """The numerator of the truncated Kostant trace over the shared
-    denominators, as (coefficient, exponents) terms: per truncated entry,
-    (-1)^deg times the GL heads times the alternant terms of the SO-tail
-    weight.  The heads are x^{a+1} y^b and -x^b y^{a+1} over x - y on M1, and
-    one monomial on M2 and M12."""
+    """Delta_M times the truncated Kostant trace, sum over the truncated
+    entries of (-1)^deg Delta_M ch_M(mu), as (coefficient, exponents) terms.
+    The Levi characters share their denominators, GL_2's x - y on M1 and the
+    SO tail's Delta, and Delta_M cancels them: on M2 and M12 it is the tail's
+    Delta, so each entry is its head monomial times the alternant terms of
+    the SO-tail weight; on M1 it is the tail's Delta times 1 - y/x, which
+    leaves the GL_2 numerator over x, with heads x^a y^b and -x^(b-1) y^(a+1)."""
     datum = RootDatum(kind, m)
     levi = standard_levi(levi_label, m)
     tail = RootDatum(kind, m - levi.so_start)
@@ -171,7 +174,7 @@ def _kostant_data(kind: str, m: int, levi_label: str, lam: tuple[int, ...], cuto
             sgn = -1 if deg % 2 else 1
             if levi_label == "M1":
                 a, b = c[:2]
-                heads = ((sgn, (a + 1, b)), (-sgn, (b, a + 1)))
+                heads = ((sgn, (a, b)), (-sgn, (b - 1, a + 1)))
             else:
                 heads = ((sgn, c[: levi.so_start]),)
             for eps, so in alternant_terms(tail, Weight.from_ints(c[levi.so_start :])):
@@ -179,21 +182,18 @@ def _kostant_data(kind: str, m: int, levi_label: str, lam: tuple[int, ...], cuto
     return tuple(terms)
 
 
-def _delta_factor(case: ArchCase, levi_label: str, powers) -> GaussianRational:
-    """Delta_M(gamma) = prod over Levi-positive roots of (1 - alpha^-1(gamma))."""
-    return weyl_denominator(levi_positive_roots(case.datum, standard_levi(levi_label, case.m)), powers)
-
-
-def _kostant_trace(case: ArchCase, levi_label: str, cutoffs: tuple[str, ...], powers) -> GaussianRational:
-    """sum over the truncated Kostant entries of (-1)^deg ch_M(mu)(gamma).  The
-    Levi characters share their denominators, GL_2's x - y on M1 and the SO
-    tail's Delta, so the numerators are summed and divided once."""
-    kind = case.datum.kind
-    start = standard_levi(levi_label, case.m).so_start
-    den = weyl_denominator(RootDatum(kind, case.m - start).positive_roots(), powers[start:])
-    if levi_label == "M1":
-        den = den * (powers[0].z - powers[1].z)
-    return evaluate_terms(_kostant_data(kind, case.m, levi_label, case.lam, cutoffs), powers) / den
+@lru_cache(maxsize=64)
+def _omega0_data(kind: str, m: int, lam: tuple[int, ...]):
+    """The M12 term at omega_0 gamma times the delta_P^(1/2) ratio, as terms
+    at gamma.  omega_0 inverts b (and z, the first tail coordinate, on D), so
+    (omega_0 gamma)^e = gamma^(omega_0 e).  On B the ratio is |b|^-(2m-3),
+    sgn(b) b^-(2m-3), whose sign the caller applies; on D it is b^-2(m-2),
+    and Delta_tail(gamma) / Delta_tail(omega_0 gamma) = z^-2(m-3)."""
+    if kind == "B":
+        shift = lambda e: (e[0], -e[1] - (2 * m - 3)) + e[2:]
+    else:
+        shift = lambda e: (e[0], -e[1] - 2 * (m - 2), -e[2] - 2 * (m - 3)) + e[3:]
+    return tuple((c, shift(e)) for c, e in _kostant_data(kind, m, "M12", lam, ("pi1", "pi2")))
 
 
 # --- the Kostant-Weyl terms ----------------------------------------------------
@@ -218,37 +218,31 @@ def _delta_half_ratio(case: ArchCase, powers, powers_p) -> Fraction:
 
 def L_M_normalized(case: ArchCase, sample: GammaSample, point) -> GaussianRational:
     """The Kostant-Weyl term divided by the common factor delta_P^(1/2) Delta_M^(-1),
-    at the point (gamma, power table) that torus_point built for the sample.
+    at the point (gamma, power table) that torus_point built for the sample:
+    integer-coefficient monomials at gamma, one term list per Kostant trace.
 
     Cases M1/M2 are single truncated traces (M2 carries the factor 2); case M12
-    adds the conjugate-by-n_12 term and subtracts the intermediate M2 term, with
-    the exact square root of the delta_P ratio and the sign eta_2.
+    adds the conjugate-by-n_12 term at omega_0 gamma and subtracts the
+    intermediate M2 term with the sign eta_2.
     """
-    gamma, powers = point
-    m = case.m
+    _, powers = point
+    kind, m, lam = case.datum.kind, case.m, case.lam
     if case.levi == "M1":
-        return _delta_factor(case, "M1", powers) * _kostant_trace(case, "M1", ("pi1",), powers)
+        return evaluate_terms(_kostant_data(kind, m, "M1", lam, ("pi1",)), powers)
+    t_m2 = evaluate_terms(_kostant_data(kind, m, "M2", lam, ("pi2",)), powers)
     if case.levi == "M2":
-        tr = _kostant_trace(case, "M2", ("pi2",), powers)
-        return 2 * (_delta_factor(case, "M2", powers) * tr)
-    # M12
+        return 2 * t_m2
     b = sample.b
     if b in (1, -1):
         raise SingularPointError("b on a wall")
     if case.parity == "odd":
-        omega0 = WeylElement((1, -1) + (1,) * (m - 2), tuple(range(m)))
+        ratio_sign = 1 if b > 0 else -1
         eta2 = -1 if 0 < b < 1 else 1
     else:
-        omega0 = WeylElement((1, -1, -1) + (1,) * (m - 3), tuple(range(m)))
-        eta2 = 1
-    powers_p = power_table(gamma.apply(omega0))
-    ratio = _delta_half_ratio(case, powers, powers_p)
-    delta_M = _delta_factor(case, "M12", powers)
-    t_gamma = _kostant_trace(case, "M12", ("pi1", "pi2"), powers)
-    t_gamma_p = _kostant_trace(case, "M12", ("pi1", "pi2"), powers_p)
-    t_m2 = _kostant_trace(case, "M2", ("pi2",), powers)
-    delta_M2 = _delta_factor(case, "M2", powers)
-    return delta_M * t_gamma + ratio * (delta_M * t_gamma_p) - eta2 * (delta_M2 * t_m2)
+        ratio_sign = eta2 = 1
+    t_gamma = evaluate_terms(_kostant_data(kind, m, "M12", lam, ("pi1", "pi2")), powers)
+    t_omega0 = evaluate_terms(_omega0_data(kind, m, lam), powers)
+    return t_gamma + ratio_sign * t_omega0 - eta2 * t_m2
 
 
 # --- the character sums ---------------------------------------------------------

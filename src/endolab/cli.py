@@ -108,7 +108,10 @@ def _naming(case: dict):
 
 
 def _parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ExactDomainError(f"the denominator must not be zero, got {text.strip()!r}") from None
 
 
 def _parse_rational_list(text: str) -> list[Fraction]:
@@ -151,10 +154,14 @@ def cmd_quadspace(args) -> Report:
 
     params = {"diag": args.diag, "gram": args.gram}
     rep = Report("quadspace", params)
+    if args.diag is not None and args.gram is not None:
+        raise ExactDomainError("give --diag or --gram, not both")
     if args.diag:
         q = quadspace.QuadraticSpace.from_entries(_parse_rational_list(args.diag))
     elif args.gram:
         rows = json.loads(args.gram)
+        if not isinstance(rows, list) or not all(isinstance(row, list) and len(row) == len(rows) for row in rows):
+            raise ExactDomainError(f"the --gram matrix must be a square list of rows, got {args.gram}")
         gram = [[_parse_rational(str(c)) for c in row] for row in rows]
         q = quadspace.diagonalize(gram)
     else:

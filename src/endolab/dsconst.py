@@ -22,11 +22,9 @@ from .exactnum import RationalLike, _as_fraction
 
 @dataclass(frozen=True)
 class Partition2:
-    """Unordered partition into blocks of size 1 or 2; `marked` singles out one
-    singleton block in the two-singleton variant."""
+    """Unordered partition into blocks of size 1 or 2."""
 
     blocks: tuple[tuple[int, ...], ...]
-    marked: Optional[tuple[int, ...]] = None
 
 
 def _sorting_sign(seq: Sequence[int]) -> int:
@@ -64,30 +62,6 @@ def partitions_le2(index_set: Sequence[int]) -> list[tuple[Partition2, int]]:
             rec(rest, acc + [(head,)], True)
 
     rec(tuple(elts), [], False)
-    return out
-
-
-def partitions_prime(index_set: Sequence[int]) -> list[tuple[Partition2, int]]:
-    """Partitions of an even-size set with exactly two singletons, one marked.
-
-    The sign enumerates the marked singleton after the unmarked one.
-    """
-    elts = sorted(index_set)
-    if len(elts) % 2:
-        raise ExactDomainError("the two-singleton variant needs an even set")
-    if len(elts) > 14:
-        raise ResourceLimitError("partition enumeration refused beyond 14 elements")
-    out: list[tuple[Partition2, int]] = []
-    for s1, s2 in itertools.combinations(elts, 2):
-        rest = [x for x in elts if x not in (s1, s2)]
-        for pairing, _ in partitions_le2(rest):
-            if any(len(b) == 1 for b in pairing.blocks):
-                continue
-            for marked in ((s1,), (s2,)):
-                unmarked = (s2,) if marked == (s1,) else (s1,)
-                blocks = tuple(sorted(pairing.blocks)) + (unmarked, marked)
-                sign = _partition_sign(blocks)
-                out.append((Partition2(tuple(sorted(blocks)), marked=marked), sign))
     return out
 
 

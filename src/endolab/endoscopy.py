@@ -71,12 +71,20 @@ def _context_classes(ctx) -> list[SquareClass]:
     raise ExactDomainError(f"unsupported context {ctx!r}")
 
 
-def _trivial_class(ctx) -> SquareClass:
+def _delta_class(delta, ctx) -> SquareClass:
+    """delta as a square class of the context (a SquareClass is kept as is)."""
+    if isinstance(delta, SquareClass):
+        return delta
     if isinstance(ctx, RealCtx):
-        return squareclass_of(1, REAL_CONTEXT)
+        return squareclass_of(delta, REAL_CONTEXT)
     if isinstance(ctx, LocalCtx):
-        return squareclass_of(1, ctx.p)
-    return squareclass_of(1, GLOBAL)
+        return squareclass_of(delta, ctx.p)
+    return squareclass_of(delta, GLOBAL)
+
+
+def _excluded(d: int, delta: SquareClass) -> bool:
+    """The even-case factor values no datum takes: (0, nontrivial) and (2, trivial)."""
+    return (d == 0 and not delta.is_trivial) or (d == 2 and delta.is_trivial)
 
 
 @dataclass(frozen=True)
@@ -100,10 +108,8 @@ class EndoParams:
             if self.d_plus % 2 or self.d_minus % 2:
                 raise ExactDomainError("even case needs even d+ and d-")
             for d, delta in ((self.d_plus, self.delta_plus), (self.d_minus, self.delta_minus)):
-                if d == 0 and not delta.is_trivial:
-                    raise ExactDomainError("(0, nontrivial) is excluded")
-                if d == 2 and delta.is_trivial:
-                    raise ExactDomainError("(2, trivial) is excluded")
+                if _excluded(d, delta):
+                    raise ExactDomainError(f"({d}, {'trivial' if delta.is_trivial else 'nontrivial'}) is excluded")
 
     @property
     def d(self) -> int:
@@ -145,30 +151,20 @@ def enumerate_elliptic(d: int, delta, context) -> list[EndoParams]:
     """
     if d < 3:
         raise ExactDomainError("d must be >= 3")
-    triv = _trivial_class(context)
+    triv = _delta_class(1, context)
     out: dict = {}
     if d % 2 == 1:
         for d_plus in range(1, d + 1, 2):
             p = _canonical_swap(EndoParams("odd", d_plus, d + 1 - d_plus, triv, triv))
             out[p.key()] = p
         return sorted(out.values(), key=EndoParams.key)
-    if isinstance(delta, SquareClass):
-        delta_cls = delta
-    else:
-        if isinstance(context, RealCtx):
-            delta_cls = squareclass_of(delta, REAL_CONTEXT)
-        elif isinstance(context, LocalCtx):
-            delta_cls = squareclass_of(delta, context.p)
-        else:
-            delta_cls = squareclass_of(delta, GLOBAL)
+    delta_cls = _delta_class(delta, context)
     for d_plus in range(0, d + 1, 2):
         for dp in _context_classes(context):
             dm = dp * delta_cls
-            try:
-                p = EndoParams("even", d_plus, d - d_plus, dp, dm)
-            except ExactDomainError:
+            if _excluded(d_plus, dp) or _excluded(d - d_plus, dm):
                 continue
-            p = _canonical_swap(p)
+            p = _canonical_swap(EndoParams("even", d_plus, d - d_plus, dp, dm))
             out[p.key()] = p
     return sorted(out.values(), key=EndoParams.key)
 
@@ -245,30 +241,21 @@ def _enumerate_base(levi: str, d: int, delta, context, A: frozenset[int]) -> Ite
     """Base data for the Levi SO factor whose induced ambient data stay admissible."""
     i = 1 if levi == "M2" else 2
     d_so = d - 2 * i
-    triv = _trivial_class(context)
+    triv = _delta_class(1, context)
     nA, nAc = len(A), len(_index_set(levi)) - len(A)
     if d % 2 == 1:
         for d_plus in range(1, d_so + 1, 2):
             yield EndoParams("odd", d_plus, d_so + 1 - d_plus, triv, triv)
         return
-    if isinstance(delta, SquareClass):
-        delta_cls = delta
-    elif isinstance(context, RealCtx):
-        delta_cls = squareclass_of(delta, REAL_CONTEXT)
-    elif isinstance(context, LocalCtx):
-        delta_cls = squareclass_of(delta, context.p)
-    else:
-        delta_cls = squareclass_of(delta, GLOBAL)
+    delta_cls = _delta_class(delta, context)
     for d_plus in range(0, d_so + 1, 2):
+        d_minus = d_so - d_plus
         for dp in _context_classes(context):
             dm = dp * delta_cls
-            try:
-                base = EndoParams("even", d_plus, d_so - d_plus, dp, dm)
-                # induced ambient parameters must avoid the excluded values too
-                EndoParams("even", d_plus + 2 * nA, d_so - d_plus + 2 * nAc, dp, dm)
-            except ExactDomainError:
-                continue
-            yield base
+            # the induced ambient parameters must avoid the excluded values too
+            pairs = ((d_plus, dp), (d_minus, dm), (d_plus + 2 * nA, dp), (d_minus + 2 * nAc, dm))
+            if not any(_excluded(n, c) for n, c in pairs):
+                yield EndoParams("even", d_plus, d_minus, dp, dm)
 
 
 def g_out_group_size(g: GEndoParams) -> int:

@@ -488,11 +488,6 @@ def _kostant_table(datum: RootDatum, levi: LeviBlocks) -> list[tuple[int, WeylEl
     return sorted(out, key=lambda t: t[0])
 
 
-def kostant_reps(datum: RootDatum, levi: LeviBlocks) -> list[WeylElement]:
-    """Minimal-length coset representatives: w with Phi(w) inside the nilradical roots."""
-    return [w for _, w in _kostant_table(datum, levi)]
-
-
 def levi_is_dominant(datum: RootDatum, levi: LeviBlocks, mu: Weight) -> bool:
     c = mu.doubled
     for block in levi.gl_blocks:

@@ -4,6 +4,7 @@ reports pass having checked at least the listed number of cases of each
 identity.  All comparisons are exact: the tolerance is zero.  Criterion 7 runs
 negative controls that must fail.  Each gate prints one pass/fail line."""
 
+import hashlib
 import time
 from fractions import Fraction
 
@@ -27,6 +28,21 @@ GATES = {
     6: {"kostant": {"Kostant identity": 222, "truncation cutoffs": 480}},
 }
 
+# sha256 of each suite's report JSON, the stdout of `endolab verify SUITE` at
+# its acceptance parameters.  A change that keeps every gate but alters what
+# a report says shows here; a change meant to alter a report updates its row.
+REPORT_SHA256 = {
+    "vanishing": "a8fe5f59c3e50c78fc1e402f698b018eedde8b2b5837092a43b078dfff9f0c60",
+    "arch": "0b5ed6b973d3c4c89c07b80a2260d7cd995b37d607e73f7c250b1f8241d074f9",
+    "satake": "1b5fa4ec3112ae49b8f80315d5e5fffd6b96de5e6cb66ae009408fd78a6e84a7",
+    "hilbert": "b1ed44a872d1e23db801cd3d0a623b48a8605bb515ce37dbddbd6281fd0eb9e0",
+    "quasisplit": "504a65680a7d5f32ba3086e2f60b2df2cd779d70f11eaa549b19589460c46011",
+    "invariants": "148b6164705efe34b096b5cd4fbe007720bba87817a349bd91c4ce7912a8e3f2",
+    "signs": "d3250b75b912de72a844675e900a247bc478858c82a2c237e278846e072430ca",
+    "waldspurger": "8eeab1be97d47c5a0626e7f452b4b5b1fdacac5d9f2554ce1b6942c45d62c462",
+    "kostant": "310cde5bba8c1002a9386ead40d2aa5fddcf36c1fc403bbc069952edc9caf8e3",
+}
+
 
 def _gate(criterion: int, name: str) -> dict:
     t0 = time.time()
@@ -36,6 +52,9 @@ def _gate(criterion: int, name: str) -> dict:
         reports[suite] = rep
         if rep.status != "pass":
             problems.append(f"{suite}: {rep.status} {rep.witnesses[:2]}")
+        digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
+        if digest != REPORT_SHA256[suite]:
+            problems.append(f"{suite}: report sha256 {digest}, pinned {REPORT_SHA256[suite]}")
         for identity, n in minimum.items():
             checked = rep.checks.get(identity, {}).get("checked", 0)
             if checked < n:
@@ -49,7 +68,7 @@ def _gate(criterion: int, name: str) -> dict:
 
 def test_every_suite_has_acceptance_parameters_and_one_gate():
     gated = [suite for gate in GATES.values() for suite in gate]
-    assert sorted(gated) == sorted(ACCEPTANCE) == sorted(SUITES)
+    assert sorted(gated) == sorted(ACCEPTANCE) == sorted(SUITES) == sorted(REPORT_SHA256)
 
 
 def test_criterion_1_vanishing_suite():

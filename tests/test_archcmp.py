@@ -13,6 +13,7 @@ from endolab.archcmp import (
     Phi_endos_normalized,
     Phi_normalized,
     _character_sum,
+    _delta_half_ratio,
     _sample_circles,
     identity_gap,
     sample_in_range,
@@ -22,7 +23,7 @@ from endolab.archcmp import (
 )
 from endolab.errors import ExactDomainError, ResourceLimitError, SingularPointError
 from endolab.exactnum import GaussianRational
-from endolab.rootdata import RootDatum, Weight, rho, weyl_enumerate
+from endolab.rootdata import RootDatum, Weight, WeylElement, power_table, rho, weyl_denominator, weyl_enumerate
 
 ZERO = GaussianRational(0)
 
@@ -118,6 +119,71 @@ def test_normalized_values_are_pinned(levi, d):
         values.append([[z.re_n, z.im_n, z.den] for z in row])
     digest = hashlib.sha256(json.dumps(values, separators=(",", ":")).encode()).hexdigest()
     assert digest == PINNED_VALUES[(levi, d)]
+
+
+def _omega0(case):
+    """omega_0 of the M12 term: it inverts b, and on D also z, the first tail coordinate."""
+    flips = 1 if case.parity == "odd" else 2
+    return WeylElement((1,) + (-1,) * flips + (1,) * (case.m - 1 - flips), tuple(range(case.m)))
+
+
+def _m12_points(case):
+    """Seeded stated-range points of an M12 case, three with b in each of
+    (-inf, -1), (-1, 0), (0, 1) and (1, inf)."""
+    rng = random.Random(case.d)
+    out = {}
+    for _ in range(200):
+        sample = sample_in_range(case, rng)
+        points = out.setdefault((sample.b > 0, abs(sample.b) > 1), [])
+        if len(points) < 3:
+            points.append((sample, torus_point(case, sample)))
+        if sorted(map(len, out.values())) == [3, 3, 3, 3]:
+            break
+    assert sorted(map(len, out.values())) == [3, 3, 3, 3]
+    return [p for points in out.values() for p in points]
+
+
+@pytest.mark.parametrize("d", [7, 8, 9, 10])
+def test_omega0_delta_half_ratio_is_a_monomial_in_b(d):
+    """delta_P^(1/2)(omega_0 gamma) / delta_P^(1/2)(gamma), root by root, is
+    sgn(b) b^-(2m-3) = |b|^-(2m-3) on B and b^-2(m-2) on D: the shift and
+    sign that the omega_0 term list applies at gamma."""
+    case = ArchCase("M12", d, tuple(([3, 2, 1] + [0] * d)[: d // 2]))
+    m = case.m
+    for sample, (gamma, powers) in _m12_points(case):
+        b = sample.b
+        if case.parity == "odd":
+            closed = (1 if b > 0 else -1) * b ** -(2 * m - 3)
+        else:
+            closed = b ** -(2 * (m - 2))
+        assert _delta_half_ratio(case, powers, power_table(gamma.apply(_omega0(case)))) == closed
+
+
+@pytest.mark.parametrize("d", [8, 10])
+def test_omega0_tail_denominator_is_z_power(d):
+    """On D, omega_0 inverts z, and Delta_tail(omega_0 gamma) = z^2(m-3) Delta_tail(gamma)."""
+    case = ArchCase("M12", d, tuple(([3, 2, 1] + [0] * d)[: d // 2]))
+    tail = RootDatum("D", case.m - 2).positive_roots()
+    for _, (gamma, powers) in _m12_points(case):
+        at_omega0 = weyl_denominator(tail, power_table(gamma.apply(_omega0(case)))[2:])
+        assert at_omega0 == gamma.coords[2] ** (2 * (case.m - 3)) * weyl_denominator(tail, powers[2:])
+
+
+@pytest.mark.parametrize("d", [7, 8])
+def test_m1_heads_without_the_1_over_x_shift_fail(monkeypatch, d):
+    """Negative control: the M1 heads x^(a+1) y^b - x^b y^(a+1), the GL_2
+    numerator before Delta_M cancels x - y, break the identity."""
+    case = ArchCase("M1", d, tuple(([3, 2, 1] + [0] * d)[: d // 2]))
+    rng = random.Random(d)
+    samples = [sample_in_range(case, rng) for _ in range(3)]
+    assert all(identity_gap(case, s) == ZERO for s in samples)
+    real = archcmp._kostant_data
+
+    def times_x(kind, m, levi_label, lam, cutoffs):
+        return tuple((c, (e[0] + 1,) + e[1:]) for c, e in real(kind, m, levi_label, lam, cutoffs))
+
+    monkeypatch.setattr(archcmp, "_kostant_data", times_x)
+    assert all(identity_gap(case, s) != ZERO for s in samples)
 
 
 def test_character_sum_without_rho_shift_fails(monkeypatch):

@@ -115,6 +115,29 @@ def test_quadspace_bad_input_exit2():
     assert run("quadspace").returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (["--gram", "5"], "the --gram matrix must be a square list of rows, got 5"),
+        (["--gram", "[[1,2],[2]]"], "the --gram matrix must be a square list of rows, got [[1,2],[2]]"),
+        (["--gram", "[[]]"], "the --gram matrix must be a square list of rows, got [[]]"),
+        (["--gram", "[[1,2]]"], "the --gram matrix must be a square list of rows, got [[1,2]]"),
+        (["--diag", "1/0"], "the denominator must not be zero, got '1/0'"),
+        (["--gram", '[["1/0"]]'], "the denominator must not be zero, got '1/0'"),
+        (["--diag", "1,2", "--gram", "[[1]]"], "give --diag or --gram, not both"),
+    ],
+)
+def test_quadspace_malformed_input_is_an_input_error(capsys, argv, error):
+    """These used to end in a traceback with exit 1, or, for a 1 x 2 matrix
+    and for both flags, to pass on a form the user did not give."""
+    from endolab import cli
+
+    assert cli.main(["quadspace", *argv]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert (out["command"], out["status"]) == ("quadspace", "error")
+    assert out["witnesses"] == [{"error": error}]
+
+
 def test_endoscopy_table():
     r = run("endoscopy", "--d", "7")
     assert r.returncode == 0

@@ -17,7 +17,6 @@ from endolab.dsconst import (
     herb_sum,
     herb_sum_direct,
     partitions_le2,
-    partitions_prime,
     vanishing_quantities,
 )
 from endolab.errors import ExactDomainError, ResourceLimitError, SingularPointError
@@ -40,22 +39,11 @@ def test_partition_counts():
     assert partitions_le2([])[0][1] == 1
 
 
-def test_partitions_prime_counts():
-    assert partitions_prime([]) == []
-    assert len(partitions_prime([1, 2])) == 2
-    assert len(partitions_prime([1, 2, 3, 4])) == 12
-    with pytest.raises(ExactDomainError):
-        partitions_prime([1, 2, 3])
-
-
 def test_partition_signs():
     by_blocks = {p.blocks: s for p, s in partitions_le2([1, 2, 3])}
     assert by_blocks[((1, 2), (3,))] == 1
     assert by_blocks[((1, 3), (2,))] == -1
     assert by_blocks[((1,), (2, 3))] == 1
-    primes = {(p.blocks, p.marked): s for p, s in partitions_prime([1, 2])}
-    assert primes[(((1,), (2,)), (2,))] == 1
-    assert primes[(((1,), (2,)), (1,))] == -1
 
 
 def test_c_functions():

@@ -12,9 +12,7 @@ ROOT = Path(__file__).resolve().parents[1]
 ALLOWED = {
     "herb_sum",
     "herb_sum_direct",
-    "partitions_prime",
     "hilbert_symbol_oracle",
-    "kostant_reps",
     "weyl_character",
     "verify_symmetry",
 }
