@@ -391,7 +391,7 @@ def _suite_arch(rep: Report, *, d=None, case=None, lam=None, samples=50, seed=7)
 
 def _suite_satake(rep: Report, *, d=None, a=None):
     from . import hecke
-    from .levi import admissible_A
+    from .levi import admissible_A, gl_labels
 
     _at_least("d", d, 7)
     _at_least("a", a, 1)
@@ -399,8 +399,8 @@ def _suite_satake(rep: Report, *, d=None, a=None):
     for d in [d] if d is not None else [7, 8, 9, 10]:
         parity = "odd" if d % 2 else "even"
         m = d // 2
-        for levi, i in (("M1", 2), ("M2", 1), ("M12", 2)):
-            d_so = d - 2 * i
+        for levi in ("M1", "M2", "M12"):
+            d_so = d - 2 * len(gl_labels(levi))
             if d_so < 3:
                 continue
             if parity == "odd":

@@ -21,12 +21,11 @@ from .exactnum import (
     REAL_CONTEXT,
     Place,
     SquareClass,
+    factorize,
     padic_valuation,
     squareclass_of,
 )
-from .levi import admissible_A
-
-LEVI_LABELS = ("G", "M1", "M2", "M12")
+from .levi import admissible_A, excluded_factor, gl_labels
 
 
 @dataclass(frozen=True)
@@ -72,19 +71,21 @@ def _context_classes(ctx) -> list[SquareClass]:
 
 
 def _delta_class(delta, ctx) -> SquareClass:
-    """delta as a square class of the context (a SquareClass is kept as is)."""
+    """delta as a square class of the context (a SquareClass is kept as is); a
+    global class must be unramified outside the support."""
     if isinstance(delta, SquareClass):
         return delta
     if isinstance(ctx, RealCtx):
         return squareclass_of(delta, REAL_CONTEXT)
     if isinstance(ctx, LocalCtx):
         return squareclass_of(delta, ctx.p)
-    return squareclass_of(delta, GLOBAL)
-
-
-def _excluded(d: int, delta: SquareClass) -> bool:
-    """The even-case factor values no datum takes: (0, nontrivial) and (2, trivial)."""
-    return (d == 0 and not delta.is_trivial) or (d == 2 and delta.is_trivial)
+    cls = squareclass_of(delta, GLOBAL)
+    outside = [str(p) for p in factorize(cls.rep) if p not in ctx.support]
+    if outside:
+        raise ExactDomainError(
+            f"delta {delta} is ramified at {', '.join(outside)}, outside the support {list(ctx.support)}"
+        )
+    return cls
 
 
 @dataclass(frozen=True)
@@ -108,8 +109,9 @@ class EndoParams:
             if self.d_plus % 2 or self.d_minus % 2:
                 raise ExactDomainError("even case needs even d+ and d-")
             for d, delta in ((self.d_plus, self.delta_plus), (self.d_minus, self.delta_minus)):
-                if _excluded(d, delta):
-                    raise ExactDomainError(f"({d}, {'trivial' if delta.is_trivial else 'nontrivial'}) is excluded")
+                reason = excluded_factor(d, delta.is_trivial)
+                if reason:
+                    raise ExactDomainError(f"{reason} is excluded")
 
     @property
     def d(self) -> int:
@@ -162,7 +164,7 @@ def enumerate_elliptic(d: int, delta, context) -> list[EndoParams]:
     for d_plus in range(0, d + 1, 2):
         for dp in _context_classes(context):
             dm = dp * delta_cls
-            if _excluded(d_plus, dp) or _excluded(d - d_plus, dm):
+            if excluded_factor(d_plus, dp.is_trivial) or excluded_factor(d - d_plus, dm.is_trivial):
                 continue
             p = _canonical_swap(EndoParams("even", d_plus, d - d_plus, dp, dm))
             out[p.key()] = p
@@ -195,11 +197,7 @@ class GEndoParams:
 
     @property
     def A_complement(self) -> frozenset[int]:
-        return frozenset(_index_set(self.levi)) - self.A
-
-
-def _index_set(levi: str) -> tuple[int, ...]:
-    return (1,) if levi == "M2" else (1, 2)
+        return frozenset(gl_labels(self.levi)) - self.A
 
 
 def to_EG(g: GEndoParams) -> EndoParams:
@@ -220,8 +218,7 @@ def enumerate_G_endoscopy(levi: str, d: int, delta, context) -> list[GEndoParams
     """Bi-elliptic refined data for the Levi, up to simultaneous swapping."""
     if levi == "G":
         raise ExactDomainError("use enumerate_elliptic for the full group")
-    i = 1 if levi == "M2" else 2
-    if d - 2 * i < 3:
+    if d - 2 * len(gl_labels(levi)) < 3:
         raise ExactDomainError("Levi SO factor too small")
     out: dict = {}
     for A in map(frozenset, admissible_A(levi)):
@@ -239,10 +236,9 @@ def enumerate_G_endoscopy(levi: str, d: int, delta, context) -> list[GEndoParams
 
 def _enumerate_base(levi: str, d: int, delta, context, A: frozenset[int]) -> Iterable[EndoParams]:
     """Base data for the Levi SO factor whose induced ambient data stay admissible."""
-    i = 1 if levi == "M2" else 2
-    d_so = d - 2 * i
+    d_so = d - 2 * len(gl_labels(levi))
     triv = _delta_class(1, context)
-    nA, nAc = len(A), len(_index_set(levi)) - len(A)
+    nA, nAc = len(A), len(gl_labels(levi)) - len(A)
     if d % 2 == 1:
         for d_plus in range(1, d_so + 1, 2):
             yield EndoParams("odd", d_plus, d_so + 1 - d_plus, triv, triv)
@@ -254,7 +250,7 @@ def _enumerate_base(levi: str, d: int, delta, context, A: frozenset[int]) -> Ite
             dm = dp * delta_cls
             # the induced ambient parameters must avoid the excluded values too
             pairs = ((d_plus, dp), (d_minus, dm), (d_plus + 2 * nA, dp), (d_minus + 2 * nAc, dm))
-            if not any(_excluded(n, c) for n, c in pairs):
+            if not any(excluded_factor(n, c.is_trivial) for n, c in pairs):
                 yield EndoParams("even", d_plus, d_minus, dp, dm)
 
 
@@ -354,7 +350,7 @@ def is_unramified_at_p(params: EndoParams, p: int) -> bool:
 
 def tau_k_identity_check(levi: str, g: GEndoParams, d: int) -> bool:
     """tau(G)/tau(H) * tau(M')/tau(M) == k(H)/k(G) * k(M)/k(M')."""
-    i = 1 if levi == "M2" else 2
+    i = len(gl_labels(levi))
     h = to_EG(g)
     b = g.base
     tau_G = tamagawa("SO", d)

@@ -15,7 +15,6 @@ from typing import Union
 
 from .errors import ExactDomainError
 
-Rational = Fraction
 RationalLike = Union[int, Fraction]
 
 

@@ -1,11 +1,12 @@
-"""Unramified Hecke algebras as Weyl-invariant Laurent polynomials with formal
-q^(1/2) coefficients: Satake images of minuscule cocharacter functions, Satake-
-side constant terms, base-change twisted transfer, and the explicit splitting
-k(A) + h of the transferred test function at p.
+"""Unramified Hecke algebras as Weyl-invariant polynomials in X_1^(+-1)..X_m^(+-1):
+Satake images of minuscule cocharacter functions, Satake-side constant terms,
+base-change twisted transfer, and the explicit splitting k(A) + h of the
+transferred test function at p.
 
-The q-power is kept formal: coefficients are rank-1 `Laurent` polynomials in
-q^(1/2), elements of Z[q^(1/2), q^(-1/2)] keyed by the doubled exponent;
-specialization q -> p only happens in reports.
+An element is q^(q2/2) times a polynomial in the X_i^(+-1) with integer
+coefficients: every element built here has one q-power shared by all its
+terms, kept formal as the doubled exponent q2; specialization q -> p only
+happens in reports.
 """
 
 from __future__ import annotations
@@ -14,14 +15,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import ExactDomainError
-from .laurent import Laurent
-from .levi import admissible_A
+from .levi import admissible_A, excluded_factor, gl_labels
 from .rootdata import RootDatum, WeylElement
-
-
-def _q_power(doubled_exp: int, coeff: int = 1) -> Laurent:
-    """coeff * q^(doubled_exp / 2)."""
-    return Laurent.monomial((doubled_exp,), coeff)
 
 
 @dataclass(frozen=True)
@@ -63,7 +58,6 @@ class RelativeWeylGroup:
 
     rank: int
     gens: tuple[WeylElement, ...]
-    label: str = ""
 
     def _walk(self, cap: int = 50000):
         """Every element once, breadth-first from the identity."""
@@ -145,11 +139,11 @@ class UnramifiedGroup:
         gens: list[WeylElement] = [_transposition(m, i, i + 1) for i in range(m - 1)]
         if self.kind == "B":
             gens.append(_flip(m, m - 1))
-            return RelativeWeylGroup(m, tuple(gens), f"W(B{m})")
+            return RelativeWeylGroup(m, tuple(gens))
         if not self.flips or degree % 2 == 0:
             if m >= 2:
                 gens.append(_flip(m, m - 1) * _flip(m, m - 2))
-            return RelativeWeylGroup(m, tuple(gens), f"W(D{m})")
+            return RelativeWeylGroup(m, tuple(gens))
         fixed = [i for i in range(m) if i not in self.flips]
         gens = [_transposition(m, i, j) for i, j in zip(fixed, fixed[1:])]
         if len(self.flips) == 2:
@@ -159,20 +153,21 @@ class UnramifiedGroup:
             gens.append(_flip(m, fixed[-1]) * _flip(m, self.flips[-1]))
         elif len(fixed) >= 2:
             gens.append(_flip(m, fixed[-1]) * _flip(m, fixed[-2]))
-        return RelativeWeylGroup(m, tuple(gens), f"W(D{m})^sigma")
+        return RelativeWeylGroup(m, tuple(gens))
 
 
 @dataclass
 class HeckeElement:
-    """Laurent polynomial in X_1..X_m over Z[q^(1/2), q^(-1/2)], invariant under
-    the recorded relative Weyl group."""
+    """q^(q2/2) times a polynomial in X_1^(+-1)..X_m^(+-1) with integer
+    coefficients, invariant under the recorded relative Weyl group."""
 
     rank: int
-    coeffs: dict[tuple[int, ...], Laurent]
+    coeffs: dict[tuple[int, ...], int]
     group: RelativeWeylGroup
+    q2: int  # the doubled q-exponent shared by every term
 
     def __post_init__(self):
-        self.coeffs = {e: c for e, c in self.coeffs.items() if not c.is_zero()}
+        self.coeffs = {e: c for e, c in self.coeffs.items() if c}
 
     def check_invariance(self) -> bool:
         for g in self.group.gens:
@@ -184,22 +179,24 @@ class HeckeElement:
         return True
 
     def __eq__(self, other):
+        """Equal terms at an equal q-power; an element with no terms is zero
+        whatever its q2."""
         return (
             isinstance(other, HeckeElement)
             and self.rank == other.rank
             and self.coeffs == other.coeffs
+            and (self.q2 == other.q2 or not self.coeffs)
         )
 
-    def scale(self, factor: Laurent) -> "HeckeElement":
-        return HeckeElement(self.rank, {e: c * factor for e, c in self.coeffs.items()}, self.group)
+    def scale(self, sign: int, q2: int) -> "HeckeElement":
+        """sign * q^(q2/2) times this element."""
+        return HeckeElement(
+            self.rank, {e: sign * c for e, c in self.coeffs.items()}, self.group, self.q2 + q2
+        )
 
     def serialize(self) -> list:
-        """JSON form: list of (exponent vector, coefficient as [[doubled q-exp, int], ...])."""
-        out = []
-        for e in sorted(self.coeffs):
-            coeff = sorted(self.coeffs[e].terms.items())
-            out.append([list(e), [[k, v] for (k,), v in coeff]])
-        return out
+        """JSON form: list of (exponent vector, [[q2, integer coefficient]])."""
+        return [[list(e), [[self.q2, self.coeffs[e]]]] for e in sorted(self.coeffs)]
 
 
 def _is_minuscule(datum: RootDatum, mu: Sequence[int]) -> bool:
@@ -213,17 +210,12 @@ def _half_sum_doubled(group: UnramifiedGroup) -> tuple[int, ...]:
     return tuple(2 * (m - i) for i in range(1, m + 1))
 
 
-def satake_minuscule(
-    group: UnramifiedGroup,
-    mu: Sequence[int],
-    sign: int = 1,
-    degree: int = 1,
-) -> HeckeElement:
-    """Satake image of the characteristic function of K mu(pi)^sign K over the
+def satake_minuscule(group: UnramifiedGroup, mu: Sequence[int], degree: int = 1) -> HeckeElement:
+    """Satake image of the characteristic function of K mu(pi) K over the
     degree-a unramified extension: q_a^<delta, mu_dom> times the relative-orbit sum.
     """
     m = group.rank
-    mu = tuple(sign * c for c in mu)
+    mu = tuple(mu)
     if len(mu) != m:
         raise ExactDomainError("cocharacter rank mismatch")
     if not _is_minuscule(group.datum(), mu):
@@ -246,9 +238,8 @@ def satake_minuscule(
     # the q-power pairs the half sum of all positive roots with the dominant
     # representative of the absolute orbit (coordinates sorted by magnitude)
     dom = tuple(sorted((abs(c) for c in mu), reverse=True))
-    qexp = degree * sum(a * b for a, b in zip(delta2, dom))  # doubled half-exponent
-    coeff = _q_power(qexp)
-    return HeckeElement(m, {v: coeff for v in orbit}, rel)
+    q2 = degree * sum(a * b for a, b in zip(delta2, dom))
+    return HeckeElement(m, dict.fromkeys(orbit, 1), rel, q2)
 
 
 def constant_term(f: HeckeElement, levi_group: RelativeWeylGroup) -> HeckeElement:
@@ -256,7 +247,7 @@ def constant_term(f: HeckeElement, levi_group: RelativeWeylGroup) -> HeckeElemen
     invariance group (which must be a subgroup)."""
     if not levi_group.is_subgroup_of(f.group):
         raise ExactDomainError("Levi group is not a subgroup of the ambient group")
-    return HeckeElement(f.rank, dict(f.coeffs), levi_group)
+    return HeckeElement(f.rank, dict(f.coeffs), levi_group, f.q2)
 
 
 def twisted_transfer(
@@ -279,7 +270,7 @@ def twisted_transfer(
         raise ExactDomainError("sign vector rank mismatch")
     if not f.check_invariance():
         raise ExactDomainError("input is not invariant under its recorded group")
-    out: dict[tuple[int, ...], Laurent] = {}
+    out: dict[tuple[int, ...], int] = {}
     for chi, c in f.coeffs.items():
         total = list(chi)
         cur = chi
@@ -288,10 +279,8 @@ def twisted_transfer(
             total = [t + v for t, v in zip(total, cur)]
         chi_h = reindex.act_tuple(chi)
         norm_h = reindex.act_tuple(tuple(total))
-        sgn = s.pair(chi_h)
-        contrib = c if sgn == 1 else -c
-        out[norm_h] = out.get(norm_h, Laurent(1)) + contrib
-    result = HeckeElement(m, out, out_group)
+        out[norm_h] = out.get(norm_h, 0) + s.pair(chi_h) * c
+    result = HeckeElement(m, out, out_group, f.q2)
     if not result.check_invariance():
         raise ExactDomainError("transfer output failed invariance under the target group")
     return result
@@ -317,17 +306,16 @@ def excluded_shape(
     discriminant).  The odd case excludes nothing."""
     if parity != "even":
         return None
-    gl_minus = (1 if levi == "M2" else 2) - len(A)
+    gl_minus = len(gl_labels(levi)) - len(A)
     for rank, square in (
         (m_plus, delta_plus_square),
         (m_plus - len(A), delta_plus_square),
         (m_minus, delta_minus_square),
         (m_minus - gl_minus, delta_minus_square),
     ):
-        if rank == 0 and not square:
-            return "(0, nontrivial)"
-        if rank == 1 and square:
-            return "(2, trivial)"
+        reason = excluded_factor(2 * rank, square)
+        if reason:
+            return reason
     return None
 
 
@@ -377,8 +365,7 @@ class LocalDatumAtP:
 
     @property
     def gl_minus(self) -> int:
-        universe = 1 if self.levi == "M2" else 2
-        return universe - len(self.A)
+        return len(gl_labels(self.levi)) - len(self.A)
 
     @property
     def n_plus(self) -> int:
@@ -467,16 +454,15 @@ def h_relative_group(datum: LocalDatumAtP) -> RelativeWeylGroup:
     gens: list[WeylElement] = []
     gens += _so_factor_gens(m, 0, mp, datum.parity, datum.delta_plus_square)
     gens += _so_factor_gens(m, mp, datum.m_minus, datum.parity, datum.delta_minus_square)
-    return RelativeWeylGroup(m, tuple(gens), "W(H)")
+    return RelativeWeylGroup(m, tuple(gens))
 
 
 def _gl_slots(datum: LocalDatumAtP) -> dict[int, int]:
     """Map X-label (1-based GL coordinate of the Levi) -> H-coordinate slot."""
     out = {}
-    labels = sorted({1} if datum.levi == "M2" else {1, 2})
     plus_used = 0
     minus_used = 0
-    for lab in labels:
+    for lab in gl_labels(datum.levi):
         if lab in datum.A:
             out[lab] = plus_used
             plus_used += 1
@@ -517,7 +503,7 @@ def compute_fH_at_p(
     free = next(i for i in range(m) if i not in group.flips)
     minus_mu = [0] * m
     minus_mu[free] = -1
-    f = satake_minuscule(group, minus_mu, sign=1, degree=a)
+    f = satake_minuscule(group, minus_mu, degree=a)
     transferred = twisted_transfer(
         f,
         _h_sign_vector(datum),
@@ -527,22 +513,17 @@ def compute_fH_at_p(
     )
     levi_rel = _levi_relative_group(datum)
     restricted = constant_term(transferred, levi_rel)
-    scaled = restricted.scale(_q_power(-a * (datum.d - 2)))
+    scaled = restricted.scale(1, -a * (datum.d - 2))
     slots = _gl_slots(datum)
     gl_positions = {v: k for k, v in slots.items()}
-    so_positions = [
-        j
-        for j in range(m)
-        if j not in gl_positions
-        and (datum.gl_plus <= j < m_plus or m_plus + datum.gl_minus <= j)
-    ]
+    so_positions = {j: n for n, j in enumerate(j for j in range(m) if j not in gl_positions)}
     k_rank = len(slots)
-    k_coeffs: dict[tuple[int, ...], Laurent] = {}
-    h_coeffs: dict[tuple[int, ...], Laurent] = {}
+    k_coeffs: dict[tuple[int, ...], int] = {}
+    h_coeffs: dict[tuple[int, ...], int] = {}
     for e, c in scaled.coeffs.items():
         support = [j for j, v in enumerate(e) if v]
         if not support:
-            h_coeffs[(0,) * len(so_positions)] = h_coeffs.get((0,) * len(so_positions), Laurent(1)) + c
+            h_coeffs[(0,) * len(so_positions)] = h_coeffs.get((0,) * len(so_positions), 0) + c
             continue
         if len(support) != 1:
             raise ExactDomainError("unexpected mixed monomial in the transfer")
@@ -550,15 +531,15 @@ def compute_fH_at_p(
         if j in gl_positions:
             ke = [0] * k_rank
             ke[gl_positions[j] - 1] = e[j]
-            k_coeffs[tuple(ke)] = k_coeffs.get(tuple(ke), Laurent(1)) + c
+            k_coeffs[tuple(ke)] = k_coeffs.get(tuple(ke), 0) + c
         else:
             he = [0] * len(so_positions)
-            he[so_positions.index(j)] = e[j]
-            h_coeffs[tuple(he)] = h_coeffs.get(tuple(he), Laurent(1)) + c
+            he[so_positions[j]] = e[j]
+            h_coeffs[tuple(he)] = h_coeffs.get(tuple(he), 0) + c
     k_group = _gl_block_group(datum, k_rank)
     h_group = _so_block_group(datum, len(so_positions))
-    k_part = HeckeElement(k_rank, k_coeffs, k_group)
-    h_part = HeckeElement(len(so_positions), h_coeffs, h_group)
+    k_part = HeckeElement(k_rank, k_coeffs, k_group, scaled.q2)
+    h_part = HeckeElement(len(so_positions), h_coeffs, h_group, scaled.q2)
     if not k_part.check_invariance() or not h_part.check_invariance():
         raise ExactDomainError("split parts failed invariance")
     return k_part, h_part
@@ -576,43 +557,41 @@ def _levi_relative_group(datum: LocalDatumAtP) -> RelativeWeylGroup:
     gens += _so_factor_gens(
         m, mp + datum.gl_minus, datum.n_minus, datum.parity, datum.delta_minus_square
     )
-    return RelativeWeylGroup(m, tuple(gens), "W(M')")
+    return RelativeWeylGroup(m, tuple(gens))
 
 
 def _gl_block_group(datum: LocalDatumAtP, k_rank: int) -> RelativeWeylGroup:
     if datum.levi == "M1" and k_rank == 2:
-        return RelativeWeylGroup(2, (_transposition(2, 0, 1),), "S2")
-    return RelativeWeylGroup(k_rank, (), "1")
+        return RelativeWeylGroup(2, (_transposition(2, 0, 1),))
+    return RelativeWeylGroup(k_rank, ())
 
 
 def _so_block_group(datum: LocalDatumAtP, rank: int) -> RelativeWeylGroup:
     gens: list[WeylElement] = []
     gens += _so_factor_gens(rank, 0, datum.n_plus, datum.parity, datum.delta_plus_square)
     gens += _so_factor_gens(rank, datum.n_plus, datum.n_minus, datum.parity, datum.delta_minus_square)
-    return RelativeWeylGroup(rank, tuple(gens), "W(M'^SO)")
+    return RelativeWeylGroup(rank, tuple(gens))
 
 
 def expected_k_table(levi: str, A: Sequence[int], a: int) -> HeckeElement:
     """The closed k(A) table: epsilon_i(A) (X_i^a + X_i^-a) over the GL block."""
     A = frozenset(A)
     if levi == "M12":
-        coeffs: dict[tuple[int, ...], Laurent] = {}
+        coeffs: dict[tuple[int, ...], int] = {}
         for i in (1, 2):
-            c = _q_power(0) if i in A else _q_power(0, -1)
+            c = 1 if i in A else -1
             for e in (a, -a):
                 vec = [0, 0]
                 vec[i - 1] = e
                 coeffs[tuple(vec)] = c
-        return HeckeElement(2, coeffs, RelativeWeylGroup(2, (), "1"))
+        return HeckeElement(2, coeffs, RelativeWeylGroup(2, ()), 0)
     if levi == "M1":
-        sign = 1 if A == frozenset({1, 2}) else -1
-        c = _q_power(0, sign)
+        c = 1 if A == frozenset({1, 2}) else -1
         coeffs = {(a, 0): c, (-a, 0): c, (0, a): c, (0, -a): c}
-        return HeckeElement(2, coeffs, RelativeWeylGroup(2, (_transposition(2, 0, 1),), "S2"))
+        return HeckeElement(2, coeffs, RelativeWeylGroup(2, (_transposition(2, 0, 1),)), 0)
     if levi == "M2":
-        sign = 1 if A == frozenset({1}) else -1
-        c = _q_power(0, sign)
-        return HeckeElement(1, {(a,): c, (-a,): c}, RelativeWeylGroup(1, (), "1"))
+        c = 1 if A == frozenset({1}) else -1
+        return HeckeElement(1, {(a,): c, (-a,): c}, RelativeWeylGroup(1, ()), 0)
     raise ExactDomainError(f"unknown case {levi!r}")
 
 
@@ -623,13 +602,13 @@ def phi_a(gl: str, a: int) -> HeckeElement:
     """Satake transform over the degree-a extension of the characteristic function
     of K mu(pi)^-1 K for the standard Siegel cocharacter mu."""
     if gl == "GL1":
-        return HeckeElement(1, {(-1,): _q_power(0)}, RelativeWeylGroup(1, (), "1"))
+        return HeckeElement(1, {(-1,): 1}, RelativeWeylGroup(1, ()), 0)
     if gl == "GL2":
-        coeff = _q_power(a)  # q_a^(1/2) = q^(a/2)
         return HeckeElement(
             2,
-            {(-1, 0): coeff, (0, -1): coeff},
-            RelativeWeylGroup(2, (_transposition(2, 0, 1),), "S2"),
+            {(-1, 0): 1, (0, -1): 1},
+            RelativeWeylGroup(2, (_transposition(2, 0, 1),)),
+            a,  # q_a^(1/2) = q^(a/2)
         )
     raise ExactDomainError("gl must be GL1 or GL2")
 
@@ -645,17 +624,17 @@ def base_change_image(gl: str, a: int, source: HeckeElement) -> HeckeElement:
 
 def k_a_element(levi: str, a: int) -> HeckeElement:
     """The GL-block element k_a: -X_1^-a (cases M12/M2), -X_1^-a - X_2^-a (case M1)."""
-    minus_one = _q_power(0, -1)
     if levi in ("M12", "M2"):
         rank = 2 if levi == "M12" else 1
         vec = [0] * rank
         vec[0] = -a
-        return HeckeElement(rank, {tuple(vec): minus_one}, RelativeWeylGroup(rank, (), "1"))
+        return HeckeElement(rank, {tuple(vec): -1}, RelativeWeylGroup(rank, ()), 0)
     if levi == "M1":
         return HeckeElement(
             2,
-            {(-a, 0): minus_one, (0, -a): minus_one},
-            RelativeWeylGroup(2, (_transposition(2, 0, 1),), "S2"),
+            {(-a, 0): -1, (0, -a): -1},
+            RelativeWeylGroup(2, (_transposition(2, 0, 1),)),
+            0,
         )
     raise ExactDomainError("case must be M1, M2 or M12")
 
@@ -669,10 +648,10 @@ def ka_base_change_relation(levi: str, a: int) -> dict:
     """
     if levi in ("M2", "M12"):
         bc = base_change_image("GL1", a, phi_a("GL1", a))
-        neg = bc.scale(_q_power(0, -1))
+        neg = bc.scale(-1, 0)
         ka = k_a_element("M2", a)
         return {"matches": neg == ka, "sign": -1, "q_shift_doubled": 0}
     bc = base_change_image("GL2", a, phi_a("GL2", a))
     ka = k_a_element("M1", a)
-    shifted = bc.scale(_q_power(-a, -1))
+    shifted = bc.scale(-1, -a)
     return {"matches": shifted == ka, "sign": -1, "q_shift_doubled": -a}

@@ -158,6 +158,36 @@ def test_endoscopy_bad_d():
     assert run("endoscopy", "--d", "5").returncode == 2
 
 
+@pytest.mark.parametrize(
+    "context,delta,error",
+    [
+        ("global:", "3", "delta 3 is ramified at 3, outside the support []"),
+        ("global:3", "6", "delta 6 is ramified at 2, outside the support [3]"),
+    ],
+    ids=["empty-support", "2-outside-support-3"],
+)
+def test_endoscopy_delta_outside_the_global_support_is_an_input_error(capsys, context, delta, error):
+    """These used to pass and list data ramified outside the support, such as
+    deltaplus -3 for the empty support and deltaminus -2 for the support 3."""
+    from endolab import cli
+
+    for levi in ([], ["--levi", "M12"]):
+        assert cli.main(["endoscopy", "--d", "8", "--context", context, "--delta", delta, *levi]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert (out["command"], out["status"]) == ("endoscopy", "error")
+        assert out["witnesses"] == [{"error": error}]
+
+
+def test_endoscopy_delta_inside_the_global_support_passes(capsys):
+    from endolab import cli
+
+    assert cli.main(["endoscopy", "--d", "8", "--context", "global:3", "--delta", "-12"]) == 0
+    rows = json.loads(capsys.readouterr().out)["witnesses"]
+    assert rows and all(
+        set(map(abs, (row["deltaplus"], row["deltaminus"]))) <= {1, 3} for row in rows
+    )
+
+
 def test_signs_table():
     r = run("signs")
     assert r.returncode == 0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -25,11 +26,10 @@ from endolab.hecke import (
     satake_minuscule,
     twisted_transfer,
 )
-from endolab.laurent import Laurent
 from endolab.rootdata import WeylElement
 
-TRIV1 = RelativeWeylGroup(1, (), "1")
-TRIV2 = RelativeWeylGroup(2, (), "1")
+TRIV1 = RelativeWeylGroup(1, ())
+TRIV2 = RelativeWeylGroup(2, ())
 
 
 def test_satake_minuscule_b3():
@@ -39,14 +39,14 @@ def test_satake_minuscule_b3():
         (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)
     }
     # q-prefactor q^(5/2): <delta, mu_dom> = 5/2 exactly
-    assert all(c == Laurent.monomial((5,)) for c in f.coeffs.values())
+    assert f.q2 == 5 and all(c == 1 for c in f.coeffs.values())
     assert f.check_invariance()
 
 
 def test_satake_minuscule_unit_and_errors():
     g = UnramifiedGroup("B", 3)
     f0 = satake_minuscule(g, (0, 0, 0))
-    assert f0.coeffs == {(0, 0, 0): Laurent.one(1)}
+    assert f0.coeffs == {(0, 0, 0): 1} and f0.q2 == 0
     with pytest.raises(ExactDomainError):
         satake_minuscule(g, (1, 1, 0))
 
@@ -62,13 +62,13 @@ def test_satake_relative_orbit_nonsplit():
 
 
 def test_twisted_transfer_examples():
-    x = HeckeElement(1, {(1,): Laurent.one(1)}, TRIV1)
+    x = HeckeElement(1, {(1,): 1}, TRIV1, 0)
     ident = WeylElement.identity(1)
     assert twisted_transfer(x, EndoSignVector((1,)), FrobTwist(1, ident), TRIV1) == x
     t2 = twisted_transfer(x, EndoSignVector((1,)), FrobTwist(2, ident), TRIV1)
     assert set(t2.coeffs) == {(2,)}
     t3 = twisted_transfer(x, EndoSignVector((-1,)), FrobTwist(3, ident), TRIV1)
-    assert t3.coeffs[(3,)] == Laurent.monomial((0,), -1)
+    assert t3.coeffs[(3,)] == -1 and t3.q2 == 0
 
 
 def test_twisted_transfer_iota_independence():
@@ -91,7 +91,7 @@ def test_twisted_transfer_iota_independence():
 
 def test_twisted_transfer_rejects_noninvariant_input():
     g = UnramifiedGroup("B", 2)
-    lopsided = HeckeElement(2, {(1, 0): Laurent.one(1)}, g.relative_group())
+    lopsided = HeckeElement(2, {(1, 0): 1}, g.relative_group(), 0)
     with pytest.raises(ExactDomainError):
         twisted_transfer(lopsided, EndoSignVector((1, 1)), FrobTwist(1, WeylElement.identity(2)), TRIV2)
 
@@ -99,15 +99,15 @@ def test_twisted_transfer_rejects_noninvariant_input():
 def test_constant_term_retags():
     g = UnramifiedGroup("B", 3)
     f = satake_minuscule(g, (1, 0, 0))
-    small = RelativeWeylGroup(3, (_transposition(3, 0, 1),), "S2")
+    small = RelativeWeylGroup(3, (_transposition(3, 0, 1),))
     ct = constant_term(f, small)
     assert ct.coeffs == f.coeffs  # all monomials retained
-    smaller = RelativeWeylGroup(3, (), "1")
+    smaller = RelativeWeylGroup(3, ())
     assert constant_term(ct, smaller).coeffs == f.coeffs  # functoriality
     big = g.relative_group()
     with pytest.raises(ExactDomainError):
         constant_term(
-            HeckeElement(3, {(1, 0, 0): Laurent.one(1)}, smaller), big
+            HeckeElement(3, {(1, 0, 0): 1}, smaller, 0), big
         )
 
 
@@ -130,7 +130,7 @@ def _count_walks(monkeypatch) -> list:
 def test_is_subgroup_of(m, monkeypatch):
     w_b = UnramifiedGroup("B", m).relative_group()
     w_d = UnramifiedGroup("D", m).relative_group()
-    flip = RelativeWeylGroup(m, (_flip(m, 0),), "one sign flip")
+    flip = RelativeWeylGroup(m, (_flip(m, 0),))
     full_b, full_d = w_b.elements(), w_d.elements()
     assert (len(full_b), len(full_d)) == (2 * len(full_d), len(full_d))
     sizes = _count_walks(monkeypatch)
@@ -142,13 +142,13 @@ def test_is_subgroup_of(m, monkeypatch):
     assert not flip.is_subgroup_of(w_d)
     assert sizes[-1] == len(full_d)  # False only after the whole walk
     assert flip.is_subgroup_of(w_b) and not w_b.is_subgroup_of(w_d)
-    assert RelativeWeylGroup(m, (), "1").is_subgroup_of(w_d)
+    assert RelativeWeylGroup(m, ()).is_subgroup_of(w_d)
     walks = len(sizes)
     assert not w_d.is_subgroup_of(UnramifiedGroup("B", m + 1).relative_group())
     assert len(sizes) == walks  # a rank mismatch walks nothing
 
     for small, big, full in ((w_d, w_b, full_b), (flip, w_d, full_d), (flip, w_b, full_b), (w_b, w_d, full_d)):
-        assert small.is_subgroup_of(big) == (set(small.gens) <= full), (small.label, big.label)
+        assert small.is_subgroup_of(big) == (set(small.gens) <= full), (small.gens, big.gens)
 
 
 def test_compute_fH_table_spot_values():
@@ -215,7 +215,7 @@ def test_q_degree_bookkeeping():
         m = d // 2
         g = UnramifiedGroup(kind, m)
         f = satake_minuscule(g, (1,) + (0,) * (m - 1), degree=2)
-        assert max(next(iter(f.coeffs.values())).terms) == (2 * (d - 2),)
+        assert f.q2 == 2 * (d - 2)
 
 
 def test_base_change_and_k_a():
@@ -226,7 +226,7 @@ def test_base_change_and_k_a():
     assert rel["matches"] and rel["q_shift_doubled"] == -2
     bc = base_change_image("GL1", 1, phi_a("GL1", 1))
     assert set(bc.coeffs) == {(-1,)}
-    u = HeckeElement(2, {(0, 0): Laurent.one(1)}, TRIV2)
+    u = HeckeElement(2, {(0, 0): 1}, TRIV2, 0)
     assert base_change_image("GL2", 3, u) == u
     assert set(k_a_element("M1", 2).coeffs) == {(-2, 0), (0, -2)}
 
@@ -237,3 +237,72 @@ def test_serialization_roundtrip():
     data = f.serialize()
     json.dumps(data)  # JSON-safe
     assert data == [[[-1, 0], [[3, 1]]], [[0, -1], [[3, 1]]], [[0, 1], [[3, 1]]], [[1, 0], [[3, 1]]]]
+
+
+# --- the whole sweep of local shapes ----------------------------------------------
+
+
+def _local_shapes():
+    """compute_fH_at_p arguments of every local shape of `verify satake`:
+    d = 7..10, a = 1, 2, 3, every base, discriminant pattern and subset A."""
+    for d in (7, 8, 9, 10):
+        parity = "odd" if d % 2 else "even"
+        m = d // 2
+        for levi, gl, subsets in (("M1", 2, ((), (1, 2))), ("M2", 1, ((), (1,))), ("M12", 2, ((), (1,), (2,), (1, 2)))):
+            d_so = d - 2 * gl
+            if d_so < 3:
+                continue
+            if parity == "odd":
+                bases, squares = range(1, d_so + 1, 2), [(True, True)]
+            else:
+                bases = range(0, d_so + 1, 2)
+                squares = [(True, True), (True, False), (False, True), (False, False)]
+            for bp in bases:
+                for sq in squares:
+                    for a in (1, 2, 3):
+                        for A in subsets:
+                            mp = bp // 2 + len(A)
+                            yield (levi, parity, m, mp, m - mp, list(A), a, *sq)
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    """(arguments, (k, h) or the exclusion message) for every local shape."""
+    out = []
+    for args in _local_shapes():
+        try:
+            out.append((args, compute_fH_at_p(*args)))
+        except ExactDomainError as exc:
+            out.append((args, str(exc)))
+    return out
+
+
+def test_normalization_cancels_the_satake_q_power(sweep):
+    """p^(a(2-d)/2) cancels q_a^<delta, mu_dom> exactly: every k and h part is
+    at q^0."""
+    parts = [part for _, res in sweep if not isinstance(res, str) for part in res]
+    assert len(parts) == 2 * 414
+    assert all(part.q2 == 0 for part in parts)
+
+
+def test_sweep_serializations_are_pinned(sweep):
+    """All 852 shapes serialize as they did with one q-Laurent coefficient per
+    monomial (sha256 recorded before the change to integer coefficients)."""
+    out = [res if isinstance(res, str) else [res[0].serialize(), res[1].serialize()] for _, res in sweep]
+    assert (len(out), sum(not isinstance(r, str) for r in out)) == (852, 414)
+    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+    assert digest == "9b5889dce99933193b10f03dd5820f067d5ec430d3f056b5510138a5868fc34c"
+
+
+def test_equality_compares_the_q_power():
+    """Negative control: the k(A) table at another q-power is another element,
+    so `k == expected_k_table(...)` checks the normalization too."""
+    table = expected_k_table("M12", [1], 2)
+    shifted = table.scale(1, 2)
+    assert shifted.coeffs == table.coeffs and shifted.q2 == table.q2 + 2
+    assert shifted != table
+    assert shifted.serialize() != table.serialize()
+    k, _ = compute_fH_at_p("M12", "odd", 3, 2, 1, [1], 2)
+    assert k == table and k.scale(1, 2) != table and k.scale(-1, 0) != table
+    # an element with no terms is zero whatever its q-power
+    assert HeckeElement(1, {(1,): 0}, TRIV1, 0) == HeckeElement(1, {}, TRIV1, 4)

@@ -1,6 +1,6 @@
-"""Every public top-level function or class in src/endolab/ is used in src/
-or scripts/ outside its own definition: code that only the tests call is
-wired into a suite or deleted."""
+"""Every public top-level function, class or constant in src/endolab/ is used
+in src/ or scripts/ outside its own definition: code that only the tests call
+is wired into a suite or deleted."""
 
 import ast
 from pathlib import Path
@@ -15,6 +15,8 @@ ALLOWED = {
     "hilbert_symbol_oracle",
     "weyl_character",
     "verify_symmetry",
+    "REAL",
+    "TYPE_I_ETA",
 }
 
 
@@ -31,6 +33,18 @@ def _uses(tree, skip=None):
             yield node.attr
 
 
+def _defined_names(node):
+    """The names a top-level statement defines: a function, a class, or the
+    plain-name targets of an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
 def test_every_public_definition_is_used():
     trees = {p: ast.parse(p.read_text()) for d in ("src", "scripts") for p in sorted((ROOT / d).rglob("*.py"))}
     unused = set()
@@ -38,12 +52,13 @@ def test_every_public_definition_is_used():
         if path.parent != ROOT / "src" / "endolab":
             continue
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
-            used = node.name in _uses(tree, skip=node) or any(
-                node.name in _uses(other) for p, other in trees.items() if p != path
-            )
-            if not used:
-                unused.add(node.name)
+            for name in _defined_names(node):
+                if name.startswith("_"):
+                    continue
+                used = name in _uses(tree, skip=node) or any(
+                    name in _uses(other) for p, other in trees.items() if p != path
+                )
+                if not used:
+                    unused.add(name)
     assert unused <= ALLOWED, f"only the tests use {sorted(unused - ALLOWED)}"
     assert ALLOWED <= unused, f"{sorted(ALLOWED - unused)} are used now: take them off ALLOWED"
