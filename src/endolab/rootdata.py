@@ -476,9 +476,12 @@ def levi_positive_roots(datum: RootDatum, levi: LeviBlocks) -> tuple[Root, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def _kostant_table(datum: RootDatum, levi: LeviBlocks) -> list[tuple[int, WeylElement]]:
     """(l(w), w) for the minimal-length coset representatives, by length: the w
-    of the Weyl table with Phi(w) inside the nilradical roots."""
+    of the Weyl table with Phi(w) inside the nilradical roots.
+
+    The table is cached and shared: callers must not mutate it."""
     levi_pos = set(levi_positive_roots(datum, levi))
     pos = datum.positive_roots()
     out = []
@@ -563,8 +566,11 @@ def formal_character(datum: RootDatum, lam: Weight) -> Laurent:
     return _formal_character_cached(datum.kind, datum.rank, lam.doubled)
 
 
-def _gl_block_character(block_size: int, mu: Sequence[int]) -> Laurent:
-    """Schur-type character of GL_k with highest weight mu, k <= 2 here."""
+@lru_cache(maxsize=1024)
+def _gl_block_character(block_size: int, mu: tuple[int, ...]) -> Laurent:
+    """Schur-type character of GL_k with highest weight mu, k <= 2 here.
+
+    The result is cached and shared: callers must not mutate it."""
     if block_size == 1:
         return Laurent.monomial((2 * mu[0],))
     if block_size == 2:
@@ -578,39 +584,27 @@ def _gl_block_character(block_size: int, mu: Sequence[int]) -> Laurent:
     raise ExactDomainError("GL blocks of size > 2 not supported")
 
 
-def _embed(poly: Laurent, offset: int, rank: int) -> Laurent:
-    out = Laurent(rank)
-    for e, c in poly.terms.items():
-        key = (0,) * offset + e + (0,) * (rank - offset - len(e))
-        out.terms[key] = c
-    return out
-
-
 def levi_formal_character(datum: RootDatum, levi: LeviBlocks, mu: Weight) -> Laurent:
-    """Formal character of the Levi irreducible with highest weight mu."""
+    """Formal character of the Levi irreducible with highest weight mu: the
+    product of its GL block characters and its SO tail character, which live on
+    disjoint coordinates."""
     if not levi_is_dominant(datum, levi, mu):
         raise ExactDomainError("weight is not Levi-dominant")
     m = datum.rank
-    out = Laurent.one(m)
     c = mu.int_coords()
-    for block in levi.gl_blocks:
-        blk = _gl_block_character(len(block), [c[i] for i in block])
-        out = out * _embed(blk, block[0], m)
+    blocks = [(b[0], _gl_block_character(len(b), tuple(c[i] for i in b))) for b in levi.gl_blocks]
     if levi.so_start < m:
         sub = RootDatum(datum.kind, m - levi.so_start)
-        tail = formal_character(sub, Weight.from_ints(c[levi.so_start:]))
-        out = out * _embed(tail, levi.so_start, m)
-    return out
+        blocks.append((levi.so_start, formal_character(sub, Weight.from_ints(c[levi.so_start:]))))
+    return Laurent.product_of_blocks(m, blocks)
 
 
 def _kostant_euler_sum(datum: RootDatum, levi: LeviBlocks, lam: Weight) -> Laurent:
     """sum_k (-1)^k ch H^k(n, V_lam), each degree by its Levi characters."""
-    acc: dict = {}
-    for deg, mu in kostant_cohomology(datum, levi, lam):
-        sgn = -1 if deg % 2 else 1
-        for e, c in levi_formal_character(datum, levi, mu).terms.items():
-            acc[e] = acc.get(e, 0) + sgn * c
-    return Laurent(datum.rank, acc)
+    entries = kostant_cohomology(datum, levi, lam)
+    return Laurent.linear_combination(
+        datum.rank, ((-1 if deg % 2 else 1, levi_formal_character(datum, levi, mu)) for deg, mu in entries)
+    )
 
 
 def kostant_euler_identity(datum: RootDatum, levi: LeviBlocks, lam: Weight) -> bool:

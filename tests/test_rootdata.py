@@ -334,14 +334,20 @@ def test_levi_denominator_times_koszul_is_weyl_denominator():
                 assert d_m * _koszul_alternation(datum, levi) == a_rho, (kind, m, levi)
 
 
-def test_kostant_identity_rejects_corrupted_weight(monkeypatch):
-    # raise the degree-0 Levi highest weight by e_1; it stays Levi-dominant
-    real = rootdata.kostant_cohomology
+def _raised_degree_zero_weight(real):
+    """kostant_cohomology with the degree-0 Levi highest weight raised by e_1;
+    it stays Levi-dominant."""
 
     def corrupted(datum, levi, lam):
         (deg, mu), *rest = real(datum, levi, lam)
         return [(deg, Weight((mu.doubled[0] + 2,) + mu.doubled[1:]))] + rest
 
+    return corrupted
+
+
+def test_kostant_identity_rejects_corrupted_weight(monkeypatch):
+    real = rootdata.kostant_cohomology
+    corrupted = _raised_degree_zero_weight(real)
     cases = [(datum, label, lam_c) for datum in (B2, B3, D3) for label in ("M1", "M2", "M12")
              for lam_c in _dominant_weights(datum.kind, datum.rank, 1)]
     for datum, label, lam_c in cases:
@@ -351,6 +357,20 @@ def test_kostant_identity_rejects_corrupted_weight(monkeypatch):
         assert levi_is_dominant(datum, levi, rootdata.kostant_cohomology(datum, levi, lam)[0][1])
         assert not kostant_euler_identity(datum, levi, lam), (datum, label, lam_c)
         monkeypatch.setattr(rootdata, "kostant_cohomology", real)
+
+
+@pytest.mark.parametrize("kind,label,lam_c", [("B", "M12", (1, 0, 0, 0, 0)), ("D", "M1", (2, 1, 1, 0, 0))])
+def test_kostant_euler_identity_rank_five(kind, label, lam_c):
+    datum = RootDatum(kind, 5)
+    assert kostant_euler_identity(datum, standard_levi(label, 5), Weight.from_ints(lam_c))
+
+
+def test_kostant_identity_rank_five_rejects_corrupted_weight(monkeypatch):
+    datum, levi, lam = RootDatum("D", 5), standard_levi("M12", 5), Weight.from_ints((2, 1, 1, 0, 0))
+    assert kostant_euler_identity(datum, levi, lam)
+    monkeypatch.setattr(rootdata, "kostant_cohomology", _raised_degree_zero_weight(rootdata.kostant_cohomology))
+    assert levi_is_dominant(datum, levi, rootdata.kostant_cohomology(datum, levi, lam)[0][1])
+    assert not kostant_euler_identity(datum, levi, lam)
 
 
 def test_formal_character_is_cached_and_levi_character_copies():
