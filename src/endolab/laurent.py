@@ -107,7 +107,7 @@ class Laurent:
         get = acc.get
         for a, p in pairs:
             if p.rank != rank:
-                raise ExactDomainError("Laurent ranks differ")
+                raise ExactDomainError(f"Laurent ranks differ: {rank} and {p.rank}")
             for k, c in p._packed.items():
                 acc[k] = get(k, 0) + a * c
             span = max(span, p._span)
