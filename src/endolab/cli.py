@@ -475,7 +475,7 @@ def _suite_signs(rep: Report):
 
 def _suite_hilbert(rep: Report, *, pairs=500, seed=7):
     from . import quadspace
-    from .exactnum import Place, factorize, hilbert_symbol
+    from .exactnum import REAL, Place, factorize, hilbert_symbol
 
     def exists(d, det):
         with _naming({"d": d, "det": det}):
@@ -487,7 +487,7 @@ def _suite_hilbert(rep: Report, *, pairs=500, seed=7):
         b = rng.randint(-10000, 10000) or 5
         with _naming({"a": a, "b": b}):
             places = {2} | set(factorize(a)) | set(factorize(b))
-            prod = hilbert_symbol(a, b, Place.real())
+            prod = hilbert_symbol(a, b, REAL)
             for p in sorted(places):
                 prod *= hilbert_symbol(a, b, Place.finite(p))
         if not rep.check("product formula", prod == 1):

@@ -18,8 +18,8 @@ from typing import Iterable
 from .errors import ExactDomainError
 from .exactnum import (
     GLOBAL,
+    REAL,
     REAL_CONTEXT,
-    Place,
     SquareClass,
     factorize,
     padic_valuation,
@@ -321,7 +321,7 @@ def endo_is_cuspidal_R(params: EndoParams) -> bool:
     if params.parity == "odd":
         return True
     for d, delta in ((params.d_plus, params.delta_plus), (params.d_minus, params.delta_minus)):
-        c = delta if delta.context == REAL_CONTEXT else delta.localize(Place.real())
+        c = delta if delta.context == REAL_CONTEXT else delta.localize(REAL)
         if not so_is_cuspidal_R(d, c):
             return False
     return True

@@ -9,14 +9,18 @@ e packed as sum_i e_i * S^(r-1-i) with S = 2^W: balanced base-S digits, the
 first coordinate most significant.  Every exponent must satisfy
 |e_i| < S/2 = 2^15; one outside that range raises ResourceLimitError, at the
 tuple boundary and in any product or quotient whose exponents could leave it.
-In that range packing is linear (adding exponent vectors is one int `+`) and
-monotone (int order is lex order on the vectors), so the lex-leading term of
-a polynomial is the max of its keys.
+In that range packing is linear and one-to-one (adding exponent vectors is
+one int `+`), and int order is lex order on the vectors.
+
+Every product and quotient the formal identities need is by a Weyl
+denominator e^shift prod_a (1 - e^-a), so that is the only multiplication and
+division here, one binomial at a time (`mul_binomials`, `divide_binomials`).
+Multiplying p by (1 - e^-a) is one linear pass, r_k = p_k - p_{k+a}.  Dividing
+is a suffix sum along each a-string {k + t a}: q_k = sum_{t >= 0} p_{k+ta},
+and the division is exact iff every string of p sums to 0.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import ExactDomainError, ResourceLimitError
 
@@ -48,8 +52,8 @@ class Laurent:
 
     Built from and read as doubled exponent tuples (`terms`); stored on packed
     int keys (see the module docstring).  `_span` bounds |e_i| over every
-    exponent, so a product whose exponents could leave the packed range is
-    refused before it is formed.
+    exponent, so a product or quotient whose exponents could leave the packed
+    range is refused before it is formed.
     """
 
     __slots__ = ("rank", "_packed", "_span")
@@ -122,108 +126,87 @@ class Laurent:
     def is_zero(self) -> bool:
         return not self._packed
 
-    def _check_rank(self, other: "Laurent"):
-        if other.rank != self.rank:
-            raise ExactDomainError(f"Laurent ranks differ: {self.rank} and {other.rank}")
+    def _binomials(self, shift, roots):
+        """The packed shift, its largest |coordinate|, and per root a: packed
+        a, the bit offset of its first nonzero coordinate i, a_i (0 for a = 0)
+        and the largest |a_j| over j != i."""
+        for v in (shift, *roots):
+            if len(v) != self.rank:
+                raise ExactDomainError(f"exponent {v} has length {len(v)}, not the rank {self.rank}")
+        packed = []
+        for a in roots:
+            i, ai = next(((i, x) for i, x in enumerate(a) if x), (0, 0))
+            rest = max((abs(x) for j, x in enumerate(a) if j != i), default=0)
+            packed.append((_pack(a), W * (self.rank - 1 - i), ai, rest))
+        return _pack(shift), max(map(abs, shift), default=0), packed
 
-    def __add__(self, other: "Laurent") -> "Laurent":
-        self._check_rank(other)
-        out = dict(self._packed)
-        for k, c in other._packed.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return Laurent._make(self.rank, out, max(self._span, other._span))
-
-    def __neg__(self) -> "Laurent":
-        return Laurent._make(self.rank, {k: -c for k, c in self._packed.items()}, self._span)
-
-    def __sub__(self, other: "Laurent") -> "Laurent":
-        return self + (-other)
-
-    def __mul__(self, other) -> "Laurent":
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return Laurent(self.rank)
-            return Laurent._make(self.rank, {k: c * other for k, c in self._packed.items()}, self._span)
-        self._check_rank(other)
-        span = self._span + other._span
+    def mul_binomials(self, shift, roots) -> "Laurent":
+        """self * e^shift * prod_{a in roots} (1 - e^-a), shift and roots doubled."""
+        s, s_span, packed = self._binomials(shift, roots)
+        span = self._span + s_span + sum(max(map(abs, a), default=0) for a in roots)
         if span >= _HALF:
             raise ResourceLimitError(f"product exponents may reach {span}, outside |e| < {_HALF}")
-        out: dict = {}
-        get = out.get
-        right = list(other._packed.items())
-        for k1, c1 in self._packed.items():
-            for k2, c2 in right:
-                k = k1 + k2
-                out[k] = get(k, 0) + c1 * c2
-        return Laurent._make(self.rank, {k: c for k, c in out.items() if c}, span)
+        p = {k + s: c for k, c in self._packed.items()}
+        for a, *_ in packed:
+            out = dict(p)
+            get = out.get
+            for k, c in p.items():
+                k -= a
+                v = get(k, 0) - c
+                if v:
+                    out[k] = v
+                else:
+                    del out[k]
+            p = out
+        return Laurent._make(self.rank, p, span)
 
-    __rmul__ = __mul__
+    def divide_binomials(self, shift, roots) -> "Laurent":
+        """self / (e^shift * prod_{a in roots} (1 - e^-a)), shift and roots
+        doubled; ExactDomainError if that leaves a remainder.
+
+        e lies on the a-string with base e - floor(e_i / a_i) * a, i the first
+        nonzero coordinate of a; e_i is read off the packed key, whose digits
+        are all non-negative once S/2 is added to each.  Every string sum is
+        checked before any quotient term is formed.  The quotient on a string
+        is the suffix sum of its coefficients, which is 0 beyond both ends of
+        its support, so its exponents stay between those of self.
+        """
+        s, s_span, packed = self._binomials(shift, roots)
+        rank, span = self.rank, self._span
+        if span + s_span >= _HALF:
+            raise ResourceLimitError(f"quotient exponents may reach {span + s_span}, outside |e| < {_HALF}")
+        offset = sum(_HALF << (W * j) for j in range(rank))
+        p = self._packed
+        for a, bits, ai, rest in packed:
+            if not ai:
+                raise ZeroDivisionError("division by 1 - e^0 = 0")
+            # a base has |e_j| <= span + (span // |a_i| + 1) * |a_j| for j != i,
+            # and packing is one-to-one only in range
+            if span + (span // abs(ai) + 1) * rest >= _HALF:
+                raise ResourceLimitError("string bases may leave the packed range")
+            strings: dict = {}
+            for k, c in p.items():
+                t = ((((k + offset) >> bits) & _MASK) - _HALF) // ai
+                strings.setdefault(k - t * a, []).append((t, c))
+            if any(sum(c for _, c in string) for string in strings.values()):
+                raise ExactDomainError("Laurent division leaves a remainder")
+            q: dict = {}
+            for base, string in strings.items():
+                string.sort(reverse=True)
+                run = 0
+                for (t, c), (t_next, _) in zip(string, string[1:]):
+                    run += c
+                    if run:
+                        for u in range(t_next + 1, t + 1):
+                            q[base + u * a] = run
+            p = q
+        return Laurent._make(rank, {k - s: c for k, c in p.items()}, span + s_span)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Laurent) and self.rank == other.rank and self._packed == other._packed
 
     def __hash__(self):
         return hash((self.rank, frozenset(self._packed.items())))
-
-    def divide_exact(self, den: "Laurent") -> "Laurent":
-        """Exact division; raises ExactDomainError if den does not divide self.
-
-        Long division by the lex-leading term of den, in place on one dict.
-        If self = q * den, the Newton polytope of self is the Minkowski sum of
-        those of q and den, and trailing terms multiply in the lex order.  So
-        every exponent of q lies in the box [min_i self - min_i den,
-        max_i self - max_i den] and is lex-above min(self) - min(den).  The
-        quotient exponents strictly decrease, so the loop ends within the box,
-        and a quotient term outside these bounds proves a remainder.
-
-        On packed keys: with both spans summing below S/2 every difference
-        of two exponents is in range, so the packed differences below are the
-        vector differences and compare in lex order.  A quotient exponent in
-        the box keeps every remainder exponent in the box of self.
-        """
-        self._check_rank(den)
-        if den.is_zero():
-            raise ZeroDivisionError("division by zero Laurent polynomial")
-        if self._span + den._span >= _HALF:
-            raise ResourceLimitError("quotient exponents may leave the packed range")
-        rank = self.rank
-        if self.is_zero():
-            return Laurent(rank)
-        rem = dict(self._packed)
-        quo: dict = {}
-        de = max(den._packed)
-        dc = den._packed[de]
-        shifts = [(k - de, c) for k, c in den._packed.items() if k != de]
-        floor = min(rem) - min(den._packed)
-        num_cols = list(zip(*(_unpack(k, rank) for k in rem)))
-        den_cols = list(zip(*(_unpack(k, rank) for k in den._packed)))
-        box = [(min(n) - min(d), max(n) - max(d)) for n, d in zip(num_cols, den_cols)]
-        while rem:
-            ne = max(rem)
-            nc = rem.pop(ne)
-            qe = ne - de
-            if qe < floor or not all(lo <= x <= hi for x, (lo, hi) in zip(_unpack(qe, rank), box)):
-                raise ExactDomainError("Laurent division leaves a remainder")
-            if type(nc) is int and type(dc) is int and nc % dc == 0:
-                qc = nc // dc
-            else:
-                qc = Fraction(nc) / dc
-                if qc.denominator == 1:
-                    qc = qc.numerator
-            quo[qe] = qc
-            for s, c in shifts:
-                k = ne + s
-                v = rem.get(k, 0) - qc * c
-                if v:
-                    rem[k] = v
-                else:
-                    rem.pop(k, None)
-        span = max((max(-lo, hi) for lo, hi in box), default=0)
-        return Laurent._make(rank, quo, span)
 
     def __repr__(self):
         if not self._packed:

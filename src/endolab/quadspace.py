@@ -15,6 +15,7 @@ from typing import Sequence
 from .errors import ExactDomainError
 from .exactnum import (
     GLOBAL,
+    REAL,
     Place,
     RationalLike,
     SquareClass,
@@ -163,7 +164,7 @@ def relevant_places(q: QuadraticSpace) -> list[Place]:
     primes = {2}
     for n, d in q.num_den:
         primes.update(factorize(n * d))
-    return [Place.real()] + [Place.finite(p) for p in sorted(primes)]
+    return [REAL] + [Place.finite(p) for p in sorted(primes)]
 
 
 def quasi_split_space(d: int, delta: SquareClass) -> QuadraticSpace:

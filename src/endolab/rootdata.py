@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, mul, sub
 from typing import Sequence
 
 from .errors import ExactDomainError, ResourceLimitError, SingularPointError
@@ -85,19 +86,26 @@ class Weight:
             raise ExactDomainError(f"{self} is not integral")
         return tuple(c // 2 for c in self.doubled)
 
+    def _same_rank(self, other: Sequence) -> None:
+        if len(other) != self.rank:
+            raise ExactDomainError(f"rank {self.rank} weight against a vector of length {len(other)}")
+
     def __add__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a + b for a, b in zip(self.doubled, other.doubled)))
+        self._same_rank(other.doubled)
+        return Weight(tuple(map(add, self.doubled, other.doubled)))
 
     def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a - b for a, b in zip(self.doubled, other.doubled)))
+        self._same_rank(other.doubled)
+        return Weight(tuple(map(sub, self.doubled, other.doubled)))
 
     def pairing(self, covector: Sequence[int]) -> Fraction:
         """<self, covector> for an integral coweight given in e_i^v coordinates."""
-        return Fraction(sum(c * v for c, v in zip(self.doubled, covector)), 2)
+        return Fraction(self.pairing_doubled(covector), 2)
 
     def pairing_doubled(self, covector: Sequence[int]) -> int:
         """2 <self, covector>; enough for sign tests, avoids Fractions."""
-        return sum(c * v for c, v in zip(self.doubled, covector))
+        self._same_rank(covector)
+        return sum(map(mul, self.doubled, covector))
 
 
 def rho(datum: RootDatum) -> Weight:
@@ -397,6 +405,10 @@ def weyl_character(datum: RootDatum, lam: Weight, gamma: TorusPoint) -> Gaussian
 
 
 def is_dominant(datum: RootDatum, lam: Weight) -> bool:
+    """Whether lam is dominant for datum; a weight of another rank is an
+    ExactDomainError, never read on the coordinates the two share."""
+    if lam.rank != datum.rank:
+        raise ExactDomainError(f"rank {lam.rank} weight on a rank {datum.rank} root datum")
     c = lam.doubled
     for i in range(datum.rank - 1):
         if c[i] < c[i + 1]:
@@ -513,10 +525,11 @@ def kostant_cohomology(datum: RootDatum, levi: LeviBlocks, lam: Weight) -> list[
     """
     if not lam.is_integral or not is_dominant(datum, lam):
         raise ExactDomainError("need a dominant integral highest weight")
-    r = rho(datum)
+    r = rho(datum).doubled
+    shifted = tuple(map(add, lam.doubled, r))
     entries = []
     for deg, w in _kostant_table(datum, levi):
-        mu = w.act(lam + r) - r
+        mu = Weight(tuple(map(sub, w.act_tuple(shifted), r)))
         if not levi_is_dominant(datum, levi, mu):
             raise ExactDomainError("Kostant weight failed Levi dominance")
         entries.append((deg, mu))
@@ -552,9 +565,18 @@ def weyl_numerator(datum: RootDatum, lam: Weight) -> Laurent:
     return _weyl_numerator_cached(datum.kind, datum.rank, lam.doubled)
 
 
+def _doubled(roots: Sequence[Root]) -> list[tuple[int, ...]]:
+    return [tuple(2 * c for c in a) for a in roots]
+
+
 @lru_cache(maxsize=1024)
 def _formal_character_cached(kind: str, m: int, doubled: tuple[int, ...]) -> Laurent:
-    return _weyl_numerator_cached(kind, m, doubled).divide_exact(_weyl_numerator_cached(kind, m, (0,) * m))
+    """A_{lam+rho} / (e^rho prod_{a>0} (1 - e^-a)): the Weyl character formula,
+    its denominator in product form by Weyl's denominator formula."""
+    datum = RootDatum(kind, m)
+    return _weyl_numerator_cached(kind, m, doubled).divide_binomials(
+        rho(datum).doubled, _doubled(datum.positive_roots())
+    )
 
 
 def formal_character(datum: RootDatum, lam: Weight) -> Laurent:
@@ -575,27 +597,24 @@ def _gl_block_character(block_size: int, mu: tuple[int, ...]) -> Laurent:
         return Laurent.monomial((2 * mu[0],))
     if block_size == 2:
         a, b = mu
-        if a < b:
+        if a < b:  # the sum below would be silently empty
             raise ExactDomainError("GL_2 weight not dominant")
         # (x^{a+1} y^b - x^b y^{a+1}) / (x - y)
-        num = Laurent(2, {(2 * (a + 1), 2 * b): 1, (2 * b, 2 * (a + 1)): -1})
-        den = Laurent(2, {(2, 0): 1, (0, 2): -1})
-        return num.divide_exact(den)
+        return Laurent(2, {(2 * (a - i), 2 * (b + i)): 1 for i in range(a - b + 1)})
     raise ExactDomainError("GL blocks of size > 2 not supported")
 
 
 def levi_formal_character(datum: RootDatum, levi: LeviBlocks, mu: Weight) -> Laurent:
     """Formal character of the Levi irreducible with highest weight mu: the
     product of its GL block characters and its SO tail character, which live on
-    disjoint coordinates."""
-    if not levi_is_dominant(datum, levi, mu):
-        raise ExactDomainError("weight is not Levi-dominant")
+    disjoint coordinates.  Each block character raises ExactDomainError on a
+    weight that is not dominant for its block."""
     m = datum.rank
     c = mu.int_coords()
     blocks = [(b[0], _gl_block_character(len(b), tuple(c[i] for i in b))) for b in levi.gl_blocks]
     if levi.so_start < m:
-        sub = RootDatum(datum.kind, m - levi.so_start)
-        blocks.append((levi.so_start, formal_character(sub, Weight.from_ints(c[levi.so_start:]))))
+        tail = RootDatum(datum.kind, m - levi.so_start)
+        blocks.append((levi.so_start, formal_character(tail, Weight(mu.doubled[levi.so_start:]))))
     return Laurent.product_of_blocks(m, blocks)
 
 
@@ -618,20 +637,10 @@ def kostant_euler_identity(datum: RootDatum, levi: LeviBlocks, lam: Weight) -> b
     (Weyl's character formula).  Z[X^{+-1}] is a domain and D_M != 0, so
     multiplying by D_M gives the equivalent identity that is checked here:
         sum_k (-1)^k ch_M(mu_k) * D_M = A_{lam+rho}.
-    Neither ch(lam) nor K is ever formed; the Levi characters on the left
-    involve only small divisions.
+    Neither ch(lam) nor K is ever formed; the left side is multiplied by D_M
+    one binomial at a time.
     """
-    lhs = _kostant_euler_sum(datum, levi, lam) * _levi_denominator(
-        datum.kind, datum.rank, levi.gl_blocks, levi.so_start
+    lhs = _kostant_euler_sum(datum, levi, lam).mul_binomials(
+        rho(datum).doubled, _doubled(levi_positive_roots(datum, levi))
     )
     return lhs == weyl_numerator(datum, lam)
-
-
-@lru_cache(maxsize=128)
-def _levi_denominator(kind: str, m: int, gl_blocks, so_start: int) -> Laurent:
-    """D_M = e^rho prod_{a in Phi_M+} (1 - e^{-a}), rho that of the whole group."""
-    datum = RootDatum(kind, m)
-    out = Laurent.monomial(rho(datum).doubled)
-    for a in levi_positive_roots(datum, LeviBlocks(gl_blocks, so_start)):
-        out = out * (Laurent.one(m) - Laurent.monomial(tuple(-2 * c for c in a)))
-    return out

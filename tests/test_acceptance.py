@@ -43,22 +43,38 @@ REPORT_SHA256 = {
     "kostant": "310cde5bba8c1002a9386ead40d2aa5fddcf36c1fc403bbc069952edc9caf8e3",
 }
 
+# A gate beyond the acceptance parameters: the Kostant suite at rank 5 as
+# (argv, minimum checked per identity, report sha256).
+KOSTANT_RANK_5 = (
+    ["--max-rank", "5", "--max-coord", "1"],
+    {"Kostant identity": 120, "truncation cutoffs": 79808},
+    "346a28c739bdc303838a2e52e666129d8a1c7c2711851c3b6d902c768c001b94",
+)
+
+
+def _run_suite(suite: str, argv: list, minimum: dict, sha256: str):
+    """The suite's report and what is wrong with it: a status other than
+    pass, another report sha256, or fewer checked cases than the minimum."""
+    rep = cmd_verify(build_parser().parse_args(["verify", suite, *argv]))
+    problems = []
+    if rep.status != "pass":
+        problems.append(f"{suite}: {rep.status} {rep.witnesses[:2]}")
+    digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
+    if digest != sha256:
+        problems.append(f"{suite}: report sha256 {digest}, pinned {sha256}")
+    for identity, n in minimum.items():
+        checked = rep.checks.get(identity, {}).get("checked", 0)
+        if checked < n:
+            problems.append(f"{suite} {identity}: {checked} cases checked, want >= {n}")
+    return rep, problems
+
 
 def _gate(criterion: int, name: str) -> dict:
     t0 = time.time()
     reports, problems = {}, []
     for suite, minimum in GATES[criterion].items():
-        rep = cmd_verify(build_parser().parse_args(["verify", suite, *ACCEPTANCE[suite]]))
-        reports[suite] = rep
-        if rep.status != "pass":
-            problems.append(f"{suite}: {rep.status} {rep.witnesses[:2]}")
-        digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
-        if digest != REPORT_SHA256[suite]:
-            problems.append(f"{suite}: report sha256 {digest}, pinned {REPORT_SHA256[suite]}")
-        for identity, n in minimum.items():
-            checked = rep.checks.get(identity, {}).get("checked", 0)
-            if checked < n:
-                problems.append(f"{suite} {identity}: {checked} cases checked, want >= {n}")
+        reports[suite], found = _run_suite(suite, ACCEPTANCE[suite], minimum, REPORT_SHA256[suite])
+        problems += found
     counts = {f"{s} {i}": c["checked"] for s, r in reports.items() for i, c in r.checks.items()}
     status = "FAIL" if problems else "PASS"
     print(f"[{status}] criterion {criterion}: {name} ({time.time() - t0:.1f}s) {problems or counts}")
@@ -111,6 +127,16 @@ def test_criterion_6_kostant_suite():
     and all dominant lambda with coordinates <= 2; and the two truncation
     cutoffs agree for every Weyl element."""
     _gate(6, "Kostant suite")
+
+
+def test_kostant_rank_five_gate():
+    """The Kostant identity for B_m and D_m, m <= 5, all three standard Levis
+    and all dominant lambda with coordinates <= 1, and the truncation cutoffs."""
+    t0 = time.time()
+    rep, problems = _run_suite("kostant", *KOSTANT_RANK_5)
+    status = "FAIL" if problems else "PASS"
+    print(f"[{status}] Kostant suite at rank 5 ({time.time() - t0:.1f}s) {problems or rep.checks}")
+    assert not problems, problems
 
 
 def test_criterion_7_negative_controls():

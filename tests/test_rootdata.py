@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 
 from endolab import rootdata
 from endolab.cli import _dominant_weights
-from endolab.errors import ResourceLimitError, SingularPointError
+from endolab.errors import ExactDomainError, ResourceLimitError, SingularPointError
 from endolab.exactnum import GaussianRational
 from endolab.laurent import Laurent
 from endolab.rootdata import (
@@ -17,9 +18,9 @@ from endolab.rootdata import (
     TorusPoint,
     Weight,
     WeylElement,
+    _doubled,
     _kostant_euler_sum,
     _kostant_table,
-    _levi_denominator,
     circle_point,
     formal_character,
     inversion_set,
@@ -284,14 +285,30 @@ def test_kostant_euler_identity_small(kind, m):
             assert kostant_euler_identity(datum, standard_levi(label, m), Weight.from_ints(lam))
 
 
+def _product(f, g) -> Laurent:
+    """Schoolbook product of two Laurent polynomials of one rank, on the
+    tuple boundary: the reference for Laurent.mul_binomials."""
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(map(operator.add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return Laurent(f.rank, out)
+
+
+def _binomial_product(m, shift, roots) -> Laurent:
+    """e^shift prod_a (1 - e^{-a}) by schoolbook products, roots undoubled."""
+    out = Laurent.monomial(shift)
+    for a in roots:
+        out = _product(out, Laurent(m, {(0,) * m: 1, tuple(-2 * c for c in a): -1}))
+    return out
+
+
 def _koszul_alternation(datum, levi) -> Laurent:
     """K = prod over nilradical roots of (1 - e^{-a})."""
     levi_pos = set(levi_positive_roots(datum, levi))
-    out = Laurent.one(datum.rank)
-    for a in datum.positive_roots():
-        if a not in levi_pos:
-            out = out * (Laurent.one(datum.rank) - Laurent.monomial(tuple(-2 * c for c in a)))
-    return out
+    nilradical = [a for a in datum.positive_roots() if a not in levi_pos]
+    return _binomial_product(datum.rank, (0,) * datum.rank, nilradical)
 
 
 def _all_levis(m):
@@ -318,20 +335,25 @@ def test_kostant_identity_matches_unreduced_form(kind, m):
         koszul = _koszul_alternation(datum, levi)
         for lam_c in _dominant_weights(kind, m, 2):
             lam = Weight.from_ints(lam_c)
-            unreduced = _kostant_euler_sum(datum, levi, lam) * a_rho == weyl_numerator(datum, lam) * koszul
+            lhs = _product(_kostant_euler_sum(datum, levi, lam), a_rho)
+            unreduced = lhs == _product(weyl_numerator(datum, lam), koszul)
             assert unreduced and kostant_euler_identity(datum, levi, lam), (kind, m, label, lam_c)
 
 
 def test_levi_denominator_times_koszul_is_weyl_denominator():
+    # D_M as kostant_euler_identity multiplies by it, against the schoolbook product
     for kind in ("B", "D"):
         for m in (1, 2, 3, 4):
             datum = RootDatum(kind, m)
+            r = rho(datum).doubled
             a_rho = weyl_numerator(datum, Weight((0,) * m))
             levis = list(_all_levis(m))
             assert len(levis) == 2 ** m
             for levi in levis:
-                d_m = _levi_denominator(kind, m, levi.gl_blocks, levi.so_start)
-                assert d_m * _koszul_alternation(datum, levi) == a_rho, (kind, m, levi)
+                levi_roots = levi_positive_roots(datum, levi)
+                d_m = Laurent.one(m).mul_binomials(r, _doubled(levi_roots))
+                assert d_m == _binomial_product(m, r, levi_roots), (kind, m, levi)
+                assert _product(d_m, _koszul_alternation(datum, levi)) == a_rho, (kind, m, levi)
 
 
 def _raised_degree_zero_weight(real):
@@ -387,10 +409,8 @@ def test_weyl_numerator_denominator_identity():
         for lam_c in [(0,) * datum.rank, (1, 1) + (0,) * (datum.rank - 2)]:
             lam = Weight.from_ints(lam_c)
             lhs = weyl_numerator(datum, lam)
-            rhs = Laurent.monomial(rho(datum).doubled) * formal_character(datum, lam)
-            for a in datum.positive_roots():
-                rhs = rhs * (Laurent.one(datum.rank) - Laurent.monomial(tuple(-2 * c for c in a)))
-            assert lhs == rhs
+            denominator = _binomial_product(datum.rank, rho(datum).doubled, datum.positive_roots())
+            assert lhs == _product(formal_character(datum, lam), denominator)
 
 
 def test_weight_invariants():
@@ -399,3 +419,27 @@ def test_weight_invariants():
     assert w.coords() == (Fraction(3, 2), Fraction(1, 2))
     assert (w + w).is_integral
     assert w.pairing((1, 1)) == 2
+
+
+def test_weight_of_the_wrong_rank_is_refused():
+    # once truncated to the shared coordinates: B2's character of (2, 1), a
+    # passing identity, and an IndexError for a rank-2 weight on B3
+    long, short = Weight.from_ints((2, 1, 0)), Weight.from_ints((2, 1))
+    with pytest.raises(ExactDomainError):
+        rootdata.is_dominant(B2, long)
+    with pytest.raises(ExactDomainError):
+        formal_character(B2, long)
+    with pytest.raises(ExactDomainError):
+        kostant_euler_identity(B2, standard_levi("M2", 2), long)
+    with pytest.raises(ExactDomainError):
+        kostant_euler_identity(B3, standard_levi("M2", 3), short)
+    with pytest.raises(ExactDomainError):
+        kostant_cohomology(B3, standard_levi("M1", 3), short)
+
+
+def test_weight_arithmetic_refuses_a_length_mismatch():
+    w, v = Weight.from_ints((2, 1, 0)), Weight.from_ints((1, 1))
+    for op in (lambda: w + v, lambda: v - w, lambda: w.pairing((1, 1)), lambda: w.pairing_doubled((1, 1, 0, 0))):
+        with pytest.raises(ExactDomainError):
+            op()
+    assert w.pairing((1, 1, 0)) == 3 and w.pairing_doubled((2, 0, 0)) == 8
