@@ -32,8 +32,8 @@ def _denominator(shift, roots):
     return out
 
 
-def _random_poly(rng, rank, n, width=3):
-    exps = (tuple(rng.randint(-width, width) for _ in range(rank)) for _ in range(n))
+def _random_poly(rng, rank, n):
+    exps = (tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(n))
     return Laurent(rank, {e: rng.randint(-4, 4) for e in exps})
 
 
