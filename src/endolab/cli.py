@@ -536,16 +536,18 @@ def _suite_kostant(rep: Report, *, max_rank=3, max_coord=2):
                     if not rep.check("Kostant identity", ok):
                         rep.witnesses.append(named)
             # The weight truncations cut at <mu, pi> > -<rho, pi>, which must
-            # agree with <w(lam+rho), pi> > 0 for every Weyl element w.
+            # agree with <w(lam+rho), pi> > 0 for every Weyl element w.  Both
+            # sides are compared doubled, as ints.
             r = rootdata.rho(datum)
-            cutoffs = [(pi, -r.pairing(pi)) for pi in (rootdata.pi1_covector(m), rootdata.pi2_covector(m))]
+            cutoffs = [(pi, -r.pairing_doubled(pi)) for pi in (rootdata.pi1_covector(m), rootdata.pi2_covector(m))]
             for lam in lams:
                 shifted = rootdata.Weight.from_ints(lam) + r
                 for w, _, _ in rootdata.weyl_table(kind, m):
                     image = w.act(shifted)
                     mu = image - r
                     for pi, cut in cutoffs:
-                        if not rep.check("truncation cutoffs", (mu.pairing(pi) > cut) == (image.pairing(pi) > 0)):
+                        ok = (mu.pairing_doubled(pi) > cut) == (image.pairing_doubled(pi) > 0)
+                        if not rep.check("truncation cutoffs", ok):
                             rep.witnesses.append(
                                 {"kind": kind, "m": m, "lambda": lam, "pi": list(pi),
                                  "w": [list(w.signs), list(w.perm)]}

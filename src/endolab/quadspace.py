@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import ExactDomainError
@@ -26,23 +27,32 @@ from .exactnum import (
     factorize,
     hilbert_symbol,
     squareclass_of,
+    squarefree_part,
 )
 
 
 @dataclass(frozen=True)
 class QuadraticSpace:
     diag: tuple[Fraction, ...]
-    # the reduced (numerator, denominator) of each diagonal entry, which the
-    # local invariants read; derived from diag, so not part of eq, hash or repr
+    # Derived from diag, so not part of eq, hash or repr: the reduced
+    # (numerator, denominator) of each diagonal entry, which the local
+    # invariants read, and the global discriminant, which `discriminant` returns.
     num_den: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    disc: SquareClass = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.diag) < 1:
             raise ExactDomainError("quadratic space needs dimension >= 1")
         num_den = tuple(_num_den(c) for c in self.diag)
-        if any(n == 0 for n, _ in num_den):
-            raise ExactDomainError("degenerate diagonal entry")
+        # (-1)^(d/2) det for d = 2 mod 4, else det; prod of num * den has the
+        # square class of prod of num / den
+        prod = -1 if len(num_den) % 4 == 2 else 1
+        for n, d in num_den:
+            if n == 0:
+                raise ExactDomainError("degenerate diagonal entry")
+            prod *= n * d
         object.__setattr__(self, "num_den", num_den)
+        object.__setattr__(self, "disc", SquareClass(GLOBAL, squarefree_part(prod)))
 
     @classmethod
     def from_entries(cls, entries: Sequence[RationalLike]) -> "QuadraticSpace":
@@ -92,19 +102,10 @@ def diagonalize(gram: Sequence[Sequence[RationalLike]]) -> QuadraticSpace:
     return QuadraticSpace(tuple(diag))
 
 
-def det_class(q: QuadraticSpace) -> SquareClass:
-    prod = 1  # prod of num * den has the square class of prod of num / den
-    for n, d in q.num_den:
-        prod *= n * d
-    return squareclass_of(prod, GLOBAL)
-
-
 def discriminant(q: QuadraticSpace) -> SquareClass:
-    """det q for odd dimension, (-1)^(d/2) det q for even dimension, as a global square class."""
-    d = det_class(q)
-    if q.dim % 2 == 0 and (q.dim // 2) % 2 == 1:
-        d = d * squareclass_of(-1, GLOBAL)
-    return d
+    """det q for odd dimension, (-1)^(d/2) det q for even dimension, as a
+    global square class; the space computes it once, when it is built."""
+    return q.disc
 
 
 def hasse_invariant(q: QuadraticSpace, v: Place) -> int:
@@ -210,16 +211,24 @@ def is_quasi_split_local(q: QuadraticSpace, v: Place) -> bool:
     return eps == want
 
 
+@lru_cache(maxsize=4096)
+def _model_invariants(d: int, delta_rep: int, p: int) -> tuple[SquareClass, int]:
+    """The discriminant class over Q_p and the pairwise Hasse invariant at p
+    of `quasi_split_space(d, delta)`, where delta has the squarefree
+    representative delta_rep."""
+    v = Place.finite(p)
+    model = quasi_split_space(d, SquareClass(GLOBAL, delta_rep))
+    return discriminant(model).localize(v), hasse_invariant(model, v)
+
+
 def is_quasi_split_oracle(q: QuadraticSpace, p: int) -> bool:
     """Independent check over Q_p: compare (dim, disc, Hasse) with the explicit
-    quasi-split model, which classifies quadratic forms over Q_p."""
+    quasi-split model, which classifies quadratic forms over Q_p.  The model
+    depends only on (dim, disc), so its invariants at p are cached."""
     v = Place.finite(p)
     disc = discriminant(q)
-    model = quasi_split_space(q.dim, disc)
-    return (
-        disc.localize(v) == discriminant(model).localize(v)
-        and hasse_invariant(q, v) == hasse_invariant(model, v)
-    )
+    model_disc, model_hasse = _model_invariants(q.dim, disc.rep, p)
+    return disc.localize(v) == model_disc and hasse_invariant(q, v) == model_hasse
 
 
 def is_perfect(q: QuadraticSpace, p: int) -> bool:

@@ -98,12 +98,9 @@ class Weight:
         self._same_rank(other.doubled)
         return Weight(tuple(map(sub, self.doubled, other.doubled)))
 
-    def pairing(self, covector: Sequence[int]) -> Fraction:
-        """<self, covector> for an integral coweight given in e_i^v coordinates."""
-        return Fraction(self.pairing_doubled(covector), 2)
-
     def pairing_doubled(self, covector: Sequence[int]) -> int:
-        """2 <self, covector>; enough for sign tests, avoids Fractions."""
+        """2 <self, covector> for an integral coweight given in e_i^v
+        coordinates; enough for sign tests, avoids Fractions."""
         self._same_rank(covector)
         return sum(map(mul, self.doubled, covector))
 
@@ -409,13 +406,18 @@ def is_dominant(datum: RootDatum, lam: Weight) -> bool:
     ExactDomainError, never read on the coordinates the two share."""
     if lam.rank != datum.rank:
         raise ExactDomainError(f"rank {lam.rank} weight on a rank {datum.rank} root datum")
-    c = lam.doubled
-    for i in range(datum.rank - 1):
+    return _dominant_coords(datum.kind, lam.doubled)
+
+
+def _dominant_coords(kind: str, c: Sequence[int]) -> bool:
+    """Whether the (doubled) coordinates c, len(c) >= 1, are dominant for
+    the root datum of type kind and rank len(c)."""
+    for i in range(len(c) - 1):
         if c[i] < c[i + 1]:
             return False
-    if datum.kind == "B":
+    if kind == "B":
         return c[-1] >= 0
-    if datum.rank >= 2:
+    if len(c) >= 2:
         return c[-2] + c[-1] >= 0
     return True
 
@@ -510,10 +512,7 @@ def levi_is_dominant(datum: RootDatum, levi: LeviBlocks, mu: Weight) -> bool:
             if c[i] < c[j]:
                 return False
     tail = c[levi.so_start:]
-    if not tail:
-        return True
-    sub = RootDatum(datum.kind, datum.rank - levi.so_start)
-    return is_dominant(sub, Weight(tail))
+    return not tail or _dominant_coords(datum.kind, tail)
 
 
 def kostant_cohomology(datum: RootDatum, levi: LeviBlocks, lam: Weight) -> list[tuple[int, Weight]]:

@@ -305,7 +305,7 @@ def test_cone_equivalence_pairing_never_degenerate():
         chi = w.act(lam + r)
         coeff = (chi.coords()[0] + chi.coords()[1]) / 2
         assert coeff != 0
-        assert (coeff > 0) == (chi.pairing((1, 1, 0)) > 0)
+        assert (coeff > 0) == (chi.pairing_doubled((1, 1, 0)) > 0)
 
 
 def test_sample_in_range_gives_up_after_rejected_draws():

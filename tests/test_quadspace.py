@@ -191,17 +191,100 @@ def test_closed_test_and_oracle_take_separate_hasse_paths(monkeypatch):
         is_quasi_split_oracle(q, 3)
 
 
-def test_oracle_takes_each_discriminant_once(monkeypatch):
-    """One discriminant of the form and one of the quasi-split model per call."""
+def _twisted_product_class(entries):
+    """The discriminant from scratch: (-1)^(d/2) times the product of the
+    entries for even d, the product for odd d, as a global square class."""
+    d = len(entries)
+    prod = math.prod(Fraction(c) for c in entries)
+    if d % 2 == 0:
+        prod *= (-1) ** (d // 2)
+    return squareclass_of(prod, GLOBAL)
+
+
+def _quasisplit_sweep():
+    """The forms of `verify quasisplit`: every diagonal form of dim <= 10 with
+    entries in {+-1, +-p, +-2p}, with its prime p = 3, 5, 7."""
+    for p in (3, 5, 7):
+        for dim in range(1, 11):
+            for entries in itertools.combinations_with_replacement((1, -1, p, -p, 2 * p, -2 * p), dim):
+                yield entries, p
+
+
+def test_stored_discriminant_is_the_twisted_product_of_the_entries():
+    forms = 0
+    for entries, _ in _quasisplit_sweep():
+        assert discriminant(QuadraticSpace.from_entries(entries)) == _twisted_product_class(entries), entries
+        forms += 1
+    assert forms == 24021
+    for q in _pool_forms():
+        assert discriminant(q) == _twisted_product_class(q.diag), q.diag
+    rng = random.Random(17)
+    for trial in range(200):
+        entries = [Fraction(rng.choice([1, -1, 2, -3, 5, -6, 7]), rng.randint(1, 12)) for _ in range(rng.randint(1, 9))]
+        assert discriminant(QuadraticSpace.from_entries(entries)) == _twisted_product_class(entries), entries
+    # zero diagonal entries take the e_k += e_j branch of the elimination
+    gram = [[0, 1, 2, 0], [1, 0, 3, Fraction(1, 2)], [2, 3, 5, 0], [0, Fraction(1, 2), 0, 0]]
+    q = diagonalize(gram)
+    assert discriminant(q) == _twisted_product_class(q.diag)
+    assert discriminant(q) == squareclass_of(_det(gram), GLOBAL)  # d = 4: no twist
+
+
+def test_discriminant_is_computed_once_per_space(monkeypatch):
+    """The space stores its discriminant when it is built; the closed test,
+    the oracle, `is_perfect` and `discriminant` only read it."""
     from endolab import quadspace
 
-    q = QuadraticSpace.from_entries([1, -3, 6, 2, -1])
-    expected = is_quasi_split_local(q, Place.finite(3))
     calls = []
-    real = quadspace.discriminant
-    monkeypatch.setattr(quadspace, "discriminant", lambda form: calls.append(form) or real(form))
-    assert is_quasi_split_oracle(q, 3) == expected
-    assert len(calls) == 2 and calls[0] is q and calls[1] is not q
+    real = quadspace.squarefree_part
+    monkeypatch.setattr(quadspace, "squarefree_part", lambda n: calls.append(n) or real(n))
+    q = QuadraticSpace.from_entries([1, -3, 6, 2, -1, 7])
+    assert len(calls) == 1
+    for p in (3, 7):
+        is_quasi_split_oracle(q, p)  # builds the models this test reads
+    calls.clear()
+    for p in (3, 7):
+        assert discriminant(q) is discriminant(q)
+        is_quasi_split_local(q, Place.finite(p))
+        is_quasi_split_oracle(q, p)
+        is_perfect(q, p)
+    is_quasi_split_local(q, REAL)
+    assert calls == []
+
+
+def test_oracle_builds_one_model_per_dimension_discriminant_and_prime(monkeypatch):
+    from endolab import quadspace
+
+    built = []
+    real = quadspace.quasi_split_space
+    monkeypatch.setattr(quadspace, "quasi_split_space", lambda d, delta: built.append((d, delta.rep)) or real(d, delta))
+    quadspace._model_invariants.cache_clear()
+    keys = set()
+    for entries, p in _quasisplit_sweep():
+        if len(entries) <= 6:
+            q = QuadraticSpace.from_entries(entries)
+            assert is_quasi_split_oracle(q, p) == is_quasi_split_local(q, Place.finite(p)), (entries, p)
+            keys.add((q.dim, discriminant(q).rep, p))
+    assert len(built) == len(keys) < 200
+
+
+def test_model_cache_keyed_without_the_prime_gives_wrong_answers(monkeypatch):
+    """Negative control: the model's invariants reused across primes for the
+    same (dim, disc) make the oracle disagree with the closed test."""
+    from endolab import quadspace
+
+    real = quadspace._model_invariants
+    first = {}
+
+    def keyed_without_p(d, delta_rep, p):
+        return first.setdefault((d, delta_rep), real(d, delta_rep, p))
+
+    monkeypatch.setattr(quadspace, "_model_invariants", keyed_without_p)
+    wrong = 0
+    for entries, p in _quasisplit_sweep():
+        if len(entries) <= 4:
+            q = QuadraticSpace.from_entries(entries)
+            wrong += is_quasi_split_oracle(q, p) != is_quasi_split_local(q, Place.finite(p))
+    assert wrong > 0
 
 
 def test_quasi_split_signature_table():
@@ -340,6 +423,7 @@ def test_space_keeps_reduced_integer_pairs_out_of_eq_hash_and_repr():
     q = QuadraticSpace.from_entries([Fraction(6, 4), Fraction(-5, 3), 7])
     assert q.num_den == ((3, 2), (-5, 3), (7, 1))
     assert raw_ints.num_den == raw_fracs.num_den == ((1, 1), (-2, 1))
+    assert raw_ints.disc == raw_fracs.disc == squareclass_of(2, GLOBAL)
     for entries in ([1, 0, 2], [Fraction(0)], (Fraction(3), Fraction(0, 5))):
         with pytest.raises(ExactDomainError, match="degenerate diagonal entry"):
             QuadraticSpace.from_entries(entries)

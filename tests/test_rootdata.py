@@ -276,6 +276,24 @@ def test_kostant_cohomology_entries():
         assert levi_is_dominant(B3, standard_levi("M1", 3), mu)
 
 
+@pytest.mark.parametrize("kind", ["B", "D"])
+def test_levi_dominance_reads_the_so_tail_as_the_sub_datum(kind):
+    """The SO tail of every weight with doubled coordinates in [-3, 3] is
+    dominant for the Levi exactly when `is_dominant` says so on the root
+    datum of the tail's rank, 1 to 3, after a dominant GL_2 block or none."""
+    seen = set()
+    for gl, prefix in ((LeviBlocks((), 0), ()), (LeviBlocks(((0, 1),), 2), (4, 2))):
+        for r in (1, 2, 3):
+            datum, sub = RootDatum(kind, gl.so_start + r), RootDatum(kind, r)
+            for tail in itertools.product(range(-3, 4), repeat=r):
+                dominant = rootdata.is_dominant(sub, Weight(tail))
+                assert levi_is_dominant(datum, gl, Weight(prefix + tail)) == dominant, (kind, prefix, tail)
+                seen.add((r, tail[-1] < 0, dominant))
+    # a negative last coordinate: dominant for D (e.g. (1, -1) or (-1)), never for B
+    assert ((1, True, True) in seen and (2, True, True) in seen) == (kind == "D")
+    assert (3, True, False) in seen
+
+
 @pytest.mark.parametrize("kind,m", [("B", 2), ("B", 3), ("D", 3)])
 def test_kostant_euler_identity_small(kind, m):
     datum = RootDatum(kind, m)
@@ -418,7 +436,7 @@ def test_weight_invariants():
     assert not w.is_integral
     assert w.coords() == (Fraction(3, 2), Fraction(1, 2))
     assert (w + w).is_integral
-    assert w.pairing((1, 1)) == 2
+    assert w.pairing_doubled((1, 1)) == 4
 
 
 def test_weight_of_the_wrong_rank_is_refused():
@@ -439,7 +457,7 @@ def test_weight_of_the_wrong_rank_is_refused():
 
 def test_weight_arithmetic_refuses_a_length_mismatch():
     w, v = Weight.from_ints((2, 1, 0)), Weight.from_ints((1, 1))
-    for op in (lambda: w + v, lambda: v - w, lambda: w.pairing((1, 1)), lambda: w.pairing_doubled((1, 1, 0, 0))):
+    for op in (lambda: w + v, lambda: v - w, lambda: w.pairing_doubled((1, 1)), lambda: w.pairing_doubled((1, 1, 0, 0))):
         with pytest.raises(ExactDomainError):
             op()
-    assert w.pairing((1, 1, 0)) == 3 and w.pairing_doubled((2, 0, 0)) == 8
+    assert w.pairing_doubled((1, 1, 0)) == 6 and w.pairing_doubled((2, 0, 0)) == 8
