@@ -565,6 +565,70 @@ def test_verify_invariants_error_names_the_case(capsys, monkeypatch):
     assert out["witnesses"] == [{"d": 9, "levi": "M12", "A": A, "base": base, "error": "broken identity"}]
     assert out["checks"]["tau-k identity"]["checked"] > 0  # d = 7, 8 and the M1, M2 cases of d = 9
 
+@pytest.mark.parametrize(
+    "target, name, wrong, argv, checks, witnesses",
+    [
+        (
+            "signs", "parity_lemma_holds",
+            lambda real: lambda m, p: (m, p) != (7, 3) and real(m, p),
+            ["signs"],
+            {"sun identity": (112, 0), "Whittaker type II": (21, 0), "parity lemma": (861, 1)},
+            [{"m": 7, "p": 3, "kind": "parity lemma"}],
+        ),
+        (
+            "quadspace", "is_quasi_split_oracle",
+            lambda real: lambda q, p: real(q, p) != ((p, [str(c) for c in q.diag]) == (5, ["1", "1", "1"])),
+            ["quasisplit"],
+            {"quasi-split against the oracle": (24021, 1)},
+            [{"diag": ["1", "1", "1"], "p": 5}],
+        ),
+        (
+            "hecke", "expected_k_table",
+            lambda real: lambda levi, A, a: real(levi, A, a + ((levi, tuple(A)) == ("M12", (2,)))),
+            ["satake", "--d", "7", "--a", "1"],
+            {"k(A) table": (18, 2), "h independent of A": (7, 0), "k_a base change": (2, 0)},
+            [
+                {"d": 7, "levi": "M12", "A": [2], "a": 1, "base": [1, 3], "kind": "kPart mismatch"},
+                {"d": 7, "levi": "M12", "A": [2], "a": 1, "base": [3, 1], "kind": "kPart mismatch"},
+            ],
+        ),
+        (
+            "dsconst", "vanishing_quantities",
+            lambda real: lambda r, t, case, split, mu: ([0, 1, 0, 0, 0], 1) if split == 2 else real(r, t, case, split, mu),
+            ["vanishing", "--case", "odd", "--r", "5", "--t", "0", "--trials", "1", "--seed", "3"],
+            {"N = 0": (6, 1), "M_i = 0": (6, 1)},
+            [{"parity": "odd", "r": 5, "t": 0, "split": 2, "mu": ["95", "-2", "86", "9", "21"], "M": [0, 1, 0, 0, 0], "N": 1}],
+        ),
+        (
+            "rootdata.Weight", "pairing_doubled",
+            # 2 <w(rho), pi_1> for the B2 swap w, where w(rho) = (1/2, 3/2)
+            lambda real: lambda self, pi: -4 if (self.doubled, tuple(pi)) == ((1, 3), (1, 1)) else real(self, pi),
+            ["kostant", "--max-rank", "2", "--max-coord", "0"],
+            {"Kostant identity": (6, 0), "truncation cutoffs": (24, 1)},
+            [{"kind": "B", "m": 2, "lambda": [0, 0], "pi": [1, 1], "w": [[1, 1], [1, 0]]}],
+        ),
+    ],
+    ids=["parity lemma", "quasi-split oracle", "k(A) table", "vanishing N and M", "kostant cutoff"],
+)
+def test_verify_failure_report_counts_and_witnesses(capsys, monkeypatch, target, name, wrong, argv, checks, witnesses):
+    """A check that gives the wrong answer at one known case: the run fails
+    (exit 1), counts that failure, and records exactly one witness per failing
+    case, even where two identities fail at the same case."""
+    import importlib
+
+    module, _, attr = target.partition(".")
+    owner = importlib.import_module(f"endolab.{module}")
+    if attr:
+        owner = getattr(owner, attr)
+    monkeypatch.setattr(owner, name, wrong(getattr(owner, name)))
+    code, out = _verify(capsys, *argv)
+    assert (code, out["status"], out["command"]) == (1, "fail", f"verify {argv[0]}")
+    assert out["checks"] == {
+        identity: {"checked": checked, "failed": failed, "skipped": {}} for identity, (checked, failed) in checks.items()
+    }
+    assert out["witnesses"] == witnesses
+
+
 def test_verify_zero_count_is_a_usage_error(capsys):
     from endolab import cli
 
