@@ -29,12 +29,14 @@ def main() -> int:
             status = report["status"]
             checked = sum(c["checked"] for c in report["checks"].values())
         except (json.JSONDecodeError, KeyError):
-            status, checked = f"error (exit {proc.returncode})", 0
+            report, status, checked = None, f"error (exit {proc.returncode})", 0
         tag = "PASS" if proc.returncode == 0 else "FAIL"
         print(f"[{tag}] verify {suite:<12} {elapsed:7.1f}s  status={status}  checked={checked}")
         if proc.returncode != 0:
             failures += 1
             print(proc.stdout)
+        if report is None:  # a suite that crashed wrote its traceback to stderr
+            print(proc.stderr)
     return 1 if failures else 0
 
 

@@ -4,16 +4,17 @@ verification harness with machine-readable reports.
 Reports print to stdout as canonical JSON (sorted keys, fixed separators) and
 are byte-identical across runs with the same parameters and seed; wall-clock
 timing goes to stderr.  Exit codes: 0 pass, 1 verification failure, 2 usage or
-input error.  ENDOLAB_WORKERS > 1 fans independent verification cases out to a
-process pool, imported only then; results are merged by case key, so the report
-stays deterministic.  Each command imports the endolab modules it runs, and
+input error.  A verify suite names the case it is computing in `Report.case`:
+a failed check records that case as its witness, and an error report names it.
+ENDOLAB_WORKERS > 1 fans independent verification cases out to a process pool,
+imported only then; results are taken in case-key order, so the report stays
+deterministic.  Each command imports the endolab modules it runs, and
 `import endolab.cli` loads only `endolab.errors`.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import itertools
 import json
 import os
@@ -35,6 +36,7 @@ class Report:
     seed: int | None = None
     checks: dict | None = None  # verify only: {identity: {checked, failed, skipped: {reason: n}}}
     timing: float | None = None  # never serialized; printed to stderr
+    case: dict = field(default_factory=dict)  # verify only, never serialized: the case being computed
 
     def tally(self, identity: str, checked: int, failed: int = 0) -> None:
         counts = self.checks.get(identity)
@@ -43,10 +45,15 @@ class Report:
         counts["checked"] += checked
         counts["failed"] += failed
 
-    def check(self, identity: str, ok: bool) -> bool:
-        """Count one checked case of the identity, failed unless ok; returns ok."""
+    def check(self, identity: str, ok: bool, witness: dict | None = None) -> None:
+        """Count one checked case of the identity, failed unless ok.  A failure
+        records the witness, by default the current case, unless it is already
+        the last witness, as when two identities fail at one case."""
         self.tally(identity, 1, 0 if ok else 1)
-        return ok
+        if not ok:
+            witness = self.case if witness is None else witness
+            if not self.witnesses or self.witnesses[-1] is not witness:
+                self.witnesses.append(witness)
 
     def skip(self, identity: str, reason: str) -> None:
         self.tally(identity, 0)
@@ -95,18 +102,6 @@ def _at_least(flag: str, value, low: int) -> None:
         raise ExactDomainError(f"--{flag} must be >= {low}, got {value}")
 
 
-@contextlib.contextmanager
-def _naming(case: dict):
-    """An endolab error raised in the block names the case it was raised in:
-    the verify report's error witness reads exc.case, which a process pool
-    pickles with the exception."""
-    try:
-        yield
-    except (ExactDomainError, SingularPointError, ResourceLimitError) as exc:
-        exc.case = case
-        raise
-
-
 def _parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
@@ -133,17 +128,19 @@ def _workers() -> int:
 
 
 def _map_cases(fn, keys):
-    """Map fn over case keys, in a process pool when ENDOLAB_WORKERS > 1; the
-    output order always follows the sorted keys.  The pool never has more
-    workers than CPUs or keys, and its modules load only when a pool runs."""
+    """Yield fn of each case key in key order, computed in a process pool when
+    ENDOLAB_WORKERS > 1; an error raised for a key is raised when its result
+    is taken.  The pool never has more workers than CPUs or keys, and its
+    modules load only when a pool runs."""
     keys = list(keys)
     n = min(_workers(), os.cpu_count() or 1, len(keys))
     if n <= 1:
-        return [fn(k) for k in keys]
+        yield from map(fn, keys)
+        return
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, keys))
+        yield from pool.map(fn, keys)
 
 
 # --- quadspace ------------------------------------------------------------------
@@ -269,35 +266,32 @@ def cmd_endoscopy(args) -> Report:
 # --- signs table ----------------------------------------------------------------
 
 
-def cmd_signs(args) -> Report:
+def _sign_cases(m_minus_max: int):
+    """The (levi, parity, m_minus, SignCase, A) rows of the sign tables, with
+    m+ = 3 and m_minus up to m_minus_max."""
     from . import signs
     from .levi import admissible_A
 
-    _at_least("m-minus-max", args.m_minus_max, 0)
-    rep = Report("signs", {"m_minus_max": args.m_minus_max})
-    lines = ["levi\tparity\tm_minus\tA\tdet_omega0\tsun\ttasho_ratio\tsun_identity"]
     for levi in ("M1", "M2", "M12"):
         for parity in ("odd", "even"):
             if levi == "M2" and parity == "even":
                 continue
-            for mm in range(0, args.m_minus_max + 1):
+            for mm in range(m_minus_max + 1):
                 case = signs.SignCase(levi, parity, mm + 3, 3, mm)
                 for A in admissible_A(levi):
-                    lines.append(
-                        "\t".join(
-                            str(x)
-                            for x in (
-                                levi,
-                                parity,
-                                mm,
-                                "{" + ",".join(map(str, A)) + "}",
-                                signs.det_omega0(A, mm, levi),
-                                signs.sun(A),
-                                signs.tasho_ratio(case, A),
-                                signs.check_sun_identity(case, A),
-                            )
-                        )
-                    )
+                    yield levi, parity, mm, case, A
+
+
+def cmd_signs(args) -> Report:
+    from . import signs
+
+    _at_least("m-minus-max", args.m_minus_max, 0)
+    rep = Report("signs", {"m_minus_max": args.m_minus_max})
+    lines = ["levi\tparity\tm_minus\tA\tdet_omega0\tsun\ttasho_ratio\tsun_identity"]
+    for levi, parity, mm, case, A in _sign_cases(args.m_minus_max):
+        row = [levi, parity, mm, "{" + ",".join(map(str, A)) + "}", signs.det_omega0(A, mm, levi)]
+        row += [signs.sun(A), signs.tasho_ratio(case, A), signs.check_sun_identity(case, A)]
+        lines.append("\t".join(map(str, row)))
     print("\n".join(lines))
     rep.parameters["rows"] = len(lines) - 1
     return rep
@@ -306,8 +300,10 @@ def cmd_signs(args) -> Report:
 # --- verification suites ----------------------------------------------------------
 #
 # Each suite takes the report and its own parameters as keyword arguments; the
-# defaults are the suite's, and None selects the suite's default sweep.  It
-# counts every case it checks on the report, and appends one witness per failure.
+# defaults are the suite's, and None selects the suite's default sweep.  Before
+# it computes a case it sets `rep.case` to the case's name, a JSON-able dict,
+# so an error names that case; `rep.check` counts the case and records one
+# witness per failing case, the case itself unless the check gives another.
 
 
 def _suite_vanishing(rep: Report, *, case=None, r=None, t=None, trials=20, seed=7):
@@ -330,30 +326,23 @@ def _suite_vanishing(rep: Report, *, case=None, r=None, t=None, trials=20, seed=
                             Fraction(mags[k] * rng.choice([-1, 1]), den)
                             for k in range(rank)
                         ] + [Fraction(mags[rank + j]) for j in range(tail)]
-                        named = {
-                            "parity": parity,
-                            "r": rank,
-                            "t": tail,
-                            "split": r_prime,
-                            "mu": [str(c) for c in mu],
-                        }
-                        with _naming(named):
-                            M, N = dsconst.vanishing_quantities(rank, tail, parity, r_prime, mu)
-                        ok_n = rank < n_from or rep.check("N = 0", N == 0)
-                        ok_m = rank < m_from or rep.check("M_i = 0", not any(M))
-                        if not (ok_n and ok_m):
-                            rep.witnesses.append({**named, "M": M, "N": N})
+                        mu_text = [str(c) for c in mu]
+                        rep.case = {"parity": parity, "r": rank, "t": tail, "split": r_prime, "mu": mu_text}
+                        M, N = dsconst.vanishing_quantities(rank, tail, parity, r_prime, mu)
+                        witness = {**rep.case, "M": M, "N": N}
+                        if rank >= n_from:
+                            rep.check("N = 0", N == 0, witness)
+                        if rank >= m_from:
+                            rep.check("M_i = 0", not any(M), witness)
 
 
 def _arch_case_runner(key):
     from . import archcmp
 
     levi, d, lam, samples, seed = key
-    named = {"levi": levi, "d": d, "lambda": list(lam)}
-    with _naming(named):
-        case = archcmp.ArchCase(levi, d, lam)
-        r = archcmp.verify_identity(case, samples=samples, seed=seed, vanishing_controls=5)
-    return {**named, "failures": r.failures}, r.controls
+    case = archcmp.ArchCase(levi, d, lam)
+    r = archcmp.verify_identity(case, samples=samples, seed=seed, vanishing_controls=5)
+    return r.failures, r.controls
 
 
 def _default_lambda(d: int) -> tuple[int, ...]:
@@ -380,13 +369,16 @@ def _suite_arch(rep: Report, *, d=None, case=None, lam=None, samples=50, seed=7)
             if levi == "M2" and d % 2 == 0:
                 continue
             keys.append((levi, d, weight or _default_lambda(d), samples, seed))
-    for result, controls in _map_cases(_arch_case_runner, keys):
-        vanishing = sum(str(f["index"]).startswith("vanish") for f in result["failures"])
-        rep.tally("comparison identity", samples, len(result["failures"]) - vanishing)
+    results = _map_cases(_arch_case_runner, keys)
+    for levi, d, lam, _, _ in keys:
+        rep.case = {"levi": levi, "d": d, "lambda": list(lam)}
+        failures, controls = next(results)
+        vanishing = sum(str(f["index"]).startswith("vanish") for f in failures)
+        rep.tally("comparison identity", samples, len(failures) - vanishing)
         if controls:
             rep.tally("vanishing region", controls, vanishing)
-        if result["failures"]:
-            rep.witnesses.append(result)
+        if failures:
+            rep.witnesses.append({**rep.case, "failures": failures})
 
 
 def _suite_satake(rep: Report, *, d=None, a=None):
@@ -412,93 +404,75 @@ def _suite_satake(rep: Report, *, d=None, a=None):
             for bp, bm in bases:
                 for dps, dms in variants:
                     for a in alist:
+                        shape = {"d": d, "levi": levi, "a": a, "base": [bp, bm]}
                         h_parts = []
                         for A in admissible_A(levi):
+                            rep.case = {**shape, "A": list(A)}
                             mp = bp // 2 + len(A)
                             reason = hecke.excluded_shape(levi, parity, mp, m - mp, A, dps, dms)
                             if reason:
                                 rep.skip("k(A) table", reason)
                                 continue
-                            named = {"d": d, "levi": levi, "A": list(A), "a": a, "base": [bp, bm]}
-                            with _naming(named):
-                                k, h = hecke.compute_fH_at_p(
-                                    levi, parity, m, mp, m - mp, list(A), a,
-                                    delta_plus_square=dps, delta_minus_square=dms,
-                                )
-                            if not rep.check("k(A) table", k == hecke.expected_k_table(levi, A, a)):
-                                rep.witnesses.append({**named, "kind": "kPart mismatch"})
-                            h_parts.append(h.serialize())
-                        if len(h_parts) > 1 and not rep.check(
-                            "h independent of A", all(h == h_parts[0] for h in h_parts)
-                        ):
-                            rep.witnesses.append(
-                                {"d": d, "levi": levi, "a": a, "base": [bp, bm],
-                                 "kind": "hPart depends on A"}
+                            k, h = hecke.compute_fH_at_p(
+                                levi, parity, m, mp, m - mp, list(A), a,
+                                delta_plus_square=dps, delta_minus_square=dms,
                             )
+                            ok = k == hecke.expected_k_table(levi, A, a)
+                            rep.check("k(A) table", ok, {**rep.case, "kind": "kPart mismatch"})
+                            h_parts.append(h.serialize())
+                        if len(h_parts) > 1:
+                            ok = all(h == h_parts[0] for h in h_parts)
+                            rep.check("h independent of A", ok, {**shape, "kind": "hPart depends on A"})
     for a in alist:
         for levi in ("M1", "M2"):
-            if not rep.check("k_a base change", hecke.ka_base_change_relation(levi, a)["matches"]):
-                rep.witnesses.append({"a": a, "levi": levi, "kind": "k_a relation"})
+            rep.case = {"a": a, "levi": levi}
+            ok = hecke.ka_base_change_relation(levi, a)["matches"]
+            rep.check("k_a base change", ok, {**rep.case, "kind": "k_a relation"})
 
 
 def _suite_signs(rep: Report):
     from . import signs
-    from .levi import admissible_A
 
-    for levi in ("M1", "M2", "M12"):
-        for parity in ("odd", "even"):
-            if levi == "M2" and parity == "even":
-                continue
-            for mm in range(8):
-                case = signs.SignCase(levi, parity, mm + 3, 3, mm)
-                for A in admissible_A(levi):
-                    named = {"levi": levi, "parity": parity, "mm": mm, "A": list(A)}
-                    with _naming(named):
-                        ok = signs.check_sun_identity(case, A)
-                    if not rep.check("sun identity", ok):
-                        rep.witnesses.append(named)
+    for levi, parity, mm, case, A in _sign_cases(7):
+        rep.case = {"levi": levi, "parity": parity, "mm": mm, "A": list(A)}
+        rep.check("sun identity", signs.check_sun_identity(case, A))
     for m in (4, 6, 8):
         for mp in range(0, m + 1):
-            with _naming({"m": m, "m_plus": mp}):
-                case = signs.SignCase("G", "even", m, mp, m - mp, p=2 * m, q=0)
-                s1 = signs.whittaker_comparison_sign(case, "I")
-                s2 = signs.whittaker_comparison_sign(case, "II")
-            if not rep.check("Whittaker type II", s2 == ((-1) ** (m - mp)) * s1):
-                rep.witnesses.append({"m": m, "m_plus": mp, "kind": "type II relation"})
+            rep.case = {"m": m, "m_plus": mp}
+            case = signs.SignCase("G", "even", m, mp, m - mp, p=2 * m, q=0)
+            s1 = signs.whittaker_comparison_sign(case, "I")
+            s2 = signs.whittaker_comparison_sign(case, "II")
+            ok = s2 == ((-1) ** (m - mp)) * s1
+            rep.check("Whittaker type II", ok, {**rep.case, "kind": "type II relation"})
     for m in range(41):
         for p in range(m + 1):
-            with _naming({"m": m, "p": p}):
-                ok = signs.parity_lemma_holds(m, p)
-            if not rep.check("parity lemma", ok):
-                rep.witnesses.append({"m": m, "p": p, "kind": "parity lemma"})
+            rep.case = {"m": m, "p": p}
+            rep.check("parity lemma", signs.parity_lemma_holds(m, p), {**rep.case, "kind": "parity lemma"})
 
 
 def _suite_hilbert(rep: Report, *, pairs=500, seed=7):
     from . import quadspace
     from .exactnum import REAL, Place, factorize, hilbert_symbol
 
-    def exists(d, det):
-        with _naming({"d": d, "det": det}):
-            return quadspace.exists_global_form(d, det)
-
     rng = random.Random(seed)
     for _ in range(pairs):
         a = rng.randint(-10000, 10000) or 3
         b = rng.randint(-10000, 10000) or 5
-        with _naming({"a": a, "b": b}):
-            places = {2} | set(factorize(a)) | set(factorize(b))
-            prod = hilbert_symbol(a, b, REAL)
-            for p in sorted(places):
-                prod *= hilbert_symbol(a, b, Place.finite(p))
-        if not rep.check("product formula", prod == 1):
-            rep.witnesses.append({"a": a, "b": b, "kind": "product formula"})
+        rep.case = {"a": a, "b": b}
+        places = {2} | set(factorize(a)) | set(factorize(b))
+        prod = hilbert_symbol(a, b, REAL)
+        for p in sorted(places):
+            prod *= hilbert_symbol(a, b, Place.finite(p))
+        rep.check("product formula", prod == 1, {**rep.case, "kind": "product formula"})
     for d in range(3, 65):
-        if not rep.check("existence criterion", exists(d, 1) == (d % 8 in (3, 4, 5, 6))):
-            rep.witnesses.append({"d": d, "kind": "existence criterion"})
+        rep.case = {"d": d, "det": 1}
+        ok = quadspace.exists_global_form(d, 1) == (d % 8 in (3, 4, 5, 6))
+        rep.check("existence criterion", ok, {"d": d, "kind": "existence criterion"})
     # d = 0 mod 8 with discriminant 2: the branch the trivial discriminant misses
     for d in (8, 16, 24):
-        if not rep.check("existence, d = 0 mod 8", exists(d, 2)):
-            rep.witnesses.append({"d": d, "kind": "existence branch"})
+        rep.case = {"d": d, "det": 2}
+        ok = quadspace.exists_global_form(d, 2)
+        rep.check("existence, d = 0 mod 8", ok, {"d": d, "kind": "existence branch"})
 
 
 def _suite_quasisplit(rep: Report):
@@ -511,11 +485,10 @@ def _suite_quasisplit(rep: Report):
         place = Place.finite(p)
         for dim in range(1, 11):
             for entries in itertools.combinations_with_replacement((1, -1, p, -p, 2 * p, -2 * p), dim):
-                with _naming({"diag": [str(c) for c in entries], "p": p}):
-                    q = quadspace.QuadraticSpace.from_entries(entries)
-                    ok = quadspace.is_quasi_split_local(q, place) == quadspace.is_quasi_split_oracle(q, p)
-                if not rep.check("quasi-split against the oracle", ok):
-                    rep.witnesses.append({"diag": [str(c) for c in q.diag], "p": p})
+                rep.case = {"diag": [str(c) for c in entries], "p": p}
+                q = quadspace.QuadraticSpace.from_entries(entries)
+                ok = quadspace.is_quasi_split_local(q, place) == quadspace.is_quasi_split_oracle(q, p)
+                rep.check("quasi-split against the oracle", ok)
 
 
 def _suite_kostant(rep: Report, *, max_rank=3, max_coord=2):
@@ -530,28 +503,24 @@ def _suite_kostant(rep: Report, *, max_rank=3, max_coord=2):
             for label in ("M2", "M1", "M12"):
                 levi = rootdata.standard_levi(label, m)
                 for lam in lams:
-                    named = {"kind": kind, "m": m, "levi": label, "lambda": lam}
-                    with _naming(named):
-                        ok = rootdata.kostant_euler_identity(datum, levi, rootdata.Weight.from_ints(lam))
-                    if not rep.check("Kostant identity", ok):
-                        rep.witnesses.append(named)
+                    rep.case = {"kind": kind, "m": m, "levi": label, "lambda": lam}
+                    ok = rootdata.kostant_euler_identity(datum, levi, rootdata.Weight.from_ints(lam))
+                    rep.check("Kostant identity", ok)
             # The weight truncations cut at <mu, pi> > -<rho, pi>, which must
             # agree with <w(lam+rho), pi> > 0 for every Weyl element w.  Both
             # sides are compared doubled, as ints.
             r = rootdata.rho(datum)
             cutoffs = [(pi, -r.pairing_doubled(pi)) for pi in (rootdata.pi1_covector(m), rootdata.pi2_covector(m))]
             for lam in lams:
+                rep.case = {"kind": kind, "m": m, "lambda": lam}
                 shifted = rootdata.Weight.from_ints(lam) + r
                 for w, _, _ in rootdata.weyl_table(kind, m):
                     image = w.act(shifted)
                     mu = image - r
                     for pi, cut in cutoffs:
                         ok = (mu.pairing_doubled(pi) > cut) == (image.pairing_doubled(pi) > 0)
-                        if not rep.check("truncation cutoffs", ok):
-                            rep.witnesses.append(
-                                {"kind": kind, "m": m, "lambda": lam, "pi": list(pi),
-                                 "w": [list(w.signs), list(w.perm)]}
-                            )
+                        witness = None if ok else {**rep.case, "pi": list(pi), "w": [list(w.signs), list(w.perm)]}
+                        rep.check("truncation cutoffs", ok, witness)
 
 
 def _dominant_weights(kind: str, m: int, max_coord: int) -> list:
@@ -582,11 +551,9 @@ def _suite_waldspurger(rep: Report, *, configs=200, seed=7):
         ys = rng.sample(range(-199, 200), m)
         y = [Fraction(v, 200) for v in ys]
         eta = rng.choice([1, -1])
-        named = {"y": [str(v) for v in y], "m_minus": mm, "eta": eta}
-        with _naming(named):
-            ok = signs.waldspurger_sign(y, mm, eta) == signs.waldspurger_sign_reduced(y, mm, eta)
-        if not rep.check("raw against reduced", ok):
-            rep.witnesses.append(named)
+        rep.case = {"y": [str(v) for v in y], "m_minus": mm, "eta": eta}
+        ok = signs.waldspurger_sign(y, mm, eta) == signs.waldspurger_sign_reduced(y, mm, eta)
+        rep.check("raw against reduced", ok)
 
 
 def _suite_invariants(rep: Report):
@@ -595,20 +562,15 @@ def _suite_invariants(rep: Report):
     ctx = endoscopy.RealCtx()
     for d in range(7, 13):
         delta = 1 if (d % 2 == 1 or (d // 2) % 2 == 0) else -1
-        with _naming({"d": d, "delta": delta}):
-            eg = {p.key() for p in endoscopy.enumerate_elliptic(d, delta, ctx)}
+        rep.case = {"d": d, "delta": delta}
+        eg = {p.key() for p in endoscopy.enumerate_elliptic(d, delta, ctx)}
         for levi in ("M1", "M2", "M12"):
-            with _naming({"d": d, "levi": levi}):
-                gs = endoscopy.enumerate_G_endoscopy(levi, d, delta, ctx)
-            for g in gs:
-                named = {"d": d, "levi": levi, "A": sorted(g.A), "base": [g.base.d_plus, g.base.d_minus]}
-                with _naming(named):
-                    tau_ok = endoscopy.tau_k_identity_check(levi, g, d)
-                    image_ok = endoscopy.to_EG(g).key() in eg
-                if not rep.check("tau-k identity", tau_ok):
-                    rep.witnesses.append(named)
-                if not rep.check("to_EG image", image_ok):
-                    rep.witnesses.append({"d": d, "levi": levi, "kind": "to_EG image"})
+            rep.case = {"d": d, "levi": levi}
+            for g in endoscopy.enumerate_G_endoscopy(levi, d, delta, ctx):
+                rep.case = {"d": d, "levi": levi, "A": sorted(g.A), "base": [g.base.d_plus, g.base.d_minus]}
+                rep.check("tau-k identity", endoscopy.tau_k_identity_check(levi, g, d))
+                ok = endoscopy.to_EG(g).key() in eg
+                rep.check("to_EG image", ok, {"d": d, "levi": levi, "kind": "to_EG image"})
 
 
 SUITES = {
@@ -664,9 +626,9 @@ def cmd_verify(args) -> Report:
         suite(rep, **params)
     except (ExactDomainError, SingularPointError, ResourceLimitError) as exc:
         # the report keeps the run's name, parameters and the counts so far,
-        # and names the case the error was raised in when the suite gave it
+        # and names the case the suite was computing, if any
         rep.status = "error"
-        rep.witnesses.append({**getattr(exc, "case", {}), "error": str(exc)})
+        rep.witnesses.append({**rep.case, "error": str(exc)})
         return rep
     return rep.finish()
 

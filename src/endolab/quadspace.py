@@ -33,7 +33,7 @@ from .exactnum import (
 
 @dataclass(frozen=True)
 class QuadraticSpace:
-    diag: tuple[Fraction, ...]
+    diag: tuple[RationalLike, ...]
     # Derived from diag, so not part of eq, hash or repr: the reduced
     # (numerator, denominator) of each diagonal entry, which the local
     # invariants read, and the global discriminant, which `discriminant` returns.
@@ -56,7 +56,7 @@ class QuadraticSpace:
 
     @classmethod
     def from_entries(cls, entries: Sequence[RationalLike]) -> "QuadraticSpace":
-        return cls(tuple(_as_fraction(c) for c in entries))
+        return cls(tuple(entries))
 
     @property
     def dim(self) -> int:

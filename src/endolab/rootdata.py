@@ -446,31 +446,19 @@ class LeviBlocks:
             raise ExactDomainError("Levi does not fit the rank")
 
 
-def levi_M1(m: int) -> LeviBlocks:
-    """GL_2 x SO(rank m-2)."""
-    return LeviBlocks(((0, 1),), 2)
-
-
-def levi_M2(m: int) -> LeviBlocks:
-    """GL_1 x SO(rank m-1)."""
-    return LeviBlocks(((0,),), 1)
-
-
-def levi_M12(m: int) -> LeviBlocks:
-    """GL_1 x GL_1 x SO(rank m-2)."""
-    return LeviBlocks(((0,), (1,)), 2)
-
-
-def levi_full(m: int) -> LeviBlocks:
-    """The whole group as a Levi of itself."""
-    return LeviBlocks((), 0)
+_STANDARD_LEVIS = {
+    "G": LeviBlocks((), 0),  # the whole group as a Levi of itself
+    "M1": LeviBlocks(((0, 1),), 2),  # GL_2 x SO(rank m-2)
+    "M2": LeviBlocks(((0,),), 1),  # GL_1 x SO(rank m-1)
+    "M12": LeviBlocks(((0,), (1,)), 2),  # GL_1 x GL_1 x SO(rank m-2)
+}
 
 
 def standard_levi(label: str, m: int) -> LeviBlocks:
-    table = {"G": levi_full, "M1": levi_M1, "M2": levi_M2, "M12": levi_M12}
-    if label not in table:
+    """The Levi of the label; its blocks are the same at every rank m."""
+    if label not in _STANDARD_LEVIS:
         raise ExactDomainError(f"unknown Levi {label!r}")
-    return table[label](m)
+    return _STANDARD_LEVIS[label]
 
 
 def levi_positive_roots(datum: RootDatum, levi: LeviBlocks) -> tuple[Root, ...]:

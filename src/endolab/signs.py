@@ -18,10 +18,6 @@ from .errors import ExactDomainError, SingularPointError
 from .exactnum import RationalLike, _as_fraction
 from .levi import admissible_A
 
-# Waldspurger's pinning invariant eta = -1 picks the type-I Whittaker datum
-TYPE_I_ETA = -1
-
-
 @dataclass(frozen=True)
 class SignCase:
     """Parameters of a sign comparison: the Levi, the ambient parity, the rank
@@ -158,7 +154,8 @@ def waldspurger_sign(
     """Waldspurger's explicit sign: prod_{i <= m-} sign(eta c_i (1 + y_i)
     prod_{k != i} (y_i - y_k)) for the real parts y of the torus coordinates.
 
-    c defaults to the alternating definiteness pattern c_i = (-1)^(i+1).
+    c defaults to the alternating definiteness pattern c_i = (-1)^(i+1).  The
+    pinning invariant eta = -1 picks the type-I Whittaker datum.
     """
     y = [_as_fraction(v) for v in y]
     m = len(y)

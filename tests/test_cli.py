@@ -72,9 +72,9 @@ def test_workers_capped_by_cpus_and_keys(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     monkeypatch.setenv("ENDOLAB_WORKERS", "1000000")
-    assert cli._map_cases(str, range(3)) == ["0", "1", "2"]
-    assert cli._map_cases(str, range(10)) == [str(k) for k in range(10)]
-    assert cli._map_cases(str, range(1)) == ["0"]  # one key: no pool
+    assert list(cli._map_cases(str, range(3))) == ["0", "1", "2"]
+    assert list(cli._map_cases(str, range(10))) == [str(k) for k in range(10)]
+    assert list(cli._map_cases(str, range(1))) == ["0"]  # one key: no pool
     assert seen == [3, 4]
 
 

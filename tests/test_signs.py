@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from endolab.errors import ExactDomainError, SingularPointError
 from endolab.levi import admissible_A
 from endolab.signs import (
-    TYPE_I_ETA,
     SignCase,
     check_sun_identity,
     det_omega0,
@@ -105,10 +104,6 @@ def test_whittaker_guards():
         whittaker_comparison_sign(SignCase("G", "odd", 4, 0, 4, p=5, q=4, delta_sign=1))
     with pytest.raises(ExactDomainError):
         whittaker_comparison_sign(SignCase("G", "odd", 5, 3, 2, p=7, q=4, delta_sign=1), "II")
-
-
-def test_type_I_eta_constant():
-    assert TYPE_I_ETA == -1
 
 
 @settings(max_examples=200, deadline=None)

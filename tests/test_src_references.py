@@ -15,7 +15,6 @@ ALLOWED = {
     "hilbert_symbol_oracle",
     "weyl_character",
     "verify_symmetry",
-    "TYPE_I_ETA",
 }
 
 
