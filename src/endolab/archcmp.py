@@ -18,7 +18,6 @@ its cone is decided by exact comparisons of |a|, |b| against 1 and each other.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -47,27 +46,28 @@ from .rootdata import (
     root_value,
     standard_levi,
 )
+from .value import Value
 
 
-@dataclass(frozen=True)
-class ArchCase:
+class ArchCase(Value):
     """A comparison case: Levi in {M1, M2, M12}, ambient dimension d >= 7 and a
     dominant integral highest weight (the even case M2 has no elliptic
     elements and is rejected)."""
 
-    levi: str
-    d: int
-    lam: tuple[int, ...]
+    __slots__ = ("levi", "d", "lam")
 
-    def __post_init__(self):
-        if self.levi not in ("M1", "M2", "M12"):
+    def __init__(self, levi: str, d: int, lam: tuple[int, ...]):
+        if levi not in ("M1", "M2", "M12"):
             raise ExactDomainError("Levi must be M1, M2 or M12")
-        if self.d < 7:
+        if d < 7:
             raise ExactDomainError("d must be >= 7")
-        if self.levi == "M2" and self.d % 2 == 0:
+        if levi == "M2" and d % 2 == 0:
             raise ExactDomainError("even-dimensional M2 has no R-elliptic elements")
-        if len(self.lam) != self.d // 2:
+        if len(lam) != d // 2:
             raise ExactDomainError("highest weight has wrong rank")
+        object.__setattr__(self, "levi", levi)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "lam", lam)
         if not is_dominant(self.datum, self.weight()):
             raise ExactDomainError("need a dominant integral highest weight")
 
@@ -91,14 +91,16 @@ class ArchCase:
         return Weight.from_ints(self.lam)
 
 
-@dataclass(frozen=True)
-class GammaSample:
+class GammaSample(Value):
     """Exact torus point data: split coordinates a (and b), compact coordinates
     given by rational tangent-half-angle parameters."""
 
-    a: Fraction
-    b: Optional[Fraction]
-    circle_params: tuple[Fraction, ...]
+    __slots__ = ("a", "b", "circle_params")
+
+    def __init__(self, a: Fraction, b: Optional[Fraction], circle_params: tuple[Fraction, ...]):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "circle_params", circle_params)
 
 
 def torus_point(case: ArchCase, sample: GammaSample) -> tuple[TorusPoint, list]:
@@ -353,16 +355,28 @@ def epsilon_R_endos(case: ArchCase, sample: GammaSample) -> int:
 # --- identity verification ------------------------------------------------------
 
 
-@dataclass
-class ArchReport:
-    case: str
-    d: int
-    lam: tuple[int, ...]
-    range_label: str
-    samples: int
-    seed: int
-    failures: list = field(default_factory=list)
-    controls: int = 0  # vanishing-region samples checked
+class ArchReport(Value, frozen=False):
+    __slots__ = ("case", "d", "lam", "range_label", "samples", "seed", "failures", "controls")
+
+    def __init__(
+        self,
+        case: str,
+        d: int,
+        lam: tuple[int, ...],
+        range_label: str,
+        samples: int,
+        seed: int,
+        failures: list | None = None,
+        controls: int = 0,
+    ):
+        self.case = case
+        self.d = d
+        self.lam = lam
+        self.range_label = range_label
+        self.samples = samples
+        self.seed = seed
+        self.failures = [] if failures is None else failures
+        self.controls = controls  # vanishing-region samples checked
 
     @property
     def ok(self) -> bool:

@@ -9,7 +9,10 @@ a failed check records that case as its witness, and an error report names it.
 ENDOLAB_WORKERS > 1 fans independent verification cases out to a process pool,
 imported only then; results are taken in case-key order, so the report stays
 deterministic.  Each command imports the endolab modules it runs, and
-`import endolab.cli` loads only `endolab.errors`.
+`import endolab.cli` loads only `endolab.errors` and `endolab.value`.  So a
+command outside the root-datum, Hecke and archimedean suites never loads those
+layers, and no command loads `dataclasses` or `inspect`: the value types,
+`Report` among them, are slotted classes on `endolab.value.Value`.
 """
 
 from __future__ import annotations
@@ -21,22 +24,34 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ExactDomainError, ResourceLimitError, SingularPointError
+from .value import Value
 
 
-@dataclass
-class Report:
-    command: str
-    parameters: dict
-    status: str = "pass"  # pass | fail | error
-    witnesses: list = field(default_factory=list)
-    seed: int | None = None
-    checks: dict | None = None  # verify only: {identity: {checked, failed, skipped: {reason: n}}}
-    timing: float | None = None  # never serialized; printed to stderr
-    case: dict = field(default_factory=dict)  # verify only, never serialized: the case being computed
+class Report(Value, frozen=False):
+    __slots__ = ("command", "parameters", "status", "witnesses", "seed", "checks", "timing", "case")
+
+    def __init__(
+        self,
+        command: str,
+        parameters: dict,
+        status: str = "pass",
+        witnesses: list | None = None,
+        seed: int | None = None,
+        checks: dict | None = None,
+        timing: float | None = None,
+        case: dict | None = None,
+    ):
+        self.command = command
+        self.parameters = parameters
+        self.status = status  # pass | fail | error
+        self.witnesses = [] if witnesses is None else witnesses
+        self.seed = seed
+        self.checks = checks  # verify only: {identity: {checked, failed, skipped: {reason: n}}}
+        self.timing = timing  # never serialized; printed to stderr
+        self.case = {} if case is None else case  # verify only, never serialized: the case being computed
 
     def tally(self, identity: str, checked: int, failed: int = 0) -> None:
         counts = self.checks.get(identity)

@@ -11,20 +11,22 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import ExactDomainError, ResourceLimitError, SingularPointError
 from .exactnum import RationalLike, _as_fraction
+from .value import Value
 
 
-@dataclass(frozen=True)
-class Partition2:
+class Partition2(Value):
     """Unordered partition into blocks of size 1 or 2."""
 
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "blocks", blocks)
 
 
 def _sorting_sign(seq: Sequence[int]) -> int:
@@ -82,15 +84,14 @@ def c2D(a: RationalLike, b: RationalLike) -> int:
     return 1 if a > abs(b) else 0
 
 
-@dataclass(frozen=True)
-class ProductRootSystem:
+class ProductRootSystem(Value):
     """Product of B/D/A1 factors acting on disjoint index subsets."""
 
-    factors: tuple[tuple[str, tuple[int, ...]], ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
+    def __init__(self, factors: tuple[tuple[str, tuple[int, ...]], ...]):
         seen: set[int] = set()
-        for kind, support in self.factors:
+        for kind, support in factors:
             if kind not in ("B", "D", "A1"):
                 raise ExactDomainError(f"unknown factor type {kind!r}")
             if kind == "A1" and len(support) != 1:
@@ -100,10 +101,10 @@ class ProductRootSystem:
             if seen & set(support):
                 raise ExactDomainError("factor supports must be disjoint")
             seen.update(support)
+        object.__setattr__(self, "factors", factors)
 
 
-@dataclass(frozen=True)
-class HerbInput:
+class HerbInput(Value):
     """Chamber position x and character direction chi (restricted weight mu).
 
     The partition formula is written for x in the canonical chamber (ordered
@@ -111,8 +112,11 @@ class HerbInput:
     retained for wall checks.
     """
 
-    x: Optional[tuple[Fraction, ...]]
-    chi: tuple[Fraction, ...]
+    __slots__ = ("x", "chi")
+
+    def __init__(self, x: Optional[tuple[Fraction, ...]], chi: tuple[Fraction, ...]):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "chi", chi)
 
 
 @lru_cache(maxsize=None)

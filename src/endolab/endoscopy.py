@@ -11,7 +11,6 @@ part, so the trivial datum always carries s = +1.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -26,21 +25,25 @@ from .exactnum import (
     squareclass_of,
 )
 from .levi import admissible_A, excluded_factor, gl_labels
+from .value import Value
 
 
-@dataclass(frozen=True)
-class RealCtx:
-    pass
+class RealCtx(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LocalCtx:
-    p: int
+class LocalCtx(Value):
+    __slots__ = ("p",)
+
+    def __init__(self, p: int):
+        object.__setattr__(self, "p", p)
 
 
-@dataclass(frozen=True)
-class GlobalCtx:
-    support: tuple[int, ...]  # primes allowed to ramify the discriminants
+class GlobalCtx(Value):
+    __slots__ = ("support",)  # primes allowed to ramify the discriminants
+
+    def __init__(self, support: tuple[int, ...]):
+        object.__setattr__(self, "support", support)
 
 
 def _context_classes(ctx) -> list[SquareClass]:
@@ -88,30 +91,30 @@ def _delta_class(delta, ctx) -> SquareClass:
     return cls
 
 
-@dataclass(frozen=True)
-class EndoParams:
+class EndoParams(Value):
     """Parameters (d+, delta+, d-, delta-) of an elliptic endoscopic datum;
     deltas are trivial classes in the odd case."""
 
-    parity: str  # "odd" or "even"
-    d_plus: int
-    d_minus: int
-    delta_plus: SquareClass
-    delta_minus: SquareClass
+    __slots__ = ("parity", "d_plus", "d_minus", "delta_plus", "delta_minus")  # parity "odd" or "even"
 
-    def __post_init__(self):
-        if self.parity not in ("odd", "even"):
+    def __init__(self, parity: str, d_plus: int, d_minus: int, delta_plus: SquareClass, delta_minus: SquareClass):
+        if parity not in ("odd", "even"):
             raise ExactDomainError("parity must be odd or even")
-        if self.parity == "odd":
-            if self.d_plus % 2 == 0 or self.d_minus % 2 == 0:
+        if parity == "odd":
+            if d_plus % 2 == 0 or d_minus % 2 == 0:
                 raise ExactDomainError("odd case needs odd d+ and d-")
         else:
-            if self.d_plus % 2 or self.d_minus % 2:
+            if d_plus % 2 or d_minus % 2:
                 raise ExactDomainError("even case needs even d+ and d-")
-            for d, delta in ((self.d_plus, self.delta_plus), (self.d_minus, self.delta_minus)):
+            for d, delta in ((d_plus, delta_plus), (d_minus, delta_minus)):
                 reason = excluded_factor(d, delta.is_trivial)
                 if reason:
                     raise ExactDomainError(f"{reason} is excluded")
+        object.__setattr__(self, "parity", parity)
+        object.__setattr__(self, "d_plus", d_plus)
+        object.__setattr__(self, "d_minus", d_minus)
+        object.__setattr__(self, "delta_plus", delta_plus)
+        object.__setattr__(self, "delta_minus", delta_minus)
 
     @property
     def d(self) -> int:
@@ -182,18 +185,18 @@ def out_group_size(params: EndoParams) -> int:
     return 2
 
 
-@dataclass(frozen=True)
-class GEndoParams:
+class GEndoParams(Value):
     """A bi-elliptic refinement: positional subset A plus base parameters for the
     SO factor of the Levi."""
 
-    levi: str
-    A: frozenset[int]
-    base: EndoParams
+    __slots__ = ("levi", "A", "base")
 
-    def __post_init__(self):
-        if tuple(sorted(self.A)) not in admissible_A(self.levi):
-            raise ExactDomainError(f"A = {set(self.A)} not admissible for {self.levi}")
+    def __init__(self, levi: str, A: frozenset[int], base: EndoParams):
+        if tuple(sorted(A)) not in admissible_A(levi):
+            raise ExactDomainError(f"A = {set(A)} not admissible for {levi}")
+        object.__setattr__(self, "levi", levi)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "base", base)
 
     @property
     def A_complement(self) -> frozenset[int]:

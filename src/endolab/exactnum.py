@@ -7,13 +7,13 @@ the hot evaluation loops avoid two Fraction normalizations per operation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 from typing import Union
 
 from .errors import ExactDomainError
+from .value import Value
 
 RationalLike = Union[int, Fraction]
 
@@ -48,6 +48,12 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+@lru_cache(maxsize=1024)
+def _is_prime_cached(n: int) -> bool:
+    """`is_prime`, memoized for `Place`, which every finite place runs through."""
+    return is_prime(n)
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -225,15 +231,23 @@ def _coerce(x) -> GaussianRational:
     raise ExactDomainError(f"cannot coerce {type(x).__name__} to GaussianRational")
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(Value):
     """A place of Q: the real place or a finite prime."""
 
-    p: int  # 0 encodes the real place
+    __slots__ = ("p",)  # 0 encodes the real place
 
-    def __post_init__(self):
-        if self.p != 0 and not is_prime(self.p):
-            raise ExactDomainError(f"{self.p} is not prime")
+    def __init__(self, p: int):
+        if p != 0 and not _is_prime_cached(p):
+            raise ExactDomainError(f"{p} is not prime")
+        object.__setattr__(self, "p", p)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.p == other.p
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p,))
 
     @classmethod
     def real(cls) -> "Place":
@@ -385,8 +399,7 @@ REAL_CONTEXT = "R"
 Context = Union[str, int]
 
 
-@dataclass(frozen=True)
-class SquareClass:
+class SquareClass(Value):
     """Canonical representative of F^x / F^{x,2} for F = Q, R or Q_p.
 
     rep encodings:
@@ -396,8 +409,19 @@ class SquareClass:
                     smallest nonresidue for odd p, and 1/3/5/7 mod 8 for p = 2.
     """
 
-    context: Context
-    rep: object
+    __slots__ = ("context", "rep")
+
+    def __init__(self, context: Context, rep: object):
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "rep", rep)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.context, self.rep) == (other.context, other.rep)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.context, self.rep))
 
     def __mul__(self, other: "SquareClass") -> "SquareClass":
         if self.context != other.context:

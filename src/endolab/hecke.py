@@ -11,38 +11,37 @@ happens in reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import ExactDomainError
 from .levi import admissible_A, excluded_factor, gl_labels
 from .rootdata import RootDatum, WeylElement
+from .value import Value
 
 
-@dataclass(frozen=True)
-class FrobTwist:
+class FrobTwist(Value):
     """Unramified degree and the order-<=2 Frobenius action on the cocharacter lattice."""
 
-    a: int
-    sigma: WeylElement
+    __slots__ = ("a", "sigma")
 
-    def __post_init__(self):
-        if self.a < 1:
+    def __init__(self, a: int, sigma: WeylElement):
+        if a < 1:
             raise ExactDomainError("degree must be >= 1")
-        sq = self.sigma * self.sigma
-        if sq != WeylElement.identity(self.sigma.rank):
+        if sigma * sigma != WeylElement.identity(sigma.rank):
             raise ExactDomainError("sigma must square to the identity")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "sigma", sigma)
 
 
-@dataclass(frozen=True)
-class EndoSignVector:
+class EndoSignVector(Value):
     """Sign vector s in {+-1}^m pairing cocharacters via <chi, s> = prod s_i^chi_i."""
 
-    s: tuple[int, ...]
+    __slots__ = ("s",)
 
-    def __post_init__(self):
-        if any(v not in (1, -1) for v in self.s):
+    def __init__(self, s: tuple[int, ...]):
+        if any(v not in (1, -1) for v in s):
             raise ExactDomainError("entries must be +-1")
+        object.__setattr__(self, "s", s)
 
     def pair(self, chi: Sequence[int]) -> int:
         sign = 1
@@ -52,12 +51,14 @@ class EndoSignVector:
         return sign
 
 
-@dataclass(frozen=True)
-class RelativeWeylGroup:
+class RelativeWeylGroup(Value):
     """A relative Weyl group acting on the exponent lattice, given by generators."""
 
-    rank: int
-    gens: tuple[WeylElement, ...]
+    __slots__ = ("rank", "gens")
+
+    def __init__(self, rank: int, gens: tuple[WeylElement, ...]):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "gens", gens)
 
     def _walk(self, cap: int = 50000):
         """Every element once, breadth-first from the identity."""
@@ -105,22 +106,22 @@ def _transposition(m: int, i: int, j: int) -> WeylElement:
     return WeylElement((1,) * m, tuple(perm))
 
 
-@dataclass(frozen=True)
-class UnramifiedGroup:
+class UnramifiedGroup(Value):
     """An unramified special orthogonal group: type B/D of absolute rank m with
     Frobenius acting by sign flips at the listed coordinates."""
 
-    kind: str
-    rank: int
-    flips: tuple[int, ...] = ()  # 0-based coordinates flipped by Frobenius
+    __slots__ = ("kind", "rank", "flips")  # flips: 0-based coordinates flipped by Frobenius
 
-    def __post_init__(self):
-        if self.kind not in ("B", "D"):
+    def __init__(self, kind: str, rank: int, flips: tuple[int, ...] = ()):
+        if kind not in ("B", "D"):
             raise ExactDomainError("kind must be B or D")
-        if self.kind == "B" and self.flips:
+        if kind == "B" and flips:
             raise ExactDomainError("odd orthogonal groups here are split")
-        if len(self.flips) > 2 or sorted(set(self.flips)) != sorted(self.flips):
+        if len(flips) > 2 or sorted(set(flips)) != sorted(flips):
             raise ExactDomainError("at most two distinct flip coordinates")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "flips", flips)
 
     def datum(self) -> RootDatum:
         return RootDatum(self.kind, self.rank)
@@ -156,18 +157,18 @@ class UnramifiedGroup:
         return RelativeWeylGroup(m, tuple(gens))
 
 
-@dataclass
-class HeckeElement:
+class HeckeElement(Value, frozen=False):
     """q^(q2/2) times a polynomial in X_1^(+-1)..X_m^(+-1) with integer
-    coefficients, invariant under the recorded relative Weyl group."""
+    coefficients, invariant under the recorded relative Weyl group; q2 is the
+    doubled q-exponent shared by every term."""
 
-    rank: int
-    coeffs: dict[tuple[int, ...], int]
-    group: RelativeWeylGroup
-    q2: int  # the doubled q-exponent shared by every term
+    __slots__ = ("rank", "coeffs", "group", "q2")
 
-    def __post_init__(self):
-        self.coeffs = {e: c for e, c in self.coeffs.items() if c}
+    def __init__(self, rank: int, coeffs: dict[tuple[int, ...], int], group: RelativeWeylGroup, q2: int):
+        self.rank = rank
+        self.coeffs = {e: c for e, c in coeffs.items() if c}
+        self.group = group
+        self.q2 = q2
 
     def check_invariance(self) -> bool:
         for g in self.group.gens:
@@ -319,23 +320,29 @@ def excluded_shape(
     return None
 
 
-@dataclass(frozen=True)
-class LocalDatumAtP:
+class LocalDatumAtP(Value):
     """Local shape of a refined endoscopic datum at an odd prime: the case label,
     ambient parity, the rank bookkeeping of the induced group H, the subset A,
     and whether the two discriminants are local squares (unramified means even
     valuation, so each is a square or a nonsquare unit)."""
 
-    levi: str  # "M1", "M2" or "M12"
-    parity: str  # of the ambient dimension d
-    m: int
-    m_plus: int
-    m_minus: int
-    A: frozenset[int]
-    delta_plus_square: bool = True
-    delta_minus_square: bool = True
+    # levi is "M1", "M2" or "M12"; parity is that of the ambient dimension d
+    __slots__ = ("levi", "parity", "m", "m_plus", "m_minus", "A", "delta_plus_square", "delta_minus_square")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        levi: str,
+        parity: str,
+        m: int,
+        m_plus: int,
+        m_minus: int,
+        A: frozenset[int],
+        delta_plus_square: bool = True,
+        delta_minus_square: bool = True,
+    ):
+        values = (levi, parity, m, m_plus, m_minus, A, delta_plus_square, delta_minus_square)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
         if self.levi not in ("M1", "M2", "M12"):
             raise ExactDomainError("case must be M1, M2 or M12")
         if self.parity not in ("odd", "even"):

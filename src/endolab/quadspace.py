@@ -8,7 +8,6 @@ trivial discriminant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -29,21 +28,20 @@ from .exactnum import (
     squareclass_of,
     squarefree_part,
 )
+from .value import Value
 
 
-@dataclass(frozen=True)
-class QuadraticSpace:
-    diag: tuple[RationalLike, ...]
-    # Derived from diag, so not part of eq, hash or repr: the reduced
-    # (numerator, denominator) of each diagonal entry, which the local
-    # invariants read, and the global discriminant, which `discriminant` returns.
-    num_den: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
-    disc: SquareClass = field(init=False, repr=False, compare=False)
+class QuadraticSpace(Value):
+    # num_den and disc derive from diag, so they are not part of eq, hash or
+    # repr: the reduced (numerator, denominator) of each diagonal entry, which
+    # the local invariants read, and the global discriminant, which
+    # `discriminant` returns.
+    __slots__ = ("diag", "num_den", "disc")
 
-    def __post_init__(self):
-        if len(self.diag) < 1:
+    def __init__(self, diag: tuple[RationalLike, ...]):
+        if len(diag) < 1:
             raise ExactDomainError("quadratic space needs dimension >= 1")
-        num_den = tuple(_num_den(c) for c in self.diag)
+        num_den = tuple(_num_den(c) for c in diag)
         # (-1)^(d/2) det for d = 2 mod 4, else det; prod of num * den has the
         # square class of prod of num / den
         prod = -1 if len(num_den) % 4 == 2 else 1
@@ -51,8 +49,20 @@ class QuadraticSpace:
             if n == 0:
                 raise ExactDomainError("degenerate diagonal entry")
             prod *= n * d
+        object.__setattr__(self, "diag", diag)
         object.__setattr__(self, "num_den", num_den)
         object.__setattr__(self, "disc", SquareClass(GLOBAL, squarefree_part(prod)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.diag == other.diag
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.diag,))
+
+    def __repr__(self):
+        return f"QuadraticSpace(diag={self.diag!r})"
 
     @classmethod
     def from_entries(cls, entries: Sequence[RationalLike]) -> "QuadraticSpace":
@@ -202,13 +212,19 @@ def is_quasi_split_local(q: QuadraticSpace, v: Place) -> bool:
         if ds == -1:
             return sig == (m + 1, m - 1)
         return sig == (m, m)
-    dr = delta.rep
-    eps = _hasse_from_counts(_class_counts(q, v.p), v)
+    return _hasse_from_counts(_class_counts(q, v.p), v) == _quasi_split_hasse(d, delta.rep, v.p)
+
+
+@lru_cache(maxsize=4096)
+def _quasi_split_hasse(d: int, delta_rep: int, p: int) -> int:
+    """The Hasse invariant at p of a quasi-split space of dimension d whose
+    discriminant has the squarefree representative delta_rep, by the closed
+    formula in the symbols (-1, -1)_p and (-1, +-delta)_p."""
+    v = Place.finite(p)
+    m = d // 2
     if d % 2 == 1:
-        want = hilbert_symbol(-1, -1, v) ** (m * (m - 1) // 2) * hilbert_symbol(-1, ((-1) ** m) * dr, v) ** m
-    else:
-        want = hilbert_symbol(-1, -1, v) ** ((m - 1) * (m - 2) // 2) * hilbert_symbol(-1, -dr, v) ** (m - 1)
-    return eps == want
+        return hilbert_symbol(-1, -1, v) ** (m * (m - 1) // 2) * hilbert_symbol(-1, ((-1) ** m) * delta_rep, v) ** m
+    return hilbert_symbol(-1, -1, v) ** ((m - 1) * (m - 2) // 2) * hilbert_symbol(-1, -delta_rep, v) ** (m - 1)
 
 
 @lru_cache(maxsize=4096)

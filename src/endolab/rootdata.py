@@ -11,7 +11,6 @@ Weights carry doubled coordinates so rho stays integral in type B.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, sub
@@ -20,20 +19,21 @@ from typing import Sequence
 from .errors import ExactDomainError, ResourceLimitError, SingularPointError
 from .exactnum import ONE, ZERO, GaussianRational
 from .laurent import Laurent
+from .value import Value
 
 Root = tuple[int, ...]  # true (undoubled) coordinates; roots are integral
 
 
-@dataclass(frozen=True)
-class RootDatum:
-    kind: str  # "B" or "D"
-    rank: int
+class RootDatum(Value):
+    __slots__ = ("kind", "rank")  # kind "B" or "D"
 
-    def __post_init__(self):
-        if self.kind not in ("B", "D"):
-            raise ExactDomainError(f"unknown kind {self.kind!r}")
-        if self.rank < 1:
+    def __init__(self, kind: str, rank: int):
+        if kind not in ("B", "D"):
+            raise ExactDomainError(f"unknown kind {kind!r}")
+        if rank < 1:
             raise ExactDomainError("rank must be >= 1")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "rank", rank)
 
     def positive_roots(self) -> tuple[Root, ...]:
         return _positive_roots(self.kind, self.rank)
@@ -60,11 +60,21 @@ def _positive_roots(kind: str, m: int) -> tuple[Root, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(Value):
     """Weight with doubled integer coordinates (true coordinates in (1/2)Z)."""
 
-    doubled: tuple[int, ...]
+    __slots__ = ("doubled",)
+
+    def __init__(self, doubled: tuple[int, ...]):
+        object.__setattr__(self, "doubled", doubled)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.doubled == other.doubled
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.doubled,))
 
     @classmethod
     def from_ints(cls, coords: Sequence[int]) -> "Weight":
@@ -112,12 +122,22 @@ def rho(datum: RootDatum) -> Weight:
     return Weight(tuple(2 * (m - i) for i in range(1, m + 1)))
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(Value):
     """Signed permutation: e_j maps to signs[j] * e_{perm[j]} (0-based)."""
 
-    signs: tuple[int, ...]
-    perm: tuple[int, ...]
+    __slots__ = ("signs", "perm")
+
+    def __init__(self, signs: tuple[int, ...], perm: tuple[int, ...]):
+        object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "perm", perm)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.signs, self.perm) == (other.signs, other.perm)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.signs, self.perm))
 
     @property
     def rank(self) -> int:
@@ -200,16 +220,16 @@ SPLIT, COMPACT, PAIR_FIRST, PAIR_SECOND, RAW = (
 )
 
 
-@dataclass(frozen=True)
-class TorusPoint:
+class TorusPoint(Value):
     """Exact torus point: split coordinates are nonzero rationals, compact ones
     Gaussian rationals on the unit circle; a conjugate pair of coordinates
     (pattern pair_first/pair_second) realizes a Res_{C/R} Gm factor."""
 
-    coords: tuple[GaussianRational, ...]
-    pattern: tuple[str, ...]
+    __slots__ = ("coords", "pattern")
 
-    def __post_init__(self):
+    def __init__(self, coords: tuple[GaussianRational, ...], pattern: tuple[str, ...]):
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "pattern", pattern)
         if len(self.coords) != len(self.pattern):
             raise ExactDomainError("coords/pattern length mismatch")
         for z, kind in zip(self.coords, self.pattern):
@@ -425,16 +445,18 @@ def _dominant_coords(kind: str, c: Sequence[int]) -> bool:
 # --- Levi patterns and Kostant's theorem -------------------------------------
 
 
-@dataclass(frozen=True)
-class LeviBlocks:
+class LeviBlocks(Value):
     """A standard Levi: GL blocks on leading coordinate intervals, then an SO tail.
 
     gl_blocks lists tuples of 0-based coordinate indices (each block a GL_k);
     the SO factor acts on coordinates so_start..m-1 with the ambient kind.
     """
 
-    gl_blocks: tuple[tuple[int, ...], ...]
-    so_start: int
+    __slots__ = ("gl_blocks", "so_start")
+
+    def __init__(self, gl_blocks: tuple[tuple[int, ...], ...], so_start: int):
+        object.__setattr__(self, "gl_blocks", gl_blocks)
+        object.__setattr__(self, "so_start", so_start)
 
     def validate(self, m: int):
         seen = []

@@ -10,37 +10,41 @@ as a function of group elements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import ExactDomainError, SingularPointError
 from .exactnum import RationalLike, _as_fraction
 from .levi import admissible_A
+from .value import Value
 
-@dataclass(frozen=True)
-class SignCase:
+class SignCase(Value):
     """Parameters of a sign comparison: the Levi, the ambient parity, the rank
     bookkeeping of the endoscopic datum and the signature data."""
 
-    levi: str
-    parity: str
-    m: int
-    m_plus: int
-    m_minus: int
-    p: int = 0
-    q: int = 0
-    delta_sign: int = 1
+    __slots__ = ("levi", "parity", "m", "m_plus", "m_minus", "p", "q", "delta_sign")
 
-    def __post_init__(self):
-        if self.levi not in ("M1", "M2", "M12", "G"):
+    def __init__(
+        self,
+        levi: str,
+        parity: str,
+        m: int,
+        m_plus: int,
+        m_minus: int,
+        p: int = 0,
+        q: int = 0,
+        delta_sign: int = 1,
+    ):
+        if levi not in ("M1", "M2", "M12", "G"):
             raise ExactDomainError("unknown Levi label")
-        if self.parity not in ("odd", "even"):
+        if parity not in ("odd", "even"):
             raise ExactDomainError("parity must be odd or even")
-        if self.m_plus + self.m_minus != self.m:
+        if m_plus + m_minus != m:
             raise ExactDomainError("ranks must add up")
-        if self.delta_sign not in (1, -1):
+        if delta_sign not in (1, -1):
             raise ExactDomainError("delta_sign must be +-1")
+        for name, value in zip(self.__slots__, (levi, parity, m, m_plus, m_minus, p, q, delta_sign)):
+            object.__setattr__(self, name, value)
 
 
 def det_omega0(A: Sequence[int], m_minus: int, levi: str = "M12") -> int:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -443,24 +444,31 @@ def test_verify_arch_bad_lambda_names_the_run(capsys):
 
 
 def test_commands_load_only_their_modules():
-    """`import endolab.cli` loads no other endolab module but `errors`, and
-    commands that need neither the root data nor the Hecke or archimedean
-    layers never load them; `verify arch` is the control that does."""
+    """`import endolab.cli` loads no other endolab module but `errors` and
+    `value`, and commands that need neither the root data nor the Hecke or
+    archimedean layers never load them; `verify arch` is the control that
+    does.  No command, and no interpreter that imports every endolab module,
+    loads `dataclasses` or `inspect`: counted against the modules present
+    before endolab, so a `site` hook that loads them is not blamed."""
+    slow = "slow = lambda: sorted({'dataclasses', 'inspect'} & set(sys.modules) - before)\n"
     probe = (
-        "import contextlib, io, json, sys\n"
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import contextlib, io, json\n"
         "endolab = lambda: sorted(m[8:] for m in sys.modules if m.startswith('endolab.'))\n"
-        "from endolab import cli\n"
+        + slow
+        + "from endolab import cli\n"
         "at_import = endolab()\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cli.main(sys.argv[1:])\n"
-        "print(json.dumps([at_import, code, endolab()]))\n"
+        "print(json.dumps([at_import, code, endolab(), slow()]))\n"
     )
 
     def loaded(*argv):
         r = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
-        at_import, code, modules = json.loads(r.stdout)
-        assert (at_import, code) == (["cli", "errors"], 0), argv
+        at_import, code, modules, slow_loaded = json.loads(r.stdout)
+        assert (at_import, code, slow_loaded) == (["cli", "errors", "value"], 0, []), argv
         return set(modules)
 
     heavy = {"rootdata", "archcmp", "hecke"}
@@ -473,6 +481,21 @@ def test_commands_load_only_their_modules():
     ):
         assert not heavy & loaded(*argv), argv
     assert {"rootdata", "archcmp"} <= loaded("verify", "arch", "--d", "7", "--case", "M2", "--samples", "1")
+
+    src = Path(__file__).resolve().parents[1] / "src" / "endolab"
+    every = sorted(p.stem for p in src.glob("*.py") if p.stem != "__init__")
+    assert {"cli", "hecke", "rootdata", "value"} <= set(every)
+    probe_all = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import importlib\n"
+        + slow
+        + "for name in sys.argv[1:]:\n"
+        "    importlib.import_module('endolab.' + name)\n"
+        "print(slow())\n"
+    )
+    r = subprocess.run([sys.executable, "-c", probe_all, *every], capture_output=True, text=True)
+    assert (r.returncode, r.stdout) == (0, "[]\n"), r.stderr
 
 
 def test_verify_kostant_error_names_the_case(capsys, monkeypatch):

@@ -247,3 +247,25 @@ def test_exact_rational_conversions_keep_bools_and_subclasses():
             _as_fraction(bad)
         with pytest.raises(ExactDomainError):
             _num_den(bad)
+
+
+def test_place_primality_is_memoized_and_still_refuses_composites(monkeypatch):
+    """`Place` runs trial division once per prime; composites, negatives and
+    one are refused before and after primes are cached."""
+    from endolab import exactnum
+
+    exactnum._is_prime_cached.cache_clear()
+    calls = []
+    real = exactnum.is_prime
+    monkeypatch.setattr(exactnum, "is_prime", lambda n: calls.append(n) or real(n))
+    for _ in range(3):
+        assert [Place.finite(p).p for p in (2, 3, 5, 7)] == [2, 3, 5, 7]
+        assert Place(3) == Place.finite(3) and Place(0) == REAL
+        for bad in (1, 4, 9, 15, -3):
+            with pytest.raises(ExactDomainError, match="is not prime"):
+                Place(bad)
+            with pytest.raises(ExactDomainError, match="is not prime"):
+                Place.finite(bad)
+    with pytest.raises(ExactDomainError, match="needs a prime"):
+        Place.finite(0)
+    assert sorted(calls) == [-3, 1, 2, 3, 4, 5, 7, 9, 15]

@@ -22,7 +22,7 @@ from endolab.quadspace import (
     relevant_places,
     signature,
 )
-from endolab.exactnum import squareclass_of, smallest_nonresidue, GLOBAL
+from endolab.exactnum import squareclass_of, smallest_nonresidue, GLOBAL, SquareClass
 
 
 def test_diagonalize_identity():
@@ -285,6 +285,31 @@ def test_model_cache_keyed_without_the_prime_gives_wrong_answers(monkeypatch):
             q = QuadraticSpace.from_entries(entries)
             wrong += is_quasi_split_oracle(q, p) != is_quasi_split_local(q, Place.finite(p))
     assert wrong > 0
+
+
+def test_closed_target_hasse_is_a_formula_cached_per_dimension_discriminant_and_prime(monkeypatch):
+    """The closed test reads the Hasse value a quasi-split space must have from
+    a cache keyed on (dim, disc rep, p), filled by the closed formula: it never
+    builds the oracle's quasi-split model."""
+    from endolab import quadspace
+
+    def refused(d, delta):
+        raise AssertionError("quasi-split model built")
+
+    quadspace._quasi_split_hasse.cache_clear()
+    monkeypatch.setattr(quadspace, "quasi_split_space", refused)
+    keys = set()
+    for entries, p in _quasisplit_sweep():
+        if len(entries) <= 6:
+            q = QuadraticSpace.from_entries(entries)
+            is_quasi_split_local(q, Place.finite(p))
+            keys.add((q.dim, discriminant(q).rep, p))
+    info = quadspace._quasi_split_hasse.cache_info()
+    assert info.misses == len(keys) < info.hits
+    monkeypatch.undo()
+    for d, rep, p in keys:
+        model = quasi_split_space(d, SquareClass(GLOBAL, rep))
+        assert quadspace._quasi_split_hasse(d, rep, p) == hasse_invariant(model, Place.finite(p)), (d, rep, p)
 
 
 def test_quasi_split_signature_table():
