@@ -35,7 +35,7 @@ from .rootdata import (
     Weight,
     alternant_terms,
     circle_point,
-    evaluate_terms,
+    evaluate_plan,
     is_dominant,
     kostant_cohomology,
     levi_positive_roots,
@@ -45,6 +45,7 @@ from .rootdata import (
     rho,
     root_value,
     standard_levi,
+    term_plan,
 )
 from .value import Value
 
@@ -143,20 +144,19 @@ def torus_point(case: ArchCase, sample: GammaSample) -> tuple[TorusPoint, list]:
 
 @lru_cache(maxsize=64)
 def _omega_data(kind: str, m: int, lam: tuple[int, ...]):
-    """The terms (eps(w), w(lam+rho)-rho) of the character sum, grouped by the
-    head (chi_1, chi_2) of chi = w(lam+rho), doubled, which is all the cone
-    constants read."""
+    """The heads (chi_1, chi_2) of chi = w(lam+rho), doubled, which is all
+    the cone constants read, and the plan of the character sum's terms
+    (eps(w), w(lam+rho)-rho) with one root per head."""
     datum = RootDatum(kind, m)
     r = rho(datum).doubled
     groups: dict = {}
     for eps, exps in alternant_terms(datum, Weight.from_ints(lam)):
         head = (2 * exps[0] + r[0], 2 * exps[1] + r[1])
         groups.setdefault(head, []).append((eps, exps))
-    return tuple((head, tuple(terms)) for head, terms in groups.items())
+    return tuple(groups), term_plan(tuple(groups.values()))
 
 
-@lru_cache(maxsize=64)
-def _kostant_data(kind: str, m: int, levi_label: str, lam: tuple[int, ...], cutoffs: tuple[str, ...]):
+def _kostant_terms(kind: str, m: int, levi_label: str, lam: tuple[int, ...], cutoffs: tuple[str, ...]):
     """Delta_M times the truncated Kostant trace, sum over the truncated
     entries of (-1)^deg Delta_M ch_M(mu), as (coefficient, exponents) terms.
     The Levi characters share their denominators, GL_2's x - y on M1 and the
@@ -181,21 +181,29 @@ def _kostant_data(kind: str, m: int, levi_label: str, lam: tuple[int, ...], cuto
                 heads = ((sgn, c[: levi.so_start]),)
             for eps, so in alternant_terms(tail, Weight.from_ints(c[levi.so_start :])):
                 terms += [(s * eps, head + so) for s, head in heads]
-    return tuple(terms)
+    return terms
+
+
+@lru_cache(maxsize=64)
+def _kostant_data(kind: str, m: int, levi_label: str, lam: tuple[int, ...], cutoffs: tuple[str, ...]):
+    """The one-root plan of the _kostant_terms."""
+    return term_plan((_kostant_terms(kind, m, levi_label, lam, cutoffs),))
 
 
 @lru_cache(maxsize=64)
 def _omega0_data(kind: str, m: int, lam: tuple[int, ...]):
-    """The M12 term at omega_0 gamma times the delta_P^(1/2) ratio, as terms
-    at gamma.  omega_0 inverts b (and z, the first tail coordinate, on D), so
-    (omega_0 gamma)^e = gamma^(omega_0 e).  On B the ratio is |b|^-(2m-3),
-    sgn(b) b^-(2m-3), whose sign the caller applies; on D it is b^-2(m-2),
-    and Delta_tail(gamma) / Delta_tail(omega_0 gamma) = z^-2(m-3)."""
+    """The one-root plan of the M12 term at omega_0 gamma times the
+    delta_P^(1/2) ratio, as terms at gamma.  omega_0 inverts b (and z, the
+    first tail coordinate, on D), so (omega_0 gamma)^e = gamma^(omega_0 e).
+    On B the ratio is |b|^-(2m-3), sgn(b) b^-(2m-3), whose sign the caller
+    applies; on D it is b^-2(m-2), and
+    Delta_tail(gamma) / Delta_tail(omega_0 gamma) = z^-2(m-3)."""
     if kind == "B":
         shift = lambda e: (e[0], -e[1] - (2 * m - 3)) + e[2:]
     else:
         shift = lambda e: (e[0], -e[1] - 2 * (m - 2), -e[2] - 2 * (m - 3)) + e[3:]
-    return tuple((c, shift(e)) for c, e in _kostant_data(kind, m, "M12", lam, ("pi1", "pi2")))
+    terms = _kostant_terms(kind, m, "M12", lam, ("pi1", "pi2"))
+    return term_plan(([(c, shift(e)) for c, e in terms],))
 
 
 # --- the Kostant-Weyl terms ----------------------------------------------------
@@ -221,7 +229,7 @@ def _delta_half_ratio(case: ArchCase, powers, powers_p) -> Fraction:
 def L_M_normalized(case: ArchCase, sample: GammaSample, point) -> GaussianRational:
     """The Kostant-Weyl term divided by the common factor delta_P^(1/2) Delta_M^(-1),
     at the point (gamma, power table) that torus_point built for the sample:
-    integer-coefficient monomials at gamma, one term list per Kostant trace.
+    integer-coefficient monomials at gamma, one plan per Kostant trace.
 
     Cases M1/M2 are single truncated traces (M2 carries the factor 2); case M12
     adds the conjugate-by-n_12 term at omega_0 gamma and subtracts the
@@ -230,8 +238,8 @@ def L_M_normalized(case: ArchCase, sample: GammaSample, point) -> GaussianRation
     _, powers = point
     kind, m, lam = case.datum.kind, case.m, case.lam
     if case.levi == "M1":
-        return evaluate_terms(_kostant_data(kind, m, "M1", lam, ("pi1",)), powers)
-    t_m2 = evaluate_terms(_kostant_data(kind, m, "M2", lam, ("pi2",)), powers)
+        return evaluate_plan(_kostant_data(kind, m, "M1", lam, ("pi1",)), powers)
+    t_m2 = evaluate_plan(_kostant_data(kind, m, "M2", lam, ("pi2",)), powers)
     if case.levi == "M2":
         return 2 * t_m2
     b = sample.b
@@ -242,8 +250,8 @@ def L_M_normalized(case: ArchCase, sample: GammaSample, point) -> GaussianRation
         eta2 = -1 if 0 < b < 1 else 1
     else:
         ratio_sign = eta2 = 1
-    t_gamma = evaluate_terms(_kostant_data(kind, m, "M12", lam, ("pi1", "pi2")), powers)
-    t_omega0 = evaluate_terms(_omega0_data(kind, m, lam), powers)
+    t_gamma = evaluate_plan(_kostant_data(kind, m, "M12", lam, ("pi1", "pi2")), powers)
+    t_omega0 = evaluate_plan(_omega0_data(kind, m, lam), powers)
     return t_gamma + ratio_sign * t_omega0 - eta2 * t_m2
 
 
@@ -296,12 +304,8 @@ def _character_sum(case: ArchCase, powers, coefficient) -> GaussianRational:
     """sum over Omega of eps(w) c(w) gamma^{w(lam+rho)-rho} at the point of
     the power table, with c(w) = coefficient(chi_1, chi_2) an integer function
     of the doubled head of chi = w(lam + rho)."""
-    terms = []
-    for head, group in _omega_data(case.datum.kind, case.m, case.lam):
-        c = coefficient(*head)
-        if c:
-            terms += [(c * eps, exps) for eps, exps in group]
-    return evaluate_terms(terms, powers)
+    heads, plan = _omega_data(case.datum.kind, case.m, case.lam)
+    return evaluate_plan(plan, powers, [coefficient(*head) for head in heads])
 
 
 def Phi_normalized(case: ArchCase, sample: GammaSample, point) -> GaussianRational:

@@ -88,7 +88,7 @@ def squarefree_part(n: int) -> int:
         raise ExactDomainError("0 has no square class")
     sign = -1 if n < 0 else 1
     out = sign
-    for p, e in factorize(n).items():
+    for p, e in _factorize_cached(abs(n)):
         if e % 2:
             out *= p
     return out

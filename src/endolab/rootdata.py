@@ -13,11 +13,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from operator import add, mul, sub
 from typing import Sequence
 
 from .errors import ExactDomainError, ResourceLimitError, SingularPointError
-from .exactnum import ONE, ZERO, GaussianRational
+from .exactnum import ONE, GaussianRational
 from .laurent import Laurent
 from .value import Value
 
@@ -346,45 +347,119 @@ def alternant_terms(datum: RootDatum, lam: Weight) -> tuple:
     return _alternant_terms(datum.kind, datum.rank, lam.doubled)
 
 
-def evaluate_terms(terms, powers: Sequence[_Powers]) -> GaussianRational:
-    """sum of c * prod_j z_j^{e_j} over (c, exponents) terms, c any integer,
-    without a gcd per operation.  Per coordinate the exponents are shifted by
-    their minimum lo_j, H_j = hi_j - lo_j, and z_j = n_j / d_j with n_j a
-    Gaussian integer, so each term is the Gaussian integer
-    c prod_j n_j^f d_j^(H_j - f) over the shared denominator prod_j d_j^H_j.
-    The sum is reduced once, then multiplied by prod_j z_j^lo_j.  A coordinate
-    whose column is constant enters only that last factor."""
-    if not terms:
-        return ZERO
-    rows = []  # (j, {e: n_j^(e - lo) d_j^(hi - e)}), real coordinates first
+class TermPlan(Value):
+    """Sums of integer-coefficient monomials prod_j z_j^{e_j}, one per root,
+    stored as a trie over the coordinates that vary.
+
+    Level k of the trie holds the distinct sub-polynomials in the k-th
+    varying coordinate and those after it, each a tuple of edges
+    (e - lo, s, child): the exponent of its own coordinate, less the lowest,
+    an integer scalar and the index of a node of level k + 1 (the last level
+    has edges (e - lo, s)).  A node is normalized before it is stored, its
+    scalars coprime with the first one positive, so a sub-polynomial that
+    recurs up to sign and scale is stored, and evaluated, once.  A root is
+    (scalar, index of a level-0 node); (0, None) for a sum that is empty or
+    cancels, and (scalar, None) when no coordinate varies.  shift holds the
+    lowest exponent of every coordinate over all roots, columns the
+    (coordinate, lowest, highest exponent) of the varying ones."""
+
+    __slots__ = ("shift", "columns", "levels", "roots")
+
+    def __init__(self, shift: tuple, columns: tuple, levels: tuple, roots: tuple):
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "roots", roots)
+
+
+def term_plan(groups: Sequence) -> TermPlan:
+    """The plan with one root per group of (c, exponents) terms."""
+    terms = [t for group in groups for t in group]
+    cols = [(min(col), max(col)) for col in zip(*(e for _, e in terms))]
+    columns = tuple((j, lo, hi) for j, (lo, hi) in enumerate(cols) if lo != hi)
+    tables: list[dict] = [{} for _ in columns]
+    last = len(columns) - 1
+
+    def node(k: int, terms) -> tuple:
+        """(g, index): the terms' sum over coordinates k.. is g times the
+        node at index in level k; (0, None) if it cancels."""
+        j, lo, _ = columns[k]
+        parts: dict = {}
+        if k == last:
+            for c, e in terms:
+                parts[e[j]] = parts.get(e[j], 0) + c
+            edges = [(e - lo, s) for e, s in sorted(parts.items()) if s]
+        else:
+            for t in terms:
+                parts.setdefault(t[1][j], []).append(t)
+            edges = [(e - lo, *node(k + 1, sub)) for e, sub in sorted(parts.items())]
+            edges = [edge for edge in edges if edge[1]]
+        if not edges:
+            return 0, None
+        g = gcd(*[edge[1] for edge in edges])
+        if edges[0][1] < 0:
+            g = -g
+        key = tuple(edges) if g == 1 else tuple((f, s // g, *rest) for f, s, *rest in edges)
+        table = tables[k]
+        return g, table.setdefault(key, len(table))
+
+    roots = tuple(node(0, group) if columns and group else (sum(c for c, _ in group), None) for group in groups)
+    levels = tuple(tuple(table) for table in tables)
+    return TermPlan(tuple(lo for lo, _ in cols), columns, levels, roots)
+
+
+def evaluate_plan(plan: TermPlan, powers: Sequence[_Powers], weights: Sequence[int] = (1,)) -> GaussianRational:
+    """sum over the roots of weight * root at the point of the power table,
+    without a gcd per operation.  Per varying coordinate z_j = n_j / d_j with
+    n_j a Gaussian integer and H_j = hi_j - lo_j, so z_j^(e - lo_j) is the
+    Gaussian integer n_j^(e - lo_j) d_j^(hi_j - e) over d_j^H_j.  The levels
+    fold from the last coordinate to the first, one Gaussian-integer
+    multiply-add per edge, over the shared denominator prod_j d_j^H_j; the
+    sum is reduced once, then multiplied by prod_j z_j^lo_j over every
+    coordinate."""
     den = 1
     shift = ONE
-    for j, col in enumerate(zip(*(e for _, e in terms))):
-        lo, hi = min(col), max(col)
+    for j, lo in enumerate(plan.shift):
         if lo:
             shift = shift * powers[j][lo]
-        if lo == hi:
-            continue
+    vals = None
+    for (j, lo, hi), nodes in zip(reversed(plan.columns), reversed(plan.levels)):
         z = powers[j].z
         a, b, d = z.re_n, z.im_n, z.den
         den *= d ** (hi - lo)
-        row, x, y = {}, 1, 0  # x + iy = n_j^(e - lo)
+        row, x, y = [], 1, 0  # x + iy = n_j^(e - lo)
         for e in range(lo, hi + 1):
-            row[e] = (x * d ** (hi - e), y * d ** (hi - e))
+            row.append((x * d ** (hi - e), y * d ** (hi - e)))
             x, y = x * a - y * b, x * b + y * a
-        if b:
-            rows.append((j, row))
-        else:  # while the product is real, its multiplications by 0 cost nothing
-            rows.insert(0, (j, row))
+        out = []
+        for edges in nodes:
+            re = im = 0
+            if vals is None:
+                for f, s in edges:
+                    x, y = row[f]
+                    re += s * x
+                    im += s * y
+            else:
+                for f, s, child in edges:
+                    x, y = row[f]
+                    u, v = vals[child]
+                    re += s * (x * u - y * v)
+                    im += s * (x * v + y * u)
+            out.append((re, im))
+        vals = out
     re_sum = im_sum = 0
-    for c, exps in terms:
-        re, im = c, 0
-        for j, row in rows:
-            x, y = row[exps[j]]
-            re, im = re * x - im * y, re * y + im * x
-        re_sum += re
-        im_sum += im
+    for w, (s, index) in zip(weights, plan.roots, strict=True):
+        if w and s:
+            u, v = (1, 0) if index is None else vals[index]
+            re_sum += w * s * u
+            im_sum += w * s * v
     return GaussianRational._raw(re_sum, im_sum, den) * shift
+
+
+def evaluate_terms(terms, powers: Sequence[_Powers]) -> GaussianRational:
+    """sum of c * prod_j z_j^{e_j} over (c, exponents) terms, c any integer:
+    the one-root plan of the terms, evaluated with weight 1."""
+    return evaluate_plan(term_plan((terms,)), powers)
 
 
 def root_value(powers: Sequence[_Powers], alpha: Sequence[int]) -> GaussianRational:

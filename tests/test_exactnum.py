@@ -168,6 +168,16 @@ def test_squarefree_part():
     assert squarefree_part(1) == 1
 
 
+def test_squarefree_part_matches_definition():
+    """n over the largest square dividing it, on -500..500 without 0."""
+    for n in range(-500, 501):
+        if n:
+            k = max(k for k in range(1, 23) if n % (k * k) == 0)
+            assert squarefree_part(n) == n // (k * k), n
+    with pytest.raises(ExactDomainError):
+        squarefree_part(0)
+
+
 gaussian = st.builds(
     GaussianRational,
     st.fractions(min_value=-5, max_value=5, max_denominator=9),

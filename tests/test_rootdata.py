@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from endolab import rootdata
+from endolab import archcmp, rootdata
 from endolab.cli import _dominant_weights
 from endolab.errors import ExactDomainError, ResourceLimitError, SingularPointError
 from endolab.exactnum import GaussianRational
@@ -203,7 +203,11 @@ def test_evaluate_terms_matches_gaussian_reference(m):
     """At seeded points (from rank 2 on, M1 conjugate pairs (x, conj x) with
     |x| != 1 and the RAW coordinates a Weyl move leaves), on terms with
     exponents of both signs, coefficients other than +-1 and a constant
-    column, and on the empty term list."""
+    column, and on the empty term list.  Then multi-root plans of those
+    terms with weights 0, negative and other than +-1: the same terms times
+    -3 (stored once, up to sign and scale), under another head monomial
+    (the same nodes below the first coordinate), a group that cancels to
+    zero, an empty group, and a plan in which no column varies."""
     rng = random.Random(10 + m)
     points = _regular_points(RootDatum("B", m), rng, 2)
     if m >= 2:
@@ -211,6 +215,7 @@ def test_evaluate_terms_matches_gaussian_reference(m):
         assert pairs and all(g.coords[0].norm() != 1 for g in pairs)
         assert any(rootdata.RAW in g.pattern for g in points)
     coefficients = (-7, -3, -2, -1, 1, 2, 4, 9)
+    head = (2,) + (0,) * (m - 1)
     for gamma in points:
         powers = rootdata.power_table(gamma)
         assert rootdata.evaluate_terms((), powers) == GaussianRational(0)
@@ -223,6 +228,43 @@ def test_evaluate_terms_matches_gaussian_reference(m):
                 terms.append((-terms[0][0], terms[0][1]))  # a term that cancels another
                 got = rootdata.evaluate_terms(terms, powers)
                 assert got == _gaussian_terms_sum(terms, gamma), (gamma, terms)
+
+                groups = [
+                    terms,
+                    [(-3 * c, e) for c, e in terms],
+                    [(c, tuple(map(operator.add, e, head))) for c, e in terms],
+                    terms + [(-c, e) for c, e in terms],
+                    [],
+                ]
+                weights = (rng.choice(coefficients), 0, -2, 5, 3)
+                plan = rootdata.term_plan(groups)
+                want = GaussianRational(0)
+                for w, group in zip(weights, groups):
+                    want = want + w * _gaussian_terms_sum(group, gamma)
+                assert rootdata.evaluate_plan(plan, powers, weights) == want, (gamma, terms)
+                assert rootdata.evaluate_plan(plan, powers, (0, 1, 0, 0, 0)) == _gaussian_terms_sum(groups[1], gamma)
+                (g, node), (g3, node3) = plan.roots[:2]
+                assert (g3, node3) == (-3 * g, node) and plan.roots[3:] == ((0, None), (0, None))
+                if m >= 2:
+                    alone = rootdata.term_plan((terms,))
+                    assert plan.levels[1:] == alone.levels[1:]
+                    assert len(plan.levels[0]) == len(alone.levels[0]) + 1
+        constant = [(2, (1,) * m), (-5, (1,) * m)]
+        plan = rootdata.term_plan((constant, [], constant[:1]))
+        assert plan.levels == () and plan.roots == ((-3, None), (0, None), (2, None))
+        assert rootdata.evaluate_plan(plan, powers, (2, 7, -1)) == _gaussian_terms_sum(constant * 2 + [(-2, (1,) * m)], gamma)
+
+
+def test_character_sum_plan_shares_sub_polynomials():
+    """The d = 10 character-sum plan (D5, lam = (3,2,1,0,0)), one root per
+    head, stores at most a tenth as many edges as its terms have
+    term x coordinate products."""
+    lam = (3, 2, 1, 0, 0)
+    heads, plan = archcmp._omega_data("D", 5, lam)
+    terms = rootdata.alternant_terms(RootDatum("D", 5), Weight.from_ints(lam))
+    edges = sum(len(node) for level in plan.levels for node in level)
+    assert len(terms) == 1920 and len(plan.roots) == len(heads)
+    assert 10 * edges <= len(terms) * 5, edges
 
 
 @pytest.mark.parametrize("kind,m", [("B", m) for m in range(1, 6)] + [("D", m) for m in range(2, 6)])

@@ -23,6 +23,7 @@ FROZEN = [
     rootdata.WeylElement((1, -1, 1), (2, 0, 1)),
     rootdata.TorusPoint((GaussianRational(2), GaussianRational(Fraction(3, 5), Fraction(4, 5))), ("split", "compact")),
     rootdata.LeviBlocks(((0, 1),), 2),
+    rootdata.term_plan(([(1, (0, 1)), (-2, (1, 1))], [])),
     hecke.FrobTwist(2, rootdata.WeylElement((1, -1), (0, 1))),
     hecke.EndoSignVector((1, -1, 1)),
     hecke.RelativeWeylGroup(2, (rootdata.WeylElement((1, 1), (1, 0)),)),
@@ -53,9 +54,9 @@ def _name(obj):
 
 
 def test_every_value_type_is_covered():
-    """27 types: the 24 frozen ones and the three mutable ones."""
+    """28 types: the 25 frozen ones and the three mutable ones."""
     assert {type(o) for o in FROZEN + MUTABLE} == set(Value.__subclasses__())
-    assert (len(FROZEN), len(MUTABLE)) == (24, 3)
+    assert (len(FROZEN), len(MUTABLE)) == (25, 3)
 
 
 @pytest.mark.parametrize("obj", FROZEN, ids=_name)
