@@ -1,11 +1,16 @@
 #!/usr/bin/env python3
 """Run every verification suite through the CLI at its acceptance parameters
 (`endolab.cli.ACCEPTANCE`, the table tests/test_acceptance.py runs) and print
-one pass/fail line per suite with the number of cases it checked.
+one pass/fail line per suite with the number of cases it checked and the
+sha256 of its report: the JSON line without its newline, the form that
+tests/test_acceptance.py pins in REPORT_SHA256.  Two checkouts give
+byte-identical reports exactly when this script's lines agree but for the
+times.
 
 Usable without pytest; honors ENDOLAB_WORKERS for the archimedean sweep.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -24,6 +29,7 @@ def main() -> int:
             text=True,
         )
         elapsed = time.time() - t0
+        digest = hashlib.sha256(proc.stdout.removesuffix("\n").encode()).hexdigest()
         try:
             report = json.loads(proc.stdout)
             status = report["status"]
@@ -31,7 +37,7 @@ def main() -> int:
         except (json.JSONDecodeError, KeyError):
             report, status, checked = None, f"error (exit {proc.returncode})", 0
         tag = "PASS" if proc.returncode == 0 else "FAIL"
-        print(f"[{tag}] verify {suite:<12} {elapsed:7.1f}s  status={status}  checked={checked}")
+        print(f"[{tag}] verify {suite:<12} {elapsed:7.1f}s  status={status}  checked={checked}  sha256={digest}")
         if proc.returncode != 0:
             failures += 1
             print(proc.stdout)

@@ -1,6 +1,6 @@
 """Kostant-Weyl terms and normalized discrete-series character sums for the
 standard Levis of SO(d-2, 2), and the exact verification of the archimedean
-comparison and symmetry identities.
+comparison identities.
 
 Both sides of each identity are computed through disjoint code paths: the
 Kostant-Weyl term goes through Kostant cohomology entries, weight truncation
@@ -24,7 +24,7 @@ from typing import Optional
 
 from .dsconst import cone_constant_1d, cone_constant_2d
 from .errors import ExactDomainError, ResourceLimitError, SingularPointError
-from .exactnum import ZERO, GaussianRational, sqrt_fraction
+from .exactnum import ZERO, GaussianRational
 from .rootdata import (
     COMPACT,
     PAIR_FIRST,
@@ -38,7 +38,7 @@ from .rootdata import (
     evaluate_plan,
     is_dominant,
     kostant_cohomology,
-    levi_positive_roots,
+    passes_truncation,
     pi1_covector,
     pi2_covector,
     power_table,
@@ -106,8 +106,9 @@ class GammaSample(Value):
 
 def torus_point(case: ArchCase, sample: GammaSample) -> tuple[TorusPoint, list]:
     """The regular point gamma of the sample and its power table, built once
-    per evaluation and passed to every evaluator; raises SingularPointError
-    if gamma lies on a root wall, the only place regularity is decided."""
+    per draw by sample_in_range and passed to every evaluator; raises
+    SingularPointError if gamma lies on a root wall, the only place
+    regularity is decided."""
     z = tuple(circle_point(t) for t in sample.circle_params)
     if case.levi == "M1":
         if sample.b is None:
@@ -167,11 +168,10 @@ def _kostant_terms(kind: str, m: int, levi_label: str, lam: tuple[int, ...], cut
     datum = RootDatum(kind, m)
     levi = standard_levi(levi_label, m)
     tail = RootDatum(kind, m - levi.so_start)
-    r = rho(datum)
     pi = {"pi1": pi1_covector(m), "pi2": pi2_covector(m)}
     terms = []
     for deg, mu in kostant_cohomology(datum, levi, Weight.from_ints(lam)):
-        if all((mu + r).pairing_doubled(pi[c]) > 0 for c in cutoffs):
+        if all(passes_truncation(datum, mu, pi[c]) for c in cutoffs):
             c = mu.int_coords()
             sgn = -1 if deg % 2 else 1
             if levi_label == "M1":
@@ -207,23 +207,6 @@ def _omega0_data(kind: str, m: int, lam: tuple[int, ...]):
 
 
 # --- the Kostant-Weyl terms ----------------------------------------------------
-
-
-def _delta_half_ratio(case: ArchCase, powers, powers_p) -> Fraction:
-    """delta_P^(1/2)(gamma') / delta_P^(1/2)(gamma), an exact positive rational,
-    from the power tables of gamma and gamma'.
-
-    norm(alpha(gamma)) = |alpha(gamma)|^2, so the product below is the 4th
-    power of the ratio; sqrt_fraction raises unless both roots are exact (for
-    gamma' = omega_0 gamma only even powers of |b| survive)."""
-    datum = case.datum
-    levi_pos = set(levi_positive_roots(datum, standard_levi(case.levi, case.m)))
-    ratio_4th = Fraction(1)
-    for alpha in datum.positive_roots():
-        if alpha in levi_pos:
-            continue
-        ratio_4th *= root_value(powers_p, alpha).norm() / root_value(powers, alpha).norm()
-    return sqrt_fraction(sqrt_fraction(ratio_4th))
 
 
 def L_M_normalized(case: ArchCase, sample: GammaSample, point) -> GaussianRational:
@@ -282,7 +265,7 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def _epsilon_R(case: ArchCase, sample: GammaSample, endos: bool = False) -> int:
+def _epsilon_R(case: ArchCase, sample: GammaSample) -> int:
     """(-1) to the number of positive real roots sending gamma into (0, 1);
     gamma is regular, so none sends it to 1."""
     a, b = sample.a, sample.b
@@ -290,8 +273,6 @@ def _epsilon_R(case: ArchCase, sample: GammaSample, endos: bool = False) -> int:
         vals = [a * a + b * b]
     elif case.levi == "M2":
         vals = [a]
-    elif endos:
-        vals = [a, b]
     elif case.parity == "odd":
         vals = [a, b, a * b, a / b]
     else:
@@ -352,33 +333,13 @@ def Phi_endos_normalized(case: ArchCase, sample: GammaSample, point) -> Gaussian
     return (q_sign * _epsilon_R(case, sample)) * _character_sum(case, point[1], coeff)
 
 
-def epsilon_R_endos(case: ArchCase, sample: GammaSample) -> int:
-    return _epsilon_R(case, sample, endos=True)
-
-
 # --- identity verification ------------------------------------------------------
 
 
 class ArchReport(Value, frozen=False):
-    __slots__ = ("case", "d", "lam", "range_label", "samples", "seed", "failures", "controls")
+    __slots__ = ("failures", "controls")
 
-    def __init__(
-        self,
-        case: str,
-        d: int,
-        lam: tuple[int, ...],
-        range_label: str,
-        samples: int,
-        seed: int,
-        failures: list | None = None,
-        controls: int = 0,
-    ):
-        self.case = case
-        self.d = d
-        self.lam = lam
-        self.range_label = range_label
-        self.samples = samples
-        self.seed = seed
+    def __init__(self, failures: list | None = None, controls: int = 0):
         self.failures = [] if failures is None else failures
         self.controls = controls  # vanishing-region samples checked
 
@@ -421,10 +382,11 @@ def _sample_circles(rng: random.Random, count: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def sample_in_range(case: ArchCase, rng: random.Random, region: str = "stated") -> GammaSample:
+def sample_in_range(case: ArchCase, rng: random.Random, region: str = "stated") -> tuple[GammaSample, tuple]:
     """Draw an exact sample in the stated range of the case's comparison
-    identity (or in a vanishing/out-of-range control region).  Raises
-    ResourceLimitError after MAX_REJECTED_DRAWS rejected draws."""
+    identity (or in a vanishing/out-of-range control region), with the point
+    (gamma, power table) that torus_point built when it accepted the draw.
+    Raises ResourceLimitError after MAX_REJECTED_DRAWS rejected draws."""
     m = case.m
     n_circ = m - 1 if case.levi == "M2" else m - 2
     for _ in range(MAX_REJECTED_DRAWS + 1):
@@ -461,16 +423,16 @@ def sample_in_range(case: ArchCase, rng: random.Random, region: str = "stated") 
                 a, b = b, a  # |a| > |b|-side: x1 > -|x2|
             sample = GammaSample(a, b, circ)
         try:
-            torus_point(case, sample)
+            point = torus_point(case, sample)
         except (SingularPointError, ExactDomainError):
             continue
-        return sample
+        return sample, point
     raise ResourceLimitError(f"no sample in the {region} region after {MAX_REJECTED_DRAWS} rejected draws")
 
 
-def identity_gap(case: ArchCase, sample: GammaSample) -> GaussianRational:
-    """LHS - RHS of the case's comparison identity at the sample (zero = pass)."""
-    point = torus_point(case, sample)
+def identity_gap(case: ArchCase, sample: GammaSample, point) -> GaussianRational:
+    """LHS - RHS of the case's comparison identity at the sample (zero = pass),
+    evaluated at the point (gamma, power table) that torus_point built for it."""
     q_sign = -1 if case.q_G % 2 else 1
     if case.levi == "M1":
         return Phi_normalized(case, sample, point) - (-2 * q_sign) * L_M_normalized(case, sample, point)
@@ -501,10 +463,10 @@ def verify_identity(
     """Exact verification of the comparison identity on random samples in the
     stated range, plus optional vanishing-region controls."""
     rng = random.Random(seed)
-    report = ArchReport(case.levi, case.d, case.lam, region, samples, seed)
+    report = ArchReport()
     for k in range(samples):
-        sample = sample_in_range(case, rng, region)
-        gap = identity_gap(case, sample)
+        sample, point = sample_in_range(case, rng, region)
+        gap = identity_gap(case, sample, point)
         if gap != ZERO:
             report.failures.append(
                 {
@@ -519,42 +481,8 @@ def verify_identity(
     if case.levi in ("M2", "M12"):
         report.controls = vanishing_controls
         for k in range(vanishing_controls):
-            sample = sample_in_range(case, rng, "vanishing")
-            gap = identity_gap(case, sample)
+            sample, point = sample_in_range(case, rng, "vanishing")
+            gap = identity_gap(case, sample, point)
             if gap != ZERO:
                 report.failures.append({"index": f"vanish-{k}", "a": str(sample.a)})
     return report
-
-
-def verify_symmetry(case: ArchCase, sample: GammaSample, mode: str) -> bool:
-    """The swap (a,b) -> (b,a) preserves Phi and negates the eps_R eps_R_endos
-    weighted endoscopic sum; inverting a -> 1/a preserves both.
-
-    The statements concern the un-normalized sums, so the two normalized values
-    are compared through the exact delta_P^(1/2)-ratio (the Levi factor Delta_M
-    is invariant under both moves).
-    """
-    if case.levi != "M12" or case.parity != "odd":
-        raise ExactDomainError("symmetry checks live on odd-case M12")
-    a, b = sample.a, sample.b
-    if a * b <= 0 or a == b:
-        raise ExactDomainError("need ab > 0 and a != b")
-    if mode == "swap":
-        other = GammaSample(b, a, sample.circle_params)
-        expected_sign = -1
-    elif mode == "invert":
-        other = GammaSample(1 / a, b, sample.circle_params)
-        expected_sign = 1
-    else:
-        raise ExactDomainError("mode must be swap or invert")
-    point, other_point = torus_point(case, sample), torus_point(case, other)
-    r = _delta_half_ratio(case, point[1], other_point[1])
-    phi1 = Phi_normalized(case, sample, point)
-    phi2 = Phi_normalized(case, other, other_point)
-    if phi1 != r * phi2:
-        return False
-    w1 = _epsilon_R(case, sample) * epsilon_R_endos(case, sample)
-    w2 = _epsilon_R(case, other) * epsilon_R_endos(case, other)
-    e1 = Phi_endos_normalized(case, sample, point)
-    e2 = Phi_endos_normalized(case, other, other_point)
-    return w1 * e1 == (expected_sign * w2 * r) * e2

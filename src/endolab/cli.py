@@ -521,19 +521,19 @@ def _suite_kostant(rep: Report, *, max_rank=3, max_coord=2):
                     rep.case = {"kind": kind, "m": m, "levi": label, "lambda": lam}
                     ok = rootdata.kostant_euler_identity(datum, levi, rootdata.Weight.from_ints(lam))
                     rep.check("Kostant identity", ok)
-            # The weight truncations cut at <mu, pi> > -<rho, pi>, which must
-            # agree with <w(lam+rho), pi> > 0 for every Weyl element w.  Both
-            # sides are compared doubled, as ints.
+            # passes_truncation, the filter of the truncated Kostant traces,
+            # must agree at mu = w(lam+rho) - rho with <w(lam+rho), pi> > 0
+            # for every Weyl element w.
             r = rootdata.rho(datum)
-            cutoffs = [(pi, -r.pairing_doubled(pi)) for pi in (rootdata.pi1_covector(m), rootdata.pi2_covector(m))]
+            covectors = (rootdata.pi1_covector(m), rootdata.pi2_covector(m))
             for lam in lams:
                 rep.case = {"kind": kind, "m": m, "lambda": lam}
                 shifted = rootdata.Weight.from_ints(lam) + r
                 for w, _, _ in rootdata.weyl_table(kind, m):
                     image = w.act(shifted)
                     mu = image - r
-                    for pi, cut in cutoffs:
-                        ok = (mu.pairing_doubled(pi) > cut) == (image.pairing_doubled(pi) > 0)
+                    for pi in covectors:
+                        ok = rootdata.passes_truncation(datum, mu, pi) == (image.pairing_doubled(pi) > 0)
                         witness = None if ok else {**rep.case, "pi": list(pi), "w": [list(w.signs), list(w.perm)]}
                         rep.check("truncation cutoffs", ok, witness)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 from typing import Union
 
 from .errors import ExactDomainError
@@ -484,13 +484,3 @@ def _local_class(n: int, d: int, p: int) -> tuple[int, int]:
     if p == 2:
         return e % 2, _odd_unit_mod(n, d, 8)
     return e % 2, 1 if _legendre_unit(n, d, p) == 1 else smallest_nonresidue(p)
-
-
-def sqrt_fraction(x: Fraction) -> Fraction:
-    """Exact square root of a rational that is a perfect square."""
-    if x < 0:
-        raise ExactDomainError(f"{x} is negative")
-    rn, rd = isqrt(x.numerator), isqrt(x.denominator)
-    if rn * rn != x.numerator or rd * rd != x.denominator:
-        raise ExactDomainError(f"{x} is not a perfect square")
-    return Fraction(rn, rd)

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .errors import ExactDomainError
 from .levi import admissible_A, excluded_factor, gl_labels
-from .rootdata import RootDatum, WeylElement
+from .rootdata import RootDatum, WeylElement, rho
 from .value import Value
 
 
@@ -201,14 +201,9 @@ class HeckeElement(Value, frozen=False):
 
 
 def _is_minuscule(datum: RootDatum, mu: Sequence[int]) -> bool:
-    return all(abs(sum(a * b for a, b in zip(alpha, mu))) <= 1 for alpha in datum.roots())
-
-
-def _half_sum_doubled(group: UnramifiedGroup) -> tuple[int, ...]:
-    m = group.rank
-    if group.kind == "B":
-        return tuple(2 * (m - i) + 1 for i in range(1, m + 1))
-    return tuple(2 * (m - i) for i in range(1, m + 1))
+    """|<alpha, mu>| <= 1 for every root; the bound is symmetric under
+    alpha -> -alpha, so the positive roots decide it."""
+    return all(abs(sum(a * b for a, b in zip(alpha, mu))) <= 1 for alpha in datum.positive_roots())
 
 
 def satake_minuscule(group: UnramifiedGroup, mu: Sequence[int], degree: int = 1) -> HeckeElement:
@@ -219,7 +214,8 @@ def satake_minuscule(group: UnramifiedGroup, mu: Sequence[int], degree: int = 1)
     mu = tuple(mu)
     if len(mu) != m:
         raise ExactDomainError("cocharacter rank mismatch")
-    if not _is_minuscule(group.datum(), mu):
+    datum = group.datum()
+    if not _is_minuscule(datum, mu):
         raise ExactDomainError("cocharacter is not minuscule")
     rel = group.relative_group(degree)
     if any(c for i, c in enumerate(mu) if degree % 2 and i in group.flips):
@@ -235,7 +231,7 @@ def satake_minuscule(group: UnramifiedGroup, mu: Sequence[int], degree: int = 1)
                     orbit.add(w)
                     nxt.append(w)
         frontier = nxt
-    delta2 = _half_sum_doubled(group)
+    delta2 = rho(datum).doubled
     # the q-power pairs the half sum of all positive roots with the dominant
     # representative of the absolute orbit (coordinates sorted by magnitude)
     dom = tuple(sorted((abs(c) for c in mu), reverse=True))

@@ -39,10 +39,6 @@ class RootDatum(Value):
     def positive_roots(self) -> tuple[Root, ...]:
         return _positive_roots(self.kind, self.rank)
 
-    def roots(self) -> tuple[Root, ...]:
-        pos = self.positive_roots()
-        return pos + tuple(tuple(-c for c in a) for a in pos)
-
 
 @lru_cache(maxsize=None)
 def _positive_roots(kind: str, m: int) -> tuple[Root, ...]:
@@ -628,6 +624,12 @@ def pi1_covector(m: int) -> tuple[int, ...]:
 def pi2_covector(m: int) -> tuple[int, ...]:
     """2 e_1^v."""
     return (2,) + (0,) * (m - 1)
+
+
+def passes_truncation(datum: RootDatum, mu: Weight, covector: Sequence[int]) -> bool:
+    """The weight truncation <mu, pi> > -<rho, pi> at the covector pi, the
+    one filter of the truncated Kostant trace, compared doubled, as ints."""
+    return mu.pairing_doubled(covector) > -rho(datum).pairing_doubled(covector)
 
 
 # --- formal characters (for the Euler-characteristic identity) ---------------

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -13,17 +14,27 @@ from endolab.archcmp import (
     Phi_endos_normalized,
     Phi_normalized,
     _character_sum,
-    _delta_half_ratio,
+    _epsilon_R,
     _sample_circles,
     identity_gap,
     sample_in_range,
     torus_point,
     verify_identity,
-    verify_symmetry,
 )
 from endolab.errors import ExactDomainError, ResourceLimitError, SingularPointError
 from endolab.exactnum import GaussianRational
-from endolab.rootdata import RootDatum, Weight, WeylElement, power_table, rho, weyl_denominator, weyl_enumerate
+from endolab.rootdata import (
+    RootDatum,
+    Weight,
+    WeylElement,
+    levi_positive_roots,
+    power_table,
+    rho,
+    root_value,
+    standard_levi,
+    weyl_denominator,
+    weyl_enumerate,
+)
 
 ZERO = GaussianRational(0)
 
@@ -82,7 +93,7 @@ def _head_coefficient(chi_1, chi_2):
 @pytest.mark.parametrize("levi,d", ARCH_CASES)
 def test_character_sum_matches_product_form(levi, d):
     case = ArchCase(levi, d, tuple(([3, 2, 1] + [0] * d)[: d // 2]))
-    gamma, powers = torus_point(case, sample_in_range(case, random.Random(d)))
+    _, (gamma, powers) = sample_in_range(case, random.Random(d))
     assert _character_sum(case, powers, _head_coefficient) == _product_form_sum(case, gamma, _head_coefficient)
 
 
@@ -111,8 +122,7 @@ def test_normalized_values_are_pinned(levi, d):
     rng = random.Random(1000 + d)
     values = []
     for _ in range(3):
-        sample = sample_in_range(case, rng)
-        point = torus_point(case, sample)
+        sample, point = sample_in_range(case, rng)
         row = [Phi_normalized(case, sample, point), L_M_normalized(case, sample, point)]
         if levi == "M12" and d % 2:
             row.append(Phi_endos_normalized(case, sample, point))
@@ -133,14 +143,45 @@ def _m12_points(case):
     rng = random.Random(case.d)
     out = {}
     for _ in range(200):
-        sample = sample_in_range(case, rng)
+        sample, point = sample_in_range(case, rng)
         points = out.setdefault((sample.b > 0, abs(sample.b) > 1), [])
         if len(points) < 3:
-            points.append((sample, torus_point(case, sample)))
+            points.append((sample, point))
         if sorted(map(len, out.values())) == [3, 3, 3, 3]:
             break
     assert sorted(map(len, out.values())) == [3, 3, 3, 3]
     return [p for points in out.values() for p in points]
+
+
+def _sqrt_fraction(x: Fraction) -> Fraction:
+    """Exact square root of a rational that is a perfect square."""
+    if x < 0:
+        raise ExactDomainError(f"{x} is negative")
+    rn, rd = isqrt(x.numerator), isqrt(x.denominator)
+    if rn * rn != x.numerator or rd * rd != x.denominator:
+        raise ExactDomainError(f"{x} is not a perfect square")
+    return Fraction(rn, rd)
+
+
+def test_sqrt_fraction():
+    assert _sqrt_fraction(Fraction(9, 4)) == Fraction(3, 2)
+    with pytest.raises(ExactDomainError):
+        _sqrt_fraction(Fraction(2))
+
+
+def _delta_half_ratio(case, powers, powers_p) -> Fraction:
+    """delta_P^(1/2)(gamma') / delta_P^(1/2)(gamma), an exact positive rational,
+    from the power tables of gamma and gamma', root by root.
+
+    norm(alpha(gamma)) = |alpha(gamma)|^2, so the product below is the 4th
+    power of the ratio; _sqrt_fraction raises unless both roots are exact."""
+    datum = case.datum
+    levi_pos = set(levi_positive_roots(datum, standard_levi(case.levi, case.m)))
+    ratio_4th = Fraction(1)
+    for alpha in datum.positive_roots():
+        if alpha not in levi_pos:
+            ratio_4th *= root_value(powers_p, alpha).norm() / root_value(powers, alpha).norm()
+    return _sqrt_fraction(_sqrt_fraction(ratio_4th))
 
 
 @pytest.mark.parametrize("d", [7, 8, 9, 10])
@@ -176,7 +217,7 @@ def test_m1_heads_without_the_1_over_x_shift_fail(monkeypatch, d):
     case = ArchCase("M1", d, tuple(([3, 2, 1] + [0] * d)[: d // 2]))
     rng = random.Random(d)
     samples = [sample_in_range(case, rng) for _ in range(3)]
-    assert all(identity_gap(case, s) == ZERO for s in samples)
+    assert all(identity_gap(case, s, point) == ZERO for s, point in samples)
     real = archcmp._kostant_terms
 
     def times_x(kind, m, levi_label, lam, cutoffs):
@@ -185,7 +226,7 @@ def test_m1_heads_without_the_1_over_x_shift_fail(monkeypatch, d):
     monkeypatch.setattr(archcmp, "_kostant_terms", times_x)
     archcmp._kostant_data.cache_clear()
     try:
-        assert all(identity_gap(case, s) != ZERO for s in samples)
+        assert all(identity_gap(case, s, point) != ZERO for s, point in samples)
     finally:
         archcmp._kostant_data.cache_clear()
 
@@ -193,7 +234,7 @@ def test_m1_heads_without_the_1_over_x_shift_fail(monkeypatch, d):
 def test_character_sum_without_rho_shift_fails(monkeypatch):
     """Negative control: exponents w(lam+rho) with the -rho shift dropped."""
     case = ArchCase("M12", 8, (3, 2, 1, 0))
-    gamma, powers = torus_point(case, sample_in_range(case, random.Random(8)))
+    _, (gamma, powers) = sample_in_range(case, random.Random(8))
     expected = _product_form_sum(case, gamma, _head_coefficient)
 
     def unshifted(kind, m, doubled):
@@ -231,12 +272,11 @@ def test_identity_d9_m2():
 def test_vanishing_regions():
     rng = random.Random(17)
     case = ArchCase("M2", 7, (1, 0, 0))
-    s = sample_in_range(case, rng, "vanishing")
-    assert s.a < 0 and Phi_normalized(case, s, torus_point(case, s)) == ZERO
+    s, point = sample_in_range(case, rng, "vanishing")
+    assert s.a < 0 and Phi_normalized(case, s, point) == ZERO
     case12 = ArchCase("M12", 7, (1, 0, 0))
-    s12 = sample_in_range(case12, rng, "vanishing")
+    s12, point12 = sample_in_range(case12, rng, "vanishing")
     assert s12.a * s12.b < 0
-    point12 = torus_point(case12, s12)
     assert Phi_normalized(case12, s12, point12) == ZERO
     assert Phi_endos_normalized(case12, s12, point12) == ZERO
 
@@ -244,38 +284,87 @@ def test_vanishing_regions():
 def test_endos_zero_for_negative_pair():
     case = ArchCase("M12", 7, (0, 0, 0))
     s = GammaSample(Fraction(-1, 5), Fraction(-1, 2), (Fraction(1, 3),))
-    assert Phi_endos_normalized(case, s, torus_point(case, s)) == ZERO
+    point = torus_point(case, s)
+    assert Phi_endos_normalized(case, s, point) == ZERO
     # but Phi itself is not forced to vanish there
-    assert identity_gap(case, s) == ZERO
+    assert identity_gap(case, s, point) == ZERO
+
+
+def _epsilon_R_endos(sample) -> int:
+    """eps_R of the endoscopic system +-e1, +-e2: (-1) to the number of a, b
+    in (0, 1)."""
+    return -1 if sum(0 < v < 1 for v in (sample.a, sample.b)) % 2 else 1
+
+
+def _symmetric(case, sample, point, other, expected_sign) -> bool:
+    """Phi at the sample equals Phi at the other sample, and the eps_R
+    eps_R_endos weighted endoscopic sums agree up to expected_sign.
+
+    The statements concern the un-normalized sums, so the two normalized
+    values are compared through the exact delta_P^(1/2)-ratio (the Levi
+    factor Delta_M is invariant under both moves)."""
+    other_point = torus_point(case, other)
+    r = _delta_half_ratio(case, point[1], other_point[1])
+    if Phi_normalized(case, sample, point) != r * Phi_normalized(case, other, other_point):
+        return False
+    w1 = _epsilon_R(case, sample) * _epsilon_R_endos(sample)
+    w2 = _epsilon_R(case, other) * _epsilon_R_endos(other)
+    e1 = Phi_endos_normalized(case, sample, point)
+    e2 = Phi_endos_normalized(case, other, other_point)
+    return w1 * e1 == (expected_sign * w2 * r) * e2
 
 
 def test_symmetry_swap_and_invert():
+    """The swap (a,b) -> (b,a) preserves Phi and negates the weighted
+    endoscopic sum; inverting a -> 1/a preserves both."""
     rng = random.Random(23)
     case = ArchCase("M12", 7, (1, 1, 0))
     checked = 0
     while checked < 4:
-        s = sample_in_range(case, rng)
+        s, point = sample_in_range(case, rng)
         if s.a == s.b:
             continue
-        assert verify_symmetry(case, s, "swap")
-        assert verify_symmetry(case, s, "invert")
+        assert s.a * s.b > 0
+        assert _symmetric(case, s, point, GammaSample(s.b, s.a, s.circle_params), -1)
+        assert _symmetric(case, s, point, GammaSample(1 / s.a, s.b, s.circle_params), 1)
         checked += 1
-
-
-def test_symmetry_rejects_bad_modes():
-    case = ArchCase("M12", 7, (0, 0, 0))
-    s = GammaSample(Fraction(1, 5), Fraction(1, 2), (Fraction(1, 3),))
-    with pytest.raises(ExactDomainError):
-        verify_symmetry(case, s, "rotate")
-    bad = GammaSample(Fraction(1, 5), Fraction(-1, 2), (Fraction(1, 3),))
-    with pytest.raises(ExactDomainError):
-        verify_symmetry(case, bad, "swap")
 
 
 def test_singular_sample_rejected():
     case = ArchCase("M2", 7, (0, 0, 0))
     with pytest.raises(SingularPointError):
-        identity_gap(case, GammaSample(Fraction(1), None, (Fraction(1, 3), Fraction(1, 5))))
+        torus_point(case, GammaSample(Fraction(1), None, (Fraction(1, 3), Fraction(1, 5))))
+
+
+@pytest.mark.parametrize("levi,d", ARCH_CASES)
+def test_torus_point_runs_once_per_draw(monkeypatch, levi, d):
+    """verify_identity calls torus_point once per draw that reaches it: once
+    per accepted sample, whose point identity_gap evaluates at, and once per
+    rejected draw.  Every third call is rejected here as if on a root wall,
+    which seeded draws in range hardly ever are.  No point is built twice."""
+    calls, built, evaluated = [], [], []
+    real_point, real_gap = archcmp.torus_point, archcmp.identity_gap
+
+    def counted_point(case, sample):
+        calls.append(sample)
+        if len(calls) % 3 == 0:
+            raise SingularPointError("rejected for the count")
+        point = real_point(case, sample)
+        built.append(point)
+        return point
+
+    def recorded_gap(case, sample, point):
+        evaluated.append(point)
+        return real_gap(case, sample, point)
+
+    monkeypatch.setattr(archcmp, "torus_point", counted_point)
+    monkeypatch.setattr(archcmp, "identity_gap", recorded_gap)
+    case = ArchCase(levi, d, tuple(([3, 2, 1] + [0] * d)[: d // 2]))
+    report = verify_identity(case, samples=5, seed=7, vanishing_controls=2)
+    assert report.ok, report.failures
+    accepted = 5 + report.controls
+    assert len(calls) == accepted + len(calls) // 3
+    assert len(built) == len(evaluated) == accepted and all(p is q for p, q in zip(evaluated, built))
 
 
 def test_out_of_range_mismatch_witness():

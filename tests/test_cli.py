@@ -588,6 +588,19 @@ def test_verify_invariants_error_names_the_case(capsys, monkeypatch):
     assert out["witnesses"] == [{"d": 9, "levi": "M12", "A": A, "base": base, "error": "broken identity"}]
     assert out["checks"]["tau-k identity"]["checked"] > 0  # d = 7, 8 and the M1, M2 cases of d = 9
 
+
+def test_verify_kostant_fails_on_truncation_without_rho(capsys, monkeypatch):
+    """Negative control: the truncation <mu, pi> > 0, with its -<rho, pi>
+    shift dropped, disagrees with <w(lam+rho), pi> > 0, and the suite fails."""
+    from endolab import rootdata
+
+    monkeypatch.setattr(rootdata, "passes_truncation", lambda datum, mu, pi: mu.pairing_doubled(pi) > 0)
+    code, out = _verify(capsys, "kostant", "--max-rank", "2", "--max-coord", "1")
+    assert (code, out["status"]) == (1, "fail")
+    assert out["checks"]["truncation cutoffs"]["failed"] > 0
+    assert out["checks"]["Kostant identity"]["failed"] == 0
+
+
 @pytest.mark.parametrize(
     "target, name, wrong, argv, checks, witnesses",
     [

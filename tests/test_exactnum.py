@@ -23,7 +23,6 @@ from endolab.exactnum import (
     smallest_nonresidue,
     squarefree_part,
     squareclass_of,
-    sqrt_fraction,
     ZERO,
 )
 
@@ -225,12 +224,6 @@ def test_gaussian_constants():
     assert (ZERO.re_n, ZERO.im_n, ZERO.den) == (0, 0, 1) and ZERO.is_zero()
     z = GaussianRational(Fraction(2, 3), Fraction(-1, 5))
     assert z ** 0 == ONE and z * ONE == z and z + ZERO == z
-
-
-def test_sqrt_fraction():
-    assert sqrt_fraction(Fraction(9, 4)) == Fraction(3, 2)
-    with pytest.raises(ExactDomainError):
-        sqrt_fraction(Fraction(2))
 
 
 class _Int(int):

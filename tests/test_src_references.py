@@ -14,7 +14,6 @@ ALLOWED = {
     "herb_sum_direct",
     "hilbert_symbol_oracle",
     "weyl_character",
-    "verify_symmetry",
 }
 
 
