@@ -33,6 +33,7 @@ from .rootdata import (
     RootDatum,
     TorusPoint,
     Weight,
+    alternant_plan,
     alternant_terms,
     circle_point,
     evaluate_plan,
@@ -42,7 +43,6 @@ from .rootdata import (
     pi1_covector,
     pi2_covector,
     power_table,
-    rho,
     root_value,
     standard_levi,
     term_plan,
@@ -148,13 +148,20 @@ def _omega_data(kind: str, m: int, lam: tuple[int, ...]):
     """The heads (chi_1, chi_2) of chi = w(lam+rho), doubled, which is all
     the cone constants read, and the plan of the character sum's terms
     (eps(w), w(lam+rho)-rho) with one root per head."""
-    datum = RootDatum(kind, m)
-    r = rho(datum).doubled
-    groups: dict = {}
-    for eps, exps in alternant_terms(datum, Weight.from_ints(lam)):
-        head = (2 * exps[0] + r[0], 2 * exps[1] + r[1])
-        groups.setdefault(head, []).append((eps, exps))
-    return tuple(groups), term_plan(tuple(groups.values()))
+    return alternant_plan(RootDatum(kind, m), Weight.from_ints(lam))
+
+
+@lru_cache(maxsize=256)
+def _cone_weights(kind: str, m: int, lam: tuple[int, ...], levi: str, x, system: Optional[str] = None):
+    """The cone constant of each head of _omega_data, in its order: on M1
+    and M2 the rank-1 constant at x = x_sign on chi_1 + chi_2 and on chi_1,
+    on M12 the rank-2 constant of the system at the chamber rep x."""
+    heads, _ = _omega_data(kind, m, lam)
+    if levi == "M1":
+        return tuple(cone_constant_1d(x, chi_1 + chi_2) for chi_1, chi_2 in heads)
+    if levi == "M2":
+        return tuple(cone_constant_1d(x, chi_1) for chi_1, _ in heads)
+    return tuple(cone_constant_2d(x, head, system) for head in heads)
 
 
 def _kostant_terms(kind: str, m: int, levi_label: str, lam: tuple[int, ...], cutoffs: tuple[str, ...]):
@@ -186,24 +193,21 @@ def _kostant_terms(kind: str, m: int, levi_label: str, lam: tuple[int, ...], cut
 
 @lru_cache(maxsize=64)
 def _kostant_data(kind: str, m: int, levi_label: str, lam: tuple[int, ...], cutoffs: tuple[str, ...]):
-    """The one-root plan of the _kostant_terms."""
-    return term_plan((_kostant_terms(kind, m, levi_label, lam, cutoffs),))
-
-
-@lru_cache(maxsize=64)
-def _omega0_data(kind: str, m: int, lam: tuple[int, ...]):
-    """The one-root plan of the M12 term at omega_0 gamma times the
-    delta_P^(1/2) ratio, as terms at gamma.  omega_0 inverts b (and z, the
-    first tail coordinate, on D), so (omega_0 gamma)^e = gamma^(omega_0 e).
-    On B the ratio is |b|^-(2m-3), sgn(b) b^-(2m-3), whose sign the caller
+    """The one-root plan of the _kostant_terms and, on M12, the one-root plan
+    of the M12 term at omega_0 gamma times the delta_P^(1/2) ratio, as terms
+    at gamma, from the same term list.  omega_0 inverts b (and z, the first
+    tail coordinate, on D), so (omega_0 gamma)^e = gamma^(omega_0 e).  On B
+    the ratio is |b|^-(2m-3), sgn(b) b^-(2m-3), whose sign the caller
     applies; on D it is b^-2(m-2), and
     Delta_tail(gamma) / Delta_tail(omega_0 gamma) = z^-2(m-3)."""
+    terms = _kostant_terms(kind, m, levi_label, lam, cutoffs)
+    if levi_label != "M12":
+        return (term_plan((terms,)),)
     if kind == "B":
         shift = lambda e: (e[0], -e[1] - (2 * m - 3)) + e[2:]
     else:
         shift = lambda e: (e[0], -e[1] - 2 * (m - 2), -e[2] - 2 * (m - 3)) + e[3:]
-    terms = _kostant_terms(kind, m, "M12", lam, ("pi1", "pi2"))
-    return term_plan(([(c, shift(e)) for c, e in terms],))
+    return term_plan((terms,)), term_plan(([(c, shift(e)) for c, e in terms],))
 
 
 # --- the Kostant-Weyl terms ----------------------------------------------------
@@ -221,8 +225,8 @@ def L_M_normalized(case: ArchCase, sample: GammaSample, point) -> GaussianRation
     _, powers = point
     kind, m, lam = case.datum.kind, case.m, case.lam
     if case.levi == "M1":
-        return evaluate_plan(_kostant_data(kind, m, "M1", lam, ("pi1",)), powers)
-    t_m2 = evaluate_plan(_kostant_data(kind, m, "M2", lam, ("pi2",)), powers)
+        return evaluate_plan(_kostant_data(kind, m, "M1", lam, ("pi1",))[0], powers)
+    t_m2 = evaluate_plan(_kostant_data(kind, m, "M2", lam, ("pi2",))[0], powers)
     if case.levi == "M2":
         return 2 * t_m2
     b = sample.b
@@ -233,8 +237,9 @@ def L_M_normalized(case: ArchCase, sample: GammaSample, point) -> GaussianRation
         eta2 = -1 if 0 < b < 1 else 1
     else:
         ratio_sign = eta2 = 1
-    t_gamma = evaluate_plan(_kostant_data(kind, m, "M12", lam, ("pi1", "pi2")), powers)
-    t_omega0 = evaluate_plan(_omega0_data(kind, m, lam), powers)
+    at_gamma, at_omega0 = _kostant_data(kind, m, "M12", lam, ("pi1", "pi2"))
+    t_gamma = evaluate_plan(at_gamma, powers)
+    t_omega0 = evaluate_plan(at_omega0, powers)
     return t_gamma + ratio_sign * t_omega0 - eta2 * t_m2
 
 
@@ -281,12 +286,13 @@ def _epsilon_R(case: ArchCase, sample: GammaSample) -> int:
     return -1 if count % 2 else 1
 
 
-def _character_sum(case: ArchCase, powers, coefficient) -> GaussianRational:
+def _character_sum(case: ArchCase, powers, x, system: Optional[str] = None) -> GaussianRational:
     """sum over Omega of eps(w) c(w) gamma^{w(lam+rho)-rho} at the point of
-    the power table, with c(w) = coefficient(chi_1, chi_2) an integer function
-    of the doubled head of chi = w(lam + rho)."""
-    heads, plan = _omega_data(case.datum.kind, case.m, case.lam)
-    return evaluate_plan(plan, powers, [coefficient(*head) for head in heads])
+    the power table, with c(w) the cone constant at x (and of the system on
+    M12) of the doubled head (chi_1, chi_2) of chi = w(lam + rho)."""
+    kind, m, lam = case.datum.kind, case.m, case.lam
+    _, plan = _omega_data(kind, m, lam)
+    return evaluate_plan(plan, powers, _cone_weights(kind, m, lam, case.levi, x, system))
 
 
 def Phi_normalized(case: ArchCase, sample: GammaSample, point) -> GaussianRational:
@@ -299,14 +305,12 @@ def Phi_normalized(case: ArchCase, sample: GammaSample, point) -> GaussianRation
     q_sign = -1 if case.q_G % 2 else 1
     if case.levi == "M1":
         x_sign = 1 if a * a + b * b > 1 else -1
-        coeff = lambda chi_1, chi_2: cone_constant_1d(x_sign, chi_1 + chi_2)
-        return (q_sign * _epsilon_R(case, sample)) * _character_sum(case, powers, coeff)
+        return (q_sign * _epsilon_R(case, sample)) * _character_sum(case, powers, x_sign)
     if case.levi == "M2":
         if a < 0:
             return ZERO
         x_sign = 1 if a > 1 else -1
-        coeff = lambda chi_1, chi_2: cone_constant_1d(x_sign, chi_1)
-        return (q_sign * _epsilon_R(case, sample)) * _character_sum(case, powers, coeff)
+        return (q_sign * _epsilon_R(case, sample)) * _character_sum(case, powers, x_sign)
     if a * b < 0:
         return ZERO
     xr = _x_chamber_rep(abs(a), abs(b))
@@ -314,8 +318,7 @@ def Phi_normalized(case: ArchCase, sample: GammaSample, point) -> GaussianRation
         system = "B2"
     else:
         system = "D2"
-    coeff = lambda chi_1, chi_2: cone_constant_2d(xr, (chi_1, chi_2), system)
-    return (q_sign * _epsilon_R(case, sample)) * _character_sum(case, powers, coeff)
+    return (q_sign * _epsilon_R(case, sample)) * _character_sum(case, powers, xr, system)
 
 
 def Phi_endos_normalized(case: ArchCase, sample: GammaSample, point) -> GaussianRational:
@@ -329,8 +332,7 @@ def Phi_endos_normalized(case: ArchCase, sample: GammaSample, point) -> Gaussian
         return ZERO
     q_sign = -1 if case.q_G % 2 else 1
     xr = _x_chamber_rep(abs(a), abs(b))
-    coeff = lambda chi_1, chi_2: cone_constant_2d(xr, (chi_1, chi_2), "A1xA1")
-    return (q_sign * _epsilon_R(case, sample)) * _character_sum(case, point[1], coeff)
+    return (q_sign * _epsilon_R(case, sample)) * _character_sum(case, point[1], xr, "A1xA1")
 
 
 # --- identity verification ------------------------------------------------------

@@ -529,7 +529,7 @@ def _suite_kostant(rep: Report, *, max_rank=3, max_coord=2):
             for lam in lams:
                 rep.case = {"kind": kind, "m": m, "lambda": lam}
                 shifted = rootdata.Weight.from_ints(lam) + r
-                for w, _, _ in rootdata.weyl_table(kind, m):
+                for w in rootdata.weyl_enumerate(datum):
                     image = w.act(shifted)
                     mu = image - r
                     for pi in covectors:

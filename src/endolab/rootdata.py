@@ -271,29 +271,6 @@ def circle_point(t: Fraction) -> GaussianRational:
     return GaussianRational((1 - t * t) / den, 2 * t / den)
 
 
-@lru_cache(maxsize=None)
-def weyl_table(kind: str, m: int) -> tuple:
-    """Cached (w, inversion root indices, sign) triples for the full group, in
-    the order of weyl_enumerate, read off the signed permutation.  With
-    w^-1 e_k = s_k e_{p_k}, a positive root is in Phi(w) iff the leading
-    coefficient of its w^-1-image is negative: for e_i + c e_j (i < j) that is
-    s_i if p_i < p_j and s_j c otherwise; for e_i it is s_i.  inversion_set is
-    the definition."""
-    roots = []  # (i, j, c) for e_i + c e_j; j is None for e_i
-    for a in _positive_roots(kind, m):
-        i, *rest = [k for k, c in enumerate(a) if c]
-        roots.append((i, rest[0], a[rest[0]]) if rest else (i, None, 1))
-    table = []
-    for w in weyl_enumerate(RootDatum(kind, m)):
-        winv = w.inverse()
-        s, p = winv.signs, winv.perm
-        inv = tuple(
-            n for n, (i, j, c) in enumerate(roots) if (s[i] if j is None or p[i] < p[j] else s[j] * c) < 0
-        )
-        table.append((w, inv, -1 if len(inv) % 2 else 1))
-    return tuple(table)
-
-
 class _Powers(dict):
     """{e: z**e} for one coordinate z, filled on first use from the nearest
     power toward 0: one multiplication per new exponent."""
@@ -321,26 +298,64 @@ def power_table(gamma: TorusPoint) -> list[_Powers]:
     return [_Powers(z) for z in gamma.coords]
 
 
-@lru_cache(maxsize=1024)
-def _alternant_terms(kind: str, m: int, doubled: tuple[int, ...]) -> tuple:
-    datum = RootDatum(kind, m)
-    r = rho(datum).doubled
-    shifted = (Weight(doubled) + rho(datum)).doubled
+@lru_cache(maxsize=None)
+def _permutation_signs(m: int) -> tuple:
+    """(sign of p, p) for every permutation p of range(m)."""
     return tuple(
-        (eps, tuple((c - rc) // 2 for c, rc in zip(w.act_tuple(shifted), r)))
-        for w, _, eps in weyl_table(kind, m)
+        (-1 if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 else 1, p)
+        for p in itertools.permutations(range(m))
     )
+
+
+@lru_cache(maxsize=None)
+def _sign_patterns(kind: str, m: int) -> tuple:
+    """Over the sign patterns s in {1, -1}^m, in the order of
+    itertools.product: whether W has the sign change s (on D, an even
+    number of -1), and prod s for those it has, and its negative."""
+    flips = [s.count(-1) for s in itertools.product((1, -1), repeat=m)]
+    keep = tuple(kind == "B" or n % 2 == 0 for n in flips)
+    dets = tuple(-1 if n % 2 else 1 for n, k in zip(flips, keep) if k)
+    return keep, dets, tuple(-d for d in dets)
+
+
+def _alternant_images(kind: str, mu: tuple[int, ...]) -> list:
+    """(eps(w), w mu) for every w in W, mu doubled, without listing W: the
+    terms of Weyl's determinant det[x_i^mu_j - x_i^-mu_j] on B, and on D of
+    (det[x_i^mu_j + x_i^-mu_j] + det[x_i^mu_j - x_i^-mu_j]) / 2
+    (Fulton-Harris, Lecture 24), by Leibniz's formula.  Per permutation p,
+    prod_i (x_i^mu_p(i) -+ x_i^-mu_p(i)) expands over the sign patterns s,
+    with eps(w) = det w = sign(p) prod s; on D the half sum keeps the
+    patterns with an even number of flips, a flip of a zero coordinate
+    included, which is an element of W of its own with the same image."""
+    keep, dets, negated = _sign_patterns(kind, len(mu))
+    out = []
+    for sign, p in _permutation_signs(len(mu)):
+        images = itertools.product(*[(mu[j], -mu[j]) for j in p])
+        out += zip(dets if sign > 0 else negated, itertools.compress(images, keep))
+    return out
+
+
+@lru_cache(maxsize=1024)
+def _alternant_terms(kind: str, mu: tuple[int, ...], r: tuple[int, ...]) -> tuple:
+    """(eps(w), (w mu - r) / 2) for every w in W; mu, r doubled."""
+    return tuple((c, tuple((v - rc) // 2 for v, rc in zip(image, r))) for c, image in _alternant_images(kind, mu))
+
+
+def _shifted(datum: RootDatum, lam: Weight) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(lam + rho, rho), doubled, for a dominant integral lam."""
+    if not lam.is_integral:
+        raise ExactDomainError("character needs an integral weight")
+    if not is_dominant(datum, lam):
+        raise ExactDomainError("character needs a dominant weight")
+    r = rho(datum).doubled
+    return tuple(map(add, lam.doubled, r)), r
 
 
 def alternant_terms(datum: RootDatum, lam: Weight) -> tuple:
     """(eps(w), w(lam+rho)-rho) for every w in W.  The exponents are integers:
     w rho - rho = -sum of Phi(w) lies in the root lattice, and
     (w lam) prod_{a in Phi(w)} a^-1 = e^{w(lam+rho)-rho}."""
-    if not lam.is_integral:
-        raise ExactDomainError("character needs an integral weight")
-    if not is_dominant(datum, lam):
-        raise ExactDomainError("character needs a dominant weight")
-    return _alternant_terms(datum.kind, datum.rank, lam.doubled)
+    return _alternant_terms(datum.kind, *_shifted(datum, lam))
 
 
 class TermPlan(Value):
@@ -368,6 +383,19 @@ class TermPlan(Value):
         object.__setattr__(self, "roots", roots)
 
 
+def _intern(table: dict, edges: list) -> tuple:
+    """(g, index): the node of the edges, their scalars nonzero, is g times
+    the node at index in table, stored there normalized, its scalars coprime
+    with the first one positive; (0, None) for no edges."""
+    if not edges:
+        return 0, None
+    g = gcd(*[edge[1] for edge in edges])
+    if edges[0][1] < 0:
+        g = -g
+    key = tuple(edges) if g == 1 else tuple((f, s // g, *rest) for f, s, *rest in edges)
+    return g, table.setdefault(key, len(table))
+
+
 def term_plan(groups: Sequence) -> TermPlan:
     """The plan with one root per group of (c, exponents) terms."""
     terms = [t for group in groups for t in group]
@@ -390,18 +418,97 @@ def term_plan(groups: Sequence) -> TermPlan:
                 parts.setdefault(t[1][j], []).append(t)
             edges = [(e - lo, *node(k + 1, sub)) for e, sub in sorted(parts.items())]
             edges = [edge for edge in edges if edge[1]]
-        if not edges:
-            return 0, None
-        g = gcd(*[edge[1] for edge in edges])
-        if edges[0][1] < 0:
-            g = -g
-        key = tuple(edges) if g == 1 else tuple((f, s // g, *rest) for f, s, *rest in edges)
-        table = tables[k]
-        return g, table.setdefault(key, len(table))
+        return _intern(tables[k], edges)
 
     roots = tuple(node(0, group) if columns and group else (sum(c for c, _ in group), None) for group in groups)
     levels = tuple(tuple(table) for table in tables)
     return TermPlan(tuple(lo for lo, _ in cols), columns, levels, roots)
+
+
+def alternant_plan(datum: RootDatum, lam: Weight) -> tuple[tuple, TermPlan]:
+    """The heads (chi_1, chi_2), the distinct first two coordinates of
+    w(lam+rho), doubled, and the plan of the alternant_terms with one root
+    per head: term_plan of the terms grouped by head, edge for edge, built
+    level by level from the Laplace expansion without listing W or the
+    terms.  The rank is at least 3."""
+    if datum.rank < 3:
+        raise ExactDomainError("an alternant plan by heads needs rank >= 3")
+    return _alternant_plan(datum.kind, *_shifted(datum, lam))
+
+
+def _alternant_plan(kind: str, mu: tuple[int, ...], r: tuple[int, ...]) -> tuple[tuple, TermPlan]:
+    """alternant_plan of mu = lam + rho with exponents (w mu - r) / 2, all
+    doubled, by Laplace expansion of Weyl's determinant along the
+    coordinates in order: coordinate k takes the n-th unused mu_j with a
+    sign s, and the term's eps(w) = det w gains (-1)^n s; on D the flips
+    are even, so the last coordinate's s is the parity of the flips before
+    it, also when mu_j is 0.  After coordinate k, what is left of the
+    expansion is a combination of states (unused j, odd flips so far; on B
+    the flips are not counted), each the sum over the ways to place its
+    unused mu_j on coordinates k..; the first two levels make the heads.
+    The sub-polynomial of each combination is found once up to scale and
+    interned as term_plan interns it, so equal sub-polynomials share a node
+    as there.  Every coordinate takes every +-mu_j (on D the last one's
+    sign follows the parity, which is either), so every coordinate varies,
+    from (-mu_1 - r_k) / 2 to (mu_1 - r_k) / 2; v -> (v - r_k) // 2 is
+    one-to-one on the values, all odd on B and all even on D."""
+    m, parity = len(mu), kind == "D"
+    cols = [((-mu[0] - rc) // 2, (mu[0] - rc) // 2) for rc in r]
+    tables: list[dict] = [{} for _ in range(m)]
+    found: list[dict] = [{} for _ in range(m)]
+
+    def expand(k: int, combo) -> dict:
+        """{exponent - lo: {state: coefficient}}: the expansion of the
+        (state, coefficient) pairs of combo at coordinate k."""
+        lo = cols[k][0]
+        parts: dict = {}
+        for (unused, odd), c in combo:
+            for n, j in enumerate(unused):
+                rest = unused[:n] + unused[n + 1 :]
+                for s in ((-1 if odd else 1,) if parity and not rest else (1, -1)):
+                    child = parts.setdefault((s * mu[j] - r[k]) // 2 - lo, {})
+                    state = (rest, parity and odd ^ (s < 0))
+                    child[state] = child.get(state, 0) + (-c * s if n % 2 else c * s)
+        return parts
+
+    def node(k: int, combo: dict) -> tuple:
+        """(g, index): combo's sub-polynomial over coordinates k.. is g
+        times the node at index in level k; (0, None) if it cancels."""
+        combo = sorted((state, c) for state, c in combo.items() if c)
+        if not combo:
+            return 0, None
+        g = gcd(*[c for _, c in combo])
+        if combo[0][1] < 0:
+            g = -g
+        key = tuple((state, c // g) for state, c in combo)
+        if key not in found[k]:
+            parts = sorted(expand(k, key).items())
+            if k == m - 1:
+                edges = [(f, sum(child.values())) for f, child in parts]
+            else:
+                edges = [(f, *node(k + 1, child)) for f, child in parts]
+            found[k][key] = _intern(tables[k], [edge for edge in edges if edge[1]])
+        h, index = found[k][key]
+        return g * h, index
+
+    heads = {(): {(tuple(range(m)), False): 1}}
+    for k in range(2):
+        grown: dict = {}
+        for head, combo in heads.items():
+            for f, child in expand(k, combo.items()).items():
+                merged = grown.setdefault(head + (f,), {})
+                for state, c in child.items():
+                    merged[state] = merged.get(state, 0) + c
+        heads = grown
+    roots = []
+    for (f1, f2), combo in heads.items():
+        root = node(2, combo)
+        if root[0]:
+            root = _intern(tables[0], [(f1, *_intern(tables[1], [(f2, *root)]))])
+        roots.append(root)
+    columns = tuple((k, lo, hi) for k, (lo, hi) in enumerate(cols))
+    plan = TermPlan(tuple(lo for lo, _ in cols), columns, tuple(tuple(table) for table in tables), tuple(roots))
+    return tuple((2 * (f1 + cols[0][0]) + r[0], 2 * (f2 + cols[1][0]) + r[1]) for f1, f2 in heads), plan
 
 
 def evaluate_plan(plan: TermPlan, powers: Sequence[_Powers], weights: Sequence[int] = (1,)) -> GaussianRational:
@@ -573,16 +680,39 @@ def levi_positive_roots(datum: RootDatum, levi: LeviBlocks) -> tuple[Root, ...]:
 
 @lru_cache(maxsize=None)
 def _kostant_table(datum: RootDatum, levi: LeviBlocks) -> list[tuple[int, WeylElement]]:
-    """(l(w), w) for the minimal-length coset representatives, by length: the w
-    of the Weyl table with Phi(w) inside the nilradical roots.
+    """(l(w), w) for the minimal-length coset representatives W^M, by length:
+    the w with w rho dominant for M, enumerated without listing W.  The GL
+    coordinates take signed values of rho, strictly decreasing within each
+    block; the SO tail takes the remaining |rho| values in decreasing order,
+    all positive, except that on D the parity of the flips fixes the sign of
+    the last tail coordinate, whatever its value.  w rho is regular, so
+    l(w) = #{a > 0 : <a, w rho> < 0}, counted over the roots e_i -+ e_j
+    (i < j), and e_i on B.
 
     The table is cached and shared: callers must not mutate it."""
-    levi_pos = set(levi_positive_roots(datum, levi))
-    pos = datum.positive_roots()
+    levi.validate(datum.rank)
+    m, k = datum.rank, levi.so_start
+    r = rho(datum).doubled
     out = []
-    for w, invset, _ in weyl_table(datum.kind, datum.rank):
-        if all(pos[i] not in levi_pos for i in invset):
-            out.append((len(invset), w))
+    for head in itertools.permutations(range(m), k):
+        tail = tuple(j for j in range(m) if j not in head)
+        for signs in itertools.product((1, -1), repeat=k):
+            odd = datum.kind == "D" and signs.count(-1) % 2
+            if odd and not tail:
+                continue
+            v = [s * r[j] for s, j in zip(signs, head)] + [r[j] for j in tail]
+            if any(v[i] <= v[j] for block in levi.gl_blocks for i, j in zip(block, block[1:])):
+                continue
+            image_signs = list(signs) + [1] * len(tail)
+            if odd:
+                v[-1], image_signs[-1] = -v[-1], -1
+            w_signs, perm = [0] * m, [0] * m
+            for i, j in enumerate(head + tail):
+                w_signs[j], perm[j] = image_signs[i], i
+            deg = sum((a < b) + (a < -b) for a, b in itertools.combinations(v, 2))
+            if datum.kind == "B":
+                deg += sum(c < 0 for c in v)
+            out.append((deg, WeylElement(tuple(w_signs), tuple(perm))))
     return sorted(out, key=lambda t: t[0])
 
 
@@ -637,13 +767,8 @@ def passes_truncation(datum: RootDatum, mu: Weight, covector: Sequence[int]) -> 
 
 @lru_cache(maxsize=1024)
 def _weyl_numerator_cached(kind: str, m: int, doubled: tuple[int, ...]) -> Laurent:
-    datum = RootDatum(kind, m)
-    shifted = Weight(doubled) + rho(datum)
-    terms: dict = {}
-    for w, _, eps in weyl_table(kind, m):
-        e = w.act_tuple(shifted.doubled)
-        terms[e] = terms.get(e, 0) + eps
-    return Laurent(m, terms)
+    shifted = tuple(map(add, doubled, rho(RootDatum(kind, m)).doubled))
+    return Laurent(m, {image: c for c, image in _alternant_images(kind, shifted)})
 
 
 def weyl_numerator(datum: RootDatum, lam: Weight) -> Laurent:

@@ -8,8 +8,10 @@ import hashlib
 import time
 from fractions import Fraction
 
+import pytest
+
 from endolab import archcmp, dsconst
-from endolab.cli import ACCEPTANCE, SUITES, build_parser, cmd_verify
+from endolab.cli import ACCEPTANCE, SUITES, build_parser, cmd_verify, main
 
 # criterion -> {suite: {identity: minimum number of checked cases}}
 GATES = {
@@ -50,6 +52,16 @@ KOSTANT_RANK_5 = (
     {"Kostant identity": 120, "truncation cutoffs": 79808},
     "346a28c739bdc303838a2e52e666129d8a1c7c2711851c3b6d902c768c001b94",
 )
+
+
+# `verify arch` past the acceptance sweep, at d = 12 and 13 (D6 and B6,
+# where W has 23,040 and 46,080 elements) with 3 samples per case, as
+# d -> sha256 of its stdout; the reports of the plans built from the
+# enumerated Weyl group, which the plans from Weyl's determinant must keep.
+ARCH_BEYOND_SWEEP = {
+    12: "628a81cd4c8c7550812e40d053528e12ecbdc4612e059b1827fc14eee1be892d",
+    13: "fb9e91208feb5ae580e858bde950d9611693dba9e879e90f220f40d6c33d996d",
+}
 
 
 def _run_suite(suite: str, argv: list, minimum: dict, sha256: str):
@@ -137,6 +149,14 @@ def test_kostant_rank_five_gate():
     status = "FAIL" if problems else "PASS"
     print(f"[{status}] Kostant suite at rank 5 ({time.time() - t0:.1f}s) {problems or rep.checks}")
     assert not problems, problems
+
+
+@pytest.mark.parametrize("d", sorted(ARCH_BEYOND_SWEEP))
+def test_arch_beyond_the_sweep_is_pinned(capsys, d):
+    """`verify arch --d 12|13 --samples 3` passes with its pinned stdout."""
+    code = main(["verify", "arch", "--d", str(d), "--samples", "3"])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == (0, ARCH_BEYOND_SWEEP[d])
 
 
 def test_criterion_7_negative_controls():

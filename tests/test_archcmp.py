@@ -13,7 +13,6 @@ from endolab.archcmp import (
     L_M_normalized,
     Phi_endos_normalized,
     Phi_normalized,
-    _character_sum,
     _epsilon_R,
     _sample_circles,
     identity_gap,
@@ -21,6 +20,7 @@ from endolab.archcmp import (
     torus_point,
     verify_identity,
 )
+from endolab.dsconst import cone_constant_1d, cone_constant_2d
 from endolab.errors import ExactDomainError, ResourceLimitError, SingularPointError
 from endolab.exactnum import GaussianRational
 from endolab.rootdata import (
@@ -35,6 +35,7 @@ from endolab.rootdata import (
     weyl_denominator,
     weyl_enumerate,
 )
+from test_rootdata import head_term_plan, plan_edges, weyl_table, without_rho_shift
 
 ZERO = GaussianRational(0)
 
@@ -77,7 +78,7 @@ def _product_form_sum(case, gamma, coefficient):
     inv_vals = [_monomial(gamma, a).inverse() for a in datum.positive_roots()]
     shifted = (Weight.from_ints(case.lam) + rho(datum)).doubled
     total = ZERO
-    for w, invset, eps in rootdata.weyl_table(datum.kind, datum.rank):
+    for w, invset, eps in weyl_table(datum.kind, datum.rank):
         chi = w.act_tuple(shifted)
         term = _monomial(gamma, w.act_tuple(case.lam))
         for i in invset:
@@ -90,11 +91,108 @@ def _head_coefficient(chi_1, chi_2):
     return chi_1 - 3 * chi_2 + 1
 
 
+def _character_sum_with(case, powers, coefficient):
+    """The case's character-sum plan at the point of the power table, each
+    head (chi_1, chi_2) weighted by coefficient(chi_1, chi_2)."""
+    heads, plan = archcmp._omega_data(case.datum.kind, case.m, case.lam)
+    return rootdata.evaluate_plan(plan, powers, [coefficient(*head) for head in heads])
+
+
 @pytest.mark.parametrize("levi,d", ARCH_CASES)
 def test_character_sum_matches_product_form(levi, d):
     case = ArchCase(levi, d, tuple(([3, 2, 1] + [0] * d)[: d // 2]))
     _, (gamma, powers) = sample_in_range(case, random.Random(d))
-    assert _character_sum(case, powers, _head_coefficient) == _product_form_sum(case, gamma, _head_coefficient)
+    assert _character_sum_with(case, powers, _head_coefficient) == _product_form_sum(case, gamma, _head_coefficient)
+
+
+# Edges of each case's plans: the character sum, the Kostant trace and, on
+# M12, the term at omega_0 gamma.  These are the counts of term_plan over the
+# enumerated term lists; the plans must not grow.
+PLAN_EDGES = {
+    ("M1", 7): (42, 21),
+    ("M2", 7): (42, 21),
+    ("M12", 7): (42, 18, 18),
+    ("M1", 8): (85, 52),
+    ("M12", 8): (85, 43, 43),
+    ("M1", 9): (104, 60),
+    ("M2", 9): (104, 60),
+    ("M12", 9): (104, 54, 54),
+    ("M1", 10): (199, 139),
+    ("M12", 10): (199, 125, 125),
+}
+CUTOFFS = {"M1": ("pi1",), "M2": ("pi2",), "M12": ("pi1", "pi2")}
+
+
+@pytest.mark.parametrize("levi,d", ARCH_CASES)
+def test_plans_match_term_plan_and_keep_their_edges(levi, d):
+    """The character-sum plan built from the Laplace expansion against
+    term_plan over the enumerated alternant terms grouped by head: the same
+    shift and columns, equal values with seeded weights at seeded points of
+    the case; and every plan of the case has its PLAN_EDGES."""
+    case = ArchCase(levi, d, tuple(([3, 2, 1] + [0] * d)[: d // 2]))
+    kind, m, lam = case.datum.kind, case.m, case.lam
+    heads, plan = archcmp._omega_data(kind, m, lam)
+    want = head_term_plan(case.datum, case.weight(), heads)
+    assert (plan.shift, plan.columns) == (want.shift, want.columns)
+    assert plan_edges(want) == PLAN_EDGES[(levi, d)][0]
+    plans = (plan,) + archcmp._kostant_data(kind, m, levi, lam, CUTOFFS[levi])
+    assert tuple(map(plan_edges, plans)) == PLAN_EDGES[(levi, d)]
+    rng = random.Random(d)
+    for _ in range(3):
+        _, (_, powers) = sample_in_range(case, rng)
+        weights = [rng.randint(-4, 4) for _ in heads]
+        assert rootdata.evaluate_plan(plan, powers, weights) == rootdata.evaluate_plan(want, powers, weights)
+
+
+@pytest.mark.parametrize("levi,d", ARCH_CASES)
+def test_cold_case_enumerates_no_weyl_group(monkeypatch, levi, d):
+    """verify_identity with every plan and table cache cleared builds its
+    plans, Kostant tables and weights without listing W: weyl_enumerate is
+    never called, and rootdata has no full Weyl table."""
+    calls = []
+    real = rootdata.weyl_enumerate
+    monkeypatch.setattr(rootdata, "weyl_enumerate", lambda datum: calls.append(datum) or real(datum))
+    for cached in (
+        archcmp._omega_data,
+        archcmp._kostant_data,
+        archcmp._cone_weights,
+        rootdata._alternant_terms,
+        rootdata._kostant_table,
+    ):
+        cached.cache_clear()
+    case = ArchCase(levi, d, tuple(([3, 2, 1] + [0] * d)[: d // 2]))
+    report = verify_identity(case, samples=2, seed=3, vanishing_controls=1)
+    assert report.ok, report.failures
+    assert calls == [] and not hasattr(rootdata, "weyl_table")
+
+
+CHAMBER_REPS = ((2, 1), (1, 2), (-1, 2), (-2, 1), (-2, -1), (-1, -2), (1, -2), (2, -1))
+
+
+@pytest.mark.parametrize("levi,d", ARCH_CASES)
+def test_cone_weights_are_the_cone_tables(levi, d):
+    """The cached weight of every head against dsconst's tables: on M1 and M2
+    the rank-1 constant at both x_sign, on chi_1 + chi_2 and on chi_1; on
+    M12 the rank-2 constant at each of the 8 chamber reps for each of B2, D2
+    and A1xA1, where a head on a cone wall raises as the table does."""
+    case = ArchCase(levi, d, tuple(([3, 2, 1] + [0] * d)[: d // 2]))
+    kind, m, lam = case.datum.kind, case.m, case.lam
+    heads, _ = archcmp._omega_data(kind, m, lam)
+    if levi != "M12":
+        for x_sign in (1, -1):
+            read = (lambda c1, c2: c1 + c2) if levi == "M1" else (lambda c1, c2: c1)
+            want = tuple(cone_constant_1d(x_sign, read(*head)) for head in heads)
+            assert archcmp._cone_weights(kind, m, lam, levi, x_sign) == want
+        return
+    for system in ("B2", "D2", "A1xA1"):
+        for rep in CHAMBER_REPS:
+            try:
+                want = tuple(cone_constant_2d(rep, head, system) for head in heads)
+            except SingularPointError:
+                with pytest.raises(SingularPointError):
+                    archcmp._cone_weights(kind, m, lam, levi, rep, system)
+                continue
+            assert archcmp._cone_weights(kind, m, lam, levi, rep, system) == want
 
 
 # sha256 of the exact [re_n, im_n, den] of Phi_normalized, L_M_normalized and,
@@ -236,15 +334,10 @@ def test_character_sum_without_rho_shift_fails(monkeypatch):
     case = ArchCase("M12", 8, (3, 2, 1, 0))
     _, (gamma, powers) = sample_in_range(case, random.Random(8))
     expected = _product_form_sum(case, gamma, _head_coefficient)
-
-    def unshifted(kind, m, doubled):
-        shifted = (Weight(doubled) + rho(RootDatum(kind, m))).doubled
-        return tuple((eps, tuple(c // 2 for c in w.act_tuple(shifted))) for w, _, eps in rootdata.weyl_table(kind, m))
-
-    monkeypatch.setattr(rootdata, "_alternant_terms", unshifted)
+    monkeypatch.setattr(rootdata, "_alternant_plan", without_rho_shift(rootdata._alternant_plan))
     archcmp._omega_data.cache_clear()
     try:
-        assert _character_sum(case, powers, _head_coefficient) != expected
+        assert _character_sum_with(case, powers, _head_coefficient) != expected
     finally:
         archcmp._omega_data.cache_clear()
 

@@ -1,7 +1,9 @@
 import itertools
 import operator
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -40,6 +42,36 @@ from endolab.rootdata import (
 
 B2, B3 = RootDatum("B", 2), RootDatum("B", 3)
 D3 = RootDatum("D", 3)
+
+
+@lru_cache(maxsize=None)
+def weyl_table(kind: str, m: int) -> tuple:
+    """The reference Weyl table: cached (w, inversion root indices, sign)
+    triples for the full group, in the order of weyl_enumerate, read off the
+    signed permutation.  With w^-1 e_k = s_k e_{p_k}, a positive root is in
+    Phi(w) iff the leading coefficient of its w^-1-image is negative: for
+    e_i + c e_j (i < j) that is s_i if p_i < p_j and s_j c otherwise; for
+    e_i it is s_i.  inversion_set is the definition."""
+    roots = []  # (i, j, c) for e_i + c e_j; j is None for e_i
+    for a in RootDatum(kind, m).positive_roots():
+        i, *rest = [k for k, c in enumerate(a) if c]
+        roots.append((i, rest[0], a[rest[0]]) if rest else (i, None, 1))
+    table = []
+    for w in weyl_enumerate(RootDatum(kind, m)):
+        winv = w.inverse()
+        s, p = winv.signs, winv.perm
+        inv = tuple(
+            n for n, (i, j, c) in enumerate(roots) if (s[i] if j is None or p[i] < p[j] else s[j] * c) < 0
+        )
+        table.append((w, inv, -1 if len(inv) % 2 else 1))
+    return tuple(table)
+
+
+def without_rho_shift(real):
+    """The alternant builder real(kind, mu, r, ...) handed r = 0 for the rho
+    it subtracts: exponents w(lam+rho) / 2, rounded down in type B, where
+    they are half-integers."""
+    return lambda kind, mu, r, *rest: real(kind, mu, (0,) * len(r), *rest)
 
 
 def test_group_sizes():
@@ -115,7 +147,7 @@ def _product_form_character(datum, lam, gamma):
     over the inversion sets of weyl_table, divided by prod_{a > 0} (1 - a^-1(gamma))."""
     inv_vals = [_monomial(gamma, a).inverse() for a in datum.positive_roots()]
     num = GaussianRational(0)
-    for w, invset, eps in rootdata.weyl_table(datum.kind, datum.rank):
+    for w, invset, eps in weyl_table(datum.kind, datum.rank):
         term = _monomial(gamma, w.act_tuple(lam.int_coords()))
         for i in invset:
             term = term * inv_vals[i]
@@ -170,11 +202,7 @@ def test_weyl_character_without_rho_shift_fails(kind, m, monkeypatch):
     gamma = _regular_points(datum, random.Random(m), 1)[0]
     assert weyl_character(datum, lam, gamma) == _product_form_character(datum, lam, gamma)
 
-    def unshifted(kind, m, doubled):
-        shifted = (Weight(doubled) + rho(RootDatum(kind, m))).doubled
-        return tuple((eps, tuple(c // 2 for c in w.act_tuple(shifted))) for w, _, eps in rootdata.weyl_table(kind, m))
-
-    monkeypatch.setattr(rootdata, "_alternant_terms", unshifted)
+    monkeypatch.setattr(rootdata, "_alternant_terms", without_rho_shift(rootdata._alternant_terms))
     assert weyl_character(datum, lam, gamma) != _product_form_character(datum, lam, gamma)
 
 
@@ -277,7 +305,138 @@ def test_weyl_table_matches_inversion_sets(kind, m):
     for w in weyl_enumerate(datum):
         inv = tuple(index[a] for a in inversion_set(w, datum))
         want.append((w, inv, -1 if len(inv) % 2 else 1))
-    assert rootdata.weyl_table(kind, m) == tuple(want)
+    assert weyl_table(kind, m) == tuple(want)
+
+
+@pytest.mark.parametrize("kind,m", [(k, m) for k in "BD" for m in range(1, 7)])
+def test_alternant_is_the_weyl_table_alternant(kind, m):
+    """Weyl's determinant, expanded by Leibniz's formula, gives the signed
+    images (eps(w), w(lam+rho)) of the reference table, as a multiset, also for
+    weights whose last coordinates are 0 (on D mu_m = lam_m is then 0, and
+    the flip of that coordinate is an element of W with the same image) or
+    negative on D; alternant_terms shifts them by rho, and weyl_numerator
+    is their sum."""
+    datum = RootDatum(kind, m)
+    r = rho(datum)
+    weights = {(0,) * m, ((2, 1) + (0,) * m)[:m]}
+    if kind == "D":
+        weights.add((1,) * (m - 1) + (-1,))
+    for lam_c in sorted(weights):
+        lam = Weight.from_ints(lam_c)
+        shifted = (lam + r).doubled
+        want = Counter((eps, w.act_tuple(shifted)) for w, _, eps in weyl_table(kind, m))
+        assert Counter(rootdata._alternant_images(kind, shifted)) == want, lam_c
+        terms = Counter((eps, tuple((c - rc) // 2 for c, rc in zip(image, r.doubled))) for eps, image in want)
+        assert Counter(rootdata.alternant_terms(datum, lam)) == terms, lam_c
+        if m <= 4:
+            assert weyl_numerator(datum, lam).terms == {image: eps for eps, image in want}, lam_c
+
+
+def plan_edges(plan):
+    return sum(len(node) for level in plan.levels for node in level)
+
+
+def head_term_plan(datum, lam, heads):
+    """The reference for alternant_plan: term_plan over the alternant terms
+    grouped by their head (chi_1, chi_2), one root per head in the order of
+    heads, which must be the heads of the terms."""
+    r = rho(datum).doubled
+    groups: dict = {}
+    for eps, e in rootdata.alternant_terms(datum, lam):
+        groups.setdefault((2 * e[0] + r[0], 2 * e[1] + r[1]), []).append((eps, e))
+    assert len(heads) == len(groups) and set(heads) == set(groups)
+    return rootdata.term_plan([groups[head] for head in heads])
+
+
+@pytest.mark.parametrize("kind,m", [(k, m) for k in "BD" for m in range(3, 7)])
+def test_alternant_plan_is_the_term_plan(kind, m):
+    """alternant_plan against term_plan over the alternant terms grouped by
+    the head (chi_1, chi_2): the same heads, shift and columns, as many
+    nodes per level and edges, and equal values at seeded regular points
+    with seeded weights."""
+    datum = RootDatum(kind, m)
+    rng = random.Random(50 + m)
+    points = _regular_points(datum, rng, 1)
+    for lam_c in ((0,) * m, ((3, 2, 1) + (0,) * m)[:m], tuple(range(m, 0, -1))):
+        lam = Weight.from_ints(lam_c)
+        heads, plan = rootdata.alternant_plan(datum, lam)
+        want = head_term_plan(datum, lam, heads)
+        assert (plan.shift, plan.columns) == (want.shift, want.columns)
+        assert [len(level) for level in plan.levels] == [len(level) for level in want.levels]
+        assert plan_edges(plan) == plan_edges(want), lam_c
+        for gamma in points:
+            powers = rootdata.power_table(gamma)
+            weights = [rng.randint(-4, 4) for _ in heads]
+            assert rootdata.evaluate_plan(plan, powers, weights) == rootdata.evaluate_plan(want, powers, weights)
+
+
+def test_alternant_plan_domain():
+    with pytest.raises(ExactDomainError, match="rank >= 3"):
+        rootdata.alternant_plan(B2, Weight.from_ints((1, 0)))
+    with pytest.raises(ExactDomainError, match="dominant"):
+        rootdata.alternant_plan(B3, Weight.from_ints((0, 1, 0)))
+
+
+@pytest.mark.parametrize("kind,m", [(k, m) for k in "BD" for m in range(1, 7)])
+def test_kostant_table_is_the_weyl_table_filter(kind, m):
+    """The W^M enumerated directly are the w of the reference table with
+    Phi(w) inside the nilradical roots, with degree |Phi(w)|, by length,
+    for every standard Levi that fits the rank."""
+    datum = RootDatum(kind, m)
+    pos = datum.positive_roots()
+    for label in ("G", "M1", "M2", "M12"):
+        levi = standard_levi(label, m)
+        if levi.so_start > m:
+            continue
+        levi_pos = set(levi_positive_roots(datum, levi))
+        want = {(len(inv), w) for w, inv, _ in weyl_table(kind, m) if levi_pos.isdisjoint(pos[i] for i in inv)}
+        got = _kostant_table(datum, levi)
+        assert len(got) == len(want) and set(got) == want, label
+        assert [deg for deg, _ in got] == sorted(deg for deg, _ in got)
+
+
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poincare(kind: str, m: int) -> list[int]:
+    """sum_{w in W} t^l(w) as its coefficient list: prod_i (1 + t + ... +
+    t^(d_i - 1)) over the degrees d_i of W, 2, 4, ..., 2m on B and 2, 4,
+    ..., 2m - 2, m on D (Humphreys, Reflection Groups and Coxeter Groups,
+    3.15); [1] at rank 0."""
+    degrees = [2 * i for i in range(1, m + 1)] if kind == "B" else [2 * i for i in range(1, m)] + [m] * (m > 0)
+    poly = [1]
+    for d in degrees:
+        poly = _poly_mul(poly, [1] * d)
+    return poly
+
+
+@pytest.mark.parametrize("kind", "BD")
+def test_kostant_table_rank_seven_by_poincare_polynomial(kind):
+    """At rank 7, where |W| is 645,120 on B, too many to list in a test:
+    each degree is the length of its w, by its inversion set, and the
+    degrees count as W(t) / W_M(t), since W^M x W_M -> W, (u, v) -> uv,
+    is a bijection that adds lengths.  W_M is W(GL_2) x W(SO tail) on M1
+    and W(SO tail) on the others."""
+    m = 7
+    datum = RootDatum(kind, m)
+    for label, levi_poly in (
+        ("G", _poincare(kind, m)),
+        ("M1", _poly_mul([1, 1], _poincare(kind, m - 2))),
+        ("M2", _poincare(kind, m - 1)),
+        ("M12", _poincare(kind, m - 2)),
+    ):
+        got = _kostant_table(datum, standard_levi(label, m))
+        assert len({w for _, w in got}) == len(got)
+        assert all(deg == length(w, datum) for deg, w in got), label
+        counts = [0] * (got[-1][0] + 1)
+        for deg, _ in got:
+            counts[deg] += 1
+        assert _poly_mul(counts, levi_poly) == _poincare(kind, m), label
 
 
 @pytest.mark.parametrize("kind,m", [("B", 2), ("B", 3), ("B", 4), ("D", 3), ("D", 4)])
