@@ -2,15 +2,17 @@
 standard Levis of SO(d-2, 2), and the exact verification of the archimedean
 comparison identities.
 
-Both sides of each identity are computed through disjoint code paths: the
-Kostant-Weyl term goes through Kostant cohomology entries, weight truncation
-and Levi Weyl numerators; the character sum goes through the rank <= 2 cone
-tables.  All values are normalized by the same positive factor
+Both sides of each identity are computed from disjoint inputs: the
+Kostant-Weyl term from Kostant cohomology entries and weight truncation; the
+character sum from the heads of the alternant and the rank <= 2 cone tables.
+They share only the plan builder, rootdata._alternant_plan, and
+evaluate_plan.  All values are normalized by the same positive factor
 delta_P^(1/2) Delta_M^(-1), so equality of the normalized values is equivalent
 to the stated identities.  Normalized, the Kostant-Weyl term is a sum of
 integer-coefficient monomials at gamma: Delta_M cancels the Levi Weyl
-denominators, and on M12 the term at omega_0 gamma and its delta_P^(1/2)
-ratio are exponent shifts, so no denominator and no second point is built.
+denominators, and on M12 the term at omega_0 gamma times its delta_P^(1/2)
+ratio is read at gamma, with chi_2 negated and on D the tail's flip parity
+changed, so no denominator and no second point is built.
 The chamber position x = (log|a|, log|b|) is never computed with logarithms:
 its cone is decided by exact comparisons of |a|, |b| against 1 and each other.
 """
@@ -33,8 +35,8 @@ from .rootdata import (
     RootDatum,
     TorusPoint,
     Weight,
+    _alternant_plan,
     alternant_plan,
-    alternant_terms,
     circle_point,
     evaluate_plan,
     is_dominant,
@@ -43,9 +45,9 @@ from .rootdata import (
     pi1_covector,
     pi2_covector,
     power_table,
+    rho,
     root_value,
     standard_levi,
-    term_plan,
 )
 from .value import Value
 
@@ -164,50 +166,56 @@ def _cone_weights(kind: str, m: int, lam: tuple[int, ...], levi: str, x, system:
     return tuple(cone_constant_2d(x, head, system) for head in heads)
 
 
-def _kostant_terms(kind: str, m: int, levi_label: str, lam: tuple[int, ...], cutoffs: tuple[str, ...]):
+def _kostant_entries(kind: str, m: int, levi_label: str, lam: tuple[int, ...], cutoffs: tuple[str, ...]) -> dict:
     """Delta_M times the truncated Kostant trace, sum over the truncated
-    entries of (-1)^deg Delta_M ch_M(mu), as (coefficient, exponents) terms.
-    The Levi characters share their denominators, GL_2's x - y on M1 and the
-    SO tail's Delta, and Delta_M cancels them: on M2 and M12 it is the tail's
-    Delta, so each entry is its head monomial times the alternant terms of
-    the SO-tail weight; on M1 it is the tail's Delta times 1 - y/x, which
-    leaves the GL_2 numerator over x, with heads x^a y^b and -x^(b-1) y^(a+1)."""
+    entries of (-1)^deg Delta_M ch_M(mu), as one group of _alternant_plan,
+    with chi = w(lam+rho) = mu + rho, doubled.  The Levi characters share
+    their denominators, GL_2's x - y on M1 and the SO tail's Delta, and
+    Delta_M cancels them: on M2 and M12 it is the tail's Delta, so each
+    entry is its head monomial times the alternant of the SO-tail weight,
+    (chi[:so_start], chi[so_start:], even flips) with coefficient (-1)^deg,
+    since the tail's rho is rho's tail; on M1 it is the tail's Delta times
+    1 - y/x, which leaves the GL_2 numerator over x, with heads x^a y^b
+    and -x^(b-1) y^(a+1), the second one the head (chi_2, chi_1)."""
     datum = RootDatum(kind, m)
     levi = standard_levi(levi_label, m)
-    tail = RootDatum(kind, m - levi.so_start)
+    r = rho(datum)
     pi = {"pi1": pi1_covector(m), "pi2": pi2_covector(m)}
-    terms = []
+    entries = {}
     for deg, mu in kostant_cohomology(datum, levi, Weight.from_ints(lam)):
         if all(passes_truncation(datum, mu, pi[c]) for c in cutoffs):
-            c = mu.int_coords()
+            chi = (mu + r).doubled
+            head, tail = chi[: levi.so_start], chi[levi.so_start :]
             sgn = -1 if deg % 2 else 1
+            entries[(head, tail, False)] = sgn
             if levi_label == "M1":
-                a, b = c[:2]
-                heads = ((sgn, (a, b)), (-sgn, (b - 1, a + 1)))
-            else:
-                heads = ((sgn, c[: levi.so_start]),)
-            for eps, so in alternant_terms(tail, Weight.from_ints(c[levi.so_start :])):
-                terms += [(s * eps, head + so) for s, head in heads]
-    return terms
+                entries[(head[::-1], tail, False)] = -sgn
+    return entries
+
+
+def _at_omega0(kind: str, entries: dict) -> dict:
+    """The _kostant_entries of the M12 term at omega_0 gamma times the
+    delta_P^(1/2) ratio, as entries at gamma.  omega_0 inverts b (and z,
+    the first tail coordinate, on D), so (omega_0 gamma)^((chi - rho) / 2)
+    = gamma^((omega_0 chi - rho) / 2) b^(2 rho_2) (and z^(2 rho_3) on D),
+    and the ratio cancels the powers of b and z: on B it is |b|^-(2m-3),
+    sgn(b) b^-(2m-3), whose sign the caller applies; on D it is b^-2(m-2),
+    and Delta_tail(gamma) / Delta_tail(omega_0 gamma) = z^-2(m-3).  So the head
+    (chi_1, chi_2) becomes (chi_1, -chi_2), and on D the tail alternant
+    with z inverted is the sum over the w of odd flips, det w negated."""
+    flip = kind == "D"
+    return {((chi_1, -chi_2), tail, flip): -c if flip else c for ((chi_1, chi_2), tail, _), c in entries.items()}
 
 
 @lru_cache(maxsize=64)
 def _kostant_data(kind: str, m: int, levi_label: str, lam: tuple[int, ...], cutoffs: tuple[str, ...]):
-    """The one-root plan of the _kostant_terms and, on M12, the one-root plan
-    of the M12 term at omega_0 gamma times the delta_P^(1/2) ratio, as terms
-    at gamma, from the same term list.  omega_0 inverts b (and z, the first
-    tail coordinate, on D), so (omega_0 gamma)^e = gamma^(omega_0 e).  On B
-    the ratio is |b|^-(2m-3), sgn(b) b^-(2m-3), whose sign the caller
-    applies; on D it is b^-2(m-2), and
-    Delta_tail(gamma) / Delta_tail(omega_0 gamma) = z^-2(m-3)."""
-    terms = _kostant_terms(kind, m, levi_label, lam, cutoffs)
+    """The one-root plan of the _kostant_entries and, on M12, the one-root
+    plan of their _at_omega0 entries."""
+    entries = _kostant_entries(kind, m, levi_label, lam, cutoffs)
+    r = rho(RootDatum(kind, m)).doubled
     if levi_label != "M12":
-        return (term_plan((terms,)),)
-    if kind == "B":
-        shift = lambda e: (e[0], -e[1] - (2 * m - 3)) + e[2:]
-    else:
-        shift = lambda e: (e[0], -e[1] - 2 * (m - 2), -e[2] - 2 * (m - 3)) + e[3:]
-    return term_plan((terms,)), term_plan(([(c, shift(e)) for c, e in terms],))
+        return (_alternant_plan(kind, (entries,), r),)
+    return _alternant_plan(kind, (entries,), r), _alternant_plan(kind, (_at_omega0(kind, entries),), r)
 
 
 # --- the Kostant-Weyl terms ----------------------------------------------------

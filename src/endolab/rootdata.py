@@ -167,9 +167,6 @@ class WeylElement(Value):
     def act(self, w: Weight) -> Weight:
         return Weight(self.act_tuple(w.doubled))
 
-    def act_root(self, alpha: Root) -> Root:
-        return self.act_tuple(alpha)
-
 
 def weyl_enumerate(datum: RootDatum) -> list[WeylElement]:
     """All elements of the Weyl group; {+-1}^m x S_m for B, even sign count for D."""
@@ -185,36 +182,9 @@ def weyl_enumerate(datum: RootDatum) -> list[WeylElement]:
     return out
 
 
-def _is_positive(alpha: Root) -> bool:
-    for c in alpha:
-        if c:
-            return c > 0
-    return False
-
-
-def inversion_set(w: WeylElement, datum: RootDatum) -> tuple[Root, ...]:
-    """Phi(w) = Phi+ cap (-w Phi+) = positive roots made negative by w^{-1}."""
-    winv = w.inverse()
-    return tuple(a for a in datum.positive_roots() if not _is_positive(winv.act_root(a)))
-
-
-def length(w: WeylElement, datum: RootDatum) -> int:
-    return len(inversion_set(w, datum))
-
-
-def sign(w: WeylElement, datum: RootDatum) -> int:
-    return -1 if length(w, datum) % 2 else 1
-
-
 # --- torus points and character evaluation ----------------------------------
 
-SPLIT, COMPACT, PAIR_FIRST, PAIR_SECOND, RAW = (
-    "split",
-    "compact",
-    "pair_first",
-    "pair_second",
-    "raw",
-)
+SPLIT, COMPACT, PAIR_FIRST, PAIR_SECOND = ("split", "compact", "pair_first", "pair_second")
 
 
 class TorusPoint(Value):
@@ -246,22 +216,6 @@ class TorusPoint(Value):
     @property
     def rank(self) -> int:
         return len(self.coords)
-
-    def apply(self, w: WeylElement) -> "TorusPoint":
-        coords = [None] * self.rank
-        for j in range(self.rank):
-            z = self.coords[j] if w.signs[j] == 1 else self.coords[j].inverse()
-            coords[w.perm[j]] = z
-        # conjugate pairs generally stop being literal adjacent pairs; reclassify
-        pat = []
-        for z in coords:
-            if z.is_real():
-                pat.append(SPLIT)
-            elif z.norm() == 1:
-                pat.append(COMPACT)
-            else:
-                pat.append(RAW)
-        return TorusPoint(tuple(coords), tuple(pat))
 
 
 def circle_point(t: Fraction) -> GaussianRational:
@@ -335,12 +289,6 @@ def _alternant_images(kind: str, mu: tuple[int, ...]) -> list:
     return out
 
 
-@lru_cache(maxsize=1024)
-def _alternant_terms(kind: str, mu: tuple[int, ...], r: tuple[int, ...]) -> tuple:
-    """(eps(w), (w mu - r) / 2) for every w in W; mu, r doubled."""
-    return tuple((c, tuple((v - rc) // 2 for v, rc in zip(image, r))) for c, image in _alternant_images(kind, mu))
-
-
 def _shifted(datum: RootDatum, lam: Weight) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(lam + rho, rho), doubled, for a dominant integral lam."""
     if not lam.is_integral:
@@ -349,13 +297,6 @@ def _shifted(datum: RootDatum, lam: Weight) -> tuple[tuple[int, ...], tuple[int,
         raise ExactDomainError("character needs a dominant weight")
     r = rho(datum).doubled
     return tuple(map(add, lam.doubled, r)), r
-
-
-def alternant_terms(datum: RootDatum, lam: Weight) -> tuple:
-    """(eps(w), w(lam+rho)-rho) for every w in W.  The exponents are integers:
-    w rho - rho = -sum of Phi(w) lies in the root lattice, and
-    (w lam) prod_{a in Phi(w)} a^-1 = e^{w(lam+rho)-rho}."""
-    return _alternant_terms(datum.kind, *_shifted(datum, lam))
 
 
 class TermPlan(Value):
@@ -372,7 +313,8 @@ class TermPlan(Value):
     (scalar, index of a level-0 node); (0, None) for a sum that is empty or
     cancels, and (scalar, None) when no coordinate varies.  shift holds the
     lowest exponent of every coordinate over all roots, columns the
-    (coordinate, lowest, highest exponent) of the varying ones."""
+    (coordinate, lowest, highest exponent) of the varying ones.
+    _alternant_plan builds every plan, without a list of terms."""
 
     __slots__ = ("shift", "columns", "levels", "roots")
 
@@ -396,64 +338,43 @@ def _intern(table: dict, edges: list) -> tuple:
     return g, table.setdefault(key, len(table))
 
 
-def term_plan(groups: Sequence) -> TermPlan:
-    """The plan with one root per group of (c, exponents) terms."""
-    terms = [t for group in groups for t in group]
-    cols = [(min(col), max(col)) for col in zip(*(e for _, e in terms))]
-    columns = tuple((j, lo, hi) for j, (lo, hi) in enumerate(cols) if lo != hi)
-    tables: list[dict] = [{} for _ in columns]
-    last = len(columns) - 1
+def _alternant_plan(kind: str, groups: Sequence[dict], r: tuple[int, ...]) -> TermPlan:
+    """The plan with one root per group.  A group {(fixed, mu, odd): c} is
+    the sum over its entries of c x^((v - r) / 2), all doubled, over the
+    images v that take the fixed values on the leading coordinates and the
+    terms (det w, w mu) of Weyl's determinant on the remaining ones,
+    det[x_i^mu_j - x_i^-mu_j] on B and on D (det[x_i^mu_j + x_i^-mu_j] +-
+    det[x_i^mu_j - x_i^-mu_j]) / 2, the w with an even number of flips, or
+    an odd one if odd (Fulton-Harris, Lecture 24).
 
-    def node(k: int, terms) -> tuple:
-        """(g, index): the terms' sum over coordinates k.. is g times the
-        node at index in level k; (0, None) if it cancels."""
-        j, lo, _ = columns[k]
-        parts: dict = {}
-        if k == last:
-            for c, e in terms:
-                parts[e[j]] = parts.get(e[j], 0) + c
-            edges = [(e - lo, s) for e, s in sorted(parts.items()) if s]
-        else:
-            for t in terms:
-                parts.setdefault(t[1][j], []).append(t)
-            edges = [(e - lo, *node(k + 1, sub)) for e, sub in sorted(parts.items())]
-            edges = [edge for edge in edges if edge[1]]
-        return _intern(tables[k], edges)
-
-    roots = tuple(node(0, group) if columns and group else (sum(c for c, _ in group), None) for group in groups)
-    levels = tuple(tuple(table) for table in tables)
-    return TermPlan(tuple(lo for lo, _ in cols), columns, levels, roots)
-
-
-def alternant_plan(datum: RootDatum, lam: Weight) -> tuple[tuple, TermPlan]:
-    """The heads (chi_1, chi_2), the distinct first two coordinates of
-    w(lam+rho), doubled, and the plan of the alternant_terms with one root
-    per head: term_plan of the terms grouped by head, edge for edge, built
-    level by level from the Laplace expansion without listing W or the
-    terms.  The rank is at least 3."""
-    if datum.rank < 3:
-        raise ExactDomainError("an alternant plan by heads needs rank >= 3")
-    return _alternant_plan(datum.kind, *_shifted(datum, lam))
-
-
-def _alternant_plan(kind: str, mu: tuple[int, ...], r: tuple[int, ...]) -> tuple[tuple, TermPlan]:
-    """alternant_plan of mu = lam + rho with exponents (w mu - r) / 2, all
-    doubled, by Laplace expansion of Weyl's determinant along the
-    coordinates in order: coordinate k takes the n-th unused mu_j with a
-    sign s, and the term's eps(w) = det w gains (-1)^n s; on D the flips
-    are even, so the last coordinate's s is the parity of the flips before
-    it, also when mu_j is 0.  After coordinate k, what is left of the
-    expansion is a combination of states (unused j, odd flips so far; on B
-    the flips are not counted), each the sum over the ways to place its
-    unused mu_j on coordinates k..; the first two levels make the heads.
-    The sub-polynomial of each combination is found once up to scale and
-    interned as term_plan interns it, so equal sub-polynomials share a node
-    as there.  Every coordinate takes every +-mu_j (on D the last one's
-    sign follows the parity, which is either), so every coordinate varies,
-    from (-mu_1 - r_k) / 2 to (mu_1 - r_k) / 2; v -> (v - r_k) // 2 is
-    one-to-one on the values, all odd on B and all even on D."""
-    m, parity = len(mu), kind == "D"
-    cols = [((-mu[0] - rc) // 2, (mu[0] - rc) // 2) for rc in r]
+    Built level by level by Laplace expansion along the coordinates in
+    order, without listing W or the terms: a fixed coordinate is one edge;
+    otherwise coordinate k takes the n-th unused mu_j with a sign s, and
+    the coefficient gains (-1)^n s; on D the last coordinate's s is the
+    parity of the flips before it, also when mu_j is 0.  After coordinate
+    k, what is left of the roots are combinations of states (fixed values
+    left, unused mu_j, odd flips so far; on B the flips are not counted),
+    each the sum over the ways to place them on coordinates k..; the
+    sub-polynomial of each combination is found once up to scale and
+    interned, so a sub-polynomial that recurs, in one group or in several,
+    is stored once.  A column spans the values its coordinate takes in
+    the terms, whether they cancel or not: the fixed values, +-max |mu_j|,
+    and on D a last coordinate's mu_j with the sign of the entry's odd; a
+    coordinate with one exponent adds no level."""
+    m, parity = len(r), kind == "D"
+    cols = []
+    for k, rk in enumerate(r):
+        values = set()
+        for fixed, mu, odd in (state for group in groups for state in group):
+            if k < len(fixed):
+                values.add(fixed[k])
+            elif parity and len(mu) == 1:
+                values.add(-mu[0] if odd else mu[0])
+            else:
+                top = max(map(abs, mu))
+                values.update((top, -top))
+        cols.append(((min(values) - rk) // 2, (max(values) - rk) // 2))
+    last = max((k for k, (lo, hi) in enumerate(cols) if lo != hi), default=-1)
     tables: list[dict] = [{} for _ in range(m)]
     found: list[dict] = [{} for _ in range(m)]
 
@@ -462,53 +383,71 @@ def _alternant_plan(kind: str, mu: tuple[int, ...], r: tuple[int, ...]) -> tuple
         (state, coefficient) pairs of combo at coordinate k."""
         lo = cols[k][0]
         parts: dict = {}
-        for (unused, odd), c in combo:
-            for n, j in enumerate(unused):
-                rest = unused[:n] + unused[n + 1 :]
+        for (fixed, mu, odd), c in combo:
+            if fixed:
+                child = parts.setdefault((fixed[0] - r[k]) // 2 - lo, {})
+                state = (fixed[1:], mu, odd)
+                child[state] = child.get(state, 0) + c
+                continue
+            for n, v in enumerate(mu):
+                rest = mu[:n] + mu[n + 1 :]
                 for s in ((-1 if odd else 1,) if parity and not rest else (1, -1)):
-                    child = parts.setdefault((s * mu[j] - r[k]) // 2 - lo, {})
-                    state = (rest, parity and odd ^ (s < 0))
+                    child = parts.setdefault((s * v - r[k]) // 2 - lo, {})
+                    state = ((), rest, parity and odd ^ (s < 0))
                     child[state] = child.get(state, 0) + (-c * s if n % 2 else c * s)
         return parts
 
     def node(k: int, combo: dict) -> tuple:
         """(g, index): combo's sub-polynomial over coordinates k.. is g
-        times the node at index in level k; (0, None) if it cancels."""
+        times the node at index in the level of the first of them that
+        varies, or the constant g (index None) if none does; (0, None) if
+        it cancels."""
         combo = sorted((state, c) for state, c in combo.items() if c)
         if not combo:
             return 0, None
+        if k == m:
+            return sum(c for _, c in combo), None
         g = gcd(*[c for _, c in combo])
         if combo[0][1] < 0:
             g = -g
         key = tuple((state, c // g) for state, c in combo)
         if key not in found[k]:
             parts = sorted(expand(k, key).items())
-            if k == m - 1:
-                edges = [(f, sum(child.values())) for f, child in parts]
+            if cols[k][0] == cols[k][1]:
+                found[k][key] = node(k + 1, parts[0][1])
             else:
                 edges = [(f, *node(k + 1, child)) for f, child in parts]
-            found[k][key] = _intern(tables[k], [edge for edge in edges if edge[1]])
+                edges = [edge[:2] if k == last else edge for edge in edges if edge[1]]
+                found[k][key] = _intern(tables[k], edges)
         h, index = found[k][key]
         return g * h, index
 
-    heads = {(): {(tuple(range(m)), False): 1}}
-    for k in range(2):
-        grown: dict = {}
-        for head, combo in heads.items():
-            for f, child in expand(k, combo.items()).items():
-                merged = grown.setdefault(head + (f,), {})
-                for state, c in child.items():
-                    merged[state] = merged.get(state, 0) + c
-        heads = grown
-    roots = []
-    for (f1, f2), combo in heads.items():
-        root = node(2, combo)
-        if root[0]:
-            root = _intern(tables[0], [(f1, *_intern(tables[1], [(f2, *root)]))])
-        roots.append(root)
-    columns = tuple((k, lo, hi) for k, (lo, hi) in enumerate(cols))
-    plan = TermPlan(tuple(lo for lo, _ in cols), columns, tuple(tuple(table) for table in tables), tuple(roots))
-    return tuple((2 * (f1 + cols[0][0]) + r[0], 2 * (f2 + cols[1][0]) + r[1]) for f1, f2 in heads), plan
+    roots = tuple(node(0, group) for group in groups)
+    columns = tuple((k, lo, hi) for k, (lo, hi) in enumerate(cols) if lo != hi)
+    levels = tuple(tuple(tables[k]) for k, _, _ in columns)
+    return TermPlan(tuple(lo for lo, _ in cols), columns, levels, roots)
+
+
+def alternant_plan(datum: RootDatum, lam: Weight) -> tuple[tuple, TermPlan]:
+    """The heads (chi_1, chi_2), the distinct first two coordinates of
+    w(lam+rho), doubled, and the plan of the terms (eps(w), w(lam+rho)-rho)
+    with one root per head: the first two steps of the Laplace expansion
+    of Weyl's determinant fix the head, and its group holds what they
+    leave, (head, unused mu_j, odd flips) with the sign of the steps.  The
+    rank is at least 3."""
+    if datum.rank < 3:
+        raise ExactDomainError("an alternant plan by heads needs rank >= 3")
+    mu, r = _shifted(datum, lam)
+    groups: dict = {}
+    for (n1, v1), (n2, v2) in itertools.permutations(enumerate(mu), 2):
+        rest = tuple(v for n, v in enumerate(mu) if n not in (n1, n2))
+        sign = -1 if (n1 + n2 - (n2 > n1)) % 2 else 1  # mu_n2 is the (n2 - (n2 > n1))-th unused
+        for s1, s2 in itertools.product((1, -1), repeat=2):
+            head = (s1 * v1, s2 * v2)
+            group = groups.setdefault(head, {})
+            state = (head, rest, datum.kind == "D" and s1 != s2)
+            group[state] = group.get(state, 0) + sign * s1 * s2
+    return tuple(groups), _alternant_plan(datum.kind, tuple(groups.values()), r)
 
 
 def evaluate_plan(plan: TermPlan, powers: Sequence[_Powers], weights: Sequence[int] = (1,)) -> GaussianRational:
@@ -559,12 +498,6 @@ def evaluate_plan(plan: TermPlan, powers: Sequence[_Powers], weights: Sequence[i
     return GaussianRational._raw(re_sum, im_sum, den) * shift
 
 
-def evaluate_terms(terms, powers: Sequence[_Powers]) -> GaussianRational:
-    """sum of c * prod_j z_j^{e_j} over (c, exponents) terms, c any integer:
-    the one-root plan of the terms, evaluated with weight 1."""
-    return evaluate_plan(term_plan((terms,)), powers)
-
-
 def root_value(powers: Sequence[_Powers], alpha: Sequence[int]) -> GaussianRational:
     """alpha(gamma) = prod_j z_j^{alpha_j}, read from the power table of gamma;
     alpha is a root or its negative."""
@@ -589,14 +522,15 @@ def weyl_character(datum: RootDatum, lam: Weight, gamma: TorusPoint) -> Gaussian
     """Exact Weyl character value at a regular point:
     Delta(gamma)^{-1} sum_w eps(w) gamma^{w(lam+rho)-rho}; raises
     SingularPointError on a root wall.  This is the reference composition of
-    alternant_terms, weyl_denominator and evaluate_terms: the tests and the
-    benchmark's check call it, and the archimedean evaluators use its parts."""
-    terms = alternant_terms(datum, lam)
+    the one-root alternant plan, weyl_denominator and evaluate_plan: the
+    tests and the benchmark's check call it, and the archimedean evaluators
+    use its parts."""
+    mu, r = _shifted(datum, lam)
     powers = power_table(gamma)
     delta = weyl_denominator(datum.positive_roots(), powers)
     if delta.is_zero():
         raise SingularPointError("torus point lies on a root wall")
-    return evaluate_terms(terms, powers) / delta
+    return evaluate_plan(_alternant_plan(datum.kind, ({((), mu, False): 1},), r), powers) / delta
 
 
 def is_dominant(datum: RootDatum, lam: Weight) -> bool:

@@ -55,12 +55,16 @@ KOSTANT_RANK_5 = (
 
 
 # `verify arch` past the acceptance sweep, at d = 12 and 13 (D6 and B6,
-# where W has 23,040 and 46,080 elements) with 3 samples per case, as
-# d -> sha256 of its stdout; the reports of the plans built from the
-# enumerated Weyl group, which the plans from Weyl's determinant must keep.
+# where W has 23,040 and 46,080 elements) with 3 samples per case and at
+# d = 14 and 15 (D7 and B7, 322,560 and 645,120 elements) with 1, as
+# d -> (samples, sha256 of its stdout); the reports of the plans built from
+# the enumerated Weyl group (d = 12, 13) and from term lists (d = 14, 15),
+# which the plans from Weyl's determinant must keep.
 ARCH_BEYOND_SWEEP = {
-    12: "628a81cd4c8c7550812e40d053528e12ecbdc4612e059b1827fc14eee1be892d",
-    13: "fb9e91208feb5ae580e858bde950d9611693dba9e879e90f220f40d6c33d996d",
+    12: (3, "628a81cd4c8c7550812e40d053528e12ecbdc4612e059b1827fc14eee1be892d"),
+    13: (3, "fb9e91208feb5ae580e858bde950d9611693dba9e879e90f220f40d6c33d996d"),
+    14: (1, "b271c0be9f31b750cd3d1c168f3d3278e7d88b00b1912d5fa28dd88a0ee37b33"),
+    15: (1, "3eb4068b602cc2f773ebdb3e35cba0aac0e5a151a55c935ce341f4f58653c920"),
 }
 
 
@@ -153,10 +157,12 @@ def test_kostant_rank_five_gate():
 
 @pytest.mark.parametrize("d", sorted(ARCH_BEYOND_SWEEP))
 def test_arch_beyond_the_sweep_is_pinned(capsys, d):
-    """`verify arch --d 12|13 --samples 3` passes with its pinned stdout."""
-    code = main(["verify", "arch", "--d", str(d), "--samples", "3"])
+    """`verify arch --d 12|13 --samples 3` and `--d 14|15 --samples 1` pass
+    with their pinned stdout."""
+    samples, sha256 = ARCH_BEYOND_SWEEP[d]
+    code = main(["verify", "arch", "--d", str(d), "--samples", str(samples)])
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert (code, digest) == (0, ARCH_BEYOND_SWEEP[d])
+    assert (code, digest) == (0, sha256)
 
 
 def test_criterion_7_negative_controls():

@@ -20,6 +20,7 @@ from endolab.archcmp import (
     torus_point,
     verify_identity,
 )
+from endolab.cli import main
 from endolab.dsconst import cone_constant_1d, cone_constant_2d
 from endolab.errors import ExactDomainError, ResourceLimitError, SingularPointError
 from endolab.exactnum import GaussianRational
@@ -35,7 +36,7 @@ from endolab.rootdata import (
     weyl_denominator,
     weyl_enumerate,
 )
-from test_rootdata import head_term_plan, plan_edges, weyl_table, without_rho_shift
+from test_rootdata import alternant_terms, apply_weyl, head_term_plan, plan_edges, term_plan, weyl_table, without_rho_shift
 
 ZERO = GaussianRational(0)
 
@@ -107,7 +108,9 @@ def test_character_sum_matches_product_form(levi, d):
 
 # Edges of each case's plans: the character sum, the Kostant trace and, on
 # M12, the term at omega_0 gamma.  These are the counts of term_plan over the
-# enumerated term lists; the plans must not grow.
+# enumerated term lists; the plans must not grow.  The rank-7 rows (d = 14,
+# 15) were measured so once; a term_plan there takes seconds, so only the
+# counts are checked.
 PLAN_EDGES = {
     ("M1", 7): (42, 21),
     ("M2", 7): (42, 21),
@@ -119,29 +122,103 @@ PLAN_EDGES = {
     ("M12", 9): (104, 54, 54),
     ("M1", 10): (199, 139),
     ("M12", 10): (199, 125, 125),
+    ("M1", 14): (963, 825),
+    ("M12", 14): (963, 798, 798),
+    ("M1", 15): (1050, 889),
+    ("M2", 15): (1050, 889),
+    ("M12", 15): (1050, 868, 868),
 }
 CUTOFFS = {"M1": ("pi1",), "M2": ("pi2",), "M12": ("pi1", "pi2")}
 
 
-@pytest.mark.parametrize("levi,d", ARCH_CASES)
+@pytest.mark.parametrize("levi,d", list(PLAN_EDGES))
 def test_plans_match_term_plan_and_keep_their_edges(levi, d):
-    """The character-sum plan built from the Laplace expansion against
-    term_plan over the enumerated alternant terms grouped by head: the same
-    shift and columns, equal values with seeded weights at seeded points of
-    the case; and every plan of the case has its PLAN_EDGES."""
+    """Every plan of the case has its PLAN_EDGES; and up to d = 10, the
+    character-sum plan against term_plan over the enumerated alternant
+    terms grouped by head: the same shift and columns, equal values with
+    seeded weights at seeded points of the case."""
     case = ArchCase(levi, d, tuple(([3, 2, 1] + [0] * d)[: d // 2]))
     kind, m, lam = case.datum.kind, case.m, case.lam
     heads, plan = archcmp._omega_data(kind, m, lam)
+    plans = (plan,) + archcmp._kostant_data(kind, m, levi, lam, CUTOFFS[levi])
+    assert tuple(map(plan_edges, plans)) == PLAN_EDGES[(levi, d)]
+    if d > 10:
+        return
     want = head_term_plan(case.datum, case.weight(), heads)
     assert (plan.shift, plan.columns) == (want.shift, want.columns)
     assert plan_edges(want) == PLAN_EDGES[(levi, d)][0]
-    plans = (plan,) + archcmp._kostant_data(kind, m, levi, lam, CUTOFFS[levi])
-    assert tuple(map(plan_edges, plans)) == PLAN_EDGES[(levi, d)]
     rng = random.Random(d)
     for _ in range(3):
         _, (_, powers) = sample_in_range(case, rng)
         weights = [rng.randint(-4, 4) for _ in heads]
         assert rootdata.evaluate_plan(plan, powers, weights) == rootdata.evaluate_plan(want, powers, weights)
+
+
+def _kostant_terms(kind, m, levi_label, lam, cutoffs):
+    """The reference for archcmp._kostant_entries: Delta_M times the
+    truncated Kostant trace as a list of (coefficient, exponents) terms,
+    each entry's head monomials (on M1 x^a y^b and -x^(b-1) y^(a+1)) times
+    the alternant terms of its SO-tail weight."""
+    datum = RootDatum(kind, m)
+    levi = standard_levi(levi_label, m)
+    tail = RootDatum(kind, m - levi.so_start)
+    pi = {"pi1": rootdata.pi1_covector(m), "pi2": rootdata.pi2_covector(m)}
+    terms = []
+    for deg, mu in rootdata.kostant_cohomology(datum, levi, Weight.from_ints(lam)):
+        if all(rootdata.passes_truncation(datum, mu, pi[c]) for c in cutoffs):
+            c = mu.int_coords()
+            sgn = -1 if deg % 2 else 1
+            if levi_label == "M1":
+                a, b = c[:2]
+                heads = ((sgn, (a, b)), (-sgn, (b - 1, a + 1)))
+            else:
+                heads = ((sgn, c[: levi.so_start]),)
+            for eps, so in alternant_terms(tail, Weight.from_ints(c[levi.so_start :])):
+                terms += [(s * eps, head + so) for s, head in heads]
+    return terms
+
+
+def _omega0_shift(kind, m):
+    """The M12 term at omega_0 gamma times the delta_P^(1/2) ratio, read at
+    gamma as an exponent map: omega_0 inverts b (and z on D), and the ratio
+    |b|^-(2m-3) on B, or b^-2(m-2) with z^-2(m-3) from the tail's Delta on
+    D, shifts the inverted exponents."""
+    if kind == "B":
+        return lambda e: (e[0], -e[1] - (2 * m - 3)) + e[2:]
+    return lambda e: (e[0], -e[1] - 2 * (m - 2), -e[2] - 2 * (m - 3)) + e[3:]
+
+
+# The acceptance cases and, on D, weights with lambda_m != 0, where the
+# tail alternant at z^-1 differs from the tail alternant.
+KOSTANT_REFERENCE_CASES = [(levi, d, tuple(([3, 2, 1] + [0] * d)[: d // 2])) for levi, d in ARCH_CASES] + [
+    (levi, d, lam) for d, lam in ((8, (2, 1, 1, 1)), (8, (2, 1, 1, -1)), (10, (2, 1, 1, 1, 1))) for levi in ("M1", "M12")
+]
+
+
+@pytest.mark.parametrize("levi,d,lam", KOSTANT_REFERENCE_CASES)
+def test_kostant_plans_are_the_term_plans(levi, d, lam):
+    """Every Kostant plan a case evaluates (on M12 also the M2 trace and the
+    omega_0 term) against term_plan over the enumerated terms, the omega_0
+    term by the exponent map: the same shift and columns, as many nodes per
+    level and edges, and equal values at seeded points of the case."""
+    case = ArchCase(levi, d, lam)
+    kind, m = case.datum.kind, case.m
+    wanted = []
+    for label in ("M2", "M12") if levi == "M12" else (levi,):
+        terms = _kostant_terms(kind, m, label, lam, CUTOFFS[label])
+        wanted.append((archcmp._kostant_data(kind, m, label, lam, CUTOFFS[label])[0], term_plan((terms,))))
+    if levi == "M12":
+        shift = _omega0_shift(kind, m)
+        at_omega0 = archcmp._kostant_data(kind, m, "M12", lam, CUTOFFS["M12"])[1]
+        wanted.append((at_omega0, term_plan(([(c, shift(e)) for c, e in terms],))))
+    rng = random.Random(d)
+    points = [sample_in_range(case, rng)[1][1] for _ in range(3)]
+    for plan, want in wanted:
+        assert (plan.shift, plan.columns) == (want.shift, want.columns)
+        assert [len(level) for level in plan.levels] == [len(level) for level in want.levels]
+        assert plan_edges(plan) == plan_edges(want)
+        for powers in points:
+            assert rootdata.evaluate_plan(plan, powers) == rootdata.evaluate_plan(want, powers)
 
 
 @pytest.mark.parametrize("levi,d", ARCH_CASES)
@@ -152,13 +229,7 @@ def test_cold_case_enumerates_no_weyl_group(monkeypatch, levi, d):
     calls = []
     real = rootdata.weyl_enumerate
     monkeypatch.setattr(rootdata, "weyl_enumerate", lambda datum: calls.append(datum) or real(datum))
-    for cached in (
-        archcmp._omega_data,
-        archcmp._kostant_data,
-        archcmp._cone_weights,
-        rootdata._alternant_terms,
-        rootdata._kostant_table,
-    ):
+    for cached in (archcmp._omega_data, archcmp._kostant_data, archcmp._cone_weights, rootdata._kostant_table):
         cached.cache_clear()
     case = ArchCase(levi, d, tuple(([3, 2, 1] + [0] * d)[: d // 2]))
     report = verify_identity(case, samples=2, seed=3, vanishing_controls=1)
@@ -295,7 +366,7 @@ def test_omega0_delta_half_ratio_is_a_monomial_in_b(d):
             closed = (1 if b > 0 else -1) * b ** -(2 * m - 3)
         else:
             closed = b ** -(2 * (m - 2))
-        assert _delta_half_ratio(case, powers, power_table(gamma.apply(_omega0(case)))) == closed
+        assert _delta_half_ratio(case, powers, power_table(apply_weyl(gamma, _omega0(case)))) == closed
 
 
 @pytest.mark.parametrize("d", [8, 10])
@@ -304,7 +375,7 @@ def test_omega0_tail_denominator_is_z_power(d):
     case = ArchCase("M12", d, tuple(([3, 2, 1] + [0] * d)[: d // 2]))
     tail = RootDatum("D", case.m - 2).positive_roots()
     for _, (gamma, powers) in _m12_points(case):
-        at_omega0 = weyl_denominator(tail, power_table(gamma.apply(_omega0(case)))[2:])
+        at_omega0 = weyl_denominator(tail, power_table(apply_weyl(gamma, _omega0(case)))[2:])
         assert at_omega0 == gamma.coords[2] ** (2 * (case.m - 3)) * weyl_denominator(tail, powers[2:])
 
 
@@ -316,15 +387,31 @@ def test_m1_heads_without_the_1_over_x_shift_fail(monkeypatch, d):
     rng = random.Random(d)
     samples = [sample_in_range(case, rng) for _ in range(3)]
     assert all(identity_gap(case, s, point) == ZERO for s, point in samples)
-    real = archcmp._kostant_terms
+    real = archcmp._kostant_entries
 
     def times_x(kind, m, levi_label, lam, cutoffs):
-        return [(c, (e[0] + 1,) + e[1:]) for c, e in real(kind, m, levi_label, lam, cutoffs)]
+        entries = real(kind, m, levi_label, lam, cutoffs)
+        return {((head[0] + 2,) + head[1:], tail, odd): c for (head, tail, odd), c in entries.items()}
 
-    monkeypatch.setattr(archcmp, "_kostant_terms", times_x)
+    monkeypatch.setattr(archcmp, "_kostant_entries", times_x)
     archcmp._kostant_data.cache_clear()
     try:
         assert all(identity_gap(case, s, point) != ZERO for s, point in samples)
+    finally:
+        archcmp._kostant_data.cache_clear()
+
+
+def test_omega0_without_the_d_parity_flip_fails(monkeypatch):
+    """Negative control: the omega_0 entries on D with only b inverted, the
+    tail alternant left as it is instead of its odd-flip sum with det w
+    negated, which is z inverted, break the identity at a weight with
+    lambda_m != 0 (at lambda_m = 0 both sums are equal)."""
+    assert main(["verify", "arch", "--case", "M12", "--d", "8", "--lambda", "2,1,1,1"]) == 0
+    real = archcmp._at_omega0
+    monkeypatch.setattr(archcmp, "_at_omega0", lambda kind, entries: real("B", entries))
+    archcmp._kostant_data.cache_clear()
+    try:
+        assert main(["verify", "arch", "--case", "M12", "--d", "8", "--lambda", "2,1,1,1"]) == 1
     finally:
         archcmp._kostant_data.cache_clear()
 

@@ -25,15 +25,12 @@ from endolab.rootdata import (
     _kostant_table,
     circle_point,
     formal_character,
-    inversion_set,
     kostant_cohomology,
     kostant_euler_identity,
-    length,
     levi_formal_character,
     levi_is_dominant,
     levi_positive_roots,
     rho,
-    sign,
     standard_levi,
     weyl_character,
     weyl_enumerate,
@@ -42,6 +39,40 @@ from endolab.rootdata import (
 
 B2, B3 = RootDatum("B", 2), RootDatum("B", 3)
 D3 = RootDatum("D", 3)
+RAW = "raw"  # the pattern of a coordinate that is neither rational nor on the unit circle
+
+
+def _is_positive(alpha) -> bool:
+    for c in alpha:
+        if c:
+            return c > 0
+    return False
+
+
+def inversion_set(w, datum) -> tuple:
+    """Phi(w) = Phi+ cap (-w Phi+) = positive roots made negative by w^{-1}:
+    the definition the closed-form tables are checked against."""
+    winv = w.inverse()
+    return tuple(a for a in datum.positive_roots() if not _is_positive(winv.act_tuple(a)))
+
+
+def length(w, datum) -> int:
+    return len(inversion_set(w, datum))
+
+
+def sign(w, datum) -> int:
+    return -1 if length(w, datum) % 2 else 1
+
+
+def apply_weyl(gamma, w):
+    """The torus point w gamma: coordinate j, inverted where w flips it,
+    moves to w's image of j.  A conjugate pair generally stops being a
+    literal adjacent pair, so every coordinate is classified again."""
+    coords = [None] * gamma.rank
+    for j in range(gamma.rank):
+        coords[w.perm[j]] = gamma.coords[j] if w.signs[j] == 1 else gamma.coords[j].inverse()
+    pattern = tuple(SPLIT if z.is_real() else COMPACT if z.norm() == 1 else RAW for z in coords)
+    return TorusPoint(tuple(coords), pattern)
 
 
 @lru_cache(maxsize=None)
@@ -68,10 +99,56 @@ def weyl_table(kind: str, m: int) -> tuple:
 
 
 def without_rho_shift(real):
-    """The alternant builder real(kind, mu, r, ...) handed r = 0 for the rho
-    it subtracts: exponents w(lam+rho) / 2, rounded down in type B, where
-    they are half-integers."""
-    return lambda kind, mu, r, *rest: real(kind, mu, (0,) * len(r), *rest)
+    """The plan builder real(kind, groups, r) handed r = 0 for the rho it
+    subtracts: exponents w(lam+rho) / 2, rounded down in type B, where they
+    are half-integers."""
+    return lambda kind, groups, r: real(kind, groups, (0,) * len(r))
+
+
+def term_plan(groups) -> rootdata.TermPlan:
+    """The reference for the plans of rootdata._alternant_plan: the plan
+    with one root per group of (c, exponents) terms, the trie built from
+    the list of terms, interned as the builder interns."""
+    terms = [t for group in groups for t in group]
+    cols = [(min(col), max(col)) for col in zip(*(e for _, e in terms))]
+    columns = tuple((j, lo, hi) for j, (lo, hi) in enumerate(cols) if lo != hi)
+    tables: list[dict] = [{} for _ in columns]
+    last = len(columns) - 1
+
+    def node(k: int, terms) -> tuple:
+        """(g, index): the terms' sum over coordinates k.. is g times the
+        node at index in level k; (0, None) if it cancels."""
+        j, lo, _ = columns[k]
+        parts: dict = {}
+        if k == last:
+            for c, e in terms:
+                parts[e[j]] = parts.get(e[j], 0) + c
+            edges = [(e - lo, s) for e, s in sorted(parts.items()) if s]
+        else:
+            for t in terms:
+                parts.setdefault(t[1][j], []).append(t)
+            edges = [(e - lo, *node(k + 1, sub)) for e, sub in sorted(parts.items())]
+            edges = [edge for edge in edges if edge[1]]
+        return rootdata._intern(tables[k], edges)
+
+    roots = tuple(node(0, group) if columns and group else (sum(c for c, _ in group), None) for group in groups)
+    levels = tuple(tuple(table) for table in tables)
+    return rootdata.TermPlan(tuple(lo for lo, _ in cols), columns, levels, roots)
+
+
+def evaluate_terms(terms, powers):
+    """sum of c * prod_j z_j^{e_j} over (c, exponents) terms: the one-root
+    term_plan of the terms, evaluated with weight 1."""
+    return rootdata.evaluate_plan(term_plan((terms,)), powers)
+
+
+def alternant_terms(datum, lam) -> list:
+    """(eps(w), w(lam+rho)-rho) for every w in W, from Leibniz's formula.
+    The exponents are integers: w rho - rho = -sum of Phi(w) lies in the
+    root lattice, and (w lam) prod_{a in Phi(w)} a^-1 = e^{w(lam+rho)-rho}."""
+    r = rho(datum)
+    images = rootdata._alternant_images(datum.kind, (lam + r).doubled)
+    return [(c, tuple((v - rc) // 2 for v, rc in zip(image, r.doubled))) for c, image in images]
 
 
 def test_group_sizes():
@@ -125,7 +202,7 @@ def test_weyl_character_trivial_and_invariance():
     lam = Weight.from_ints([2, 1, 0])
     val = weyl_character(B3, lam, gamma)
     for w in random.Random(2).sample(weyl_enumerate(B3), 6):
-        assert weyl_character(B3, lam, gamma.apply(w)) == val
+        assert weyl_character(B3, lam, apply_weyl(gamma, w)) == val
 
 
 def test_weyl_character_singular():
@@ -176,7 +253,7 @@ def _regular_points(datum, rng, count):
         gamma = TorusPoint(tuple(head + circle), pattern + (COMPACT,) * len(circle))
         if any(_monomial(gamma, a).is_one() for a in datum.positive_roots()):
             continue
-        out += [gamma, gamma.apply(rng.choice(elems))]
+        out += [gamma, apply_weyl(gamma, rng.choice(elems))]
     return out
 
 
@@ -186,7 +263,7 @@ def test_weyl_character_matches_product_form(kind, m):
     rng = random.Random(100 * m + ord(kind))
     weights = _dominant_weights(kind, m, 3)
     points = _regular_points(datum, rng, 3)
-    assert m == 1 or any(rootdata.RAW in g.pattern for g in points)
+    assert m == 1 or any(RAW in g.pattern for g in points)
     for lam_c in rng.sample(weights, min(len(weights), 6)):
         lam = Weight.from_ints(lam_c)
         for gamma in points:
@@ -202,13 +279,13 @@ def test_weyl_character_without_rho_shift_fails(kind, m, monkeypatch):
     gamma = _regular_points(datum, random.Random(m), 1)[0]
     assert weyl_character(datum, lam, gamma) == _product_form_character(datum, lam, gamma)
 
-    monkeypatch.setattr(rootdata, "_alternant_terms", without_rho_shift(rootdata._alternant_terms))
+    monkeypatch.setattr(rootdata, "_alternant_plan", without_rho_shift(rootdata._alternant_plan))
     assert weyl_character(datum, lam, gamma) != _product_form_character(datum, lam, gamma)
 
 
 def test_power_table_reads_integer_powers():
     z = circle_point(Fraction(2, 7)) * 3
-    gamma = TorusPoint((z,), (rootdata.RAW,))
+    gamma = TorusPoint((z,), (RAW,))
     row = rootdata.power_table(gamma)[0]
     for e in (5, -4, 0, 1, -1, 2):
         assert row[e] == z ** e
@@ -241,12 +318,12 @@ def test_evaluate_terms_matches_gaussian_reference(m):
     if m >= 2:
         pairs = [g for g in points if g.pattern[0] == rootdata.PAIR_FIRST]
         assert pairs and all(g.coords[0].norm() != 1 for g in pairs)
-        assert any(rootdata.RAW in g.pattern for g in points)
+        assert any(RAW in g.pattern for g in points)
     coefficients = (-7, -3, -2, -1, 1, 2, 4, 9)
     head = (2,) + (0,) * (m - 1)
     for gamma in points:
         powers = rootdata.power_table(gamma)
-        assert rootdata.evaluate_terms((), powers) == GaussianRational(0)
+        assert evaluate_terms((), powers) == GaussianRational(0)
         for const in (0, -2, 3):  # the last column is constant
             for lo, hi in ((-5, 5), (1, 6), (-6, -1)):
                 terms = [
@@ -254,7 +331,7 @@ def test_evaluate_terms_matches_gaussian_reference(m):
                     for _ in range(15)
                 ]
                 terms.append((-terms[0][0], terms[0][1]))  # a term that cancels another
-                got = rootdata.evaluate_terms(terms, powers)
+                got = evaluate_terms(terms, powers)
                 assert got == _gaussian_terms_sum(terms, gamma), (gamma, terms)
 
                 groups = [
@@ -265,7 +342,7 @@ def test_evaluate_terms_matches_gaussian_reference(m):
                     [],
                 ]
                 weights = (rng.choice(coefficients), 0, -2, 5, 3)
-                plan = rootdata.term_plan(groups)
+                plan = term_plan(groups)
                 want = GaussianRational(0)
                 for w, group in zip(weights, groups):
                     want = want + w * _gaussian_terms_sum(group, gamma)
@@ -274,11 +351,11 @@ def test_evaluate_terms_matches_gaussian_reference(m):
                 (g, node), (g3, node3) = plan.roots[:2]
                 assert (g3, node3) == (-3 * g, node) and plan.roots[3:] == ((0, None), (0, None))
                 if m >= 2:
-                    alone = rootdata.term_plan((terms,))
+                    alone = term_plan((terms,))
                     assert plan.levels[1:] == alone.levels[1:]
                     assert len(plan.levels[0]) == len(alone.levels[0]) + 1
         constant = [(2, (1,) * m), (-5, (1,) * m)]
-        plan = rootdata.term_plan((constant, [], constant[:1]))
+        plan = term_plan((constant, [], constant[:1]))
         assert plan.levels == () and plan.roots == ((-3, None), (0, None), (2, None))
         assert rootdata.evaluate_plan(plan, powers, (2, 7, -1)) == _gaussian_terms_sum(constant * 2 + [(-2, (1,) * m)], gamma)
 
@@ -289,7 +366,7 @@ def test_character_sum_plan_shares_sub_polynomials():
     term x coordinate products."""
     lam = (3, 2, 1, 0, 0)
     heads, plan = archcmp._omega_data("D", 5, lam)
-    terms = rootdata.alternant_terms(RootDatum("D", 5), Weight.from_ints(lam))
+    terms = alternant_terms(RootDatum("D", 5), Weight.from_ints(lam))
     edges = sum(len(node) for level in plan.levels for node in level)
     assert len(terms) == 1920 and len(plan.roots) == len(heads)
     assert 10 * edges <= len(terms) * 5, edges
@@ -327,7 +404,7 @@ def test_alternant_is_the_weyl_table_alternant(kind, m):
         want = Counter((eps, w.act_tuple(shifted)) for w, _, eps in weyl_table(kind, m))
         assert Counter(rootdata._alternant_images(kind, shifted)) == want, lam_c
         terms = Counter((eps, tuple((c - rc) // 2 for c, rc in zip(image, r.doubled))) for eps, image in want)
-        assert Counter(rootdata.alternant_terms(datum, lam)) == terms, lam_c
+        assert Counter(alternant_terms(datum, lam)) == terms, lam_c
         if m <= 4:
             assert weyl_numerator(datum, lam).terms == {image: eps for eps, image in want}, lam_c
 
@@ -342,10 +419,10 @@ def head_term_plan(datum, lam, heads):
     heads, which must be the heads of the terms."""
     r = rho(datum).doubled
     groups: dict = {}
-    for eps, e in rootdata.alternant_terms(datum, lam):
+    for eps, e in alternant_terms(datum, lam):
         groups.setdefault((2 * e[0] + r[0], 2 * e[1] + r[1]), []).append((eps, e))
     assert len(heads) == len(groups) and set(heads) == set(groups)
-    return rootdata.term_plan([groups[head] for head in heads])
+    return term_plan([groups[head] for head in heads])
 
 
 @pytest.mark.parametrize("kind,m", [(k, m) for k in "BD" for m in range(3, 7)])
@@ -368,6 +445,32 @@ def test_alternant_plan_is_the_term_plan(kind, m):
             powers = rootdata.power_table(gamma)
             weights = [rng.randint(-4, 4) for _ in heads]
             assert rootdata.evaluate_plan(plan, powers, weights) == rootdata.evaluate_plan(want, powers, weights)
+
+
+@pytest.mark.parametrize("kind,m", [(k, m) for k in "BD" for m in range(1, 6)])
+def test_one_group_plan_is_the_term_plan(kind, m):
+    """The one-root plan weyl_character evaluates against term_plan over
+    the alternant terms: the same shift and columns, as many nodes per
+    level and edges, and equal values at seeded regular points; on D1 no
+    column varies, and on D the last coordinate may be 0 or negative."""
+    datum = RootDatum(kind, m)
+    r = rho(datum).doubled
+    points = _regular_points(datum, random.Random(70 + m), 1)
+    weights = {(0,) * m, ((2, 1) + (0,) * m)[:m], tuple(range(m, 0, -1))}
+    if kind == "D":
+        weights.add((1,) * (m - 1) + (-1,))
+    for lam_c in sorted(weights):
+        lam = Weight.from_ints(lam_c)
+        plan = rootdata._alternant_plan(kind, ({((), (lam + rho(datum)).doubled, False): 1},), r)
+        want = term_plan((alternant_terms(datum, lam),))
+        assert (plan.shift, plan.columns) == (want.shift, want.columns), lam_c
+        assert [len(level) for level in plan.levels] == [len(level) for level in want.levels], lam_c
+        assert plan_edges(plan) == plan_edges(want), lam_c
+        for gamma in points:
+            powers = rootdata.power_table(gamma)
+            assert rootdata.evaluate_plan(plan, powers) == rootdata.evaluate_plan(want, powers), lam_c
+    if (kind, m) == ("D", 1):
+        assert plan.columns == () and plan.roots == ((1, None),)
 
 
 def test_alternant_plan_domain():

@@ -23,7 +23,7 @@ FROZEN = [
     rootdata.WeylElement((1, -1, 1), (2, 0, 1)),
     rootdata.TorusPoint((GaussianRational(2), GaussianRational(Fraction(3, 5), Fraction(4, 5))), ("split", "compact")),
     rootdata.LeviBlocks(((0, 1),), 2),
-    rootdata.term_plan(([(1, (0, 1)), (-2, (1, 1))], [])),
+    rootdata._alternant_plan("B", ({((), (3, 1), False): 1}, {}), (3, 1)),
     hecke.FrobTwist(2, rootdata.WeylElement((1, -1), (0, 1))),
     hecke.EndoSignVector((1, -1, 1)),
     hecke.RelativeWeylGroup(2, (rootdata.WeylElement((1, 1), (1, 0)),)),
