@@ -46,7 +46,6 @@ from .rootdata import (
     pi2_covector,
     power_table,
     rho,
-    root_value,
     standard_levi,
 )
 from .value import Value
@@ -136,9 +135,19 @@ def torus_point(case: ArchCase, sample: GammaSample) -> tuple[TorusPoint, list]:
             (SPLIT, SPLIT) + (COMPACT,) * len(z),
         )
     powers = power_table(gamma)
-    for alpha in case.datum.positive_roots():
-        if root_value(powers, alpha).is_one():
-            raise SingularPointError(f"gamma is singular at root {alpha}")
+    # A positive root e_i -+ e_j (i < j) is 1 at gamma exactly when
+    # z_i = z_j^(+-1), and e_i on B when z_i = 1: compared as reduced
+    # (re, im, den) triples read from the power table's 1 and -1 entries,
+    # without a product per root.
+    zs = [(w.re_n, w.im_n, w.den) for w in (row[1] for row in powers)]
+    zs_inv = [(w.re_n, w.im_n, w.den) for w in (row[-1] for row in powers)]
+    for i, zi in enumerate(zs):
+        for j in range(i + 1, len(zs)):
+            if zi == zs[j] or zi == zs_inv[j]:
+                sign = "-" if zi == zs[j] else "+"
+                raise SingularPointError(f"gamma is singular at root e_{i + 1} {sign} e_{j + 1}")
+        if case.datum.kind == "B" and zi == (1, 0, 1):
+            raise SingularPointError(f"gamma is singular at root e_{i + 1}")
     return gamma, powers
 
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import ExactDomainError, ResourceLimitError, SingularPointError
-from .exactnum import RationalLike, _as_fraction
+from .exactnum import RationalLike, _as_fraction, _exact
 from .value import Value
 
 
@@ -69,18 +69,18 @@ def partitions_le2(index_set: Sequence[int]) -> list[tuple[Partition2, int]]:
 
 def c1(a: RationalLike) -> int:
     """Indicator a > 0."""
-    return 1 if _as_fraction(a) > 0 else 0
+    return 1 if _exact(a) > 0 else 0
 
 
 def c2B(a: RationalLike, b: RationalLike) -> int:
     """Indicator 0 < a < b or 0 < -b < a."""
-    a, b = _as_fraction(a), _as_fraction(b)
+    a, b = _exact(a), _exact(b)
     return 1 if (0 < a < b) or (0 < -b < a) else 0
 
 
 def c2D(a: RationalLike, b: RationalLike) -> int:
     """Indicator a > |b|."""
-    a, b = _as_fraction(a), _as_fraction(b)
+    a, b = _exact(a), _exact(b)
     return 1 if a > abs(b) else 0
 
 
@@ -275,9 +275,10 @@ def cone_constant_2d(
     reach 8).
 
     system: "B2" (all of +-e_i, +-e1+-e2), "D2" (+-e1+-e2), "A1xA1" (+-e1, +-e2).
+    The inputs are ints or Fractions, read as they are.
     """
-    x = (_as_fraction(x[0]), _as_fraction(x[1]))
-    chi = (_as_fraction(chi[0]), _as_fraction(chi[1]))
+    x = (_exact(x[0]), _exact(x[1]))
+    chi = (_exact(chi[0]), _exact(chi[1]))
     if system == "A1xA1":
         if 0 in x or 0 in chi:
             raise SingularPointError("cone-wall input")
@@ -306,7 +307,7 @@ def cone_constant_2d(
 
 def cone_constant_1d(x: RationalLike, chi: RationalLike) -> int:
     """Rank-1 discrete-series constant 2 [x chi < 0]."""
-    x, chi = _as_fraction(x), _as_fraction(chi)
+    x, chi = _exact(x), _exact(chi)
     if x == 0 or chi == 0:
         raise SingularPointError("cone-wall input")
     return 2 if x * chi < 0 else 0

@@ -26,6 +26,13 @@ def _as_fraction(x: RationalLike) -> Fraction:
     raise ExactDomainError(f"expected an exact rational, got {type(x).__name__}")
 
 
+def _exact(x: RationalLike) -> RationalLike:
+    """x unchanged if it is an int or a Fraction; ExactDomainError otherwise."""
+    if isinstance(x, (int, Fraction)):  # int first: isinstance(int, Fraction) is a slow ABC check
+        return x
+    raise ExactDomainError(f"expected an exact rational, got {type(x).__name__}")
+
+
 def _num_den(x: RationalLike) -> tuple[int, int]:
     """(numerator, denominator) of an exact rational, without building a Fraction."""
     if isinstance(x, int):  # before Fraction: isinstance(int, Fraction) is a slow ABC check
@@ -140,15 +147,8 @@ class GaussianRational:
     def is_real(self) -> bool:
         return self.im_n == 0
 
-    def is_one(self) -> bool:
-        return self.im_n == 0 and self.re_n == self.den
-
     def conjugate(self) -> "GaussianRational":
         return GaussianRational._raw(self.re_n, -self.im_n, self.den)
-
-    def norm(self) -> Fraction:
-        """re**2 + im**2, exactly."""
-        return Fraction(self.re_n * self.re_n + self.im_n * self.im_n, self.den * self.den)
 
     def __add__(self, other):
         other = _coerce(other)

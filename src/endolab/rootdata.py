@@ -11,14 +11,13 @@ Weights carry doubled coordinates so rho stays integral in type B.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import add, mul, sub
 from typing import Sequence
 
 from .errors import ExactDomainError, ResourceLimitError, SingularPointError
-from .exactnum import ONE, GaussianRational
+from .exactnum import ONE, GaussianRational, RationalLike, _num_den
 from .laurent import Laurent
 from .value import Value
 
@@ -85,9 +84,6 @@ class Weight(Value):
     def is_integral(self) -> bool:
         return all(c % 2 == 0 for c in self.doubled)
 
-    def coords(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, 2) for c in self.doubled)
-
     def int_coords(self) -> tuple[int, ...]:
         if not self.is_integral:
             raise ExactDomainError(f"{self} is not integral")
@@ -150,14 +146,6 @@ class WeylElement(Value):
         signs = tuple(other.signs[j] * self.signs[other.perm[j]] for j in range(self.rank))
         return WeylElement(signs, perm)
 
-    def inverse(self) -> "WeylElement":
-        inv = [0] * self.rank
-        signs = [1] * self.rank
-        for j in range(self.rank):
-            inv[self.perm[j]] = j
-            signs[self.perm[j]] = self.signs[j]
-        return WeylElement(tuple(signs), tuple(inv))
-
     def act_tuple(self, v: Sequence) -> tuple:
         out = [None] * self.rank
         for j in range(self.rank):
@@ -204,7 +192,7 @@ class TorusPoint(Value):
                 raise ExactDomainError("zero torus coordinate")
             if kind == SPLIT and not z.is_real():
                 raise ExactDomainError("split coordinate must be rational")
-            if kind == COMPACT and z.norm() != 1:
+            if kind == COMPACT and z.re_n * z.re_n + z.im_n * z.im_n != z.den * z.den:
                 raise ExactDomainError("compact coordinate must have norm 1")
         for i, kind in enumerate(self.pattern):
             if kind == PAIR_FIRST:
@@ -218,11 +206,11 @@ class TorusPoint(Value):
         return len(self.coords)
 
 
-def circle_point(t: Fraction) -> GaussianRational:
-    """Rational tangent-half-angle point ((1-t^2) + 2t i)/(1+t^2) on the unit circle."""
-    t = Fraction(t)
-    den = 1 + t * t
-    return GaussianRational((1 - t * t) / den, 2 * t / den)
+def circle_point(t: RationalLike) -> GaussianRational:
+    """Rational tangent-half-angle point ((1-t^2) + 2t i)/(1+t^2) on the unit
+    circle; at t = p/q it is ((q^2-p^2) + 2pq i)/(q^2+p^2), in ints."""
+    p, q = _num_den(t)
+    return GaussianRational._raw(q * q - p * p, 2 * p * q, q * q + p * p)
 
 
 class _Powers(dict):

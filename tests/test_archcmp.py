@@ -26,6 +26,7 @@ from endolab.errors import ExactDomainError, ResourceLimitError, SingularPointEr
 from endolab.exactnum import GaussianRational
 from endolab.rootdata import (
     RootDatum,
+    TorusPoint,
     Weight,
     WeylElement,
     levi_positive_roots,
@@ -36,7 +37,17 @@ from endolab.rootdata import (
     weyl_denominator,
     weyl_enumerate,
 )
-from test_rootdata import alternant_terms, apply_weyl, head_term_plan, plan_edges, term_plan, weyl_table, without_rho_shift
+from test_rootdata import (
+    RAW,
+    alternant_terms,
+    apply_weyl,
+    half_coords,
+    head_term_plan,
+    plan_edges,
+    term_plan,
+    weyl_table,
+    without_rho_shift,
+)
 
 ZERO = GaussianRational(0)
 
@@ -338,18 +349,24 @@ def test_sqrt_fraction():
         _sqrt_fraction(Fraction(2))
 
 
+def _abs2(z: GaussianRational) -> GaussianRational:
+    """|z|^2, a real Gaussian rational."""
+    return z * z.conjugate()
+
+
 def _delta_half_ratio(case, powers, powers_p) -> Fraction:
     """delta_P^(1/2)(gamma') / delta_P^(1/2)(gamma), an exact positive rational,
     from the power tables of gamma and gamma', root by root.
 
-    norm(alpha(gamma)) = |alpha(gamma)|^2, so the product below is the 4th
-    power of the ratio; _sqrt_fraction raises unless both roots are exact."""
+    |alpha(gamma)|^2 = alpha(gamma) times its conjugate, so the product below
+    is the 4th power of the ratio; _sqrt_fraction raises unless both roots
+    are exact."""
     datum = case.datum
     levi_pos = set(levi_positive_roots(datum, standard_levi(case.levi, case.m)))
     ratio_4th = Fraction(1)
     for alpha in datum.positive_roots():
         if alpha not in levi_pos:
-            ratio_4th *= root_value(powers_p, alpha).norm() / root_value(powers, alpha).norm()
+            ratio_4th *= (_abs2(root_value(powers_p, alpha)) / _abs2(root_value(powers, alpha))).re
     return _sqrt_fraction(_sqrt_fraction(ratio_4th))
 
 
@@ -561,6 +578,81 @@ def test_reports_are_deterministic():
     assert r1.failures == r2.failures and r1.ok
 
 
+def _on_root_wall(case, sample) -> bool:
+    """Whether some positive root is 1 at the sample's point, its
+    coordinates built here, the circle points by the Fraction formula, and
+    every root read by root_value."""
+    circles = tuple(GaussianRational((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)) for t in sample.circle_params)
+    if case.levi == "M1":
+        head = (GaussianRational(sample.a, sample.b), GaussianRational(sample.a, -sample.b))
+    elif case.levi == "M2":
+        head = (GaussianRational(sample.a),)
+    else:
+        head = (GaussianRational(sample.a), GaussianRational(sample.b))
+    gamma = TorusPoint(head + circles, (RAW,) * len(head + circles))
+    powers = power_table(gamma)
+    return any(root_value(powers, alpha) == 1 for alpha in case.datum.positive_roots())
+
+
+def _raises_singular(case, sample) -> bool:
+    try:
+        torus_point(case, sample)
+    except SingularPointError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "levi,d", [(levi, d) for d in range(7, 12) for levi in ("M1", "M2", "M12") if d % 2 or levi != "M2"]
+)
+def test_torus_point_regularity_matches_root_values(levi, d):
+    """torus_point, comparing coordinates, raises exactly when some positive
+    root is 1 at gamma: on seeded draws from small pools, where walls are
+    common, and on each kind of wall: equal circle parameters (e_i - e_j),
+    t and -t (e_i + e_j on compact coordinates), t = 0 and a = 1 (e_i, on B
+    only), a = b and a = 1/b (e_1 -+ e_2 on M12), and the M1 pair on the
+    unit circle (e_1 + e_2)."""
+    case = ArchCase(levi, d, (0,) * (d // 2))
+    n = case.m - 1 if levi == "M2" else case.m - 2
+    b_ok = None if levi == "M2" else Fraction(1, 3)
+    ts = [Fraction(p, q) for p, q in ((1, 3), (2, 7), (3, 4), (1, 5), (4, 9))][:n]
+    on_b = case.datum.kind == "B"
+    named = [
+        (ts[:1] * 2 + ts[2:n], True),
+        (ts[:1] + [-ts[0]] + ts[2:n], True),
+        ([Fraction(0)] + ts[1:n], on_b),
+    ]
+    a_ok = Fraction(1, 2)
+    expected = [(GammaSample(a_ok, b_ok, tuple(circ)), want) for circ, want in named if len(circ) == n]
+    if levi == "M1":
+        expected += [(GammaSample(Fraction(3, 5), Fraction(-4, 5), tuple(ts)), True)]
+    else:
+        expected += [(GammaSample(Fraction(1), b_ok, tuple(ts)), on_b)]
+    if levi == "M12":
+        expected += [(GammaSample(Fraction(1, 3), Fraction(1, 3), tuple(ts)), True)]
+        expected += [(GammaSample(Fraction(1, 3), Fraction(3), tuple(ts)), True)]
+    expected += [(GammaSample(a_ok, b_ok, tuple(ts)), False)]
+    for sample, want in expected:
+        assert _on_root_wall(case, sample) == want, sample
+        assert _raises_singular(case, sample) == want, sample
+
+    rng = random.Random(d)
+    t_pool = [Fraction(p, q) for p, q in ((0, 1), (1, 1), (-1, 1), (1, 3), (-1, 3), (1, 2), (-1, 2), (2, 7))]
+    a_pool = [Fraction(p, q) for p, q in ((1, 1), (-1, 1), (1, 2), (2, 1), (3, 5), (-3, 5), (1, 3))]
+    b_pool = [Fraction(p, q) for p, q in ((4, 5), (-4, 5), (1, 2), (2, 1), (1, 3), (3, 1), (-1, 2))]
+    seen = set()
+    for _ in range(200):
+        sample = GammaSample(
+            rng.choice(a_pool),
+            None if levi == "M2" else rng.choice(b_pool),
+            tuple(rng.choice(t_pool) for _ in range(n)),
+        )
+        wall = _on_root_wall(case, sample)
+        assert _raises_singular(case, sample) == wall, sample
+        seen.add(wall)
+    assert seen == {True, False}
+
+
 def test_gamma_sample_regularity_enforced():
     case = ArchCase("M12", 7, (0, 0, 0))
     with pytest.raises((SingularPointError, ExactDomainError)):
@@ -576,7 +668,8 @@ def test_cone_equivalence_pairing_never_degenerate():
     r = rho(B3)
     for w in weyl_enumerate(B3):
         chi = w.act(lam + r)
-        coeff = (chi.coords()[0] + chi.coords()[1]) / 2
+        chi_1, chi_2 = half_coords(chi)[:2]
+        coeff = (chi_1 + chi_2) / 2
         assert coeff != 0
         assert (coeff > 0) == (chi.pairing_doubled((1, 1, 0)) > 0)
 

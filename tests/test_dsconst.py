@@ -108,11 +108,16 @@ def test_cone_tables_reference_chambers():
         assert cone_constant_2d(x_IV, chi, "A1xA1") == (4 if c in (7, 8) else 0)
 
 
+INT_HEADS = [(a, b) for a in range(-7, 8) for b in range(-7, 8) if a * b * (a - b) * (a + b)]  # off every B2 wall
+
+
 def test_cone_vs_herb_cross_check():
+    """On Fraction heads, and on int heads at an int chamber rep, as the
+    archimedean round passes them."""
     rng = random.Random(4)
-    x_V = (Fraction(-2), Fraction(-1))
-    for _ in range(100):
-        chi = (Fraction(rng.randint(-60, 60) or 7, 3), Fraction(rng.randint(-60, 60) or 11, 4))
+    heads = [(Fraction(rng.randint(-60, 60) or 7, 3), Fraction(rng.randint(-60, 60) or 11, 4)) for _ in range(100)]
+    cases = [((Fraction(-2), Fraction(-1)), chi) for chi in heads] + [((-2, -1), chi) for chi in INT_HEADS]
+    for x_V, chi in cases:
         if chi[0] * chi[1] * (chi[0] - chi[1]) * (chi[0] + chi[1]) == 0:
             continue
         assert cone_constant_2d(x_V, chi, "B2") == 4 * herb_sum(
@@ -121,6 +126,41 @@ def test_cone_vs_herb_cross_check():
         assert cone_constant_2d(x_V, chi, "D2") == 4 * herb_sum(
             ProductRootSystem((("D", (0, 1)),)), HerbInput(None, chi), "even"
         )
+
+
+def test_cone_constants_int_and_fraction_agree():
+    """The tables read int inputs as they are; Fractions of the same values
+    give the same constants, on every chamber rep, system and int head."""
+    for x in CONE_REFS.values():
+        xf = tuple(map(Fraction, x))
+        for chi in INT_HEADS:
+            chif = tuple(map(Fraction, chi))
+            for system in ("B2", "D2", "A1xA1"):
+                assert cone_constant_2d(x, chi, system) == cone_constant_2d(xf, chif, system)
+                assert cone_constant_2d(x, chif, system) == cone_constant_2d(xf, chi, system)
+            assert cone_constant_1d(x[0], chi[0]) == cone_constant_1d(xf[0], chif[0])
+    for a, b in INT_HEADS:
+        assert c1(a) == c1(Fraction(a))
+        assert c2B(a, b) == c2B(Fraction(a), Fraction(b))
+        assert c2D(a, b) == c2D(Fraction(a), Fraction(b))
+
+
+def test_cone_constants_refuse_inexact_inputs():
+    for bad in (0.5, "1", None):
+        with pytest.raises(ExactDomainError):
+            c1(bad)
+        with pytest.raises(ExactDomainError):
+            c2B(1, bad)
+        with pytest.raises(ExactDomainError):
+            c2D(bad, 1)
+        with pytest.raises(ExactDomainError):
+            cone_constant_1d(bad, 1)
+        with pytest.raises(ExactDomainError):
+            cone_constant_1d(-1, bad)
+        with pytest.raises(ExactDomainError):
+            cone_constant_2d((-2, bad), (1, 3), "B2")
+        with pytest.raises(ExactDomainError):
+            cone_constant_2d((-2, -1), (bad, 3), "D2")
 
 
 def test_cone_walls():
@@ -132,6 +172,14 @@ def test_cone_walls():
         cone_constant_1d(Fraction(0), Fraction(1))
     assert cone_constant_1d(-1, Fraction(3)) == 2
     assert cone_constant_1d(1, Fraction(3)) == 0
+    int_walls = [((-1, -1), (1, 3), "B2"), ((-2, 0), (1, 3), "B2"), ((-2, -1), (2, 2), "B2"), ((-2, -1), (0, 3), "B2")]
+    int_walls += [((-2, 2), (1, 3), "D2"), ((-2, -1), (3, -3), "D2"), ((0, -1), (1, 3), "A1xA1"), ((-2, -1), (1, 0), "A1xA1")]
+    for x, chi, system in int_walls:
+        with pytest.raises(SingularPointError):
+            cone_constant_2d(x, chi, system)
+    for x, chi in ((0, 1), (1, 0)):
+        with pytest.raises(SingularPointError):
+            cone_constant_1d(x, chi)
 
 
 def _random_regular_mu(rng, r, t=0):

@@ -191,7 +191,6 @@ def test_gaussian_field_ops(z, w):
     assert z * w == w * z
     if not w.is_zero():
         assert (z * w) / w == z
-    assert z.norm() == (z * z.conjugate()).re
     assert z.conjugate().conjugate() == z
 
 
@@ -220,7 +219,7 @@ def test_gaussian_from_ints_matches_fraction_path(re, im):
 
 
 def test_gaussian_constants():
-    assert (ONE.re_n, ONE.im_n, ONE.den) == (1, 0, 1) and ONE.is_one()
+    assert (ONE.re_n, ONE.im_n, ONE.den) == (1, 0, 1) and ONE == 1
     assert (ZERO.re_n, ZERO.im_n, ZERO.den) == (0, 0, 1) and ZERO.is_zero()
     z = GaussianRational(Fraction(2, 3), Fraction(-1, 5))
     assert z ** 0 == ONE and z * ONE == z and z + ZERO == z

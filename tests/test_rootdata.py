@@ -1,4 +1,5 @@
 import itertools
+import math
 import operator
 import random
 from collections import Counter
@@ -49,10 +50,23 @@ def _is_positive(alpha) -> bool:
     return False
 
 
+def weyl_inverse(w) -> WeylElement:
+    """w^-1: w sends e_j to s_j e_p(j), so w^-1 sends e_p(j) to s_j e_j."""
+    signs, perm = [0] * w.rank, [0] * w.rank
+    for j, (s, p) in enumerate(zip(w.signs, w.perm)):
+        signs[p], perm[p] = s, j
+    return WeylElement(tuple(signs), tuple(perm))
+
+
+def half_coords(weight) -> tuple:
+    """The true coordinates of a weight, its doubled ones halved, as Fractions."""
+    return tuple(Fraction(c, 2) for c in weight.doubled)
+
+
 def inversion_set(w, datum) -> tuple:
     """Phi(w) = Phi+ cap (-w Phi+) = positive roots made negative by w^{-1}:
     the definition the closed-form tables are checked against."""
-    winv = w.inverse()
+    winv = weyl_inverse(w)
     return tuple(a for a in datum.positive_roots() if not _is_positive(winv.act_tuple(a)))
 
 
@@ -71,7 +85,7 @@ def apply_weyl(gamma, w):
     coords = [None] * gamma.rank
     for j in range(gamma.rank):
         coords[w.perm[j]] = gamma.coords[j] if w.signs[j] == 1 else gamma.coords[j].inverse()
-    pattern = tuple(SPLIT if z.is_real() else COMPACT if z.norm() == 1 else RAW for z in coords)
+    pattern = tuple(SPLIT if z.is_real() else COMPACT if z * z.conjugate() == 1 else RAW for z in coords)
     return TorusPoint(tuple(coords), pattern)
 
 
@@ -89,7 +103,7 @@ def weyl_table(kind: str, m: int) -> tuple:
         roots.append((i, rest[0], a[rest[0]]) if rest else (i, None, 1))
     table = []
     for w in weyl_enumerate(RootDatum(kind, m)):
-        winv = w.inverse()
+        winv = weyl_inverse(w)
         s, p = winv.signs, winv.perm
         inv = tuple(
             n for n, (i, j, c) in enumerate(roots) if (s[i] if j is None or p[i] < p[j] else s[j] * c) < 0
@@ -167,13 +181,13 @@ def test_group_laws_and_sign_homomorphism():
         prod = w1 * w2
         assert prod in elems
         assert sign(prod, B2) == sign(w1, B2) * sign(w2, B2)
-        assert w1 * w1.inverse() == WeylElement.identity(2)
+        assert w1 * weyl_inverse(w1) == weyl_inverse(w1) * w1 == WeylElement.identity(2)
 
 
 def test_rho():
-    assert rho(B2).coords() == (Fraction(3, 2), Fraction(1, 2))
-    assert rho(RootDatum("D", 2)).coords() == (Fraction(1), Fraction(0))
-    assert rho(RootDatum("B", 1)).coords() == (Fraction(1, 2),)
+    assert half_coords(rho(B2)) == (Fraction(3, 2), Fraction(1, 2))
+    assert half_coords(rho(RootDatum("D", 2))) == (Fraction(1), Fraction(0))
+    assert half_coords(rho(RootDatum("B", 1))) == (Fraction(1, 2),)
 
 
 def test_inversion_sets():
@@ -203,6 +217,29 @@ def test_weyl_character_trivial_and_invariance():
     val = weyl_character(B3, lam, gamma)
     for w in random.Random(2).sample(weyl_enumerate(B3), 6):
         assert weyl_character(B3, lam, apply_weyl(gamma, w)) == val
+
+
+def test_circle_point_matches_fraction_formula():
+    """circle_point(p/q), built from the ints q^2 - p^2, 2pq and q^2 + p^2,
+    is ((1 - t^2) + 2t i) / (1 + t^2) computed in Fractions, as a reduced
+    triple with a positive denominator, on the unit circle."""
+    for t in {Fraction(p, q) for p in range(-13, 14) for q in range(1, 14)}:
+        z = circle_point(t)
+        den = 1 + t * t
+        assert (z.re, z.im) == ((1 - t * t) / den, 2 * t / den)
+        assert z.den > 0 and math.gcd(z.re_n, z.im_n, z.den) == 1
+        assert z.re_n**2 + z.im_n**2 == z.den**2
+    assert circle_point(0) == 1 and circle_point(3) == circle_point(Fraction(3))
+    for bad in (0.5, "1/2"):
+        with pytest.raises(ExactDomainError):
+            circle_point(bad)
+
+
+def test_compact_coordinate_norm_check():
+    assert TorusPoint((circle_point(Fraction(-2, 9)),), (COMPACT,)).rank == 1
+    for z in (GaussianRational(Fraction(3, 5), Fraction(4, 7)), GaussianRational(2), circle_point(Fraction(1, 3)) * 3):
+        with pytest.raises(ExactDomainError):
+            TorusPoint((z,), (COMPACT,))
 
 
 def test_weyl_character_singular():
@@ -251,7 +288,7 @@ def _regular_points(datum, rng, count):
             head, pattern = [GaussianRational(a)], (SPLIT,)
         circle = [circle_point(Fraction(rng.randint(1, 99), rng.randint(100, 199))) for _ in range(m - len(head))]
         gamma = TorusPoint(tuple(head + circle), pattern + (COMPACT,) * len(circle))
-        if any(_monomial(gamma, a).is_one() for a in datum.positive_roots()):
+        if any(_monomial(gamma, a) == 1 for a in datum.positive_roots()):
             continue
         out += [gamma, apply_weyl(gamma, rng.choice(elems))]
     return out
@@ -317,7 +354,7 @@ def test_evaluate_terms_matches_gaussian_reference(m):
     points = _regular_points(RootDatum("B", m), rng, 2)
     if m >= 2:
         pairs = [g for g in points if g.pattern[0] == rootdata.PAIR_FIRST]
-        assert pairs and all(g.coords[0].norm() != 1 for g in pairs)
+        assert pairs and all(g.coords[0] * g.coords[0].conjugate() != 1 for g in pairs)
         assert any(RAW in g.pattern for g in points)
     coefficients = (-7, -3, -2, -1, 1, 2, 4, 9)
     head = (2,) + (0,) * (m - 1)
@@ -738,7 +775,7 @@ def test_weyl_numerator_denominator_identity():
 def test_weight_invariants():
     w = Weight((3, 1))
     assert not w.is_integral
-    assert w.coords() == (Fraction(3, 2), Fraction(1, 2))
+    assert half_coords(w) == (Fraction(3, 2), Fraction(1, 2))
     assert (w + w).is_integral
     assert w.pairing_doubled((1, 1)) == 4
 
