@@ -44,7 +44,6 @@ from .rootdata import (
     passes_truncation,
     pi1_covector,
     pi2_covector,
-    power_table,
     rho,
     standard_levi,
 )
@@ -105,9 +104,9 @@ class GammaSample(Value):
         object.__setattr__(self, "circle_params", circle_params)
 
 
-def torus_point(case: ArchCase, sample: GammaSample) -> tuple[TorusPoint, list]:
-    """The regular point gamma of the sample and its power table, built once
-    per draw by sample_in_range and passed to every evaluator; raises
+def torus_point(case: ArchCase, sample: GammaSample) -> TorusPoint:
+    """The regular point gamma of the sample, built once per draw by
+    sample_in_range and passed to every evaluator; raises
     SingularPointError if gamma lies on a root wall, the only place
     regularity is decided."""
     z = tuple(circle_point(t) for t in sample.circle_params)
@@ -134,13 +133,12 @@ def torus_point(case: ArchCase, sample: GammaSample) -> tuple[TorusPoint, list]:
             (GaussianRational(sample.a), GaussianRational(sample.b)) + z,
             (SPLIT, SPLIT) + (COMPACT,) * len(z),
         )
-    powers = power_table(gamma)
     # A positive root e_i -+ e_j (i < j) is 1 at gamma exactly when
     # z_i = z_j^(+-1), and e_i on B when z_i = 1: compared as reduced
-    # (re, im, den) triples read from the power table's 1 and -1 entries,
-    # without a product per root.
-    zs = [(w.re_n, w.im_n, w.den) for w in (row[1] for row in powers)]
-    zs_inv = [(w.re_n, w.im_n, w.den) for w in (row[-1] for row in powers)]
+    # (re, im, den) triples of each z and its inverse, without a product
+    # per root.
+    zs = [(w.re_n, w.im_n, w.den) for w in gamma.coords]
+    zs_inv = [(w.re_n, w.im_n, w.den) for w in (z.inverse() for z in gamma.coords)]
     for i, zi in enumerate(zs):
         for j in range(i + 1, len(zs)):
             if zi == zs[j] or zi == zs_inv[j]:
@@ -148,7 +146,7 @@ def torus_point(case: ArchCase, sample: GammaSample) -> tuple[TorusPoint, list]:
                 raise SingularPointError(f"gamma is singular at root e_{i + 1} {sign} e_{j + 1}")
         if case.datum.kind == "B" and zi == (1, 0, 1):
             raise SingularPointError(f"gamma is singular at root e_{i + 1}")
-    return gamma, powers
+    return gamma
 
 
 # --- cached per-(case, lambda) Weyl data --------------------------------------
@@ -230,20 +228,20 @@ def _kostant_data(kind: str, m: int, levi_label: str, lam: tuple[int, ...], cuto
 # --- the Kostant-Weyl terms ----------------------------------------------------
 
 
-def L_M_normalized(case: ArchCase, sample: GammaSample, point) -> GaussianRational:
+def L_M_normalized(case: ArchCase, sample: GammaSample, gamma: TorusPoint) -> GaussianRational:
     """The Kostant-Weyl term divided by the common factor delta_P^(1/2) Delta_M^(-1),
-    at the point (gamma, power table) that torus_point built for the sample:
+    at the point gamma that torus_point built for the sample:
     integer-coefficient monomials at gamma, one plan per Kostant trace.
 
     Cases M1/M2 are single truncated traces (M2 carries the factor 2); case M12
     adds the conjugate-by-n_12 term at omega_0 gamma and subtracts the
     intermediate M2 term with the sign eta_2.
     """
-    _, powers = point
+    coords = gamma.coords
     kind, m, lam = case.datum.kind, case.m, case.lam
     if case.levi == "M1":
-        return evaluate_plan(_kostant_data(kind, m, "M1", lam, ("pi1",))[0], powers)
-    t_m2 = evaluate_plan(_kostant_data(kind, m, "M2", lam, ("pi2",))[0], powers)
+        return evaluate_plan(_kostant_data(kind, m, "M1", lam, ("pi1",))[0], coords)
+    t_m2 = evaluate_plan(_kostant_data(kind, m, "M2", lam, ("pi2",))[0], coords)
     if case.levi == "M2":
         return 2 * t_m2
     b = sample.b
@@ -255,8 +253,8 @@ def L_M_normalized(case: ArchCase, sample: GammaSample, point) -> GaussianRation
     else:
         ratio_sign = eta2 = 1
     at_gamma, at_omega0 = _kostant_data(kind, m, "M12", lam, ("pi1", "pi2"))
-    t_gamma = evaluate_plan(at_gamma, powers)
-    t_omega0 = evaluate_plan(at_omega0, powers)
+    t_gamma = evaluate_plan(at_gamma, coords)
+    t_omega0 = evaluate_plan(at_omega0, coords)
     return t_gamma + ratio_sign * t_omega0 - eta2 * t_m2
 
 
@@ -303,31 +301,29 @@ def _epsilon_R(case: ArchCase, sample: GammaSample) -> int:
     return -1 if count % 2 else 1
 
 
-def _character_sum(case: ArchCase, powers, x, system: Optional[str] = None) -> GaussianRational:
-    """sum over Omega of eps(w) c(w) gamma^{w(lam+rho)-rho} at the point of
-    the power table, with c(w) the cone constant at x (and of the system on
-    M12) of the doubled head (chi_1, chi_2) of chi = w(lam + rho)."""
+def _character_sum(case: ArchCase, gamma: TorusPoint, x, system: Optional[str] = None) -> GaussianRational:
+    """sum over Omega of eps(w) c(w) gamma^{w(lam+rho)-rho}, with c(w) the
+    cone constant at x (and of the system on M12) of the doubled head
+    (chi_1, chi_2) of chi = w(lam + rho)."""
     kind, m, lam = case.datum.kind, case.m, case.lam
     _, plan = _omega_data(kind, m, lam)
-    return evaluate_plan(plan, powers, _cone_weights(kind, m, lam, case.levi, x, system))
+    return evaluate_plan(plan, gamma.coords, _cone_weights(kind, m, lam, case.levi, x, system))
 
 
-def Phi_normalized(case: ArchCase, sample: GammaSample, point) -> GaussianRational:
+def Phi_normalized(case: ArchCase, sample: GammaSample, gamma: TorusPoint) -> GaussianRational:
     """The normalized character sum (-1)^q(G) eps_R(gamma) sum_w eps(w)
-    n(gamma, wB) (w lam)(gamma) prod a^-1(gamma) at the point (gamma, power
-    table) that torus_point built for the sample; exact zero off the identity
-    component."""
+    n(gamma, wB) (w lam)(gamma) prod a^-1(gamma) at the point gamma that
+    torus_point built for the sample; exact zero off the identity component."""
     a, b = sample.a, sample.b
-    _, powers = point
     q_sign = -1 if case.q_G % 2 else 1
     if case.levi == "M1":
         x_sign = 1 if a * a + b * b > 1 else -1
-        return (q_sign * _epsilon_R(case, sample)) * _character_sum(case, powers, x_sign)
+        return (q_sign * _epsilon_R(case, sample)) * _character_sum(case, gamma, x_sign)
     if case.levi == "M2":
         if a < 0:
             return ZERO
         x_sign = 1 if a > 1 else -1
-        return (q_sign * _epsilon_R(case, sample)) * _character_sum(case, powers, x_sign)
+        return (q_sign * _epsilon_R(case, sample)) * _character_sum(case, gamma, x_sign)
     if a * b < 0:
         return ZERO
     xr = _x_chamber_rep(abs(a), abs(b))
@@ -335,13 +331,13 @@ def Phi_normalized(case: ArchCase, sample: GammaSample, point) -> GaussianRation
         system = "B2"
     else:
         system = "D2"
-    return (q_sign * _epsilon_R(case, sample)) * _character_sum(case, powers, xr, system)
+    return (q_sign * _epsilon_R(case, sample)) * _character_sum(case, gamma, xr, system)
 
 
-def Phi_endos_normalized(case: ArchCase, sample: GammaSample, point) -> GaussianRational:
-    """The endoscopic variant for the odd case M12 at the point (gamma, power
-    table) of the sample, built on the short root system +-e1, +-e2 but
-    weighted by eps_R of the full system; exact zero unless a, b > 0."""
+def Phi_endos_normalized(case: ArchCase, sample: GammaSample, gamma: TorusPoint) -> GaussianRational:
+    """The endoscopic variant for the odd case M12 at the point gamma of the
+    sample, built on the short root system +-e1, +-e2 but weighted by eps_R
+    of the full system; exact zero unless a, b > 0."""
     if case.levi != "M12" or case.parity != "odd":
         raise ExactDomainError("the endoscopic variant lives on odd-case M12")
     a, b = sample.a, sample.b
@@ -349,7 +345,7 @@ def Phi_endos_normalized(case: ArchCase, sample: GammaSample, point) -> Gaussian
         return ZERO
     q_sign = -1 if case.q_G % 2 else 1
     xr = _x_chamber_rep(abs(a), abs(b))
-    return (q_sign * _epsilon_R(case, sample)) * _character_sum(case, point[1], xr, "A1xA1")
+    return (q_sign * _epsilon_R(case, sample)) * _character_sum(case, gamma, xr, "A1xA1")
 
 
 # --- identity verification ------------------------------------------------------
@@ -401,10 +397,10 @@ def _sample_circles(rng: random.Random, count: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def sample_in_range(case: ArchCase, rng: random.Random, region: str = "stated") -> tuple[GammaSample, tuple]:
+def sample_in_range(case: ArchCase, rng: random.Random, region: str = "stated") -> tuple[GammaSample, TorusPoint]:
     """Draw an exact sample in the stated range of the case's comparison
     identity (or in a vanishing/out-of-range control region), with the point
-    (gamma, power table) that torus_point built when it accepted the draw.
+    gamma that torus_point built when it accepted the draw.
     Raises ResourceLimitError after MAX_REJECTED_DRAWS rejected draws."""
     m = case.m
     n_circ = m - 1 if case.levi == "M2" else m - 2
@@ -442,33 +438,33 @@ def sample_in_range(case: ArchCase, rng: random.Random, region: str = "stated") 
                 a, b = b, a  # |a| > |b|-side: x1 > -|x2|
             sample = GammaSample(a, b, circ)
         try:
-            point = torus_point(case, sample)
+            gamma = torus_point(case, sample)
         except (SingularPointError, ExactDomainError):
             continue
-        return sample, point
+        return sample, gamma
     raise ResourceLimitError(f"no sample in the {region} region after {MAX_REJECTED_DRAWS} rejected draws")
 
 
-def identity_gap(case: ArchCase, sample: GammaSample, point) -> GaussianRational:
+def identity_gap(case: ArchCase, sample: GammaSample, gamma: TorusPoint) -> GaussianRational:
     """LHS - RHS of the case's comparison identity at the sample (zero = pass),
-    evaluated at the point (gamma, power table) that torus_point built for it."""
+    evaluated at the point gamma that torus_point built for it."""
     q_sign = -1 if case.q_G % 2 else 1
     if case.levi == "M1":
-        return Phi_normalized(case, sample, point) - (-2 * q_sign) * L_M_normalized(case, sample, point)
+        return Phi_normalized(case, sample, gamma) - (-2 * q_sign) * L_M_normalized(case, sample, gamma)
     if case.levi == "M2":
         a = sample.a
         if a < 0:
-            return Phi_normalized(case, sample, point)
-        return Phi_normalized(case, sample, point) - (-q_sign) * L_M_normalized(case, sample, point)
+            return Phi_normalized(case, sample, gamma)
+        return Phi_normalized(case, sample, gamma) - (-q_sign) * L_M_normalized(case, sample, gamma)
     if sample.a * sample.b < 0:
-        total = Phi_normalized(case, sample, point)
+        total = Phi_normalized(case, sample, gamma)
         if case.parity == "odd":
-            total = total + Phi_endos_normalized(case, sample, point)
+            total = total + Phi_endos_normalized(case, sample, gamma)
         return total
-    lhs = 4 * q_sign * L_M_normalized(case, sample, point)
-    rhs = Phi_normalized(case, sample, point)
+    lhs = 4 * q_sign * L_M_normalized(case, sample, gamma)
+    rhs = Phi_normalized(case, sample, gamma)
     if case.parity == "odd":
-        rhs = rhs + Phi_endos_normalized(case, sample, point)
+        rhs = rhs + Phi_endos_normalized(case, sample, gamma)
     return lhs - rhs
 
 
@@ -484,8 +480,8 @@ def verify_identity(
     rng = random.Random(seed)
     report = ArchReport()
     for k in range(samples):
-        sample, point = sample_in_range(case, rng, region)
-        gap = identity_gap(case, sample, point)
+        sample, gamma = sample_in_range(case, rng, region)
+        gap = identity_gap(case, sample, gamma)
         if gap != ZERO:
             report.failures.append(
                 {
@@ -500,8 +496,8 @@ def verify_identity(
     if case.levi in ("M2", "M12"):
         report.controls = vanishing_controls
         for k in range(vanishing_controls):
-            sample, point = sample_in_range(case, rng, "vanishing")
-            gap = identity_gap(case, sample, point)
+            sample, gamma = sample_in_range(case, rng, "vanishing")
+            gap = identity_gap(case, sample, gamma)
             if gap != ZERO:
                 report.failures.append({"index": f"vanish-{k}", "a": str(sample.a)})
     return report

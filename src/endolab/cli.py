@@ -256,10 +256,9 @@ def cmd_endoscopy(args) -> Report:
                 "out": endoscopy.out_group_size(h),
                 "iota": str(endoscopy.iota(args.d, h)),
             }
-            if isinstance(ctx, endoscopy.RealCtx):
+            if isinstance(ctx, (endoscopy.RealCtx, endoscopy.GlobalCtx)):
                 row["cuspidal"] = endoscopy.endo_is_cuspidal_R(h)
             if isinstance(ctx, endoscopy.GlobalCtx):
-                row["cuspidal"] = endoscopy.endo_is_cuspidal_R(h)
                 row["unramified"] = {
                     str(p): endoscopy.is_unramified_at_p(h, p)
                     for p in ctx.support

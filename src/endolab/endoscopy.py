@@ -21,6 +21,7 @@ from .exactnum import (
     REAL_CONTEXT,
     SquareClass,
     factorize,
+    is_prime,
     padic_valuation,
     squareclass_of,
 )
@@ -40,9 +41,14 @@ class LocalCtx(Value):
 
 
 class GlobalCtx(Value):
-    __slots__ = ("support",)  # primes allowed to ramify the discriminants
+    __slots__ = ("support",)  # distinct primes allowed to ramify the discriminants
 
     def __init__(self, support: tuple[int, ...]):
+        for p in support:
+            if not is_prime(p):
+                raise ExactDomainError(f"support entry {p} is not prime")
+        if len(set(support)) != len(support):
+            raise ExactDomainError(f"support {list(support)} repeats a prime")
         object.__setattr__(self, "support", support)
 
 

@@ -137,14 +137,9 @@ class UnramifiedGroup(Value):
         """Relative Weyl group over the degree-a unramified extension: the full
         group when Frobenius^a acts trivially, else its centralizer."""
         m = self.rank
-        gens: list[WeylElement] = [_transposition(m, i, i + 1) for i in range(m - 1)]
-        if self.kind == "B":
-            gens.append(_flip(m, m - 1))
-            return RelativeWeylGroup(m, tuple(gens))
-        if not self.flips or degree % 2 == 0:
-            if m >= 2:
-                gens.append(_flip(m, m - 1) * _flip(m, m - 2))
-            return RelativeWeylGroup(m, tuple(gens))
+        if self.kind == "B" or not self.flips or degree % 2 == 0:
+            parity = "odd" if self.kind == "B" else "even"
+            return RelativeWeylGroup(m, tuple(_so_factor_gens(m, 0, m, parity, True)))
         fixed = [i for i in range(m) if i not in self.flips]
         gens = [_transposition(m, i, j) for i, j in zip(fixed, fixed[1:])]
         if len(self.flips) == 2:

@@ -80,10 +80,6 @@ class Laurent:
         return cls(len(doubled_exp), {tuple(doubled_exp): coeff})
 
     @classmethod
-    def one(cls, rank: int) -> "Laurent":
-        return cls._make(rank, {0: 1}, 0)
-
-    @classmethod
     def product_of_blocks(cls, rank: int, blocks) -> "Laurent":
         """The product of polynomials in disjoint coordinate blocks.
 

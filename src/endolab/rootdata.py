@@ -108,6 +108,7 @@ class Weight(Value):
         return sum(map(mul, self.doubled, covector))
 
 
+@lru_cache(maxsize=None)
 def rho(datum: RootDatum) -> Weight:
     m = datum.rank
     if datum.kind == "B":
@@ -211,33 +212,6 @@ def circle_point(t: RationalLike) -> GaussianRational:
     circle; at t = p/q it is ((q^2-p^2) + 2pq i)/(q^2+p^2), in ints."""
     p, q = _num_den(t)
     return GaussianRational._raw(q * q - p * p, 2 * p * q, q * q + p * p)
-
-
-class _Powers(dict):
-    """{e: z**e} for one coordinate z, filled on first use from the nearest
-    power toward 0: one multiplication per new exponent."""
-
-    __slots__ = ("z",)
-
-    def __init__(self, z: GaussianRational):
-        super().__init__({0: ONE, 1: z})
-        self.z = z
-
-    def __missing__(self, e: int) -> GaussianRational:
-        if e > 0:
-            v = self[e - 1] * self.z
-        elif e == -1:
-            v = self.z.inverse()
-        else:
-            v = self[e + 1] * self[-1]
-        self[e] = v
-        return v
-
-
-def power_table(gamma: TorusPoint) -> list[_Powers]:
-    """Per coordinate, the table {e: z**e} of its integer powers.  A table
-    belongs to one evaluation at one point and is dropped with it."""
-    return [_Powers(z) for z in gamma.coords]
 
 
 @lru_cache(maxsize=None)
@@ -438,23 +412,29 @@ def alternant_plan(datum: RootDatum, lam: Weight) -> tuple[tuple, TermPlan]:
     return tuple(groups), _alternant_plan(datum.kind, tuple(groups.values()), r)
 
 
-def evaluate_plan(plan: TermPlan, powers: Sequence[_Powers], weights: Sequence[int] = (1,)) -> GaussianRational:
-    """sum over the roots of weight * root at the point of the power table,
-    without a gcd per operation.  Per varying coordinate z_j = n_j / d_j with
-    n_j a Gaussian integer and H_j = hi_j - lo_j, so z_j^(e - lo_j) is the
-    Gaussian integer n_j^(e - lo_j) d_j^(hi_j - e) over d_j^H_j.  The levels
-    fold from the last coordinate to the first, one Gaussian-integer
-    multiply-add per edge, over the shared denominator prod_j d_j^H_j; the
-    sum is reduced once, then multiplied by prod_j z_j^lo_j over every
-    coordinate."""
-    den = 1
-    shift = ONE
-    for j, lo in enumerate(plan.shift):
+def evaluate_plan(plan: TermPlan, coords: Sequence[GaussianRational], weights: Sequence[int] = (1,)) -> GaussianRational:
+    """sum over the roots of weight * root at the point with these
+    coordinates, without a gcd per operation.  Per coordinate z_j = n_j / d_j
+    with n_j = a_j + i b_j a Gaussian integer.  For a varying coordinate
+    with H_j = hi_j - lo_j, z_j^(e - lo_j) is the Gaussian integer
+    n_j^(e - lo_j) d_j^(hi_j - e) over d_j^H_j.  The levels fold from the
+    last coordinate to the first, one Gaussian-integer multiply-add per
+    edge, over the shared denominator prod_j d_j^H_j.  The shift
+    prod_j z_j^lo_j over every coordinate joins the fold as n_j^lo_j over
+    d_j^lo_j, or for lo_j < 0 as (d_j conj n_j)^|lo_j| over
+    (a_j^2 + b_j^2)^|lo_j|, and the sum is reduced once."""
+    sx, sy, den = 1, 0, 1  # the shift is (sx + i sy) / den; the fold's denominators join den
+    for z, lo in zip(coords, plan.shift):
         if lo:
-            shift = shift * powers[j][lo]
+            a, b, d = z.re_n, z.im_n, z.den
+            if lo < 0:
+                a, b, d = d * a, -d * b, a * a + b * b
+            for _ in range(abs(lo)):
+                sx, sy = sx * a - sy * b, sx * b + sy * a
+            den *= d ** abs(lo)
     vals = None
     for (j, lo, hi), nodes in zip(reversed(plan.columns), reversed(plan.levels)):
-        z = powers[j].z
+        z = coords[j]
         a, b, d = z.re_n, z.im_n, z.den
         den *= d ** (hi - lo)
         row, x, y = [], 1, 0  # x + iy = n_j^(e - lo)
@@ -483,26 +463,26 @@ def evaluate_plan(plan: TermPlan, powers: Sequence[_Powers], weights: Sequence[i
             u, v = (1, 0) if index is None else vals[index]
             re_sum += w * s * u
             im_sum += w * s * v
-    return GaussianRational._raw(re_sum, im_sum, den) * shift
+    return GaussianRational._raw(re_sum * sx - im_sum * sy, re_sum * sy + im_sum * sx, den)
 
 
-def root_value(powers: Sequence[_Powers], alpha: Sequence[int]) -> GaussianRational:
-    """alpha(gamma) = prod_j z_j^{alpha_j}, read from the power table of gamma;
-    alpha is a root or its negative."""
+def root_value(coords: Sequence[GaussianRational], alpha: Sequence[int]) -> GaussianRational:
+    """alpha(gamma) = prod_j z_j^{alpha_j} at the point with these
+    coordinates; alpha is a root or its negative."""
     v = ONE
-    for row, c in zip(powers, alpha):
+    for z, c in zip(coords, alpha):
         if c:
-            v = v * row[c]
+            v = v * z**c
     return v
 
 
-def weyl_denominator(roots: Sequence[Root], powers: Sequence[_Powers]) -> GaussianRational:
-    """prod_{a in roots} (1 - a^-1) at the point of the power table: Delta over
-    the positive roots of a datum, Delta_M over those of a Levi.  It is 0 on
-    a root wall."""
+def weyl_denominator(roots: Sequence[Root], coords: Sequence[GaussianRational]) -> GaussianRational:
+    """prod_{a in roots} (1 - a^-1) at the point with these coordinates:
+    Delta over the positive roots of a datum, Delta_M over those of a Levi.
+    It is 0 on a root wall."""
     delta = ONE
     for alpha in roots:
-        delta = delta * (ONE - root_value(powers, [-c for c in alpha]))
+        delta = delta * (ONE - root_value(coords, [-c for c in alpha]))
     return delta
 
 
@@ -514,11 +494,10 @@ def weyl_character(datum: RootDatum, lam: Weight, gamma: TorusPoint) -> Gaussian
     tests and the benchmark's check call it, and the archimedean evaluators
     use its parts."""
     mu, r = _shifted(datum, lam)
-    powers = power_table(gamma)
-    delta = weyl_denominator(datum.positive_roots(), powers)
+    delta = weyl_denominator(datum.positive_roots(), gamma.coords)
     if delta.is_zero():
         raise SingularPointError("torus point lies on a root wall")
-    return evaluate_plan(_alternant_plan(datum.kind, ({((), mu, False): 1},), r), powers) / delta
+    return evaluate_plan(_alternant_plan(datum.kind, ({((), mu, False): 1},), r), gamma.coords) / delta
 
 
 def is_dominant(datum: RootDatum, lam: Weight) -> bool:

@@ -30,7 +30,6 @@ from endolab.rootdata import (
     Weight,
     WeylElement,
     levi_positive_roots,
-    power_table,
     rho,
     root_value,
     standard_levi,
@@ -76,7 +75,7 @@ ARCH_CASES = [(levi, d) for d in (7, 8, 9, 10) for levi in ("M1", "M2", "M12") i
 
 
 def _monomial(gamma, exponents):
-    """prod_j z_j^{e_j} by GaussianRational powers, independent of the power table."""
+    """prod_j z_j^{e_j} by GaussianRational powers, independent of evaluate_plan."""
     out = GaussianRational(1)
     for z, e in zip(gamma.coords, exponents):
         out = out * z**e
@@ -103,18 +102,18 @@ def _head_coefficient(chi_1, chi_2):
     return chi_1 - 3 * chi_2 + 1
 
 
-def _character_sum_with(case, powers, coefficient):
-    """The case's character-sum plan at the point of the power table, each
-    head (chi_1, chi_2) weighted by coefficient(chi_1, chi_2)."""
+def _character_sum_with(case, gamma, coefficient):
+    """The case's character-sum plan at gamma, each head (chi_1, chi_2)
+    weighted by coefficient(chi_1, chi_2)."""
     heads, plan = archcmp._omega_data(case.datum.kind, case.m, case.lam)
-    return rootdata.evaluate_plan(plan, powers, [coefficient(*head) for head in heads])
+    return rootdata.evaluate_plan(plan, gamma.coords, [coefficient(*head) for head in heads])
 
 
 @pytest.mark.parametrize("levi,d", ARCH_CASES)
 def test_character_sum_matches_product_form(levi, d):
     case = ArchCase(levi, d, tuple(([3, 2, 1] + [0] * d)[: d // 2]))
-    _, (gamma, powers) = sample_in_range(case, random.Random(d))
-    assert _character_sum_with(case, powers, _head_coefficient) == _product_form_sum(case, gamma, _head_coefficient)
+    _, gamma = sample_in_range(case, random.Random(d))
+    assert _character_sum_with(case, gamma, _head_coefficient) == _product_form_sum(case, gamma, _head_coefficient)
 
 
 # Edges of each case's plans: the character sum, the Kostant trace and, on
@@ -160,9 +159,9 @@ def test_plans_match_term_plan_and_keep_their_edges(levi, d):
     assert plan_edges(want) == PLAN_EDGES[(levi, d)][0]
     rng = random.Random(d)
     for _ in range(3):
-        _, (_, powers) = sample_in_range(case, rng)
+        coords = sample_in_range(case, rng)[1].coords
         weights = [rng.randint(-4, 4) for _ in heads]
-        assert rootdata.evaluate_plan(plan, powers, weights) == rootdata.evaluate_plan(want, powers, weights)
+        assert rootdata.evaluate_plan(plan, coords, weights) == rootdata.evaluate_plan(want, coords, weights)
 
 
 def _kostant_terms(kind, m, levi_label, lam, cutoffs):
@@ -223,13 +222,13 @@ def test_kostant_plans_are_the_term_plans(levi, d, lam):
         at_omega0 = archcmp._kostant_data(kind, m, "M12", lam, CUTOFFS["M12"])[1]
         wanted.append((at_omega0, term_plan(([(c, shift(e)) for c, e in terms],))))
     rng = random.Random(d)
-    points = [sample_in_range(case, rng)[1][1] for _ in range(3)]
+    points = [sample_in_range(case, rng)[1].coords for _ in range(3)]
     for plan, want in wanted:
         assert (plan.shift, plan.columns) == (want.shift, want.columns)
         assert [len(level) for level in plan.levels] == [len(level) for level in want.levels]
         assert plan_edges(plan) == plan_edges(want)
-        for powers in points:
-            assert rootdata.evaluate_plan(plan, powers) == rootdata.evaluate_plan(want, powers)
+        for coords in points:
+            assert rootdata.evaluate_plan(plan, coords) == rootdata.evaluate_plan(want, coords)
 
 
 @pytest.mark.parametrize("levi,d", ARCH_CASES)
@@ -302,10 +301,10 @@ def test_normalized_values_are_pinned(levi, d):
     rng = random.Random(1000 + d)
     values = []
     for _ in range(3):
-        sample, point = sample_in_range(case, rng)
-        row = [Phi_normalized(case, sample, point), L_M_normalized(case, sample, point)]
+        sample, gamma = sample_in_range(case, rng)
+        row = [Phi_normalized(case, sample, gamma), L_M_normalized(case, sample, gamma)]
         if levi == "M12" and d % 2:
-            row.append(Phi_endos_normalized(case, sample, point))
+            row.append(Phi_endos_normalized(case, sample, gamma))
         values.append([[z.re_n, z.im_n, z.den] for z in row])
     digest = hashlib.sha256(json.dumps(values, separators=(",", ":")).encode()).hexdigest()
     assert digest == PINNED_VALUES[(levi, d)]
@@ -323,10 +322,10 @@ def _m12_points(case):
     rng = random.Random(case.d)
     out = {}
     for _ in range(200):
-        sample, point = sample_in_range(case, rng)
+        sample, gamma = sample_in_range(case, rng)
         points = out.setdefault((sample.b > 0, abs(sample.b) > 1), [])
         if len(points) < 3:
-            points.append((sample, point))
+            points.append((sample, gamma))
         if sorted(map(len, out.values())) == [3, 3, 3, 3]:
             break
     assert sorted(map(len, out.values())) == [3, 3, 3, 3]
@@ -354,9 +353,9 @@ def _abs2(z: GaussianRational) -> GaussianRational:
     return z * z.conjugate()
 
 
-def _delta_half_ratio(case, powers, powers_p) -> Fraction:
+def _delta_half_ratio(case, coords, coords_p) -> Fraction:
     """delta_P^(1/2)(gamma') / delta_P^(1/2)(gamma), an exact positive rational,
-    from the power tables of gamma and gamma', root by root.
+    from the coordinates of gamma and gamma', root by root.
 
     |alpha(gamma)|^2 = alpha(gamma) times its conjugate, so the product below
     is the 4th power of the ratio; _sqrt_fraction raises unless both roots
@@ -366,7 +365,7 @@ def _delta_half_ratio(case, powers, powers_p) -> Fraction:
     ratio_4th = Fraction(1)
     for alpha in datum.positive_roots():
         if alpha not in levi_pos:
-            ratio_4th *= (_abs2(root_value(powers_p, alpha)) / _abs2(root_value(powers, alpha))).re
+            ratio_4th *= (_abs2(root_value(coords_p, alpha)) / _abs2(root_value(coords, alpha))).re
     return _sqrt_fraction(_sqrt_fraction(ratio_4th))
 
 
@@ -377,13 +376,13 @@ def test_omega0_delta_half_ratio_is_a_monomial_in_b(d):
     sign that the omega_0 term list applies at gamma."""
     case = ArchCase("M12", d, tuple(([3, 2, 1] + [0] * d)[: d // 2]))
     m = case.m
-    for sample, (gamma, powers) in _m12_points(case):
+    for sample, gamma in _m12_points(case):
         b = sample.b
         if case.parity == "odd":
             closed = (1 if b > 0 else -1) * b ** -(2 * m - 3)
         else:
             closed = b ** -(2 * (m - 2))
-        assert _delta_half_ratio(case, powers, power_table(apply_weyl(gamma, _omega0(case)))) == closed
+        assert _delta_half_ratio(case, gamma.coords, apply_weyl(gamma, _omega0(case)).coords) == closed
 
 
 @pytest.mark.parametrize("d", [8, 10])
@@ -391,9 +390,9 @@ def test_omega0_tail_denominator_is_z_power(d):
     """On D, omega_0 inverts z, and Delta_tail(omega_0 gamma) = z^2(m-3) Delta_tail(gamma)."""
     case = ArchCase("M12", d, tuple(([3, 2, 1] + [0] * d)[: d // 2]))
     tail = RootDatum("D", case.m - 2).positive_roots()
-    for _, (gamma, powers) in _m12_points(case):
-        at_omega0 = weyl_denominator(tail, power_table(apply_weyl(gamma, _omega0(case)))[2:])
-        assert at_omega0 == gamma.coords[2] ** (2 * (case.m - 3)) * weyl_denominator(tail, powers[2:])
+    for _, gamma in _m12_points(case):
+        at_omega0 = weyl_denominator(tail, apply_weyl(gamma, _omega0(case)).coords[2:])
+        assert at_omega0 == gamma.coords[2] ** (2 * (case.m - 3)) * weyl_denominator(tail, gamma.coords[2:])
 
 
 @pytest.mark.parametrize("d", [7, 8])
@@ -403,7 +402,7 @@ def test_m1_heads_without_the_1_over_x_shift_fail(monkeypatch, d):
     case = ArchCase("M1", d, tuple(([3, 2, 1] + [0] * d)[: d // 2]))
     rng = random.Random(d)
     samples = [sample_in_range(case, rng) for _ in range(3)]
-    assert all(identity_gap(case, s, point) == ZERO for s, point in samples)
+    assert all(identity_gap(case, s, gamma) == ZERO for s, gamma in samples)
     real = archcmp._kostant_entries
 
     def times_x(kind, m, levi_label, lam, cutoffs):
@@ -413,7 +412,7 @@ def test_m1_heads_without_the_1_over_x_shift_fail(monkeypatch, d):
     monkeypatch.setattr(archcmp, "_kostant_entries", times_x)
     archcmp._kostant_data.cache_clear()
     try:
-        assert all(identity_gap(case, s, point) != ZERO for s, point in samples)
+        assert all(identity_gap(case, s, gamma) != ZERO for s, gamma in samples)
     finally:
         archcmp._kostant_data.cache_clear()
 
@@ -436,12 +435,12 @@ def test_omega0_without_the_d_parity_flip_fails(monkeypatch):
 def test_character_sum_without_rho_shift_fails(monkeypatch):
     """Negative control: exponents w(lam+rho) with the -rho shift dropped."""
     case = ArchCase("M12", 8, (3, 2, 1, 0))
-    _, (gamma, powers) = sample_in_range(case, random.Random(8))
+    _, gamma = sample_in_range(case, random.Random(8))
     expected = _product_form_sum(case, gamma, _head_coefficient)
     monkeypatch.setattr(rootdata, "_alternant_plan", without_rho_shift(rootdata._alternant_plan))
     archcmp._omega_data.cache_clear()
     try:
-        assert _character_sum_with(case, powers, _head_coefficient) != expected
+        assert _character_sum_with(case, gamma, _head_coefficient) != expected
     finally:
         archcmp._omega_data.cache_clear()
 
@@ -469,22 +468,22 @@ def test_identity_d9_m2():
 def test_vanishing_regions():
     rng = random.Random(17)
     case = ArchCase("M2", 7, (1, 0, 0))
-    s, point = sample_in_range(case, rng, "vanishing")
-    assert s.a < 0 and Phi_normalized(case, s, point) == ZERO
+    s, gamma = sample_in_range(case, rng, "vanishing")
+    assert s.a < 0 and Phi_normalized(case, s, gamma) == ZERO
     case12 = ArchCase("M12", 7, (1, 0, 0))
-    s12, point12 = sample_in_range(case12, rng, "vanishing")
+    s12, gamma12 = sample_in_range(case12, rng, "vanishing")
     assert s12.a * s12.b < 0
-    assert Phi_normalized(case12, s12, point12) == ZERO
-    assert Phi_endos_normalized(case12, s12, point12) == ZERO
+    assert Phi_normalized(case12, s12, gamma12) == ZERO
+    assert Phi_endos_normalized(case12, s12, gamma12) == ZERO
 
 
 def test_endos_zero_for_negative_pair():
     case = ArchCase("M12", 7, (0, 0, 0))
     s = GammaSample(Fraction(-1, 5), Fraction(-1, 2), (Fraction(1, 3),))
-    point = torus_point(case, s)
-    assert Phi_endos_normalized(case, s, point) == ZERO
+    gamma = torus_point(case, s)
+    assert Phi_endos_normalized(case, s, gamma) == ZERO
     # but Phi itself is not forced to vanish there
-    assert identity_gap(case, s, point) == ZERO
+    assert identity_gap(case, s, gamma) == ZERO
 
 
 def _epsilon_R_endos(sample) -> int:
@@ -493,21 +492,21 @@ def _epsilon_R_endos(sample) -> int:
     return -1 if sum(0 < v < 1 for v in (sample.a, sample.b)) % 2 else 1
 
 
-def _symmetric(case, sample, point, other, expected_sign) -> bool:
+def _symmetric(case, sample, gamma, other, expected_sign) -> bool:
     """Phi at the sample equals Phi at the other sample, and the eps_R
     eps_R_endos weighted endoscopic sums agree up to expected_sign.
 
     The statements concern the un-normalized sums, so the two normalized
     values are compared through the exact delta_P^(1/2)-ratio (the Levi
     factor Delta_M is invariant under both moves)."""
-    other_point = torus_point(case, other)
-    r = _delta_half_ratio(case, point[1], other_point[1])
-    if Phi_normalized(case, sample, point) != r * Phi_normalized(case, other, other_point):
+    other_gamma = torus_point(case, other)
+    r = _delta_half_ratio(case, gamma.coords, other_gamma.coords)
+    if Phi_normalized(case, sample, gamma) != r * Phi_normalized(case, other, other_gamma):
         return False
     w1 = _epsilon_R(case, sample) * _epsilon_R_endos(sample)
     w2 = _epsilon_R(case, other) * _epsilon_R_endos(other)
-    e1 = Phi_endos_normalized(case, sample, point)
-    e2 = Phi_endos_normalized(case, other, other_point)
+    e1 = Phi_endos_normalized(case, sample, gamma)
+    e2 = Phi_endos_normalized(case, other, other_gamma)
     return w1 * e1 == (expected_sign * w2 * r) * e2
 
 
@@ -518,12 +517,12 @@ def test_symmetry_swap_and_invert():
     case = ArchCase("M12", 7, (1, 1, 0))
     checked = 0
     while checked < 4:
-        s, point = sample_in_range(case, rng)
+        s, gamma = sample_in_range(case, rng)
         if s.a == s.b:
             continue
         assert s.a * s.b > 0
-        assert _symmetric(case, s, point, GammaSample(s.b, s.a, s.circle_params), -1)
-        assert _symmetric(case, s, point, GammaSample(1 / s.a, s.b, s.circle_params), 1)
+        assert _symmetric(case, s, gamma, GammaSample(s.b, s.a, s.circle_params), -1)
+        assert _symmetric(case, s, gamma, GammaSample(1 / s.a, s.b, s.circle_params), 1)
         checked += 1
 
 
@@ -590,8 +589,7 @@ def _on_root_wall(case, sample) -> bool:
     else:
         head = (GaussianRational(sample.a), GaussianRational(sample.b))
     gamma = TorusPoint(head + circles, (RAW,) * len(head + circles))
-    powers = power_table(gamma)
-    return any(root_value(powers, alpha) == 1 for alpha in case.datum.positive_roots())
+    return any(root_value(gamma.coords, alpha) == 1 for alpha in case.datum.positive_roots())
 
 
 def _raises_singular(case, sample) -> bool:

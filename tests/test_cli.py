@@ -179,6 +179,25 @@ def test_endoscopy_delta_outside_the_global_support_is_an_input_error(capsys, co
         assert out["witnesses"] == [{"error": error}]
 
 
+@pytest.mark.parametrize(
+    "context,error",
+    [
+        ("global:-3", "support entry -3 is not prime"),
+        ("global:0", "support entry 0 is not prime"),
+        ("global:1,4", "support entry 1 is not prime"),
+        ("global:3,3", "support [3, 3] repeats a prime"),
+    ],
+)
+def test_endoscopy_global_support_must_be_distinct_primes(capsys, context, error):
+    """These used to pass, reporting unramifiedness at -3 or listing 3 twice."""
+    from endolab import cli
+
+    assert cli.main(["endoscopy", "--d", "9", "--context", context]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert (out["command"], out["status"]) == ("endoscopy", "error")
+    assert out["witnesses"] == [{"error": error}]
+
+
 def test_endoscopy_delta_inside_the_global_support_passes(capsys):
     from endolab import cli
 

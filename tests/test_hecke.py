@@ -126,6 +126,20 @@ def _count_walks(monkeypatch) -> list:
     return sizes
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_split_relative_group_generators(m):
+    """The full W(B_m) and split W(D_m), as the SO factor over all m
+    coordinates: the adjacent transpositions, then the last flip on B and
+    the flip of the last two coordinates on D (none on D_1), in that order;
+    on D also with flips over an even degree, where Frobenius acts trivially."""
+    transpositions = [_transposition(m, i, i + 1) for i in range(m - 1)]
+    want_b = tuple(transpositions + [_flip(m, m - 1)])
+    want_d = tuple(transpositions + ([_flip(m, m - 1) * _flip(m, m - 2)] if m >= 2 else []))
+    assert UnramifiedGroup("B", m).relative_group().gens == want_b
+    assert UnramifiedGroup("D", m).relative_group().gens == want_d
+    assert UnramifiedGroup("D", m, (0,)).relative_group(2).gens == want_d
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_is_subgroup_of(m, monkeypatch):
     w_b = UnramifiedGroup("B", m).relative_group()

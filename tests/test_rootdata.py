@@ -150,10 +150,11 @@ def term_plan(groups) -> rootdata.TermPlan:
     return rootdata.TermPlan(tuple(lo for lo, _ in cols), columns, levels, roots)
 
 
-def evaluate_terms(terms, powers):
-    """sum of c * prod_j z_j^{e_j} over (c, exponents) terms: the one-root
-    term_plan of the terms, evaluated with weight 1."""
-    return rootdata.evaluate_plan(term_plan((terms,)), powers)
+def evaluate_terms(terms, coords):
+    """sum of c * prod_j z_j^{e_j} over (c, exponents) terms at the point
+    with these coordinates: the one-root term_plan of the terms, evaluated
+    with weight 1."""
+    return rootdata.evaluate_plan(term_plan((terms,)), coords)
 
 
 def alternant_terms(datum, lam) -> list:
@@ -249,7 +250,7 @@ def test_weyl_character_singular():
 
 
 def _monomial(gamma, exponents):
-    """prod_j z_j^{e_j} by GaussianRational powers, independent of the power table."""
+    """prod_j z_j^{e_j} by GaussianRational powers, independent of evaluate_plan."""
     out = GaussianRational(1)
     for z, e in zip(gamma.coords, exponents):
         out = out * z**e
@@ -320,14 +321,6 @@ def test_weyl_character_without_rho_shift_fails(kind, m, monkeypatch):
     assert weyl_character(datum, lam, gamma) != _product_form_character(datum, lam, gamma)
 
 
-def test_power_table_reads_integer_powers():
-    z = circle_point(Fraction(2, 7)) * 3
-    gamma = TorusPoint((z,), (RAW,))
-    row = rootdata.power_table(gamma)[0]
-    for e in (5, -4, 0, 1, -1, 2):
-        assert row[e] == z ** e
-
-
 def _gaussian_terms_sum(terms, gamma):
     """The reference for evaluate_terms: sum of c * prod_j z_j^{e_j}, one
     GaussianRational + or * per step, powers by repeated squaring."""
@@ -359,8 +352,8 @@ def test_evaluate_terms_matches_gaussian_reference(m):
     coefficients = (-7, -3, -2, -1, 1, 2, 4, 9)
     head = (2,) + (0,) * (m - 1)
     for gamma in points:
-        powers = rootdata.power_table(gamma)
-        assert evaluate_terms((), powers) == GaussianRational(0)
+        coords = gamma.coords
+        assert evaluate_terms((), coords) == GaussianRational(0)
         for const in (0, -2, 3):  # the last column is constant
             for lo, hi in ((-5, 5), (1, 6), (-6, -1)):
                 terms = [
@@ -368,7 +361,7 @@ def test_evaluate_terms_matches_gaussian_reference(m):
                     for _ in range(15)
                 ]
                 terms.append((-terms[0][0], terms[0][1]))  # a term that cancels another
-                got = evaluate_terms(terms, powers)
+                got = evaluate_terms(terms, coords)
                 assert got == _gaussian_terms_sum(terms, gamma), (gamma, terms)
 
                 groups = [
@@ -383,8 +376,8 @@ def test_evaluate_terms_matches_gaussian_reference(m):
                 want = GaussianRational(0)
                 for w, group in zip(weights, groups):
                     want = want + w * _gaussian_terms_sum(group, gamma)
-                assert rootdata.evaluate_plan(plan, powers, weights) == want, (gamma, terms)
-                assert rootdata.evaluate_plan(plan, powers, (0, 1, 0, 0, 0)) == _gaussian_terms_sum(groups[1], gamma)
+                assert rootdata.evaluate_plan(plan, coords, weights) == want, (gamma, terms)
+                assert rootdata.evaluate_plan(plan, coords, (0, 1, 0, 0, 0)) == _gaussian_terms_sum(groups[1], gamma)
                 (g, node), (g3, node3) = plan.roots[:2]
                 assert (g3, node3) == (-3 * g, node) and plan.roots[3:] == ((0, None), (0, None))
                 if m >= 2:
@@ -394,7 +387,7 @@ def test_evaluate_terms_matches_gaussian_reference(m):
         constant = [(2, (1,) * m), (-5, (1,) * m)]
         plan = term_plan((constant, [], constant[:1]))
         assert plan.levels == () and plan.roots == ((-3, None), (0, None), (2, None))
-        assert rootdata.evaluate_plan(plan, powers, (2, 7, -1)) == _gaussian_terms_sum(constant * 2 + [(-2, (1,) * m)], gamma)
+        assert rootdata.evaluate_plan(plan, coords, (2, 7, -1)) == _gaussian_terms_sum(constant * 2 + [(-2, (1,) * m)], gamma)
 
 
 def test_character_sum_plan_shares_sub_polynomials():
@@ -479,9 +472,8 @@ def test_alternant_plan_is_the_term_plan(kind, m):
         assert [len(level) for level in plan.levels] == [len(level) for level in want.levels]
         assert plan_edges(plan) == plan_edges(want), lam_c
         for gamma in points:
-            powers = rootdata.power_table(gamma)
             weights = [rng.randint(-4, 4) for _ in heads]
-            assert rootdata.evaluate_plan(plan, powers, weights) == rootdata.evaluate_plan(want, powers, weights)
+            assert rootdata.evaluate_plan(plan, gamma.coords, weights) == rootdata.evaluate_plan(want, gamma.coords, weights)
 
 
 @pytest.mark.parametrize("kind,m", [(k, m) for k in "BD" for m in range(1, 6)])
@@ -504,8 +496,7 @@ def test_one_group_plan_is_the_term_plan(kind, m):
         assert [len(level) for level in plan.levels] == [len(level) for level in want.levels], lam_c
         assert plan_edges(plan) == plan_edges(want), lam_c
         for gamma in points:
-            powers = rootdata.power_table(gamma)
-            assert rootdata.evaluate_plan(plan, powers) == rootdata.evaluate_plan(want, powers), lam_c
+            assert rootdata.evaluate_plan(plan, gamma.coords) == rootdata.evaluate_plan(want, gamma.coords), lam_c
     if (kind, m) == ("D", 1):
         assert plan.columns == () and plan.roots == ((1, None),)
 
@@ -710,7 +701,7 @@ def test_levi_denominator_times_koszul_is_weyl_denominator():
             assert len(levis) == 2 ** m
             for levi in levis:
                 levi_roots = levi_positive_roots(datum, levi)
-                d_m = Laurent.one(m).mul_binomials(r, _doubled(levi_roots))
+                d_m = Laurent.monomial((0,) * m).mul_binomials(r, _doubled(levi_roots))
                 assert d_m == _binomial_product(m, r, levi_roots), (kind, m, levi)
                 assert _product(d_m, _koszul_alternation(datum, levi)) == a_rho, (kind, m, levi)
 

@@ -22,7 +22,6 @@ ALLOWED = {
 # benchmark (whose tracing wraps RelativeWeylGroup.elements).  This list may
 # only shrink too.
 ALLOWED_METHODS = {
-    "Laurent.one",
     "RelativeWeylGroup.elements",
 }
 
