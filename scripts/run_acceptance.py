@@ -7,7 +7,7 @@ tests/test_acceptance.py pins in REPORT_SHA256.  Two checkouts give
 byte-identical reports exactly when this script's lines agree but for the
 times.
 
-Usable without pytest; honors ENDOLAB_WORKERS for the archimedean sweep.
+Usable without pytest.
 """
 
 import hashlib

@@ -358,10 +358,6 @@ class ArchReport(Value, frozen=False):
         self.failures = [] if failures is None else failures
         self.controls = controls  # vanishing-region samples checked
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
 
 def _rng_fraction(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
     den = rng.randint(7, 40)

@@ -6,13 +6,12 @@ are byte-identical across runs with the same parameters and seed; wall-clock
 timing goes to stderr.  Exit codes: 0 pass, 1 verification failure, 2 usage or
 input error.  A verify suite names the case it is computing in `Report.case`:
 a failed check records that case as its witness, and an error report names it.
-ENDOLAB_WORKERS > 1 fans independent verification cases out to a process pool,
-imported only then; results are taken in case-key order, so the report stays
-deterministic.  Each command imports the endolab modules it runs, and
-`import endolab.cli` loads only `endolab.errors` and `endolab.value`.  So a
-command outside the root-datum, Hecke and archimedean suites never loads those
-layers, and no command loads `dataclasses` or `inspect`: the value types,
-`Report` among them, are slotted classes on `endolab.value.Value`.
+Each command imports the endolab modules it runs, and `import endolab.cli`
+loads only `endolab.errors` and `endolab.value`.  So a command outside the
+root-datum, Hecke and archimedean suites never loads those layers, and no
+command loads `dataclasses` or `inspect`: the value types, `Report` among
+them, are slotted classes on `endolab.value.Value`.  Every suite runs its
+cases in one process, in a fixed order.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import random
 import sys
 import time
@@ -133,29 +131,6 @@ def _emit(report: Report) -> int:
     if report.timing is not None:
         print(f"# elapsed: {report.timing:.3f}s", file=sys.stderr)
     return {"pass": 0, "fail": 1, "error": 2}[report.status]
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("ENDOLAB_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_cases(fn, keys):
-    """Yield fn of each case key in key order, computed in a process pool when
-    ENDOLAB_WORKERS > 1; an error raised for a key is raised when its result
-    is taken.  The pool never has more workers than CPUs or keys, and its
-    modules load only when a pool runs."""
-    keys = list(keys)
-    n = min(_workers(), os.cpu_count() or 1, len(keys))
-    if n <= 1:
-        yield from map(fn, keys)
-        return
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=n) as pool:
-        yield from pool.map(fn, keys)
 
 
 # --- quadspace ------------------------------------------------------------------
@@ -350,21 +325,14 @@ def _suite_vanishing(rep: Report, *, case=None, r=None, t=None, trials=20, seed=
                             rep.check("M_i = 0", not any(M), witness)
 
 
-def _arch_case_runner(key):
-    from . import archcmp
-
-    levi, d, lam, samples, seed = key
-    case = archcmp.ArchCase(levi, d, lam)
-    r = archcmp.verify_identity(case, samples=samples, seed=seed, vanishing_controls=5)
-    return r.failures, r.controls
-
-
 def _default_lambda(d: int) -> tuple[int, ...]:
     m = d // 2
     return tuple(([3, 2, 1] + [0] * m)[:m])
 
 
 def _suite_arch(rep: Report, *, d=None, case=None, lam=None, samples=50, seed=7):
+    from . import archcmp
+
     _at_least("d", d, 7)
     rep.parameters["range"] = "stated"
     try:
@@ -377,22 +345,20 @@ def _suite_arch(rep: Report, *, d=None, case=None, lam=None, samples=50, seed=7)
         dims = [e for e in dims if e // 2 == len(weight)]
         if not dims:
             raise ExactDomainError(f"no d in 7..10 has rank {len(weight)}, the length of --lambda")
-    keys = []
     for d in dims:
+        lam = weight or _default_lambda(d)
         for levi in [case] if case else ["M1", "M2", "M12"]:
             if levi == "M2" and d % 2 == 0:
                 continue
-            keys.append((levi, d, weight or _default_lambda(d), samples, seed))
-    results = _map_cases(_arch_case_runner, keys)
-    for levi, d, lam, _, _ in keys:
-        rep.case = {"levi": levi, "d": d, "lambda": list(lam)}
-        failures, controls = next(results)
-        vanishing = sum(str(f["index"]).startswith("vanish") for f in failures)
-        rep.tally("comparison identity", samples, len(failures) - vanishing)
-        if controls:
-            rep.tally("vanishing region", controls, vanishing)
-        if failures:
-            rep.witnesses.append({**rep.case, "failures": failures})
+            rep.case = {"levi": levi, "d": d, "lambda": list(lam)}
+            arch_case = archcmp.ArchCase(levi, d, lam)
+            r = archcmp.verify_identity(arch_case, samples=samples, seed=seed, vanishing_controls=5)
+            vanishing = sum(str(f["index"]).startswith("vanish") for f in r.failures)
+            rep.tally("comparison identity", samples, len(r.failures) - vanishing)
+            if r.controls:
+                rep.tally("vanishing region", r.controls, vanishing)
+            if r.failures:
+                rep.witnesses.append({**rep.case, "failures": r.failures})
 
 
 def _suite_satake(rep: Report, *, d=None, a=None):

@@ -51,6 +51,10 @@ class EndoSignVector(Value):
         return sign
 
 
+# the most elements a walk of a relative Weyl group may yield
+_WALK_CAP = 50000
+
+
 class RelativeWeylGroup(Value):
     """A relative Weyl group acting on the exponent lattice, given by generators."""
 
@@ -60,7 +64,7 @@ class RelativeWeylGroup(Value):
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "gens", gens)
 
-    def _walk(self, cap: int = 50000):
+    def _walk(self):
         """Every element once, breadth-first from the identity."""
         seen = {WeylElement.identity(self.rank)}
         yield from seen
@@ -72,14 +76,11 @@ class RelativeWeylGroup(Value):
                     z = g * w
                     if z not in seen:
                         seen.add(z)
-                        if len(seen) > cap:
+                        if len(seen) > _WALK_CAP:
                             raise ExactDomainError("relative Weyl group too large")
                         yield z
                         nxt.append(z)
             frontier = nxt
-
-    def elements(self, cap: int = 50000) -> frozenset:
-        return frozenset(self._walk(cap))
 
     def is_subgroup_of(self, other: "RelativeWeylGroup") -> bool:
         """Walk the other group until every generator of this one has appeared;

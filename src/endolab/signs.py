@@ -149,17 +149,12 @@ def whittaker_comparison_sign(case: SignCase, whittaker_type: str = "I") -> int:
     return -1 if (mm // 2) % 2 else 1
 
 
-def waldspurger_sign(
-    y: Sequence[RationalLike],
-    m_minus: int,
-    eta: int,
-    c: Sequence[int] | None = None,
-) -> int:
+def waldspurger_sign(y: Sequence[RationalLike], m_minus: int, eta: int) -> int:
     """Waldspurger's explicit sign: prod_{i <= m-} sign(eta c_i (1 + y_i)
     prod_{k != i} (y_i - y_k)) for the real parts y of the torus coordinates.
 
-    c defaults to the alternating definiteness pattern c_i = (-1)^(i+1).  The
-    pinning invariant eta = -1 picks the type-I Whittaker datum.
+    The definiteness pattern is the alternating one, c_i = (-1)^(i+1), which
+    the reduced form `waldspurger_sign_reduced` assumes.  The pinning invariant eta = -1 picks the type-I Whittaker datum.
     """
     y = [_as_fraction(v) for v in y]
     m = len(y)
@@ -171,11 +166,9 @@ def waldspurger_sign(
         raise ExactDomainError("real parts of unit-circle coordinates must lie in (-1, 1)")
     if len({v for v in y}) != m:
         raise SingularPointError("coincident real parts")
-    if c is None:
-        c = [(-1) ** i for i in range(m)]  # c_i = (-1)^(i+1) in 1-based indexing
     sign = 1
     for i in range(m_minus):
-        term = Fraction(eta * c[i]) * (1 + y[i])
+        term = Fraction(eta * (-1) ** i) * (1 + y[i])  # c_i = (-1)^(i+1) in 1-based indexing
         for k in range(m):
             if k != i:
                 term *= y[i] - y[k]

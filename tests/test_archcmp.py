@@ -243,7 +243,7 @@ def test_cold_case_enumerates_no_weyl_group(monkeypatch, levi, d):
         cached.cache_clear()
     case = ArchCase(levi, d, tuple(([3, 2, 1] + [0] * d)[: d // 2]))
     report = verify_identity(case, samples=2, seed=3, vanishing_controls=1)
-    assert report.ok, report.failures
+    assert not report.failures, report.failures
     assert calls == [] and not hasattr(rootdata, "weyl_table")
 
 
@@ -449,20 +449,20 @@ def test_character_sum_without_rho_shift_fails(monkeypatch):
 def test_identities_d7(levi, lam):
     case = ArchCase(levi, 7, lam)
     report = verify_identity(case, samples=4, seed=11, vanishing_controls=2)
-    assert report.ok, report.failures
+    assert not report.failures, report.failures
 
 
 @pytest.mark.parametrize("levi,lam", [("M1", (1, 1, 0, 0)), ("M12", (2, 1, 1, -1))])
 def test_identities_d8(levi, lam):
     case = ArchCase(levi, 8, lam)
     report = verify_identity(case, samples=3, seed=5)
-    assert report.ok, report.failures
+    assert not report.failures, report.failures
 
 
 def test_identity_d9_m2():
     case = ArchCase("M2", 9, (2, 1, 0, 0))
     report = verify_identity(case, samples=2, seed=3)
-    assert report.ok, report.failures
+    assert not report.failures, report.failures
 
 
 def test_vanishing_regions():
@@ -557,7 +557,7 @@ def test_torus_point_runs_once_per_draw(monkeypatch, levi, d):
     monkeypatch.setattr(archcmp, "identity_gap", recorded_gap)
     case = ArchCase(levi, d, tuple(([3, 2, 1] + [0] * d)[: d // 2]))
     report = verify_identity(case, samples=5, seed=7, vanishing_controls=2)
-    assert report.ok, report.failures
+    assert not report.failures, report.failures
     accepted = 5 + report.controls
     assert len(calls) == accepted + len(calls) // 3
     assert len(built) == len(evaluated) == accepted and all(p is q for p, q in zip(evaluated, built))
@@ -574,7 +574,7 @@ def test_reports_are_deterministic():
     case = ArchCase("M1", 7, (1, 0, 0))
     r1 = verify_identity(case, samples=3, seed=21)
     r2 = verify_identity(case, samples=3, seed=21)
-    assert r1.failures == r2.failures and r1.ok
+    assert r1.failures == r2.failures and not r1.failures
 
 
 def _on_root_wall(case, sample) -> bool:

@@ -8,13 +8,8 @@ import pytest
 PY = [sys.executable, "-m", "endolab.cli"]
 
 
-def run(*args, env=None):
-    import os
-
-    e = dict(os.environ)
-    if env:
-        e.update(env)
-    return subprocess.run(PY + list(args), capture_output=True, text=True, env=e)
+def run(*args):
+    return subprocess.run(PY + list(args), capture_output=True, text=True)
 
 
 def test_quadspace_diag():
@@ -48,66 +43,6 @@ def test_quadspace_negative_values_space_separated():
     gram = run("quadspace", "--gram", '[["-1/2","0"],["0","3"]]')
     assert gram.returncode == 0
     assert json.loads(gram.stdout)["witnesses"][0]["signature"] == [1, 1]
-
-
-def test_workers_capped_by_cpus_and_keys(monkeypatch):
-    import concurrent.futures
-
-    from endolab import cli
-
-    seen = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, keys):
-            return map(fn, keys)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    monkeypatch.setenv("ENDOLAB_WORKERS", "1000000")
-    assert list(cli._map_cases(str, range(3))) == ["0", "1", "2"]
-    assert list(cli._map_cases(str, range(10))) == [str(k) for k in range(10)]
-    assert list(cli._map_cases(str, range(1))) == ["0"]  # one key: no pool
-    assert seen == [3, 4]
-
-
-def test_pool_modules_load_only_when_a_pool_runs():
-    import os
-
-    def loaded(workers, arch_argv):
-        """The pool modules loaded after `import endolab.cli`, and after a
-        `verify arch` run and a `signs` command."""
-        probe = (
-            "import sys\n"
-            "from endolab import cli\n"
-            "pool = ('concurrent.futures', 'multiprocessing')\n"
-            "print(sorted(m for m in pool if m in sys.modules))\n"
-            f"cli.main({['verify', 'arch', *arch_argv]!r})\n"
-            "cli.main(['signs'])\n"
-            "print(sorted(m for m in pool if m in sys.modules))\n"
-        )
-        env = {k: v for k, v in os.environ.items() if k != "ENDOLAB_WORKERS"}
-        if workers:
-            env["ENDOLAB_WORKERS"] = workers
-        r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
-        assert r.returncode == 0, r.stderr
-        lines = r.stdout.splitlines()
-        return lines[0], lines[-1]
-
-    three_cases = ["--d", "7", "--samples", "1"]
-    assert loaded(None, three_cases) == ("[]", "[]")
-    assert loaded("1", three_cases) == ("[]", "[]")
-    assert loaded("2", ["--d", "7", "--case", "M2", "--samples", "1"]) == ("[]", "[]")  # one case: no pool
-    pooled = ["concurrent.futures", "multiprocessing"] if (os.cpu_count() or 1) > 1 else []
-    assert loaded("2", three_cases) == ("[]", str(pooled))
 
 
 def test_quadspace_bad_input_exit2():
@@ -354,10 +289,8 @@ def test_verify_error_report_names_the_run(capsys):
     assert out["checks"] == {}
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_verify_arch_error_names_the_case(capsys, monkeypatch, workers):
+def test_verify_arch_error_names_the_case(capsys):
     """A non-dominant weight used to surface as a bare "cone-wall input"."""
-    monkeypatch.setenv("ENDOLAB_WORKERS", workers)
     code, out = _verify(capsys, "arch", "--d", "7", "--lambda", "1,2,3", "--samples", "1")
     assert (code, out["status"], out["checks"]) == (2, "error", {})
     assert out["witnesses"] == [
@@ -467,27 +400,32 @@ def test_commands_load_only_their_modules():
     `value`, and commands that need neither the root data nor the Hecke or
     archimedean layers never load them; `verify arch` is the control that
     does.  No command, and no interpreter that imports every endolab module,
-    loads `dataclasses` or `inspect`: counted against the modules present
-    before endolab, so a `site` hook that loads them is not blamed."""
-    slow = "slow = lambda: sorted({'dataclasses', 'inspect'} & set(sys.modules) - before)\n"
+    loads `dataclasses` or `inspect`, nor a process pool's modules
+    (`concurrent.futures`, `multiprocessing`), not even a `verify arch` of
+    three cases: counted against the modules present before endolab, so a
+    `site` hook that loads them is not blamed."""
+    barred = (
+        "barred = lambda: sorted({'dataclasses', 'inspect', 'concurrent.futures', 'multiprocessing'}"
+        " & set(sys.modules) - before)\n"
+    )
     probe = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import contextlib, io, json\n"
         "endolab = lambda: sorted(m[8:] for m in sys.modules if m.startswith('endolab.'))\n"
-        + slow
+        + barred
         + "from endolab import cli\n"
         "at_import = endolab()\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cli.main(sys.argv[1:])\n"
-        "print(json.dumps([at_import, code, endolab(), slow()]))\n"
+        "print(json.dumps([at_import, code, endolab(), barred()]))\n"
     )
 
     def loaded(*argv):
         r = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
-        at_import, code, modules, slow_loaded = json.loads(r.stdout)
-        assert (at_import, code, slow_loaded) == (["cli", "errors", "value"], 0, []), argv
+        at_import, code, modules, barred_loaded = json.loads(r.stdout)
+        assert (at_import, code, barred_loaded) == (["cli", "errors", "value"], 0, []), argv
         return set(modules)
 
     heavy = {"rootdata", "archcmp", "hecke"}
@@ -500,6 +438,7 @@ def test_commands_load_only_their_modules():
     ):
         assert not heavy & loaded(*argv), argv
     assert {"rootdata", "archcmp"} <= loaded("verify", "arch", "--d", "7", "--case", "M2", "--samples", "1")
+    assert {"rootdata", "archcmp"} <= loaded("verify", "arch", "--d", "7", "--samples", "1")
 
     src = Path(__file__).resolve().parents[1] / "src" / "endolab"
     every = sorted(p.stem for p in src.glob("*.py") if p.stem != "__init__")
@@ -508,10 +447,10 @@ def test_commands_load_only_their_modules():
         "import sys\n"
         "before = set(sys.modules)\n"
         "import importlib\n"
-        + slow
+        + barred
         + "for name in sys.argv[1:]:\n"
         "    importlib.import_module('endolab.' + name)\n"
-        "print(slow())\n"
+        "print(barred())\n"
     )
     r = subprocess.run([sys.executable, "-c", probe_all, *every], capture_output=True, text=True)
     assert (r.returncode, r.stdout) == (0, "[]\n"), r.stderr
@@ -708,9 +647,3 @@ def test_reports_byte_identical():
     a = run("verify", "arch", "--d", "7", "--case", "M1", "--samples", "2", "--seed", "9")
     b = run("verify", "arch", "--d", "7", "--case", "M1", "--samples", "2", "--seed", "9")
     assert a.stdout == b.stdout
-
-
-def test_workers_env_preserves_report():
-    base = run("verify", "arch", "--d", "7", "--samples", "2", "--seed", "9")
-    pooled = run("verify", "arch", "--d", "7", "--samples", "2", "--seed", "9", env={"ENDOLAB_WORKERS": "3"})
-    assert base.stdout == pooled.stdout

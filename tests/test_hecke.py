@@ -116,9 +116,9 @@ def _count_walks(monkeypatch) -> list:
     walk = RelativeWeylGroup._walk
     sizes = []
 
-    def counting(self, cap=50000):
+    def counting(self):
         sizes.append(0)
-        for w in walk(self, cap):
+        for w in walk(self):
             sizes[-1] += 1
             yield w
 
@@ -145,7 +145,7 @@ def test_is_subgroup_of(m, monkeypatch):
     w_b = UnramifiedGroup("B", m).relative_group()
     w_d = UnramifiedGroup("D", m).relative_group()
     flip = RelativeWeylGroup(m, (_flip(m, 0),))
-    full_b, full_d = w_b.elements(), w_d.elements()
+    full_b, full_d = frozenset(w_b._walk()), frozenset(w_d._walk())
     assert (len(full_b), len(full_d)) == (2 * len(full_d), len(full_d))
     sizes = _count_walks(monkeypatch)
 
@@ -163,6 +163,15 @@ def test_is_subgroup_of(m, monkeypatch):
 
     for small, big, full in ((w_d, w_b, full_b), (flip, w_d, full_d), (flip, w_b, full_b), (w_b, w_d, full_d)):
         assert small.is_subgroup_of(big) == (set(small.gens) <= full), (small.gens, big.gens)
+
+
+def test_walk_refuses_a_group_past_the_cap(monkeypatch):
+    from endolab import hecke
+
+    monkeypatch.setattr(hecke, "_WALK_CAP", 7)
+    assert len(frozenset(UnramifiedGroup("D", 2).relative_group()._walk())) == 4
+    with pytest.raises(ExactDomainError, match="relative Weyl group too large"):
+        frozenset(UnramifiedGroup("B", 2).relative_group()._walk())  # 8 elements
 
 
 def test_compute_fH_table_spot_values():

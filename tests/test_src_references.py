@@ -1,8 +1,9 @@
 """Every public top-level function, class or constant in src/endolab/, and
 every public method of its classes, is used in src/ or scripts/ outside its
 own definition: code that only the tests call is wired into a suite or
-deleted.  Uses are found by name, so a method counts as used wherever an
-attribute of its name is read."""
+deleted.  Uses are found by name: a top-level name counts as used wherever
+a name or an attribute of that name is read, a method only where an
+attribute of its name is read, so a local variable does not hide it."""
 
 import ast
 from pathlib import Path
@@ -19,21 +20,19 @@ ALLOWED = {
 }
 
 # Public methods, as Class.method, still used only by the tests or the
-# benchmark (whose tracing wraps RelativeWeylGroup.elements).  This list may
-# only shrink too.
-ALLOWED_METHODS = {
-    "RelativeWeylGroup.elements",
-}
+# benchmark.  Empty: every public method is used in src/ or scripts/; keep it
+# so.
+ALLOWED_METHODS = set()
 
 
-def _uses(tree, skip=None):
-    """The identifiers a module reads, as names or attributes, outside the
-    node skip."""
+def _uses(tree, skip=None, names=True):
+    """The identifiers a module reads, as attributes and, if names, as bare
+    names, outside the node skip."""
     skipped = set(ast.walk(skip)) if skip else set()
     for node in ast.walk(tree):
         if node in skipped:
             continue
-        if isinstance(node, ast.Name):
+        if names and isinstance(node, ast.Name):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
@@ -55,10 +54,12 @@ def _trees():
     return {p: ast.parse(p.read_text()) for d in ("src", "scripts") for p in sorted((ROOT / d).rglob("*.py"))}
 
 
-def _used(name, path, node, trees):
+def _used(name, path, node, trees, names=True):
     """Whether a name is read in the module at path outside node, or in any
-    other module."""
-    return name in _uses(trees[path], skip=node) or any(name in _uses(t) for p, t in trees.items() if p != path)
+    other module; as a bare name too unless names is false."""
+    return name in _uses(trees[path], node, names) or any(
+        name in _uses(t, names=names) for p, t in trees.items() if p != path
+    )
 
 
 def _check(unused, allowed):
@@ -90,6 +91,6 @@ def test_every_public_method_is_used():
                 continue
             for node in cls.body:
                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                    if not _used(node.name, path, node, trees):
+                    if not _used(node.name, path, node, trees, names=False):
                         unused.add(f"{cls.name}.{node.name}")
     _check(unused, ALLOWED_METHODS)

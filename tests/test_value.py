@@ -1,6 +1,7 @@
 """The value types: plain slotted classes on `endolab.value.Value` that keep
 the behaviour callers rely on: frozen fields, equality and hashing within one
-class, the `Cls(field=value, ...)` repr, and pickling for the worker pool."""
+class, the `Cls(field=value, ...)` repr, and pickling and copies that restore
+the slots past the frozen `__setattr__`."""
 
 import copy
 import pickle
