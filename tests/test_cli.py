@@ -289,9 +289,11 @@ def test_verify_error_report_names_the_run(capsys):
     assert out["checks"] == {}
 
 
-def test_verify_arch_error_names_the_case(capsys):
-    """A non-dominant weight used to surface as a bare "cone-wall input"."""
-    code, out = _verify(capsys, "arch", "--d", "7", "--lambda", "1,2,3", "--samples", "1")
+@pytest.mark.parametrize("samples", [1, 2])
+def test_verify_arch_error_names_the_case(capsys, samples):
+    """A non-dominant weight used to surface as a bare "cone-wall input",
+    whatever the number of samples."""
+    code, out = _verify(capsys, "arch", "--d", "7", "--lambda", "1,2,3", "--samples", str(samples))
     assert (code, out["status"], out["checks"]) == (2, "error", {})
     assert out["witnesses"] == [
         {"levi": "M1", "d": 7, "lambda": [1, 2, 3], "error": "need a dominant integral highest weight"}
