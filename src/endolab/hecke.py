@@ -7,16 +7,39 @@ An element is q^(q2/2) times a polynomial in the X_i^(+-1) with integer
 coefficients: every element built here has one q-power shared by all its
 terms, kept formal as the doubled exponent q2; specialization q -> p only
 happens in reports.
+
+The group theory behind `compute_fH_at_p` repeats across local shapes, so each
+piece is derived once per key, in an `lru_cache` of at most `_CACHE_SIZE`
+entries:
+
+- the relative Weyl group of an `UnramifiedGroup`, keyed on the group and the
+  parity of the degree;
+- the minuscule orbit, as a tuple keyed on the relative group and mu;
+- the subgroup answer of `RelativeWeylGroup.is_subgroup_of`, keyed on the two
+  groups;
+- the groups of H, of the Levi M' and of the GL and SO blocks, keyed on the
+  few rank, parity and discriminant fields that each builder reads (the
+  subset A only through its size, the degree a not at all).
+
+Only group-theoretic objects are cached, never a `HeckeElement` or a result
+of `compute_fH_at_p`, and no check is skipped: the `LocalDatumAtP`
+validation, the minuscule test, the subgroup test in `constant_term` and all
+four invariance checks run on every call.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import ExactDomainError
 from .levi import admissible_A, excluded_factor, gl_labels
 from .rootdata import RootDatum, WeylElement, rho
 from .value import Value
+
+# the most entries each group-theoretic cache below keeps
+_CACHE_SIZE = 1024
 
 
 class FrobTwist(Value):
@@ -44,6 +67,8 @@ class EndoSignVector(Value):
         object.__setattr__(self, "s", s)
 
     def pair(self, chi: Sequence[int]) -> int:
+        if len(chi) != len(self.s):
+            raise ExactDomainError("cocharacter rank mismatch")
         sign = 1
         for si, e in zip(self.s, chi):
             if si == -1 and e % 2:
@@ -61,6 +86,8 @@ class RelativeWeylGroup(Value):
     __slots__ = ("rank", "gens")
 
     def __init__(self, rank: int, gens: tuple[WeylElement, ...]):
+        if any(g.rank != rank for g in gens):
+            raise ExactDomainError("generator rank mismatch")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "gens", gens)
 
@@ -84,15 +111,21 @@ class RelativeWeylGroup(Value):
 
     def is_subgroup_of(self, other: "RelativeWeylGroup") -> bool:
         """Walk the other group until every generator of this one has appeared;
-        only a False answer walks the whole group."""
+        only a False answer walks the whole group.  The answer is cached per
+        pair of groups."""
         if self.rank != other.rank:
             return False
-        missing = set(self.gens)
-        for w in other._walk():
-            missing.discard(w)
-            if not missing:
-                return True
-        return False
+        return _is_subgroup(self, other)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _is_subgroup(small: RelativeWeylGroup, big: RelativeWeylGroup) -> bool:
+    missing = set(small.gens)
+    for w in big._walk():
+        missing.discard(w)
+        if not missing:
+            return True
+    return False
 
 
 def _flip(m: int, i: int) -> WeylElement:
@@ -118,8 +151,12 @@ class UnramifiedGroup(Value):
             raise ExactDomainError("kind must be B or D")
         if kind == "B" and flips:
             raise ExactDomainError("odd orthogonal groups here are split")
+        if rank < 1:
+            raise ExactDomainError("rank must be >= 1")
         if len(flips) > 2 or sorted(set(flips)) != sorted(flips):
             raise ExactDomainError("at most two distinct flip coordinates")
+        if any(not 0 <= i < rank for i in flips):
+            raise ExactDomainError("flip coordinates must lie in 0..rank-1")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "flips", flips)
@@ -137,20 +174,25 @@ class UnramifiedGroup(Value):
     def relative_group(self, degree: int = 1) -> RelativeWeylGroup:
         """Relative Weyl group over the degree-a unramified extension: the full
         group when Frobenius^a acts trivially, else its centralizer."""
-        m = self.rank
-        if self.kind == "B" or not self.flips or degree % 2 == 0:
-            parity = "odd" if self.kind == "B" else "even"
-            return RelativeWeylGroup(m, tuple(_so_factor_gens(m, 0, m, parity, True)))
-        fixed = [i for i in range(m) if i not in self.flips]
-        gens = [_transposition(m, i, j) for i, j in zip(fixed, fixed[1:])]
-        if len(self.flips) == 2:
-            gens.append(_transposition(m, self.flips[0], self.flips[1]))
-            gens.append(_flip(m, self.flips[0]) * _flip(m, self.flips[1]))
-        if fixed and self.flips:
-            gens.append(_flip(m, fixed[-1]) * _flip(m, self.flips[-1]))
-        elif len(fixed) >= 2:
-            gens.append(_flip(m, fixed[-1]) * _flip(m, fixed[-2]))
-        return RelativeWeylGroup(m, tuple(gens))
+        return _relative_group(self, degree % 2)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _relative_group(group: UnramifiedGroup, odd: int) -> RelativeWeylGroup:
+    m, flips = group.rank, group.flips
+    if group.kind == "B" or not flips or not odd:
+        parity = "odd" if group.kind == "B" else "even"
+        return RelativeWeylGroup(m, tuple(_so_factor_gens(m, 0, m, parity, True)))
+    fixed = [i for i in range(m) if i not in flips]
+    gens = [_transposition(m, i, j) for i, j in zip(fixed, fixed[1:])]
+    if len(flips) == 2:
+        gens.append(_transposition(m, flips[0], flips[1]))
+        gens.append(_flip(m, flips[0]) * _flip(m, flips[1]))
+    if fixed and flips:
+        gens.append(_flip(m, fixed[-1]) * _flip(m, flips[-1]))
+    elif len(fixed) >= 2:
+        gens.append(_flip(m, fixed[-1]) * _flip(m, fixed[-2]))
+    return RelativeWeylGroup(m, tuple(gens))
 
 
 class HeckeElement(Value, frozen=False):
@@ -167,12 +209,14 @@ class HeckeElement(Value, frozen=False):
         self.q2 = q2
 
     def check_invariance(self) -> bool:
+        """Every generator of the group maps each term to a term with the same
+        coefficient; stops at the first term that moves."""
+        coeffs = self.coeffs
         for g in self.group.gens:
-            moved = {}
-            for e, c in self.coeffs.items():
-                moved[g.act_tuple(e)] = c
-            if moved != self.coeffs:
-                return False
+            act = g.act_tuple
+            for e, c in coeffs.items():
+                if coeffs.get(act(e)) != c:
+                    return False
         return True
 
     def __eq__(self, other):
@@ -199,7 +243,7 @@ class HeckeElement(Value, frozen=False):
 def _is_minuscule(datum: RootDatum, mu: Sequence[int]) -> bool:
     """|<alpha, mu>| <= 1 for every root; the bound is symmetric under
     alpha -> -alpha, so the positive roots decide it."""
-    return all(abs(sum(a * b for a, b in zip(alpha, mu))) <= 1 for alpha in datum.positive_roots())
+    return all(abs(sum(map(mul, alpha, mu))) <= 1 for alpha in datum.positive_roots())
 
 
 def satake_minuscule(group: UnramifiedGroup, mu: Sequence[int], degree: int = 1) -> HeckeElement:
@@ -216,6 +260,18 @@ def satake_minuscule(group: UnramifiedGroup, mu: Sequence[int], degree: int = 1)
     rel = group.relative_group(degree)
     if any(c for i, c in enumerate(mu) if degree % 2 and i in group.flips):
         raise ExactDomainError("cocharacter is not defined over the base field")
+    orbit = _orbit(rel, mu)
+    delta2 = rho(datum).doubled
+    # the q-power pairs the half sum of all positive roots with the dominant
+    # representative of the absolute orbit (coordinates sorted by magnitude)
+    dom = tuple(sorted((abs(c) for c in mu), reverse=True))
+    q2 = degree * sum(a * b for a, b in zip(delta2, dom))
+    return HeckeElement(m, dict.fromkeys(orbit, 1), rel, q2)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _orbit(rel: RelativeWeylGroup, mu: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The orbit of mu under the relative group, breadth-first."""
     orbit = {mu}
     frontier = [mu]
     while frontier:
@@ -227,12 +283,7 @@ def satake_minuscule(group: UnramifiedGroup, mu: Sequence[int], degree: int = 1)
                     orbit.add(w)
                     nxt.append(w)
         frontier = nxt
-    delta2 = rho(datum).doubled
-    # the q-power pairs the half sum of all positive roots with the dominant
-    # representative of the absolute orbit (coordinates sorted by magnitude)
-    dom = tuple(sorted((abs(c) for c in mu), reverse=True))
-    q2 = degree * sum(a * b for a, b in zip(delta2, dom))
-    return HeckeElement(m, dict.fromkeys(orbit, 1), rel, q2)
+    return tuple(orbit)
 
 
 def constant_term(f: HeckeElement, levi_group: RelativeWeylGroup) -> HeckeElement:
@@ -449,10 +500,20 @@ def _so_factor_gens(total: int, start: int, size: int, parity: str, is_split: bo
 
 def h_relative_group(datum: LocalDatumAtP) -> RelativeWeylGroup:
     """Relative Weyl group of H = SO(d+) x SO(d-) in H coordinates."""
-    m, mp = datum.m, datum.m_plus
-    gens: list[WeylElement] = []
-    gens += _so_factor_gens(m, 0, mp, datum.parity, datum.delta_plus_square)
-    gens += _so_factor_gens(m, mp, datum.m_minus, datum.parity, datum.delta_minus_square)
+    return _so_pair_group(
+        0, datum.m_plus, 0, datum.m_minus, datum.parity, datum.delta_plus_square, datum.delta_minus_square
+    )
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _so_pair_group(
+    gap_plus: int, n_plus: int, gap_minus: int, n_minus: int, parity: str, plus_split: bool, minus_split: bool
+) -> RelativeWeylGroup:
+    """Two SO factors of ranks n+ and n-, the first after gap_plus coordinates
+    and the second after gap_minus more; no generator moves a gap coordinate."""
+    m = gap_plus + n_plus + gap_minus + n_minus
+    gens = _so_factor_gens(m, gap_plus, n_plus, parity, plus_split)
+    gens += _so_factor_gens(m, gap_plus + n_plus + gap_minus, n_minus, parity, minus_split)
     return RelativeWeylGroup(m, tuple(gens))
 
 
@@ -535,8 +596,8 @@ def compute_fH_at_p(
             he = [0] * len(so_positions)
             he[so_positions[j]] = e[j]
             h_coeffs[tuple(he)] = h_coeffs.get(tuple(he), 0) + c
-    k_group = _gl_block_group(datum, k_rank)
-    h_group = _so_block_group(datum, len(so_positions))
+    k_group = _gl_block_group(datum.levi)
+    h_group = _so_block_group(datum)
     k_part = HeckeElement(k_rank, k_coeffs, k_group, scaled.q2)
     h_part = HeckeElement(len(so_positions), h_coeffs, h_group, scaled.q2)
     if not k_part.check_invariance() or not h_part.check_invariance():
@@ -547,29 +608,36 @@ def compute_fH_at_p(
 def _levi_relative_group(datum: LocalDatumAtP) -> RelativeWeylGroup:
     """Relative Weyl group of M' inside H coordinates: permutations within the
     GL_2 block (case M1) times the relative groups of the smaller SO factors."""
-    m, mp = datum.m, datum.m_plus
-    gens: list[WeylElement] = []
-    if datum.levi == "M1":
-        s = 0 if datum.A else mp
-        gens.append(_transposition(m, s, s + 1))
-    gens += _so_factor_gens(m, datum.gl_plus, datum.n_plus, datum.parity, datum.delta_plus_square)
-    gens += _so_factor_gens(
-        m, mp + datum.gl_minus, datum.n_minus, datum.parity, datum.delta_minus_square
+    return _levi_group(
+        datum.levi, datum.gl_plus, datum.n_plus, datum.gl_minus, datum.n_minus,
+        datum.parity, datum.delta_plus_square, datum.delta_minus_square,
     )
-    return RelativeWeylGroup(m, tuple(gens))
 
 
-def _gl_block_group(datum: LocalDatumAtP, k_rank: int) -> RelativeWeylGroup:
-    if datum.levi == "M1" and k_rank == 2:
+@lru_cache(maxsize=_CACHE_SIZE)
+def _levi_group(
+    levi: str, gl_plus: int, n_plus: int, gl_minus: int, n_minus: int,
+    parity: str, plus_split: bool, minus_split: bool,
+) -> RelativeWeylGroup:
+    so = _so_pair_group(gl_plus, n_plus, gl_minus, n_minus, parity, plus_split, minus_split)
+    if levi != "M1":
+        return so
+    # the GL_2 block leads the H+ slots when A = {1, 2}, else the H- slots
+    s = 0 if gl_plus else n_plus
+    return RelativeWeylGroup(so.rank, (_transposition(so.rank, s, s + 1),) + so.gens)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _gl_block_group(levi: str) -> RelativeWeylGroup:
+    if levi == "M1":
         return RelativeWeylGroup(2, (_transposition(2, 0, 1),))
-    return RelativeWeylGroup(k_rank, ())
+    return RelativeWeylGroup(len(gl_labels(levi)), ())
 
 
-def _so_block_group(datum: LocalDatumAtP, rank: int) -> RelativeWeylGroup:
-    gens: list[WeylElement] = []
-    gens += _so_factor_gens(rank, 0, datum.n_plus, datum.parity, datum.delta_plus_square)
-    gens += _so_factor_gens(rank, datum.n_plus, datum.n_minus, datum.parity, datum.delta_minus_square)
-    return RelativeWeylGroup(rank, tuple(gens))
+def _so_block_group(datum: LocalDatumAtP) -> RelativeWeylGroup:
+    return _so_pair_group(
+        0, datum.n_plus, 0, datum.n_minus, datum.parity, datum.delta_plus_square, datum.delta_minus_square
+    )
 
 
 def expected_k_table(levi: str, A: Sequence[int], a: int) -> HeckeElement:

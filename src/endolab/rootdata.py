@@ -117,13 +117,21 @@ def rho(datum: RootDatum) -> Weight:
 
 
 class WeylElement(Value):
-    """Signed permutation: e_j maps to signs[j] * e_{perm[j]} (0-based)."""
+    """Signed permutation: e_j maps to signs[j] * e_{perm[j]} (0-based).
 
-    __slots__ = ("signs", "perm")
+    `_pull` is the pull-back ((sign, source index), ...): coordinate k of w v
+    is sign * v[source].  It is derived from the two fields, so it stays out
+    of ``==``, ``hash`` and the repr."""
+
+    __slots__ = ("signs", "perm", "_pull")
 
     def __init__(self, signs: tuple[int, ...], perm: tuple[int, ...]):
         object.__setattr__(self, "signs", signs)
         object.__setattr__(self, "perm", perm)
+        pull = [None] * len(perm)
+        for j, k in enumerate(perm):
+            pull[k] = (signs[j], j)
+        object.__setattr__(self, "_pull", tuple(pull))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -132,6 +140,9 @@ class WeylElement(Value):
 
     def __hash__(self):
         return hash((self.signs, self.perm))
+
+    def __repr__(self):
+        return f"WeylElement(signs={self.signs!r}, perm={self.perm!r})"
 
     @property
     def rank(self) -> int:
@@ -148,10 +159,7 @@ class WeylElement(Value):
         return WeylElement(signs, perm)
 
     def act_tuple(self, v: Sequence) -> tuple:
-        out = [None] * self.rank
-        for j in range(self.rank):
-            out[self.perm[j]] = self.signs[j] * v[j]
-        return tuple(out)
+        return tuple([s * v[j] for s, j in self._pull])
 
     def act(self, w: Weight) -> Weight:
         return Weight(self.act_tuple(w.doubled))

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from endolab import cli, hecke
 from endolab.errors import ExactDomainError
 from endolab.hecke import (
     EndoSignVector,
@@ -12,7 +13,12 @@ from endolab.hecke import (
     RelativeWeylGroup,
     UnramifiedGroup,
     _flip,
+    _gl_block_group,
     _iota_inverse,
+    _levi_relative_group,
+    _orbit,
+    _so_block_group,
+    _so_factor_gens,
     _transposition,
     ambient_group_at_p,
     base_change_image,
@@ -26,6 +32,7 @@ from endolab.hecke import (
     satake_minuscule,
     twisted_transfer,
 )
+from endolab.levi import gl_labels
 from endolab.rootdata import WeylElement
 
 TRIV1 = RelativeWeylGroup(1, ())
@@ -142,6 +149,7 @@ def test_split_relative_group_generators(m):
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_is_subgroup_of(m, monkeypatch):
+    hecke._is_subgroup.cache_clear()  # every answer below is walked afresh
     w_b = UnramifiedGroup("B", m).relative_group()
     w_d = UnramifiedGroup("D", m).relative_group()
     flip = RelativeWeylGroup(m, (_flip(m, 0),))
@@ -165,9 +173,44 @@ def test_is_subgroup_of(m, monkeypatch):
         assert small.is_subgroup_of(big) == (set(small.gens) <= full), (small.gens, big.gens)
 
 
-def test_walk_refuses_a_group_past_the_cap(monkeypatch):
-    from endolab import hecke
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_cached_subgroup_answer_is_per_pair(m):
+    """Negative control: a cached True for W(D_m) in W(B_m) or in itself
+    does not answer for another pair with the same small or the same big group."""
+    w_b = UnramifiedGroup("B", m).relative_group()
+    w_d = UnramifiedGroup("D", m).relative_group()
+    flip = RelativeWeylGroup(m, (_flip(m, 0),))
+    assert w_d.is_subgroup_of(w_b) and w_d.is_subgroup_of(w_d)
+    assert w_d.is_subgroup_of(w_b) and w_d.is_subgroup_of(w_d)  # from the cache
+    assert not flip.is_subgroup_of(w_d)
+    assert not w_d.is_subgroup_of(flip)
+    assert not w_b.is_subgroup_of(w_d)
+    assert flip.is_subgroup_of(w_b)
 
+
+def test_groups_reject_generators_and_flips_out_of_range():
+    with pytest.raises(ExactDomainError, match="generator rank mismatch"):
+        RelativeWeylGroup(2, (_flip(3, 0),))
+    with pytest.raises(ExactDomainError, match="generator rank mismatch"):
+        RelativeWeylGroup(3, (_transposition(3, 0, 1), _flip(2, 0)))
+    for flips in ((-1,), (5,), (3,), (0, -3)):
+        with pytest.raises(ExactDomainError, match="flip coordinates"):
+            UnramifiedGroup("D", 3, flips)
+    for kind in ("B", "D"):
+        with pytest.raises(ExactDomainError, match="rank must be >= 1"):
+            UnramifiedGroup(kind, 0)
+    assert UnramifiedGroup("D", 3, (2,)).sigma() == _flip(3, 2)
+
+
+def test_sign_vector_pairs_only_its_own_rank():
+    s = EndoSignVector((1, -1))
+    assert s.pair((1, 1)) == -1 and s.pair((3, 2)) == 1
+    for chi in ((1, 1, 1), (1,), ()):
+        with pytest.raises(ExactDomainError, match="cocharacter rank mismatch"):
+            s.pair(chi)
+
+
+def test_walk_refuses_a_group_past_the_cap(monkeypatch):
     monkeypatch.setattr(hecke, "_WALK_CAP", 7)
     assert len(frozenset(UnramifiedGroup("D", 2).relative_group()._walk())) == 4
     with pytest.raises(ExactDomainError, match="relative Weyl group too large"):
@@ -223,8 +266,6 @@ def test_transfer_restrict_bracketings_agree():
     s = EndoSignVector((1, 1, -1))
     twist = FrobTwist(2, g.sigma())
     iota = _iota_inverse(datum)
-    from endolab.hecke import _levi_relative_group
-
     levi_group = _levi_relative_group(datum)
     via_h = constant_term(
         twisted_transfer(f, s, twist, h_relative_group(datum), reindex=iota), levi_group
@@ -329,3 +370,117 @@ def test_equality_compares_the_q_power():
     assert k == table and k.scale(1, 2) != table and k.scale(-1, 0) != table
     # an element with no terms is zero whatever its q-power
     assert HeckeElement(1, {(1,): 0}, TRIV1, 0) == HeckeElement(1, {}, TRIV1, 4)
+
+
+# --- the group-theoretic caches -------------------------------------------------------
+# Fresh builds, without any cache: the builders as they read the whole local datum.
+
+
+def _fresh_relative_group(group: UnramifiedGroup, degree: int) -> RelativeWeylGroup:
+    m, flips = group.rank, group.flips
+    if group.kind == "B" or not flips or degree % 2 == 0:
+        parity = "odd" if group.kind == "B" else "even"
+        return RelativeWeylGroup(m, tuple(_so_factor_gens(m, 0, m, parity, True)))
+    fixed = [i for i in range(m) if i not in flips]
+    gens = [_transposition(m, i, j) for i, j in zip(fixed, fixed[1:])]
+    if len(flips) == 2:
+        gens.append(_transposition(m, flips[0], flips[1]))
+        gens.append(_flip(m, flips[0]) * _flip(m, flips[1]))
+    if fixed and flips:
+        gens.append(_flip(m, fixed[-1]) * _flip(m, flips[-1]))
+    elif len(fixed) >= 2:
+        gens.append(_flip(m, fixed[-1]) * _flip(m, fixed[-2]))
+    return RelativeWeylGroup(m, tuple(gens))
+
+
+def _fresh_h_group(datum: LocalDatumAtP) -> RelativeWeylGroup:
+    m, mp = datum.m, datum.m_plus
+    gens = _so_factor_gens(m, 0, mp, datum.parity, datum.delta_plus_square)
+    gens += _so_factor_gens(m, mp, datum.m_minus, datum.parity, datum.delta_minus_square)
+    return RelativeWeylGroup(m, tuple(gens))
+
+
+def _fresh_levi_group(datum: LocalDatumAtP) -> RelativeWeylGroup:
+    m, mp = datum.m, datum.m_plus
+    gens = []
+    if datum.levi == "M1":
+        s = 0 if datum.A else mp
+        gens.append(_transposition(m, s, s + 1))
+    gens += _so_factor_gens(m, datum.gl_plus, datum.n_plus, datum.parity, datum.delta_plus_square)
+    gens += _so_factor_gens(m, mp + datum.gl_minus, datum.n_minus, datum.parity, datum.delta_minus_square)
+    return RelativeWeylGroup(m, tuple(gens))
+
+
+def _fresh_gl_group(datum: LocalDatumAtP) -> RelativeWeylGroup:
+    if datum.levi == "M1":
+        return RelativeWeylGroup(2, (_transposition(2, 0, 1),))
+    return RelativeWeylGroup(len(gl_labels(datum.levi)), ())
+
+
+def _fresh_so_group(datum: LocalDatumAtP) -> RelativeWeylGroup:
+    rank = datum.m - len(gl_labels(datum.levi))
+    gens = _so_factor_gens(rank, 0, datum.n_plus, datum.parity, datum.delta_plus_square)
+    gens += _so_factor_gens(rank, datum.n_plus, datum.n_minus, datum.parity, datum.delta_minus_square)
+    return RelativeWeylGroup(rank, tuple(gens))
+
+
+def _bfs_orbit(elements, mu: tuple) -> set:
+    """The orbit of mu as its images under every element of the group."""
+    return {w.act_tuple(mu) for w in elements}
+
+
+def test_cached_builders_equal_fresh_builds():
+    """On every admissible shape of `verify satake`, each cached group, orbit
+    and subgroup answer equals a fresh build, and a second call hits the cache."""
+    walks: dict = {}  # group -> its elements, by a breadth-first walk
+
+    def elements(g):
+        if g not in walks:
+            walks[g] = frozenset(g._walk())
+        return walks[g]
+
+    admissible = 0
+    for levi, parity, m, mp, mm, A, a, dps, dms in _local_shapes():
+        try:
+            datum = LocalDatumAtP(levi, parity, m, mp, mm, frozenset(A), dps, dms)
+        except ExactDomainError:
+            continue
+        admissible += 1
+        group = ambient_group_at_p(datum)
+        rel = group.relative_group(a)
+        assert rel == _fresh_relative_group(group, a)
+        assert group.relative_group(a) is rel
+        free = next(i for i in range(m) if i not in group.flips)
+        mu = tuple(-1 if i == free else 0 for i in range(m))
+        orbit = _orbit(rel, mu)
+        assert isinstance(orbit, tuple) and len(set(orbit)) == len(orbit)
+        assert set(orbit) == _bfs_orbit(elements(rel), mu)
+        assert set(satake_minuscule(group, mu, degree=a).coeffs) == set(orbit)
+
+        h = h_relative_group(datum)
+        levi_group = _levi_relative_group(datum)
+        assert h == _fresh_h_group(datum) and h_relative_group(datum) is h
+        assert levi_group == _fresh_levi_group(datum)
+        assert _gl_block_group(datum.levi) == _fresh_gl_group(datum)
+        assert _so_block_group(datum) == _fresh_so_group(datum)
+        assert levi_group.is_subgroup_of(h) == (set(levi_group.gens) <= elements(h)) is True
+    assert admissible == 414
+
+
+def test_caches_stay_bounded_under_verify_satake(capsys):
+    """`verify satake` at its acceptance parameters fills every group-theoretic
+    cache of the Hecke layer, each below its bound."""
+    caches = {
+        name: obj for name, obj in vars(hecke).items()
+        if hasattr(obj, "cache_info") and obj.__module__ == hecke.__name__
+    }
+    assert sorted(caches) == [
+        "_gl_block_group", "_is_subgroup", "_levi_group", "_orbit", "_relative_group", "_so_pair_group",
+    ]
+    for cache in caches.values():
+        cache.cache_clear()
+    assert cli.main(["verify", "satake", *cli.ACCEPTANCE["satake"]]) == 0
+    capsys.readouterr()
+    for name, cache in caches.items():
+        info = cache.cache_info()
+        assert info.maxsize is not None and 0 < info.currsize < info.maxsize, (name, info)

@@ -1,6 +1,8 @@
+import copy
 import itertools
 import math
 import operator
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -183,6 +185,39 @@ def test_group_laws_and_sign_homomorphism():
         assert prod in elems
         assert sign(prod, B2) == sign(w1, B2) * sign(w2, B2)
         assert w1 * weyl_inverse(w1) == weyl_inverse(w1) * w1 == WeylElement.identity(2)
+
+
+def _act_loop(w, v) -> tuple:
+    """w v coordinate by coordinate: e_j goes to signs[j] e_perm[j]."""
+    out = [None] * len(w.perm)
+    for j in range(len(w.perm)):
+        out[w.perm[j]] = w.signs[j] * v[j]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("kind", ["B", "D"])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_act_tuple_is_the_coordinate_loop(kind, m):
+    """The pull-back reads every coordinate as the loop over e_j writes it, on
+    every element of W(B_m) and W(D_m), and survives pickling and copies."""
+    v = tuple(range(3, 3 + m))
+    halves = tuple(Fraction(2 * j + 1, 2) for j in range(m))
+    for w in weyl_enumerate(RootDatum(kind, m)):
+        assert w.act_tuple(v) == _act_loop(w, v)
+        assert w.act_tuple(halves) == _act_loop(w, halves)
+        for twin in (pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
+            assert twin.act_tuple(v) == _act_loop(w, v)
+
+
+def test_pull_back_stays_out_of_equality_hash_and_repr():
+    w = WeylElement((1, -1, 1), (2, 0, 1))
+    assert w._pull == ((-1, 1), (1, 2), (1, 0))
+    assert w.act_tuple((5, 6, 7)) == (-6, 7, 5)
+    assert repr(w) == "WeylElement(signs=(1, -1, 1), perm=(2, 0, 1))"
+    assert hash(w) == hash(((1, -1, 1), (2, 0, 1)))
+    twin = WeylElement((1, -1, 1), (2, 0, 1))
+    object.__setattr__(twin, "_pull", ())
+    assert twin == w and hash(twin) == hash(w) and repr(twin) == repr(w)
 
 
 def test_rho():
