@@ -7,26 +7,38 @@ tests/test_acceptance.py pins in REPORT_SHA256.  Two checkouts give
 byte-identical reports exactly when this script's lines agree but for the
 times.
 
-Usable without pytest.
+Usable without pytest, and without installing endolab: the script imports
+endolab from its own checkout's `src`, and so do the suites it starts, so
+two checkouts each run their own code.
+
+    python3 scripts/run_acceptance.py
 """
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
-from endolab.cli import ACCEPTANCE
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+sys.path.insert(0, SRC)
+
+from endolab.cli import ACCEPTANCE  # noqa: E402
 
 
 def main() -> int:
     failures = 0
+    # the suites import endolab from this checkout too
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     for suite, argv in ACCEPTANCE.items():
         t0 = time.time()
         proc = subprocess.run(
             [sys.executable, "-m", "endolab.cli", "verify", suite, *argv],
             capture_output=True,
             text=True,
+            env=env,
         )
         elapsed = time.time() - t0
         digest = hashlib.sha256(proc.stdout.removesuffix("\n").encode()).hexdigest()

@@ -174,6 +174,8 @@ class UnramifiedGroup(Value):
     def relative_group(self, degree: int = 1) -> RelativeWeylGroup:
         """Relative Weyl group over the degree-a unramified extension: the full
         group when Frobenius^a acts trivially, else its centralizer."""
+        if degree < 1:
+            raise ExactDomainError("degree must be >= 1")
         return _relative_group(self, degree % 2)
 
 

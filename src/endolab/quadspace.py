@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
+from math import prod
 from typing import Sequence
 
 from .errors import ExactDomainError
@@ -38,20 +40,23 @@ class QuadraticSpace(Value):
     # `discriminant` returns.
     __slots__ = ("diag", "num_den", "disc")
 
-    def __init__(self, diag: tuple[RationalLike, ...]):
+    def __init__(self, diag: Sequence[RationalLike]):
+        diag = tuple(diag)
         if len(diag) < 1:
             raise ExactDomainError("quadratic space needs dimension >= 1")
-        num_den = tuple(_num_den(c) for c in diag)
+        # an exact int is its own pair; bools, int subclasses and Fractions go
+        # through `_num_den`, which refuses anything inexact
+        num_den = tuple([(c, 1) if c.__class__ is int else _num_den(c) for c in diag])
         # (-1)^(d/2) det for d = 2 mod 4, else det; prod of num * den has the
-        # square class of prod of num / den
-        prod = -1 if len(num_den) % 4 == 2 else 1
-        for n, d in num_den:
-            if n == 0:
-                raise ExactDomainError("degenerate diagonal entry")
-            prod *= n * d
+        # square class of prod of num / den, and is 0 iff some entry is
+        det = prod([n * d for n, d in num_den])
+        if det == 0:
+            raise ExactDomainError("degenerate diagonal entry")
+        if len(num_den) % 4 == 2:
+            det = -det
         object.__setattr__(self, "diag", diag)
         object.__setattr__(self, "num_den", num_den)
-        object.__setattr__(self, "disc", SquareClass(GLOBAL, squarefree_part(prod)))
+        object.__setattr__(self, "disc", SquareClass(GLOBAL, squarefree_part(det)))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -66,7 +71,7 @@ class QuadraticSpace(Value):
 
     @classmethod
     def from_entries(cls, entries: Sequence[RationalLike]) -> "QuadraticSpace":
-        return cls(tuple(entries))
+        return cls(entries)
 
     @property
     def dim(self) -> int:
@@ -109,7 +114,7 @@ def diagonalize(gram: Sequence[Sequence[RationalLike]]) -> QuadraticSpace:
                 for r in range(k, n):
                     g[r][j] = g[r][j] - c * g[r][k]
         diag.append(pivot)
-    return QuadraticSpace(tuple(diag))
+    return QuadraticSpace(diag)
 
 
 def discriminant(q: QuadraticSpace) -> SquareClass:
@@ -124,17 +129,14 @@ def hasse_invariant(q: QuadraticSpace, v: Place) -> int:
     At a finite place each symbol is read from the symbol cache, keyed by the
     entries' integer pairs."""
     eps = 1
-    n = q.dim
-    if v.is_real:
-        for i in range(n):
-            for j in range(i + 1, n):
-                eps *= hilbert_symbol(q.diag[i], q.diag[j], v)
-        return eps
     p = v.p
-    pairs = q.num_den
-    for i, (an, ad) in enumerate(pairs):
-        for bn, bd in pairs[i + 1 :]:
-            eps *= _hilbert_finite_cached(an, ad, bn, bd, p)
+    if not p:  # the real place
+        for a, b in combinations(q.diag, 2):
+            eps *= hilbert_symbol(a, b, v)
+        return eps
+    symbol = _hilbert_finite_cached
+    for (an, ad), (bn, bd) in combinations(q.num_den, 2):
+        eps *= symbol(an, ad, bn, bd, p)
     return eps
 
 
@@ -142,26 +144,35 @@ def _class_counts(q: QuadraticSpace, p: int) -> dict[int, int]:
     """How many diagonal entries lie in each square class of Q_p^x, keyed by
     the class's integer representative p^e * u."""
     counts: dict[int, int] = {}
+    local = _local_class
     for n, d in q.num_den:
-        e, u = _local_class(n, d, p)
+        e, u = local(n, d, p)
         rep = p * u if e else u
         counts[rep] = counts.get(rep, 0) + 1
     return counts
 
 
 def _hasse_from_counts(counts: dict[int, int], v: Place) -> int:
-    """The Hasse invariant of a diagonal form with counts[c] entries in the
-    local square class c: grouping the pairs i < j of prod (a_i, a_j)_v by class
-    gives prod_c (c,c)^C(n_c,2) * prod_{c<c'} (c,c')^(n_c n_c') (Serre, A Course
-    in Arithmetic, ch. III-IV), at most 36 symbols for any dimension."""
+    """The Hasse invariant at the finite place v of a diagonal form with
+    counts[c] entries in the local square class c: grouping the pairs i < j of
+    prod (a_i, a_j)_v by class gives prod_c (c,c)^C(n_c,2) * prod_{c<c'}
+    (c,c')^(n_c n_c') (Serre, A Course in Arithmetic, ch. III-IV), at most 36
+    symbols for any dimension.  The classes are int representatives, so each
+    symbol is read from the symbol cache with denominators 1.  Square classes
+    over R are not what `_class_counts` counts, so the real place is refused."""
+    p = v.p
+    if not p:
+        raise ExactDomainError("class-count Hasse invariant is defined at finite places only")
+    symbol = _hilbert_finite_cached
     eps = 1
     classes = list(counts.items())
     for i, (c, n) in enumerate(classes):
-        if n * (n - 1) // 2 % 2:
-            eps *= hilbert_symbol(c, c, v)
-        for c2, n2 in classes[i + 1 :]:
-            if n * n2 % 2:
-                eps *= hilbert_symbol(c, c2, v)
+        if n & 2:  # C(n, 2) is odd iff n = 2, 3 mod 4
+            eps *= symbol(c, 1, c, 1, p)
+        if n & 1:
+            for c2, n2 in classes[i + 1 :]:
+                if n2 & 1:
+                    eps *= symbol(c, 1, c2, 1, p)
     return eps
 
 
@@ -191,7 +202,7 @@ def quasi_split_space(d: int, delta: SquareClass) -> QuadraticSpace:
         entries = [Fraction(1), Fraction(-1)] * m + [(Fraction(-1) ** m) * r]
     else:
         entries = [Fraction(1), Fraction(-1)] * (m - 1) + [Fraction(1), -r]
-    return QuadraticSpace(tuple(entries))
+    return QuadraticSpace(entries)
 
 
 def is_quasi_split_local(q: QuadraticSpace, v: Place) -> bool:
@@ -199,20 +210,20 @@ def is_quasi_split_local(q: QuadraticSpace, v: Place) -> bool:
     at finite places and the signature table over R.  The Hasse invariant comes
     from the square-class multiplicities of the diagonal, not from the pairwise
     product of `hasse_invariant`, which the oracle uses."""
-    d = q.dim
+    d = len(q.diag)
+    delta_rep = q.disc.rep
+    p = v.p
+    if p:
+        return _hasse_from_counts(_class_counts(q, p), v) == _quasi_split_hasse(d, delta_rep, p)
     m = d // 2
-    delta = discriminant(q)
-    if v.is_real:
-        sig = signature(q)
-        ds = 1 if delta.rep > 0 else -1
-        if d % 2 == 1:
-            if ds == (-1) ** m:
-                return sig == (m + 1, m)
-            return sig == (m, m + 1)
-        if ds == -1:
-            return sig == (m + 1, m - 1)
-        return sig == (m, m)
-    return _hasse_from_counts(_class_counts(q, v.p), v) == _quasi_split_hasse(d, delta.rep, v.p)
+    sig = signature(q)
+    if d % 2 == 1:
+        if (1 if delta_rep > 0 else -1) == (-1) ** m:
+            return sig == (m + 1, m)
+        return sig == (m, m + 1)
+    if delta_rep < 0:
+        return sig == (m + 1, m - 1)
+    return sig == (m, m)
 
 
 @lru_cache(maxsize=4096)
@@ -228,23 +239,23 @@ def _quasi_split_hasse(d: int, delta_rep: int, p: int) -> int:
 
 
 @lru_cache(maxsize=4096)
-def _model_invariants(d: int, delta_rep: int, p: int) -> tuple[SquareClass, int]:
-    """The discriminant class over Q_p and the pairwise Hasse invariant at p
-    of `quasi_split_space(d, delta)`, where delta has the squarefree
-    representative delta_rep."""
-    v = Place.finite(p)
+def _model_invariants(d: int, delta_rep: int, p: int) -> tuple[tuple[int, int], int]:
+    """The local square class at p of the discriminant, as `_local_class`
+    gives it, and the pairwise Hasse invariant at p of `quasi_split_space(d,
+    delta)`, where delta has the squarefree representative delta_rep."""
     model = quasi_split_space(d, SquareClass(GLOBAL, delta_rep))
-    return discriminant(model).localize(v), hasse_invariant(model, v)
+    return _local_class(model.disc.rep, 1, p), hasse_invariant(model, Place.finite(p))
 
 
 def is_quasi_split_oracle(q: QuadraticSpace, p: int) -> bool:
     """Independent check over Q_p: compare (dim, disc, Hasse) with the explicit
     quasi-split model, which classifies quadratic forms over Q_p.  The model
-    depends only on (dim, disc), so its invariants at p are cached."""
+    depends only on (dim, disc), so its invariants at p are cached; the
+    form's own pairwise Hasse product is taken on every call."""
     v = Place.finite(p)
-    disc = discriminant(q)
-    model_disc, model_hasse = _model_invariants(q.dim, disc.rep, p)
-    return disc.localize(v) == model_disc and hasse_invariant(q, v) == model_hasse
+    delta_rep = q.disc.rep
+    model_class, model_hasse = _model_invariants(len(q.diag), delta_rep, p)
+    return _local_class(delta_rep, 1, p) == model_class and hasse_invariant(q, v) == model_hasse
 
 
 def is_perfect(q: QuadraticSpace, p: int) -> bool:

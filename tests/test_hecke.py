@@ -68,6 +68,23 @@ def test_satake_relative_orbit_nonsplit():
         satake_minuscule(g, (0, 0, 0, 1), degree=1)  # not defined over the base
 
 
+@pytest.mark.parametrize("degree", [0, -1])
+def test_degree_below_one_is_refused(degree):
+    """A degree a < 1 is refused as `FrobTwist` refuses it, before the cached
+    relative group is read: the Satake image would otherwise carry q2 = 0 or
+    -3 at a = 0 or -1."""
+    g = UnramifiedGroup("B", 2)
+    info = hecke._relative_group.cache_info()
+    with pytest.raises(ExactDomainError, match="degree must be >= 1"):
+        satake_minuscule(g, (1, 0), degree=degree)
+    with pytest.raises(ExactDomainError, match="degree must be >= 1"):
+        g.relative_group(degree)
+    with pytest.raises(ExactDomainError, match="degree must be >= 1"):
+        FrobTwist(degree, WeylElement.identity(2))
+    assert hecke._relative_group.cache_info() == info
+    assert satake_minuscule(g, (1, 0), degree=1).q2 == 3
+
+
 def test_twisted_transfer_examples():
     x = HeckeElement(1, {(1,): 1}, TRIV1, 0)
     ident = WeylElement.identity(1)

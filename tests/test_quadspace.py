@@ -1,12 +1,13 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from endolab.errors import ExactDomainError
-from endolab.exactnum import REAL, Place, hilbert_symbol
+from endolab.exactnum import REAL, Place, _num_den, hilbert_symbol
 from endolab.quadspace import (
     QuadraticSpace,
     _class_counts,
@@ -172,6 +173,43 @@ def test_hasse_by_multiplicities_needs_the_self_pairing(p):
         return eps
 
     assert any(without_self_pairing(_class_counts(q, p)) != hasse_invariant(q, v) for q in _forms_by_class(p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_closed_test_matches_oracle_on_fraction_entries(p):
+    """Both sides off the int fast path: every entry is a Fraction, most with
+    denominator != 1, and each class appears as several rationals."""
+    v = Place.finite(p)
+    verdicts = set()
+    for q in _forms_by_class(p):
+        assert all(type(c) is Fraction for c in q.diag)
+        closed = is_quasi_split_local(q, v)
+        assert closed == is_quasi_split_oracle(q, p), (q.diag, p)
+        verdicts.add(closed)
+    assert verdicts == {True, False}
+    assert any(c.denominator != 1 for q in _forms_by_class(p, max_dim=2) for c in q.diag)
+
+
+def test_hasse_from_counts_refuses_the_real_place(monkeypatch):
+    """Class counts are local to a prime: at the real place the closed formula
+    raises, and it never reads the finite symbol cache with p = 0."""
+    from endolab import quadspace
+
+    real_cache = quadspace._hilbert_finite_cached
+    places = []
+    monkeypatch.setattr(
+        quadspace, "_hilbert_finite_cached", lambda an, ad, bn, bd, p: places.append(p) or real_cache(an, ad, bn, bd, p)
+    )
+    for q in _pool_forms():
+        signs = dict(Counter(1 if c > 0 else -1 for c in q.diag))
+        for counts in (signs, _class_counts(q, 3)):
+            with pytest.raises(ExactDomainError, match="finite places"):
+                _hasse_from_counts(counts, REAL)
+    assert places == []
+    # the finite place still goes through the (patched) cache
+    q = QuadraticSpace.from_entries([3, 3, 6])
+    assert _hasse_from_counts(_class_counts(q, 3), Place.finite(3)) == hasse_invariant(q, Place.finite(3))
+    assert places and set(places) == {3}
 
 
 def test_closed_test_and_oracle_take_separate_hasse_paths(monkeypatch):
@@ -455,3 +493,30 @@ def test_space_keeps_reduced_integer_pairs_out_of_eq_hash_and_repr():
             QuadraticSpace.from_entries(entries)
     with pytest.raises(ExactDomainError, match="degenerate diagonal entry"):
         QuadraticSpace((1, 0))
+
+
+def test_space_from_a_list_is_the_space_from_the_tuple():
+    from_list, from_tuple = QuadraticSpace([1, 2]), QuadraticSpace((1, 2))
+    assert from_list.diag == (1, 2) and type(from_list.diag) is tuple
+    assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+    assert repr(from_list) == "QuadraticSpace(diag=(1, 2))"
+    assert len({from_list, from_tuple, QuadraticSpace.from_entries([1, 2])}) == 1
+    assert QuadraticSpace([1, 2]) != QuadraticSpace([2, 1])
+
+
+def test_space_pairs_off_the_int_fast_path():
+    """Only an exact int becomes (c, 1) directly; bools, int subclasses and
+    Fractions give the pairs `_num_den` gives, and inexact entries are refused."""
+
+    class Int(int):
+        pass
+
+    q = QuadraticSpace((True, Int(-3), Fraction(10, 4), 5))
+    assert q.num_den == ((1, 1), (-3, 1), (5, 2), (5, 1))
+    assert q.num_den == tuple(_num_den(c) for c in q.diag)
+    assert discriminant(q) == _twisted_product_class(q.diag)
+    for bad in ([1.0, 2], [1, "2"], (Fraction(1, 2), 0.5)):
+        with pytest.raises(ExactDomainError, match="exact rational"):
+            QuadraticSpace(bad)
+    with pytest.raises(ExactDomainError, match="dimension"):
+        QuadraticSpace([])
