@@ -5,8 +5,12 @@ comparison identities.
 Both sides of each identity are computed from disjoint inputs: the
 Kostant-Weyl term from Kostant cohomology entries and weight truncation; the
 character sum from the heads of the alternant and the rank <= 2 cone tables.
-They share only the plan builder, rootdata._alternant_plan, and
-evaluate_plan.  All values are normalized by the same positive factor
+Their groups are interned in one plan per (kind, m, lambda), _arch_plan,
+which stores the SO-tail alternants they have in common once, and a
+sample's gap is one evaluate_plan call with one integer weight per root:
+the cone constants on the heads, the Kostant-Weyl coefficients on the
+Kostant groups.  The tests check each group's root against its own
+term_plan reference.  All values are normalized by the same positive factor
 delta_P^(1/2) Delta_M^(-1), so equality of the normalized values is equivalent
 to the stated identities.  Normalized, the Kostant-Weyl term is a sum of
 integer-coefficient monomials at gamma: Delta_M cancels the Levi Weyl
@@ -22,6 +26,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Optional
 
 from .dsconst import cone_constant_1d, cone_constant_2d
@@ -36,7 +41,7 @@ from .rootdata import (
     TorusPoint,
     Weight,
     _alternant_plan,
-    alternant_plan,
+    alternant_head_groups,
     circle_point,
     evaluate_plan,
     is_dominant,
@@ -149,28 +154,7 @@ def torus_point(case: ArchCase, sample: GammaSample) -> TorusPoint:
     return gamma
 
 
-# --- cached per-(case, lambda) Weyl data --------------------------------------
-
-
-@lru_cache(maxsize=64)
-def _omega_data(kind: str, m: int, lam: tuple[int, ...]):
-    """The heads (chi_1, chi_2) of chi = w(lam+rho), doubled, which is all
-    the cone constants read, and the plan of the character sum's terms
-    (eps(w), w(lam+rho)-rho) with one root per head."""
-    return alternant_plan(RootDatum(kind, m), Weight.from_ints(lam))
-
-
-@lru_cache(maxsize=256)
-def _cone_weights(kind: str, m: int, lam: tuple[int, ...], levi: str, x, system: Optional[str] = None):
-    """The cone constant of each head of _omega_data, in its order: on M1
-    and M2 the rank-1 constant at x = x_sign on chi_1 + chi_2 and on chi_1,
-    on M12 the rank-2 constant of the system at the chamber rep x."""
-    heads, _ = _omega_data(kind, m, lam)
-    if levi == "M1":
-        return tuple(cone_constant_1d(x, chi_1 + chi_2) for chi_1, chi_2 in heads)
-    if levi == "M2":
-        return tuple(cone_constant_1d(x, chi_1) for chi_1, _ in heads)
-    return tuple(cone_constant_2d(x, head, system) for head in heads)
+# --- the plan of both sides, per (kind, m, lambda) -----------------------------
 
 
 def _kostant_entries(kind: str, m: int, levi_label: str, lam: tuple[int, ...], cutoffs: tuple[str, ...]) -> dict:
@@ -215,36 +199,45 @@ def _at_omega0(kind: str, entries: dict) -> dict:
 
 
 @lru_cache(maxsize=64)
-def _kostant_data(kind: str, m: int, levi_label: str, lam: tuple[int, ...], cutoffs: tuple[str, ...]):
-    """The one-root plan of the _kostant_entries and, on M12, the one-root
-    plan of their _at_omega0 entries."""
-    entries = _kostant_entries(kind, m, levi_label, lam, cutoffs)
-    r = rho(RootDatum(kind, m)).doubled
-    if levi_label != "M12":
-        return (_alternant_plan(kind, (entries,), r),)
-    return _alternant_plan(kind, (entries,), r), _alternant_plan(kind, (_at_omega0(kind, entries),), r)
+def _arch_plan(kind: str, m: int, lam: tuple[int, ...]):
+    """The heads (chi_1, chi_2) of chi = w(lam+rho), doubled, which is all
+    the cone constants read, and the one plan of both sides of every
+    comparison identity at (kind, m, lam).  Its roots, in order: one per
+    head, the character sum's terms (eps(w), w(lam+rho)-rho) with that
+    head; then the Kostant groups of M1 (cutoff pi1), M2 (pi2) and M12
+    (pi1 and pi2), and the _at_omega0 entries of the M12 group.  The
+    groups of the two sides are disjoint, but their SO-tail alternants are
+    the same sub-polynomials, which the plan stores once."""
+    datum = RootDatum(kind, m)
+    heads, groups = alternant_head_groups(datum, Weight.from_ints(lam))
+    m12 = _kostant_entries(kind, m, "M12", lam, ("pi1", "pi2"))
+    kostant = (
+        _kostant_entries(kind, m, "M1", lam, ("pi1",)),
+        _kostant_entries(kind, m, "M2", lam, ("pi2",)),
+        m12,
+        _at_omega0(kind, m12),
+    )
+    return heads, _alternant_plan(kind, groups + kostant, rho(datum).doubled)
 
 
 # --- the Kostant-Weyl terms ----------------------------------------------------
 
 
-def L_M_normalized(case: ArchCase, sample: GammaSample, gamma: TorusPoint) -> GaussianRational:
-    """The Kostant-Weyl term divided by the common factor delta_P^(1/2) Delta_M^(-1),
-    at the point gamma that torus_point built for the sample:
-    integer-coefficient monomials at gamma, one plan per Kostant trace.
+def _kostant_weights(case: ArchCase, b: Optional[Fraction]) -> tuple[int, int, int, int]:
+    """The Kostant-Weyl term divided by the common factor delta_P^(1/2)
+    Delta_M^(-1), as integer weights of the Kostant roots of _arch_plan
+    (M1, M2, M12, M12 at omega_0), each a sum of integer-coefficient
+    monomials at gamma.
 
-    Cases M1/M2 are single truncated traces (M2 carries the factor 2); case M12
-    adds the conjugate-by-n_12 term at omega_0 gamma and subtracts the
-    intermediate M2 term with the sign eta_2.
+    Cases M1/M2 are single truncated traces (M2 carries the factor 2); case
+    M12 adds the conjugate-by-n_12 term at omega_0 gamma with the sign of
+    its delta_P^(1/2) ratio and subtracts the intermediate M2 term with the
+    sign eta_2.  Raises SingularPointError for b on a wall.
     """
-    coords = gamma.coords
-    kind, m, lam = case.datum.kind, case.m, case.lam
     if case.levi == "M1":
-        return evaluate_plan(_kostant_data(kind, m, "M1", lam, ("pi1",))[0], coords)
-    t_m2 = evaluate_plan(_kostant_data(kind, m, "M2", lam, ("pi2",))[0], coords)
+        return (1, 0, 0, 0)
     if case.levi == "M2":
-        return 2 * t_m2
-    b = sample.b
+        return (0, 2, 0, 0)
     if b in (1, -1):
         raise SingularPointError("b on a wall")
     if case.parity == "odd":
@@ -252,13 +245,36 @@ def L_M_normalized(case: ArchCase, sample: GammaSample, gamma: TorusPoint) -> Ga
         eta2 = -1 if 0 < b < 1 else 1
     else:
         ratio_sign = eta2 = 1
-    at_gamma, at_omega0 = _kostant_data(kind, m, "M12", lam, ("pi1", "pi2"))
-    t_gamma = evaluate_plan(at_gamma, coords)
-    t_omega0 = evaluate_plan(at_omega0, coords)
-    return t_gamma + ratio_sign * t_omega0 - eta2 * t_m2
+    return (0, -eta2, 1, ratio_sign)
 
 
 # --- the character sums ---------------------------------------------------------
+
+
+@lru_cache(maxsize=256)
+def _cone_weights(kind: str, m: int, lam: tuple[int, ...], levi: str, x, system: Optional[str] = None):
+    """The cone constant of each head of _arch_plan, in its order: on M1
+    and M2 the rank-1 constant at x = x_sign on chi_1 + chi_2 and on chi_1,
+    on M12 the rank-2 constant of the system at the chamber rep x."""
+    heads, _ = _arch_plan(kind, m, lam)
+    if levi == "M1":
+        return tuple(cone_constant_1d(x, chi_1 + chi_2) for chi_1, chi_2 in heads)
+    if levi == "M2":
+        return tuple(cone_constant_1d(x, chi_1) for chi_1, _ in heads)
+    return tuple(cone_constant_2d(x, head, system) for head in heads)
+
+
+def _cone_args(case: ArchCase, sample: GammaSample) -> tuple:
+    """(x, system) of the cone constants in the character sum at the
+    sample: on M1 and M2 x_sign, the sign of log|a + ib| or of log a, and
+    no system; on M12 the chamber rep of x = (log|a|, log|b|) and the
+    system B2 on odd d with a > 0, else D2."""
+    a, b = sample.a, sample.b
+    if case.levi == "M1":
+        return (1 if a * a + b * b > 1 else -1), None
+    if case.levi == "M2":
+        return (1 if a > 1 else -1), None
+    return _x_chamber_rep(abs(a), abs(b)), "B2" if case.parity == "odd" and a > 0 else "D2"
 
 
 def _x_chamber_rep(abs_a: Fraction, abs_b: Fraction) -> tuple[int, int]:
@@ -299,53 +315,6 @@ def _epsilon_R(case: ArchCase, sample: GammaSample) -> int:
         vals = [a * b, a / b]
     count = sum(1 for v in vals if 0 < v < 1)
     return -1 if count % 2 else 1
-
-
-def _character_sum(case: ArchCase, gamma: TorusPoint, x, system: Optional[str] = None) -> GaussianRational:
-    """sum over Omega of eps(w) c(w) gamma^{w(lam+rho)-rho}, with c(w) the
-    cone constant at x (and of the system on M12) of the doubled head
-    (chi_1, chi_2) of chi = w(lam + rho)."""
-    kind, m, lam = case.datum.kind, case.m, case.lam
-    _, plan = _omega_data(kind, m, lam)
-    return evaluate_plan(plan, gamma.coords, _cone_weights(kind, m, lam, case.levi, x, system))
-
-
-def Phi_normalized(case: ArchCase, sample: GammaSample, gamma: TorusPoint) -> GaussianRational:
-    """The normalized character sum (-1)^q(G) eps_R(gamma) sum_w eps(w)
-    n(gamma, wB) (w lam)(gamma) prod a^-1(gamma) at the point gamma that
-    torus_point built for the sample; exact zero off the identity component."""
-    a, b = sample.a, sample.b
-    q_sign = -1 if case.q_G % 2 else 1
-    if case.levi == "M1":
-        x_sign = 1 if a * a + b * b > 1 else -1
-        return (q_sign * _epsilon_R(case, sample)) * _character_sum(case, gamma, x_sign)
-    if case.levi == "M2":
-        if a < 0:
-            return ZERO
-        x_sign = 1 if a > 1 else -1
-        return (q_sign * _epsilon_R(case, sample)) * _character_sum(case, gamma, x_sign)
-    if a * b < 0:
-        return ZERO
-    xr = _x_chamber_rep(abs(a), abs(b))
-    if case.parity == "odd" and a > 0:
-        system = "B2"
-    else:
-        system = "D2"
-    return (q_sign * _epsilon_R(case, sample)) * _character_sum(case, gamma, xr, system)
-
-
-def Phi_endos_normalized(case: ArchCase, sample: GammaSample, gamma: TorusPoint) -> GaussianRational:
-    """The endoscopic variant for the odd case M12 at the point gamma of the
-    sample, built on the short root system +-e1, +-e2 but weighted by eps_R
-    of the full system; exact zero unless a, b > 0."""
-    if case.levi != "M12" or case.parity != "odd":
-        raise ExactDomainError("the endoscopic variant lives on odd-case M12")
-    a, b = sample.a, sample.b
-    if a < 0 or b < 0:
-        return ZERO
-    q_sign = -1 if case.q_G % 2 else 1
-    xr = _x_chamber_rep(abs(a), abs(b))
-    return (q_sign * _epsilon_R(case, sample)) * _character_sum(case, gamma, xr, "A1xA1")
 
 
 # --- identity verification ------------------------------------------------------
@@ -443,25 +412,32 @@ def sample_in_range(case: ArchCase, rng: random.Random, region: str = "stated") 
 
 def identity_gap(case: ArchCase, sample: GammaSample, gamma: TorusPoint) -> GaussianRational:
     """LHS - RHS of the case's comparison identity at the sample (zero = pass),
-    evaluated at the point gamma that torus_point built for it."""
+    evaluated at the point gamma that torus_point built for it: one
+    evaluation of _arch_plan, each root with one integer weight.  With
+    q = (-1)^q(G), Phi weights each head by q eps_R(gamma) times its cone
+    constant, Phi_endos the same with the constants of A1xA1, L_M the
+    Kostant roots by _kostant_weights, and the gap is Phi + 2q L_M on M1,
+    Phi + q L_M on M2, and 4q L_M - Phi - Phi_endos on M12, Phi_endos only
+    on odd d with a, b > 0.  In the vanishing regions, M2 with a < 0 and M12
+    with ab < 0, both character sums are zero by definition, and so is the
+    gap: no plan is evaluated there."""
+    a, b = sample.a, sample.b
+    if case.levi == "M2" and a < 0 or case.levi == "M12" and a * b < 0:
+        return ZERO
+    kind, m, lam = case.datum.kind, case.m, case.lam
     q_sign = -1 if case.q_G % 2 else 1
-    if case.levi == "M1":
-        return Phi_normalized(case, sample, gamma) - (-2 * q_sign) * L_M_normalized(case, sample, gamma)
-    if case.levi == "M2":
-        a = sample.a
-        if a < 0:
-            return Phi_normalized(case, sample, gamma)
-        return Phi_normalized(case, sample, gamma) - (-q_sign) * L_M_normalized(case, sample, gamma)
-    if sample.a * sample.b < 0:
-        total = Phi_normalized(case, sample, gamma)
-        if case.parity == "odd":
-            total = total + Phi_endos_normalized(case, sample, gamma)
-        return total
-    lhs = 4 * q_sign * L_M_normalized(case, sample, gamma)
-    rhs = Phi_normalized(case, sample, gamma)
-    if case.parity == "odd":
-        rhs = rhs + Phi_endos_normalized(case, sample, gamma)
-    return lhs - rhs
+    kostant = _kostant_weights(case, b)
+    x, system = _cone_args(case, sample)
+    cone = _cone_weights(kind, m, lam, case.levi, x, system)
+    if system == "B2":  # odd M12 with a, b > 0: Phi_endos adds the constants of A1xA1
+        cone = map(add, cone, _cone_weights(kind, m, lam, "M12", x, "A1xA1"))
+    head = q_sign * _epsilon_R(case, sample)
+    if case.levi == "M12":
+        head, scale = -head, 4 * q_sign
+    else:
+        scale = 2 * q_sign if case.levi == "M1" else q_sign
+    _, plan = _arch_plan(kind, m, lam)
+    return evaluate_plan(plan, gamma.coords, [head * c for c in cone] + [scale * k for k in kostant])
 
 
 def verify_identity(

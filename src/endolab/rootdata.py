@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import gcd
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 from typing import Sequence
 
 from .errors import ExactDomainError, ResourceLimitError, SingularPointError
@@ -398,16 +398,16 @@ def _alternant_plan(kind: str, groups: Sequence[dict], r: tuple[int, ...]) -> Te
     return TermPlan(tuple(lo for lo, _ in cols), columns, levels, roots)
 
 
-def alternant_plan(datum: RootDatum, lam: Weight) -> tuple[tuple, TermPlan]:
+def alternant_head_groups(datum: RootDatum, lam: Weight) -> tuple[tuple, tuple]:
     """The heads (chi_1, chi_2), the distinct first two coordinates of
-    w(lam+rho), doubled, and the plan of the terms (eps(w), w(lam+rho)-rho)
-    with one root per head: the first two steps of the Laplace expansion
-    of Weyl's determinant fix the head, and its group holds what they
-    leave, (head, unused mu_j, odd flips) with the sign of the steps.  The
-    rank is at least 3."""
+    w(lam+rho), doubled, and for each head the _alternant_plan group of the
+    terms (eps(w), w(lam+rho)-rho) with that head: the first two steps of
+    the Laplace expansion of Weyl's determinant fix the head, and its group
+    holds what they leave, (head, unused mu_j, odd flips) with the sign of
+    the steps.  The rank is at least 3."""
     if datum.rank < 3:
         raise ExactDomainError("an alternant plan by heads needs rank >= 3")
-    mu, r = _shifted(datum, lam)
+    mu, _ = _shifted(datum, lam)
     groups: dict = {}
     for (n1, v1), (n2, v2) in itertools.permutations(enumerate(mu), 2):
         rest = tuple(v for n, v in enumerate(mu) if n not in (n1, n2))
@@ -417,7 +417,7 @@ def alternant_plan(datum: RootDatum, lam: Weight) -> tuple[tuple, TermPlan]:
             group = groups.setdefault(head, {})
             state = (head, rest, datum.kind == "D" and s1 != s2)
             group[state] = group.get(state, 0) + sign * s1 * s2
-    return tuple(groups), _alternant_plan(datum.kind, tuple(groups.values()), r)
+    return tuple(groups), tuple(groups.values())
 
 
 def evaluate_plan(plan: TermPlan, coords: Sequence[GaussianRational], weights: Sequence[int] = (1,)) -> GaussianRational:
@@ -430,7 +430,17 @@ def evaluate_plan(plan: TermPlan, coords: Sequence[GaussianRational], weights: S
     edge, over the shared denominator prod_j d_j^H_j.  The shift
     prod_j z_j^lo_j over every coordinate joins the fold as n_j^lo_j over
     d_j^lo_j, or for lo_j < 0 as (d_j conj n_j)^|lo_j| over
-    (a_j^2 + b_j^2)^|lo_j|, and the sum is reduced once."""
+    (a_j^2 + b_j^2)^|lo_j|, and the sum is reduced once.  Only the nodes
+    that a root of nonzero weight reaches are folded: they are collected
+    level by level from those roots first, so a plan whose roots serve
+    several sums costs, per call, only the part its weights use."""
+    # reached[k]: the nodes of level k that the fold needs
+    reached = [{index for w, (s, index) in zip(weights, plan.roots, strict=True) if w and s and index is not None}]
+    for nodes in plan.levels[:-1]:
+        live = set()
+        for i in reached[-1]:
+            live.update(map(itemgetter(2), nodes[i]))
+        reached.append(live)
     sx, sy, den = 1, 0, 1  # the shift is (sx + i sy) / den; the fold's denominators join den
     for z, lo in zip(coords, plan.shift):
         if lo:
@@ -441,7 +451,7 @@ def evaluate_plan(plan: TermPlan, coords: Sequence[GaussianRational], weights: S
                 sx, sy = sx * a - sy * b, sx * b + sy * a
             den *= d ** abs(lo)
     vals = None
-    for (j, lo, hi), nodes in zip(reversed(plan.columns), reversed(plan.levels)):
+    for (j, lo, hi), nodes, live in zip(reversed(plan.columns), reversed(plan.levels), reversed(reached)):
         z = coords[j]
         a, b, d = z.re_n, z.im_n, z.den
         den *= d ** (hi - lo)
@@ -449,8 +459,9 @@ def evaluate_plan(plan: TermPlan, coords: Sequence[GaussianRational], weights: S
         for e in range(lo, hi + 1):
             row.append((x * d ** (hi - e), y * d ** (hi - e)))
             x, y = x * a - y * b, x * b + y * a
-        out = []
-        for edges in nodes:
+        out = {}
+        for i in live:
+            edges = nodes[i]
             re = im = 0
             if vals is None:
                 for f, s in edges:
@@ -463,7 +474,7 @@ def evaluate_plan(plan: TermPlan, coords: Sequence[GaussianRational], weights: S
                     u, v = vals[child]
                     re += s * (x * u - y * v)
                     im += s * (x * v + y * u)
-            out.append((re, im))
+            out[i] = (re, im)
         vals = out
     re_sum = im_sum = 0
     for w, (s, index) in zip(weights, plan.roots, strict=True):

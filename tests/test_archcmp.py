@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 import pytest
@@ -10,9 +11,6 @@ from endolab import archcmp, rootdata
 from endolab.archcmp import (
     ArchCase,
     GammaSample,
-    L_M_normalized,
-    Phi_endos_normalized,
-    Phi_normalized,
     _epsilon_R,
     _sample_circles,
     identity_gap,
@@ -102,11 +100,84 @@ def _head_coefficient(chi_1, chi_2):
     return chi_1 - 3 * chi_2 + 1
 
 
+def _roots_at(case, gamma, head_weights=None, kostant=(0, 0, 0, 0)):
+    """The case's _arch_plan at gamma, its head roots weighted by
+    head_weights (all 0 if None) and its Kostant roots (M1, M2, M12, M12 at
+    omega_0) by kostant."""
+    heads, plan = archcmp._arch_plan(case.datum.kind, case.m, case.lam)
+    weights = [0] * len(heads) if head_weights is None else list(head_weights)
+    return rootdata.evaluate_plan(plan, gamma.coords, weights + list(kostant))
+
+
 def _character_sum_with(case, gamma, coefficient):
-    """The case's character-sum plan at gamma, each head (chi_1, chi_2)
+    """The case's character sum at gamma, each head (chi_1, chi_2)
     weighted by coefficient(chi_1, chi_2)."""
-    heads, plan = archcmp._omega_data(case.datum.kind, case.m, case.lam)
-    return rootdata.evaluate_plan(plan, gamma.coords, [coefficient(*head) for head in heads])
+    heads, _ = archcmp._arch_plan(case.datum.kind, case.m, case.lam)
+    return _roots_at(case, gamma, [coefficient(*head) for head in heads])
+
+
+def _vanishes(case, sample) -> bool:
+    """Whether the sample lies in a vanishing region: M2 with a < 0, M12 with ab < 0."""
+    return case.levi == "M2" and sample.a < 0 or case.levi == "M12" and sample.a * sample.b < 0
+
+
+def _cone_sum(case, sample, gamma, x, system):
+    """(-1)^q(G) eps_R(gamma) times the character sum at gamma with the cone
+    constants at x of the system."""
+    sign = (-1 if case.q_G % 2 else 1) * _epsilon_R(case, sample)
+    cone = archcmp._cone_weights(case.datum.kind, case.m, case.lam, case.levi, x, system)
+    return _roots_at(case, gamma, [sign * c for c in cone])
+
+
+def Phi_normalized(case, sample, gamma):
+    """The normalized character sum (-1)^q(G) eps_R(gamma) sum_w eps(w)
+    n(gamma, wB) (w lam)(gamma) prod a^-1(gamma), the head roots of the
+    case's plan alone; exact zero off the identity component."""
+    if _vanishes(case, sample):
+        return ZERO
+    return _cone_sum(case, sample, gamma, *archcmp._cone_args(case, sample))
+
+
+def Phi_endos_normalized(case, sample, gamma):
+    """The endoscopic variant for the odd case M12, built on the short root
+    system +-e1, +-e2 but weighted by eps_R of the full system, the head
+    roots of the case's plan alone; exact zero unless a, b > 0."""
+    if case.levi != "M12" or case.parity != "odd":
+        raise ExactDomainError("the endoscopic variant lives on odd-case M12")
+    if sample.a < 0 or sample.b < 0:
+        return ZERO
+    x, _ = archcmp._cone_args(case, sample)
+    return _cone_sum(case, sample, gamma, x, "A1xA1")
+
+
+def L_M_normalized(case, sample, gamma):
+    """The normalized Kostant-Weyl term, the Kostant roots of the case's
+    plan alone."""
+    return _roots_at(case, gamma, kostant=archcmp._kostant_weights(case, sample.b))
+
+
+@pytest.mark.parametrize("levi,d", ARCH_CASES)
+def test_gap_is_the_sides_combined(levi, d):
+    """identity_gap, one evaluation with the weight table, is the
+    combination of the three sides, each evaluated alone: Phi + 2q L_M on
+    M1, Phi + q L_M on M2, 4q L_M - Phi - Phi_endos on M12, at stated and
+    out-of-range samples, where it is nonzero."""
+    case = ArchCase(levi, d, tuple(([3, 2, 1] + [0] * d)[: d // 2]))
+    q = -1 if case.q_G % 2 else 1
+    rng = random.Random(200 + d)
+    gaps = []
+    for region in ("stated", "stated", "out_of_range"):
+        sample, gamma = sample_in_range(case, rng, region)
+        phi, lm = Phi_normalized(case, sample, gamma), L_M_normalized(case, sample, gamma)
+        if levi == "M12":
+            want = 4 * q * lm - phi
+            if d % 2:
+                want = want - Phi_endos_normalized(case, sample, gamma)
+        else:
+            want = phi + (2 * q if levi == "M1" else q) * lm
+        gaps.append(identity_gap(case, sample, gamma))
+        assert gaps[-1] == want
+    assert gaps[:2] == [ZERO, ZERO] and gaps[2] != ZERO
 
 
 @pytest.mark.parametrize("levi,d", ARCH_CASES)
@@ -116,52 +187,84 @@ def test_character_sum_matches_product_form(levi, d):
     assert _character_sum_with(case, gamma, _head_coefficient) == _product_form_sum(case, gamma, _head_coefficient)
 
 
-# Edges of each case's plans: the character sum, the Kostant trace and, on
-# M12, the term at omega_0 gamma.  These are the counts of term_plan over the
-# enumerated term lists; the plans must not grow.  The rank-7 rows (d = 14,
-# 15) were measured so once; a term_plan there takes seconds, so only the
-# counts are checked.
+# Edges of the plan of each (d, lambda), lambda = (3, 2, 1, 0, ...), and of
+# its five groups built apart: the character sum, one root per head, and the
+# Kostant traces of M1, M2 and M12 and the M12 term at omega_0 gamma.  The
+# counts apart are those of term_plan over the enumerated term lists; the
+# shared plan holds far fewer edges than their sum, and must not grow.  The
+# rank-7 rows (d = 14, 15) were measured so once; a term_plan there takes
+# seconds, so only the counts are checked.
 PLAN_EDGES = {
-    ("M1", 7): (42, 21),
-    ("M2", 7): (42, 21),
-    ("M12", 7): (42, 18, 18),
-    ("M1", 8): (85, 52),
-    ("M12", 8): (85, 43, 43),
-    ("M1", 9): (104, 60),
-    ("M2", 9): (104, 60),
-    ("M12", 9): (104, 54, 54),
-    ("M1", 10): (199, 139),
-    ("M12", 10): (199, 125, 125),
-    ("M1", 14): (963, 825),
-    ("M12", 14): (963, 798, 798),
-    ("M1", 15): (1050, 889),
-    ("M2", 15): (1050, 889),
-    ("M12", 15): (1050, 868, 868),
+    7: (78, (42, 21, 21, 18, 18)),
+    8: (134, (85, 52, 46, 43, 43)),
+    9: (173, (104, 60, 60, 54, 54)),
+    10: (286, (199, 139, 131, 125, 125)),
+    14: (1159, (963, 825, 813, 798, 798)),
+    15: (1284, (1050, 889, 889, 868, 868)),
 }
+PLAN_CASES = [(levi, d) for d in PLAN_EDGES for levi in ("M1", "M2", "M12") if d % 2 or levi != "M2"]
 CUTOFFS = {"M1": ("pi1",), "M2": ("pi2",), "M12": ("pi1", "pi2")}
 
 
-@pytest.mark.parametrize("levi,d", list(PLAN_EDGES))
+def _one_hot(i, n):
+    return [int(j == i) for j in range(n)]
+
+
+def _kostant_groups(kind, m, lam):
+    """The Kostant groups of _arch_plan in its order: the entries of M1, M2
+    and M12, and the _at_omega0 entries of M12."""
+    groups = [archcmp._kostant_entries(kind, m, label, lam, CUTOFFS[label]) for label in ("M1", "M2", "M12")]
+    return groups + [archcmp._at_omega0(kind, groups[2])]
+
+
+def _plans_apart(kind, m, lam):
+    """The character-sum plan, one root per head, and the one-root plan of
+    each Kostant group, each built alone by _alternant_plan."""
+    datum = RootDatum(kind, m)
+    r = rho(datum).doubled
+    _, head_groups = rootdata.alternant_head_groups(datum, Weight.from_ints(lam))
+    return [rootdata._alternant_plan(kind, head_groups, r)] + [
+        rootdata._alternant_plan(kind, (group,), r) for group in _kostant_groups(kind, m, lam)
+    ]
+
+
+def _span(plan):
+    """(lowest, highest exponent) of every coordinate of the plan."""
+    hi = {j: h for j, _, h in plan.columns}
+    return [(lo, hi.get(j, lo)) for j, lo in enumerate(plan.shift)]
+
+
+@pytest.mark.parametrize("levi,d", PLAN_CASES)
 def test_plans_match_term_plan_and_keep_their_edges(levi, d):
-    """Every plan of the case has its PLAN_EDGES; and up to d = 10, the
-    character-sum plan against term_plan over the enumerated alternant
-    terms grouped by head: the same shift and columns, equal values with
-    seeded weights at seeded points of the case."""
+    """The case's plan has the PLAN_EDGES of its (d, lambda), fewer than its
+    groups built apart, which have theirs; each coordinate spans what it
+    spans in those plans.  Up to d = 10, every head root, evaluated on its
+    own, against term_plan over the enumerated alternant terms of its head,
+    and all heads with seeded weights, at seeded points of the case; the
+    character-sum plan built apart has term_plan's shift, columns and
+    edges."""
     case = ArchCase(levi, d, tuple(([3, 2, 1] + [0] * d)[: d // 2]))
     kind, m, lam = case.datum.kind, case.m, case.lam
-    heads, plan = archcmp._omega_data(kind, m, lam)
-    plans = (plan,) + archcmp._kostant_data(kind, m, levi, lam, CUTOFFS[levi])
-    assert tuple(map(plan_edges, plans)) == PLAN_EDGES[(levi, d)]
+    heads, plan = archcmp._arch_plan(kind, m, lam)
+    apart = _plans_apart(kind, m, lam)
+    edges, edges_apart = PLAN_EDGES[d]
+    assert tuple(map(plan_edges, apart)) == edges_apart
+    assert plan_edges(plan) == edges < sum(edges_apart)
+    spans = list(zip(*map(_span, apart)))
+    assert _span(plan) == [(min(lo for lo, _ in col), max(hi for _, hi in col)) for col in spans]
     if d > 10:
         return
     want = head_term_plan(case.datum, case.weight(), heads)
-    assert (plan.shift, plan.columns) == (want.shift, want.columns)
-    assert plan_edges(want) == PLAN_EDGES[(levi, d)][0]
+    assert (apart[0].shift, apart[0].columns) == (want.shift, want.columns)
+    assert plan_edges(want) == edges_apart[0]
     rng = random.Random(d)
     for _ in range(3):
         coords = sample_in_range(case, rng)[1].coords
+        for i in range(len(heads)):
+            got = rootdata.evaluate_plan(plan, coords, _one_hot(i, len(plan.roots)))
+            assert got == rootdata.evaluate_plan(want, coords, _one_hot(i, len(heads))), heads[i]
         weights = [rng.randint(-4, 4) for _ in heads]
-        assert rootdata.evaluate_plan(plan, coords, weights) == rootdata.evaluate_plan(want, coords, weights)
+        assert rootdata.evaluate_plan(plan, coords, weights + [0] * 4) == rootdata.evaluate_plan(want, coords, weights)
 
 
 def _kostant_terms(kind, m, levi_label, lam, cutoffs):
@@ -198,6 +301,16 @@ def _omega0_shift(kind, m):
     return lambda e: (e[0], -e[1] - 2 * (m - 2), -e[2] - 2 * (m - 3)) + e[3:]
 
 
+@lru_cache(maxsize=None)
+def _kostant_term_plans(kind, m, lam):
+    """term_plan over the enumerated terms of each Kostant group of
+    _arch_plan, in its order, the omega_0 term by the exponent map."""
+    wanted = [term_plan((_kostant_terms(kind, m, label, lam, CUTOFFS[label]),)) for label in ("M1", "M2", "M12")]
+    terms = _kostant_terms(kind, m, "M12", lam, CUTOFFS["M12"])
+    shift = _omega0_shift(kind, m)
+    return wanted + [term_plan(([(c, shift(e)) for c, e in terms],))]
+
+
 # The acceptance cases and, on D, weights with lambda_m != 0, where the
 # tail alternant at z^-1 differs from the tail alternant.
 KOSTANT_REFERENCE_CASES = [(levi, d, tuple(([3, 2, 1] + [0] * d)[: d // 2])) for levi, d in ARCH_CASES] + [
@@ -207,28 +320,24 @@ KOSTANT_REFERENCE_CASES = [(levi, d, tuple(([3, 2, 1] + [0] * d)[: d // 2])) for
 
 @pytest.mark.parametrize("levi,d,lam", KOSTANT_REFERENCE_CASES)
 def test_kostant_plans_are_the_term_plans(levi, d, lam):
-    """Every Kostant plan a case evaluates (on M12 also the M2 trace and the
-    omega_0 term) against term_plan over the enumerated terms, the omega_0
-    term by the exponent map: the same shift and columns, as many nodes per
-    level and edges, and equal values at seeded points of the case."""
+    """Every Kostant root of the case's plan (the M1, M2 and M12 traces and
+    the M12 term at omega_0 gamma), evaluated on its own, against term_plan
+    over the enumerated terms of its group, the omega_0 term by the exponent
+    map, at seeded points of the case; and each group's plan built apart
+    has term_plan's shift and columns, as many nodes per level and edges."""
     case = ArchCase(levi, d, lam)
     kind, m = case.datum.kind, case.m
-    wanted = []
-    for label in ("M2", "M12") if levi == "M12" else (levi,):
-        terms = _kostant_terms(kind, m, label, lam, CUTOFFS[label])
-        wanted.append((archcmp._kostant_data(kind, m, label, lam, CUTOFFS[label])[0], term_plan((terms,))))
-    if levi == "M12":
-        shift = _omega0_shift(kind, m)
-        at_omega0 = archcmp._kostant_data(kind, m, "M12", lam, CUTOFFS["M12"])[1]
-        wanted.append((at_omega0, term_plan(([(c, shift(e)) for c, e in terms],))))
+    heads, plan = archcmp._arch_plan(kind, m, lam)
+    wanted = _kostant_term_plans(kind, m, lam)
     rng = random.Random(d)
     points = [sample_in_range(case, rng)[1].coords for _ in range(3)]
-    for plan, want in wanted:
-        assert (plan.shift, plan.columns) == (want.shift, want.columns)
-        assert [len(level) for level in plan.levels] == [len(level) for level in want.levels]
-        assert plan_edges(plan) == plan_edges(want)
+    for n, (apart, want) in enumerate(zip(_plans_apart(kind, m, lam)[1:], wanted, strict=True)):
+        assert (apart.shift, apart.columns) == (want.shift, want.columns)
+        assert [len(level) for level in apart.levels] == [len(level) for level in want.levels]
+        assert plan_edges(apart) == plan_edges(want)
+        weights = _one_hot(len(heads) + n, len(plan.roots))
         for coords in points:
-            assert rootdata.evaluate_plan(plan, coords) == rootdata.evaluate_plan(want, coords)
+            assert rootdata.evaluate_plan(plan, coords, weights) == rootdata.evaluate_plan(want, coords)
 
 
 @pytest.mark.parametrize("levi,d", ARCH_CASES)
@@ -239,7 +348,7 @@ def test_cold_case_enumerates_no_weyl_group(monkeypatch, levi, d):
     calls = []
     real = rootdata.weyl_enumerate
     monkeypatch.setattr(rootdata, "weyl_enumerate", lambda datum: calls.append(datum) or real(datum))
-    for cached in (archcmp._omega_data, archcmp._kostant_data, archcmp._cone_weights, rootdata._kostant_table):
+    for cached in (archcmp._arch_plan, archcmp._cone_weights, rootdata._kostant_table):
         cached.cache_clear()
     case = ArchCase(levi, d, tuple(([3, 2, 1] + [0] * d)[: d // 2]))
     report = verify_identity(case, samples=2, seed=3, vanishing_controls=1)
@@ -258,7 +367,7 @@ def test_cone_weights_are_the_cone_tables(levi, d):
     and A1xA1, where a head on a cone wall raises as the table does."""
     case = ArchCase(levi, d, tuple(([3, 2, 1] + [0] * d)[: d // 2]))
     kind, m, lam = case.datum.kind, case.m, case.lam
-    heads, _ = archcmp._omega_data(kind, m, lam)
+    heads, _ = archcmp._arch_plan(kind, m, lam)
     if levi != "M12":
         for x_sign in (1, -1):
             read = (lambda c1, c2: c1 + c2) if levi == "M1" else (lambda c1, c2: c1)
@@ -410,11 +519,11 @@ def test_m1_heads_without_the_1_over_x_shift_fail(monkeypatch, d):
         return {((head[0] + 2,) + head[1:], tail, odd): c for (head, tail, odd), c in entries.items()}
 
     monkeypatch.setattr(archcmp, "_kostant_entries", times_x)
-    archcmp._kostant_data.cache_clear()
+    archcmp._arch_plan.cache_clear()
     try:
         assert all(identity_gap(case, s, gamma) != ZERO for s, gamma in samples)
     finally:
-        archcmp._kostant_data.cache_clear()
+        archcmp._arch_plan.cache_clear()
 
 
 def test_omega0_without_the_d_parity_flip_fails(monkeypatch):
@@ -425,11 +534,11 @@ def test_omega0_without_the_d_parity_flip_fails(monkeypatch):
     assert main(["verify", "arch", "--case", "M12", "--d", "8", "--lambda", "2,1,1,1"]) == 0
     real = archcmp._at_omega0
     monkeypatch.setattr(archcmp, "_at_omega0", lambda kind, entries: real("B", entries))
-    archcmp._kostant_data.cache_clear()
+    archcmp._arch_plan.cache_clear()
     try:
         assert main(["verify", "arch", "--case", "M12", "--d", "8", "--lambda", "2,1,1,1"]) == 1
     finally:
-        archcmp._kostant_data.cache_clear()
+        archcmp._arch_plan.cache_clear()
 
 
 def test_character_sum_without_rho_shift_fails(monkeypatch):
@@ -437,12 +546,114 @@ def test_character_sum_without_rho_shift_fails(monkeypatch):
     case = ArchCase("M12", 8, (3, 2, 1, 0))
     _, gamma = sample_in_range(case, random.Random(8))
     expected = _product_form_sum(case, gamma, _head_coefficient)
-    monkeypatch.setattr(rootdata, "_alternant_plan", without_rho_shift(rootdata._alternant_plan))
-    archcmp._omega_data.cache_clear()
+    monkeypatch.setattr(archcmp, "_alternant_plan", without_rho_shift(rootdata._alternant_plan))
+    archcmp._arch_plan.cache_clear()
     try:
         assert _character_sum_with(case, gamma, _head_coefficient) != expected
     finally:
-        archcmp._omega_data.cache_clear()
+        archcmp._arch_plan.cache_clear()
+
+
+def _swapped(w):
+    """K_M12 and K_M12 at omega_0 trade their weights."""
+    return (w[0], w[1], w[3], w[2])
+
+
+def _without_eta2(w):
+    """K_M2 weighted -1, with eta_2 dropped."""
+    return (w[0], -1, w[2], w[3])
+
+
+def _omega0_negated(w):
+    """K_M12 at omega_0 with the sign of its delta_P^(1/2) ratio flipped."""
+    return (w[0], w[1], w[2], -w[3])
+
+
+# The (b > 0, |b| > 1) regions of _m12_points where each mutated M12 weight
+# table differs from the true one.  On even d both weights of K_M12 and its
+# omega_0 term are 4q and eta_2 = 1, so the first two mutations change
+# nothing there.
+MUTATION_REGIONS = {
+    (_swapped, "odd"): {(False, False), (False, True)},  # b < 0: the ratio sign is -1
+    (_without_eta2, "odd"): {(True, False)},  # 0 < b < 1: eta_2 = -1
+    (_swapped, "even"): set(),
+    (_without_eta2, "even"): set(),
+    (_omega0_negated, "odd"): {(False, False), (False, True), (True, False), (True, True)},
+    (_omega0_negated, "even"): {(False, False), (False, True), (True, False), (True, True)},
+}
+
+
+@pytest.mark.parametrize("d", [7, 8, 9, 10])
+@pytest.mark.parametrize("mutation", [_swapped, _without_eta2, _omega0_negated], ids=lambda f: f.__name__)
+def test_m12_weight_table_mutations_fail(monkeypatch, d, mutation):
+    """Negative control for the M12 row of the weight table: with the K_M12
+    and omega_0 weights swapped, eta_2 dropped on K_M2, or the omega_0
+    ratio sign flipped, identity_gap is nonzero at stated samples exactly
+    in the b-regions where the mutated weights differ from the true ones."""
+    case = ArchCase("M12", d, tuple(([3, 2, 1] + [0] * d)[: d // 2]))
+    points = _m12_points(case)
+    assert all(identity_gap(case, sample, gamma) == ZERO for sample, gamma in points)
+    real = archcmp._kostant_weights
+    monkeypatch.setattr(archcmp, "_kostant_weights", lambda case, b: mutation(real(case, b)))
+    broken = {(s.b > 0, abs(s.b) > 1) for s, gamma in points if identity_gap(case, s, gamma) != ZERO}
+    assert broken == MUTATION_REGIONS[(mutation, case.parity)]
+    for sample, gamma in points:
+        if (sample.b > 0, abs(sample.b) > 1) in broken:
+            assert identity_gap(case, sample, gamma) != ZERO
+
+
+@pytest.mark.parametrize("d", [10, 11])
+def test_partial_weights_are_sums_of_one_hot_roots(d):
+    """evaluate_plan, which folds only the nodes that roots of nonzero
+    weight reach, on the D5 and B5 plans: weights with zeros (one side
+    alone, one Kostant root, seeded mixes) give sum w_i times the one-hot
+    value of root i, and all-zero weights give ZERO.  A node that no root
+    of nonzero weight reaches is not read: one whose edges name a child
+    that does not exist changes nothing until its root is weighted."""
+    case = ArchCase("M12", d, tuple(([3, 2, 1] + [0] * d)[: d // 2]))
+    heads, plan = archcmp._arch_plan(case.datum.kind, case.m, case.lam)
+    n = len(plan.roots)
+    rng = random.Random(d)
+    coords = sample_in_range(case, rng)[1].coords
+    one_hot = [rootdata.evaluate_plan(plan, coords, _one_hot(i, n)) for i in range(n)]
+    assert ZERO not in one_hot[len(heads) :]
+    vectors = [
+        [rng.randint(-3, 3) for _ in heads] + [0] * 4,
+        [0] * len(heads) + [2, -1, 0, 3],
+        _one_hot(len(heads), n),
+    ] + [[rng.choice((0, 0, 0, -2, -1, 1, 3)) for _ in range(n)] for _ in range(4)]
+    for weights in vectors:
+        want = sum((w * value for w, value in zip(weights, one_hot)), ZERO)
+        assert rootdata.evaluate_plan(plan, coords, weights) == want
+    assert rootdata.evaluate_plan(plan, coords, [0] * n) == ZERO
+    dangling = len(plan.levels[1])
+    levels = (plan.levels[0] + (((0, 1, dangling),),),) + plan.levels[1:]
+    poisoned = rootdata.TermPlan(plan.shift, plan.columns, levels, plan.roots + ((1, len(plan.levels[0])),))
+    assert rootdata.evaluate_plan(poisoned, coords, vectors[1] + [0]) == rootdata.evaluate_plan(plan, coords, vectors[1])
+    with pytest.raises(IndexError):
+        rootdata.evaluate_plan(poisoned, coords, [0] * n + [1])
+
+
+@pytest.mark.parametrize("levi,d", [(levi, d) for levi, d in ARCH_CASES if levi != "M1"])
+def test_vanishing_regions_evaluate_nothing(monkeypatch, levi, d):
+    """In the vanishing regions, M2 with a < 0 and M12 with ab < 0, both
+    character sums are zero by definition: identity_gap returns ZERO there
+    without evaluating a plan, so the report's vanishing-region controls
+    hold by definition.  A stated sample does evaluate."""
+
+    def refuse(*args):
+        raise AssertionError("evaluate_plan called")
+
+    monkeypatch.setattr(archcmp, "evaluate_plan", refuse)
+    monkeypatch.setattr(rootdata, "evaluate_plan", refuse)
+    case = ArchCase(levi, d, tuple(([3, 2, 1] + [0] * d)[: d // 2]))
+    rng = random.Random(d)
+    for _ in range(5):
+        sample, gamma = sample_in_range(case, rng, "vanishing")
+        assert _vanishes(case, sample) and identity_gap(case, sample, gamma) == ZERO
+    sample, gamma = sample_in_range(case, rng)
+    with pytest.raises(AssertionError, match="evaluate_plan called"):
+        identity_gap(case, sample, gamma)
 
 
 @pytest.mark.parametrize("levi,lam", [("M1", (0, 0, 0)), ("M2", (1, 1, 0)), ("M12", (2, 1, 0))])

@@ -10,7 +10,7 @@ from functools import lru_cache
 
 import pytest
 
-from endolab import archcmp, rootdata
+from endolab import rootdata
 from endolab.cli import _dominant_weights
 from endolab.errors import ExactDomainError, ResourceLimitError, SingularPointError
 from endolab.exactnum import GaussianRational
@@ -430,7 +430,7 @@ def test_character_sum_plan_shares_sub_polynomials():
     head, stores at most a tenth as many edges as its terms have
     term x coordinate products."""
     lam = (3, 2, 1, 0, 0)
-    heads, plan = archcmp._omega_data("D", 5, lam)
+    heads, plan = alternant_plan(RootDatum("D", 5), Weight.from_ints(lam))
     terms = alternant_terms(RootDatum("D", 5), Weight.from_ints(lam))
     edges = sum(len(node) for level in plan.levels for node in level)
     assert len(terms) == 1920 and len(plan.roots) == len(heads)
@@ -478,10 +478,18 @@ def plan_edges(plan):
     return sum(len(node) for level in plan.levels for node in level)
 
 
+def alternant_plan(datum, lam):
+    """The heads of alternant_head_groups and the character-sum plan of
+    their groups alone, one root per head."""
+    heads, groups = rootdata.alternant_head_groups(datum, lam)
+    return heads, rootdata._alternant_plan(datum.kind, groups, rho(datum).doubled)
+
+
 def head_term_plan(datum, lam, heads):
-    """The reference for alternant_plan: term_plan over the alternant terms
-    grouped by their head (chi_1, chi_2), one root per head in the order of
-    heads, which must be the heads of the terms."""
+    """The reference for the character-sum plan of alternant_plan:
+    term_plan over the alternant terms grouped by their head (chi_1, chi_2),
+    one root per head in the order of heads, which must be the heads of the
+    terms."""
     r = rho(datum).doubled
     groups: dict = {}
     for eps, e in alternant_terms(datum, lam):
@@ -501,7 +509,7 @@ def test_alternant_plan_is_the_term_plan(kind, m):
     points = _regular_points(datum, rng, 1)
     for lam_c in ((0,) * m, ((3, 2, 1) + (0,) * m)[:m], tuple(range(m, 0, -1))):
         lam = Weight.from_ints(lam_c)
-        heads, plan = rootdata.alternant_plan(datum, lam)
+        heads, plan = alternant_plan(datum, lam)
         want = head_term_plan(datum, lam, heads)
         assert (plan.shift, plan.columns) == (want.shift, want.columns)
         assert [len(level) for level in plan.levels] == [len(level) for level in want.levels]
@@ -538,9 +546,9 @@ def test_one_group_plan_is_the_term_plan(kind, m):
 
 def test_alternant_plan_domain():
     with pytest.raises(ExactDomainError, match="rank >= 3"):
-        rootdata.alternant_plan(B2, Weight.from_ints((1, 0)))
+        rootdata.alternant_head_groups(B2, Weight.from_ints((1, 0)))
     with pytest.raises(ExactDomainError, match="dominant"):
-        rootdata.alternant_plan(B3, Weight.from_ints((0, 1, 0)))
+        rootdata.alternant_head_groups(B3, Weight.from_ints((0, 1, 0)))
 
 
 @pytest.mark.parametrize("kind,m", [(k, m) for k in "BD" for m in range(1, 7)])
