@@ -476,6 +476,8 @@ def _suite_kostant(rep: Report, *, max_rank=3, max_coord=2):
 
     _at_least("max-rank", max_rank, 2)
     _at_least("max-coord", max_coord, 0)
+    if max_rank > rootdata.MAX_WEYL_RANK:
+        raise ExactDomainError(f"--max-rank must be <= {rootdata.MAX_WEYL_RANK}, got {max_rank}")
     for kind in ("B", "D"):
         for m in range(2, max_rank + 1):
             datum = rootdata.RootDatum(kind, m)

@@ -80,38 +80,35 @@ class Laurent:
         return cls(len(doubled_exp), {tuple(doubled_exp): coeff})
 
     @classmethod
-    def product_of_blocks(cls, rank: int, blocks) -> "Laurent":
-        """The product of polynomials in disjoint coordinate blocks.
+    def sum_of_block_products(cls, rank: int, blocks, entries) -> "Laurent":
+        """sum_j c_j prod_b p_jb over the entries (c_j, [p_j1, p_j2, ...]).
 
-        blocks lists (offset, poly) by increasing offset; poly is placed on
-        coordinates offset .. offset + poly.rank - 1.  No two blocks share a
-        coordinate, so each choice of one term per block is its own monomial:
-        the product is {k1 + k2: c1 * c2} with no coefficients to collect.
+        blocks lists (offset, size) by increasing offset; p_jb has rank size and
+        sits on coordinates offset .. offset + size - 1.  The blocks are
+        disjoint, so each choice of one term per factor is its own monomial,
+        and each entry's product, seeded with c_j, goes into one accumulator.
         """
-        packed, span, end = {0: 1}, 0, 0
-        for offset, poly in blocks:
-            if offset < end or offset + poly.rank > rank:
+        shifts, end = [], 0
+        for offset, size in blocks:
+            if offset < end or offset + size > rank:
                 raise ExactDomainError("blocks overlap or do not fit the rank")
-            end = offset + poly.rank
-            shift = W * (rank - end)
-            factor = [(k << shift, c) for k, c in poly._packed.items()]
-            packed = {k1 + k2: c1 * c2 for k1, c1 in packed.items() for k2, c2 in factor}
-            span = max(span, poly._span)
-        return cls._make(rank, packed, span)
-
-    @classmethod
-    def linear_combination(cls, rank: int, pairs) -> "Laurent":
-        """sum_j a_j * p_j over (a_j, p_j) in pairs, collected on one dict."""
-        acc: dict = {}
-        span = 0
+            end = offset + size
+            shifts.append((size, W * (rank - end)))
+        acc, span = {}, 0
         get = acc.get
-        for a, p in pairs:
-            if p.rank != rank:
-                raise ExactDomainError(f"Laurent ranks differ: {rank} and {p.rank}")
-            for k, c in p._packed.items():
-                acc[k] = get(k, 0) + a * c
-            span = max(span, p._span)
-        return cls._make(rank, {k: c for k, c in acc.items() if c}, span)
+        for c, factors in entries:
+            if len(factors) != len(shifts):
+                raise ExactDomainError(f"{len(factors)} factors on {len(shifts)} blocks")
+            prod = [(0, c)]
+            for (size, shift), p in zip(shifts, factors):
+                if p.rank != size:
+                    raise ExactDomainError(f"a rank {p.rank} factor on a block of size {size}")
+                if p._span > span:
+                    span = p._span
+                prod = [(k1 + (k2 << shift), c1 * c2) for k1, c1 in prod for k2, c2 in p._packed.items()]
+            for k, v in prod:
+                acc[k] = get(k, 0) + v
+        return cls._make(rank, {k: v for k, v in acc.items() if v}, span)
 
     @property
     def terms(self) -> dict:

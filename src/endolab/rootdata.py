@@ -22,6 +22,7 @@ from .laurent import Laurent
 from .value import Value
 
 Root = tuple[int, ...]  # true (undoubled) coordinates; roots are integral
+MAX_WEYL_RANK = 8  # weyl_enumerate lists W up to this rank; |W(B_8)| = 10,321,920
 
 
 class RootDatum(Value):
@@ -83,11 +84,6 @@ class Weight(Value):
     @property
     def is_integral(self) -> bool:
         return all(c % 2 == 0 for c in self.doubled)
-
-    def int_coords(self) -> tuple[int, ...]:
-        if not self.is_integral:
-            raise ExactDomainError(f"{self} is not integral")
-        return tuple(c // 2 for c in self.doubled)
 
     def _same_rank(self, other: Sequence) -> None:
         if len(other) != self.rank:
@@ -168,8 +164,8 @@ class WeylElement(Value):
 def weyl_enumerate(datum: RootDatum) -> list[WeylElement]:
     """All elements of the Weyl group; {+-1}^m x S_m for B, even sign count for D."""
     m = datum.rank
-    if m > 8:
-        raise ResourceLimitError("rank > 8 enumeration refused")
+    if m > MAX_WEYL_RANK:
+        raise ResourceLimitError(f"rank > {MAX_WEYL_RANK} enumeration refused")
     out = []
     for perm in itertools.permutations(range(m)):
         for signs in itertools.product((1, -1), repeat=m):
@@ -735,26 +731,29 @@ def _gl_block_character(block_size: int, mu: tuple[int, ...]) -> Laurent:
     raise ExactDomainError("GL blocks of size > 2 not supported")
 
 
-def levi_formal_character(datum: RootDatum, levi: LeviBlocks, mu: Weight) -> Laurent:
-    """Formal character of the Levi irreducible with highest weight mu: the
-    product of its GL block characters and its SO tail character, which live on
-    disjoint coordinates.  Each block character raises ExactDomainError on a
-    weight that is not dominant for its block."""
-    m = datum.rank
-    c = mu.int_coords()
-    blocks = [(b[0], _gl_block_character(len(b), tuple(c[i] for i in b))) for b in levi.gl_blocks]
-    if levi.so_start < m:
-        tail = RootDatum(datum.kind, m - levi.so_start)
-        blocks.append((levi.so_start, formal_character(tail, Weight(mu.doubled[levi.so_start:]))))
-    return Laurent.product_of_blocks(m, blocks)
-
-
 def _kostant_euler_sum(datum: RootDatum, levi: LeviBlocks, lam: Weight) -> Laurent:
-    """sum_k (-1)^k ch H^k(n, V_lam), each degree by its Levi characters."""
+    """sum_k (-1)^k ch H^k(n, V_lam): per entry, its GL block characters times
+    its SO tail character, on disjoint coordinates.  The weight must be integral
+    and dominant for each block and the tail (checked once per distinct tail)."""
     entries = kostant_cohomology(datum, levi, lam)
-    return Laurent.linear_combination(
-        datum.rank, ((-1 if deg % 2 else 1, levi_formal_character(datum, levi, mu)) for deg, mu in entries)
-    )
+    kind, m, start, gl = datum.kind, datum.rank, levi.so_start, levi.gl_blocks
+    blocks = [(b[0], len(b)) for b in gl] + ([(start, m - start)] if start < m else [])
+    tails: dict = {}
+
+    def factors():
+        for deg, mu in entries:
+            d = mu.doubled
+            if len(d) != m or any(x & 1 for x in d):
+                raise ExactDomainError(f"{mu} is not an integral weight of rank {m}")
+            chars = [_gl_block_character(len(b), tuple([d[i] >> 1 for i in b])) for b in gl]
+            if start < m:
+                tail = d[start:]
+                if tail not in tails:
+                    tails[tail] = formal_character(RootDatum(kind, m - start), Weight(tail))
+                chars.append(tails[tail])
+            yield -1 if deg & 1 else 1, chars
+
+    return Laurent.sum_of_block_products(m, blocks, factors())
 
 
 def kostant_euler_identity(datum: RootDatum, levi: LeviBlocks, lam: Weight) -> bool:
@@ -768,8 +767,9 @@ def kostant_euler_identity(datum: RootDatum, levi: LeviBlocks, lam: Weight) -> b
     (Weyl's character formula).  Z[X^{+-1}] is a domain and D_M != 0, so
     multiplying by D_M gives the equivalent identity that is checked here:
         sum_k (-1)^k ch_M(mu_k) * D_M = A_{lam+rho}.
-    Neither ch(lam) nor K is ever formed; the left side is multiplied by D_M
-    one binomial at a time.
+    Neither ch(lam) nor K is ever formed: `_kostant_euler_sum` folds the left
+    side, entry by entry, into one accumulator, and the sum is multiplied by
+    D_M one binomial at a time.
     """
     lhs = _kostant_euler_sum(datum, levi, lam).mul_binomials(
         rho(datum).doubled, _doubled(levi_positive_roots(datum, levi))

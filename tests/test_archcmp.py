@@ -279,7 +279,7 @@ def _kostant_terms(kind, m, levi_label, lam, cutoffs):
     terms = []
     for deg, mu in rootdata.kostant_cohomology(datum, levi, Weight.from_ints(lam)):
         if all(rootdata.passes_truncation(datum, mu, pi[c]) for c in cutoffs):
-            c = mu.int_coords()
+            c = tuple(x // 2 for x in mu.doubled)
             sgn = -1 if deg % 2 else 1
             if levi_label == "M1":
                 a, b = c[:2]

@@ -228,6 +228,22 @@ def test_verify_kostant_range_is_a_usage_error(capsys, flag, key, value, low):
     assert out["witnesses"] == [{"error": f"{flag} must be >= {low}, got {value}"}]
 
 
+@pytest.mark.parametrize("max_rank", [9, 40])
+def test_verify_kostant_max_rank_above_the_weyl_limit_is_refused_first(capsys, monkeypatch, max_rank):
+    """--max-rank 9 used to run every identity and list W(B_8), 10,321,920
+    elements, before weyl_enumerate refused rank 9."""
+    from endolab import rootdata
+
+    def never(*args):
+        raise AssertionError("the suite ran a case before checking --max-rank")
+
+    monkeypatch.setattr(rootdata, "kostant_euler_identity", never)
+    monkeypatch.setattr(rootdata, "weyl_enumerate", never)
+    code, out = _verify(capsys, "kostant", "--max-rank", str(max_rank), "--max-coord", "0")
+    assert (code, out["status"], out["checks"]) == (2, "error", {})
+    assert out["witnesses"] == [{"error": f"--max-rank must be <= {rootdata.MAX_WEYL_RANK}, got {max_rank}"}]
+
+
 def test_verify_kostant_max_coord_0_is_checked(capsys):
     code, out = _verify(capsys, "kostant", "--max-rank", "2", "--max-coord", "0")
     assert (code, out["status"]) == (0, "pass")
@@ -466,7 +482,7 @@ def test_verify_kostant_error_names_the_case(capsys, monkeypatch):
     real = rootdata.kostant_euler_identity
 
     def broken_at(datum, levi, lam):
-        if (datum.kind, datum.rank, levi, lam.int_coords()) == ("D", 3, rootdata.standard_levi("M1", 3), (1, 1, -1)):
+        if (datum.kind, datum.rank, levi, lam.doubled) == ("D", 3, rootdata.standard_levi("M1", 3), (2, 2, -2)):
             raise ExactDomainError("broken identity")
         return real(datum, levi, lam)
 

@@ -46,8 +46,8 @@ def test_rank_one_q_arithmetic():
     # rank one: Z[q^(1/2), q^(-1/2)] keyed by the doubled exponent
     q = Laurent.monomial((1,))  # q^(1/2)
     assert q.mul_binomials((1,), []) == Laurent.monomial((2,))
-    assert Laurent.linear_combination(1, [(1, q), (1, q)]).terms == {(1,): 2}
-    assert Laurent.linear_combination(1, [(1, q), (-1, q)]).is_zero()
+    assert Laurent.sum_of_block_products(1, [(0, 1)], [(1, [q]), (1, [q])]).terms == {(1,): 2}
+    assert Laurent.sum_of_block_products(1, [(0, 1)], [(1, [q]), (-1, [q])]).is_zero()
     # q^(1/2) (1 - q^-1) = q^(1/2) - q^(-1/2)
     assert q.mul_binomials((0,), [(2,)]) == Laurent(1, {(1,): 1, (-1,): -1})
 
@@ -198,7 +198,7 @@ def test_exponent_length_must_be_the_rank():
     with pytest.raises(ExactDomainError):
         Laurent.monomial((0, 0)).divide_binomials((0, 0), [(1, 0, 0)])
     with pytest.raises(ExactDomainError):
-        Laurent.linear_combination(2, [(1, Laurent.monomial((0, 0))), (1, Laurent.monomial((0, 0, 0)))])
+        Laurent.sum_of_block_products(2, [(0, 2)], [(1, [Laurent.monomial((0, 0))]), (1, [Laurent.monomial((0, 0, 0))])])
 
 
 def test_equality_and_hash_compare_the_rank():
@@ -206,33 +206,57 @@ def test_equality_and_hash_compare_the_rank():
     assert Laurent.monomial((0,)) != Laurent.monomial((0, 0))
     assert len({Laurent.monomial((0,)), Laurent.monomial((0, 0)), Laurent(1, {(0,): 1})}) == 2
     p = Laurent(2, {(1, -1): 3, (0, 2): -1})
-    q = Laurent.linear_combination(2, [(1, Laurent(2, {(0, 2): -1})), (3, Laurent.monomial((1, -1)))])
+    q = Laurent.sum_of_block_products(2, [(0, 2)], [(1, [Laurent(2, {(0, 2): -1})]), (3, [Laurent.monomial((1, -1))])])
     assert p == q and hash(p) == hash(q)
 
 
-def test_product_of_blocks_matches_the_product():
+def _blocks(rank, blocks, factors):
+    """The product of one choice of factors, one per block."""
+    return Laurent.sum_of_block_products(rank, blocks, [(1, factors)])
+
+
+def test_sum_of_block_products_matches_the_product():
     f = Laurent(2, {(2, 0): 1, (1, 1): -2, (0, -3): 5})
     g = Laurent(1, {(1,): 1, (-1,): Fraction(1, 2)})
-    blocks = Laurent.product_of_blocks(4, [(0, f), (3, g)])
+    blocks = _blocks(4, [(0, 2), (3, 1)], [f, g])
     embedded = Laurent(4, {a + (0,) + b: c * d for a, c in f.terms.items() for b, d in g.terms.items()})
     assert blocks == embedded
     assert blocks == _product(
         Laurent(4, {a + (0, 0): c for a, c in f.terms.items()}), Laurent(4, {(0, 0, 0) + b: d for b, d in g.terms.items()})
     )
-    assert Laurent.product_of_blocks(3, []) == Laurent.monomial((0, 0, 0))
+    # the coefficient seeds the product
+    assert Laurent.sum_of_block_products(4, [(0, 2), (3, 1)], [(Fraction(-2, 3), [f, g])]) == _product(
+        blocks, Laurent.monomial((0, 0, 0, 0), Fraction(-2, 3))
+    )
+    # no blocks: the empty product, 1
+    assert _blocks(3, [], []) == Laurent.monomial((0, 0, 0))
+    # overlapping blocks, and a block past the rank
     with pytest.raises(ExactDomainError):
-        Laurent.product_of_blocks(3, [(0, f), (1, g)])
+        _blocks(3, [(0, 2), (1, 1)], [f, g])
     with pytest.raises(ExactDomainError):
-        Laurent.product_of_blocks(3, [(2, f)])
+        _blocks(3, [(2, 2)], [f])
+    # a factor whose rank is not its block's size, and a factor too few
+    with pytest.raises(ExactDomainError):
+        _blocks(3, [(0, 1), (1, 2)], [f, g])
+    with pytest.raises(ExactDomainError):
+        _blocks(4, [(0, 2), (3, 1)], [f])
 
 
-def test_linear_combination_matches_the_sum():
+def test_sum_of_block_products_matches_the_sum():
     f = Laurent(2, {(2, 0): 1, (1, 1): -2})
     g = Laurent(2, {(1, 1): -2, (0, 0): 4})
-    assert Laurent.linear_combination(2, [(1, f), (-1, g)]) == Laurent(2, {(2, 0): 1, (0, 0): -4})
-    assert Laurent.linear_combination(2, [(1, f), (-1, f)]).is_zero()
+    whole = [(0, 2)]
+    assert Laurent.sum_of_block_products(2, whole, [(1, [f]), (-1, [g])]) == Laurent(2, {(2, 0): 1, (0, 0): -4})
+    assert Laurent.sum_of_block_products(2, whole, [(1, [f]), (-1, [f])]).is_zero()
+    assert Laurent.sum_of_block_products(2, whole, []).is_zero()
     with pytest.raises(ExactDomainError):
-        Laurent.linear_combination(3, [(1, f)])
+        Laurent.sum_of_block_products(3, [(0, 3)], [(1, [f])])
+    # products on split blocks, summed: (x + 1/x)(y - 1/y) - xy, x and y of
+    # doubled exponent 1, cancels the xy term
+    x = Laurent.monomial((1,))
+    plus, minus = Laurent(1, {(1,): 1, (-1,): 1}), Laurent(1, {(1,): 1, (-1,): -1})
+    got = Laurent.sum_of_block_products(2, [(0, 1), (1, 1)], [(1, [plus, minus]), (-1, [x, x])])
+    assert got == Laurent(2, {(-1, 1): 1, (1, -1): -1, (-1, -1): -1})
 
 
 @pytest.mark.parametrize("a,b", [(0, 0), (1, 0), (3, 1), (2, -2), (-1, -4)])

@@ -24,13 +24,13 @@ from endolab.rootdata import (
     Weight,
     WeylElement,
     _doubled,
+    _gl_block_character,
     _kostant_euler_sum,
     _kostant_table,
     circle_point,
     formal_character,
     kostant_cohomology,
     kostant_euler_identity,
-    levi_formal_character,
     levi_is_dominant,
     levi_positive_roots,
     rho,
@@ -173,7 +173,7 @@ def test_group_sizes():
     assert len(weyl_enumerate(RootDatum("D", 4))) == 192
     assert len(weyl_enumerate(RootDatum("D", 1))) == 1
     with pytest.raises(ResourceLimitError):
-        weyl_enumerate(RootDatum("B", 9))
+        weyl_enumerate(RootDatum("B", rootdata.MAX_WEYL_RANK + 1))
 
 
 def test_group_laws_and_sign_homomorphism():
@@ -298,7 +298,7 @@ def _product_form_character(datum, lam, gamma):
     inv_vals = [_monomial(gamma, a).inverse() for a in datum.positive_roots()]
     num = GaussianRational(0)
     for w, invset, eps in weyl_table(datum.kind, datum.rank):
-        term = _monomial(gamma, w.act_tuple(lam.int_coords()))
+        term = _monomial(gamma, w.act_tuple([c // 2 for c in lam.doubled]))
         for i in invset:
             term = term * inv_vals[i]
         num = num + eps * term
@@ -788,12 +788,99 @@ def test_kostant_identity_rank_five_rejects_corrupted_weight(monkeypatch):
     assert not kostant_euler_identity(datum, levi, lam)
 
 
+def levi_formal_character(datum, levi, mu) -> Laurent:
+    """The reference for one term of _kostant_euler_sum: the formal
+    character of the Levi irreducible with highest weight mu, the product of
+    its GL block characters and its SO tail character, placed on their
+    coordinates on the tuple boundary."""
+    m, start = datum.rank, levi.so_start
+    assert mu.is_integral
+    c = [x // 2 for x in mu.doubled]
+    parts = [(b, _gl_block_character(len(b), tuple(c[i] for i in b))) for b in levi.gl_blocks]
+    if start < m:
+        tail = formal_character(RootDatum(datum.kind, m - start), Weight(mu.doubled[start:]))
+        parts.append((tuple(range(start, m)), tail))
+    terms = {(0,) * m: 1}
+    for coords, poly in parts:
+        out = {}
+        for e, c1 in terms.items():
+            for f, c2 in poly.terms.items():
+                placed = list(e)
+                for i, x in zip(coords, f):
+                    placed[i] = x
+                out[tuple(placed)] = c1 * c2
+        terms = out
+    return Laurent(m, terms)
+
+
+def _euler_sum_reference(datum, levi, lam) -> Laurent:
+    """sum over kostant_cohomology of (-1)^deg levi_formal_character."""
+    acc = {}
+    for deg, mu in kostant_cohomology(datum, levi, lam):
+        for e, c in levi_formal_character(datum, levi, mu).terms.items():
+            acc[e] = acc.get(e, 0) + (-c if deg % 2 else c)
+    return Laurent(datum.rank, acc)
+
+
+def _euler_sum_cases():
+    for kind in ("B", "D"):
+        for m in (2, 3):
+            for label in ("M1", "M2", "M12"):
+                for lam_c in _dominant_weights(kind, m, 2):
+                    yield kind, m, label, lam_c
+    for kind, m, lam_c in (("B", 2, (2, 1)), ("B", 3, (1, 1, 0)), ("D", 3, (2, 1, -1)), ("D", 4, (1, 1, 0, 0))):
+        yield kind, m, "G", lam_c
+    for label in ("M1", "M2", "M12"):
+        for last in (1, -1):
+            yield "D", 4, label, (2, 1, 1, last)
+
+
+def test_kostant_euler_sum_matches_the_levi_characters():
+    seen = Counter()
+    for kind, m, label, lam_c in _euler_sum_cases():
+        datum, levi, lam = RootDatum(kind, m), standard_levi(label, m), Weight.from_ints(lam_c)
+        got = _kostant_euler_sum(datum, levi, lam)
+        assert got == _euler_sum_reference(datum, levi, lam), (kind, m, label, lam_c)
+        seen[label] += 1
+    assert seen["G"] == 4 and min(seen[label] for label in ("M1", "M2", "M12")) > 30
+
+
 def test_formal_character_is_cached_and_levi_character_copies():
     lam = Weight.from_ints((1, 1))
     assert formal_character(B2, lam) is formal_character(B2, lam)
     levi = standard_levi("G", 2)
     assert levi_formal_character(B2, levi, lam) == formal_character(B2, lam)
-    assert levi_formal_character(B2, levi, lam) is not formal_character(B2, lam)
+    assert _kostant_euler_sum(B2, levi, lam) == formal_character(B2, lam)
+    assert _kostant_euler_sum(B2, levi, lam) is not formal_character(B2, lam)
+
+
+@pytest.mark.parametrize(
+    "datum,label,doubled",
+    [
+        (B3, "M12", (1, 0, 0)),  # not integral
+        (B3, "M1", (0, 2, 0)),  # the GL_2 block has mu_1 < mu_2
+        # non-dominant tails whose shifted weight is regular, so that Weyl's
+        # formula would divide exactly and return a character up to sign
+        (B3, "M2", (0, 0, 4)),  # the B2 tail has mu_2 < mu_3
+        (RootDatum("D", 4), "M1", (2, 2, 0, -4)),  # the D2 tail has mu_3 + mu_4 < 0
+    ],
+    ids=["non-integral", "gl2-block", "B-tail", "D-tail"],
+)
+def test_kostant_identity_refuses_an_entry_its_characters_cannot_take(monkeypatch, datum, label, doubled):
+    """Each of the four checks of a Kostant entry's weight, read off its
+    doubled coordinates: a degree-0 weight that fails one is refused, not
+    summed as some other character or as none."""
+    levi, lam = standard_levi(label, datum.rank), Weight((0,) * datum.rank)
+    assert kostant_euler_identity(datum, levi, lam)
+    real = rootdata.kostant_cohomology
+
+    def corrupted(datum, levi, lam):
+        (deg, _), *rest = real(datum, levi, lam)
+        return [(deg, Weight(doubled))] + rest
+
+    monkeypatch.setattr(rootdata, "kostant_cohomology", corrupted)
+    with pytest.raises(ExactDomainError):
+        kostant_euler_identity(datum, levi, lam)
 
 
 def test_weyl_numerator_denominator_identity():
