@@ -14,7 +14,7 @@ import itertools
 from functools import lru_cache
 from math import gcd
 from operator import add, itemgetter, mul, sub
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import ExactDomainError, ResourceLimitError, SingularPointError
 from .exactnum import ONE, GaussianRational, RationalLike, _num_den
@@ -22,7 +22,7 @@ from .laurent import Laurent
 from .value import Value
 
 Root = tuple[int, ...]  # true (undoubled) coordinates; roots are integral
-MAX_WEYL_RANK = 8  # weyl_enumerate lists W up to this rank; |W(B_8)| = 10,321,920
+MAX_WEYL_RANK = 8  # weyl_enumerate walks W up to this rank; |W(B_8)| = 10,321,920
 
 
 class RootDatum(Value):
@@ -161,18 +161,20 @@ class WeylElement(Value):
         return Weight(self.act_tuple(w.doubled))
 
 
-def weyl_enumerate(datum: RootDatum) -> list[WeylElement]:
-    """All elements of the Weyl group; {+-1}^m x S_m for B, even sign count for D."""
+def weyl_enumerate(datum: RootDatum) -> Iterator[WeylElement]:
+    """All elements of the Weyl group, one at a time, so that memory does not
+    grow with |W|: {+-1}^m x S_m for B, even sign count for D.  A rank above
+    MAX_WEYL_RANK is refused at the call, before any element is made."""
     m = datum.rank
     if m > MAX_WEYL_RANK:
         raise ResourceLimitError(f"rank > {MAX_WEYL_RANK} enumeration refused")
-    out = []
-    for perm in itertools.permutations(range(m)):
-        for signs in itertools.product((1, -1), repeat=m):
-            if datum.kind == "D" and signs.count(-1) % 2:
-                continue
-            out.append(WeylElement(signs, perm))
-    return out
+    kind = datum.kind
+    return (
+        WeylElement(signs, perm)
+        for perm in itertools.permutations(range(m))
+        for signs in itertools.product((1, -1), repeat=m)
+        if kind == "B" or signs.count(-1) % 2 == 0
+    )
 
 
 # --- torus points and character evaluation ----------------------------------
@@ -505,9 +507,10 @@ def weyl_character(datum: RootDatum, lam: Weight, gamma: TorusPoint) -> Gaussian
     """Exact Weyl character value at a regular point:
     Delta(gamma)^{-1} sum_w eps(w) gamma^{w(lam+rho)-rho}; raises
     SingularPointError on a root wall.  This is the reference composition of
-    the one-root alternant plan, weyl_denominator and evaluate_plan: the
-    tests and the benchmark's check call it, and the archimedean evaluators
-    use its parts."""
+    the one-root alternant plan, weyl_denominator and evaluate_plan: only the
+    tests and the benchmark's check call it, and only it calls
+    weyl_denominator and root_value.  The archimedean evaluators share no
+    part of it but _alternant_plan and evaluate_plan."""
     mu, r = _shifted(datum, lam)
     delta = weyl_denominator(datum.positive_roots(), gamma.coords)
     if delta.is_zero():
@@ -731,29 +734,44 @@ def _gl_block_character(block_size: int, mu: tuple[int, ...]) -> Laurent:
     raise ExactDomainError("GL blocks of size > 2 not supported")
 
 
-def _kostant_euler_sum(datum: RootDatum, levi: LeviBlocks, lam: Weight) -> Laurent:
-    """sum_k (-1)^k ch H^k(n, V_lam): per entry, its GL block characters times
-    its SO tail character, on disjoint coordinates.  The weight must be integral
-    and dominant for each block and the tail (checked once per distinct tail)."""
-    entries = kostant_cohomology(datum, levi, lam)
-    kind, m, start, gl = datum.kind, datum.rank, levi.so_start, levi.gl_blocks
-    blocks = [(b[0], len(b)) for b in gl] + ([(start, m - start)] if start < m else [])
-    tails: dict = {}
+@lru_cache(maxsize=None)
+def _levi_block_denominators(datum: RootDatum, levi: LeviBlocks) -> tuple[tuple, ...]:
+    """Per block of the Levi, its GL blocks and then its SO tail if any:
+    (offset, size, shift, roots), doubled and restricted to the block's
+    coordinates, with D_b = e^shift prod_{a in roots} (1 - e^-a).  Every
+    root of levi_positive_roots lies in one block, so D_M = e^rho
+    prod_{a in Phi_M+} (1 - e^-a) is the product of the D_b; rho restricted
+    to the tail is the tail's own rho, so the tail's D_b is its Weyl
+    denominator.
 
-    def factors():
-        for deg, mu in entries:
-            d = mu.doubled
-            if len(d) != m or any(x & 1 for x in d):
-                raise ExactDomainError(f"{mu} is not an integral weight of rank {m}")
-            chars = [_gl_block_character(len(b), tuple([d[i] >> 1 for i in b])) for b in gl]
-            if start < m:
-                tail = d[start:]
-                if tail not in tails:
-                    tails[tail] = formal_character(RootDatum(kind, m - start), Weight(tail))
-                chars.append(tails[tail])
-            yield -1 if deg & 1 else 1, chars
+    The table is cached and shared: callers must not mutate it."""
+    m, start = datum.rank, levi.so_start
+    r, roots = rho(datum).doubled, _doubled(levi_positive_roots(datum, levi))
+    blocks = [(b[0], len(b)) for b in levi.gl_blocks] + ([(start, m - start)] if start < m else [])
+    out = []
+    for offset, size in blocks:
+        part = slice(offset, offset + size)
+        out.append((offset, size, r[part], tuple(a[part] for a in roots if any(a[part]))))
+    return tuple(out)
 
-    return Laurent.sum_of_block_products(m, blocks, factors())
+
+@lru_cache(maxsize=1024)
+def _gl_block_factor(mu: tuple[int, ...], shift: tuple[int, ...], roots: tuple) -> Laurent:
+    """The GL block character of mu (true coordinates) times its block
+    denominator e^shift prod_{a in roots} (1 - e^-a).
+
+    The result is cached and shared: callers must not mutate it."""
+    return _gl_block_character(len(mu), mu).mul_binomials(shift, roots)
+
+
+@lru_cache(maxsize=1024)
+def _tail_block_factor(kind: str, doubled: tuple[int, ...], shift: tuple[int, ...], roots: tuple) -> Laurent:
+    """The SO tail character of the doubled weight, by Weyl's formula (its
+    division exact), times its block denominator e^shift
+    prod_{a in roots} (1 - e^-a).
+
+    The result is cached and shared: callers must not mutate it."""
+    return formal_character(RootDatum(kind, len(doubled)), Weight(doubled)).mul_binomials(shift, roots)
 
 
 def kostant_euler_identity(datum: RootDatum, levi: LeviBlocks, lam: Weight) -> bool:
@@ -767,11 +785,38 @@ def kostant_euler_identity(datum: RootDatum, levi: LeviBlocks, lam: Weight) -> b
     (Weyl's character formula).  Z[X^{+-1}] is a domain and D_M != 0, so
     multiplying by D_M gives the equivalent identity that is checked here:
         sum_k (-1)^k ch_M(mu_k) * D_M = A_{lam+rho}.
-    Neither ch(lam) nor K is ever formed: `_kostant_euler_sum` folds the left
-    side, entry by entry, into one accumulator, and the sum is multiplied by
-    D_M one binomial at a time.
+    Neither ch(lam) nor K is ever formed.  ch_M(mu_k) is the product of its
+    block characters on disjoint coordinates, and D_M the product of the
+    block denominators D_b (_levi_block_denominators), so the left side is
+    sum_k (-1)^k prod_b ch_b(mu_k) D_b.  Each block factor ch_b D_b is
+    formed once per key and cached, and the entries' products are folded
+    into one accumulator by Laurent.sum_of_block_products.
+
+    Each entry's weight must be integral, of the datum's rank and dominant
+    for each GL block, and its SO tail dominant, checked once per distinct
+    tail in every call: a weight that fails is an ExactDomainError.
     """
-    lhs = _kostant_euler_sum(datum, levi, lam).mul_binomials(
-        rho(datum).doubled, _doubled(levi_positive_roots(datum, levi))
-    )
-    return lhs == weyl_numerator(datum, lam)
+    entries = kostant_cohomology(datum, levi, lam)
+    kind, m = datum.kind, datum.rank
+    denominators = _levi_block_denominators(datum, levi)
+    n_gl = len(levi.gl_blocks)
+    gl, so = denominators[:n_gl], denominators[n_gl:]
+    tails: dict = {}
+
+    def factors():
+        for deg, mu in entries:
+            d = mu.doubled
+            if len(d) != m or any(x & 1 for x in d):
+                raise ExactDomainError(f"{mu} is not an integral weight of rank {m}")
+            chars = [_gl_block_factor(tuple([x >> 1 for x in d[o : o + n]]), shift, roots) for o, n, shift, roots in gl]
+            for o, _, shift, roots in so:
+                tail = d[o:]
+                if tail not in tails:
+                    if not _dominant_coords(kind, tail):
+                        raise ExactDomainError(f"{mu} is not dominant on the SO tail")
+                    tails[tail] = _tail_block_factor(kind, tail, shift, roots)
+                chars.append(tails[tail])
+            yield -1 if deg & 1 else 1, chars
+
+    blocks = [(o, n) for o, n, _, _ in denominators]
+    return Laurent.sum_of_block_products(m, blocks, factors()) == weyl_numerator(datum, lam)

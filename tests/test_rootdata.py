@@ -25,7 +25,7 @@ from endolab.rootdata import (
     WeylElement,
     _doubled,
     _gl_block_character,
-    _kostant_euler_sum,
+    _levi_block_denominators,
     _kostant_table,
     circle_point,
     formal_character,
@@ -169,16 +169,16 @@ def alternant_terms(datum, lam) -> list:
 
 
 def test_group_sizes():
-    assert len(weyl_enumerate(B3)) == 48
-    assert len(weyl_enumerate(RootDatum("D", 4))) == 192
-    assert len(weyl_enumerate(RootDatum("D", 1))) == 1
+    assert len(list(weyl_enumerate(B3))) == 48
+    assert len(list(weyl_enumerate(RootDatum("D", 4)))) == 192
+    assert len(list(weyl_enumerate(RootDatum("D", 1)))) == 1
     with pytest.raises(ResourceLimitError):
         weyl_enumerate(RootDatum("B", rootdata.MAX_WEYL_RANK + 1))
 
 
 def test_group_laws_and_sign_homomorphism():
     rng = random.Random(1)
-    elems = weyl_enumerate(B2)
+    elems = list(weyl_enumerate(B2))
     for _ in range(50):
         w1, w2 = rng.choice(elems), rng.choice(elems)
         prod = w1 * w2
@@ -251,7 +251,7 @@ def test_weyl_character_trivial_and_invariance():
     assert one == GaussianRational(1)
     lam = Weight.from_ints([2, 1, 0])
     val = weyl_character(B3, lam, gamma)
-    for w in random.Random(2).sample(weyl_enumerate(B3), 6):
+    for w in random.Random(2).sample(list(weyl_enumerate(B3)), 6):
         assert weyl_character(B3, lam, apply_weyl(gamma, w)) == val
 
 
@@ -313,7 +313,7 @@ def _regular_points(datum, rng, count):
     rank 2 on, every other point starts with a conjugate pair (x, conj x),
     |x| != 1, as in case M1; the Weyl move leaves such coordinates of pattern RAW."""
     out = []
-    elems = weyl_enumerate(datum)
+    elems = list(weyl_enumerate(datum))
     m = datum.rank
     while len(out) < 2 * count:
         a = Fraction(rng.choice((1, -1)) * rng.randint(2, 9), rng.randint(10, 19))
@@ -636,9 +636,9 @@ def test_kostant_reps_counts():
         levi_group = [
             w for w in weyl_enumerate(datum) if set(inversion_set(w, datum)) <= levi_pos
         ]
-        assert len(levi_group) * len(reps) == len(weyl_enumerate(datum))
+        assert len(levi_group) * len(reps) == len(list(weyl_enumerate(datum)))
         prods = {(wm * wp).signs + (wm * wp).perm for wm in levi_group for wp in reps}
-        assert len(prods) == len(weyl_enumerate(datum))  # bijection
+        assert len(prods) == len(list(weyl_enumerate(datum)))  # bijection
 
 
 def test_kostant_cohomology_entries():
@@ -681,9 +681,9 @@ def test_kostant_euler_identity_small(kind, m):
 def _product(f, g) -> Laurent:
     """Schoolbook product of two Laurent polynomials of one rank, on the
     tuple boundary: the reference for Laurent.mul_binomials."""
-    out = {}
+    out, g_terms = {}, g.terms.items()
     for e1, c1 in f.terms.items():
-        for e2, c2 in g.terms.items():
+        for e2, c2 in g_terms:
             e = tuple(map(operator.add, e1, e2))
             out[e] = out.get(e, 0) + c1 * c2
     return Laurent(f.rank, out)
@@ -695,6 +695,57 @@ def _binomial_product(m, shift, roots) -> Laurent:
     for a in roots:
         out = _product(out, Laurent(m, {(0,) * m: 1, tuple(-2 * c for c in a): -1}))
     return out
+
+
+def _kostant_euler_sum(datum, levi, lam) -> Laurent:
+    """sum_k (-1)^k ch H^k(n, V_lam), undistributed: per entry, its GL block
+    characters times its SO tail character, on disjoint coordinates, folded
+    into one accumulator.  The second path of kostant_euler_identity, which
+    folds the block characters times their block denominators instead."""
+    entries = kostant_cohomology(datum, levi, lam)
+    kind, m, start, gl = datum.kind, datum.rank, levi.so_start, levi.gl_blocks
+    blocks = [(b[0], len(b)) for b in gl] + ([(start, m - start)] if start < m else [])
+
+    def factors():
+        for deg, mu in entries:
+            d = mu.doubled
+            assert len(d) == m and mu.is_integral
+            chars = [_gl_block_character(len(b), tuple([d[i] // 2 for i in b])) for b in gl]
+            if start < m:
+                chars.append(formal_character(RootDatum(kind, m - start), Weight(d[start:])))
+            yield -1 if deg % 2 else 1, chars
+
+    return Laurent.sum_of_block_products(m, blocks, factors())
+
+
+def _undistributed_lhs(datum, levi, lam) -> Laurent:
+    """The Euler sum times the full D_M, as the schoolbook product on the
+    tuple boundary, one binomial at a time: p (1 - e^-a) = p - p e^-a."""
+    r = rho(datum).doubled
+    terms = {tuple(map(operator.add, e, r)): c for e, c in _kostant_euler_sum(datum, levi, lam).terms.items()}
+    for a in levi_positive_roots(datum, levi):
+        out = dict(terms)
+        for e, c in terms.items():
+            e = tuple(x - 2 * y for x, y in zip(e, a))
+            out[e] = out.get(e, 0) - c
+        terms = out
+    return Laurent(datum.rank, terms)
+
+
+def _recorded_folds(monkeypatch) -> list:
+    """Patch Laurent.sum_of_block_products to record, per call, its blocks,
+    its entries (c_j, [p_j1, ...]) and its result."""
+    real = Laurent.sum_of_block_products
+    calls = []
+
+    def record(cls, rank, blocks, entries):
+        entries = [(c, list(factors)) for c, factors in entries]
+        out = real(rank, blocks, entries)
+        calls.append((list(blocks), entries, out))
+        return out
+
+    monkeypatch.setattr(Laurent, "sum_of_block_products", classmethod(record))
+    return calls
 
 
 def _koszul_alternation(datum, levi) -> Laurent:
@@ -733,8 +784,15 @@ def test_kostant_identity_matches_unreduced_form(kind, m):
             assert unreduced and kostant_euler_identity(datum, levi, lam), (kind, m, label, lam_c)
 
 
+def _placed(m, offset, p) -> Laurent:
+    """The Laurent polynomial p on coordinates offset .. of rank m."""
+    pad = (0,) * (m - offset - p.rank)
+    return Laurent(m, {(0,) * offset + e + pad: c for e, c in p.terms.items()})
+
+
 def test_levi_denominator_times_koszul_is_weyl_denominator():
-    # D_M as kostant_euler_identity multiplies by it, against the schoolbook product
+    # D_M, and its split over the Levi blocks that kostant_euler_identity
+    # multiplies into the block characters, against the schoolbook product
     for kind in ("B", "D"):
         for m in (1, 2, 3, 4):
             datum = RootDatum(kind, m)
@@ -747,6 +805,69 @@ def test_levi_denominator_times_koszul_is_weyl_denominator():
                 d_m = Laurent.monomial((0,) * m).mul_binomials(r, _doubled(levi_roots))
                 assert d_m == _binomial_product(m, r, levi_roots), (kind, m, levi)
                 assert _product(d_m, _koszul_alternation(datum, levi)) == a_rho, (kind, m, levi)
+                split = Laurent.monomial((0,) * m)
+                for offset, size, shift, roots in _levi_block_denominators(datum, levi):
+                    d_b = Laurent.monomial(shift)
+                    for a in roots:
+                        d_b = _product(d_b, Laurent(size, {(0,) * size: 1, tuple(-c for c in a): -1}))
+                    split = _product(split, _placed(m, offset, d_b))
+                assert split == d_m, (kind, m, levi)
+
+
+def _identity_cases(max_rank, max_coord):
+    for kind in ("B", "D"):
+        for m in range(2, max_rank + 1):
+            for label in ("M1", "M2", "M12"):
+                for lam_c in _dominant_weights(kind, m, max_coord):
+                    yield RootDatum(kind, m), standard_levi(label, m), Weight.from_ints(lam_c)
+
+
+def test_distributed_left_side_is_the_undistributed_product(monkeypatch):
+    """On every B/D case of rank 2-4 with max-coord 2, the left side that
+    kostant_euler_identity folds from block factors equals the Euler sum
+    times the full D_M, both sides of the identity hold, and the verdict is
+    True."""
+    folds = _recorded_folds(monkeypatch)
+    n = 0
+    for datum, levi, lam in _identity_cases(4, 2):
+        assert kostant_euler_identity(datum, levi, lam), (datum, levi, lam)
+        (_, _, lhs), = folds
+        assert lhs == _undistributed_lhs(datum, levi, lam) == weyl_numerator(datum, lam), (datum, levi, lam)
+        folds.clear()
+        n += 1
+    assert n == 222  # the Kostant identities of `verify kostant` at its acceptance parameters
+
+
+def test_each_block_factor_is_character_times_block_denominator(monkeypatch):
+    """Every entry the identity folds is (-1)^deg and, per block, the block
+    character of the Kostant weight times the block's own Weyl denominator,
+    built here from the GL_2 root e_i - e_j and the tail's root datum:
+    e^rho|b (1 - e^-(e_i - e_j)) on GL_2, e^rho_i on GL_1, and e^rho_tail
+    prod_{a in Phi_tail+} (1 - e^-a), which makes the tail factor its Weyl
+    numerator.  A second call folds the same cached factor objects."""
+    folds = _recorded_folds(monkeypatch)
+    for datum, levi, lam in _identity_cases(4, 1):
+        m, start, r = datum.rank, levi.so_start, rho(datum).doubled
+        assert kostant_euler_identity(datum, levi, lam) and kostant_euler_identity(datum, levi, lam)
+        (blocks, entries, _), (_, again, _) = folds
+        folds.clear()
+        tail_datum = RootDatum(datum.kind, m - start) if start < m else None
+        assert blocks == [(b[0], len(b)) for b in levi.gl_blocks] + ([(start, m - start)] if tail_datum else [])
+        cohomology = kostant_cohomology(datum, levi, lam)
+        assert len(entries) == len(again) == len(cohomology)
+        for (c, factors), (_, twice), (deg, mu) in zip(entries, again, cohomology):
+            assert c == (-1) ** deg
+            assert all(f is g for f, g in zip(factors, twice, strict=True))
+            d = mu.doubled
+            for b, f in zip(levi.gl_blocks, factors):
+                gl_roots = [(1, -1)] if len(b) == 2 else []
+                d_b = _binomial_product(len(b), tuple(r[i] for i in b), gl_roots)
+                assert f == _product(_gl_block_character(len(b), tuple(d[i] // 2 for i in b)), d_b)
+            if tail_datum:
+                tail = Weight(d[start:])
+                d_b = _binomial_product(tail_datum.rank, rho(tail_datum).doubled, tail_datum.positive_roots())
+                assert factors[-1] == _product(formal_character(tail_datum, tail), d_b)
+                assert factors[-1] == weyl_numerator(tail_datum, tail)
 
 
 def _raised_degree_zero_weight(real):
@@ -868,19 +989,30 @@ def test_formal_character_is_cached_and_levi_character_copies():
 )
 def test_kostant_identity_refuses_an_entry_its_characters_cannot_take(monkeypatch, datum, label, doubled):
     """Each of the four checks of a Kostant entry's weight, read off its
-    doubled coordinates: a degree-0 weight that fails one is refused, not
-    summed as some other character or as none."""
+    doubled coordinates: a weight that fails one, in the first entry or in
+    the last, after a passing call has filled the block factor caches, is
+    refused on every call, not summed as some other character or as none.
+    The identity checks the tail itself, so it refuses also when
+    formal_character is Weyl's formula without its dominance check."""
     levi, lam = standard_levi(label, datum.rank), Weight((0,) * datum.rank)
     assert kostant_euler_identity(datum, levi, lam)
     real = rootdata.kostant_cohomology
 
-    def corrupted(datum, levi, lam):
-        (deg, _), *rest = real(datum, levi, lam)
-        return [(deg, Weight(doubled))] + rest
+    def unchecked(tail_datum, mu):
+        return rootdata._formal_character_cached(tail_datum.kind, tail_datum.rank, mu.doubled)
 
-    monkeypatch.setattr(rootdata, "kostant_cohomology", corrupted)
-    with pytest.raises(ExactDomainError):
-        kostant_euler_identity(datum, levi, lam)
+    for where in (0, -1):
+
+        def corrupted(datum, levi, lam):
+            entries = real(datum, levi, lam)
+            entries[where] = (entries[where][0], Weight(doubled))
+            return entries
+
+        monkeypatch.setattr(rootdata, "kostant_cohomology", corrupted)
+        for characters in (formal_character, unchecked):
+            monkeypatch.setattr(rootdata, "formal_character", characters)
+            with pytest.raises(ExactDomainError):
+                kostant_euler_identity(datum, levi, lam)
 
 
 def test_weyl_numerator_denominator_identity():
