@@ -255,9 +255,11 @@ class Place(Value):
 
     @classmethod
     def finite(cls, p: int) -> "Place":
+        """The place at the prime p, one object per prime (`Place(p)` still
+        refuses a p that is not prime, and a refusal is not cached)."""
         if p == 0:
             raise ExactDomainError("finite place needs a prime")
-        return cls(p)
+        return _finite_place(p)
 
     @property
     def is_real(self) -> bool:
@@ -265,6 +267,11 @@ class Place(Value):
 
     def __repr__(self):
         return "Place(real)" if self.is_real else f"Place({self.p})"
+
+
+@lru_cache(maxsize=1024)
+def _finite_place(p: int) -> Place:
+    return Place(p)
 
 
 REAL = Place.real()

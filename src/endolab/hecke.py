@@ -8,6 +8,13 @@ coefficients: every element built here has one q-power shared by all its
 terms, kept formal as the doubled exponent q2; specialization q -> p only
 happens in reports.
 
+A signed permutation acts on all exponent vectors of an element at once.  The
+vectors are held as coordinate columns, and `_act_columns` builds each column
+of the image from one column of the source: a column with sign +1 is reused
+as it is, one with sign -1 is negated once.  The invariance check, the twisted
+transfer (Frobenius norm, reindexing and sign pairing) and the split into the
+GL and SO blocks all act this way.
+
 The group theory behind `compute_fH_at_p` repeats across local shapes, so each
 piece is derived once per key, in an `lru_cache` of at most `_CACHE_SIZE`
 entries:
@@ -30,8 +37,9 @@ four invariance checks run on every call.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import mul
-from typing import Optional, Sequence
+from itertools import compress, repeat
+from operator import add, mul, not_
+from typing import Iterable, Optional, Sequence
 
 from .errors import ExactDomainError
 from .levi import admissible_A, excluded_factor, gl_labels
@@ -50,7 +58,9 @@ class FrobTwist(Value):
     def __init__(self, a: int, sigma: WeylElement):
         if a < 1:
             raise ExactDomainError("degree must be >= 1")
-        if sigma * sigma != WeylElement.identity(sigma.rank):
+        # sigma^2 sends e_j to signs[j] * signs[perm[j]] * e_perm[perm[j]]
+        perm, signs = sigma.perm, sigma.signs
+        if any(perm[k] != j or signs[k] != s for j, (s, k) in enumerate(zip(signs, perm))):
             raise ExactDomainError("sigma must square to the identity")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "sigma", sigma)
@@ -66,30 +76,37 @@ class EndoSignVector(Value):
             raise ExactDomainError("entries must be +-1")
         object.__setattr__(self, "s", s)
 
-    def pair(self, chi: Sequence[int]) -> int:
-        if len(chi) != len(self.s):
-            raise ExactDomainError("cocharacter rank mismatch")
-        sign = 1
-        for si, e in zip(self.s, chi):
-            if si == -1 and e % 2:
-                sign = -sign
-        return sign
-
 
 # the most elements a walk of a relative Weyl group may yield
 _WALK_CAP = 50000
 
 
 class RelativeWeylGroup(Value):
-    """A relative Weyl group acting on the exponent lattice, given by generators."""
+    """A relative Weyl group acting on the exponent lattice, given by generators.
 
-    __slots__ = ("rank", "gens")
+    The group keys the orbit and subgroup caches, so its hash is taken once,
+    when it is built; `_hash` derives from the two fields and stays out of
+    ``==`` and the repr."""
+
+    __slots__ = ("rank", "gens", "_hash")
 
     def __init__(self, rank: int, gens: tuple[WeylElement, ...]):
         if any(g.rank != rank for g in gens):
             raise ExactDomainError("generator rank mismatch")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "_hash", hash((rank, gens)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rank == other.rank and self.gens == other.gens
+        return NotImplemented
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"RelativeWeylGroup(rank={self.rank!r}, gens={self.gens!r})"
 
     def _walk(self):
         """Every element once, breadth-first from the identity."""
@@ -197,6 +214,31 @@ def _relative_group(group: UnramifiedGroup, odd: int) -> RelativeWeylGroup:
     return RelativeWeylGroup(m, tuple(gens))
 
 
+# A column is a list, not a tuple: CPython keeps freed tuples of up to 19
+# items on free lists, where the column tuples of one padic-local round held
+# about 0.1 MB (tracemalloc, Python 3.11).
+
+
+def _columns(coeffs: dict[tuple[int, ...], int], rank: int) -> list[list[int]]:
+    """The coordinate columns of the exponent vectors of coeffs, in its order:
+    rank columns, also when there is no term for zip to transpose."""
+    return list(map(list, zip(*coeffs))) if coeffs else [[] for _ in range(rank)]
+
+
+def _rows(cols: Sequence[list[int]], count: int) -> Iterable[tuple[int, ...]]:
+    """The count vectors whose coordinate columns are cols.  At rank 0 there are
+    no columns, and zip(*cols) would yield no vector at all."""
+    return zip(*cols) if cols else repeat((), count)
+
+
+def _act_columns(g: WeylElement, cols: Sequence[list[int]]) -> list[list[int]]:
+    """g applied to every vector whose coordinate columns are cols, as the
+    columns of the images: column k is sign * cols[source] for the k-th entry
+    (sign, source) of the pull-back, so a column with sign +1 is reused as it
+    is and one with sign -1 is negated once."""
+    return [cols[j] if s == 1 else [-x for x in cols[j]] for s, j in g._pull]
+
+
 class HeckeElement(Value, frozen=False):
     """q^(q2/2) times a polynomial in X_1^(+-1)..X_m^(+-1) with integer
     coefficients, invariant under the recorded relative Weyl group; q2 is the
@@ -212,13 +254,17 @@ class HeckeElement(Value, frozen=False):
 
     def check_invariance(self) -> bool:
         """Every generator of the group maps each term to a term with the same
-        coefficient; stops at the first term that moves."""
+        coefficient.  Each generator acts on all exponent vectors at once;
+        stops at the first generator that moves a term."""
+        if not self.rank:  # the only generator of rank 0 is the identity
+            return True
         coeffs = self.coeffs
+        values = list(coeffs.values())
+        cols = _columns(coeffs, self.rank)
+        get = coeffs.get
         for g in self.group.gens:
-            act = g.act_tuple
-            for e, c in coeffs.items():
-                if coeffs.get(act(e)) != c:
-                    return False
+            if list(map(get, zip(*_act_columns(g, cols)))) != values:
+                return False
         return True
 
     def __eq__(self, other):
@@ -242,10 +288,14 @@ class HeckeElement(Value, frozen=False):
         return [[list(e), [[self.q2, self.coeffs[e]]]] for e in sorted(self.coeffs)]
 
 
-def _is_minuscule(datum: RootDatum, mu: Sequence[int]) -> bool:
-    """|<alpha, mu>| <= 1 for every root; the bound is symmetric under
-    alpha -> -alpha, so the positive roots decide it."""
-    return all(abs(sum(map(mul, alpha, mu))) <= 1 for alpha in datum.positive_roots())
+def _is_minuscule(kind: str, dom: Sequence[int]) -> bool:
+    """|<alpha, mu>| <= 1 for every root alpha, read off dom, the |mu_i| in
+    decreasing order: a root +-e_i +- e_j pairs with mu to +-mu_i +- mu_j,
+    whose largest absolute value is dom[0] + dom[1], and a short root +-e_i
+    of type B to +-mu_i, at most dom[0] in absolute value."""
+    if len(dom) >= 2 and dom[0] + dom[1] > 1:
+        return False
+    return kind == "D" or not dom or dom[0] <= 1
 
 
 def satake_minuscule(group: UnramifiedGroup, mu: Sequence[int], degree: int = 1) -> HeckeElement:
@@ -256,18 +306,16 @@ def satake_minuscule(group: UnramifiedGroup, mu: Sequence[int], degree: int = 1)
     mu = tuple(mu)
     if len(mu) != m:
         raise ExactDomainError("cocharacter rank mismatch")
-    datum = group.datum()
-    if not _is_minuscule(datum, mu):
+    # the dominant representative of the absolute orbit: coordinates sorted by magnitude
+    dom = sorted(map(abs, mu), reverse=True)
+    if not _is_minuscule(group.kind, dom):
         raise ExactDomainError("cocharacter is not minuscule")
     rel = group.relative_group(degree)
-    if any(c for i, c in enumerate(mu) if degree % 2 and i in group.flips):
+    if degree % 2 and any(mu[i] for i in group.flips):
         raise ExactDomainError("cocharacter is not defined over the base field")
     orbit = _orbit(rel, mu)
-    delta2 = rho(datum).doubled
-    # the q-power pairs the half sum of all positive roots with the dominant
-    # representative of the absolute orbit (coordinates sorted by magnitude)
-    dom = tuple(sorted((abs(c) for c in mu), reverse=True))
-    q2 = degree * sum(a * b for a, b in zip(delta2, dom))
+    # the q-power pairs the half sum of all positive roots with dom
+    q2 = degree * sum(map(mul, rho(group.datum()).doubled, dom))
     return HeckeElement(m, dict.fromkeys(orbit, 1), rel, q2)
 
 
@@ -293,7 +341,7 @@ def constant_term(f: HeckeElement, levi_group: RelativeWeylGroup) -> HeckeElemen
     invariance group (which must be a subgroup)."""
     if not levi_group.is_subgroup_of(f.group):
         raise ExactDomainError("Levi group is not a subgroup of the ambient group")
-    return HeckeElement(f.rank, dict(f.coeffs), levi_group, f.q2)
+    return HeckeElement(f.rank, f.coeffs, levi_group, f.q2)
 
 
 def twisted_transfer(
@@ -316,16 +364,21 @@ def twisted_transfer(
         raise ExactDomainError("sign vector rank mismatch")
     if not f.check_invariance():
         raise ExactDomainError("input is not invariant under its recorded group")
+    coeffs = f.coeffs
+    count = len(coeffs)
+    cols = _columns(coeffs, m)
+    total = cur = cols
+    for _ in range(twist.a - 1):
+        cur = _act_columns(twist.sigma, cur)
+        total = [list(map(add, t, v)) for t, v in zip(total, cur)]
+    norms = _rows(_act_columns(reindex, total), count)
+    # <chi_h, s> = prod s_i^chi_h_i is -1 exactly when the coordinates of
+    # chi_h = iota^-1 chi at which s is -1 have an odd sum
+    minus = [col for col, si in zip(_act_columns(reindex, cols), s.s) if si == -1]
+    sums = map(sum, zip(*minus)) if minus else repeat(0, count)
     out: dict[tuple[int, ...], int] = {}
-    for chi, c in f.coeffs.items():
-        total = list(chi)
-        cur = chi
-        for _ in range(twist.a - 1):
-            cur = twist.sigma.act_tuple(cur)
-            total = [t + v for t, v in zip(total, cur)]
-        chi_h = reindex.act_tuple(chi)
-        norm_h = reindex.act_tuple(tuple(total))
-        out[norm_h] = out.get(norm_h, 0) + s.pair(chi_h) * c
+    for norm_h, odd, c in zip(norms, sums, coeffs.values()):
+        out[norm_h] = out.get(norm_h, 0) + (-c if odd & 1 else c)
     result = HeckeElement(m, out, out_group, f.q2)
     if not result.check_invariance():
         raise ExactDomainError("transfer output failed invariance under the target group")
@@ -385,27 +438,24 @@ class LocalDatumAtP(Value):
         delta_plus_square: bool = True,
         delta_minus_square: bool = True,
     ):
+        if levi not in ("M1", "M2", "M12"):
+            raise ExactDomainError("case must be M1, M2 or M12")
+        if parity not in ("odd", "even"):
+            raise ExactDomainError("parity must be odd or even")
+        if m_plus + m_minus != m:
+            raise ExactDomainError("H ranks must add up to the ambient rank")
+        if parity == "odd" and not (delta_plus_square and delta_minus_square):
+            raise ExactDomainError("odd-case discriminants are trivial")
+        if tuple(sorted(A)) not in admissible_A(levi):
+            raise ExactDomainError("invalid subset A for this case")
+        if len(A) > m_plus or len(gl_labels(levi)) - len(A) > m_minus:
+            raise ExactDomainError("H too small for the GL block")
+        reason = excluded_shape(levi, parity, m_plus, m_minus, A, delta_plus_square, delta_minus_square)
+        if reason:
+            raise ExactDomainError(f"{reason} is excluded")
         values = (levi, parity, m, m_plus, m_minus, A, delta_plus_square, delta_minus_square)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
-        if self.levi not in ("M1", "M2", "M12"):
-            raise ExactDomainError("case must be M1, M2 or M12")
-        if self.parity not in ("odd", "even"):
-            raise ExactDomainError("parity must be odd or even")
-        if self.m_plus + self.m_minus != self.m:
-            raise ExactDomainError("H ranks must add up to the ambient rank")
-        if self.parity == "odd" and not (self.delta_plus_square and self.delta_minus_square):
-            raise ExactDomainError("odd-case discriminants are trivial")
-        if tuple(sorted(self.A)) not in admissible_A(self.levi):
-            raise ExactDomainError("invalid subset A for this case")
-        if self.gl_plus > self.m_plus or self.gl_minus > self.m_minus:
-            raise ExactDomainError("H too small for the GL block")
-        reason = excluded_shape(
-            self.levi, self.parity, self.m_plus, self.m_minus, self.A,
-            self.delta_plus_square, self.delta_minus_square,
-        )
-        if reason:
-            raise ExactDomainError(f"{reason} is excluded")
 
     @property
     def d(self) -> int:
@@ -519,19 +569,26 @@ def _so_pair_group(
     return RelativeWeylGroup(m, tuple(gens))
 
 
-def _gl_slots(datum: LocalDatumAtP) -> dict[int, int]:
-    """Map X-label (1-based GL coordinate of the Levi) -> H-coordinate slot."""
-    out = {}
-    plus_used = 0
-    minus_used = 0
+def _block_split(datum: LocalDatumAtP) -> WeylElement:
+    """The permutation of H coordinates that puts the GL slots first, in the
+    order of the Levi's GL labels, and the SO slots after them in their own
+    order (H+ slots, then H-).  A label in A takes the next H+ slot, any
+    other label the next slot after the H+ block."""
+    m, m_plus = datum.m, datum.m_plus
+    order = []
+    plus_used = minus_used = 0
     for lab in gl_labels(datum.levi):
         if lab in datum.A:
-            out[lab] = plus_used
+            order.append(plus_used)
             plus_used += 1
         else:
-            out[lab] = datum.m_plus + minus_used
+            order.append(m_plus + minus_used)
             minus_used += 1
-    return out
+    order += [j for j in range(m) if j not in order]
+    perm = [0] * m
+    for k, j in enumerate(order):
+        perm[j] = k
+    return WeylElement((1,) * m, tuple(perm))
 
 
 def _h_sign_vector(datum: LocalDatumAtP) -> EndoSignVector:
@@ -576,32 +633,25 @@ def compute_fH_at_p(
     levi_rel = _levi_relative_group(datum)
     restricted = constant_term(transferred, levi_rel)
     scaled = restricted.scale(1, -a * (datum.d - 2))
-    slots = _gl_slots(datum)
-    gl_positions = {v: k for k, v in slots.items()}
-    so_positions = {j: n for n, j in enumerate(j for j in range(m) if j not in gl_positions)}
-    k_rank = len(slots)
-    k_coeffs: dict[tuple[int, ...], int] = {}
-    h_coeffs: dict[tuple[int, ...], int] = {}
-    for e, c in scaled.coeffs.items():
-        support = [j for j, v in enumerate(e) if v]
-        if not support:
-            h_coeffs[(0,) * len(so_positions)] = h_coeffs.get((0,) * len(so_positions), 0) + c
-            continue
-        if len(support) != 1:
-            raise ExactDomainError("unexpected mixed monomial in the transfer")
-        j = support[0]
-        if j in gl_positions:
-            ke = [0] * k_rank
-            ke[gl_positions[j] - 1] = e[j]
-            k_coeffs[tuple(ke)] = k_coeffs.get(tuple(ke), 0) + c
-        else:
-            he = [0] * len(so_positions)
-            he[so_positions[j]] = e[j]
-            h_coeffs[tuple(he)] = h_coeffs.get(tuple(he), 0) + c
+    coeffs = scaled.coeffs
+    count = len(coeffs)
+    # a term with fewer than m - 1 zero coordinates lies on two coordinates
+    if count and min(map(tuple.count, coeffs, repeat(0))) < m - 1:
+        raise ExactDomainError("unexpected mixed monomial in the transfer")
+    k_rank = len(gl_labels(levi))
+    cols = _act_columns(_block_split(datum), _columns(coeffs, m))
+    # each term has at most one nonzero coordinate: it lies on the GL block
+    # when that coordinate is a GL slot, else on the SO block (the constant
+    # term too), and its coordinates there determine it, so no two terms meet
+    values = list(coeffs.values())
+    k_rows = list(_rows(cols[:k_rank], count))
+    on_gl = list(map(any, k_rows))
+    k_coeffs = dict(compress(zip(k_rows, values), on_gl))
+    h_coeffs = dict(compress(zip(_rows(cols[k_rank:], count), values), map(not_, on_gl)))
     k_group = _gl_block_group(datum.levi)
     h_group = _so_block_group(datum)
     k_part = HeckeElement(k_rank, k_coeffs, k_group, scaled.q2)
-    h_part = HeckeElement(len(so_positions), h_coeffs, h_group, scaled.q2)
+    h_part = HeckeElement(m - k_rank, h_coeffs, h_group, scaled.q2)
     if not k_part.check_invariance() or not h_part.check_invariance():
         raise ExactDomainError("split parts failed invariance")
     return k_part, h_part

@@ -11,13 +11,16 @@ from typing import Optional
 from .errors import ExactDomainError
 
 
+# the admissible subsets A of each proper standard Levi, the largest last
+_ADMISSIBLE_A = {"M1": ((), (1, 2)), "M2": ((), (1,)), "M12": ((), (1,), (2,), (1, 2))}
+
+
 def admissible_A(levi: str) -> tuple[tuple[int, ...], ...]:
     """The positional subsets A of the GL coordinates of a proper standard
     Levi, as sorted tuples: M1 keeps its GL_2 block whole."""
-    table = {"M1": ((), (1, 2)), "M2": ((), (1,)), "M12": ((), (1,), (2,), (1, 2))}
-    if levi not in table:
+    if levi not in _ADMISSIBLE_A:
         raise ExactDomainError(f"no subsets A for the Levi {levi!r}")
-    return table[levi]
+    return _ADMISSIBLE_A[levi]
 
 
 def gl_labels(levi: str) -> tuple[int, ...]:

@@ -253,16 +253,19 @@ def test_exact_rational_conversions_keep_bools_and_subclasses():
 
 def test_place_primality_is_memoized_and_still_refuses_composites(monkeypatch):
     """`Place` runs trial division once per prime; composites, negatives and
-    one are refused before and after primes are cached."""
+    one are refused before and after primes are cached, and `Place.finite`
+    returns one object per prime."""
     from endolab import exactnum
 
     exactnum._is_prime_cached.cache_clear()
+    exactnum._finite_place.cache_clear()
     calls = []
     real = exactnum.is_prime
     monkeypatch.setattr(exactnum, "is_prime", lambda n: calls.append(n) or real(n))
     for _ in range(3):
         assert [Place.finite(p).p for p in (2, 3, 5, 7)] == [2, 3, 5, 7]
         assert Place(3) == Place.finite(3) and Place(0) == REAL
+        assert Place.finite(3) is Place.finite(3) and Place(3) is not Place.finite(3)
         for bad in (1, 4, 9, 15, -3):
             with pytest.raises(ExactDomainError, match="is not prime"):
                 Place(bad)

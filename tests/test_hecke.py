@@ -1,5 +1,9 @@
 import hashlib
+import itertools
 import json
+import random
+import re
+from operator import mul
 
 import pytest
 
@@ -12,11 +16,16 @@ from endolab.hecke import (
     LocalDatumAtP,
     RelativeWeylGroup,
     UnramifiedGroup,
+    _act_columns,
+    _columns,
     _flip,
     _gl_block_group,
+    _h_sign_vector,
     _iota_inverse,
+    _is_minuscule,
     _levi_relative_group,
     _orbit,
+    _rows,
     _so_block_group,
     _so_factor_gens,
     _transposition,
@@ -33,7 +42,7 @@ from endolab.hecke import (
     twisted_transfer,
 )
 from endolab.levi import gl_labels
-from endolab.rootdata import WeylElement
+from endolab.rootdata import RootDatum, WeylElement, weyl_enumerate
 
 TRIV1 = RelativeWeylGroup(1, ())
 TRIV2 = RelativeWeylGroup(2, ())
@@ -219,12 +228,30 @@ def test_groups_reject_generators_and_flips_out_of_range():
     assert UnramifiedGroup("D", 3, (2,)).sigma() == _flip(3, 2)
 
 
+def _pair(s: EndoSignVector, chi) -> int:
+    """<chi, s> = prod s_i^chi_i for one cocharacter, term by term: the
+    reference for the transfer's sign pairing over columns."""
+    if len(chi) != len(s.s):
+        raise ExactDomainError("cocharacter rank mismatch")
+    sign = 1
+    for si, e in zip(s.s, chi):
+        if si == -1 and e % 2:
+            sign = -sign
+    return sign
+
+
 def test_sign_vector_pairs_only_its_own_rank():
     s = EndoSignVector((1, -1))
-    assert s.pair((1, 1)) == -1 and s.pair((3, 2)) == 1
+    assert _pair(s, (1, 1)) == -1 and _pair(s, (3, 2)) == 1 and _pair(s, (0, -3)) == -1
     for chi in ((1, 1, 1), (1,), ()):
         with pytest.raises(ExactDomainError, match="cocharacter rank mismatch"):
-            s.pair(chi)
+            _pair(s, chi)
+    x = HeckeElement(1, {(1,): 1}, TRIV1, 0)
+    for bad in (EndoSignVector((1, -1)), EndoSignVector(())):
+        with pytest.raises(ExactDomainError, match="sign vector rank mismatch"):
+            twisted_transfer(x, bad, FrobTwist(1, WeylElement.identity(1)), TRIV1)
+    with pytest.raises(ExactDomainError, match="entries must be"):
+        EndoSignVector((1, 0))
 
 
 def test_walk_refuses_a_group_past_the_cap(monkeypatch):
@@ -323,10 +350,11 @@ def test_serialization_roundtrip():
 # --- the whole sweep of local shapes ----------------------------------------------
 
 
-def _local_shapes():
+def _local_shapes(ds=(7, 8, 9, 10)):
     """compute_fH_at_p arguments of every local shape of `verify satake`:
-    d = 7..10, a = 1, 2, 3, every base, discriminant pattern and subset A."""
-    for d in (7, 8, 9, 10):
+    d in ds (its acceptance sweep by default), a = 1, 2, 3, every base,
+    discriminant pattern and subset A."""
+    for d in ds:
         parity = "odd" if d % 2 else "even"
         m = d // 2
         for levi, gl, subsets in (("M1", 2, ((), (1, 2))), ("M2", 1, ((), (1,))), ("M12", 2, ((), (1,), (2,), (1, 2)))):
@@ -501,3 +529,232 @@ def test_caches_stay_bounded_under_verify_satake(capsys):
     for name, cache in caches.items():
         info = cache.cache_info()
         assert info.maxsize is not None and 0 < info.currsize < info.maxsize, (name, info)
+
+
+# --- the column kernel against the per-term path ----------------------------------------
+# The per-term path acts with `act_tuple` on one exponent vector at a time and
+# pairs one cocharacter at a time with `_pair`.
+
+
+def _invariant_per_term(f: HeckeElement) -> bool:
+    return all(f.coeffs.get(g.act_tuple(e)) == c for g in f.group.gens for e, c in f.coeffs.items())
+
+
+def _transfer_per_term(f, s, twist, out_group, reindex):
+    assert _invariant_per_term(f)
+    out = {}
+    for chi, c in f.coeffs.items():
+        total = list(chi)
+        cur = chi
+        for _ in range(twist.a - 1):
+            cur = twist.sigma.act_tuple(cur)
+            total = [t + v for t, v in zip(total, cur)]
+        norm_h = reindex.act_tuple(tuple(total))
+        out[norm_h] = out.get(norm_h, 0) + _pair(s, reindex.act_tuple(chi)) * c
+    result = HeckeElement(f.rank, out, out_group, f.q2)
+    assert _invariant_per_term(result)
+    return result
+
+
+def _fH_per_term(levi, parity, m, m_plus, m_minus, A, a, dps=True, dms=True):
+    """compute_fH_at_p with the transfer, the invariance checks and the split
+    into the GL and SO blocks made term by term."""
+    datum = LocalDatumAtP(levi, parity, m, m_plus, m_minus, frozenset(A), dps, dms)
+    group = ambient_group_at_p(datum)
+    free = next(i for i in range(m) if i not in group.flips)
+    f = satake_minuscule(group, tuple(-1 if i == free else 0 for i in range(m)), degree=a)
+    transferred = _transfer_per_term(
+        f, _h_sign_vector(datum), FrobTwist(a, group.sigma()), h_relative_group(datum), _iota_inverse(datum)
+    )
+    scaled = constant_term(transferred, _levi_relative_group(datum)).scale(1, -a * (datum.d - 2))
+    gl_slots = {}  # GL label -> H slot: labels in A take the H+ slots, the others follow the H+ block
+    for lab in gl_labels(levi):
+        plus = lab in datum.A
+        used = sum((slot < m_plus) == plus for slot in gl_slots.values())
+        gl_slots[lab] = used if plus else m_plus + used
+    gl_positions = {slot: lab for lab, slot in gl_slots.items()}
+    so_positions = {j: n for n, j in enumerate(j for j in range(m) if j not in gl_positions)}
+    k_coeffs, h_coeffs = {}, {}
+    for e, c in scaled.coeffs.items():
+        support = [j for j, v in enumerate(e) if v]
+        if len(support) > 1:
+            raise ExactDomainError("unexpected mixed monomial in the transfer")
+        j = support[0] if support else None
+        if j in gl_positions:
+            ke = [0] * len(gl_slots)
+            ke[gl_positions[j] - 1] = e[j]
+            k_coeffs[tuple(ke)] = k_coeffs.get(tuple(ke), 0) + c
+        else:
+            he = [0] * len(so_positions)
+            if j is not None:
+                he[so_positions[j]] = e[j]
+            h_coeffs[tuple(he)] = h_coeffs.get(tuple(he), 0) + c
+    k = HeckeElement(len(gl_slots), k_coeffs, _gl_block_group(levi), scaled.q2)
+    h = HeckeElement(len(so_positions), h_coeffs, _so_block_group(datum), scaled.q2)
+    assert _invariant_per_term(k) and _invariant_per_term(h)
+    return k, h
+
+
+def test_column_kernel_equals_the_per_term_path():
+    """On every shape that `verify satake` walks for d = 7..12 and a = 1..3,
+    compute_fH_at_p gives the per-term path's k and h parts, with their ranks,
+    groups and q-powers, and refuses the excluded shapes with the same reason."""
+    computed = 0
+    for args in _local_shapes(range(7, 13)):
+        try:
+            want = _fH_per_term(*args)
+        except ExactDomainError as exc:
+            with pytest.raises(ExactDomainError, match=re.escape(str(exc))):
+                compute_fH_at_p(*args)
+            continue
+        got = compute_fH_at_p(*args)
+        for part, ref in zip(got, want):
+            assert (part.rank, part.coeffs, part.group, part.q2) == (ref.rank, ref.coeffs, ref.group, ref.q2), args
+            assert part.serialize() == ref.serialize()
+        computed += 1
+    assert computed == 414 + 102 + 276  # the k(A) table checks of `verify satake` at d = 7..10, 11, 12
+
+
+@pytest.mark.parametrize("where", ["GL and SO", "SO only", "GL only"])
+def test_split_refuses_a_mixed_monomial(monkeypatch, where):
+    """Negative control: a term with two nonzero coordinates, slipped into
+    the constant term, is refused by the split wherever its two coordinates
+    lie (the GL slots of M12 with A = {1, 2} are the first two H+ slots)."""
+    args = ("M12", "odd", 4, 4, 0, [1, 2], 1)
+    mixed = {"GL and SO": (1, 0, 1, 0), "SO only": (0, 0, 1, -1), "GL only": (1, 1, 0, 0)}[where]
+    compute_fH_at_p(*args)
+    real = hecke.constant_term
+
+    def with_mixed_term(f, levi_group):
+        out = real(f, levi_group)
+        return HeckeElement(out.rank, {**out.coeffs, mixed: 1}, out.group, out.q2)
+
+    monkeypatch.setattr(hecke, "constant_term", with_mixed_term)
+    with pytest.raises(ExactDomainError, match="unexpected mixed monomial"):
+        compute_fH_at_p(*args)
+
+
+def _invariant_elements(sweep):
+    """Invariant elements with nontrivial groups: the Satake images over the
+    unramified groups of rank 1..5 at both degree parities, and the k and h
+    parts of the acceptance sweep."""
+    for kind, m in itertools.product("BD", range(1, 6)):
+        flip_sets = [()] if kind == "B" else [(), (m - 1,)] + ([(m - 2, m - 1)] if m >= 2 else [])
+        for flips in flip_sets:
+            group = UnramifiedGroup(kind, m, flips)
+            for degree in (1, 2):
+                for free in (i for i in range(m) if i not in flips):
+                    yield satake_minuscule(group, tuple(-1 if i == free else 0 for i in range(m)), degree)
+    for _, res in sweep:
+        if not isinstance(res, str):
+            yield from res
+
+
+def test_invariance_fails_on_one_moved_coefficient_for_each_generator(sweep):
+    """Negative controls: for each generator on its own, an invariant element
+    passes, and it fails once one coefficient is moved to an exponent that the
+    generator moves and no term has, or, where the generator moves a term,
+    once that term's coefficient changes; the per-term check agrees on each.
+    An element with no terms is invariant at every rank."""
+    moved_controls = changed_controls = 0
+    for f in _invariant_elements(sweep):
+        assert f.check_invariance() and _invariant_per_term(f)
+        assert HeckeElement(f.rank, {}, f.group, f.q2).check_invariance()
+        for g in f.group.gens:
+            alone = RelativeWeylGroup(f.rank, (g,))
+            assert HeckeElement(f.rank, f.coeffs, alone, f.q2).check_invariance()
+            # g moves the unit vector e_j of a pull-back entry (sign, j) other than (1, k)
+            j = next(j for k, (sign, j) in enumerate(g._pull) if (sign, j) != (1, k))
+            e, c = next(iter(f.coeffs.items()))
+            # every coordinate of a term is 0 or +-a with a <= 3, so 5 + e[j] is none of them
+            to = tuple(x + 5 * (i == j) for i, x in enumerate(e))
+            controls = [{**{x: v for x, v in f.coeffs.items() if x != e}, to: c}]
+            moved_term = next((x for x in f.coeffs if g.act_tuple(x) != x), None)
+            if moved_term is not None:
+                controls.append({**f.coeffs, moved_term: f.coeffs[moved_term] + 1})
+            for coeffs in controls:
+                for group in (alone, f.group):
+                    bad = HeckeElement(f.rank, coeffs, group, f.q2)
+                    assert not bad.check_invariance() and not _invariant_per_term(bad), (coeffs, g)
+            moved_controls += 1
+            changed_controls += len(controls) - 1
+    assert (moved_controls, changed_controls) == (1240, 1228)
+
+
+def test_empty_and_rank_zero_elements_keep_their_terms():
+    """zip(*columns) yields no vector at rank 0 and no column without terms,
+    so both cases are guarded: an element with no terms is invariant at rank
+    >= 1, and a rank-0 term survives the invariance check and the transfer."""
+    for m in range(1, 6):
+        group = UnramifiedGroup("B", m).relative_group()
+        assert HeckeElement(m, {}, group, 0).check_invariance()
+        assert _columns({}, m) == [[]] * m
+        t = twisted_transfer(HeckeElement(m, {}, group, 0), EndoSignVector((-1,) * m), FrobTwist(2, _flip(m, 0)), group)
+        assert t.coeffs == {}
+    triv0 = RelativeWeylGroup(0, (WeylElement.identity(0),))
+    x = HeckeElement(0, {(): 3}, triv0, 2)
+    assert x.check_invariance() and _columns(x.coeffs, 0) == [] and list(_rows([], 2)) == [(), ()]
+    t = twisted_transfer(x, EndoSignVector(()), FrobTwist(3, WeylElement.identity(0)), triv0)
+    assert (t.coeffs, t.q2) == ({(): 3}, 2)
+
+
+def test_act_columns_is_act_tuple_on_each_vector():
+    """Column by column, a signed permutation maps every vector as act_tuple
+    maps it alone; a column with sign +1 is the source column itself, and the
+    source columns are never changed."""
+    rng = random.Random(32)
+    for m in range(1, 6):
+        for w in itertools.islice(weyl_enumerate(RootDatum("B", m)), 0, None, 11):
+            vectors = list(dict.fromkeys(tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(6)))
+            cols = _columns(dict.fromkeys(vectors, 1), m)
+            before = [list(c) for c in cols]
+            images = _act_columns(w, cols)
+            assert list(zip(*images)) == [w.act_tuple(v) for v in vectors]
+            assert cols == before
+            for image, (sign, j) in zip(images, w._pull):
+                assert (image is cols[j]) == (sign == 1)
+
+
+def test_frob_twist_refuses_sigma_that_does_not_square_to_one():
+    """A 3-cycle and a transposition with unequal signs are refused; on every
+    signed permutation of rank 1..3 the field test is sigma * sigma == 1."""
+    for sigma in (WeylElement((1, 1, 1), (1, 2, 0)), WeylElement((1, -1), (1, 0))):
+        with pytest.raises(ExactDomainError, match="sigma must square to the identity"):
+            FrobTwist(1, sigma)
+    for sigma in (WeylElement((-1, -1), (1, 0)), WeylElement((1, 1), (1, 0)), _flip(3, 1), WeylElement.identity(4)):
+        assert FrobTwist(2, sigma).sigma is sigma
+    for m in (1, 2, 3):
+        for w in weyl_enumerate(RootDatum("B", m)):
+            try:
+                FrobTwist(1, w)
+                accepted = True
+            except ExactDomainError:
+                accepted = False
+            assert accepted == (w * w == WeylElement.identity(m)), w
+
+
+def test_minuscule_test_agrees_with_the_roots():
+    """The minuscule test, read off the sorted |mu_i|, is |<alpha, mu>| <= 1
+    over the positive roots, for every mu in {-2..2}^m, m = 1..4; a split
+    group's Satake image exists exactly for those mu."""
+    for kind, m in itertools.product("BD", range(1, 5)):
+        roots = RootDatum(kind, m).positive_roots()
+        group = UnramifiedGroup(kind, m)
+        for mu in itertools.product(range(-2, 3), repeat=m):
+            want = all(abs(sum(map(mul, alpha, mu))) <= 1 for alpha in roots)
+            assert _is_minuscule(kind, sorted(map(abs, mu), reverse=True)) == want, (kind, mu)
+            if want:
+                assert satake_minuscule(group, mu).check_invariance()
+            else:
+                with pytest.raises(ExactDomainError, match="not minuscule"):
+                    satake_minuscule(group, mu)
+
+
+def test_relative_group_hash_is_that_of_its_fields():
+    """The hash taken when the group is built is the hash of (rank, gens), and
+    equality and the repr read the two fields only."""
+    g = UnramifiedGroup("D", 4, (3,)).relative_group(1)
+    twin = RelativeWeylGroup(g.rank, tuple(WeylElement(w.signs, w.perm) for w in g.gens))
+    assert twin is not g and twin == g and hash(twin) == hash(g) == hash((g.rank, g.gens))
+    assert RelativeWeylGroup(g.rank, g.gens[1:]) != g and RelativeWeylGroup(g.rank, g.gens) != g.gens
+    assert repr(TRIV2) == "RelativeWeylGroup(rank=2, gens=())"
