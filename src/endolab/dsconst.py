@@ -1,5 +1,5 @@
-"""Discrete-series constants: Herb's partition formula for products of type
-B/D/A1 factors, the explicit rank-2 cone tables, and the vanishing quantities
+"""Discrete-series constants: Herb's partition formula, one B/D/A1 factor
+at a time, the explicit rank-2 cone tables, and the vanishing quantities
 M_i, N attached to non-transferring Levis.
 
 All partition sums drop the overall normalization constant (it is independent
@@ -13,20 +13,10 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import ExactDomainError, ResourceLimitError, SingularPointError
 from .exactnum import RationalLike, _as_fraction, _exact
-from .value import Value
-
-
-class Partition2(Value):
-    """Unordered partition into blocks of size 1 or 2."""
-
-    __slots__ = ("blocks",)
-
-    def __init__(self, blocks: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "blocks", blocks)
 
 
 def _sorting_sign(seq: Sequence[int]) -> int:
@@ -36,35 +26,6 @@ def _sorting_sign(seq: Sequence[int]) -> int:
             if seq[i] > seq[j]:
                 inv += 1
     return -1 if inv % 2 else 1
-
-
-def _partition_sign(blocks: Sequence[tuple[int, ...]]) -> int:
-    """Sign of the permutation sorting the block concatenation (blocks listed in
-    the given enumeration order, each block ascending)."""
-    seq = [x for b in blocks for x in sorted(b)]
-    return _sorting_sign(seq)
-
-
-def partitions_le2(index_set: Sequence[int]) -> list[tuple[Partition2, int]]:
-    """All partitions of the set into 2-blocks plus at most one singleton, with signs."""
-    elts = sorted(index_set)
-    if len(elts) > 14:
-        raise ResourceLimitError("partition enumeration refused beyond 14 elements")
-    out: list[tuple[Partition2, int]] = []
-
-    def rec(remaining: tuple[int, ...], acc: list[tuple[int, ...]], used_singleton: bool):
-        if not remaining:
-            blocks = tuple(sorted(acc))
-            out.append((Partition2(blocks), _partition_sign(blocks)))
-            return
-        head, rest = remaining[0], remaining[1:]
-        for k, partner in enumerate(rest):
-            rec(rest[:k] + rest[k + 1 :], acc + [(head, partner)], used_singleton)
-        if not used_singleton:
-            rec(rest, acc + [(head,)], True)
-
-    rec(tuple(elts), [], False)
-    return out
 
 
 def c1(a: RationalLike) -> int:
@@ -78,47 +39,6 @@ def c2B(a: RationalLike, b: RationalLike) -> int:
     return 1 if (0 < a < b) or (0 < -b < a) else 0
 
 
-def c2D(a: RationalLike, b: RationalLike) -> int:
-    """Indicator a > |b|."""
-    a, b = _exact(a), _exact(b)
-    return 1 if a > abs(b) else 0
-
-
-class ProductRootSystem(Value):
-    """Product of B/D/A1 factors acting on disjoint index subsets."""
-
-    __slots__ = ("factors",)
-
-    def __init__(self, factors: tuple[tuple[str, tuple[int, ...]], ...]):
-        seen: set[int] = set()
-        for kind, support in factors:
-            if kind not in ("B", "D", "A1"):
-                raise ExactDomainError(f"unknown factor type {kind!r}")
-            if kind == "A1" and len(support) != 1:
-                raise ExactDomainError("A1 factors act on a single coordinate")
-            if kind == "D" and len(support) % 2:
-                raise ExactDomainError("D factors here must have even support")
-            if seen & set(support):
-                raise ExactDomainError("factor supports must be disjoint")
-            seen.update(support)
-        object.__setattr__(self, "factors", factors)
-
-
-class HerbInput(Value):
-    """Chamber position x and character direction chi (restricted weight mu).
-
-    The partition formula is written for x in the canonical chamber (ordered
-    coordinates in ]0,1[ after inversion), so only chi enters the sum; x is
-    retained for wall checks.
-    """
-
-    __slots__ = ("x", "chi")
-
-    def __init__(self, x: Optional[tuple[Fraction, ...]], chi: tuple[Fraction, ...]):
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "chi", chi)
-
-
 @lru_cache(maxsize=None)
 def _partition_table(n: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
     """(sign, blocks) of every partition of the positions 0..n-1 into 2-blocks
@@ -126,7 +46,8 @@ def _partition_table(n: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], .
 
     Built by its own expansion along the least position: pairing it with the
     k-th of the remaining positions puts k smaller ones after it, so the signs
-    (-1)^k multiply to the sign that `partitions_le2` counts by inversions.
+    (-1)^k multiply to the sign of the permutation sorting the concatenated
+    blocks, each block ascending.
     An order-preserving relabelling of the positions keeps both the blocks and
     the sign, so one table serves every support of size n.
     """
@@ -185,65 +106,6 @@ def _block_sum(kind: str, support: tuple[int, ...], ind: tuple[list[list[int]], 
                 break
         else:
             total += sign
-    return total
-
-
-def herb_sum(sys: ProductRootSystem, inp: HerbInput, case: str = "odd") -> int:
-    """Herb's partition sum for the product system, without the overall constant.
-
-    Each factor contributes an independent signed sum over its partitions, so
-    the quadruple sum over (p1+, p1-, p2+, p2-) factorizes.
-    """
-    if case not in ("odd", "even"):
-        raise ExactDomainError("case must be odd or even")
-    if case == "even" and any(kind == "B" for kind, _ in sys.factors):
-        raise ExactDomainError("the even case uses type D factors only")
-    mu = inp.chi
-    for kind, support in sys.factors:
-        for s in support:
-            if s >= len(mu):
-                raise ExactDomainError("factor support outside the weight vector")
-            if mu[s] == 0:
-                raise SingularPointError("weight coordinate on a wall")
-    ind = _indicators([_as_fraction(c) for c in mu])
-    total = 1
-    for kind, support in sys.factors:
-        total *= _block_sum(kind, support, ind)
-        if total == 0:
-            break
-    return total
-
-
-def herb_sum_direct(sys: ProductRootSystem, inp: HerbInput, case: str = "odd") -> int:
-    """Independent enumerator: the same sum without the per-factor factorization,
-    iterating the full product of partition choices."""
-    if case == "even" and any(kind == "B" for kind, _ in sys.factors):
-        raise ExactDomainError("the even case uses type D factors only")
-    mu = inp.chi
-    choices = []
-    for kind, support in sys.factors:
-        if kind == "A1":
-            choices.append([(None, 1, c1(mu[support[0]]))])
-            continue
-        opts = []
-        for part, sign in partitions_le2(support):
-            prod = 1
-            for block in part.blocks:
-                if len(block) == 1:
-                    prod *= c1(mu[block[0]])
-                else:
-                    s1, s2 = block
-                    prod *= c2B(mu[s1], mu[s2]) if kind == "B" else c2D(mu[s1], mu[s2])
-            opts.append((part, sign, prod))
-        choices.append(opts)
-    total = 0
-    for combo in itertools.product(*choices):
-        sign = 1
-        prod = 1
-        for _, s, p in combo:
-            sign *= s
-            prod *= p
-        total += sign * prod
     return total
 
 

@@ -126,14 +126,6 @@ class EndoParams(Value):
     def d(self) -> int:
         return self.d_plus + self.d_minus - (1 if self.parity == "odd" else 0)
 
-    @property
-    def m_plus(self) -> int:
-        return self.d_plus // 2
-
-    @property
-    def m_minus(self) -> int:
-        return self.d_minus // 2
-
     def swap(self) -> "EndoParams":
         return EndoParams(self.parity, self.d_minus, self.d_plus, self.delta_minus, self.delta_plus)
 

@@ -241,14 +241,6 @@ class Place(Value):
             raise ExactDomainError(f"{p} is not prime")
         object.__setattr__(self, "p", p)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.p == other.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p,))
-
     @classmethod
     def real(cls) -> "Place":
         return cls(0)
@@ -422,14 +414,6 @@ class SquareClass(Value):
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "rep", rep)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.context, self.rep) == (other.context, other.rep)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.context, self.rep))
-
     def __mul__(self, other: "SquareClass") -> "SquareClass":
         if self.context != other.context:
             raise ExactDomainError("square classes live in different contexts")
@@ -443,9 +427,6 @@ class SquareClass(Value):
         if p == 2:
             return SquareClass(2, (e, u % 8))
         return SquareClass(p, (e, 1 if legendre(u, p) == 1 else smallest_nonresidue(p)))
-
-    def inverse(self) -> "SquareClass":
-        return self  # every class is its own inverse
 
     @property
     def is_trivial(self) -> bool:

@@ -116,9 +116,6 @@ class Laurent:
         rank = self.rank
         return {_unpack(k, rank): c for k, c in self._packed.items()}
 
-    def is_zero(self) -> bool:
-        return not self._packed
-
     def _binomials(self, shift, roots):
         """The packed shift, its largest |coordinate|, and per root a: packed
         a, the bit offset of its first nonzero coordinate i, a_i (0 for a = 0)

@@ -65,14 +65,6 @@ class Weight(Value):
     def __init__(self, doubled: tuple[int, ...]):
         object.__setattr__(self, "doubled", doubled)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.doubled == other.doubled
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.doubled,))
-
     @classmethod
     def from_ints(cls, coords: Sequence[int]) -> "Weight":
         return cls(tuple(2 * c for c in coords))
@@ -207,10 +199,6 @@ class TorusPoint(Value):
                     raise ExactDomainError("dangling pair coordinate")
                 if self.coords[i + 1] != self.coords[i].conjugate():
                     raise ExactDomainError("pair coordinates must be conjugate")
-
-    @property
-    def rank(self) -> int:
-        return len(self.coords)
 
 
 def circle_point(t: RationalLike) -> GaussianRational:

@@ -6,20 +6,55 @@ from fractions import Fraction
 import pytest
 
 from endolab import dsconst
-from endolab.dsconst import (
-    HerbInput,
-    ProductRootSystem,
-    c1,
-    c2B,
-    c2D,
-    cone_constant_1d,
-    cone_constant_2d,
-    herb_sum,
-    herb_sum_direct,
-    partitions_le2,
-    vanishing_quantities,
-)
+from endolab.dsconst import c1, c2B, cone_constant_1d, cone_constant_2d, vanishing_quantities
 from endolab.errors import ExactDomainError, ResourceLimitError, SingularPointError
+from endolab.exactnum import _exact
+
+
+def c2D(a, b):
+    """Indicator a > |b|."""
+    a, b = _exact(a), _exact(b)
+    return 1 if a > abs(b) else 0
+
+
+def _partition_sign(blocks):
+    """Sign of the permutation sorting the block concatenation (blocks listed in
+    the given enumeration order, each block ascending), by its inversions."""
+    seq = [x for b in blocks for x in sorted(b)]
+    return -1 if sum(a > b for a, b in itertools.combinations(seq, 2)) % 2 else 1
+
+
+def _partition_value(kind, blocks, mu):
+    """The product of the c-indicators of a partition's blocks: c1 on a
+    singleton, c2B (type B) or c2D (type D) on a pair."""
+    prod = 1
+    for block in blocks:
+        if len(block) == 1:
+            prod *= c1(mu[block[0]])
+        else:
+            s1, s2 = block
+            prod *= c2B(mu[s1], mu[s2]) if kind == "B" else c2D(mu[s1], mu[s2])
+    return prod
+
+
+def partitions_le2(index_set):
+    """All partitions of the set into 2-blocks plus at most one singleton, as
+    (blocks, sign): the independent enumeration of the block sums."""
+    out = []
+
+    def rec(remaining, acc, used_singleton):
+        if not remaining:
+            blocks = tuple(sorted(acc))
+            out.append((blocks, _partition_sign(blocks)))
+            return
+        head, rest = remaining[0], remaining[1:]
+        for k, partner in enumerate(rest):
+            rec(rest[:k] + rest[k + 1 :], acc + [(head, partner)], used_singleton)
+        if not used_singleton:
+            rec(rest, acc + [(head,)], True)
+
+    rec(tuple(sorted(index_set)), [], False)
+    return out
 
 
 def _count_le2(n):
@@ -40,7 +75,7 @@ def test_partition_counts():
 
 
 def test_partition_signs():
-    by_blocks = {p.blocks: s for p, s in partitions_le2([1, 2, 3])}
+    by_blocks = dict(partitions_le2([1, 2, 3]))
     assert by_blocks[((1, 2), (3,))] == 1
     assert by_blocks[((1, 3), (2,))] == -1
     assert by_blocks[((1,), (2, 3))] == 1
@@ -55,13 +90,16 @@ def test_c_functions():
 
 
 def test_herb_empty_and_single():
-    assert herb_sum(ProductRootSystem(()), HerbInput(None, ())) == 1
-    sys1 = ProductRootSystem((("A1", (0,)),))
-    assert herb_sum(sys1, HerbInput(None, (Fraction(2),))) == 1
-    assert herb_sum(sys1, HerbInput(None, (Fraction(-2),))) == 0
+    mu = (Fraction(2), Fraction(-2))
+    ind = dsconst._indicators(mu)
+    assert dsconst._block_sum("B", (), ind) == dsconst._block_sum("D", (), ind) == 1
+    assert dsconst._block_sum("A1", (0,), ind) == dsconst._block_sum("B", (0,), ind) == 1
+    assert dsconst._block_sum("A1", (1,), ind) == dsconst._block_sum("B", (1,), ind) == 0
 
 
 def test_herb_factorization_cross_check():
+    """A product system's Herb sum, one block sum per factor, against the
+    enumeration over the product of every factor's partitions."""
     rng = random.Random(7)
     for _ in range(150):
         factors = []
@@ -72,23 +110,26 @@ def test_herb_factorization_cross_check():
                 used += size
         if not factors:
             continue
-        sys_ = ProductRootSystem(tuple(factors))
         mags = rng.sample(range(1, 300), used)
         mu = tuple(Fraction(mags[k] * rng.choice([-1, 1]), 7) for k in range(used))
-        inp = HerbInput(None, mu)
-        assert herb_sum(sys_, inp) == herb_sum_direct(sys_, inp)
+        ind = dsconst._indicators(mu)
+        factored = math.prod(dsconst._block_sum(kind, support, ind) for kind, support in factors)
+        direct = 0
+        for combo in itertools.product(*(partitions_le2(support) for _, support in factors)):
+            term = 1
+            for (kind, _), (blocks, sign) in zip(factors, combo):
+                term *= sign * _partition_value(kind, blocks, mu)
+            direct += term
+        assert factored == direct
 
 
 def test_herb_relabel_invariance():
     rng = random.Random(2)
     for _ in range(60):
         mu = tuple(Fraction(v * rng.choice([-1, 1]), 3) for v in rng.sample(range(1, 99), 4))
-        base = herb_sum(ProductRootSystem((("B", (0, 1, 2, 3)),)), HerbInput(None, mu))
+        base = dsconst._block_sum("B", (0, 1, 2, 3), dsconst._indicators(mu))
         # order-preserving relabeling: shift all indices by 2
-        shifted = herb_sum(
-            ProductRootSystem((("B", (2, 3, 4, 5)),)),
-            HerbInput(None, (Fraction(9), Fraction(-8)) + mu),
-        )
+        shifted = dsconst._block_sum("B", (2, 3, 4, 5), dsconst._indicators((Fraction(9), Fraction(-8)) + mu))
         assert base == shifted
 
 
@@ -120,12 +161,9 @@ def test_cone_vs_herb_cross_check():
     for x_V, chi in cases:
         if chi[0] * chi[1] * (chi[0] - chi[1]) * (chi[0] + chi[1]) == 0:
             continue
-        assert cone_constant_2d(x_V, chi, "B2") == 4 * herb_sum(
-            ProductRootSystem((("B", (0, 1)),)), HerbInput(None, chi)
-        )
-        assert cone_constant_2d(x_V, chi, "D2") == 4 * herb_sum(
-            ProductRootSystem((("D", (0, 1)),)), HerbInput(None, chi), "even"
-        )
+        ind = dsconst._indicators(chi)
+        assert cone_constant_2d(x_V, chi, "B2") == 4 * dsconst._block_sum("B", (0, 1), ind)
+        assert cone_constant_2d(x_V, chi, "D2") == 4 * dsconst._block_sum("D", (0, 1), ind)
 
 
 def test_cone_constants_int_and_fraction_agree():
@@ -256,17 +294,7 @@ def _block_sum_by_enumeration(kind, support, mu):
     and multiply the c-indicators of their blocks."""
     if kind == "A1":
         return c1(mu[support[0]])
-    total = 0
-    for part, sign in partitions_le2(support):
-        prod = 1
-        for block in part.blocks:
-            if len(block) == 1:
-                prod *= c1(mu[block[0]])
-            else:
-                s1, s2 = block
-                prod *= c2B(mu[s1], mu[s2]) if kind == "B" else c2D(mu[s1], mu[s2])
-        total += sign * prod
-    return total
+    return sum(sign * _partition_value(kind, blocks, mu) for blocks, sign in partitions_le2(support))
 
 
 def _vanishing_by_enumeration(r, t, case, r_prime, mu):
@@ -319,8 +347,8 @@ def _seeded_supports(seed):
 def test_partition_table_matches_partitions_le2():
     for n in range(9):
         listed = sorted(
-            (sign, tuple(b if len(b) == 2 else b * 2 for b in part.blocks))
-            for part, sign in partitions_le2(range(n))
+            (sign, tuple(b if len(b) == 2 else b * 2 for b in blocks))
+            for blocks, sign in partitions_le2(range(n))
         )
         assert sorted(dsconst._partition_table(n)) == listed, n
 
@@ -330,7 +358,7 @@ def test_partition_table_refuses_beyond_14():
         dsconst._partition_table(15)
     mu = tuple(Fraction(k + 1) for k in range(15))
     with pytest.raises(ResourceLimitError):
-        herb_sum(ProductRootSystem((("B", tuple(range(15))),)), HerbInput(None, mu))
+        dsconst._block_sum("B", tuple(range(15)), dsconst._indicators(mu))
 
 
 def test_block_sums_match_enumeration():

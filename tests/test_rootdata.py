@@ -84,9 +84,9 @@ def apply_weyl(gamma, w):
     """The torus point w gamma: coordinate j, inverted where w flips it,
     moves to w's image of j.  A conjugate pair generally stops being a
     literal adjacent pair, so every coordinate is classified again."""
-    coords = [None] * gamma.rank
-    for j in range(gamma.rank):
-        coords[w.perm[j]] = gamma.coords[j] if w.signs[j] == 1 else gamma.coords[j].inverse()
+    coords = [None] * len(gamma.coords)
+    for j, z in enumerate(gamma.coords):
+        coords[w.perm[j]] = z if w.signs[j] == 1 else z.inverse()
     pattern = tuple(SPLIT if z.is_real() else COMPACT if z * z.conjugate() == 1 else RAW for z in coords)
     return TorusPoint(tuple(coords), pattern)
 
@@ -272,7 +272,7 @@ def test_circle_point_matches_fraction_formula():
 
 
 def test_compact_coordinate_norm_check():
-    assert TorusPoint((circle_point(Fraction(-2, 9)),), (COMPACT,)).rank == 1
+    assert len(TorusPoint((circle_point(Fraction(-2, 9)),), (COMPACT,)).coords) == 1
     for z in (GaussianRational(Fraction(3, 5), Fraction(4, 7)), GaussianRational(2), circle_point(Fraction(1, 3)) * 3):
         with pytest.raises(ExactDomainError):
             TorusPoint((z,), (COMPACT,))
