@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import operator
 import random
 import sys
 import time
@@ -424,10 +425,10 @@ def _suite_signs(rep: Report):
             s2 = signs.whittaker_comparison_sign(case, "II")
             ok = s2 == ((-1) ** (m - mp)) * s1
             rep.check("Whittaker type II", ok, {**rep.case, "kind": "type II relation"})
-    for m in range(41):
-        for p in range(m + 1):
-            rep.case = {"m": m, "p": p}
-            rep.check("parity lemma", signs.parity_lemma_holds(m, p), {**rep.case, "kind": "parity lemma"})
+    # parity_lemma_holds reads only n = m - p: one check per n that 0 <= p <= m <= 40 reaches
+    for n in range(41):
+        rep.case = {"m": n, "p": 0}
+        rep.check("parity lemma", signs.parity_lemma_holds(n, 0), {**rep.case, "kind": "parity lemma"})
 
 
 def _suite_hilbert(rep: Report, *, pairs=500, seed=7):
@@ -472,7 +473,7 @@ def _suite_quasisplit(rep: Report):
 
 
 def _suite_kostant(rep: Report, *, max_rank=3, max_coord=2):
-    from . import rootdata
+    from . import archcmp, rootdata
 
     _at_least("max-rank", max_rank, 2)
     _at_least("max-coord", max_coord, 0)
@@ -488,21 +489,33 @@ def _suite_kostant(rep: Report, *, max_rank=3, max_coord=2):
                     rep.case = {"kind": kind, "m": m, "levi": label, "lambda": lam}
                     ok = rootdata.kostant_euler_identity(datum, levi, rootdata.Weight.from_ints(lam))
                     rep.check("Kostant identity", ok)
-            # passes_truncation, the filter of the truncated Kostant traces,
-            # must agree at mu = w(lam+rho) - rho with <w(lam+rho), pi> > 0
-            # for every Weyl element w.
-            r = rootdata.rho(datum)
-            covectors = (rootdata.pi1_covector(m), rootdata.pi2_covector(m))
+            covectors = {"pi1": rootdata.pi1_covector(m), "pi2": rootdata.pi2_covector(m)}
+            tail = rootdata.levi_positive_roots(datum, rootdata.standard_levi("M12", m))
             for lam in lams:
-                rep.case = {"kind": kind, "m": m, "lambda": lam}
-                shifted = rootdata.Weight.from_ints(lam) + r
-                for w in rootdata.weyl_enumerate(datum):
-                    image = w.act(shifted)
-                    mu = image - r
-                    for pi in covectors:
-                        ok = rootdata.passes_truncation(datum, mu, pi) == (image.pairing_doubled(pi) > 0)
-                        witness = None if ok else {**rep.case, "pi": list(pi), "w": [list(w.signs), list(w.perm)]}
-                        rep.check("truncation cutoffs", ok, witness)
+                # {w(lam+rho): det w}, doubled, which the Kostant identity has cached, kept
+                # where chi[2:] is regular dominant: the roots there are roots of every Levi
+                numerator = rootdata.weyl_numerator(datum, rootdata.Weight.from_ints(lam))
+                terms = [(chi, c) for chi, c in numerator.terms.items() if _positive_on(chi, tail)]
+                for label, cutoffs in (("M1", ("pi1",)), ("M2", ("pi2",)), ("M12", ("pi1", "pi2"))):
+                    rep.case = {"kind": kind, "m": m, "levi": label, "lambda": lam}
+                    # archcmp's entries without Kostant's table: each chi regular dominant for the
+                    # Levi (w in W^M) with <chi, pi> > 0 at every cutoff, keyed to det w = (-1)^l(w),
+                    # and on M1 also its reversed head to -det w
+                    levi = rootdata.standard_levi(label, m)
+                    walls = [covectors[c] for c in cutoffs] + list(rootdata.levi_positive_roots(datum, levi))
+                    k, want = levi.so_start, {}
+                    for chi, c in terms:
+                        if _positive_on(chi, walls):
+                            want[(chi[:k], chi[k:], False)] = c
+                            if label == "M1":
+                                want[(chi[1::-1], chi[k:], False)] = -c
+                    ok = archcmp._kostant_entries(kind, m, label, lam, cutoffs) == want
+                    rep.check("truncated Kostant entries", ok, {**rep.case, "cutoffs": list(cutoffs)})
+
+
+def _positive_on(chi: tuple, vectors) -> bool:
+    """Whether <chi, v> > 0 for every v."""
+    return all(sum(map(operator.mul, chi, v)) > 0 for v in vectors)
 
 
 def _dominant_weights(kind: str, m: int, max_coord: int) -> list:

@@ -1,6 +1,11 @@
 """Standard type B/D root data, signed-permutation Weyl groups, Weyl characters,
 Kostant cohomology entries and the weight truncations.
 
+Nothing here walks W one WeylElement at a time: the Weyl numerator lists
+the terms (det w, w mu) of Weyl's determinant by Leibniz's formula
+(_alternant_images), the plans expand that determinant without listing them,
+and Kostant's table enumerates only the coset representatives W^M.
+
 Conventions: rank-m lattice Z^m with basis e_1..e_m.  Type B roots are
 +-e_i +- e_j and +-e_i; type D drops the short roots.  The natural order takes
 e_1-e_2, ..., e_{m-1}-e_m and e_m (type B) / e_{m-1}+e_m (type D) as simple
@@ -14,15 +19,17 @@ import itertools
 from functools import lru_cache
 from math import gcd
 from operator import add, itemgetter, mul, sub
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .errors import ExactDomainError, ResourceLimitError, SingularPointError
+from .errors import ExactDomainError, SingularPointError
 from .exactnum import ONE, GaussianRational, RationalLike, _num_den
 from .laurent import Laurent
 from .value import Value
 
 Root = tuple[int, ...]  # true (undoubled) coordinates; roots are integral
-MAX_WEYL_RANK = 8  # weyl_enumerate walks W up to this rank; |W(B_8)| = 10,321,920
+# verify kostant's largest --max-rank: _alternant_images lists W for the Weyl
+# numerator, one term per element; |W(B_8)| = 10,321,920
+MAX_WEYL_RANK = 8
 
 
 class RootDatum(Value):
@@ -85,10 +92,6 @@ class Weight(Value):
         self._same_rank(other.doubled)
         return Weight(tuple(map(add, self.doubled, other.doubled)))
 
-    def __sub__(self, other: "Weight") -> "Weight":
-        self._same_rank(other.doubled)
-        return Weight(tuple(map(sub, self.doubled, other.doubled)))
-
     def pairing_doubled(self, covector: Sequence[int]) -> int:
         """2 <self, covector> for an integral coweight given in e_i^v
         coordinates; enough for sign tests, avoids Fractions."""
@@ -148,25 +151,6 @@ class WeylElement(Value):
 
     def act_tuple(self, v: Sequence) -> tuple:
         return tuple([s * v[j] for s, j in self._pull])
-
-    def act(self, w: Weight) -> Weight:
-        return Weight(self.act_tuple(w.doubled))
-
-
-def weyl_enumerate(datum: RootDatum) -> Iterator[WeylElement]:
-    """All elements of the Weyl group, one at a time, so that memory does not
-    grow with |W|: {+-1}^m x S_m for B, even sign count for D.  A rank above
-    MAX_WEYL_RANK is refused at the call, before any element is made."""
-    m = datum.rank
-    if m > MAX_WEYL_RANK:
-        raise ResourceLimitError(f"rank > {MAX_WEYL_RANK} enumeration refused")
-    kind = datum.kind
-    return (
-        WeylElement(signs, perm)
-        for perm in itertools.permutations(range(m))
-        for signs in itertools.product((1, -1), repeat=m)
-        if kind == "B" or signs.count(-1) % 2 == 0
-    )
 
 
 # --- torus points and character evaluation ----------------------------------

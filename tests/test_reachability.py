@@ -79,8 +79,6 @@ UNREACHED = {
     "exactnum.GaussianRational.re": _QI + "; the arch failure witness reads it",
     "exactnum.GaussianRational.im": _QI + "; the arch failure witness reads it",
     "exactnum.hilbert_symbol_oracle": "the tests' independent path to the Hilbert symbol",
-    "laurent.Laurent.terms": "perfbench's checks and the tests read a Laurent's terms",
-    "laurent._unpack": "only Laurent.terms unpacks a key",
     "laurent.Laurent.__hash__": "Laurent defines ==, and test_laurent checks that equal ones hash equal",
     "quadspace.QuadraticSpace.__eq__": "identity is diag alone: num_den and disc derive from it",
     "quadspace.QuadraticSpace.__hash__": "identity is diag alone: num_den and disc derive from it",
