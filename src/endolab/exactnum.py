@@ -89,8 +89,10 @@ def _factorize_cached(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(out.items()))
 
 
+@lru_cache(maxsize=65536)
 def squarefree_part(n: int) -> int:
-    """The canonical squarefree integer representing n modulo nonzero squares."""
+    """The canonical squarefree integer representing n modulo nonzero squares,
+    memoized on n (a refusal of 0 is not cached)."""
     if n == 0:
         raise ExactDomainError("0 has no square class")
     sign = -1 if n < 0 else 1
@@ -449,6 +451,13 @@ class SquareClass(Value):
         if v.is_real:
             return squareclass_of(self.rep, REAL_CONTEXT)
         return squareclass_of(self.rep, v.p)
+
+
+@lru_cache(maxsize=4096)
+def _global_class(rep: int) -> SquareClass:
+    """The global square class of the squarefree integer rep, one object per
+    rep, for the discriminants that every `QuadraticSpace` carries."""
+    return SquareClass(GLOBAL, rep)
 
 
 def squareclass_of(x: RationalLike, context: Context) -> SquareClass:

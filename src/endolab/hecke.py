@@ -26,10 +26,15 @@ entries:
   groups;
 - the groups of H, of the Levi M' and of the GL and SO blocks, keyed on the
   few rank, parity and discriminant fields that each builder reads (the
-  subset A only through its size, the degree a not at all).
+  subset A only through its size, the degree a not at all);
+- the per-shape objects of the transfer, each keyed on the ints and flags its
+  builder reads: the ambient `UnramifiedGroup` on (kind, m, flips), iota^-1
+  on (m, m+, m-, shuffle), the block split on (levi, A, m, m+), the
+  `FrobTwist` on (a, group), the H sign vector on (m+, m-), and the doubled
+  rho that `satake_minuscule` pairs with mu on (kind, rank).
 
-Only group-theoretic objects are cached, never a `HeckeElement` or a result
-of `compute_fH_at_p`, and no check is skipped: the `LocalDatumAtP`
+Only these objects are cached, never a `HeckeElement` or a result of
+`compute_fH_at_p`, and no check is skipped: the `LocalDatumAtP`
 validation, the minuscule test, the subgroup test in `constant_term` and all
 four invariance checks run on every call.
 """
@@ -46,7 +51,7 @@ from .levi import admissible_A, excluded_factor, gl_labels
 from .rootdata import RootDatum, WeylElement, rho
 from .value import Value
 
-# the most entries each group-theoretic cache below keeps
+# the most entries each cache below keeps
 _CACHE_SIZE = 1024
 
 
@@ -177,9 +182,6 @@ class UnramifiedGroup(Value):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "flips", flips)
-
-    def datum(self) -> RootDatum:
-        return RootDatum(self.kind, self.rank)
 
     def sigma(self) -> WeylElement:
         m = self.rank
@@ -315,8 +317,14 @@ def satake_minuscule(group: UnramifiedGroup, mu: Sequence[int], degree: int = 1)
         raise ExactDomainError("cocharacter is not defined over the base field")
     orbit = _orbit(rel, mu)
     # the q-power pairs the half sum of all positive roots with dom
-    q2 = degree * sum(map(mul, rho(group.datum()).doubled, dom))
+    q2 = degree * sum(map(mul, _rho_doubled(group.kind, m), dom))
     return HeckeElement(m, dict.fromkeys(orbit, 1), rel, q2)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _rho_doubled(kind: str, rank: int) -> tuple[int, ...]:
+    """The doubled coordinates of rho, the half sum of the positive roots."""
+    return rho(RootDatum(kind, rank)).doubled
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -478,17 +486,19 @@ class LocalDatumAtP(Value):
         return self.m_minus - self.gl_minus
 
 
-def _iota_inverse(datum: LocalDatumAtP) -> WeylElement:
-    """Admissible identification from ambient to H coordinates (0-based).
+@lru_cache(maxsize=_CACHE_SIZE)
+def _iota_inverse(m: int, mp: int, mm: int, shuffle: bool) -> WeylElement:
+    """Admissible identification from ambient to H coordinates (0-based), for
+    H ranks mp + mm = m.
 
     Without the shuffle: coordinates 1..m- land in the H- block after the H+
     block, the rest fill the H+ block.  When the minus discriminant is a local
-    nonsquare and the plus part is nonzero, the embedding of L-groups forces the
-    shuffle sending m- to the last H+ slot and m to the last H- slot.
+    nonsquare and the plus part is nonzero (`_needs_shuffle`), the embedding of
+    L-groups forces the shuffle sending m- to the last H+ slot and m to the
+    last H- slot.
     """
-    m, mp, mm = datum.m, datum.m_plus, datum.m_minus
     perm = [0] * m
-    if _needs_shuffle(datum):
+    if shuffle:
         for k in range(m):
             if k <= mm - 2:
                 perm[k] = mp + k
@@ -526,7 +536,12 @@ def _sigma_flips(datum: LocalDatumAtP) -> tuple[int, ...]:
 
 def ambient_group_at_p(datum: LocalDatumAtP) -> UnramifiedGroup:
     kind = "B" if datum.parity == "odd" else "D"
-    return UnramifiedGroup(kind, datum.m, _sigma_flips(datum))
+    return _unramified_group(kind, datum.m, _sigma_flips(datum))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _unramified_group(kind: str, m: int, flips: tuple[int, ...]) -> UnramifiedGroup:
+    return UnramifiedGroup(kind, m, flips)
 
 
 def _so_factor_gens(total: int, start: int, size: int, parity: str, is_split: bool) -> list[WeylElement]:
@@ -569,16 +584,16 @@ def _so_pair_group(
     return RelativeWeylGroup(m, tuple(gens))
 
 
-def _block_split(datum: LocalDatumAtP) -> WeylElement:
-    """The permutation of H coordinates that puts the GL slots first, in the
-    order of the Levi's GL labels, and the SO slots after them in their own
-    order (H+ slots, then H-).  A label in A takes the next H+ slot, any
-    other label the next slot after the H+ block."""
-    m, m_plus = datum.m, datum.m_plus
+@lru_cache(maxsize=_CACHE_SIZE)
+def _block_split(levi: str, A: frozenset[int], m: int, m_plus: int) -> WeylElement:
+    """The permutation of the m H coordinates that puts the GL slots first, in
+    the order of the Levi's GL labels, and the SO slots after them in their
+    own order (H+ slots, then H-).  A label in A takes the next H+ slot, any
+    other label the next slot after the m_plus slots of the H+ block."""
     order = []
     plus_used = minus_used = 0
-    for lab in gl_labels(datum.levi):
-        if lab in datum.A:
+    for lab in gl_labels(levi):
+        if lab in A:
             order.append(plus_used)
             plus_used += 1
         else:
@@ -591,8 +606,14 @@ def _block_split(datum: LocalDatumAtP) -> WeylElement:
     return WeylElement((1,) * m, tuple(perm))
 
 
-def _h_sign_vector(datum: LocalDatumAtP) -> EndoSignVector:
-    return EndoSignVector((1,) * datum.m_plus + (-1,) * datum.m_minus)
+@lru_cache(maxsize=_CACHE_SIZE)
+def _h_sign_vector(m_plus: int, m_minus: int) -> EndoSignVector:
+    return EndoSignVector((1,) * m_plus + (-1,) * m_minus)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _frob_twist(a: int, group: UnramifiedGroup) -> FrobTwist:
+    return FrobTwist(a, group.sigma())
 
 
 def compute_fH_at_p(
@@ -625,10 +646,10 @@ def compute_fH_at_p(
     f = satake_minuscule(group, minus_mu, degree=a)
     transferred = twisted_transfer(
         f,
-        _h_sign_vector(datum),
-        FrobTwist(a, group.sigma()),
+        _h_sign_vector(m_plus, m_minus),
+        _frob_twist(a, group),
         h_relative_group(datum),
-        reindex=_iota_inverse(datum),
+        reindex=_iota_inverse(m, m_plus, m_minus, _needs_shuffle(datum)),
     )
     levi_rel = _levi_relative_group(datum)
     restricted = constant_term(transferred, levi_rel)
@@ -639,7 +660,7 @@ def compute_fH_at_p(
     if count and min(map(tuple.count, coeffs, repeat(0))) < m - 1:
         raise ExactDomainError("unexpected mixed monomial in the transfer")
     k_rank = len(gl_labels(levi))
-    cols = _act_columns(_block_split(datum), _columns(coeffs, m))
+    cols = _act_columns(_block_split(levi, datum.A, m, m_plus), _columns(coeffs, m))
     # each term has at most one nonzero coordinate: it lies on the GL block
     # when that coordinate is a GL slot, else on the SO block (the constant
     # term too), and its coordinates there determine it, so no two terms meet

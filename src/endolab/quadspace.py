@@ -22,6 +22,7 @@ from .exactnum import (
     RationalLike,
     SquareClass,
     _as_fraction,
+    _global_class,
     _hilbert_finite_cached,
     _local_class,
     _num_den,
@@ -56,7 +57,7 @@ class QuadraticSpace(Value):
             det = -det
         object.__setattr__(self, "diag", diag)
         object.__setattr__(self, "num_den", num_den)
-        object.__setattr__(self, "disc", SquareClass(GLOBAL, squarefree_part(det)))
+        object.__setattr__(self, "disc", _global_class(squarefree_part(det)))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -140,40 +141,37 @@ def hasse_invariant(q: QuadraticSpace, v: Place) -> int:
     return eps
 
 
-def _class_counts(q: QuadraticSpace, p: int) -> dict[int, int]:
-    """How many diagonal entries lie in each square class of Q_p^x, keyed by
-    the class's integer representative p^e * u."""
-    counts: dict[int, int] = {}
-    local = _local_class
-    for n, d in q.num_den:
-        e, u = local(n, d, p)
-        rep = p * u if e else u
-        counts[rep] = counts.get(rep, 0) + 1
-    return counts
-
-
-def _hasse_from_counts(counts: dict[int, int], v: Place) -> int:
-    """The Hasse invariant at the finite place v of a diagonal form with
-    counts[c] entries in the local square class c: grouping the pairs i < j of
-    prod (a_i, a_j)_v by class gives prod_c (c,c)^C(n_c,2) * prod_{c<c'}
-    (c,c')^(n_c n_c') (Serre, A Course in Arithmetic, ch. III-IV), at most 36
-    symbols for any dimension.  The classes are int representatives, so each
-    symbol is read from the symbol cache with denominators 1.  Square classes
-    over R are not what `_class_counts` counts, so the real place is refused."""
+def _closed_hasse(q: QuadraticSpace, v: Place) -> int:
+    """The Hasse invariant at the finite place v in one pass over the local
+    classes (v_i mod 2, u_i) of the diagonal (Serre, A Course in Arithmetic,
+    III.1.2): with K = #{i : v_i odd} it is (-1)^(eps(p) C(K,2)) prod_i
+    (u_i/p)^(K - v_i) at odd p, and (-1)^(C(E,2) + sum_i omega(u_i)(K - v_i))
+    at p = 2, E = #{i : u_i = 3 mod 4}.  If `units` entries have (u_i/p) = -1
+    (omega(u_i) = 1 at p = 2), n1 of them with v_i odd, the product over i is
+    (-1)^(units K - n1).  The real place is refused."""
     p = v.p
     if not p:
-        raise ExactDomainError("class-count Hasse invariant is defined at finite places only")
-    symbol = _hilbert_finite_cached
-    eps = 1
-    classes = list(counts.items())
-    for i, (c, n) in enumerate(classes):
-        if n & 2:  # C(n, 2) is odd iff n = 2, 3 mod 4
-            eps *= symbol(c, 1, c, 1, p)
-        if n & 1:
-            for c2, n2 in classes[i + 1 :]:
-                if n2 & 1:
-                    eps *= symbol(c, 1, c2, 1, p)
-    return eps
+        raise ExactDomainError("the closed Hasse invariant is defined at finite places only")
+    local = _local_class
+    k = units = n1 = e = 0
+    if p == 2:
+        for n, d in q.num_den:
+            odd, u = local(n, d, 2)
+            k += odd
+            e += u >> 1 & 1  # u = 3 mod 4
+            if u == 3 or u == 5:  # omega(u) = 1
+                units += 1
+                n1 += odd
+        pairs = e * (e - 1) // 2
+    else:
+        for n, d in q.num_den:
+            odd, u = local(n, d, p)
+            k += odd
+            if u != 1:  # the nonresidue class
+                units += 1
+                n1 += odd
+        pairs = k * (k - 1) // 2 if p & 2 else 0  # eps(p) = 1 iff p = 3 mod 4
+    return -1 if (pairs + units * k - n1) & 1 else 1
 
 
 def signature(q: QuadraticSpace) -> tuple[int, int]:
@@ -207,14 +205,14 @@ def quasi_split_space(d: int, delta: SquareClass) -> QuadraticSpace:
 
 def is_quasi_split_local(q: QuadraticSpace, v: Place) -> bool:
     """Quasi-splitness of the space over Q_v, by the closed Hasse-invariant formulas
-    at finite places and the signature table over R.  The Hasse invariant comes
-    from the square-class multiplicities of the diagonal, not from the pairwise
-    product of `hasse_invariant`, which the oracle uses."""
+    at finite places and the signature table over R.  The form's Hasse
+    invariant is `_closed_hasse`, one pass over its local classes, not the
+    pairwise product of `hasse_invariant`, which the oracle uses."""
     d = len(q.diag)
     delta_rep = q.disc.rep
     p = v.p
     if p:
-        return _hasse_from_counts(_class_counts(q, p), v) == _quasi_split_hasse(d, delta_rep, p)
+        return _closed_hasse(q, v) == _quasi_split_hasse(d, delta_rep, p)
     m = d // 2
     sig = signature(q)
     if d % 2 == 1:
@@ -280,7 +278,8 @@ def exists_global_form(d: int, det: object) -> bool:
     determinant 1 the answer is d = 3,4,5,6 mod 8; in the remaining even case
     d = 0 mod 8 a form exists iff the twisted discriminant is nontrivial
     (scaling at a finite place where it is a nonsquare repairs the Hasse
-    product without moving the group).
+    product without moving the group).  The model's finite Hasse invariants
+    are read with `_closed_hasse`, not the pairwise `hasse_invariant`.
     """
     if d < 3:
         raise ExactDomainError("dimension must be >= 3")
@@ -298,7 +297,7 @@ def exists_global_form(d: int, det: object) -> bool:
     prod_fin = 1  # the d mod 8 table of `verify hilbert` checks this side independently
     for v in relevant_places(model):
         if not v.is_real:
-            prod_fin *= _hasse_from_counts(_class_counts(model, v.p), v)
+            prod_fin *= _closed_hasse(model, v)
     # Signature (d-2, 2) forces the real Hasse invariant to be -1, and the
     # quasi-split local data are rigid, so the form glues iff prod_fin = -1.
     if prod_fin == -1:

@@ -228,11 +228,12 @@ def test_verify_kostant_range_is_a_usage_error(capsys, flag, key, value, low):
     assert out["witnesses"] == [{"error": f"{flag} must be >= {low}, got {value}"}]
 
 
-@pytest.mark.parametrize("max_rank", [9, 40])
+@pytest.mark.parametrize("max_rank", [8, 9, 40])
 def test_verify_kostant_max_rank_above_the_weyl_limit_is_refused_first(capsys, monkeypatch, max_rank):
     """--max-rank 9 used to run every identity and list W(B_8), 10,321,920
-    elements, before the walk of W refused rank 9.  Neither identity, nor
-    the Weyl numerator that lists W, runs before the refusal."""
+    elements, before the walk of W refused rank 9, and rank 8 would list
+    W(B_8) for the Weyl numerator.  Neither identity, nor the Weyl numerator
+    that lists W, runs before the refusal."""
     from endolab import rootdata
 
     def never(*args):

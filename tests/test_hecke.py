@@ -20,11 +20,15 @@ from endolab.hecke import (
     _columns,
     _flip,
     _gl_block_group,
+    _block_split,
+    _frob_twist,
     _h_sign_vector,
     _iota_inverse,
     _is_minuscule,
     _levi_relative_group,
+    _needs_shuffle,
     _orbit,
+    _rho_doubled,
     _rows,
     _so_block_group,
     _so_factor_gens,
@@ -42,7 +46,7 @@ from endolab.hecke import (
     twisted_transfer,
 )
 from endolab.levi import gl_labels
-from endolab.rootdata import RootDatum, WeylElement
+from endolab.rootdata import RootDatum, WeylElement, rho
 from test_rootdata import weyl_group
 
 TRIV1 = RelativeWeylGroup(1, ())
@@ -112,7 +116,7 @@ def test_twisted_transfer_iota_independence():
     g = UnramifiedGroup("B", 3)
     f = satake_minuscule(g, (1, 0, 0), degree=2)
     datum = LocalDatumAtP("M12", "odd", 3, 2, 1, frozenset({1}))
-    iota = _iota_inverse(datum)
+    iota = _fresh_iota_inverse(datum)
     h_group = h_relative_group(datum)
     s_h = EndoSignVector((1, 1, -1))
     t = FrobTwist(2, WeylElement.identity(3))
@@ -310,7 +314,7 @@ def test_transfer_restrict_bracketings_agree():
     f = satake_minuscule(g, (-1, 0, 0), degree=2)
     s = EndoSignVector((1, 1, -1))
     twist = FrobTwist(2, g.sigma())
-    iota = _iota_inverse(datum)
+    iota = _fresh_iota_inverse(datum)
     levi_group = _levi_relative_group(datum)
     via_h = constant_term(
         twisted_transfer(f, s, twist, h_relative_group(datum), reindex=iota), levi_group
@@ -470,6 +474,67 @@ def _fresh_so_group(datum: LocalDatumAtP) -> RelativeWeylGroup:
     return RelativeWeylGroup(rank, tuple(gens))
 
 
+def _fresh_iota_inverse(datum: LocalDatumAtP) -> WeylElement:
+    m, mp, mm = datum.m, datum.m_plus, datum.m_minus
+    perm = [0] * m
+    if datum.parity == "even" and not datum.delta_minus_square and mp > 0:
+        for k in range(m):
+            if k <= mm - 2:
+                perm[k] = mp + k
+            elif k == mm - 1:
+                perm[k] = mp - 1
+            elif k <= m - 2:
+                perm[k] = k - mm
+            else:
+                perm[k] = m - 1
+    else:
+        for k in range(m):
+            perm[k] = mp + k if k < mm else k - mm
+    return WeylElement((1,) * m, tuple(perm))
+
+
+def _fresh_block_split(datum: LocalDatumAtP) -> WeylElement:
+    m, m_plus = datum.m, datum.m_plus
+    order = []
+    plus_used = minus_used = 0
+    for lab in gl_labels(datum.levi):
+        if lab in datum.A:
+            order.append(plus_used)
+            plus_used += 1
+        else:
+            order.append(m_plus + minus_used)
+            minus_used += 1
+    order += [j for j in range(m) if j not in order]
+    perm = [0] * m
+    for k, j in enumerate(order):
+        perm[j] = k
+    return WeylElement((1,) * m, tuple(perm))
+
+
+def _fresh_sign_vector(datum: LocalDatumAtP) -> EndoSignVector:
+    return EndoSignVector((1,) * datum.m_plus + (-1,) * datum.m_minus)
+
+
+def _fresh_ambient_group(datum: LocalDatumAtP) -> UnramifiedGroup:
+    if datum.parity == "odd":
+        return UnramifiedGroup("B", datum.m, ())
+    dp, dm = datum.delta_plus_square, datum.delta_minus_square
+    if dp and dm:
+        flips = ()
+    elif dp != dm:
+        flips = (datum.m - 1,)
+    else:
+        flips = (datum.m_minus - 1, datum.m - 1)
+    return UnramifiedGroup("D", datum.m, flips)
+
+
+def _fresh_frob_twist(a: int, group: UnramifiedGroup) -> FrobTwist:
+    signs = [1] * group.rank
+    for i in group.flips:
+        signs[i] = -1
+    return FrobTwist(a, WeylElement(tuple(signs), tuple(range(group.rank))))
+
+
 def _bfs_orbit(elements, mu: tuple) -> set:
     """The orbit of mu as its images under every element of the group."""
     return {w.act_tuple(mu) for w in elements}
@@ -513,6 +578,35 @@ def test_cached_builders_equal_fresh_builds():
     assert admissible == 414
 
 
+def test_per_key_builders_equal_the_per_datum_code():
+    """On every admissible shape of d = 7..10 and a = 1..3, the objects that
+    `compute_fH_at_p` reads from its per-key caches (iota^-1, the block
+    split, the Frobenius twist, the H sign vector, the ambient group and the
+    rho pairing) equal the per-datum constructions above, and a second call
+    returns the cached object."""
+    admissible = 0
+    for levi, parity, m, mp, mm, A, a, dps, dms in _local_shapes():
+        try:
+            datum = LocalDatumAtP(levi, parity, m, mp, mm, frozenset(A), dps, dms)
+        except ExactDomainError:
+            continue
+        admissible += 1
+        group = ambient_group_at_p(datum)
+        assert group == _fresh_ambient_group(datum) and ambient_group_at_p(datum) is group
+        built = {
+            "iota": (_iota_inverse, (m, mp, mm, _needs_shuffle(datum)), _fresh_iota_inverse(datum)),
+            "split": (_block_split, (levi, datum.A, m, mp), _fresh_block_split(datum)),
+            "twist": (_frob_twist, (a, group), _fresh_frob_twist(a, group)),
+            "signs": (_h_sign_vector, (mp, mm), _fresh_sign_vector(datum)),
+            "rho": (_rho_doubled, (group.kind, m), rho(RootDatum(group.kind, m)).doubled),
+        }
+        for name, (builder, key, fresh) in built.items():
+            cached = builder(*key)
+            assert cached == fresh, (name, datum)
+            assert builder(*key) is cached, name
+    assert admissible == 414
+
+
 def test_caches_stay_bounded_under_verify_satake(capsys):
     """`verify satake` at its acceptance parameters fills every group-theoretic
     cache of the Hecke layer, each below its bound."""
@@ -521,7 +615,8 @@ def test_caches_stay_bounded_under_verify_satake(capsys):
         if hasattr(obj, "cache_info") and obj.__module__ == hecke.__name__
     }
     assert sorted(caches) == [
-        "_gl_block_group", "_is_subgroup", "_levi_group", "_orbit", "_relative_group", "_so_pair_group",
+        "_block_split", "_frob_twist", "_gl_block_group", "_h_sign_vector", "_iota_inverse", "_is_subgroup",
+        "_levi_group", "_orbit", "_relative_group", "_rho_doubled", "_so_pair_group", "_unramified_group",
     ]
     for cache in caches.values():
         cache.cache_clear()
@@ -561,11 +656,11 @@ def _fH_per_term(levi, parity, m, m_plus, m_minus, A, a, dps=True, dms=True):
     """compute_fH_at_p with the transfer, the invariance checks and the split
     into the GL and SO blocks made term by term."""
     datum = LocalDatumAtP(levi, parity, m, m_plus, m_minus, frozenset(A), dps, dms)
-    group = ambient_group_at_p(datum)
+    group = _fresh_ambient_group(datum)
     free = next(i for i in range(m) if i not in group.flips)
     f = satake_minuscule(group, tuple(-1 if i == free else 0 for i in range(m)), degree=a)
     transferred = _transfer_per_term(
-        f, _h_sign_vector(datum), FrobTwist(a, group.sigma()), h_relative_group(datum), _iota_inverse(datum)
+        f, _fresh_sign_vector(datum), FrobTwist(a, group.sigma()), h_relative_group(datum), _fresh_iota_inverse(datum)
     )
     scaled = constant_term(transferred, _levi_relative_group(datum)).scale(1, -a * (datum.d - 2))
     gl_slots = {}  # GL label -> H slot: labels in A take the H+ slots, the others follow the H+ block

@@ -1,17 +1,15 @@
 import itertools
 import math
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from endolab.errors import ExactDomainError
-from endolab.exactnum import REAL, Place, _num_den, hilbert_symbol
+from endolab.exactnum import REAL, Place, _local_class, _num_den, hilbert_symbol
 from endolab.quadspace import (
     QuadraticSpace,
-    _class_counts,
-    _hasse_from_counts,
+    _closed_hasse,
     diagonalize,
     discriminant,
     exists_global_form,
@@ -144,35 +142,55 @@ def _forms_by_class(p: int, max_dim: int = 5):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_hasse_by_multiplicities_matches_pairwise(p):
+    """The one-pass Hasse invariant equals the pairwise product on every form
+    of up to five entries drawn from the local square classes at p."""
     v = Place.finite(p)
     n_classes = 8 if p == 2 else 4
-    assert len(_class_counts(QuadraticSpace.from_entries(_class_reps(p)), p)) == n_classes
+    assert len({_local_class(r, 1, p) for r in _class_reps(p)}) == n_classes
     forms = 0
     for q in _forms_by_class(p):
-        assert _hasse_from_counts(_class_counts(q, p), v) == hasse_invariant(q, v), (q.diag, p)
+        assert _closed_hasse(q, v) == hasse_invariant(q, v), (q.diag, p)
         forms += 1
     assert forms == sum(math.comb(n_classes + k - 1, k) for k in range(1, 6))
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_closed_hasse_matches_pairwise_on_random_fraction_forms(p):
+    """Seeded random forms of dimension 1..9 with Fraction entries, whose
+    numerators and denominators carry p, 2 and other primes."""
+    v = Place.finite(p)
+    rng = random.Random(1000 + p)
+    signs = set()
+    for _ in range(600):
+        entries = [
+            Fraction(
+                rng.choice([1, -1]) * rng.randint(1, 60) * p ** rng.randint(0, 3),
+                rng.randint(1, 40) * p ** rng.randint(0, 2),
+            )
+            for _ in range(rng.randint(1, 9))
+        ]
+        q = QuadraticSpace.from_entries(entries)
+        eps = _closed_hasse(q, v)
+        assert eps == hasse_invariant(q, v), (entries, p)
+        signs.add(eps)
+    assert signs == {1, -1}
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_hasse_by_multiplicities_needs_the_self_pairing(p):
-    """Negative control: dropping the factor prod_c (c,c)^C(n_c,2) changes the
-    answer on some form of the same sweep at p = 2 and 3.  At p = 5 the factor
-    is 1, since (c,c) = (c,-1) and -1 is a square in Q_5."""
+    """Negative control on the pair term of the one-pass formula, the sign
+    from pairs of entries that are both 3 mod 4 (p = 2) or both of odd
+    valuation (odd p): dropping (-1)^C(E,2) at p = 2 or (-1)^(eps(p) C(K,2))
+    at p = 3, or wrongly keeping (-1)^C(K,2) at p = 5, where eps(5) = 0,
+    changes the answer on some form of the sweep."""
     v = Place.finite(p)
-    if p % 4 == 1:
-        assert all(hilbert_symbol(c, c, v) == 1 for c in _class_reps(p))
-        return
 
-    def without_self_pairing(counts):
-        eps = 1
-        classes = list(counts.items())
-        for i, (c, n) in enumerate(classes):
-            for c2, n2 in classes[i + 1 :]:
-                eps *= hilbert_symbol(c, c2, v) ** (n * n2)
-        return eps
+    def mutated(q):
+        classes = [_local_class(n, d, p) for n, d in q.num_den]
+        count = sum(u % 4 == 3 for _, u in classes) if p == 2 else sum(odd for odd, _ in classes)
+        return _closed_hasse(q, v) * (-1) ** math.comb(count, 2)
 
-    assert any(without_self_pairing(_class_counts(q, p)) != hasse_invariant(q, v) for q in _forms_by_class(p))
+    assert any(mutated(q) != hasse_invariant(q, v) for q in _forms_by_class(p))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -191,25 +209,21 @@ def test_closed_test_matches_oracle_on_fraction_entries(p):
 
 
 def test_hasse_from_counts_refuses_the_real_place(monkeypatch):
-    """Class counts are local to a prime: at the real place the closed formula
-    raises, and it never reads the finite symbol cache with p = 0."""
+    """Local classes are defined at primes only: at the real place the one-pass
+    formula raises, and it never reads the local class cache with p = 0."""
     from endolab import quadspace
 
-    real_cache = quadspace._hilbert_finite_cached
+    real_cache = quadspace._local_class
     places = []
-    monkeypatch.setattr(
-        quadspace, "_hilbert_finite_cached", lambda an, ad, bn, bd, p: places.append(p) or real_cache(an, ad, bn, bd, p)
-    )
+    monkeypatch.setattr(quadspace, "_local_class", lambda n, d, p: places.append(p) or real_cache(n, d, p))
     for q in _pool_forms():
-        signs = dict(Counter(1 if c > 0 else -1 for c in q.diag))
-        for counts in (signs, _class_counts(q, 3)):
-            with pytest.raises(ExactDomainError, match="finite places"):
-                _hasse_from_counts(counts, REAL)
+        with pytest.raises(ExactDomainError, match="finite places"):
+            _closed_hasse(q, REAL)
     assert places == []
     # the finite place still goes through the (patched) cache
     q = QuadraticSpace.from_entries([3, 3, 6])
-    assert _hasse_from_counts(_class_counts(q, 3), Place.finite(3)) == hasse_invariant(q, Place.finite(3))
-    assert places and set(places) == {3}
+    assert _closed_hasse(q, Place.finite(3)) == hasse_invariant(q, Place.finite(3))
+    assert places == [3, 3, 3]
 
 
 def test_closed_test_and_oracle_take_separate_hasse_paths(monkeypatch):
@@ -409,18 +423,23 @@ def test_exists_global_form_table():
 
 
 def test_exists_global_form_takes_hasse_from_class_counts(monkeypatch):
-    """The existence criterion never calls the pairwise `hasse_invariant`, which
-    the oracle and the `quadspace` command keep."""
+    """The existence criterion takes the one-pass `_closed_hasse` and never
+    calls the pairwise `hasse_invariant`, which the oracle and the
+    `quadspace` command keep."""
     from endolab import quadspace
 
     def refused(q, v):
         raise AssertionError("pairwise Hasse product called")
 
+    closed = []
+    real_closed = quadspace._closed_hasse
+    monkeypatch.setattr(quadspace, "_closed_hasse", lambda q, v: closed.append(v.p) or real_closed(q, v))
     monkeypatch.setattr(quadspace, "hasse_invariant", refused)
     for d in range(3, 65):
         assert exists_global_form(d, 1) == (d % 8 in (3, 4, 5, 6)), d
     for d in (8, 16, 24):
         assert exists_global_form(d, 2)
+    assert 2 in closed and 0 not in closed
     with pytest.raises(AssertionError, match="pairwise"):
         is_quasi_split_oracle(QuadraticSpace.from_entries([1, -3, 6]), 3)
 
@@ -433,7 +452,7 @@ def test_hasse_by_class_counts_matches_pairwise_on_quasi_split_models(delta):
         model = quasi_split_space(d, squareclass_of(delta, GLOBAL))
         for v in relevant_places(model):
             if not v.is_real:
-                assert _hasse_from_counts(_class_counts(model, v.p), v) == hasse_invariant(model, v), (d, v.p)
+                assert _closed_hasse(model, v) == hasse_invariant(model, v), (d, v.p)
 
 
 # negative and non-integral entries, with 2, 3 and 7 in numerators and denominators
