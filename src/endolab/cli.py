@@ -472,45 +472,72 @@ def _suite_quasisplit(rep: Report):
                 rep.check("quasi-split against the oracle", ok)
 
 
-def _suite_kostant(rep: Report, *, max_rank=3, max_coord=2):
-    from . import archcmp, rootdata
+def _weight_sweep(max_rank: int, max_coord: int) -> list:
+    """(kind, m, the dominant weights with coordinates up to max_coord) for
+    B_m and D_m, 2 <= m <= max_rank, in the order the suites run them.  Both
+    flags are checked first: a rank above rootdata.MAX_WEYL_RANK, whose Weyl
+    numerators list too many terms, is refused before any case runs."""
+    from . import rootdata
 
     _at_least("max-rank", max_rank, 2)
     _at_least("max-coord", max_coord, 0)
     if max_rank > rootdata.MAX_WEYL_RANK:
         raise ExactDomainError(f"--max-rank must be <= {rootdata.MAX_WEYL_RANK}, got {max_rank}")
-    for kind in ("B", "D"):
-        for m in range(2, max_rank + 1):
-            datum = rootdata.RootDatum(kind, m)
-            lams = _dominant_weights(kind, m, max_coord)
-            for label in ("M2", "M1", "M12"):
-                levi = rootdata.standard_levi(label, m)
-                for lam in lams:
-                    rep.case = {"kind": kind, "m": m, "levi": label, "lambda": lam}
-                    ok = rootdata.kostant_euler_identity(datum, levi, rootdata.Weight.from_ints(lam))
-                    rep.check("Kostant identity", ok)
-            covectors = {"pi1": rootdata.pi1_covector(m), "pi2": rootdata.pi2_covector(m)}
-            tail = rootdata.levi_positive_roots(datum, rootdata.standard_levi("M12", m))
+    return [(kind, m, _dominant_weights(kind, m, max_coord)) for kind in ("B", "D") for m in range(2, max_rank + 1)]
+
+
+def _suite_kostant(rep: Report, *, max_rank=3, max_coord=2):
+    from . import archcmp, rootdata
+
+    for kind, m, lams in _weight_sweep(max_rank, max_coord):
+        datum = rootdata.RootDatum(kind, m)
+        for label in ("M2", "M1", "M12"):
+            levi = rootdata.standard_levi(label, m)
             for lam in lams:
-                # {w(lam+rho): det w}, doubled, which the Kostant identity has cached, kept
-                # where chi[2:] is regular dominant: the roots there are roots of every Levi
-                numerator = rootdata.weyl_numerator(datum, rootdata.Weight.from_ints(lam))
-                terms = [(chi, c) for chi, c in numerator.terms.items() if _positive_on(chi, tail)]
-                for label, cutoffs in (("M1", ("pi1",)), ("M2", ("pi2",)), ("M12", ("pi1", "pi2"))):
-                    rep.case = {"kind": kind, "m": m, "levi": label, "lambda": lam}
-                    # archcmp's entries without Kostant's table: each chi regular dominant for the
-                    # Levi (w in W^M) with <chi, pi> > 0 at every cutoff, keyed to det w = (-1)^l(w),
-                    # and on M1 also its reversed head to -det w
-                    levi = rootdata.standard_levi(label, m)
-                    walls = [covectors[c] for c in cutoffs] + list(rootdata.levi_positive_roots(datum, levi))
-                    k, want = levi.so_start, {}
-                    for chi, c in terms:
-                        if _positive_on(chi, walls):
-                            want[(chi[:k], chi[k:], False)] = c
-                            if label == "M1":
-                                want[(chi[1::-1], chi[k:], False)] = -c
-                    ok = archcmp._kostant_entries(kind, m, label, lam, cutoffs) == want
-                    rep.check("truncated Kostant entries", ok, {**rep.case, "cutoffs": list(cutoffs)})
+                rep.case = {"kind": kind, "m": m, "levi": label, "lambda": lam}
+                ok = rootdata.kostant_euler_identity(datum, levi, rootdata.Weight.from_ints(lam))
+                rep.check("Kostant identity", ok)
+        covectors = {"pi1": rootdata.pi1_covector(m), "pi2": rootdata.pi2_covector(m)}
+        tail = rootdata.levi_positive_roots(datum, rootdata.standard_levi("M12", m))
+        for lam in lams:
+            # {w(lam+rho): det w}, doubled, which the Kostant identity has cached, kept
+            # where chi[2:] is regular dominant: the roots there are roots of every Levi
+            numerator = rootdata.weyl_numerator(datum, rootdata.Weight.from_ints(lam))
+            terms = [(chi, c) for chi, c in numerator.terms.items() if _positive_on(chi, tail)]
+            for label, cutoffs in (("M1", ("pi1",)), ("M2", ("pi2",)), ("M12", ("pi1", "pi2"))):
+                rep.case = {"kind": kind, "m": m, "levi": label, "lambda": lam}
+                # archcmp's entries without Kostant's table: each chi regular dominant for the
+                # Levi (w in W^M) with <chi, pi> > 0 at every cutoff, keyed to det w = (-1)^l(w),
+                # and on M1 also its reversed head to -det w
+                levi = rootdata.standard_levi(label, m)
+                walls = [covectors[c] for c in cutoffs] + list(rootdata.levi_positive_roots(datum, levi))
+                k, want = levi.so_start, {}
+                for chi, c in terms:
+                    if _positive_on(chi, walls):
+                        want[(chi[:k], chi[k:], False)] = c
+                        if label == "M1":
+                            want[(chi[1::-1], chi[k:], False)] = -c
+                ok = archcmp._kostant_entries(kind, m, label, lam, cutoffs) == want
+                rep.check("truncated Kostant entries", ok, {**rep.case, "cutoffs": list(cutoffs)})
+
+
+def _suite_characters(rep: Report, *, max_rank=3, max_coord=2):
+    """Weyl's character formula, ch(lam) D = A_{lam+rho}, for B_m and D_m,
+    2 <= m <= max_rank, and every dominant lam with coordinates up to
+    max_coord: the character from Freudenthal's multiplicities times Weyl's
+    denominator e^rho prod_{a>0} (1 - e^{-a}), one binomial at a time,
+    against the Weyl numerator, the terms (det w, w(lam+rho)) of Weyl's
+    determinant."""
+    from . import rootdata
+
+    for kind, m, lams in _weight_sweep(max_rank, max_coord):
+        datum = rootdata.RootDatum(kind, m)
+        r, roots = rootdata.rho(datum).doubled, rootdata._doubled(datum.positive_roots())
+        for lam in lams:
+            rep.case = {"kind": kind, "m": m, "lambda": lam}
+            weight = rootdata.Weight.from_ints(lam)
+            product = rootdata.formal_character(datum, weight).mul_binomials(r, roots)
+            rep.check("Weyl character formula", product == rootdata.weyl_numerator(datum, weight))
 
 
 def _positive_on(chi: tuple, vectors) -> bool:
@@ -576,6 +603,7 @@ SUITES = {
     "hilbert": _suite_hilbert,
     "quasisplit": _suite_quasisplit,
     "kostant": _suite_kostant,
+    "characters": _suite_characters,
     "waldspurger": _suite_waldspurger,
     "invariants": _suite_invariants,
 }
@@ -592,6 +620,7 @@ ACCEPTANCE = {
     "signs": [],
     "waldspurger": ["--configs", "200", "--seed", "505"],
     "kostant": ["--max-rank", "4", "--max-coord", "2"],
+    "characters": ["--max-rank", "4", "--max-coord", "2"],
 }
 
 

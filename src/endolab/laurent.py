@@ -8,16 +8,15 @@ Internally each monomial of rank r is keyed by one int, the exponent vector
 e packed as sum_i e_i * S^(r-1-i) with S = 2^W: balanced base-S digits, the
 first coordinate most significant.  Every exponent must satisfy
 |e_i| < S/2 = 2^15; one outside that range raises ResourceLimitError, at the
-tuple boundary and in any product or quotient whose exponents could leave it.
-In that range packing is linear and one-to-one (adding exponent vectors is
-one int `+`), and int order is lex order on the vectors.
+tuple boundary and in any product whose exponents could leave it.  In that
+range packing is linear and one-to-one (adding exponent vectors is one int
+`+`), and int order is lex order on the vectors.
 
-Every product and quotient the formal identities need is by a Weyl
-denominator e^shift prod_a (1 - e^-a), so that is the only multiplication and
-division here, one binomial at a time (`mul_binomials`, `divide_binomials`).
-Multiplying p by (1 - e^-a) is one linear pass, r_k = p_k - p_{k+a}.  Dividing
-is a suffix sum along each a-string {k + t a}: q_k = sum_{t >= 0} p_{k+ta},
-and the division is exact iff every string of p sums to 0.
+The only multiplication here is by a Weyl denominator
+e^shift prod_a (1 - e^-a), one binomial at a time (`mul_binomials`):
+multiplying p by (1 - e^-a) is one linear pass, r_k = p_k - p_{k+a}; and
+signed sums of products on disjoint coordinate blocks are one fold
+(`sum_of_block_products`).
 """
 
 from __future__ import annotations
@@ -52,8 +51,8 @@ class Laurent:
 
     Built from and read as doubled exponent tuples (`terms`); stored on packed
     int keys (see the module docstring).  `_span` bounds |e_i| over every
-    exponent, so a product or quotient whose exponents could leave the packed
-    range is refused before it is formed.
+    exponent, so a product whose exponents could leave the packed range is
+    refused before it is formed.
     """
 
     __slots__ = ("rank", "_packed", "_span")
@@ -74,10 +73,6 @@ class Laurent:
         out = object.__new__(cls)
         out.rank, out._packed, out._span = rank, packed, span
         return out
-
-    @classmethod
-    def monomial(cls, doubled_exp: tuple[int, ...], coeff=1) -> "Laurent":
-        return cls(len(doubled_exp), {tuple(doubled_exp): coeff})
 
     @classmethod
     def sum_of_block_products(cls, rank: int, blocks, entries) -> "Laurent":
@@ -116,28 +111,17 @@ class Laurent:
         rank = self.rank
         return {_unpack(k, rank): c for k, c in self._packed.items()}
 
-    def _binomials(self, shift, roots):
-        """The packed shift, its largest |coordinate|, and per root a: packed
-        a, the bit offset of its first nonzero coordinate i, a_i (0 for a = 0)
-        and the largest |a_j| over j != i."""
+    def mul_binomials(self, shift, roots) -> "Laurent":
+        """self * e^shift * prod_{a in roots} (1 - e^-a), shift and roots doubled."""
         for v in (shift, *roots):
             if len(v) != self.rank:
                 raise ExactDomainError(f"exponent {v} has length {len(v)}, not the rank {self.rank}")
-        packed = []
-        for a in roots:
-            i, ai = next(((i, x) for i, x in enumerate(a) if x), (0, 0))
-            rest = max((abs(x) for j, x in enumerate(a) if j != i), default=0)
-            packed.append((_pack(a), W * (self.rank - 1 - i), ai, rest))
-        return _pack(shift), max(map(abs, shift), default=0), packed
-
-    def mul_binomials(self, shift, roots) -> "Laurent":
-        """self * e^shift * prod_{a in roots} (1 - e^-a), shift and roots doubled."""
-        s, s_span, packed = self._binomials(shift, roots)
-        span = self._span + s_span + sum(max(map(abs, a), default=0) for a in roots)
+        span = self._span + sum(max(map(abs, v), default=0) for v in (shift, *roots))
         if span >= _HALF:
             raise ResourceLimitError(f"product exponents may reach {span}, outside |e| < {_HALF}")
+        s = _pack(shift)
         p = {k + s: c for k, c in self._packed.items()}
-        for a, *_ in packed:
+        for a in map(_pack, roots):
             out = dict(p)
             get = out.get
             for k, c in p.items():
@@ -149,48 +133,6 @@ class Laurent:
                     del out[k]
             p = out
         return Laurent._make(self.rank, p, span)
-
-    def divide_binomials(self, shift, roots) -> "Laurent":
-        """self / (e^shift * prod_{a in roots} (1 - e^-a)), shift and roots
-        doubled; ExactDomainError if that leaves a remainder.
-
-        e lies on the a-string with base e - floor(e_i / a_i) * a, i the first
-        nonzero coordinate of a; e_i is read off the packed key, whose digits
-        are all non-negative once S/2 is added to each.  Every string sum is
-        checked before any quotient term is formed.  The quotient on a string
-        is the suffix sum of its coefficients, which is 0 beyond both ends of
-        its support, so its exponents stay between those of self.
-        """
-        s, s_span, packed = self._binomials(shift, roots)
-        rank, span = self.rank, self._span
-        if span + s_span >= _HALF:
-            raise ResourceLimitError(f"quotient exponents may reach {span + s_span}, outside |e| < {_HALF}")
-        offset = sum(_HALF << (W * j) for j in range(rank))
-        p = self._packed
-        for a, bits, ai, rest in packed:
-            if not ai:
-                raise ZeroDivisionError("division by 1 - e^0 = 0")
-            # a base has |e_j| <= span + (span // |a_i| + 1) * |a_j| for j != i,
-            # and packing is one-to-one only in range
-            if span + (span // abs(ai) + 1) * rest >= _HALF:
-                raise ResourceLimitError("string bases may leave the packed range")
-            strings: dict = {}
-            for k, c in p.items():
-                t = ((((k + offset) >> bits) & _MASK) - _HALF) // ai
-                strings.setdefault(k - t * a, []).append((t, c))
-            if any(sum(c for _, c in string) for string in strings.values()):
-                raise ExactDomainError("Laurent division leaves a remainder")
-            q: dict = {}
-            for base, string in strings.items():
-                string.sort(reverse=True)
-                run = 0
-                for (t, c), (t_next, _) in zip(string, string[1:]):
-                    run += c
-                    if run:
-                        for u in range(t_next + 1, t + 1):
-                            q[base + u * a] = run
-            p = q
-        return Laurent._make(rank, {k - s: c for k, c in p.items()}, span + s_span)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Laurent) and self.rank == other.rank and self._packed == other._packed

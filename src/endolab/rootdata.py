@@ -655,7 +655,7 @@ def passes_truncation(datum: RootDatum, mu: Weight, covector: Sequence[int]) -> 
     return mu.pairing_doubled(covector) > -rho(datum).pairing_doubled(covector)
 
 
-# --- formal characters (for the Euler-characteristic identity) ---------------
+# --- Weyl numerators, characters and the Kostant identity --------------------
 
 
 @lru_cache(maxsize=1024)
@@ -673,108 +673,128 @@ def _doubled(roots: Sequence[Root]) -> list[tuple[int, ...]]:
     return [tuple(2 * c for c in a) for a in roots]
 
 
-@lru_cache(maxsize=1024)
-def _formal_character_cached(kind: str, m: int, doubled: tuple[int, ...]) -> Laurent:
-    """A_{lam+rho} / (e^rho prod_{a>0} (1 - e^-a)): the Weyl character formula,
-    its denominator in product form by Weyl's denominator formula."""
-    datum = RootDatum(kind, m)
-    return _weyl_numerator_cached(kind, m, doubled).divide_binomials(
-        rho(datum).doubled, _doubled(datum.positive_roots())
-    )
+def _height(kind: str, x: Sequence[int]) -> int | None:
+    """sum_i c_i when x = sum_i c_i a_i over the simple roots with every c_i
+    a non-negative integer, else None; x in true (integral) coordinates.  On
+    B, c_k is x_1 + ... + x_k; on D, a_{m-1} = e_{m-1} - e_m and
+    a_m = e_{m-1} + e_m share the last two coordinates, which take
+    (S_{m-1} - x_m) / 2 and S_m / 2, S_k = x_1 + ... + x_k; D_1 has no root."""
+    c = list(itertools.accumulate(x))
+    if kind == "D":
+        if len(c) == 1:
+            return None if c[0] else 0
+        if c[-1] % 2:
+            return None
+        c[-2:] = [(c[-2] - x[-1]) // 2, c[-1] // 2]
+    return sum(c) if min(c) >= 0 else None
+
+
+def _weight_multiplicities(kind: str, lam: tuple[int, ...], r: tuple[int, ...]) -> dict:
+    """{mu: multiplicity} over the weights of the irreducible of highest
+    weight lam, all doubled, r the doubled rho, by Freudenthal's formula
+    (Humphreys, Introduction to Lie Algebras, 22.3):
+        m(mu) (|lam+r|^2 - |mu+r|^2) = 2 sum_{a>0} sum_{k>=1} m(mu+ka) (mu+ka, a)
+    at each dominant mu, whose multiplicity its W-orbit shares.  The dominant
+    weights are the dominant mu <= lam, each coordinate |mu_i| <= max |lam_i|
+    of the parity of lam's, taken by increasing height of lam - mu: every
+    mu + ka is W-conjugate to a dominant weight above mu, of smaller height,
+    so its multiplicity is known.  The weights on an a-string form an
+    unbroken interval, so each inner sum stops at the first mu + ka that is
+    not a weight.  A division that leaves a remainder is an ExactDomainError."""
+    top = max(map(abs, lam))
+    heights = {}
+    for mu in itertools.combinations_with_replacement(range(top, -1, -2), len(lam)):
+        for mu in {mu, mu[:-1] + (-mu[-1],)} if kind == "D" else (mu,):
+            h = _height(kind, [(a - b) // 2 for a, b in zip(lam, mu)])
+            if h is not None:
+                heights[mu] = h
+    roots = _doubled(_positive_roots(kind, len(lam)))
+    shifted = tuple(map(add, lam, r))
+    top_norm = sum(map(mul, shifted, shifted))
+    mult = {image: 1 for _, image in _alternant_images(kind, lam)}
+    for mu in sorted(heights, key=heights.get)[1:]:  # lam, of height 0, first
+        total = 0
+        for a in roots:
+            nu = tuple(map(add, mu, a))
+            while n := mult.get(nu):
+                total += n * sum(map(mul, nu, a))
+                nu = tuple(map(add, nu, a))
+        shifted = tuple(map(add, mu, r))
+        gap = top_norm - sum(map(mul, shifted, shifted))
+        if gap <= 0 or 2 * total % gap:
+            raise ExactDomainError(f"Freudenthal's formula leaves no integral multiplicity at {mu}")
+        for _, image in _alternant_images(kind, mu):
+            mult[image] = 2 * total // gap
+    return mult
 
 
 def formal_character(datum: RootDatum, lam: Weight) -> Laurent:
-    """ch(lam) by the Weyl character formula, as an exact Laurent polynomial.
-
-    The result is cached and shared: callers must not mutate it."""
+    """ch(lam) as an exact Laurent polynomial (doubled exponents), by
+    Freudenthal's formula; `verify characters` checks it against Weyl's."""
     if not is_dominant(datum, lam):
         raise ExactDomainError("need a dominant weight")
-    return _formal_character_cached(datum.kind, datum.rank, lam.doubled)
+    return Laurent(datum.rank, _weight_multiplicities(datum.kind, lam.doubled, rho(datum).doubled))
 
 
 @lru_cache(maxsize=1024)
-def _gl_block_character(block_size: int, mu: tuple[int, ...]) -> Laurent:
-    """Schur-type character of GL_k with highest weight mu, k <= 2 here.
+def _gl_alternant(v: tuple[int, ...]) -> Laurent:
+    """sum_{s in S_k} sgn(s) e^{s v}, v doubled and strictly decreasing: the
+    GL_k character of highest weight v - rho_k times its Weyl denominator
+    e^{rho_k} prod_{i<j} (1 - e^{-(e_i - e_j)}), by Weyl's formula.  A v
+    that is not strictly decreasing is an ExactDomainError: its alternant
+    is 0 or that of another v, up to sign.
 
     The result is cached and shared: callers must not mutate it."""
-    if block_size == 1:
-        return Laurent.monomial((2 * mu[0],))
-    if block_size == 2:
-        a, b = mu
-        if a < b:  # the sum below would be silently empty
-            raise ExactDomainError("GL_2 weight not dominant")
-        # (x^{a+1} y^b - x^b y^{a+1}) / (x - y)
-        return Laurent(2, {(2 * (a - i), 2 * (b + i)): 1 for i in range(a - b + 1)})
-    raise ExactDomainError("GL blocks of size > 2 not supported")
+    if any(a <= b for a, b in zip(v, v[1:])):
+        raise ExactDomainError(f"{v} is not strictly decreasing: a GL weight that is not dominant")
+    return Laurent(len(v), {tuple([v[i] for i in p]): sign for sign, p in _permutation_signs(len(v))})
 
 
 @lru_cache(maxsize=None)
-def _levi_block_denominators(datum: RootDatum, levi: LeviBlocks) -> tuple[tuple, ...]:
-    """Per block of the Levi, its GL blocks and then its SO tail if any:
-    (offset, size, shift, roots), doubled and restricted to the block's
-    coordinates, with D_b = e^shift prod_{a in roots} (1 - e^-a).  Every
-    root of levi_positive_roots lies in one block, so D_M = e^rho
-    prod_{a in Phi_M+} (1 - e^-a) is the product of the D_b; rho restricted
-    to the tail is the tail's own rho, so the tail's D_b is its Weyl
-    denominator.
+def _levi_blocks(datum: RootDatum, levi: LeviBlocks) -> tuple[tuple, ...]:
+    """(offset, size, rho restricted to the block), doubled, per block of the
+    Levi: its GL blocks, then its SO tail if any.  On a GL_k block the
+    restriction is rho_k plus a multiple of (1, ..., 1), which S_k fixes; on
+    the tail it is the tail's own rho.
 
     The table is cached and shared: callers must not mutate it."""
-    m, start = datum.rank, levi.so_start
-    r, roots = rho(datum).doubled, _doubled(levi_positive_roots(datum, levi))
+    levi.validate(datum.rank)
+    m, start, r = datum.rank, levi.so_start, rho(datum).doubled
     blocks = [(b[0], len(b)) for b in levi.gl_blocks] + ([(start, m - start)] if start < m else [])
-    out = []
-    for offset, size in blocks:
-        part = slice(offset, offset + size)
-        out.append((offset, size, r[part], tuple(a[part] for a in roots if any(a[part]))))
-    return tuple(out)
-
-
-@lru_cache(maxsize=1024)
-def _gl_block_factor(mu: tuple[int, ...], shift: tuple[int, ...], roots: tuple) -> Laurent:
-    """The GL block character of mu (true coordinates) times its block
-    denominator e^shift prod_{a in roots} (1 - e^-a).
-
-    The result is cached and shared: callers must not mutate it."""
-    return _gl_block_character(len(mu), mu).mul_binomials(shift, roots)
-
-
-@lru_cache(maxsize=1024)
-def _tail_block_factor(kind: str, doubled: tuple[int, ...], shift: tuple[int, ...], roots: tuple) -> Laurent:
-    """The SO tail character of the doubled weight, by Weyl's formula (its
-    division exact), times its block denominator e^shift
-    prod_{a in roots} (1 - e^-a).
-
-    The result is cached and shared: callers must not mutate it."""
-    return formal_character(RootDatum(kind, len(doubled)), Weight(doubled)).mul_binomials(shift, roots)
+    return tuple((offset, size, r[offset : offset + size]) for offset, size in blocks)
 
 
 def kostant_euler_identity(datum: RootDatum, levi: LeviBlocks, lam: Weight) -> bool:
     """Exact Laurent identity verifying Kostant's theorem without differentials.
 
     Kostant's theorem gives
-        sum_k (-1)^k ch H^k(n, V_lam) = ch(lam) * K,   K = prod_{a in Phi+ \\ Phi_M+} (1 - e^{-a}).
-    Let D_M = e^rho prod_{a in Phi_M+} (1 - e^{-a}), the Levi denominator shifted
-    by the full rho.  Then D_M * K = A_rho = sum_w eps(w) e^{w rho} (Weyl's
-    denominator formula) and ch(lam) * A_rho = A_{lam+rho} = weyl_numerator(lam)
-    (Weyl's character formula).  Z[X^{+-1}] is a domain and D_M != 0, so
-    multiplying by D_M gives the equivalent identity that is checked here:
-        sum_k (-1)^k ch_M(mu_k) * D_M = A_{lam+rho}.
-    Neither ch(lam) nor K is ever formed.  ch_M(mu_k) is the product of its
-    block characters on disjoint coordinates, and D_M the product of the
-    block denominators D_b (_levi_block_denominators), so the left side is
-    sum_k (-1)^k prod_b ch_b(mu_k) D_b.  Each block factor ch_b D_b is
-    formed once per key and cached, and the entries' products are folded
-    into one accumulator by Laurent.sum_of_block_products.
+        sum_k (-1)^k ch H^k(n, V_lam) = ch(lam) * K,   K = prod_{a in Phi+ \\ Phi_M+} (1 - e^{-a}),
+    a sum over the coset representatives w in W^M, one per coset W_M w (the w
+    with w rho dominant for M), of (-1)^l(w) = eps(w) times the Levi character
+    of w(lam+rho) - rho.  With D_M = e^rho prod_{a in Phi_M+} (1 - e^{-a}),
+    D_M K is Weyl's denominator and ch(lam) D_M K = A_{lam+rho}, the Weyl
+    numerator.  D_M is the product of the block denominators D_b, and by
+    Weyl's formula for each block, the Levi character times D_M is the
+    product of the blocks' alternants of (w(lam+rho))|b: on a GL_k block
+    sum_{s in S_k} sgn(s) e^{s v}, on the SO tail its Weyl numerator (rho
+    restricted to the tail is the tail's rho).  So the identity checked is
+        sum_{w in W^M} eps(w) prod_b A^b_{(w(lam+rho))|b} = A_{lam+rho},
+    the coset factorization W = W_M W^M with eps multiplicative: the product
+    of the block alternants is the sum over W_M = prod_b W_b of
+    eps(w_M) e^{w_M w(lam+rho)}.  No character and no nilradical factor is
+    formed.  Each block alternant is formed once per key and cached, and the
+    entries' products are folded into one accumulator by
+    Laurent.sum_of_block_products.
 
     Each entry's weight must be integral, of the datum's rank and dominant
-    for each GL block, and its SO tail dominant, checked once per distinct
-    tail in every call: a weight that fails is an ExactDomainError.
+    for each GL block (its shifted block strictly decreasing), and its SO
+    tail dominant, checked once per distinct tail in every call: a weight
+    that fails is an ExactDomainError.
     """
     entries = kostant_cohomology(datum, levi, lam)
-    kind, m = datum.kind, datum.rank
-    denominators = _levi_block_denominators(datum, levi)
-    n_gl = len(levi.gl_blocks)
-    gl, so = denominators[:n_gl], denominators[n_gl:]
+    kind, m, start = datum.kind, datum.rank, levi.so_start
+    blocks = _levi_blocks(datum, levi)
+    gl = blocks[: len(levi.gl_blocks)]
     tails: dict = {}
 
     def factors():
@@ -782,15 +802,15 @@ def kostant_euler_identity(datum: RootDatum, levi: LeviBlocks, lam: Weight) -> b
             d = mu.doubled
             if len(d) != m or any(x & 1 for x in d):
                 raise ExactDomainError(f"{mu} is not an integral weight of rank {m}")
-            chars = [_gl_block_factor(tuple([x >> 1 for x in d[o : o + n]]), shift, roots) for o, n, shift, roots in gl]
-            for o, _, shift, roots in so:
-                tail = d[o:]
+            chars = [_gl_alternant(tuple(map(add, d[o : o + n], shift))) for o, n, shift in gl]
+            if start < m:
+                tail = d[start:]
                 if tail not in tails:
                     if not _dominant_coords(kind, tail):
                         raise ExactDomainError(f"{mu} is not dominant on the SO tail")
-                    tails[tail] = _tail_block_factor(kind, tail, shift, roots)
+                    tails[tail] = _weyl_numerator_cached(kind, m - start, tail)
                 chars.append(tails[tail])
             yield -1 if deg & 1 else 1, chars
 
-    blocks = [(o, n) for o, n, _, _ in denominators]
-    return Laurent.sum_of_block_products(m, blocks, factors()) == weyl_numerator(datum, lam)
+    left = Laurent.sum_of_block_products(m, [(o, n) for o, n, _ in blocks], factors())
+    return left == weyl_numerator(datum, lam)

@@ -27,7 +27,10 @@ GATES = {
         "signs": {"sun identity": 112, "Whittaker type II": 21, "parity lemma": 41},
         "waldspurger": {"raw against reduced": 200},
     },
-    6: {"kostant": {"Kostant identity": 222, "truncated Kostant entries": 222}},
+    6: {
+        "kostant": {"Kostant identity": 222, "truncated Kostant entries": 222},
+        "characters": {"Weyl character formula": 74},
+    },
 }
 
 # sha256 of each suite's report JSON, the stdout of `endolab verify SUITE` at
@@ -43,6 +46,7 @@ REPORT_SHA256 = {
     "signs": "42f761b3bb6f4f7f85e77dfa88160a75171e8fb315ea982c2f0a3977ca8c86ee",
     "waldspurger": "8eeab1be97d47c5a0626e7f452b4b5b1fdacac5d9f2554ce1b6942c45d62c462",
     "kostant": "89b6e51f5df6994f7b742a39eb283c3d52fb7b8f17fcb06d24d20b7632694b61",
+    "characters": "4881c0f769b20e62a980c0b7ed6650373f4cea81de48eebceef84e296a447791",
 }
 
 # A gate beyond the acceptance parameters: the Kostant suite at rank 5 as
@@ -140,10 +144,12 @@ def test_criterion_5_invariants():
 
 def test_criterion_6_kostant_suite():
     """The Kostant identity for B_m and D_m, m <= 4, all three standard Levis
-    and all dominant lambda with coordinates <= 2; and the truncated Kostant
+    and all dominant lambda with coordinates <= 2; the truncated Kostant
     entries that verify arch evaluates, (M1, pi1), (M2, pi2) and (M12, pi1
-    and pi2) at each lambda, equal the ones read off the Weyl numerator."""
-    _gate(6, "Kostant suite")
+    and pi2) at each lambda, equal the ones read off the Weyl numerator; and
+    Weyl's character formula at each lambda, the character from
+    Freudenthal's multiplicities times Weyl's denominator."""
+    _gate(6, "Kostant and character suites")
 
 
 def test_kostant_rank_five_gate():

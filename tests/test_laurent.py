@@ -1,15 +1,19 @@
 import operator
 import random
-import time
 from fractions import Fraction
 
 import pytest
 
 from endolab.errors import ExactDomainError, ResourceLimitError
 from endolab.laurent import W, Laurent, _pack
-from endolab.rootdata import _gl_block_character
+from endolab.rootdata import _gl_alternant
 
 LIMIT = 1 << (W - 1)  # every exponent satisfies |e| < LIMIT
+
+
+def _term(e, coeff=1):
+    """coeff x^e, e a doubled exponent tuple."""
+    return Laurent(len(e), {tuple(e): coeff})
 
 
 def _product(f, g):
@@ -26,7 +30,7 @@ def _product(f, g):
 def _denominator(shift, roots):
     """e^shift prod_a (1 - e^-a) by schoolbook products."""
     rank = len(shift)
-    out = Laurent.monomial(shift)
+    out = _term(shift)
     for a in roots:
         out = _product(out, Laurent(rank, {(0,) * rank: 1, tuple(-c for c in a): -1}))
     return out
@@ -44,40 +48,12 @@ def _random_roots(rng, rank, n):
 
 def test_rank_one_q_arithmetic():
     # rank one: Z[q^(1/2), q^(-1/2)] keyed by the doubled exponent
-    q = Laurent.monomial((1,))  # q^(1/2)
-    assert q.mul_binomials((1,), []) == Laurent.monomial((2,))
+    q = _term((1,))  # q^(1/2)
+    assert q.mul_binomials((1,), []) == _term((2,))
     assert Laurent.sum_of_block_products(1, [(0, 1)], [(1, [q]), (1, [q])]).terms == {(1,): 2}
     assert Laurent.sum_of_block_products(1, [(0, 1)], [(1, [q]), (-1, [q])]) == Laurent(1)
     # q^(1/2) (1 - q^-1) = q^(1/2) - q^(-1/2)
     assert q.mul_binomials((0,), [(2,)]) == Laurent(1, {(1,): 1, (-1,): -1})
-
-
-def test_divide_exact_quotients():
-    # x - 1 = x (1 - x^-1)
-    x_minus_1 = ((1,), [(1,)])
-    assert Laurent(1, {(2,): 1, (0,): -1}).divide_binomials(*x_minus_1) == Laurent(1, {(1,): 1, (0,): 1})
-    assert Laurent(1).divide_binomials(*x_minus_1) == Laurent(1)
-    halves = Laurent(1, {(1,): Fraction(1, 2), (0,): Fraction(-1, 2)})
-    assert halves.divide_binomials(*x_minus_1) == Laurent.monomial((0,), Fraction(1, 2))
-    # (x - y)(x^-1 + 2y^3) in two variables, x - y = x (1 - x^-1 y)
-    x_minus_y = ((1, 0), [(1, -1)])
-    q = Laurent(2, {(-1, 0): 1, (0, 3): 2})
-    assert _product(q, _denominator(*x_minus_y)).divide_binomials(*x_minus_y) == q
-    # a gap in the support: (1 - x^-5) / (1 - x^-1) = 1 + x^-1 + ... + x^-4
-    assert Laurent(1, {(0,): 1, (-5,): -1}).divide_binomials((0,), [(1,)]) == Laurent(
-        1, {(-i,): 1 for i in range(5)}
-    )
-
-
-def test_divide_exact_random_products():
-    # multiply then divide round trips; ranks 4 and 5 pack more digits per key
-    rng = random.Random(4)
-    for rank in range(1, 6):
-        for _ in range(40):
-            q = _random_poly(rng, rank, rng.randint(0, 8))
-            roots = _random_roots(rng, rank, rng.randint(0, 4))
-            shift = tuple(rng.randint(-3, 3) for _ in range(rank))
-            assert q.mul_binomials(shift, roots).divide_binomials(shift, roots) == q, (q, shift, roots)
 
 
 def test_mul_binomials_matches_the_schoolbook_product():
@@ -90,41 +66,11 @@ def test_mul_binomials_matches_the_schoolbook_product():
             assert p.mul_binomials(shift, roots) == _product(p, _denominator(shift, roots)), (p, shift, roots)
 
 
-@pytest.mark.parametrize(
-    "num,den",
-    [
-        # 1 / (1 - x^-2): the quotient would run down the string forever
-        (Laurent(1, {(0,): 1}), ((0,), [(2,)])),
-        # one string sums to 0 and divides; the other, {(2, 0)}, does not
-        (Laurent(2, {(0, 0): 1, (0, -4): -1, (2, 0): 1}), ((0, 0), [(0, 2)])),
-        # x^0 and x^2 are congruent mod the packed root (0, 2), on different strings
-        (Laurent(2, {(0, 0): 1, (2, 0): -1}), ((0, 0), [(0, 2)])),
-    ],
-)
-def test_divide_exact_remainder_raises_fast(num, den):
-    t0 = time.perf_counter()
-    with pytest.raises(ExactDomainError):
-        num.divide_binomials(*den)
-    assert time.perf_counter() - t0 < 0.5
-
-
-def test_binomial_strings_are_not_residues_of_the_packed_root():
-    # _pack((2, 0)) = 2 * 2^16 is a multiple of _pack((0, 2)) = 2, so the two
-    # keys of p share a residue mod the root while lying on different strings
-    a = (0, 2)
-    assert _pack((2, 0)) % _pack(a) == _pack((0, 0)) % _pack(a)
-    p = Laurent(2, {(0, 0): 1, (2, 0): -1})
-    t0 = time.perf_counter()
-    assert p.mul_binomials((0, 0), [a]).divide_binomials((0, 0), [a]) == p
-    far = Laurent(2, {(LIMIT - 5, 0): 1, (5 - LIMIT, 0): 3})
-    assert far.mul_binomials((0, 0), [a]).divide_binomials((0, 0), [a]) == far
-    assert time.perf_counter() - t0 < 0.5
-
-
 def test_divide_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        Laurent.monomial((0,)).divide_binomials((0,), [(0,)])
-    assert Laurent.monomial((0, 0)).mul_binomials((0, 0), [(0, 0)]) == Laurent(2)
+    # the binomial 1 - e^0 is the zero divisor of a Weyl denominator:
+    # any product through it is the zero polynomial
+    assert _term((0, 0)).mul_binomials((0, 0), [(0, 0)]) == Laurent(2)
+    assert _term((3, -1), 5).mul_binomials((1, 1), [(1, 0), (0, 0)]) == Laurent(2)
 
 
 def test_packed_int_order_is_lex_order():
@@ -152,36 +98,17 @@ def test_terms_round_trip():
 def test_exponent_outside_the_packed_range_is_refused(exp):
     with pytest.raises(ResourceLimitError):
         Laurent(len(exp), {exp: 1})
-    with pytest.raises(ResourceLimitError):
-        Laurent.monomial(exp)
 
 
 def test_product_outside_the_packed_range_is_refused():
-    big = Laurent.monomial((0, LIMIT // 2))
+    big = _term((0, LIMIT // 2))
     with pytest.raises(ResourceLimitError):
         big.mul_binomials((0, LIMIT // 2), [])
     with pytest.raises(ResourceLimitError):
-        Laurent.monomial((0, LIMIT - 2)).mul_binomials((0, 0), [(0, 1), (0, 1)])
-    top = Laurent.monomial((0, LIMIT - 1))
-    with pytest.raises(ResourceLimitError):
-        top.divide_binomials((0, 1 - LIMIT), [])
-    # the largest exponent in range still multiplies and divides
-    edge = Laurent.monomial((0, LIMIT - 2)).mul_binomials((0, 1), [])
+        _term((0, LIMIT - 2)).mul_binomials((0, 0), [(0, 1), (0, 1)])
+    # the largest exponent in range still multiplies
+    edge = _term((0, LIMIT - 2)).mul_binomials((0, 1), [])
     assert edge.terms == {(0, LIMIT - 1): 1}
-    assert edge.divide_binomials((0, 0), []) == edge
-    assert Laurent.monomial((0, LIMIT - 3)).mul_binomials((0, 0), [(0, 2)]).divide_binomials((0, 0), [(0, 2)]) == (
-        Laurent.monomial((0, LIMIT - 3))
-    )
-
-
-def test_string_bases_outside_the_packed_range_are_refused():
-    # base = e - floor(e_0 / 2) * (2, 0, 2) reaches (0, 1, -32768) and
-    # (0, 0, 32768), which pack to one int; the division refuses before that
-    p = Laurent(3, {(16384, 1, -16384): 1, (-16384, 0, 16384): -1})
-    with pytest.raises(ResourceLimitError):
-        p.divide_binomials((0, 0, 0), [(2, 0, 2)])
-    small = Laurent(3, {(4, 1, -4): 1, (-4, 0, 4): -1})
-    assert small.mul_binomials((0, 0, 0), [(2, 0, 2)]).divide_binomials((0, 0, 0), [(2, 0, 2)]) == small
 
 
 def test_exponent_length_must_be_the_rank():
@@ -190,23 +117,19 @@ def test_exponent_length_must_be_the_rank():
     with pytest.raises(ExactDomainError):
         Laurent(1, {(1, 0): 1})
     with pytest.raises(ExactDomainError):
-        Laurent.monomial((0, 0)).mul_binomials((0,), [])
+        _term((0, 0)).mul_binomials((0,), [])
     with pytest.raises(ExactDomainError):
-        Laurent.monomial((0, 0)).mul_binomials((0, 0), [(1, 0), (1,)])
+        _term((0, 0)).mul_binomials((0, 0), [(1, 0), (1,)])
     with pytest.raises(ExactDomainError):
-        Laurent.monomial((0, 0)).divide_binomials((0, 0, 0), [])
-    with pytest.raises(ExactDomainError):
-        Laurent.monomial((0, 0)).divide_binomials((0, 0), [(1, 0, 0)])
-    with pytest.raises(ExactDomainError):
-        Laurent.sum_of_block_products(2, [(0, 2)], [(1, [Laurent.monomial((0, 0))]), (1, [Laurent.monomial((0, 0, 0))])])
+        Laurent.sum_of_block_products(2, [(0, 2)], [(1, [_term((0, 0))]), (1, [_term((0, 0, 0))])])
 
 
 def test_equality_and_hash_compare_the_rank():
     assert Laurent(1) != Laurent(2)
-    assert Laurent.monomial((0,)) != Laurent.monomial((0, 0))
-    assert len({Laurent.monomial((0,)), Laurent.monomial((0, 0)), Laurent(1, {(0,): 1})}) == 2
+    assert _term((0,)) != _term((0, 0))
+    assert len({_term((0,)), _term((0, 0)), Laurent(1, {(0,): 1})}) == 2
     p = Laurent(2, {(1, -1): 3, (0, 2): -1})
-    q = Laurent.sum_of_block_products(2, [(0, 2)], [(1, [Laurent(2, {(0, 2): -1})]), (3, [Laurent.monomial((1, -1))])])
+    q = Laurent.sum_of_block_products(2, [(0, 2)], [(1, [Laurent(2, {(0, 2): -1})]), (3, [_term((1, -1))])])
     assert p == q and hash(p) == hash(q)
 
 
@@ -226,10 +149,10 @@ def test_sum_of_block_products_matches_the_product():
     )
     # the coefficient seeds the product
     assert Laurent.sum_of_block_products(4, [(0, 2), (3, 1)], [(Fraction(-2, 3), [f, g])]) == _product(
-        blocks, Laurent.monomial((0, 0, 0, 0), Fraction(-2, 3))
+        blocks, _term((0, 0, 0, 0), Fraction(-2, 3))
     )
     # no blocks: the empty product, 1
-    assert _blocks(3, [], []) == Laurent.monomial((0, 0, 0))
+    assert _blocks(3, [], []) == _term((0, 0, 0))
     # overlapping blocks, and a block past the rank
     with pytest.raises(ExactDomainError):
         _blocks(3, [(0, 2), (1, 1)], [f, g])
@@ -253,7 +176,7 @@ def test_sum_of_block_products_matches_the_sum():
         Laurent.sum_of_block_products(3, [(0, 3)], [(1, [f])])
     # products on split blocks, summed: (x + 1/x)(y - 1/y) - xy, x and y of
     # doubled exponent 1, cancels the xy term
-    x = Laurent.monomial((1,))
+    x = _term((1,))
     plus, minus = Laurent(1, {(1,): 1, (-1,): 1}), Laurent(1, {(1,): 1, (-1,): -1})
     got = Laurent.sum_of_block_products(2, [(0, 1), (1, 1)], [(1, [plus, minus]), (-1, [x, x])])
     assert got == Laurent(2, {(-1, 1): 1, (1, -1): -1, (-1, -1): -1})
@@ -261,15 +184,26 @@ def test_sum_of_block_products_matches_the_sum():
 
 @pytest.mark.parametrize("a,b", [(0, 0), (1, 0), (3, 1), (2, -2), (-1, -4)])
 def test_gl2_closed_form_is_the_weyl_quotient(a, b):
-    # (x^{a+1} y^b - x^b y^{a+1}) / (x - y), with x - y = x (1 - x^-1 y), doubled
-    num = Laurent(2, {(2 * (a + 1), 2 * b): 1, (2 * b, 2 * (a + 1)): -1})
-    assert _gl_block_character(2, (a, b)) == num.divide_binomials((2, 0), [(2, -2)])
-    assert sum(_gl_block_character(2, (a, b)).terms.values()) == a - b + 1
+    # the closed form sum_{i=0}^{a-b} x^(a-i) y^(b+i) of the GL_2 character
+    # times x - y = x (1 - x^-1 y) is the alternant of (a+1, b), doubled
+    closed = Laurent(2, {(2 * (a - i), 2 * (b + i)): 1 for i in range(a - b + 1)})
+    alternant = _gl_alternant((2 * (a + 1), 2 * b))
+    assert alternant == Laurent(2, {(2 * (a + 1), 2 * b): 1, (2 * b, 2 * (a + 1)): -1})
+    assert alternant == _product(closed, _denominator((2, 0), [(2, -2)]))
+    assert sum(closed.terms.values()) == a - b + 1
 
 
 def test_gl2_closed_form_refuses_a_non_dominant_weight():
-    # the closed form would be the empty sum, 0, without the check
-    with pytest.raises(ExactDomainError):
-        _gl_block_character(2, (0, 1))
-    with pytest.raises(ExactDomainError):
-        _gl_block_character(2, (1, 3))
+    # (0, 2) and (2, 6) would give the negated alternant of another weight,
+    # (2, 2) the empty sum, 0, without the check
+    for v in ((0, 2), (2, 6), (2, 2), (4, 2, 2)):
+        with pytest.raises(ExactDomainError):
+            _gl_alternant(v)
+
+
+def test_gl_alternant_is_the_signed_sum_over_permutations():
+    # GL_1: one monomial; GL_3: six terms, sign by inversions
+    assert _gl_alternant((3,)) == _term((3,))
+    assert _gl_alternant((4, 0, -2)) == Laurent(
+        3, {(4, 0, -2): 1, (0, 4, -2): -1, (4, -2, 0): -1, (0, -2, 4): 1, (-2, 4, 0): 1, (-2, 0, 4): -1}
+    )

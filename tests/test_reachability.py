@@ -40,6 +40,7 @@ RUNS = [
     ["verify", "hilbert", "--pairs", "20"],
     ["verify", "waldspurger", "--configs", "10"],
     ["verify", "kostant", "--max-rank", "3", "--max-coord", "1"],
+    ["verify", "characters", "--max-rank", "3", "--max-coord", "1"],
     ["quadspace", "--diag", "1,3,-5,15"],
     ["quadspace", "--diag", "1,2,-3,6,-7"],
     GRAM,

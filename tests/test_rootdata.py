@@ -11,7 +11,8 @@ from functools import lru_cache
 import pytest
 
 from endolab import rootdata
-from endolab.cli import _dominant_weights
+from endolab.cli import ACCEPTANCE, _dominant_weights
+from endolab.cli import main as cli_main
 from endolab.errors import ExactDomainError, SingularPointError
 from endolab.exactnum import GaussianRational
 from endolab.laurent import Laurent
@@ -24,9 +25,9 @@ from endolab.rootdata import (
     Weight,
     WeylElement,
     _doubled,
-    _gl_block_character,
-    _levi_block_denominators,
+    _gl_alternant,
     _kostant_table,
+    _levi_blocks,
     circle_point,
     formal_character,
     kostant_cohomology,
@@ -691,6 +692,11 @@ def test_kostant_euler_identity_small(kind, m):
             assert kostant_euler_identity(datum, standard_levi(label, m), Weight.from_ints(lam))
 
 
+def _term(e, coeff=1) -> Laurent:
+    """coeff x^e, e a doubled exponent tuple."""
+    return Laurent(len(e), {tuple(e): coeff})
+
+
 def _product(f, g) -> Laurent:
     """Schoolbook product of two Laurent polynomials of one rank, on the
     tuple boundary: the reference for Laurent.mul_binomials."""
@@ -704,17 +710,34 @@ def _product(f, g) -> Laurent:
 
 def _binomial_product(m, shift, roots) -> Laurent:
     """e^shift prod_a (1 - e^{-a}) by schoolbook products, roots undoubled."""
-    out = Laurent.monomial(shift)
+    out = _term(shift)
     for a in roots:
         out = _product(out, Laurent(m, {(0,) * m: 1, tuple(-2 * c for c in a): -1}))
     return out
 
 
+def _gl_character(mu) -> Laurent:
+    """The GL_k character of highest weight mu (true coordinates), k <= 2, in
+    closed form: x^a on GL_1, sum_{i=0}^{a-b} x^(a-i) y^(b+i) on GL_2."""
+    if len(mu) == 1:
+        return _term((2 * mu[0],))
+    a, b = mu
+    assert a >= b, mu
+    return Laurent(2, {(2 * (a - i), 2 * (b + i)): 1 for i in range(a - b + 1)})
+
+
+@lru_cache(maxsize=None)
+def _tail_character(kind, doubled) -> Laurent:
+    """The SO tail character of the doubled weight, by Freudenthal's formula."""
+    return formal_character(RootDatum(kind, len(doubled)), Weight(doubled))
+
+
 def _kostant_euler_sum(datum, levi, lam) -> Laurent:
     """sum_k (-1)^k ch H^k(n, V_lam), undistributed: per entry, its GL block
-    characters times its SO tail character, on disjoint coordinates, folded
-    into one accumulator.  The second path of kostant_euler_identity, which
-    folds the block characters times their block denominators instead."""
+    characters (closed form) times its SO tail character (Freudenthal), on
+    disjoint coordinates, folded into one accumulator.  The second path of
+    kostant_euler_identity, which folds the block alternants instead and
+    forms no character."""
     entries = kostant_cohomology(datum, levi, lam)
     kind, m, start, gl = datum.kind, datum.rank, levi.so_start, levi.gl_blocks
     blocks = [(b[0], len(b)) for b in gl] + ([(start, m - start)] if start < m else [])
@@ -723,9 +746,9 @@ def _kostant_euler_sum(datum, levi, lam) -> Laurent:
         for deg, mu in entries:
             d = mu.doubled
             assert len(d) == m and mu.is_integral
-            chars = [_gl_block_character(len(b), tuple([d[i] // 2 for i in b])) for b in gl]
+            chars = [_gl_character(tuple([d[i] // 2 for i in b])) for b in gl]
             if start < m:
-                chars.append(formal_character(RootDatum(kind, m - start), Weight(d[start:])))
+                chars.append(_tail_character(kind, d[start:]))
             yield -1 if deg % 2 else 1, chars
 
     return Laurent.sum_of_block_products(m, blocks, factors())
@@ -804,8 +827,11 @@ def _placed(m, offset, p) -> Laurent:
 
 
 def test_levi_denominator_times_koszul_is_weyl_denominator():
-    # D_M, and its split over the Levi blocks that kostant_euler_identity
-    # multiplies into the block characters, against the schoolbook product
+    # D_M, and its split over the Levi blocks whose alternants
+    # kostant_euler_identity folds, against the schoolbook product: each
+    # block's D_b, from its shift and its own positive roots (e_i - e_j on a
+    # GL block, the tail datum's on the tail), the shift rho restricted to
+    # the block and on the tail the tail's rho
     for kind in ("B", "D"):
         for m in (1, 2, 3, 4):
             datum = RootDatum(kind, m)
@@ -815,16 +841,29 @@ def test_levi_denominator_times_koszul_is_weyl_denominator():
             assert len(levis) == 2 ** m
             for levi in levis:
                 levi_roots = levi_positive_roots(datum, levi)
-                d_m = Laurent.monomial((0,) * m).mul_binomials(r, _doubled(levi_roots))
+                d_m = _term((0,) * m).mul_binomials(r, _doubled(levi_roots))
                 assert d_m == _binomial_product(m, r, levi_roots), (kind, m, levi)
                 assert _product(d_m, _koszul_alternation(datum, levi)) == a_rho, (kind, m, levi)
-                split = Laurent.monomial((0,) * m)
-                for offset, size, shift, roots in _levi_block_denominators(datum, levi):
-                    d_b = Laurent.monomial(shift)
-                    for a in roots:
-                        d_b = _product(d_b, Laurent(size, {(0,) * size: 1, tuple(-c for c in a): -1}))
-                    split = _product(split, _placed(m, offset, d_b))
+                split = _term((0,) * m)
+                blocks = _levi_blocks(datum, levi)
+                assert [(o, n) for o, n, _ in blocks] == [(b[0], len(b)) for b in levi.gl_blocks] + (
+                    [(levi.so_start, m - levi.so_start)] if levi.so_start < m else []
+                )
+                for offset, size, shift in blocks:
+                    assert shift == r[offset : offset + size]
+                    if offset < levi.so_start:
+                        roots = _gl_roots(size)
+                    else:
+                        tail_datum = RootDatum(kind, size)
+                        assert shift == rho(tail_datum).doubled
+                        roots = tail_datum.positive_roots()
+                    split = _product(split, _placed(m, offset, _binomial_product(size, shift, roots)))
                 assert split == d_m, (kind, m, levi)
+
+
+def _gl_roots(k):
+    """The positive roots e_i - e_j, i < j, of GL_k."""
+    return [tuple((x == i) - (x == j) for x in range(k)) for i, j in itertools.combinations(range(k), 2)]
 
 
 def _identity_cases(max_rank, max_coord):
@@ -875,7 +914,7 @@ def test_each_block_factor_is_character_times_block_denominator(monkeypatch):
             for b, f in zip(levi.gl_blocks, factors):
                 gl_roots = [(1, -1)] if len(b) == 2 else []
                 d_b = _binomial_product(len(b), tuple(r[i] for i in b), gl_roots)
-                assert f == _product(_gl_block_character(len(b), tuple(d[i] // 2 for i in b)), d_b)
+                assert f == _product(_gl_character(tuple(d[i] // 2 for i in b)), d_b)
             if tail_datum:
                 tail = Weight(d[start:])
                 d_b = _binomial_product(tail_datum.rank, rho(tail_datum).doubled, tail_datum.positive_roots())
@@ -930,10 +969,9 @@ def levi_formal_character(datum, levi, mu) -> Laurent:
     m, start = datum.rank, levi.so_start
     assert mu.is_integral
     c = [x // 2 for x in mu.doubled]
-    parts = [(b, _gl_block_character(len(b), tuple(c[i] for i in b))) for b in levi.gl_blocks]
+    parts = [(b, _gl_character(tuple(c[i] for i in b))) for b in levi.gl_blocks]
     if start < m:
-        tail = formal_character(RootDatum(datum.kind, m - start), Weight(mu.doubled[start:]))
-        parts.append((tuple(range(start, m)), tail))
+        parts.append((tuple(range(start, m)), _tail_character(datum.kind, mu.doubled[start:])))
     terms = {(0,) * m: 1}
     for coords, poly in parts:
         out = {}
@@ -979,13 +1017,11 @@ def test_kostant_euler_sum_matches_the_levi_characters():
     assert seen["G"] == 4 and min(seen[label] for label in ("M1", "M2", "M12")) > 30
 
 
-def test_formal_character_is_cached_and_levi_character_copies():
+def test_levi_character_of_the_whole_group_is_its_character():
     lam = Weight.from_ints((1, 1))
-    assert formal_character(B2, lam) is formal_character(B2, lam)
     levi = standard_levi("G", 2)
     assert levi_formal_character(B2, levi, lam) == formal_character(B2, lam)
     assert _kostant_euler_sum(B2, levi, lam) == formal_character(B2, lam)
-    assert _kostant_euler_sum(B2, levi, lam) is not formal_character(B2, lam)
 
 
 @pytest.mark.parametrize(
@@ -993,8 +1029,8 @@ def test_formal_character_is_cached_and_levi_character_copies():
     [
         (B3, "M12", (1, 0, 0)),  # not integral
         (B3, "M1", (0, 2, 0)),  # the GL_2 block has mu_1 < mu_2
-        # non-dominant tails whose shifted weight is regular, so that Weyl's
-        # formula would divide exactly and return a character up to sign
+        # non-dominant tails whose shifted weight is regular, so that the
+        # tail's alternant is that of a dominant tail up to sign, not 0
         (B3, "M2", (0, 0, 4)),  # the B2 tail has mu_2 < mu_3
         (RootDatum("D", 4), "M1", (2, 2, 0, -4)),  # the D2 tail has mu_3 + mu_4 < 0
     ],
@@ -1003,17 +1039,17 @@ def test_formal_character_is_cached_and_levi_character_copies():
 def test_kostant_identity_refuses_an_entry_its_characters_cannot_take(monkeypatch, datum, label, doubled):
     """Each of the four checks of a Kostant entry's weight, read off its
     doubled coordinates: a weight that fails one, in the first entry or in
-    the last, after a passing call has filled the block factor caches, is
+    the last, after a passing call has filled the alternant caches, is
     refused on every call, not summed as some other character or as none.
-    The identity checks the tail itself, so it refuses also when
-    formal_character is Weyl's formula without its dominance check."""
+    A non-dominant tail is fed to the identity itself: its alternant is a
+    nonzero Laurent polynomial, so only the identity's own tail check
+    refuses it."""
     levi, lam = standard_levi(label, datum.rank), Weight((0,) * datum.rank)
     assert kostant_euler_identity(datum, levi, lam)
+    tail = doubled[levi.so_start :]
+    if not rootdata._dominant_coords(datum.kind, tail):
+        assert rootdata._weyl_numerator_cached(datum.kind, len(tail), tail) != Laurent(len(tail))
     real = rootdata.kostant_cohomology
-
-    def unchecked(tail_datum, mu):
-        return rootdata._formal_character_cached(tail_datum.kind, tail_datum.rank, mu.doubled)
-
     for where in (0, -1):
 
         def corrupted(datum, levi, lam):
@@ -1022,20 +1058,155 @@ def test_kostant_identity_refuses_an_entry_its_characters_cannot_take(monkeypatc
             return entries
 
         monkeypatch.setattr(rootdata, "kostant_cohomology", corrupted)
-        for characters in (formal_character, unchecked):
-            monkeypatch.setattr(rootdata, "formal_character", characters)
+        for _ in range(2):
             with pytest.raises(ExactDomainError):
                 kostant_euler_identity(datum, levi, lam)
 
 
+def _unshifted_gl_blocks(real):
+    """_levi_blocks with every GL block's shift 0: the GL alternant of mu
+    instead of mu + rho."""
+
+    def blocks(datum, levi):
+        table = real(datum, levi)
+        n = len(levi.gl_blocks)
+        return tuple((o, size, (0,) * size) for o, size, _ in table[:n]) + table[n:]
+
+    return blocks
+
+
+def _reversed_gl2_term_positive(real):
+    """_gl_alternant with the reversed term of a GL_2 block added, not subtracted."""
+
+    def alternant(v):
+        p = real(v)
+        return Laurent(len(v), {e: abs(c) for e, c in p.terms.items()}) if len(v) == 2 else p
+
+    return alternant
+
+
+def _tail_with_ambient_rho(real, datum):
+    """_weyl_numerator_cached with the ambient rho's leading coordinates in
+    place of a tail's own rho; the ambient numerator as it is."""
+    r = rho(datum).doubled
+
+    def numerator(kind, n, doubled):
+        if n == datum.rank:
+            return real(kind, n, doubled)
+        shift = map(operator.sub, r[:n], rho(RootDatum(kind, n)).doubled)
+        return real(kind, n, tuple(map(operator.add, doubled, shift)))
+
+    return numerator
+
+
+def _gl_blocks_stay_dominant(datum, levi, lam):
+    """Whether every Kostant entry is strictly decreasing on each GL block,
+    so that its unshifted GL alternant is formed, not refused."""
+    return all(
+        all(mu.doubled[i] > mu.doubled[j] for b in levi.gl_blocks for i, j in zip(b, b[1:]))
+        for _, mu in kostant_cohomology(datum, levi, lam)
+    )
+
+
+@pytest.mark.parametrize("mutation", ["gl-without-rho", "gl2-reversed-sign", "tail-ambient-rho"])
+def test_kostant_identity_fails_on_a_wrong_block_alternant(monkeypatch, mutation):
+    """Negative controls of the block alternants: the identity returns False
+    on every B/D case of rank 2-4 with max-coord 1 that the mutation
+    reaches, when a GL block's alternant is built from mu instead of
+    mu + rho (the cases whose entries stay strictly decreasing on the GL
+    blocks), when the reversed term of a GL_2 alternant has the sign +1
+    (the M1 cases), or when a tail's alternant takes the ambient rho's
+    leading coordinates instead of the tail's rho (the cases with a tail
+    shorter than the datum)."""
+    checked = Counter()
+    for datum, levi, lam in _identity_cases(4, 1):
+        if mutation == "gl-without-rho":
+            if not _gl_blocks_stay_dominant(datum, levi, lam):
+                continue
+            monkeypatch.setattr(rootdata, "_levi_blocks", _unshifted_gl_blocks(rootdata._levi_blocks))
+        elif mutation == "gl2-reversed-sign":
+            if levi != standard_levi("M1", datum.rank):
+                continue
+            monkeypatch.setattr(rootdata, "_gl_alternant", _reversed_gl2_term_positive(rootdata._gl_alternant))
+        else:
+            if levi.so_start == datum.rank:
+                continue
+            monkeypatch.setattr(
+                rootdata, "_weyl_numerator_cached", _tail_with_ambient_rho(rootdata._weyl_numerator_cached, datum)
+            )
+        assert kostant_euler_identity(datum, levi, lam) is False, (mutation, datum, levi, lam)
+        monkeypatch.undo()
+        assert kostant_euler_identity(datum, levi, lam), (datum, levi, lam)
+        checked[levi] += 1
+    labels = {standard_levi(label, 2): label for label in ("M1", "M2", "M12")}
+    want = {
+        "gl-without-rho": {"M2": 27, "M1": 3, "M12": 27},
+        "gl2-reversed-sign": {"M1": 27},
+        "tail-ambient-rho": {"M2": 27, "M1": 20, "M12": 20},
+    }
+    assert {labels[levi]: n for levi, n in checked.items()} == want[mutation]
+
+
 def test_weyl_numerator_denominator_identity():
-    # sum eps(w) e^{w(lam+rho)} = e^rho ch(lam) prod (1 - e^-a), formally
-    for datum in (B2, B3, D3):
-        for lam_c in [(0,) * datum.rank, (1, 1) + (0,) * (datum.rank - 2)]:
-            lam = Weight.from_ints(lam_c)
-            lhs = weyl_numerator(datum, lam)
-            denominator = _binomial_product(datum.rank, rho(datum).doubled, datum.positive_roots())
-            assert lhs == _product(formal_character(datum, lam), denominator)
+    # sum eps(w) e^{w(lam+rho)} = e^rho ch(lam) prod (1 - e^-a), formally, with
+    # ch(lam) from Freudenthal's multiplicities and the denominator by
+    # schoolbook products: integral and spin weights of rank 1-3, whose
+    # dimension is Weyl's
+    n = 0
+    for kind in ("B", "D"):
+        for m in (1, 2, 3):
+            datum = RootDatum(kind, m)
+            denominator = _binomial_product(m, rho(datum).doubled, datum.positive_roots())
+            for half in (0, 1):
+                for lam_c in _dominant_weights(kind, m, 2):
+                    # a spin weight adds 1/2 to each |coordinate|
+                    lam = Weight(tuple(2 * c + (-half if c < 0 else half) for c in lam_c))
+                    ch = formal_character(datum, lam)
+                    assert weyl_numerator(datum, lam) == _product(ch, denominator), (kind, m, lam)
+                    assert sum(ch.terms.values()) == _weyl_dimension(datum, lam), (kind, m, lam)
+                    n += 1
+    assert n == 94
+
+
+def _weyl_dimension(datum, lam) -> Fraction:
+    """prod_{a>0} <lam + rho, a> / <rho, a>."""
+    shifted = tuple(map(operator.add, lam.doubled, rho(datum).doubled))
+    out = Fraction(1)
+    for a in datum.positive_roots():
+        out *= Fraction(sum(map(operator.mul, shifted, a)), sum(map(operator.mul, rho(datum).doubled, a)))
+    return out
+
+
+def test_verify_characters_fails_with_freudenthal_without_rho(monkeypatch, capsys):
+    """Negative control of `verify characters`: Freudenthal's recursion with
+    rho dropped.  The suite at its acceptance parameters does not pass, and
+    case by case the mutated character times Weyl's denominator is not the
+    Weyl numerator, or its recursion leaves a remainder, at every weight with
+    more than one dominant weight: all but lam = 0 and the D vector weights
+    e_1, whose characters are one W-orbit."""
+    real = rootdata._weight_multiplicities
+
+    def without_rho(kind, lam, r):
+        return real(kind, lam, (0,) * len(r))
+
+    monkeypatch.setattr(rootdata, "_weight_multiplicities", without_rho)
+    assert cli_main(["verify", "characters", *ACCEPTANCE["characters"]]) != 0
+    assert '"status":"pass"' not in capsys.readouterr().out
+    outcomes = Counter()
+    for kind in ("B", "D"):
+        for m in (2, 3, 4):
+            datum = RootDatum(kind, m)
+            r, roots = rho(datum).doubled, _doubled(datum.positive_roots())
+            for lam_c in _dominant_weights(kind, m, 2):
+                lam = Weight.from_ints(lam_c)
+                single = sum(rootdata._dominant_coords(kind, mu) for mu in real(kind, lam.doubled, r)) == 1
+                try:
+                    ok = formal_character(datum, lam).mul_binomials(r, roots) == weyl_numerator(datum, lam)
+                except ExactDomainError:
+                    ok = None
+                assert (ok is True) == single, (kind, lam_c, ok)
+                outcomes["single" if single else "wrong" if ok is False else "refused"] += 1
+    assert outcomes == {"single": 9, "wrong": 29, "refused": 36}
 
 
 def test_weight_invariants():
